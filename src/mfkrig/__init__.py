@@ -27,7 +27,7 @@ from .exceptions import (
     ParseError,
     SingularTrendError,
 )
-from .joint import JointModel, joint_predict
+from .joint import JointModel
 from .kernels import BasisSpec, KernelSpec
 from .kriging import FittedKriging, KrigingProblem, fit
 from .sequential import (
@@ -100,7 +100,6 @@ __all__ = [
     "fit_level",
     "fit_multifidelity",
     "get_problem",
-    "joint_predict",
     "load_data",
     "load_model",
     "nested_lhs",

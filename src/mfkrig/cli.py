@@ -20,6 +20,7 @@ from .cokriging import (
     MultiFidelityData,
     fit_multifidelity,
 )
+from .csvio import fmt, write_csv
 from .exceptions import (
     DuplicateDesignPointError,
     FitFailedError,
@@ -66,10 +67,6 @@ _VALIDATION_ERRORS = (ValueError, KeyError, TypeError,
 
 class _ConfigError(ValueError):
     """Config file is structurally wrong (missing or mistyped key)."""
-
-
-def _fmt(v) -> str:
-    return format(float(v), ".17g")
 
 
 def _load_config(path) -> dict:
@@ -177,14 +174,14 @@ def _write_fit_report(model, path) -> None:
             fh.write(f"level {t}\n")
             fh.write(f"  kernel: {level.kernel.family}\n")
             fh.write("  lengthscales: "
-                     + " ".join(_fmt(v) for v in level.kernel.lengthscales)
+                     + " ".join(fmt(v) for v in level.kernel.lengthscales)
                      + "\n")
-            fh.write(f"  sigma2: {_fmt(level.sigma2)}\n")
-            fh.write("  beta: " + " ".join(_fmt(v) for v in level.beta) + "\n")
+            fh.write(f"  sigma2: {fmt(level.sigma2)}\n")
+            fh.write("  beta: " + " ".join(fmt(v) for v in level.beta) + "\n")
             if level.rho_beta is not None:
                 fh.write("  scaling coefficients: "
-                         + " ".join(_fmt(v) for v in level.rho_beta) + "\n")
-            fh.write(f"  negative log-likelihood: {_fmt(level.nll)}\n")
+                         + " ".join(fmt(v) for v in level.rho_beta) + "\n")
+            fh.write(f"  negative log-likelihood: {fmt(level.nll)}\n")
 
 
 def cmd_fit(config, out, quiet) -> int:
@@ -228,18 +225,14 @@ def cmd_predict(config, out, quiet) -> int:
               + [f"mean_{t}" for t in range(1, s + 1)]
               + [f"var_{t}" for t in range(1, s + 1)]
               + [f"contrib_{t}" for t in range(1, s + 1)])
+    rows = []
+    if points.shape[0]:
+        pred = model.predict(points)
+        rows = np.hstack([points, pred.means.T, pred.variances.T,
+                          pred.contributions.T])
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "predictions.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        if points.shape[0]:
-            pred = model.predict(points)
-            for i in range(points.shape[0]):
-                row = (list(points[i])
-                       + list(pred.means[:, i])
-                       + list(pred.variances[:, i])
-                       + list(pred.contributions[:, i]))
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+    write_csv(path, header, rows)
     if not quiet:
         print(f"wrote {points.shape[0]} predictions to {path}")
     return EXIT_OK
@@ -291,23 +284,17 @@ def cmd_report(config, out, quiet) -> int:
                     f"{cum} does not match stored {e.cumulative_cost}")
     os.makedirs(out, exist_ok=True)
 
+    entries = trace.entries
     curve = os.path.join(out, "imse_vs_cost.csv")
-    with open(curve, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("cum_cost,imse\n")
-        if trace.entries:
-            fh.write(f"0,{_fmt(trace.entries[0].imse_before)}\n")
-            for e in trace.entries:
-                fh.write(f"{_fmt(e.cumulative_cost)},{_fmt(e.imse_after)}\n")
+    rows = [(0, entries[0].imse_before)] if entries else []
+    rows += [(e.cumulative_cost, e.imse_after) for e in entries]
+    write_csv(curve, ["cum_cost", "imse"], rows)
 
+    counts = {t: 0 for t in range(1, trace.levels + 1)}
+    for e in entries:
+        counts[e.level] += 1
     hist = os.path.join(out, "level_hist.csv")
-    with open(hist, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("level,count\n")
-        if trace.entries:
-            counts = {t: 0 for t in range(1, trace.levels + 1)}
-            for e in trace.entries:
-                counts[e.level] += 1
-            for t in range(1, trace.levels + 1):
-                fh.write(f"{t},{counts[t]}\n")
+    write_csv(hist, ["level", "count"], counts.items() if entries else [])
     if not quiet:
         print(f"wrote {curve} and {hist}")
     return EXIT_OK

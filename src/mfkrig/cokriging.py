@@ -23,24 +23,20 @@ recursion; they power the level-choice rules in the sequential module.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .exceptions import SingularTrendError
 from .kernels import (
     BasisSpec,
     KernelSpec,
-    add_matched_nugget,
     basis_matrix,
-    correlation_matrix,
-    cross_correlation,
+    same_points,
     _as_points,
 )
 from .kriging import (
     _DEFAULT_RESTARTS,
-    _gls,
+    _level_posterior,
     _ml_fit,
-    chol_nugget,
-    variance_factor,
+    _solve_level,
 )
 
 
@@ -56,6 +52,23 @@ class LevelConfig:
     def __post_init__(self):
         if self.scaling is not None and self.scaling.dimension != self.trend.dimension:
             raise ValueError("scaling and trend bases disagree on dimension")
+
+
+def validate_nesting(designs):
+    """Check exact point-identity nesting of a design sequence.
+
+    Returns None when every level's points appear bit-for-bit in the
+    level below; otherwise the first violation as (level, point index)
+    with 1-based level and 0-based index.
+    """
+    arrays = [np.asarray(a, dtype=float) for a in designs]
+    arrays = [a[:, None] if a.ndim == 1 else a for a in arrays]
+    for t in range(1, len(arrays)):
+        missing = np.flatnonzero(
+            ~same_points(arrays[t], arrays[t - 1]).any(axis=1))
+        if missing.size:
+            return (t + 1, int(missing[0]))
+    return None
 
 
 class MultiFidelityData:
@@ -91,22 +104,16 @@ class MultiFidelityData:
                 raise ValueError(
                     f"level {t + 1}: {len(z)} responses for {len(dd)} points"
                 )
-            seen = set()
-            for i, row in enumerate(dd):
-                key = row.tobytes()
-                if key in seen:
-                    raise ValueError(
-                        f"level {t + 1}: design point {i} duplicates an earlier one"
-                    )
-                seen.add(key)
-        for t in range(1, len(self.designs)):
-            lower = {row.tobytes() for row in self.designs[t - 1]}
-            for i, row in enumerate(self.designs[t]):
-                if row.tobytes() not in lower:
-                    raise ValueError(
-                        f"nesting violated: level {t + 1} point {i} is not a "
-                        f"point of level {t}"
-                    )
+            dup = np.flatnonzero(np.tril(same_points(dd, dd), -1).any(axis=1))
+            if dup.size:
+                raise ValueError(
+                    f"level {t + 1}: design point {dup[0]} duplicates an earlier one"
+                )
+        violation = validate_nesting(self.designs)
+        if violation is not None:
+            t, i = violation
+            raise ValueError(f"nesting violated: level {t} point {i} is not a "
+                             f"point of level {t - 1}")
 
     @property
     def levels(self) -> int:
@@ -124,9 +131,8 @@ class MultiFidelityData:
         """
         if not 2 <= level <= self.levels:
             raise ValueError(f"level must be in [2, {self.levels}]")
-        below = self.designs[level - 2]
-        index = {row.tobytes(): i for i, row in enumerate(below)}
-        rows = [index[row.tobytes()] for row in self.designs[level - 1]]
+        rows = np.argmax(
+            same_points(self.designs[level - 1], self.designs[level - 2]), axis=1)
         return self.observations[level - 2][rows]
 
     def with_point(self, x, values) -> "MultiFidelityData":
@@ -144,7 +150,7 @@ class MultiFidelityData:
         values = np.asarray(values, dtype=float).ravel()
         if not 1 <= values.size <= self.levels:
             raise ValueError("need values for levels 1..l with l <= level count")
-        if x.tobytes() in {row.tobytes() for row in self.designs[0]}:
+        if same_points(x, self.designs[0]).any():
             raise DuplicateDesignPointError(
                 f"point {x} is already a level-1 design point"
             )
@@ -283,69 +289,60 @@ def fit_level(level: int, data: MultiFidelityData, config: LevelConfig,
     design = data.designs[level - 1]
     y = data.observations[level - 1]
     rng = np.random.default_rng(seed)
-
     if level == 1:
         if config.scaling is not None:
             raise ValueError("level 1 takes no scaling basis")
-        f = basis_matrix(config.trend, design)
-        if len(design) < f.shape[1] + 1:
-            raise ValueError(
-                f"level 1 needs at least {f.shape[1] + 1} points, has {len(design)}"
-            )
-        kernel, beta, sigma2, lo, alpha, nll = _ml_fit(
-            design, f, y, config.kernel.family, bounds, restarts, rng)
-        return FittedLevel(design=design, y=y, trend=config.trend, scaling=None,
-                           kernel=kernel, beta=beta, rho_beta=None,
-                           sigma2=sigma2, chol=lo, alpha=alpha, nll=nll)
-
-    if config.scaling is None:
-        raise ValueError(f"level {level} needs a scaling basis")
-    if lower_values is None:
-        lower_values = data.lower_level_values(level)
-    lower_values = np.asarray(lower_values, dtype=float).ravel()
-    if lower_values.size != len(design):
-        raise ValueError("lower-level responses do not align with the design")
-    h = extended_trend_matrix(config, design, lower_values)
-    q = config.scaling.size
+        lower_values = None
+    else:
+        if config.scaling is None:
+            raise ValueError(f"level {level} needs a scaling basis")
+        if lower_values is None:
+            lower_values = data.lower_level_values(level)
+        lower_values = np.asarray(lower_values, dtype=float).ravel()
+        if lower_values.size != len(design):
+            raise ValueError("lower-level responses do not align with the design")
+    h, q = _level_trend(config, design, lower_values)
     if len(design) < h.shape[1] + 1:
         raise ValueError(
             f"level {level} needs at least {h.shape[1] + 1} points, "
             f"has {len(design)}"
         )
-    _check_extended_rank(h, q, level)
-    kernel, coef, sigma2, lo, alpha, nll = _ml_fit(
-        design, h, y, config.kernel.family, bounds, restarts, rng)
-    return FittedLevel(design=design, y=y, trend=config.trend,
-                       scaling=config.scaling, kernel=kernel,
-                       beta=coef[q:], rho_beta=coef[:q], sigma2=sigma2,
-                       chol=lo, alpha=alpha, nll=nll,
-                       lower_values=lower_values)
+    if q:
+        _check_extended_rank(h, q, level)
+    kernel = _ml_fit(design, h, y, config.kernel.family, bounds, restarts, rng)
+    return _assemble_level(config, kernel, design, y, lower_values)
 
 
-def _rebuild_level(level: FittedLevel, design, y, lower_values):
-    """Same kernel and sigma2 on possibly extended data; GLS refresh of
-    the coefficients and the stored solve."""
-    lo = chol_nugget(correlation_matrix(level.kernel, design))
-    if level.scaling is None:
-        f = basis_matrix(level.trend, design)
-        beta, _ = _gls(lo, f, y)
-        rho_beta = None
-        resid = y - f @ beta
-    else:
-        cfg = LevelConfig(level.trend, level.kernel, level.scaling)
-        h = extended_trend_matrix(cfg, design, lower_values)
-        q = level.scaling.size
-        coef, _ = _gls(lo, h, y)
-        rho_beta, beta = coef[:q], coef[q:]
-        resid = y - h @ coef
-    alpha = solve_triangular(lo.T, solve_triangular(lo, resid, lower=True),
-                             lower=False)
-    return FittedLevel(design=design, y=y, trend=level.trend,
-                       scaling=level.scaling, kernel=level.kernel,
-                       beta=beta, rho_beta=rho_beta, sigma2=level.sigma2,
-                       chol=lo, alpha=alpha, nll=float("nan"),
-                       lower_values=lower_values if level.scaling is not None
-                       else None)
+def _level_trend(config: LevelConfig, design, lower_values):
+    """(regression matrix, scaling block width): F at level 1, else [G . z | F]."""
+    if config.scaling is None:
+        return basis_matrix(config.trend, design), 0
+    return (extended_trend_matrix(config, design, lower_values),
+            config.scaling.size)
+
+
+def _assemble_level(config: LevelConfig, kernel: KernelSpec, design, y,
+                    lower_values, sigma2=None, coef=None) -> FittedLevel:
+    """One level on ``design`` with the given kernel.
+
+    ``coef`` (scaling block first) defaults to the GLS estimate;
+    ``sigma2`` defaults to the ML estimate, which also sets ``nll``.
+    """
+    h, q = _level_trend(config, design, lower_values)
+    lo, coef, ml_sigma2, nll, alpha = _solve_level(kernel, design, h, y, coef)
+    return FittedLevel(
+        design=design, y=y, trend=config.trend, scaling=config.scaling,
+        kernel=kernel, beta=coef[q:], rho_beta=coef[:q] if q else None,
+        sigma2=ml_sigma2 if sigma2 is None else sigma2, chol=lo, alpha=alpha,
+        nll=nll if sigma2 is None else float("nan"), lower_values=lower_values)
+
+
+def _variance_recursion(bases, rhos) -> np.ndarray:
+    """(s, m) variances: var_1 = base_1, var_t = rho_{t-1}^2 var_{t-1} + base_t."""
+    variances = [bases[0]]
+    for k in range(1, len(bases)):
+        variances.append(rhos[k - 1] ** 2 * variances[k - 1] + bases[k])
+    return np.vstack(variances)
 
 
 class MultiFidelityModel:
@@ -382,30 +379,19 @@ class MultiFidelityModel:
             raise ValueError("need one config and one parameter set per level")
         levels = []
         for t, (config, par) in enumerate(zip(configs, parameters), start=1):
-            design = data.designs[t - 1]
-            y = data.observations[t - 1]
-            kernel = config.kernel.with_lengthscales(par.lengthscales)
-            lo = chol_nugget(correlation_matrix(kernel, design))
             if t == 1:
                 if config.scaling is not None or par.rho_beta is not None:
                     raise ValueError("level 1 takes no scaling")
-                resid = y - basis_matrix(config.trend, design) @ par.beta
-                lower_values = None
-                rho_beta = None
+                lower_values, coef = None, par.beta
             else:
                 if config.scaling is None or par.rho_beta is None:
                     raise ValueError(f"level {t} needs scaling basis and rho_beta")
                 lower_values = data.lower_level_values(t)
-                h = extended_trend_matrix(config, design, lower_values)
-                resid = y - h @ np.concatenate([par.rho_beta, par.beta])
-                rho_beta = par.rho_beta
-            alpha = solve_triangular(
-                lo.T, solve_triangular(lo, resid, lower=True), lower=False)
-            levels.append(FittedLevel(
-                design=design, y=y, trend=config.trend, scaling=config.scaling,
-                kernel=kernel, beta=par.beta, rho_beta=rho_beta,
-                sigma2=float(par.sigma2), chol=lo, alpha=alpha,
-                nll=float("nan"), lower_values=lower_values))
+                coef = np.concatenate([par.rho_beta, par.beta])
+            levels.append(_assemble_level(
+                config, config.kernel.with_lengthscales(par.lengthscales),
+                data.designs[t - 1], data.observations[t - 1], lower_values,
+                sigma2=float(par.sigma2), coef=coef))
         return cls(levels, data, configs)
 
     def _level_terms(self, X):
@@ -415,13 +401,9 @@ class MultiFidelityModel:
         rhos = []
         mean_prev = None
         for k, lev in enumerate(self.levels):
-            f = basis_matrix(lev.trend, X)
-            c = add_matched_nugget(
-                cross_correlation(lev.kernel, lev.design, X), lev.design, X)
-            base = lev.sigma2 * variance_factor(lev.chol, c)
-            m = f @ lev.beta + c.T @ lev.alpha
+            m, base = _level_posterior(lev, X)
             if k > 0:
-                rho = basis_matrix(lev.scaling, X) @ lev.rho_beta
+                rho = lev.rho(X)
                 rhos.append(rho)
                 m = rho * mean_prev + m
             means.append(m)
@@ -440,16 +422,14 @@ class MultiFidelityModel:
         X = _as_points(xa, self.dimension)
         means, bases, rhos = self._level_terms(X)
         s = len(self.levels)
-        variances = [bases[0]]
-        for k in range(1, s):
-            variances.append(rhos[k - 1] ** 2 * variances[k - 1] + bases[k])
         contributions = [None] * s
         prod = np.ones(X.shape[0])
         for k in range(s - 1, -1, -1):
             contributions[k] = bases[k] * prod
             if k > 0:
                 prod = prod * rhos[k - 1] ** 2
-        out = (np.vstack(means), np.vstack(variances), np.vstack(contributions))
+        out = (np.vstack(means), _variance_recursion(bases, rhos),
+               np.vstack(contributions))
         if single:
             out = tuple(a[:, 0] for a in out)
         return PredictionBreakdown(*out)
@@ -460,27 +440,20 @@ class MultiFidelityModel:
         Levels up to ``level`` would interpolate x, so their variance is
         zero; higher levels keep only the terms the extra run cannot
         remove. Shape (s,) for one point, (s, m) for a batch. Nothing is
-        refitted; only the variance recursion is re-telescoped at x.
+        refitted; the variance recursion runs with the bases of levels
+        1..level set to zero. The top-level entry equals the suffix sum
+        ``predict(x).contributions[level:].sum(0)`` up to round-off (bit
+        for bit with at most three levels).
         """
         s = len(self.levels)
         if not 1 <= level <= s:
             raise ValueError(f"level must be in [1, {s}]")
         xa = np.asarray(x, dtype=float)
-        single = xa.ndim == 1
         X = _as_points(xa, self.dimension)
-        m = X.shape[0]
-        out = [np.zeros(m) for _ in range(level)]
-        prev = np.zeros(m)
-        for k in range(level, s):
-            lev = self.levels[k]
-            c = add_matched_nugget(
-                cross_correlation(lev.kernel, lev.design, X), lev.design, X)
-            base = lev.sigma2 * variance_factor(lev.chol, c)
-            rho = basis_matrix(lev.scaling, X) @ lev.rho_beta
-            prev = rho ** 2 * prev + base
-            out.append(prev)
-        stacked = np.vstack(out)
-        return stacked[:, 0] if single else stacked
+        _, bases, rhos = self._level_terms(X)
+        bases[:level] = [np.zeros(X.shape[0])] * level
+        stacked = _variance_recursion(bases, rhos)
+        return stacked[:, 0] if xa.ndim == 1 else stacked
 
     def refit(self, data: MultiFidelityData) -> "MultiFidelityModel":
         """New model on ``data`` with hyperparameters frozen.
@@ -491,11 +464,14 @@ class MultiFidelityModel:
         """
         if data.levels != self.level_count or data.dimension != self.dimension:
             raise ValueError("replacement data has a different shape")
-        levels = []
-        for t, lev in enumerate(self.levels, start=1):
-            lower = data.lower_level_values(t) if t > 1 else None
-            levels.append(_rebuild_level(lev, data.designs[t - 1],
-                                         data.observations[t - 1], lower))
+        levels = [
+            _assemble_level(
+                LevelConfig(lev.trend, lev.kernel, lev.scaling), lev.kernel,
+                data.designs[t - 1], data.observations[t - 1],
+                data.lower_level_values(t) if t > 1 else None,
+                sigma2=lev.sigma2)
+            for t, lev in enumerate(self.levels, start=1)
+        ]
         return MultiFidelityModel(levels, data, self.configs)
 
 

@@ -1,0 +1,51 @@
+"""The CSV conventions shared by every file the package reads and writes.
+
+Floats are written with 17 significant digits, which round-trips any
+float64 exactly. Malformed content raises ParseError naming the file
+and the 1-based line.
+"""
+
+from .exceptions import ParseError
+
+
+def fmt(v) -> str:
+    return format(float(v), ".17g")
+
+
+def write_csv(path, header, rows) -> None:
+    """Header line, then one line of formatted floats per row."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(fmt(v) for v in row) + "\n")
+
+
+def read_csv(path):
+    """(header cells, [(lineno, line), ...]) with blank lines skipped."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    if not lines:
+        raise ParseError(f"{path}:1: empty file, expected a header row")
+    header = [c.strip() for c in lines[0].split(",")]
+    body = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2)
+            if line.strip()]
+    return header, body
+
+
+def parse_row(path, lineno, line, width, parse):
+    """``parse(cells)`` on a line of exactly ``width`` cells.
+
+    A wrong cell count or a ValueError from ``parse`` becomes a
+    ParseError naming ``path:lineno``.
+    """
+    cells = line.split(",")
+    if len(cells) != width:
+        raise ParseError(
+            f"{path}:{lineno}: expected {width} columns, got {len(cells)}")
+    try:
+        return parse(cells)
+    except ValueError as exc:
+        raise ParseError(f"{path}:{lineno}: {exc}") from exc

@@ -265,8 +265,3 @@ class JointModel:
         if single:
             return float(mean[0]), float(var[0])
         return mean, var
-
-
-def joint_predict(jm: JointModel, x):
-    """Posterior (mean, variance) of the top level at ``x``."""
-    return jm.predict(x)

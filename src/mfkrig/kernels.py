@@ -132,6 +132,21 @@ def add_nugget(r: np.ndarray) -> np.ndarray:
     return out
 
 
+def same_points(xa, xb) -> np.ndarray:
+    """(na, nb) boolean matrix, True where xa[i] and xb[j] are the same point.
+
+    Point identity is bitwise equality of the float64 rows: -0.0 and 0.0
+    are different points and no tolerance applies. A (d,) vector is one
+    point; sets of different dimension share no points, and all rows of
+    dimension 0 are the same point.
+    """
+    a, b = (np.ascontiguousarray(_as_points(x)) for x in (xa, xb))
+    if a.shape[1] != b.shape[1] or a.shape[1] == 0:
+        return np.full((a.shape[0], b.shape[0]), a.shape[1] == b.shape[1])
+    key = np.dtype((np.void, a.itemsize * a.shape[1]))
+    return a.view(key) == b.view(key).T
+
+
 def add_matched_nugget(c: np.ndarray, xa, xb) -> np.ndarray:
     """Return a copy of ``c`` with NUGGET added where xa[i] equals xb[j] exactly.
 
@@ -146,12 +161,7 @@ def add_matched_nugget(c: np.ndarray, xa, xb) -> np.ndarray:
     out = np.array(c, dtype=float, copy=True)
     if out.shape != (a.shape[0], b.shape[0]):
         raise ValueError("matrix shape does not match the point sets")
-    index = {}
-    for j, row in enumerate(b):
-        index.setdefault(row.tobytes(), []).append(j)
-    for i, row in enumerate(a):
-        for j in index.get(row.tobytes(), ()):
-            out[i, j] += NUGGET
+    out[same_points(a, b)] += NUGGET
     return out
 
 

@@ -33,6 +33,7 @@ from .kernels import (
     basis_matrix,
     correlation_matrix,
     cross_correlation,
+    same_points,
     _as_points,
 )
 
@@ -74,12 +75,10 @@ class KrigingProblem:
                 f"need at least {self.trend.size + 1} points for a "
                 f"{self.trend.kind} trend in dimension {d}, got {n}"
             )
-        seen = set()
-        for i, row in enumerate(self.design):
-            key = row.tobytes()
-            if key in seen:
-                raise ValueError(f"design point {i} duplicates an earlier point")
-            seen.add(key)
+        dup = np.flatnonzero(
+            np.tril(same_points(self.design, self.design), -1).any(axis=1))
+        if dup.size:
+            raise ValueError(f"design point {dup[0]} duplicates an earlier point")
 
 
 @dataclass
@@ -115,13 +114,7 @@ class FittedKriging:
         xa = np.asarray(x, dtype=float)
         single = xa.ndim == 1
         X = _as_points(xa, self.design.shape[1])
-        F = basis_matrix(self.trend, X)
-        C = cross_correlation(self.kernel, self.design, X)
-        # probes that are stored design points carry the nugget term too,
-        # otherwise they would miss the observed value by nugget * alpha
-        C = add_matched_nugget(C, self.design, X)
-        mean = F @ self.beta + C.T @ self.alpha
-        var = self.sigma2 * variance_factor(self.chol, C)
+        mean, var = _level_posterior(self, X)
         if single:
             return float(mean[0]), float(var[0])
         return mean, var
@@ -149,6 +142,19 @@ def variance_factor(chol_lower: np.ndarray, c: np.ndarray) -> np.ndarray:
             f"-{_VARIANCE_SLACK:g}; round-off alone cannot explain this"
         )
     return np.maximum(factor, 0.0)
+
+
+def _level_posterior(fitted, X):
+    """(f' beta + r' alpha, sigma2 (1 - r' R^{-1} r)) of one fitted level at X.
+
+    ``fitted`` carries design, trend, kernel, beta, sigma2, chol and
+    alpha. Probes that are stored design points carry the nugget term
+    too, otherwise they would miss the observed value by nugget * alpha.
+    """
+    c = add_matched_nugget(
+        cross_correlation(fitted.kernel, fitted.design, X), fitted.design, X)
+    mean = basis_matrix(fitted.trend, X) @ fitted.beta + c.T @ fitted.alpha
+    return mean, fitted.sigma2 * variance_factor(fitted.chol, c)
 
 
 def _gls(chol_lower, f, y):
@@ -208,7 +214,7 @@ def _sigma2_floor(y):
 
 
 def _nll_terms(design, trend_matrix, y, kernel):
-    """(nll, beta, sigma2_floored, chol, logdet) for fixed lengthscales."""
+    """(nll, beta, sigma2_floored, chol) for fixed lengthscales."""
     lo = chol_nugget(correlation_matrix(kernel, design))
     beta, sigma2 = _gls(lo, trend_matrix, y)
     sigma2 = max(sigma2, _sigma2_floor(y))
@@ -216,6 +222,28 @@ def _nll_terms(design, trend_matrix, y, kernel):
     n, p = trend_matrix.shape
     nll = (n - p) * np.log(sigma2) + logdet
     return nll, beta, sigma2, lo
+
+
+def _solve_level(kernel, design, trend_matrix, y, coef=None):
+    """Factor a level and store its residual solve; the one place this is done.
+
+    Factors R + nugget for ``kernel`` on ``design`` and stores
+    alpha = R^{-1}(y - H coef). Without ``coef`` the coefficients are
+    GLS estimates, returned with the floored sigma2 and the concentrated
+    NLL; with ``coef`` given both of those are nan.
+
+    Returns (chol, coef, sigma2, nll, alpha).
+    """
+    if coef is None:
+        nll, coef, sigma2, lo = _nll_terms(design, trend_matrix, y, kernel)
+    else:
+        lo = chol_nugget(correlation_matrix(kernel, design))
+        nll = sigma2 = float("nan")
+    resid = y - trend_matrix @ coef
+    alpha = solve_triangular(
+        lo.T, solve_triangular(lo, resid, lower=True), lower=False
+    )
+    return lo, coef, sigma2, float(nll), alpha
 
 
 def concentrated_nll(problem: KrigingProblem, theta) -> float:
@@ -262,8 +290,8 @@ def _ml_fit(design, trend_matrix, y, family, bounds, restarts, rng):
 
     Minimizes the concentrated NLL over log-lengthscales with
     Nelder-Mead, one run per start (start 0 is the log-box midpoint,
-    the rest are drawn uniformly from the box with ``rng``). Returns
-    (kernel, beta, sigma2, chol, alpha, nll).
+    the rest are drawn uniformly from the box with ``rng``). Returns the
+    kernel at the best lengthscales found.
     """
     from scipy.optimize import minimize
 
@@ -300,13 +328,7 @@ def _ml_fit(design, trend_matrix, y, family, bounds, restarts, rng):
             f"all {len(starts)} likelihood starts were ill-conditioned"
         )
 
-    kernel = KernelSpec(family, np.exp(best[1]))
-    nll, beta, sigma2, lo_chol = _nll_terms(design, trend_matrix, y, kernel)
-    resid = y - trend_matrix @ beta
-    alpha = solve_triangular(
-        lo_chol.T, solve_triangular(lo_chol, resid, lower=True), lower=False
-    )
-    return kernel, beta, sigma2, lo_chol, alpha, float(nll)
+    return KernelSpec(family, np.exp(best[1]))
 
 
 def fit(problem: KrigingProblem, bounds=None, restarts=_DEFAULT_RESTARTS,
@@ -329,10 +351,10 @@ def fit(problem: KrigingProblem, bounds=None, restarts=_DEFAULT_RESTARTS,
     """
     rng = np.random.default_rng(seed)
     f = basis_matrix(problem.trend, problem.design)
-    kernel, beta, sigma2, lo, alpha, nll = _ml_fit(
-        problem.design, f, problem.y, problem.kernel.family,
-        bounds, restarts, rng,
-    )
+    kernel = _ml_fit(problem.design, f, problem.y, problem.kernel.family,
+                     bounds, restarts, rng)
+    lo, beta, sigma2, nll, alpha = _solve_level(kernel, problem.design, f,
+                                                problem.y)
     return FittedKriging(
         design=problem.design, y=problem.y, trend=problem.trend,
         kernel=kernel, beta=beta, sigma2=sigma2, chol=lo, alpha=alpha, nll=nll,

@@ -16,7 +16,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .cokriging import MultiFidelityModel, fit_multifidelity
+from .csvio import fmt, parse_row, read_csv
 from .exceptions import ParseError
+from .kernels import same_points
 
 IMSE_THRESHOLD = "imse-threshold"
 COST_WEIGHTED = "cost-weighted"
@@ -237,13 +239,9 @@ def argmax_variance(model, domain: Domain, search=None, exclude=None):
     else:
         raise TypeError(f"unknown search strategy {search!r}")
     if exclude is not None:
-        taken = {np.ascontiguousarray(row, dtype=float).tobytes()
-                 for row in np.atleast_2d(exclude)}
-        keep = [i for i, row in enumerate(candidates)
-                if np.ascontiguousarray(row).tobytes() not in taken]
-        if not keep:
+        candidates = candidates[~same_points(candidates, exclude).any(axis=1)]
+        if not len(candidates):
             return None
-        candidates = candidates[keep]
     return _lexicographic_best(candidates, _top_variance(model, candidates))
 
 
@@ -287,27 +285,30 @@ def choose_level(model, x, imse, cost: CostModel | None = None,
     cost-weighted: the level maximizing variance reduction at x per
     unit of cumulative run cost; ties go to the cheaper level.
     """
-    x = np.asarray(x, dtype=float)
     s = model.level_count
-    if rule == IMSE_THRESHOLD:
-        for level in range(1, s):
-            if model.hypothetical_variance_after(x, level)[-1] < imse:
-                return level
-        return s
+    if rule not in LEVEL_RULES:
+        raise ValueError(f"unknown rule {rule!r}; expected one of {LEVEL_RULES}")
     if rule == COST_WEIGHTED:
         if cost is None:
             raise ValueError("cost-weighted rule needs a cost model")
         if cost.levels != s:
             raise ValueError("cost model and model disagree on level count")
-        total = model.predict(x).variances[-1]
-        best, best_ratio = 1, -np.inf
-        for level in range(1, s + 1):
-            h = model.hypothetical_variance_after(x, level)[-1]
-            ratio = (total - h) / cost.cost_through(level)
-            if ratio > best_ratio:
-                best, best_ratio = level, ratio
-        return best
-    raise ValueError(f"unknown rule {rule!r}; expected one of {LEVEL_RULES}")
+    out = model.predict(x)
+    # Running levels 1..l at x zeroes their share of the top-level
+    # variance; what is left is the suffix sum of the contributions.
+    after = [out.contributions[level:].sum() for level in range(1, s + 1)]
+    if rule == IMSE_THRESHOLD:
+        for level in range(1, s):
+            if after[level - 1] < imse:
+                return level
+        return s
+    total = out.variances[-1]
+    best, best_ratio = 1, -np.inf
+    for level in range(1, s + 1):
+        ratio = (total - after[level - 1]) / cost.cost_through(level)
+        if ratio > best_ratio:
+            best, best_ratio = level, ratio
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +384,6 @@ class EnrichmentTrace:
                 + ["imse_before", "imse_after", "cum_cost"])
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 _INCOMPLETE_MARK = "# incomplete"
 
 
@@ -400,12 +397,12 @@ def write_trace(trace: EnrichmentTrace, path) -> None:
         fh.write(",".join(trace.header()) + "\n")
         for e in trace.entries:
             cells = [str(e.iteration)]
-            cells += [_fmt(v) for v in e.x]
+            cells += [fmt(v) for v in e.x]
             cells.append(str(e.level))
-            cells += [_fmt(v) for v in e.values]
+            cells += [fmt(v) for v in e.values]
             cells += [""] * (trace.levels - len(e.values))
-            cells += [_fmt(e.imse_before), _fmt(e.imse_after),
-                      _fmt(e.cumulative_cost)]
+            cells += [fmt(e.imse_before), fmt(e.imse_after),
+                      fmt(e.cumulative_cost)]
             fh.write(",".join(cells) + "\n")
         if not trace.complete:
             fh.write(_INCOMPLETE_MARK + "\n")
@@ -413,46 +410,33 @@ def write_trace(trace: EnrichmentTrace, path) -> None:
 
 def read_trace(path) -> EnrichmentTrace:
     """Parse a trace CSV back; malformed content names file and line."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if not lines:
-        raise ParseError(f"{path}:1: empty file, expected a header row")
-    header = [c.strip() for c in lines[0].split(",")]
+    header, body = read_csv(path)
     dimension = sum(1 for c in header if c.startswith("x_"))
     levels = sum(1 for c in header if c.startswith("value_"))
     trace = EnrichmentTrace(dimension=dimension, levels=levels)
     if dimension < 1 or levels < 1 or header != trace.header():
         raise ParseError(f"{path}:1: unrecognized trace header")
-    width = len(header)
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+
+    def parse(cells):
+        iteration = int(cells[0])
+        x = np.array([float(c) for c in cells[1:1 + dimension]])
+        level = int(cells[1 + dimension])
+        raw = cells[2 + dimension:2 + dimension + levels]
+        values = [float(c) for c in raw if c != ""]
+        tail = [float(c) for c in cells[-3:]]
+        return TraceEntry(iteration, x, level, values, *tail)
+
+    for lineno, line in body:
         if line.startswith("#"):
             if line.strip() == _INCOMPLETE_MARK:
                 trace.complete = False
                 continue
             raise ParseError(f"{path}:{lineno}: unrecognized comment line")
-        cells = line.split(",")
-        if len(cells) != width:
-            raise ParseError(
-                f"{path}:{lineno}: expected {width} columns, got {len(cells)}")
-        try:
-            iteration = int(cells[0])
-            x = np.array([float(c) for c in cells[1:1 + dimension]])
-            level = int(cells[1 + dimension])
-            raw = cells[2 + dimension:2 + dimension + levels]
-            values = [float(c) for c in raw if c != ""]
-            tail = [float(c) for c in cells[-3:]]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        if len(values) != level:
-            raise ParseError(
-                f"{path}:{lineno}: level {level} row carries {len(values)} values")
-        trace.entries.append(TraceEntry(iteration, x, level, values,
-                                        tail[0], tail[1], tail[2]))
+        entry = parse_row(path, lineno, line, len(header), parse)
+        if len(entry.values) != entry.level:
+            raise ParseError(f"{path}:{lineno}: level {entry.level} row "
+                             f"carries {len(entry.values)} values")
+        trace.entries.append(entry)
     return trace
 
 
@@ -470,8 +454,9 @@ def run_loop(model, domain: Domain, cost: CostModel, budget,
     duplicate rule cannot trip), chooses how deep to run, evaluates the
     simulators, and enriches. ``refit`` is "never" (frozen
     hyperparameters), "always", or "every-k" for an integer k (refit on
-    iterations k, 2k, ...). A simulator failure stops the loop and
-    returns the partial trace flagged incomplete.
+    iterations k, 2k, ...). A simulator failure (an exception or a
+    non-finite value) stops the loop and returns the partial trace
+    flagged incomplete.
     """
     if cost.levels != model.level_count:
         raise ValueError("cost model and model disagree on level count")
@@ -508,6 +493,8 @@ def run_loop(model, domain: Domain, cost: CostModel, budget,
             values = [float(np.asarray(simulators[t](x[None, :])).reshape(-1)[0])
                       for t in range(level)]
         except Exception:
+            values = None
+        if values is None or not np.all(np.isfinite(values)):
             trace.complete = False
             break
         reestimate = period > 0 and iteration % period == 0

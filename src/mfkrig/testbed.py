@@ -22,7 +22,9 @@ from .cokriging import (
     LevelParameters,
     MultiFidelityData,
     MultiFidelityModel,
+    validate_nesting,  # public here too, beside nested_lhs
 )
+from .csvio import parse_row, read_csv, write_csv
 from .exceptions import ParseError
 from .kernels import BasisSpec, KernelSpec
 
@@ -105,22 +107,6 @@ def _maximin_subset(points, m) -> np.ndarray:
         mind = np.minimum(mind, dist[nxt])
         mind[nxt] = -np.inf
     return np.sort(chosen)
-
-
-def validate_nesting(designs):
-    """Check exact point-identity nesting of a design sequence.
-
-    Returns None when every level's points appear bit-for-bit in the
-    level below; otherwise the first violation as (level, point index)
-    with 1-based level and 0-based index.
-    """
-    arrays = [np.ascontiguousarray(a, dtype=float) for a in designs]
-    for t in range(1, len(arrays)):
-        parent = {row.tobytes() for row in arrays[t - 1]}
-        for i, row in enumerate(arrays[t]):
-            if row.tobytes() not in parent:
-                return (t + 1, i)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +214,6 @@ def get_problem(name: str) -> TestProblem:
 # persistence
 
 
-def _fmt(v: float) -> str:
-    # 17 significant digits round-trip any float64 exactly.
-    return format(float(v), ".17g")
-
-
 def _design_path(directory, t):
     return os.path.join(directory, f"design_{t}.csv")
 
@@ -244,41 +225,13 @@ def _response_path(directory, t):
 _MODEL_SIDECAR = "model.json"
 
 
-def _read_table(path, n_columns=None):
-    """Read a CSV of floats, returning (header, rows).
-
-    Raises ParseError naming the file and 1-based line of any malformed
-    content; the header is validated by the caller.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if not lines:
-        raise ParseError(f"{path}:1: empty file, expected a header row")
-    header = [c.strip() for c in lines[0].split(",")]
-    width = len(header) if n_columns is None else n_columns
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != width:
-            raise ParseError(
-                f"{path}:{lineno}: expected {width} columns, got {len(cells)}")
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+def _read_table(path):
+    """(header, rows of floats) of a CSV; the caller validates the header."""
+    header, body = read_csv(path)
+    rows = [parse_row(path, lineno, line, len(header),
+                      lambda cells: [float(c) for c in cells])
+            for lineno, line in body]
     return header, rows
-
-
-def _write_table(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def load_points(path) -> np.ndarray:
@@ -301,10 +254,9 @@ def save_data(data: MultiFidelityData, directory) -> None:
     d = data.dimension
     header = [f"dim_{j}" for j in range(d)]
     for t in range(1, data.levels + 1):
-        _write_table(_design_path(directory, t), header,
-                     data.designs[t - 1])
-        _write_table(_response_path(directory, t), ["value"],
-                     [[v] for v in data.observations[t - 1]])
+        write_csv(_design_path(directory, t), header, data.designs[t - 1])
+        write_csv(_response_path(directory, t), ["value"],
+                  [[v] for v in data.observations[t - 1]])
 
 
 def load_data(directory) -> MultiFidelityData:

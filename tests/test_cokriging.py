@@ -359,6 +359,9 @@ def test_variance_drop_equals_contributions_removed():
         drop = out.variances[-1] - hyp[-1]
         np.testing.assert_allclose(drop, removed,
                                    rtol=1e-9, atol=1e-12)
+        # what choose_level reads: with three levels, bit for bit
+        np.testing.assert_array_equal(
+            hyp[-1], out.contributions[level:].sum(axis=0))
 
 
 def test_hypothetical_level_out_of_range():

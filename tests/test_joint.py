@@ -8,7 +8,7 @@ from mfkrig.cokriging import (
     MultiFidelityModel,
 )
 from mfkrig.exceptions import OracleTooLargeError
-from mfkrig.joint import JointModel, joint_predict
+from mfkrig.joint import JointModel
 from mfkrig.kernels import BasisSpec, KernelSpec, correlation, correlation_matrix
 from mfkrig.kriging import FittedKriging
 
@@ -146,7 +146,7 @@ def test_oracle_cap_enforced():
     JointModel(data, configs, params, max_points=210)
 
 
-# ---------------------------------------------------------- joint_predict
+# ---------------------------------------------------------- JointModel.predict
 
 def test_joint_interpolates_top_design_points():
     data, configs, params = chain_instance(10)

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfkrig.kernels import (
     NUGGET,
     BasisSpec,
     KernelSpec,
+    add_matched_nugget,
     add_nugget,
     basis_matrix,
     correlation,
     correlation_matrix,
     cross_correlation,
+    same_points,
 )
 
 
@@ -151,8 +155,6 @@ def test_nugget_value_and_copy():
 
 
 def test_matched_nugget_hits_identical_rows_only():
-    from mfkrig.kernels import add_matched_nugget
-
     a = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
     b = np.vstack([a[1], [[0.1, 0.200000001]]])
     c = np.zeros((3, 2))
@@ -164,7 +166,58 @@ def test_matched_nugget_hits_identical_rows_only():
 
 
 def test_matched_nugget_shape_mismatch():
-    from mfkrig.kernels import add_matched_nugget
-
     with pytest.raises(ValueError):
         add_matched_nugget(np.zeros((2, 2)), [[0.0], [1.0], [2.0]], [[0.0], [1.0]])
+
+
+# ---------------------------------------------------------------------------
+# point identity
+
+# Few distinct values, so generated sets repeat rows and mix 0.0 with -0.0.
+_VALUES = [0.0, -0.0, 0.5, 1.0, np.inf, np.nan]
+
+
+@st.composite
+def _point_sets(draw):
+    d = draw(st.integers(1, 3))
+    row = st.lists(st.sampled_from(_VALUES), min_size=d, max_size=d)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    pick = st.lists(st.integers(0, len(rows) - 1), max_size=6)
+    a = np.array([rows[i] for i in draw(pick)], dtype=float).reshape(-1, d)
+    b = np.array([rows[i] for i in draw(pick)], dtype=float).reshape(-1, d)
+    return a, b
+
+
+def _bytes_reference(a, b):
+    """Row identity through a tobytes() dict, one row at a time."""
+    index = {}
+    for j, row in enumerate(b):
+        index.setdefault(row.tobytes(), []).append(j)
+    out = np.zeros((len(a), len(b)), dtype=bool)
+    for i, row in enumerate(a):
+        out[i, index.get(row.tobytes(), [])] = True
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_point_sets())
+def test_same_points_matches_bytes_reference(sets):
+    a, b = sets
+    expected = _bytes_reference(a, b)
+    np.testing.assert_array_equal(same_points(a, b), expected)
+    for i in range(len(a)):  # a bare (d,) vector is one point
+        np.testing.assert_array_equal(same_points(a[i], b), expected[i:i + 1])
+    c = np.arange(float(len(a) * len(b))).reshape(len(a), len(b))
+    np.testing.assert_array_equal(add_matched_nugget(c, a, b),
+                                  c + NUGGET * expected)
+
+
+def test_same_points_is_bitwise():
+    assert not same_points([0.0, 1.0], [[-0.0, 1.0]]).any()
+    assert same_points([0.0, 1.0], [[0.0, 1.0]]).all()
+    assert not same_points([0.1], [[np.nextafter(0.1, 1.0)]]).any()
+    assert same_points(np.empty((0, 2)), [[0.0, 1.0]]).shape == (0, 1)
+    assert not same_points([[0.0, 1.0]], [[0.0, 1.0, 2.0]]).any()
+    assert same_points(np.empty((2, 0)), np.empty((3, 0))).all()
+    column = np.arange(6.0).reshape(3, 2)[:, 1:]  # not C-contiguous
+    assert same_points(column, [[3.0]]).tolist() == [[False], [True], [False]]

@@ -250,18 +250,24 @@ def test_imse_invariant_under_dimension_relabeling():
 
 
 class _StubDecision:
-    """Fixed total and hypothetical variances for rule arithmetic tests."""
+    """Fixed top-level variance and per-level contributions for rule
+    arithmetic tests.
+
+    ``hypotheticals[l - 1]`` is the top-level variance left after
+    running levels 1..l: the contributions of the levels above l.
+    """
 
     def __init__(self, total, hypotheticals):
+        left = np.array([total, *hypotheticals])
+        self.contributions = left[:-1] - left[1:]
         self.total = total
-        self.hyp = hypotheticals
         self.level_count = len(hypotheticals)
+        self.predict_calls = 0
 
     def predict(self, x):
-        return SimpleNamespace(variances=np.array([np.nan, self.total]))
-
-    def hypothetical_variance_after(self, x, level):
-        return np.array([0.0, self.hyp[level - 1]])
+        self.predict_calls += 1
+        return SimpleNamespace(variances=np.array([np.nan, self.total]),
+                               contributions=self.contributions)
 
 
 def test_threshold_rule_two_level_inequality():
@@ -285,6 +291,7 @@ def test_threshold_rule_prefix_walk_three_levels():
     assert choose_level(stub, x, imse=1.0) == 2
     assert choose_level(stub, x, imse=0.2) == 3
     assert choose_level(stub, x, imse=1.9) == 1
+    assert stub.predict_calls == 3  # one lookahead prediction per choice
 
 
 def test_cost_weighted_rule_arithmetic():
@@ -509,6 +516,25 @@ def test_simulator_failure_flags_partial_trace(forrester_model):
                         quadrature=GridQuadrature(128))
     assert not trace.complete
     assert len(trace) == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_simulator_output_flags_partial_trace(forrester_model, bad):
+    cost = CostModel([1.0, 5.0])
+    calls = {"n": 0}
+    problem = get_problem("forrester")
+
+    def broken_low(x):
+        calls["n"] += 1
+        return np.full(len(x), bad) if calls["n"] >= 3 else problem.evaluate(1, x)
+
+    sims = [broken_low, lambda x: problem.evaluate(2, x)]
+    model, trace = run_loop(forrester_model, UNIT1, cost, budget=50.0,
+                            simulators=sims, search=GridSearch(129),
+                            quadrature=GridQuadrature(128))
+    assert not trace.complete
+    assert len(trace) == 2
+    assert all(np.all(np.isfinite(z)) for z in model.data.observations)
 
 
 def test_loop_with_periodic_reestimation(forrester_model):
