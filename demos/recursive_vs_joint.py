@@ -29,7 +29,7 @@ from mfkrig import (
     MultiFidelityModel,
     nested_lhs,
 )
-from mfkrig.kernels import add_nugget, correlation_matrix
+from mfkrig.kernels import add_nugget, correlation_matrix, same_points
 
 # ----------------------------------------------------------------------
 # A three-level instance with fixed, known parameters
@@ -62,8 +62,7 @@ for t in range(3):
     if t == 0:
         observations.append(own)
     else:
-        keep = {x.tobytes(): i for i, x in enumerate(designs[t - 1])}
-        idx = [keep[x.tobytes()] for x in designs[t]]
+        idx = np.argmax(same_points(designs[t], designs[t - 1]), axis=1)
         observations.append(rhos[t][0] * observations[t - 1][idx] + own)
 
 data = MultiFidelityData(designs, observations)

@@ -29,7 +29,7 @@ from .exceptions import (
 )
 from .joint import JointModel
 from .kernels import BasisSpec, KernelSpec
-from .kriging import FittedKriging, KrigingProblem, fit
+from .kriging import KrigingProblem
 from .sequential import (
     CostModel,
     Domain,
@@ -69,7 +69,6 @@ __all__ = [
     "DuplicateDesignPointError",
     "EnrichmentTrace",
     "FitFailedError",
-    "FittedKriging",
     "GridQuadrature",
     "GridSearch",
     "IllConditionedError",
@@ -96,7 +95,6 @@ __all__ = [
     "choose_level",
     "compute_imse",
     "enrich",
-    "fit",
     "fit_level",
     "fit_multifidelity",
     "get_problem",

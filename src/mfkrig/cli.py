@@ -90,7 +90,7 @@ def _require(config, key):
 
 def _level_configs(config, dimension) -> list[LevelConfig]:
     """Level structure from config; defaults are constant bases and a
-    squared-exponential kernel at every level."""
+    squared-exponential kernel at every level. The fit checks the layout."""
     raw = config.get("levels")
     count = config.get("level_count")
     if raw is None:
@@ -104,8 +104,6 @@ def _level_configs(config, dimension) -> list[LevelConfig]:
         kernel = KernelSpec(entry.get("kernel", "squared-exponential"))
         trend = BasisSpec(entry.get("trend", "constant"), dimension)
         scaling = entry.get("scaling", "constant" if t > 1 else None)
-        if t == 1 and scaling is not None:
-            raise _ConfigError("level 1 takes no scaling basis")
         spec = None if scaling is None else BasisSpec(scaling, dimension)
         configs.append(LevelConfig(trend=trend, kernel=kernel, scaling=spec))
     return configs

@@ -29,6 +29,7 @@ from .kernels import (
     BasisSpec,
     KernelSpec,
     basis_matrix,
+    first_repeat,
     same_points,
     _as_points,
 )
@@ -52,6 +53,17 @@ class LevelConfig:
     def __post_init__(self):
         if self.scaling is not None and self.scaling.dimension != self.trend.dimension:
             raise ValueError("scaling and trend bases disagree on dimension")
+
+
+def _check_layout(level: int, *scalings) -> None:
+    """The layout rule of a level list: level 1 has no scaling basis and
+    every level above has one. ``scalings`` are that level's scaling
+    basis and, for given parameters, its coefficients rho_beta."""
+    for scaling in scalings:
+        if level == 1 and scaling is not None:
+            raise ValueError("level 1 takes no scaling basis")
+        if level > 1 and scaling is None:
+            raise ValueError(f"level {level} needs a scaling basis")
 
 
 def validate_nesting(designs):
@@ -104,10 +116,10 @@ class MultiFidelityData:
                 raise ValueError(
                     f"level {t + 1}: {len(z)} responses for {len(dd)} points"
                 )
-            dup = np.flatnonzero(np.tril(same_points(dd, dd), -1).any(axis=1))
-            if dup.size:
+            dup = first_repeat(dd)
+            if dup is not None:
                 raise ValueError(
-                    f"level {t + 1}: design point {dup[0]} duplicates an earlier one"
+                    f"level {t + 1}: design point {dup} duplicates an earlier one"
                 )
         violation = validate_nesting(self.designs)
         if violation is not None:
@@ -268,40 +280,24 @@ def _check_extended_rank(h, q, level):
 
 
 def fit_level(level: int, data: MultiFidelityData, config: LevelConfig,
-              lower_values=None, bounds=None, restarts=_DEFAULT_RESTARTS,
-              seed=0) -> FittedLevel:
+              bounds=None, restarts=_DEFAULT_RESTARTS, seed=0) -> FittedLevel:
     """Fit one level by concentrated maximum likelihood.
 
     Level 1 is a plain kriging fit. Level t >= 2 regresses z^t on the
-    extended trend matrix; the leading coefficients become rho_beta.
+    extended trend matrix built from z_{t-1}(D_t); the leading
+    coefficients become rho_beta.
 
     Parameters
     ----------
     level : 1-based level index.
-    lower_values : optional z_{t-1}(D_t) override; defaults to the
-        restriction supplied by ``data`` (levels >= 2 only).
     seed : int or numpy Generator; fit_multifidelity threads a single
         generator through all levels so level fits stay sequential and
         reproducible.
     """
     if not 1 <= level <= data.levels:
         raise ValueError(f"level must be in [1, {data.levels}]")
-    design = data.designs[level - 1]
-    y = data.observations[level - 1]
-    rng = np.random.default_rng(seed)
-    if level == 1:
-        if config.scaling is not None:
-            raise ValueError("level 1 takes no scaling basis")
-        lower_values = None
-    else:
-        if config.scaling is None:
-            raise ValueError(f"level {level} needs a scaling basis")
-        if lower_values is None:
-            lower_values = data.lower_level_values(level)
-        lower_values = np.asarray(lower_values, dtype=float).ravel()
-        if lower_values.size != len(design):
-            raise ValueError("lower-level responses do not align with the design")
-    h, q = _level_trend(config, design, lower_values)
+    _check_layout(level, config.scaling)
+    design, y, _, h, q = _level_inputs(config, data, level)
     if len(design) < h.shape[1] + 1:
         raise ValueError(
             f"level {level} needs at least {h.shape[1] + 1} points, "
@@ -309,26 +305,31 @@ def fit_level(level: int, data: MultiFidelityData, config: LevelConfig,
         )
     if q:
         _check_extended_rank(h, q, level)
-    kernel = _ml_fit(design, h, y, config.kernel.family, bounds, restarts, rng)
-    return _assemble_level(config, kernel, design, y, lower_values)
+    kernel = _ml_fit(design, h, y, config.kernel.family, bounds, restarts,
+                     np.random.default_rng(seed))
+    return _assemble_level(config, kernel, data, level)
 
 
-def _level_trend(config: LevelConfig, design, lower_values):
-    """(regression matrix, scaling block width): F at level 1, else [G . z | F]."""
+def _level_inputs(config: LevelConfig, data: MultiFidelityData, level: int):
+    """(design, responses, z_{t-1}(D_t), regression matrix, scaling block
+    width) of one level: F at level 1, else [G . z_{t-1} | F]."""
+    design, y = data.designs[level - 1], data.observations[level - 1]
     if config.scaling is None:
-        return basis_matrix(config.trend, design), 0
-    return (extended_trend_matrix(config, design, lower_values),
+        return design, y, None, basis_matrix(config.trend, design), 0
+    lower = data.lower_level_values(level)
+    return (design, y, lower, extended_trend_matrix(config, design, lower),
             config.scaling.size)
 
 
-def _assemble_level(config: LevelConfig, kernel: KernelSpec, design, y,
-                    lower_values, sigma2=None, coef=None) -> FittedLevel:
-    """One level on ``design`` with the given kernel.
+def _assemble_level(config: LevelConfig, kernel: KernelSpec,
+                    data: MultiFidelityData, level: int, sigma2=None,
+                    coef=None) -> FittedLevel:
+    """One level of ``data`` with the given kernel.
 
     ``coef`` (scaling block first) defaults to the GLS estimate;
     ``sigma2`` defaults to the ML estimate, which also sets ``nll``.
     """
-    h, q = _level_trend(config, design, lower_values)
+    design, y, lower_values, h, q = _level_inputs(config, data, level)
     lo, coef, ml_sigma2, nll, alpha = _solve_level(kernel, design, h, y, coef)
     return FittedLevel(
         design=design, y=y, trend=config.trend, scaling=config.scaling,
@@ -379,19 +380,11 @@ class MultiFidelityModel:
             raise ValueError("need one config and one parameter set per level")
         levels = []
         for t, (config, par) in enumerate(zip(configs, parameters), start=1):
-            if t == 1:
-                if config.scaling is not None or par.rho_beta is not None:
-                    raise ValueError("level 1 takes no scaling")
-                lower_values, coef = None, par.beta
-            else:
-                if config.scaling is None or par.rho_beta is None:
-                    raise ValueError(f"level {t} needs scaling basis and rho_beta")
-                lower_values = data.lower_level_values(t)
-                coef = np.concatenate([par.rho_beta, par.beta])
+            _check_layout(t, config.scaling, par.rho_beta)
+            coef = par.beta if t == 1 else np.concatenate([par.rho_beta, par.beta])
             levels.append(_assemble_level(
                 config, config.kernel.with_lengthscales(par.lengthscales),
-                data.designs[t - 1], data.observations[t - 1], lower_values,
-                sigma2=float(par.sigma2), coef=coef))
+                data, t, sigma2=float(par.sigma2), coef=coef))
         return cls(levels, data, configs)
 
     def _level_terms(self, X):
@@ -465,12 +458,9 @@ class MultiFidelityModel:
         if data.levels != self.level_count or data.dimension != self.dimension:
             raise ValueError("replacement data has a different shape")
         levels = [
-            _assemble_level(
-                LevelConfig(lev.trend, lev.kernel, lev.scaling), lev.kernel,
-                data.designs[t - 1], data.observations[t - 1],
-                data.lower_level_values(t) if t > 1 else None,
-                sigma2=lev.sigma2)
-            for t, lev in enumerate(self.levels, start=1)
+            _assemble_level(config, lev.kernel, data, t, sigma2=lev.sigma2)
+            for t, (config, lev) in enumerate(zip(self.configs, self.levels),
+                                              start=1)
         ]
         return MultiFidelityModel(levels, data, self.configs)
 
@@ -484,16 +474,13 @@ def fit_multifidelity(data: MultiFidelityData, configs, bounds=None,
     bounds : None for per-level defaults, one (lo, hi) pair for every
         level, or a list with one entry (pair or None) per level.
     seed : seeds a single generator consumed sequentially by the level
-        fits, so a 1-level fit consumes randomness exactly like a plain
-        kriging fit with the same seed.
+        fits: level t draws its restarts after levels 1..t-1 have drawn
+        theirs, so a fit is reproducible from the seed alone.
     """
     if len(configs) != data.levels:
         raise ValueError(f"{len(configs)} configs for {data.levels} levels")
-    if configs[0].scaling is not None:
-        raise ValueError("level 1 takes no scaling basis")
-    for t, config in enumerate(configs[1:], start=2):
-        if config.scaling is None:
-            raise ValueError(f"level {t} needs a scaling basis")
+    for t, config in enumerate(configs, start=1):
+        _check_layout(t, config.scaling)
     if bounds is None or isinstance(bounds, tuple):
         per_level = [bounds] * data.levels
     else:

@@ -147,6 +147,12 @@ def same_points(xa, xb) -> np.ndarray:
     return a.view(key) == b.view(key).T
 
 
+def first_repeat(points) -> int | None:
+    """Index of the first row that is the same point as an earlier row, or None."""
+    dup = np.flatnonzero(np.tril(same_points(points, points), -1).any(axis=1))
+    return int(dup[0]) if dup.size else None
+
+
 def add_matched_nugget(c: np.ndarray, xa, xb) -> np.ndarray:
     """Return a copy of ``c`` with NUGGET added where xa[i] equals xb[j] exactly.
 

@@ -1,17 +1,22 @@
-"""Single-level Gaussian-process regression (universal kriging).
+"""Per-level numerical engine of the co-kriging model.
 
-Trend coefficients and process variance come from generalized least
-squares; lengthscales from multi-start Nelder-Mead minimization of the
-concentrated negative log-likelihood
+Each level of a ``MultiFidelityModel`` is a universal-kriging fit on its
+own design; this module holds the numerics that fit and predict one
+such level. Trend coefficients and process variance come from
+generalized least squares; lengthscales from multi-start Nelder-Mead
+minimization of the concentrated negative log-likelihood
 
     (n - p) * log(sigma2_hat(theta)) + log det R(theta)
 
-over log-lengthscales. The posterior at a new point x is
+over log-lengthscales (``_ml_fit``). ``_solve_level`` factors a level
+and stores its residual solve; ``_level_posterior`` gives its posterior
+at new points x,
 
     mean     = f(x)' beta_hat + r(x)' R^{-1} (y - F beta_hat)
     variance = sigma2_hat * (1 - r(x)' R^{-1} r(x))
 
-with the plug-in trend (no trend-estimation inflation term).
+with the plug-in trend (no trend-estimation inflation term). A
+single-level model is a 1-level ``fit_multifidelity``.
 """
 
 from dataclasses import dataclass
@@ -33,7 +38,7 @@ from .kernels import (
     basis_matrix,
     correlation_matrix,
     cross_correlation,
-    same_points,
+    first_repeat,
     _as_points,
 )
 
@@ -51,7 +56,7 @@ _DEFAULT_RESTARTS = 5
 
 @dataclass
 class KrigingProblem:
-    """Design points, responses, and the trend/kernel structure to fit.
+    """Design points, responses, and the trend/kernel structure of one level.
 
     Requires n >= p + 1 residual degrees of freedom and pairwise
     distinct design points.
@@ -75,49 +80,9 @@ class KrigingProblem:
                 f"need at least {self.trend.size + 1} points for a "
                 f"{self.trend.kind} trend in dimension {d}, got {n}"
             )
-        dup = np.flatnonzero(
-            np.tril(same_points(self.design, self.design), -1).any(axis=1))
-        if dup.size:
-            raise ValueError(f"design point {dup[0]} duplicates an earlier point")
-
-
-@dataclass
-class FittedKriging:
-    """Immutable result of a single-level fit; ``predict`` is thread-safe.
-
-    ``chol`` is the lower Cholesky factor of the nugget-regularized
-    correlation matrix and ``alpha`` the stored solve
-    R^{-1}(y - F beta).
-    """
-
-    design: np.ndarray
-    y: np.ndarray
-    trend: BasisSpec
-    kernel: KernelSpec
-    beta: np.ndarray
-    sigma2: float
-    chol: np.ndarray
-    alpha: np.ndarray
-    nll: float
-
-    @property
-    def lengthscales(self) -> np.ndarray:
-        return self.kernel.lengthscales
-
-    def predict(self, x):
-        """Posterior mean and variance at one point (d,) or a batch (m, d).
-
-        Returns a pair of floats for a single point, a pair of (m,)
-        arrays for a batch. Variance is clamped at zero against
-        round-off.
-        """
-        xa = np.asarray(x, dtype=float)
-        single = xa.ndim == 1
-        X = _as_points(xa, self.design.shape[1])
-        mean, var = _level_posterior(self, X)
-        if single:
-            return float(mean[0]), float(var[0])
-        return mean, var
+        dup = first_repeat(self.design)
+        if dup is not None:
+            raise ValueError(f"design point {dup} duplicates an earlier point")
 
 
 def chol_nugget(r: np.ndarray) -> np.ndarray:
@@ -286,7 +251,7 @@ def _normalize_bounds(bounds, design, d):
 
 
 def _ml_fit(design, trend_matrix, y, family, bounds, restarts, rng):
-    """Multi-start concentrated-ML engine shared with the multi-level fit.
+    """Multi-start concentrated-ML search for one level's lengthscales.
 
     Minimizes the concentrated NLL over log-lengthscales with
     Nelder-Mead, one run per start (start 0 is the log-box midpoint,
@@ -329,33 +294,3 @@ def _ml_fit(design, trend_matrix, y, family, bounds, restarts, rng):
         )
 
     return KernelSpec(family, np.exp(best[1]))
-
-
-def fit(problem: KrigingProblem, bounds=None, restarts=_DEFAULT_RESTARTS,
-        seed=0) -> FittedKriging:
-    """Fit trend, variance, and lengthscales by concentrated ML.
-
-    Parameters
-    ----------
-    problem : KrigingProblem
-    bounds : optional (lower, upper) lengthscale bounds, scalars or
-        per-dimension arrays. Defaults to [1e-2, 10] times the design
-        side length per dimension.
-    restarts : number of Nelder-Mead starts (the first is the log-box
-        midpoint, the rest random).
-    seed : int or numpy Generator; fixes the restart sampling.
-
-    Raises
-    ------
-    FitFailedError if every start is ill-conditioned.
-    """
-    rng = np.random.default_rng(seed)
-    f = basis_matrix(problem.trend, problem.design)
-    kernel = _ml_fit(problem.design, f, problem.y, problem.kernel.family,
-                     bounds, restarts, rng)
-    lo, beta, sigma2, nll, alpha = _solve_level(kernel, problem.design, f,
-                                                problem.y)
-    return FittedKriging(
-        design=problem.design, y=problem.y, trend=problem.trend,
-        kernel=kernel, beta=beta, sigma2=sigma2, chol=lo, alpha=alpha, nll=nll,
-    )

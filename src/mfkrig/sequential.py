@@ -315,6 +315,12 @@ def choose_level(model, x, imse, cost: CostModel | None = None,
 # enrichment
 
 
+def _simulate(simulators, x, level: int) -> list[float]:
+    """Responses of codes 1..level at the point x (d,), cheapest first."""
+    return [float(np.asarray(simulators[t](x[None, :])).reshape(-1)[0])
+            for t in range(level)]
+
+
 def enrich(model, x, level: int, values=None, simulators=None,
            reestimate=False, seed=0) -> MultiFidelityModel:
     """New model with x observed at levels 1..level; the old one is kept.
@@ -323,7 +329,8 @@ def enrich(model, x, level: int, values=None, simulators=None,
     ``simulators`` (one callable per model level; the first ``level``
     are evaluated at x). Hyperparameters are frozen unless
     ``reestimate`` is set, in which case every level is refitted from
-    scratch on the grown data.
+    scratch on the grown data. A non-finite value raises ValueError
+    before anything is refitted.
     """
     if not 1 <= level <= model.level_count:
         raise ValueError(f"level must be in 1..{model.level_count}")
@@ -333,14 +340,15 @@ def enrich(model, x, level: int, values=None, simulators=None,
     if simulators is not None:
         if len(simulators) < level:
             raise ValueError("need one simulator per level to run")
-        point = x[None, :]
-        values = [float(np.asarray(simulators[t](point)).reshape(-1)[0])
-                  for t in range(level)]
+        values = _simulate(simulators, x, level)
     values = [float(v) for v in values]
     if len(values) != level:
         raise ValueError(
             f"running through level {level} needs {level} values, "
             f"got {len(values)}")
+    for t, v in enumerate(values, start=1):
+        if not np.isfinite(v):
+            raise ValueError(f"level {t} value {v} at point {x} is not finite")
     data = model.data.with_point(x, values)
     if reestimate:
         return fit_multifidelity(data, model.configs, seed=seed)
@@ -490,8 +498,7 @@ def run_loop(model, domain: Domain, cost: CostModel, budget,
             break
         iteration += 1
         try:
-            values = [float(np.asarray(simulators[t](x[None, :])).reshape(-1)[0])
-                      for t in range(level)]
+            values = _simulate(simulators, x, level)
         except Exception:
             values = None
         if values is None or not np.all(np.isfinite(values)):

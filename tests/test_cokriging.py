@@ -18,10 +18,17 @@ from mfkrig.kernels import (
     basis_matrix,
     correlation_matrix,
     cross_correlation,
+    same_points,
 )
-from mfkrig.kriging import FittedKriging, KrigingProblem, fit, variance_factor
+from mfkrig.kriging import variance_factor
 
-from helpers import dense_gls, draw_ar1_data, draw_nested_designs, sample_gp
+from helpers import (
+    dense_gls,
+    dense_predict,
+    draw_ar1_data,
+    draw_nested_designs,
+    sample_gp,
+)
 
 SE = "squared-exponential"
 
@@ -151,8 +158,7 @@ def test_exact_scaling_relation_recovered():
     rng = np.random.default_rng(3)
     designs = draw_nested_designs(rng, (20, 10), 1)
     z1 = sample_gp(rng, designs[0], KernelSpec(SE, [0.25]))
-    index = {row.tobytes(): i for i, row in enumerate(designs[0])}
-    z2 = 2.0 * z1[[index[row.tobytes()] for row in designs[1]]]
+    z2 = 2.0 * z1[np.argmax(same_points(designs[1], designs[0]), axis=1)]
     data = MultiFidelityData(designs, [z1, z2])
     level = fit_level(2, data, two_level_configs()[1], restarts=2, seed=0)
     assert level.rho_beta[0] == pytest.approx(2.0, abs=1e-6)
@@ -177,22 +183,6 @@ def test_extended_trend_coefficients_match_dense_gls():
     assert level.rho_beta[0] == pytest.approx(coef[0], rel=1e-8)
     assert level.beta[0] == pytest.approx(coef[1], rel=1e-8)
     assert level.sigma2 == pytest.approx(sigma2, rel=1e-8)
-
-
-def test_single_level_fit_reduces_to_kriging():
-    rng = np.random.default_rng(5)
-    design = rng.uniform(0, 1, size=(12, 1))
-    y = np.sin(5 * design[:, 0])
-    data = MultiFidelityData([design], [y])
-    config = LevelConfig(constant(), KernelSpec(SE))
-    model = fit_multifidelity(data, [config], restarts=3, seed=11)
-    single = fit(KrigingProblem(design, y, constant(), KernelSpec(SE)),
-                 restarts=3, seed=11)
-    np.testing.assert_array_equal(model.levels[0].lengthscales,
-                                  single.lengthscales)
-    np.testing.assert_array_equal(model.levels[0].beta, single.beta)
-    assert model.levels[0].sigma2 == single.sigma2
-    assert model.levels[0].nll == single.nll
 
 
 def test_level_one_rejects_scaling_basis():
@@ -226,10 +216,10 @@ def test_predict_interpolates_every_level_at_nested_points():
     data = two_level_data(seed=7)
     model = fit_multifidelity(data, two_level_configs(), restarts=2, seed=0)
     sigma2s = [lev.sigma2 for lev in model.levels]
-    index = {row.tobytes(): i for i, row in enumerate(data.designs[0])}
+    rows = np.argmax(same_points(data.designs[1], data.designs[0]), axis=1)
     for i, x in enumerate(data.designs[1]):
         out = model.predict(x)
-        z = [data.observations[0][index[x.tobytes()]], data.observations[1][i]]
+        z = [data.observations[0][rows[i]], data.observations[1][i]]
         for t in range(2):
             assert abs(out.means[t] - z[t]) <= 1e-8 * (1 + abs(z[t]))
             assert out.variances[t] <= 1e-10 * sigma2s[t]
@@ -238,9 +228,9 @@ def test_predict_interpolates_every_level_at_nested_points():
 def test_predict_level_one_interpolates_unshared_points():
     data = two_level_data(seed=7)
     model = fit_multifidelity(data, two_level_configs(), restarts=2, seed=0)
-    shared = {row.tobytes() for row in data.designs[1]}
+    shared = same_points(data.designs[0], data.designs[1]).any(axis=1)
     for i, x in enumerate(data.designs[0]):
-        if x.tobytes() in shared:
+        if shared[i]:
             continue
         out = model.predict(x)
         z = data.observations[0][i]
@@ -254,17 +244,11 @@ def test_zero_scaling_decouples_top_level():
     data = two_level_data(seed=13)
     model = fixed_two_level_model(data, rho=0.0)
     design, z2 = data.designs[1], data.observations[1]
-    kernel = KernelSpec(SE, [0.35])
-    chol = np.linalg.cholesky(
-        correlation_matrix(kernel, design) + 1e-10 * np.eye(len(design)))
-    resid = z2 - np.zeros(len(design))
-    alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, resid))
-    plain = FittedKriging(design=design, y=z2, trend=constant(),
-                          kernel=kernel, beta=np.array([0.0]), sigma2=0.2,
-                          chol=chol, alpha=alpha, nll=0.0)
     probes = np.random.default_rng(0).uniform(0, 1, size=(50, 1))
     out = model.predict(probes)
-    mean, var = plain.predict(probes)
+    mean, var = dense_predict(design, z2, basis_matrix(constant(), design),
+                              np.array([0.0]), KernelSpec(SE, [0.35]), 0.2,
+                              probes, basis_matrix(constant(), probes))
     np.testing.assert_allclose(out.means[1], mean, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(out.variances[1], var, rtol=1e-10, atol=1e-14)
 

@@ -9,10 +9,9 @@ from mfkrig.cokriging import (
 )
 from mfkrig.exceptions import OracleTooLargeError
 from mfkrig.joint import JointModel
-from mfkrig.kernels import BasisSpec, KernelSpec, correlation, correlation_matrix
-from mfkrig.kriging import FittedKriging
+from mfkrig.kernels import BasisSpec, KernelSpec, basis_matrix, correlation
 
-from helpers import draw_ar1_data, draw_nested_designs
+from helpers import dense_predict, draw_ar1_data, draw_nested_designs
 
 SE = "squared-exponential"
 M52 = "matern-5/2"
@@ -168,17 +167,11 @@ def test_single_level_reduces_to_kriging():
     params = [LevelParameters([0.3], 0.8, [0.2])]
     jm = JointModel(data, configs, params)
 
-    kernel = KernelSpec(SE, [0.3])
-    chol = np.linalg.cholesky(
-        correlation_matrix(kernel, design) + 1e-10 * np.eye(9))
-    resid = y - 0.2
-    alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, resid))
-    plain = FittedKriging(design=design, y=y, trend=constant(), kernel=kernel,
-                          beta=np.array([0.2]), sigma2=0.8, chol=chol,
-                          alpha=alpha, nll=0.0)
     probes = rng.uniform(0, 1, size=(40, 1))
     mean_j, var_j = jm.predict(probes)
-    mean_k, var_k = plain.predict(probes)
+    mean_k, var_k = dense_predict(design, y, basis_matrix(constant(), design),
+                                  np.array([0.2]), KernelSpec(SE, [0.3]), 0.8,
+                                  probes, basis_matrix(constant(), probes))
     np.testing.assert_allclose(mean_j, mean_k, rtol=1e-9, atol=1e-11)
     np.testing.assert_allclose(var_j, var_k, rtol=1e-8, atol=1e-12)
 

@@ -13,6 +13,7 @@ from mfkrig.kernels import (
     correlation,
     correlation_matrix,
     cross_correlation,
+    first_repeat,
     same_points,
 )
 
@@ -210,6 +211,10 @@ def test_same_points_matches_bytes_reference(sets):
     c = np.arange(float(len(a) * len(b))).reshape(len(a), len(b))
     np.testing.assert_array_equal(add_matched_nugget(c, a, b),
                                   c + NUGGET * expected)
+    for points in (a, b):
+        same = _bytes_reference(points, points)
+        repeats = [i for i in range(len(points)) if same[i, :i].any()]
+        assert first_repeat(points) == (repeats[0] if repeats else None)
 
 
 def test_same_points_is_bitwise():

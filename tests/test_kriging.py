@@ -7,12 +7,12 @@ from mfkrig.exceptions import (
     InternalConsistencyError,
     SingularTrendError,
 )
+from mfkrig.cokriging import LevelConfig, MultiFidelityData, fit_multifidelity
 from mfkrig.kernels import NUGGET, BasisSpec, KernelSpec, basis_matrix, correlation_matrix
 from mfkrig.kriging import (
     KrigingProblem,
     concentrated_nll,
     default_theta_bounds,
-    fit,
     gls_fit,
     variance_factor,
 )
@@ -26,6 +26,13 @@ def make_problem(rng, n=10, d=1, trend="constant", family=SE):
     design = rng.uniform(0, 1, size=(n, d))
     y = np.sin(3 * design[:, 0]) + 0.5 * design.sum(axis=1)
     return KrigingProblem(design, y, BasisSpec(trend, d), KernelSpec(family))
+
+
+def fit_one(problem, **kwargs):
+    """A single-level fit: the 1-level co-kriging model of ``problem``."""
+    data = MultiFidelityData([problem.design], [problem.y])
+    return fit_multifidelity(
+        data, [LevelConfig(problem.trend, problem.kernel)], **kwargs)
 
 
 # ---------------------------------------------------------------- gls_fit
@@ -114,15 +121,15 @@ def test_nll_rejects_nonpositive_theta():
 def test_degenerate_bounds_force_theta():
     rng = np.random.default_rng(7)
     problem = make_problem(rng, n=8)
-    model = fit(problem, bounds=(0.37, 0.37), restarts=1, seed=0)
-    np.testing.assert_allclose(model.lengthscales, [0.37], rtol=1e-12)
+    level = fit_one(problem, bounds=(0.37, 0.37), restarts=1, seed=0).levels[0]
+    np.testing.assert_allclose(level.lengthscales, [0.37], rtol=1e-12)
 
 
 def test_fit_is_seed_deterministic():
     rng = np.random.default_rng(5)
     problem = make_problem(rng, n=15)
-    m1 = fit(problem, restarts=3, seed=123)
-    m2 = fit(problem, restarts=3, seed=123)
+    m1 = fit_one(problem, restarts=3, seed=123).levels[0]
+    m2 = fit_one(problem, restarts=3, seed=123).levels[0]
     np.testing.assert_array_equal(m1.lengthscales, m2.lengthscales)
     np.testing.assert_array_equal(m1.beta, m2.beta)
     assert m1.sigma2 == m2.sigma2
@@ -132,9 +139,9 @@ def test_fit_beats_every_start():
     # NLL at the optimum must not exceed NLL at the midpoint start
     rng = np.random.default_rng(2)
     problem = make_problem(rng, n=12)
-    model = fit(problem, bounds=(0.05, 5.0), restarts=4, seed=9)
+    level = fit_one(problem, bounds=(0.05, 5.0), restarts=4, seed=9).levels[0]
     mid = np.exp(0.5 * (np.log(0.05) + np.log(5.0)))
-    assert model.nll <= concentrated_nll(problem, [mid]) + 1e-9
+    assert level.nll <= concentrated_nll(problem, [mid]) + 1e-9
 
 
 def test_fit_recovers_lengthscale_scale():
@@ -145,8 +152,9 @@ def test_fit_recovers_lengthscale_scale():
         design = rng.uniform(0, 1, size=(40, 1))
         y = sample_gp(rng, design, KernelSpec(SE, [theta_star]), sigma2=1.0)
         problem = KrigingProblem(design, y, BasisSpec("constant", 1), KernelSpec(SE))
-        model = fit(problem, bounds=(0.01, 10.0), restarts=3, seed=seed)
-        if theta_star / 2 <= model.lengthscales[0] <= theta_star * 2:
+        level = fit_one(problem, bounds=(0.01, 10.0), restarts=3,
+                        seed=seed).levels[0]
+        if theta_star / 2 <= level.lengthscales[0] <= theta_star * 2:
             hits += 1
     assert hits >= 20
 
@@ -156,8 +164,8 @@ def test_fit_argmin_invariant_under_response_scaling():
     problem = make_problem(rng, n=12)
     scaled = KrigingProblem(problem.design, 4.0 * problem.y, problem.trend,
                             problem.kernel)
-    m1 = fit(problem, restarts=3, seed=11)
-    m2 = fit(scaled, restarts=3, seed=11)
+    m1 = fit_one(problem, restarts=3, seed=11).levels[0]
+    m2 = fit_one(scaled, restarts=3, seed=11).levels[0]
     np.testing.assert_allclose(m1.lengthscales, m2.lengthscales, rtol=1e-9)
 
 
@@ -167,17 +175,17 @@ def test_fit_failure_when_every_start_degenerate():
     rng = np.random.default_rng(0)
     problem = make_problem(rng)
     with pytest.raises(ValueError):
-        fit(problem, bounds=(1.0, 0.5))
+        fit_one(problem, bounds=(1.0, 0.5))
 
 
 def test_factorization_reproduces_correlation_matrix():
     rng = np.random.default_rng(8)
     problem = make_problem(rng, n=14)
-    model = fit(problem, restarts=2, seed=1)
+    level = fit_one(problem, restarts=2, seed=1).levels[0]
     from mfkrig.kernels import add_nugget
 
-    r = add_nugget(correlation_matrix(model.kernel, model.design))
-    rec = model.chol @ model.chol.T
+    r = add_nugget(correlation_matrix(level.kernel, level.design))
+    rec = level.chol @ level.chol.T
     assert np.linalg.norm(rec - r) <= 1e-8 * np.linalg.norm(r)
 
 
@@ -186,20 +194,21 @@ def test_factorization_reproduces_correlation_matrix():
 def test_predict_interpolates_design_points():
     rng = np.random.default_rng(4)
     problem = make_problem(rng, n=9)
-    model = fit(problem, restarts=2, seed=2)
+    model = fit_one(problem, restarts=2, seed=2)
     for xi, yi in zip(problem.design, problem.y):
-        mean, var = model.predict(xi)
-        assert abs(mean - yi) <= 1e-8 * (1 + abs(yi))
-        assert 0 <= var <= 1e-10 * model.sigma2
+        out = model.predict(xi)
+        assert abs(out.mean - yi) <= 1e-8 * (1 + abs(yi))
+        assert 0 <= out.variance <= 1e-10 * model.levels[0].sigma2
 
 
 def test_predict_reverts_to_prior_far_away():
     problem = KrigingProblem([[0.0], [0.05], [0.1]], [1.0, 1.2, 0.9],
                              BasisSpec("constant", 1), KernelSpec(SE))
-    model = fit(problem, bounds=(0.01, 0.01), restarts=1, seed=0)
-    mean, var = model.predict([50.0])
-    assert mean == pytest.approx(float(model.beta[0]), abs=1e-9)
-    assert var == pytest.approx(model.sigma2, rel=1e-9)
+    model = fit_one(problem, bounds=(0.01, 0.01), restarts=1, seed=0)
+    out = model.predict([50.0])
+    level = model.levels[0]
+    assert out.mean == pytest.approx(float(level.beta[0]), abs=1e-9)
+    assert out.variance == pytest.approx(level.sigma2, rel=1e-9)
 
 
 def test_predict_matches_dense_inverse_oracle():
@@ -208,25 +217,26 @@ def test_predict_matches_dense_inverse_oracle():
     y = np.cos(4 * design[:, 0])
     trend = BasisSpec("constant", 1)
     problem = KrigingProblem(design, y, trend, KernelSpec(SE))
-    model = fit(problem, bounds=(0.3, 0.3), restarts=1, seed=0)
+    model = fit_one(problem, bounds=(0.3, 0.3), restarts=1, seed=0)
+    level = model.levels[0]
     xs = rng.uniform(0, 1, size=(20, 1))
-    mean, var = model.predict(xs)
+    out = model.predict(xs)
     f = basis_matrix(trend, design)
-    mean_o, var_o = dense_predict(design, y, f, model.beta, model.kernel,
-                                  model.sigma2, xs, basis_matrix(trend, xs))
-    np.testing.assert_allclose(mean, mean_o, rtol=1e-8, atol=1e-10)
+    mean_o, var_o = dense_predict(design, y, f, level.beta, level.kernel,
+                                  level.sigma2, xs, basis_matrix(trend, xs))
+    np.testing.assert_allclose(out.mean, mean_o, rtol=1e-8, atol=1e-10)
     # near-design probes cancel to ~nugget scale where the two linear
     # algebra routes differ by round-off, hence the absolute term
-    np.testing.assert_allclose(var, var_o, rtol=1e-6, atol=1e-9 * model.sigma2)
+    np.testing.assert_allclose(out.variance, var_o, rtol=1e-6,
+                               atol=1e-9 * level.sigma2)
 
 
 def test_predict_variance_nonnegative_on_probe_cloud():
     rng = np.random.default_rng(12)
     problem = make_problem(rng, n=20, d=2, trend="linear")
-    model = fit(problem, restarts=2, seed=3)
+    model = fit_one(problem, restarts=2, seed=3)
     probes = rng.uniform(0, 1, size=(1000, 2))
-    _, var = model.predict(probes)
-    assert np.all(var >= 0)
+    assert np.all(model.predict(probes).variance >= 0)
 
 
 def test_variance_clamp_raises_beyond_slack():

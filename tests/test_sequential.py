@@ -381,6 +381,17 @@ def test_enrich_rejects_bad_inputs(forrester_model):
         enrich(forrester_model, x, 3, values=[0.0] * 3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_enrich_rejects_non_finite_values(forrester_model, bad):
+    x = np.array([0.123])
+    low = forrester_simulators()[0]
+    with pytest.raises(ValueError, match=r"level 2 .* at point \[0.123\]"):
+        enrich(forrester_model, x, 2,
+               simulators=[low, lambda p: np.full(len(p), bad)])
+    with pytest.raises(ValueError, match=r"level 1 .* is not finite"):
+        enrich(forrester_model, x, 1, values=[bad])
+
+
 def test_enrich_with_reestimation_refits(forrester_model):
     x = np.array([0.18])
     new = enrich(forrester_model, x, 2, simulators=forrester_simulators(),

@@ -13,7 +13,7 @@ from mfkrig.cokriging import (
     MultiFidelityModel,
 )
 from mfkrig.exceptions import ParseError
-from mfkrig.kernels import BasisSpec, KernelSpec
+from mfkrig.kernels import BasisSpec, KernelSpec, same_points
 from mfkrig.testbed import (
     TestProblem,
     builtin_problems,
@@ -181,10 +181,8 @@ def _small_data(seed=0, sizes=(7, 4)):
                     for d in designs]
     # Higher levels observe the same physical points, so restrict by lookup.
     for t in range(1, len(designs)):
-        index = {row.tobytes(): v
-                 for row, v in zip(designs[0], observations[0])}
-        observations[t] = np.array(
-            [index[row.tobytes()] + 0.5 for row in designs[t]])
+        rows = np.argmax(same_points(designs[t], designs[0]), axis=1)
+        observations[t] = observations[0][rows] + 0.5
     return MultiFidelityData(designs, observations)
 
 
