@@ -16,6 +16,7 @@ from .cokriging import (
     PredictionBreakdown,
     fit_level,
     fit_multifidelity,
+    validate_nesting,
 )
 from .exceptions import (
     DuplicateDesignPointError,
@@ -57,7 +58,6 @@ from .testbed import (
     nested_lhs,
     save_data,
     save_model,
-    validate_nesting,
 )
 
 __version__ = "0.1.0"

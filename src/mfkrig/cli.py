@@ -22,14 +22,12 @@ from .cokriging import (
 )
 from .csvio import fmt, write_csv
 from .exceptions import (
-    DuplicateDesignPointError,
     FitFailedError,
     IllConditionedError,
     InternalConsistencyError,
     MfkrigError,
     OracleTooLargeError,
     ParseError,
-    SingularTrendError,
 )
 from .kernels import BasisSpec, KernelSpec
 from .sequential import (
@@ -44,6 +42,7 @@ from .sequential import (
     read_trace,
     run_loop,
     write_trace,
+    _as_box,
 )
 from .testbed import (
     get_problem,
@@ -61,8 +60,8 @@ EXIT_IO = 3
 
 _NUMERICAL_ERRORS = (FitFailedError, IllConditionedError,
                      InternalConsistencyError, OracleTooLargeError)
-_VALIDATION_ERRORS = (ValueError, KeyError, TypeError,
-                      DuplicateDesignPointError, SingularTrendError)
+# every other library error is a validation error
+_VALIDATION_ERRORS = (ValueError, KeyError, TypeError, MfkrigError)
 
 
 class _ConfigError(ValueError):
@@ -202,7 +201,7 @@ def _predict_points(config) -> np.ndarray:
     if n is None:
         raise _ConfigError("config needs 'points_file' or 'grid'")
     if "bounds" in config:
-        bounds = np.asarray(config["bounds"], dtype=float)
+        bounds = _as_box(config["bounds"])
     elif "problem" in config:
         bounds = get_problem(config["problem"]).bounds
     else:
@@ -340,9 +339,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except MfkrigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import SingularTrendError
+from .exceptions import DuplicateDesignPointError, SingularTrendError
 from .kernels import (
     BasisSpec,
     KernelSpec,
@@ -86,9 +86,11 @@ def validate_nesting(designs):
 class MultiFidelityData:
     """Nested designs D_s subset ... subset D_1 with aligned responses.
 
-    Nesting is exact point identity (bitwise equality of stored
-    coordinates), never tolerance matching. Responses at a shared point
-    may differ across levels; the codes are different.
+    The one home of the data rules: every level has one finite response
+    per finite, distinct design point, and each level's points are
+    points of the level below. Nesting is exact point identity (bitwise
+    equality of stored coordinates), never tolerance matching. Responses
+    at a shared point may differ across levels; the codes are different.
 
     Parameters
     ----------
@@ -111,16 +113,22 @@ class MultiFidelityData:
                                  f"{dd.shape[1]}, expected {d}")
         self.observations = [np.asarray(z, dtype=float).ravel()
                              for z in observations]
-        for t, (dd, z) in enumerate(zip(self.designs, self.observations)):
+        for t, (dd, z) in enumerate(zip(self.designs, self.observations),
+                                    start=1):
             if len(z) != len(dd):
+                raise ValueError(f"level {t}: {len(z)} responses for {len(dd)} points")
+            bad = np.flatnonzero(~np.isfinite(dd).all(axis=1))
+            if bad.size:
+                raise ValueError(f"level {t} design point {dd[bad[0]]} is not finite")
+            bad = np.flatnonzero(~np.isfinite(z))
+            if bad.size:
+                i = bad[0]
                 raise ValueError(
-                    f"level {t + 1}: {len(z)} responses for {len(dd)} points"
-                )
+                    f"level {t} value {z[i]} at point {dd[i]} is not finite")
             dup = first_repeat(dd)
             if dup is not None:
                 raise ValueError(
-                    f"level {t + 1}: design point {dup} duplicates an earlier one"
-                )
+                    f"level {t}: design point {dup} duplicates an earlier one")
         violation = validate_nesting(self.designs)
         if violation is not None:
             t, i = violation
@@ -153,8 +161,6 @@ class MultiFidelityData:
         ``values`` holds the observed responses, cheapest level first.
         The point must be new to D_1 (hence to every level).
         """
-        from .exceptions import DuplicateDesignPointError
-
         x = np.asarray(x, dtype=float).ravel()
         if x.size != self.dimension:
             raise ValueError(f"point has dimension {x.size}, expected "
@@ -215,7 +221,11 @@ class FittedLevel:
 
 @dataclass
 class LevelParameters:
-    """Externally supplied parameters for one level (no estimation)."""
+    """Externally supplied parameters for one level (no estimation).
+
+    ``sigma2`` must be positive and every coefficient finite; the kernel
+    checks the lengthscales.
+    """
 
     lengthscales: np.ndarray
     sigma2: float
@@ -227,8 +237,12 @@ class LevelParameters:
         self.beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
         if self.rho_beta is not None:
             self.rho_beta = np.atleast_1d(np.asarray(self.rho_beta, dtype=float))
-        if not self.sigma2 > 0:
-            raise ValueError("sigma2 must be positive")
+        if not 0 < self.sigma2 < np.inf:
+            raise ValueError("sigma2 must be positive and finite")
+        if not np.all(np.isfinite(self.beta)):
+            raise ValueError("beta must be finite")
+        if self.rho_beta is not None and not np.all(np.isfinite(self.rho_beta)):
+            raise ValueError("rho_beta must be finite")
 
 
 @dataclass
@@ -389,6 +403,9 @@ class MultiFidelityModel:
 
     def _level_terms(self, X):
         """Per-level posterior pieces at the probe batch X (m, d)."""
+        bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+        if bad.size:
+            raise ValueError(f"probe point {X[bad[0]]} is not finite")
         means = []
         bases = []
         rhos = []
@@ -408,7 +425,7 @@ class MultiFidelityModel:
         """Posterior means, variances, and variance contributions, all levels.
 
         ``x`` is one point (d,) or a batch (m, d); outputs have shape
-        (s,) or (s, m) accordingly.
+        (s,) or (s, m) accordingly. A non-finite probe raises ValueError.
         """
         xa = np.asarray(x, dtype=float)
         single = xa.ndim == 1
@@ -471,8 +488,8 @@ def fit_multifidelity(data: MultiFidelityData, configs, bounds=None,
 
     Parameters
     ----------
-    bounds : None for per-level defaults, one (lo, hi) pair for every
-        level, or a list with one entry (pair or None) per level.
+    bounds : None for per-level defaults, or one (lo, hi) pair used at
+        every level.
     seed : seeds a single generator consumed sequentially by the level
         fits: level t draws its restarts after levels 1..t-1 have drawn
         theirs, so a fit is reproducible from the seed alone.
@@ -481,15 +498,9 @@ def fit_multifidelity(data: MultiFidelityData, configs, bounds=None,
         raise ValueError(f"{len(configs)} configs for {data.levels} levels")
     for t, config in enumerate(configs, start=1):
         _check_layout(t, config.scaling)
-    if bounds is None or isinstance(bounds, tuple):
-        per_level = [bounds] * data.levels
-    else:
-        per_level = list(bounds)
-        if len(per_level) != data.levels:
-            raise ValueError("need one bounds entry per level")
     rng = np.random.default_rng(seed)
     levels = [
-        fit_level(t, data, configs[t - 1], bounds=per_level[t - 1],
+        fit_level(t, data, configs[t - 1], bounds=bounds,
                   restarts=restarts, seed=rng)
         for t in range(1, data.levels + 1)
     ]

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular, LinAlgError
 
+from .cokriging import _check_layout
 from .exceptions import IllConditionedError, OracleTooLargeError
 from .kernels import (
     add_matched_nugget,
@@ -41,8 +42,7 @@ from .kernels import (
     cross_correlation,
     _as_points,
 )
-
-_VARIANCE_SLACK = 1e-9
+from .kriging import _VARIANCE_SLACK
 
 DEFAULT_MAX_POINTS = 200
 
@@ -88,12 +88,7 @@ class JointModel:
         self.data = data
         self.levels = []
         for t, (config, par) in enumerate(zip(configs, parameters), start=1):
-            if (config.scaling is None) != (t == 1):
-                raise ValueError("scaling bases must be absent at level 1 "
-                                 "and present above")
-            if (par.rho_beta is None) != (t == 1):
-                raise ValueError("rho_beta must be absent at level 1 "
-                                 "and present above")
+            _check_layout(t, config.scaling, par.rho_beta)
             self.levels.append(_Level(
                 design=data.designs[t - 1], y=data.observations[t - 1],
                 trend=config.trend, scaling=config.scaling,

@@ -34,7 +34,7 @@ class KernelSpec:
     """Stationary correlation kernel: family name plus per-dimension lengthscales.
 
     ``lengthscales`` may be None for a not-yet-fitted kernel; every
-    evaluation routine requires it to be set and strictly positive.
+    evaluation routine requires it to be set, strictly positive and finite.
     Instances are treated as immutable.
     """
 
@@ -48,8 +48,9 @@ class KernelSpec:
             ls = np.atleast_1d(np.asarray(self.lengthscales, dtype=float))
             if ls.ndim != 1:
                 raise ValueError("lengthscales must be a 1-d array")
-            if not np.all(ls > 0):
-                raise ValueError("lengthscales must be strictly positive")
+            if not 0 < ls.min() <= ls.max() < np.inf:
+                raise ValueError("lengthscales must be strictly positive "
+                                 "and finite")
             self.lengthscales = ls
 
     def with_lengthscales(self, theta) -> "KernelSpec":

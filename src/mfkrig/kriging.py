@@ -38,7 +38,6 @@ from .kernels import (
     basis_matrix,
     correlation_matrix,
     cross_correlation,
-    first_repeat,
     _as_points,
 )
 
@@ -58,8 +57,8 @@ _DEFAULT_RESTARTS = 5
 class KrigingProblem:
     """Design points, responses, and the trend/kernel structure of one level.
 
-    Requires n >= p + 1 residual degrees of freedom and pairwise
-    distinct design points.
+    Requires n >= p + 1 residual degrees of freedom; the design and
+    responses must make valid 1-level ``MultiFidelityData``.
     """
 
     design: np.ndarray
@@ -68,11 +67,11 @@ class KrigingProblem:
     kernel: KernelSpec
 
     def __post_init__(self):
-        self.design = _as_points(self.design)
-        self.y = np.asarray(self.y, dtype=float).ravel()
+        from .cokriging import MultiFidelityData
+
+        data = MultiFidelityData([self.design], [self.y])
+        self.design, self.y = data.designs[0], data.observations[0]
         n, d = self.design.shape
-        if self.y.size != n:
-            raise ValueError(f"{self.y.size} responses for {n} design points")
         if self.trend.dimension != d:
             raise ValueError("trend basis dimension does not match design")
         if n < self.trend.size + 1:
@@ -80,9 +79,6 @@ class KrigingProblem:
                 f"need at least {self.trend.size + 1} points for a "
                 f"{self.trend.kind} trend in dimension {d}, got {n}"
             )
-        dup = first_repeat(self.design)
-        if dup is not None:
-            raise ValueError(f"design point {dup} duplicates an earlier point")
 
 
 def chol_nugget(r: np.ndarray) -> np.ndarray:
@@ -221,8 +217,6 @@ def concentrated_nll(problem: KrigingProblem, theta) -> float:
     result is not finite.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if not np.all(theta > 0):
-        raise ValueError("lengthscales must be strictly positive")
     f = basis_matrix(problem.trend, problem.design)
     kernel = KernelSpec(problem.kernel.family, theta)
     nll, _, _, _ = _nll_terms(problem.design, f, problem.y, kernel)
@@ -245,8 +239,8 @@ def _normalize_bounds(bounds, design, d):
     else:
         lo = np.broadcast_to(np.asarray(bounds[0], dtype=float), (d,)).copy()
         hi = np.broadcast_to(np.asarray(bounds[1], dtype=float), (d,)).copy()
-    if not np.all(lo > 0) or np.any(lo > hi):
-        raise ValueError("bounds must satisfy 0 < lower <= upper")
+    if not (np.all(lo > 0) and np.all(lo <= hi) and np.all(hi < np.inf)):
+        raise ValueError("bounds must satisfy 0 < lower <= upper < inf")
     return lo, hi
 
 

@@ -50,6 +50,19 @@ class WeightedSample:
             raise ValueError("weights must sum to 1")
 
 
+def _as_box(bounds) -> np.ndarray:
+    """The box rule, checked here only: a (d, 2) float array of finite
+    (low, high) rows with low < high."""
+    b = np.asarray(bounds, dtype=float)
+    if b.ndim != 2 or b.shape[1] != 2:
+        raise ValueError("bounds must have shape (d, 2)")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("bounds must be finite")
+    if not np.all(b[:, 0] < b[:, 1]):
+        raise ValueError("each lower bound must be below its upper bound")
+    return b
+
+
 @dataclass
 class Domain:
     """Hyper-rectangle with an input measure (uniform unless sampled).
@@ -62,12 +75,7 @@ class Domain:
     measure: WeightedSample | None = None
 
     def __post_init__(self):
-        b = np.asarray(self.bounds, dtype=float)
-        if b.ndim != 2 or b.shape[1] != 2:
-            raise ValueError("bounds must have shape (d, 2)")
-        if not np.all(b[:, 0] < b[:, 1]):
-            raise ValueError("each lower bound must be below its upper bound")
-        self.bounds = b
+        self.bounds = b = _as_box(self.bounds)
         if self.measure is not None:
             pts = self.measure.points
             if pts.shape[1] != b.shape[0]:
@@ -86,7 +94,8 @@ class Domain:
 
 @dataclass
 class CostModel:
-    """Per-level run costs, strictly increasing with fidelity."""
+    """Per-level run costs: finite, positive, strictly increasing with
+    fidelity. The one place the cost rules are checked."""
 
     costs: list
 
@@ -94,6 +103,8 @@ class CostModel:
         self.costs = [float(c) for c in self.costs]
         if not self.costs or self.costs[0] <= 0:
             raise ValueError("costs must be positive")
+        if not np.all(np.isfinite(self.costs)):
+            raise ValueError("costs must be finite")
         if any(a >= b for a, b in zip(self.costs, self.costs[1:])):
             raise ValueError("costs must be strictly increasing with level")
 
@@ -315,40 +326,22 @@ def choose_level(model, x, imse, cost: CostModel | None = None,
 # enrichment
 
 
-def _simulate(simulators, x, level: int) -> list[float]:
-    """Responses of codes 1..level at the point x (d,), cheapest first."""
-    return [float(np.asarray(simulators[t](x[None, :])).reshape(-1)[0])
-            for t in range(level)]
-
-
-def enrich(model, x, level: int, values=None, simulators=None,
-           reestimate=False, seed=0) -> MultiFidelityModel:
+def enrich(model, x, level: int, values, reestimate=False,
+           seed=0) -> MultiFidelityModel:
     """New model with x observed at levels 1..level; the old one is kept.
 
-    Provide either ``values`` (one response per level 1..level) or
-    ``simulators`` (one callable per model level; the first ``level``
-    are evaluated at x). Hyperparameters are frozen unless
-    ``reestimate`` is set, in which case every level is refitted from
-    scratch on the grown data. A non-finite value raises ValueError
-    before anything is refitted.
+    ``values`` holds one response per level 1..level. Hyperparameters
+    are frozen unless ``reestimate`` is set, in which case every level
+    is refitted from scratch on the grown data. The grown data is built
+    before any refit, so a non-finite value raises its ValueError first.
     """
     if not 1 <= level <= model.level_count:
         raise ValueError(f"level must be in 1..{model.level_count}")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if (values is None) == (simulators is None):
-        raise ValueError("provide exactly one of values or simulators")
-    if simulators is not None:
-        if len(simulators) < level:
-            raise ValueError("need one simulator per level to run")
-        values = _simulate(simulators, x, level)
-    values = [float(v) for v in values]
-    if len(values) != level:
+    values = np.asarray(values, dtype=float).ravel()
+    if values.size != level:
         raise ValueError(
             f"running through level {level} needs {level} values, "
-            f"got {len(values)}")
-    for t, v in enumerate(values, start=1):
-        if not np.isfinite(v):
-            raise ValueError(f"level {t} value {v} at point {x} is not finite")
+            f"got {values.size}")
     data = model.data.with_point(x, values)
     if reestimate:
         return fit_multifidelity(data, model.configs, seed=seed)
@@ -498,7 +491,8 @@ def run_loop(model, domain: Domain, cost: CostModel, budget,
             break
         iteration += 1
         try:
-            values = _simulate(simulators, x, level)
+            values = [float(np.asarray(simulators[t](x[None, :])).reshape(-1)[0])
+                      for t in range(level)]
         except Exception:
             values = None
         if values is None or not np.all(np.isfinite(values)):

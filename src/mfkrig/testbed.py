@@ -22,20 +22,11 @@ from .cokriging import (
     LevelParameters,
     MultiFidelityData,
     MultiFidelityModel,
-    validate_nesting,  # public here too, beside nested_lhs
 )
 from .csvio import parse_row, read_csv, write_csv
 from .exceptions import ParseError
 from .kernels import BasisSpec, KernelSpec
-
-
-def _as_bounds(bounds) -> np.ndarray:
-    b = np.asarray(bounds, dtype=float)
-    if b.ndim != 2 or b.shape[1] != 2:
-        raise ValueError("bounds must have shape (d, 2)")
-    if not np.all(b[:, 0] < b[:, 1]):
-        raise ValueError("each lower bound must be below its upper bound")
-    return b
+from .sequential import CostModel, _as_box
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +59,7 @@ def nested_lhs(sizes, bounds, seed=0) -> list[np.ndarray]:
         raise ValueError("need n_1 >= 2 and every size >= 1")
     if any(a < b for a, b in zip(sizes, sizes[1:])):
         raise ValueError(f"sizes must be nonincreasing, got {sizes}")
-    b = _as_bounds(bounds)
+    b = _as_box(bounds)
     d = b.shape[0]
     rng = np.random.default_rng(seed)
 
@@ -118,7 +109,7 @@ class TestProblem:
     """Analytic multi-fidelity problem: level functions cheap to expensive.
 
     Each level function takes an (n, d) array and returns (n,) values;
-    costs are the per-evaluation reference costs, strictly increasing.
+    costs are the per-evaluation reference costs, a valid ``CostModel``.
     """
 
     __test__ = False  # not a test case despite the Test* name
@@ -129,14 +120,12 @@ class TestProblem:
     costs: list = field(repr=False)
 
     def __post_init__(self):
-        self.bounds = _as_bounds(self.bounds)
+        self.bounds = _as_box(self.bounds)
         if len(self.levels) < 2:
             raise ValueError("a test problem needs at least two levels")
         if len(self.costs) != len(self.levels):
             raise ValueError("need one cost per level")
-        self.costs = [float(c) for c in self.costs]
-        if any(a >= b for a, b in zip(self.costs, self.costs[1:])):
-            raise ValueError("costs must be strictly increasing")
+        self.costs = CostModel(self.costs).costs
 
     @property
     def dimension(self) -> int:
@@ -263,8 +252,9 @@ def load_data(directory) -> MultiFidelityData:
     """Read the per-level CSVs written by save_data.
 
     Levels are discovered by consecutive file names starting at 1.
-    Malformed files raise ParseError with the offending line; nesting
-    or row-count problems surface as the data object's ValueError.
+    Malformed files raise ParseError with the offending line; nesting,
+    row-count or non-finite-value problems surface as the data object's
+    ValueError.
     """
     designs = []
     observations = []
@@ -314,7 +304,9 @@ def load_model(directory) -> MultiFidelityModel:
 
     The stored parameters are taken as-is (no re-estimation); the
     correlation factorizations are recomputed from them, which is exact
-    because the CSVs round-trip every float bit-for-bit.
+    because the CSVs round-trip every float bit-for-bit. A non-finite
+    parameter raises the ValueError of ``LevelParameters`` or
+    ``KernelSpec``.
     """
     data = load_data(directory)
     path = os.path.join(directory, _MODEL_SIDECAR)

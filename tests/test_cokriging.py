@@ -210,6 +210,22 @@ def test_full_fit_recovers_scaling_roughly():
     assert abs(model.levels[1].rho_beta[0] - 1.8) < 0.3
 
 
+@pytest.mark.parametrize("pair", [[0.05, 2.0], np.array([0.05, 2.0])])
+def test_bounds_pair_of_any_sequence_type_fits_alike(pair):
+    data = two_level_data(seed=4)
+    kwargs = dict(restarts=2, seed=1)
+    ref = fit_multifidelity(data, two_level_configs(), bounds=(0.05, 2.0),
+                            **kwargs)
+    got = fit_multifidelity(data, two_level_configs(), bounds=pair, **kwargs)
+    for a, b in zip(ref.levels, got.levels):
+        np.testing.assert_array_equal(a.lengthscales, b.lengthscales)
+        assert (a.sigma2, a.nll) == (b.sigma2, b.nll)
+        np.testing.assert_array_equal(a.beta, b.beta)
+    probes = np.linspace(0.0, 1.0, 11)[:, None]
+    np.testing.assert_array_equal(ref.predict(probes).variances,
+                                  got.predict(probes).variances)
+
+
 # --------------------------------------------------------------- predict
 
 def test_predict_interpolates_every_level_at_nested_points():

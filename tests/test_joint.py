@@ -145,6 +145,22 @@ def test_oracle_cap_enforced():
     JointModel(data, configs, params, max_points=210)
 
 
+@pytest.mark.parametrize("layout, message", [
+    ("scaling at level 1", "level 1 takes no scaling basis"),
+    ("no rho_beta at level 2", "level 2 needs a scaling basis"),
+])
+def test_layout_errors_match_from_parameters(layout, message):
+    data, configs, params = chain_instance(0)
+    if layout == "scaling at level 1":
+        configs[0] = LevelConfig(constant(), KernelSpec(SE), scaling=constant())
+    else:
+        params[1] = LevelParameters([0.4], 0.25, [0.0])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MultiFidelityModel.from_parameters(data, configs, params)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        JointModel(data, configs, params)
+
+
 # ---------------------------------------------------------- JointModel.predict
 
 def test_joint_interpolates_top_design_points():

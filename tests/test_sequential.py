@@ -61,6 +61,11 @@ def forrester_simulators():
             for t in range(1, problem.level_count + 1)]
 
 
+def forrester_values(x, level):
+    """Responses of the forrester codes 1..level at the point x (d,)."""
+    return [sim(x[None, :])[0] for sim in forrester_simulators()[:level]]
+
+
 # ---------------------------------------------------------------------------
 # domain, measure, costs
 
@@ -338,7 +343,7 @@ def test_variance_drop_matches_contribution_sum(forrester_model):
 def test_enrich_full_depth_interpolates(forrester_model):
     x = np.array([0.33])
     sims = forrester_simulators()
-    new = enrich(forrester_model, x, 2, simulators=sims)
+    new = enrich(forrester_model, x, 2, values=forrester_values(x, 2))
     out = new.predict(x)
     cap = 1e-10 * max(level.sigma2 for level in new.levels)
     assert np.all(out.variances <= cap)
@@ -359,7 +364,7 @@ def test_enrich_leaves_original_model_alone(forrester_model):
     x = np.array([0.47])
     n0 = len(forrester_model.data.designs[0])
     before = forrester_model.predict(np.array([[0.2], [0.8]])).variances
-    enrich(forrester_model, x, 2, simulators=forrester_simulators())
+    enrich(forrester_model, x, 2, values=forrester_values(x, 2))
     after = forrester_model.predict(np.array([[0.2], [0.8]])).variances
     np.testing.assert_array_equal(before, after)
     assert len(forrester_model.data.designs[0]) == n0
@@ -372,9 +377,10 @@ def test_enrich_rejects_bad_inputs(forrester_model):
     x = np.array([0.52])
     with pytest.raises(ValueError, match="needs 2 values"):
         enrich(forrester_model, x, 2, values=[1.0])
-    with pytest.raises(ValueError, match="exactly one"):
+    # values are required, and simulators are run only by run_loop
+    with pytest.raises(TypeError):
         enrich(forrester_model, x, 1)
-    with pytest.raises(ValueError, match="exactly one"):
+    with pytest.raises(TypeError):
         enrich(forrester_model, x, 1, values=[0.0],
                simulators=forrester_simulators())
     with pytest.raises(ValueError, match="level must be"):
@@ -384,17 +390,16 @@ def test_enrich_rejects_bad_inputs(forrester_model):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_enrich_rejects_non_finite_values(forrester_model, bad):
     x = np.array([0.123])
-    low = forrester_simulators()[0]
     with pytest.raises(ValueError, match=r"level 2 .* at point \[0.123\]"):
         enrich(forrester_model, x, 2,
-               simulators=[low, lambda p: np.full(len(p), bad)])
+               values=forrester_values(x, 1) + [bad])
     with pytest.raises(ValueError, match=r"level 1 .* is not finite"):
         enrich(forrester_model, x, 1, values=[bad])
 
 
 def test_enrich_with_reestimation_refits(forrester_model):
     x = np.array([0.18])
-    new = enrich(forrester_model, x, 2, simulators=forrester_simulators(),
+    new = enrich(forrester_model, x, 2, values=forrester_values(x, 2),
                  reestimate=True, seed=0)
     out = new.predict(x)
     cap = 1e-10 * max(level.sigma2 for level in new.levels)

@@ -11,9 +11,11 @@ from mfkrig.cokriging import (
     LevelParameters,
     MultiFidelityData,
     MultiFidelityModel,
+    validate_nesting,
 )
 from mfkrig.exceptions import ParseError
 from mfkrig.kernels import BasisSpec, KernelSpec, same_points
+from mfkrig.sequential import CostModel, Domain
 from mfkrig.testbed import (
     TestProblem,
     builtin_problems,
@@ -23,7 +25,6 @@ from mfkrig.testbed import (
     nested_lhs,
     save_data,
     save_model,
-    validate_nesting,
 )
 
 UNIT1 = [[0.0, 1.0]]
@@ -168,6 +169,28 @@ def test_problem_validation():
         TestProblem("x", UNIT1, [lambda x: x[:, 0]], [1.0])
     with pytest.raises(ValueError, match="increasing"):
         TestProblem("x", UNIT1, [lambda x: x[:, 0]] * 2, [2.0, 1.0])
+
+
+def test_problem_costs_follow_the_cost_model():
+    with pytest.raises(ValueError) as expected:
+        CostModel([0.0, 1.0])
+    with pytest.raises(ValueError, match=f"^{expected.value}$"):
+        TestProblem("x", UNIT1, [lambda x: x[:, 0]] * 2, [0.0, 1.0])
+
+
+def test_one_box_rule_for_domain_problem_and_designs():
+    for bounds, message in [
+        ([[0.0, np.inf]], "bounds must be finite"),
+        ([[np.nan, 1.0]], "bounds must be finite"),
+        ([[1.0, 0.0]], "each lower bound must be below its upper bound"),
+        ([0.0, 1.0], r"bounds must have shape \(d, 2\)"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Domain(bounds)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TestProblem("x", bounds, [lambda x: x[:, 0]] * 2, [1.0, 2.0])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            nested_lhs([4, 2], bounds)
 
 
 # ---------------------------------------------------------------------------
