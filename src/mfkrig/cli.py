@@ -9,7 +9,6 @@ codes: 0 success, 1 validation or config error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -20,7 +19,7 @@ from .cokriging import (
     MultiFidelityData,
     fit_multifidelity,
 )
-from .csvio import fmt, write_csv
+from .csvio import fmt, read_json, write_csv
 from .exceptions import (
     FitFailedError,
     IllConditionedError,
@@ -69,13 +68,7 @@ class _ConfigError(ValueError):
 
 
 def _load_config(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    config = read_json(path)
     if not isinstance(config, dict):
         raise _ConfigError(f"{path}: config must be a JSON object")
     return config
@@ -89,7 +82,8 @@ def _require(config, key):
 
 def _level_configs(config, dimension) -> list[LevelConfig]:
     """Level structure from config; defaults are constant bases and a
-    squared-exponential kernel at every level. The fit checks the layout."""
+    squared-exponential kernel at every level. The fit checks the level
+    count and layout against the data."""
     raw = config.get("levels")
     count = config.get("level_count")
     if raw is None:
@@ -151,46 +145,43 @@ def _quadrature_from(config):
     raise _ConfigError(f"unknown quadrature kind {kind!r}")
 
 
-def _fit_from_config(config):
-    problem = get_problem(config["problem"]) if "problem" in config else None
+def _fit_from_config(config, problem):
+    """The model a config describes; ``problem`` is its built-in problem
+    or None."""
     data = _build_data(config, problem)
-    configs = _level_configs(config, data.dimension)
-    if len(configs) != data.levels:
-        raise _ConfigError(
-            f"config describes {len(configs)} levels but the data has "
-            f"{data.levels}")
-    model = fit_multifidelity(data, configs,
-                              restarts=int(config.get("restarts", 5)),
-                              seed=int(config.get("seed", 0)))
-    return problem, model
+    return fit_multifidelity(data, _level_configs(config, data.dimension),
+                             restarts=int(config.get("restarts", 5)),
+                             seed=int(config.get("seed", 0)))
 
 
-def _write_fit_report(model, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for t, level in enumerate(model.levels, start=1):
-            fh.write(f"level {t}\n")
-            fh.write(f"  kernel: {level.kernel.family}\n")
-            fh.write("  lengthscales: "
-                     + " ".join(fmt(v) for v in level.kernel.lengthscales)
-                     + "\n")
-            fh.write(f"  sigma2: {fmt(level.sigma2)}\n")
-            fh.write("  beta: " + " ".join(fmt(v) for v in level.beta) + "\n")
-            if level.rho_beta is not None:
-                fh.write("  scaling coefficients: "
-                         + " ".join(fmt(v) for v in level.rho_beta) + "\n")
-            fh.write(f"  negative log-likelihood: {fmt(level.nll)}\n")
+def _fit_report(model) -> str:
+    lines = []
+    for t, level in enumerate(model.levels, start=1):
+        lines.append(f"level {t}")
+        lines.append(f"  kernel: {level.kernel.family}")
+        lines.append("  lengthscales: "
+                     + " ".join(fmt(v) for v in level.kernel.lengthscales))
+        lines.append(f"  sigma2: {fmt(level.sigma2)}")
+        lines.append("  beta: " + " ".join(fmt(v) for v in level.beta))
+        if level.rho_beta is not None:
+            lines.append("  scaling coefficients: "
+                         + " ".join(fmt(v) for v in level.rho_beta))
+        lines.append(f"  negative log-likelihood: {fmt(level.nll)}")
+    return "".join(line + "\n" for line in lines)
 
 
 def cmd_fit(config, out, quiet) -> int:
-    _, model = _fit_from_config(config)
+    problem = get_problem(config["problem"]) if "problem" in config else None
+    model = _fit_from_config(config, problem)
     os.makedirs(out, exist_ok=True)
     save_model(model, out)
-    report = os.path.join(out, "fit_report.txt")
-    _write_fit_report(model, report)
+    report = _fit_report(model)
+    with open(os.path.join(out, "fit_report.txt"), "w", encoding="utf-8",
+              newline="\n") as fh:
+        fh.write(report)
     if not quiet:
         print(f"fitted {model.level_count} levels; model written to {out}")
-        with open(report, "r", encoding="utf-8") as fh:
-            sys.stdout.write(fh.read())
+        sys.stdout.write(report)
     return EXIT_OK
 
 
@@ -212,21 +203,15 @@ def _predict_points(config) -> np.ndarray:
 def cmd_predict(config, out, quiet) -> int:
     model = load_model(_require(config, "model_dir"))
     points = _predict_points(config)
-    if points.shape[0] and points.shape[1] != model.dimension:
-        raise ValueError(
-            f"points have dimension {points.shape[1]}, model has "
-            f"{model.dimension}")
     s = model.level_count
     d = model.dimension
     header = ([f"x_{j}" for j in range(d)]
               + [f"mean_{t}" for t in range(1, s + 1)]
               + [f"var_{t}" for t in range(1, s + 1)]
               + [f"contrib_{t}" for t in range(1, s + 1)])
-    rows = []
-    if points.shape[0]:
-        pred = model.predict(points)
-        rows = np.hstack([points, pred.means.T, pred.variances.T,
-                          pred.contributions.T])
+    pred = model.predict(points)
+    rows = np.hstack([points, pred.means.T, pred.variances.T,
+                      pred.contributions.T])
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "predictions.csv")
     write_csv(path, header, rows)
@@ -237,10 +222,8 @@ def cmd_predict(config, out, quiet) -> int:
 
 def cmd_sequential(config, out, quiet) -> int:
     problem = get_problem(_require(config, "problem"))
-    _, model = _fit_from_config(config)
-    budget = float(_require(config, "budget"))
-    if budget <= 0:
-        raise _ConfigError("budget must be positive")
+    model = _fit_from_config(config, problem)
+    budget = _require(config, "budget")
     cost = CostModel(config.get("costs", problem.costs))
     simulators = [lambda x, t=t: problem.evaluate(t, x)
                   for t in range(1, problem.level_count + 1)]

@@ -55,15 +55,32 @@ class LevelConfig:
             raise ValueError("scaling and trend bases disagree on dimension")
 
 
-def _check_layout(level: int, *scalings) -> None:
+def _check_layout(level: int, scaling) -> None:
     """The layout rule of a level list: level 1 has no scaling basis and
-    every level above has one. ``scalings`` are that level's scaling
-    basis and, for given parameters, its coefficients rho_beta."""
-    for scaling in scalings:
-        if level == 1 and scaling is not None:
-            raise ValueError("level 1 takes no scaling basis")
-        if level > 1 and scaling is None:
-            raise ValueError(f"level {level} needs a scaling basis")
+    every level above has one. ``scaling`` is that level's scaling basis
+    or, for given parameters, its coefficients rho_beta."""
+    if level == 1 and scaling is not None:
+        raise ValueError("level 1 takes no scaling basis")
+    if level > 1 and scaling is None:
+        raise ValueError(f"level {level} needs a scaling basis")
+
+
+def _check_levels(data, configs, parameters=None) -> None:
+    """The level-list rule, which every model builder relies on.
+
+    ``data`` has one config per level and, when ``parameters`` are
+    given (``LevelParameters`` or fitted levels), one parameter set per
+    level; every level follows the layout rule of ``_check_layout``.
+    """
+    if len(configs) != data.levels:
+        raise ValueError(f"{len(configs)} configs for {data.levels} levels")
+    if parameters is not None and len(parameters) != data.levels:
+        raise ValueError(
+            f"{len(parameters)} parameter sets for {data.levels} levels")
+    for t, config in enumerate(configs, start=1):
+        _check_layout(t, config.scaling)
+        if parameters is not None:
+            _check_layout(t, parameters[t - 1].rho_beta)
 
 
 def validate_nesting(designs):
@@ -276,9 +293,18 @@ def extended_trend_matrix(config: LevelConfig, design, lower_values) -> np.ndarr
     return np.hstack([g, f])
 
 
-def _check_extended_rank(h, q, level):
-    """Raise SingularTrendError naming the rank-deficient block."""
-    p_total = h.shape[1]
+def _check_estimable(level: int, h: np.ndarray, q: int) -> None:
+    """The estimability rule of one level's regression on ``h``.
+
+    ``h`` is the level's regression matrix, its scaling block (width
+    ``q``, 0 at level 1) first. It needs at least p + 1 rows and full
+    column rank; a rank deficiency raises SingularTrendError naming the
+    rank-deficient block.
+    """
+    n, p_total = h.shape
+    if n < p_total + 1:
+        raise ValueError(
+            f"level {level} needs at least {p_total + 1} points, has {n}")
     if np.linalg.matrix_rank(h) >= p_total:
         return
     if np.linalg.matrix_rank(h[:, :q]) < q:
@@ -299,7 +325,8 @@ def fit_level(level: int, data: MultiFidelityData, config: LevelConfig,
 
     Level 1 is a plain kriging fit. Level t >= 2 regresses z^t on the
     extended trend matrix built from z_{t-1}(D_t); the leading
-    coefficients become rho_beta.
+    coefficients become rho_beta. A level that cannot be estimated
+    fails before any likelihood evaluation.
 
     Parameters
     ----------
@@ -311,17 +338,12 @@ def fit_level(level: int, data: MultiFidelityData, config: LevelConfig,
     if not 1 <= level <= data.levels:
         raise ValueError(f"level must be in [1, {data.levels}]")
     _check_layout(level, config.scaling)
-    design, y, _, h, q = _level_inputs(config, data, level)
-    if len(design) < h.shape[1] + 1:
-        raise ValueError(
-            f"level {level} needs at least {h.shape[1] + 1} points, "
-            f"has {len(design)}"
-        )
-    if q:
-        _check_extended_rank(h, q, level)
+    inputs = _level_inputs(config, data, level)
+    design, y, _, h, q = inputs
+    _check_estimable(level, h, q)
     kernel = _ml_fit(design, h, y, config.kernel.family, bounds, restarts,
                      np.random.default_rng(seed))
-    return _assemble_level(config, kernel, data, level)
+    return _assemble_level(config, kernel, inputs)
 
 
 def _level_inputs(config: LevelConfig, data: MultiFidelityData, level: int):
@@ -335,15 +357,14 @@ def _level_inputs(config: LevelConfig, data: MultiFidelityData, level: int):
             config.scaling.size)
 
 
-def _assemble_level(config: LevelConfig, kernel: KernelSpec,
-                    data: MultiFidelityData, level: int, sigma2=None,
-                    coef=None) -> FittedLevel:
-    """One level of ``data`` with the given kernel.
+def _assemble_level(config: LevelConfig, kernel: KernelSpec, inputs,
+                    sigma2=None, coef=None) -> FittedLevel:
+    """One level with the given kernel, on its ``_level_inputs``.
 
     ``coef`` (scaling block first) defaults to the GLS estimate;
     ``sigma2`` defaults to the ML estimate, which also sets ``nll``.
     """
-    design, y, lower_values, h, q = _level_inputs(config, data, level)
+    design, y, lower_values, h, q = inputs
     lo, coef, ml_sigma2, nll, alpha = _solve_level(kernel, design, h, y, coef)
     return FittedLevel(
         design=design, y=y, trend=config.trend, scaling=config.scaling,
@@ -368,8 +389,7 @@ class MultiFidelityModel:
     """
 
     def __init__(self, levels, data: MultiFidelityData, configs):
-        if len(levels) != data.levels or len(configs) != data.levels:
-            raise ValueError("levels, data, and configs disagree on level count")
+        _check_levels(data, configs, levels)
         self.levels = list(levels)
         self.data = data
         self.configs = list(configs)
@@ -390,15 +410,14 @@ class MultiFidelityModel:
         Each level gets its correlation matrix factored and its
         residual solve stored, exactly as a fit would leave them.
         """
-        if len(configs) != data.levels or len(parameters) != data.levels:
-            raise ValueError("need one config and one parameter set per level")
+        _check_levels(data, configs, parameters)
         levels = []
         for t, (config, par) in enumerate(zip(configs, parameters), start=1):
-            _check_layout(t, config.scaling, par.rho_beta)
             coef = par.beta if t == 1 else np.concatenate([par.rho_beta, par.beta])
             levels.append(_assemble_level(
                 config, config.kernel.with_lengthscales(par.lengthscales),
-                data, t, sigma2=float(par.sigma2), coef=coef))
+                _level_inputs(config, data, t), sigma2=float(par.sigma2),
+                coef=coef))
         return cls(levels, data, configs)
 
     def _level_terms(self, X):
@@ -472,10 +491,10 @@ class MultiFidelityModel:
         trend and scaling coefficients are re-estimated by GLS and the
         stored solves rebuilt. Used by enrichment in frozen mode.
         """
-        if data.levels != self.level_count or data.dimension != self.dimension:
-            raise ValueError("replacement data has a different shape")
+        _check_levels(data, self.configs)
         levels = [
-            _assemble_level(config, lev.kernel, data, t, sigma2=lev.sigma2)
+            _assemble_level(config, lev.kernel,
+                            _level_inputs(config, data, t), sigma2=lev.sigma2)
             for t, (config, lev) in enumerate(zip(self.configs, self.levels),
                                               start=1)
         ]
@@ -494,10 +513,7 @@ def fit_multifidelity(data: MultiFidelityData, configs, bounds=None,
         fits: level t draws its restarts after levels 1..t-1 have drawn
         theirs, so a fit is reproducible from the seed alone.
     """
-    if len(configs) != data.levels:
-        raise ValueError(f"{len(configs)} configs for {data.levels} levels")
-    for t, config in enumerate(configs, start=1):
-        _check_layout(t, config.scaling)
+    _check_levels(data, configs)
     rng = np.random.default_rng(seed)
     levels = [
         fit_level(t, data, configs[t - 1], bounds=bounds,

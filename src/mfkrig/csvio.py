@@ -1,9 +1,11 @@
-"""The CSV conventions shared by every file the package reads and writes.
+"""The file conventions shared by every file the package reads and writes.
 
 Floats are written with 17 significant digits, which round-trips any
-float64 exactly. Malformed content raises ParseError naming the file
-and the 1-based line.
+float64 exactly. An unreadable file or malformed CSV or JSON content
+raises ParseError naming the file and, where known, the 1-based line.
 """
+
+import json
 
 from .exceptions import ParseError
 
@@ -33,6 +35,17 @@ def read_csv(path):
     body = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2)
             if line.strip()]
     return header, body
+
+
+def read_json(path):
+    """The parsed content of a JSON file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
 
 
 def parse_row(path, lineno, line, width, parse):

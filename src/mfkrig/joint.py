@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular, LinAlgError
 
-from .cokriging import _check_layout
+from .cokriging import _check_levels
 from .exceptions import IllConditionedError, OracleTooLargeError
 from .kernels import (
     add_matched_nugget,
@@ -72,23 +72,22 @@ class JointModel:
     data : MultiFidelityData
     configs : sequence of LevelConfig
     parameters : sequence of LevelParameters
-    max_points : cap on the total observation count (cubic cost guard).
+
+    ``DEFAULT_MAX_POINTS`` caps the total observation count (cubic cost
+    guard).
     """
 
-    def __init__(self, data, configs, parameters,
-                 max_points=DEFAULT_MAX_POINTS):
-        if len(configs) != data.levels or len(parameters) != data.levels:
-            raise ValueError("need one config and one parameter set per level")
+    def __init__(self, data, configs, parameters):
+        _check_levels(data, configs, parameters)
         total = sum(len(dd) for dd in data.designs)
-        if total > max_points:
+        if total > DEFAULT_MAX_POINTS:
             raise OracleTooLargeError(
                 f"{total} stacked observations exceed the oracle cap "
-                f"{max_points}"
+                f"{DEFAULT_MAX_POINTS}"
             )
         self.data = data
         self.levels = []
         for t, (config, par) in enumerate(zip(configs, parameters), start=1):
-            _check_layout(t, config.scaling, par.rho_beta)
             self.levels.append(_Level(
                 design=data.designs[t - 1], y=data.observations[t - 1],
                 trend=config.trend, scaling=config.scaling,

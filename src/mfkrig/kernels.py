@@ -111,11 +111,6 @@ def cross_correlation(spec: KernelSpec, xa, xb) -> np.ndarray:
     return (1.0 + u + (5.0 / 3.0) * h * h) * np.exp(-u)
 
 
-def correlation(spec: KernelSpec, x, y) -> float:
-    """Correlation between two points; symmetric, equals 1 at x = y."""
-    return float(cross_correlation(spec, x, y)[0, 0])
-
-
 def correlation_matrix(spec: KernelSpec, points) -> np.ndarray:
     """Symmetric correlation matrix of a point set, unit diagonal, no nugget."""
     pts = _as_points(points)

@@ -57,8 +57,9 @@ _DEFAULT_RESTARTS = 5
 class KrigingProblem:
     """Design points, responses, and the trend/kernel structure of one level.
 
-    Requires n >= p + 1 residual degrees of freedom; the design and
-    responses must make valid 1-level ``MultiFidelityData``.
+    The design and responses must make valid 1-level
+    ``MultiFidelityData``, and the trend must be estimable on the design
+    as a level-1 regression (``cokriging._check_estimable``).
     """
 
     design: np.ndarray
@@ -67,18 +68,11 @@ class KrigingProblem:
     kernel: KernelSpec
 
     def __post_init__(self):
-        from .cokriging import MultiFidelityData
+        from .cokriging import MultiFidelityData, _check_estimable
 
         data = MultiFidelityData([self.design], [self.y])
         self.design, self.y = data.designs[0], data.observations[0]
-        n, d = self.design.shape
-        if self.trend.dimension != d:
-            raise ValueError("trend basis dimension does not match design")
-        if n < self.trend.size + 1:
-            raise ValueError(
-                f"need at least {self.trend.size + 1} points for a "
-                f"{self.trend.kind} trend in dimension {d}, got {n}"
-            )
+        _check_estimable(1, basis_matrix(self.trend, self.design), 0)
 
 
 def chol_nugget(r: np.ndarray) -> np.ndarray:

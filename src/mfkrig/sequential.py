@@ -457,13 +457,15 @@ def run_loop(model, domain: Domain, cost: CostModel, budget,
     hyperparameters), "always", or "every-k" for an integer k (refit on
     iterations k, 2k, ...). A simulator failure (an exception or a
     non-finite value) stops the loop and returns the partial trace
-    flagged incomplete.
+    flagged incomplete. The budget must be positive and finite.
     """
     if cost.levels != model.level_count:
         raise ValueError("cost model and model disagree on level count")
     if len(simulators) != model.level_count:
         raise ValueError("need one simulator per level")
     budget = float(budget)
+    if not 0 < budget < np.inf:
+        raise ValueError(f"budget must be positive and finite, got {budget}")
     if refit == REFIT_NEVER:
         period = 0
     elif refit == REFIT_ALWAYS:

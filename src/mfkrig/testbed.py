@@ -23,7 +23,7 @@ from .cokriging import (
     MultiFidelityData,
     MultiFidelityModel,
 )
-from .csvio import parse_row, read_csv, write_csv
+from .csvio import parse_row, read_csv, read_json, write_csv
 from .exceptions import ParseError
 from .kernels import BasisSpec, KernelSpec
 from .sequential import CostModel, _as_box
@@ -310,13 +310,7 @@ def load_model(directory) -> MultiFidelityModel:
     """
     data = load_data(directory)
     path = os.path.join(directory, _MODEL_SIDECAR)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            sidecar = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    sidecar = read_json(path)
     entries = sidecar.get("levels")
     if not isinstance(entries, list) or len(entries) != data.levels:
         raise ParseError(

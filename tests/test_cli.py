@@ -149,13 +149,22 @@ def test_predict_empty_points_file(tmp_path, fitted_dir):
     assert len(lines) == 1 and lines[0].startswith("x_0,")
 
 
-def test_predict_dimension_mismatch(tmp_path, fitted_dir, capsys):
+def _assert_predict_rejects_dimension(tmp_path, fitted_dir, capsys, probes):
     pts = tmp_path / "probes.csv"
-    pts.write_text("dim_0,dim_1\n0.5,0.5\n")
+    pts.write_text(probes)
     config = _config(tmp_path, "predict.json", model_dir=str(fitted_dir),
                      points_file=str(pts), out=str(tmp_path / "pred"))
     assert main(["predict", "--config", config]) == EXIT_VALIDATION
     assert "dimension" in capsys.readouterr().err
+
+
+def test_predict_dimension_mismatch(tmp_path, fitted_dir, capsys):
+    _assert_predict_rejects_dimension(tmp_path, fitted_dir, capsys,
+                                      "dim_0,dim_1\n0.5,0.5\n")
+
+
+def test_predict_dimension_mismatch_with_no_points(tmp_path, fitted_dir, capsys):
+    _assert_predict_rejects_dimension(tmp_path, fitted_dir, capsys, "dim_0,dim_1\n")
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +234,15 @@ def test_sequential_requires_budget(tmp_path, capsys):
                      level_count=2, out=str(out))
     assert main(["sequential", "--config", config]) == EXIT_VALIDATION
     assert "budget" in capsys.readouterr().err
+
+
+def test_sequential_rejects_a_nan_budget(tmp_path, capsys):
+    out = tmp_path / "run"
+    config = _sequential_config(tmp_path, out, budget=float("nan"))
+    assert "NaN" in open(config).read()
+    assert main(["sequential", "--config", config]) == EXIT_VALIDATION
+    assert "budget" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
 
 
 # ---------------------------------------------------------------------------

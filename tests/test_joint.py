@@ -8,8 +8,8 @@ from mfkrig.cokriging import (
     MultiFidelityModel,
 )
 from mfkrig.exceptions import OracleTooLargeError
-from mfkrig.joint import JointModel
-from mfkrig.kernels import BasisSpec, KernelSpec, basis_matrix, correlation
+from mfkrig.joint import DEFAULT_MAX_POINTS, JointModel
+from mfkrig.kernels import BasisSpec, KernelSpec, basis_matrix, cross_correlation
 
 from helpers import dense_predict, draw_ar1_data, draw_nested_designs
 
@@ -74,7 +74,7 @@ def test_cross_covariance_base_case():
     data, configs, params = chain_instance(3)
     jm = JointModel(data, configs, params)
     x, xp = np.array([0.2]), np.array([0.7])
-    r = correlation(KernelSpec(SE, [0.3]), x, xp)
+    r = cross_correlation(KernelSpec(SE, [0.3]), x, xp)[0, 0]
     assert jm.cross_covariance(1, 1, x, xp) == pytest.approx(1.0 * r, rel=1e-12)
 
 
@@ -82,7 +82,7 @@ def test_cross_covariance_across_levels_scales_by_rho():
     data, configs, params = chain_instance(4, rhos=(1.4,))
     jm = JointModel(data, configs, params)
     x, xp = np.array([0.2]), np.array([0.7])
-    r = correlation(KernelSpec(SE, [0.3]), x, xp)
+    r = cross_correlation(KernelSpec(SE, [0.3]), x, xp)[0, 0]
     assert jm.cross_covariance(2, 1, x, xp) == pytest.approx(1.4 * r, rel=1e-12)
     # swap order: same value for constant rho
     assert jm.cross_covariance(1, 2, xp, x) == pytest.approx(1.4 * r, rel=1e-12)
@@ -92,8 +92,8 @@ def test_cross_covariance_same_upper_level():
     data, configs, params = chain_instance(5, rhos=(1.4,))
     jm = JointModel(data, configs, params)
     x, xp = np.array([0.2]), np.array([0.7])
-    r1 = correlation(KernelSpec(SE, [0.3]), x, xp)
-    r2 = correlation(KernelSpec(SE, [0.4]), x, xp)
+    r1 = cross_correlation(KernelSpec(SE, [0.3]), x, xp)[0, 0]
+    r2 = cross_correlation(KernelSpec(SE, [0.4]), x, xp)[0, 0]
     expected = 1.4 ** 2 * 1.0 * r1 + 0.25 * r2
     assert jm.cross_covariance(2, 2, x, xp) == pytest.approx(expected, rel=1e-12)
 
@@ -142,7 +142,8 @@ def test_oracle_cap_enforced():
     data, configs, params = chain_instance(9, sizes=(150, 60))
     with pytest.raises(OracleTooLargeError):
         JointModel(data, configs, params)
-    JointModel(data, configs, params, max_points=210)
+    data, configs, params = chain_instance(9, sizes=(150, DEFAULT_MAX_POINTS - 150))
+    JointModel(data, configs, params)
 
 
 @pytest.mark.parametrize("layout, message", [

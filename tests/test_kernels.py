@@ -10,7 +10,6 @@ from mfkrig.kernels import (
     add_matched_nugget,
     add_nugget,
     basis_matrix,
-    correlation,
     correlation_matrix,
     cross_correlation,
     first_repeat,
@@ -20,18 +19,19 @@ from mfkrig.kernels import (
 
 def test_squared_exponential_identity():
     spec = KernelSpec("squared-exponential", [1.0])
-    assert correlation(spec, [0.0], [0.0]) == 1.0
+    assert cross_correlation(spec, [0.0], [0.0])[0, 0] == 1.0
 
 
 def test_squared_exponential_analytic_value():
     spec = KernelSpec("squared-exponential", [1.0])
-    assert correlation(spec, [0.0], [1.0]) == pytest.approx(np.exp(-1.0), rel=1e-12)
+    assert cross_correlation(spec, [0.0], [1.0])[0, 0] == pytest.approx(
+        np.exp(-1.0), rel=1e-12)
 
 
 def test_matern_identity():
     for theta in ([0.3], [2.5]):
         spec = KernelSpec("matern-5/2", theta)
-        assert correlation(spec, [0.7], [0.7]) == 1.0
+        assert cross_correlation(spec, [0.7], [0.7])[0, 0] == 1.0
 
 
 def test_matern_analytic_value():
@@ -39,15 +39,16 @@ def test_matern_analytic_value():
     spec = KernelSpec("matern-5/2", [0.5])
     h = 2.0
     expected = (1 + np.sqrt(5) * h + 5 * h**2 / 3) * np.exp(-np.sqrt(5) * h)
-    assert correlation(spec, [0.0], [1.0]) == pytest.approx(expected, rel=1e-12)
+    assert cross_correlation(spec, [0.0], [1.0])[0, 0] == pytest.approx(
+        expected, rel=1e-12)
 
 
 def test_dimension_mismatch_rejected():
     spec = KernelSpec("squared-exponential", [1.0, 1.0])
     with pytest.raises(ValueError):
-        correlation(spec, [0.0], [0.0, 0.0])
+        cross_correlation(spec, [0.0], [0.0, 0.0])[0, 0]
     with pytest.raises(ValueError):
-        correlation(spec, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+        cross_correlation(spec, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])[0, 0]
 
 
 def test_nonpositive_lengthscale_rejected():
@@ -68,8 +69,8 @@ def test_symmetry_and_bounds(family):
     spec = KernelSpec(family, [0.4, 1.3])
     for _ in range(50):
         x, y = rng.uniform(0, 1, 2), rng.uniform(0, 1, 2)
-        rxy = correlation(spec, x, y)
-        assert rxy == correlation(spec, y, x)
+        rxy = cross_correlation(spec, x, y)[0, 0]
+        assert rxy == cross_correlation(spec, y, x)[0, 0]
         assert 0.0 < rxy <= 1.0
         assert (rxy == 1.0) == bool(np.all(x == y))
 
@@ -97,7 +98,8 @@ def test_matrix_matches_entrywise_correlation(family):
     np.testing.assert_array_equal(np.diag(r), np.ones(5))
     for i in range(5):
         for j in range(5):
-            assert r[i, j] == pytest.approx(correlation(spec, pts[i], pts[j]), abs=1e-15)
+            assert r[i, j] == pytest.approx(
+                cross_correlation(spec, pts[i], pts[j])[0, 0], abs=1e-15)
 
 
 @pytest.mark.parametrize("family", ["squared-exponential", "matern-5/2"])
@@ -120,7 +122,8 @@ def test_cross_correlation_block():
     assert c.shape == (4, 3)
     for i in range(4):
         for j in range(3):
-            assert c[i, j] == pytest.approx(correlation(spec, a[i], b[j]), abs=1e-15)
+            assert c[i, j] == pytest.approx(
+                cross_correlation(spec, a[i], b[j])[0, 0], abs=1e-15)
 
 
 def test_constant_basis_is_ones():

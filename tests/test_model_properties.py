@@ -1,0 +1,86 @@
+"""Model identities on generated nested data: interpolation at every level's
+design points, and predictions that do not depend on the row order of
+the designs.
+
+Data are drawn from the autoregressive chain on 1-3 nested levels of 4-15
+points in d = 1 or 2, with lengthscales in [0.3, 0.6], sigma2 in [0.2, 2]
+and rho in [0.5, 2], the ranges of acceptance criterion 5; models are
+built from the generating parameters with ``from_parameters``.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mfkrig.cokriging import (
+    LevelConfig,
+    LevelParameters,
+    MultiFidelityData,
+    MultiFidelityModel,
+)
+from mfkrig.kernels import BasisSpec, KernelSpec, same_points
+from mfkrig.testbed import nested_lhs
+
+from helpers import draw_ar1_data
+
+SE = "squared-exponential"
+
+
+@st.composite
+def _chains(draw):
+    """(designs, observations, configs, parameters, rng) of one chain."""
+    s = draw(st.integers(1, 3))
+    d = draw(st.sampled_from([1, 2]))
+    sizes = sorted(draw(st.lists(st.integers(4, 15), min_size=s, max_size=s)),
+                   reverse=True)
+    thetas = [draw(st.lists(st.floats(0.3, 0.6), min_size=d, max_size=d))
+              for _ in range(s)]
+    sigma2s = [draw(st.floats(0.2, 2.0)) for _ in range(s)]
+    rhos = [draw(st.floats(0.5, 2.0)) for _ in range(s - 1)]
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    designs = nested_lhs(sizes, [[0.0, 1.0]] * d, seed=seed)
+    kernels = [KernelSpec(SE, theta) for theta in thetas]
+    observations = draw_ar1_data(rng, designs, rhos, kernels, sigma2s)
+    constant = BasisSpec("constant", d)
+    configs = [LevelConfig(constant, KernelSpec(SE),
+                           scaling=None if t == 0 else constant)
+               for t in range(s)]
+    params = [LevelParameters(thetas[t], sigma2s[t], [0.0],
+                              rho_beta=None if t == 0 else [rhos[t - 1]])
+              for t in range(s)]
+    return designs, observations, configs, params, rng
+
+
+def _model(designs, observations, configs, params):
+    return MultiFidelityModel.from_parameters(
+        MultiFidelityData(designs, observations), configs, params)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_chains())
+def test_each_level_interpolates_its_design_points(chain):
+    designs, observations, configs, params, _ = chain
+    model = _model(designs, observations, configs, params)
+    for t, (design, z) in enumerate(zip(designs, observations)):
+        out = model.predict(design)
+        assert np.all(np.abs(out.means[t] - z) <= 1e-8 * (1.0 + np.abs(z)))
+        assert np.all(out.variances[t] <= 1e-10 * params[t].sigma2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_chains())
+def test_predictions_ignore_the_row_order_of_the_designs(chain):
+    designs, observations, configs, params, rng = chain
+    orders = [rng.permutation(len(design)) for design in designs]
+    shuffled = _model([dd[o] for dd, o in zip(designs, orders)],
+                      [z[o] for z, o in zip(observations, orders)],
+                      configs, params)
+    model = _model(designs, observations, configs, params)
+    probes = rng.uniform(0.0, 1.0, size=(20, designs[0].shape[1]))
+    probes = probes[~same_points(probes, designs[0]).any(axis=1)]
+    a, b = model.predict(probes), shuffled.predict(probes)
+    scale = max(1.0, float(np.max(np.abs(a.means))))
+    assert np.max(np.abs(a.means - b.means)) <= 1e-7 * scale
+    sigma2_sum = sum(par.sigma2 for par in params)
+    assert np.max(np.abs(a.variances - b.variances)) <= 1e-9 * sigma2_sum

@@ -482,6 +482,19 @@ def test_budget_below_cheapest_run_gives_empty_trace(forrester_model):
     assert model is forrester_model
 
 
+@pytest.mark.parametrize("budget", [np.nan, np.inf, 0.0])
+def test_loop_rejects_a_budget_that_is_not_positive_and_finite(
+        forrester_model, budget):
+    calls = []
+    simulators = [lambda x, t=t: calls.append(t) or np.zeros(len(x))
+                  for t in (1, 2)]
+    with pytest.raises(ValueError, match="budget must be positive and finite"):
+        run_loop(forrester_model, UNIT1, CostModel([1.0, 5.0]), budget=budget,
+                 simulators=simulators, search=GridSearch(17),
+                 quadrature=GridQuadrature(64))
+    assert calls == []
+
+
 def test_loop_reduces_imse_within_budget(forrester_model):
     cost = CostModel([1.0, 5.0])
     model, trace = run_loop(forrester_model, UNIT1, cost, budget=20.0,
