@@ -338,12 +338,8 @@ def fit_level(level: int, data: MultiFidelityData, config: LevelConfig,
     if not 1 <= level <= data.levels:
         raise ValueError(f"level must be in [1, {data.levels}]")
     _check_layout(level, config.scaling)
-    inputs = _level_inputs(config, data, level)
-    design, y, _, h, q = inputs
-    _check_estimable(level, h, q)
-    kernel = _ml_fit(design, h, y, config.kernel.family, bounds, restarts,
-                     np.random.default_rng(seed))
-    return _assemble_level(config, kernel, inputs)
+    return _fit_on(config, _estimable_inputs(config, data, level), bounds,
+                   restarts, seed)
 
 
 def _level_inputs(config: LevelConfig, data: MultiFidelityData, level: int):
@@ -355,6 +351,22 @@ def _level_inputs(config: LevelConfig, data: MultiFidelityData, level: int):
     lower = data.lower_level_values(level)
     return (design, y, lower, extended_trend_matrix(config, design, lower),
             config.scaling.size)
+
+
+def _estimable_inputs(config: LevelConfig, data: MultiFidelityData, level: int):
+    """``_level_inputs`` of a level that passed ``_check_estimable``."""
+    inputs = _level_inputs(config, data, level)
+    _, _, _, h, q = inputs
+    _check_estimable(level, h, q)
+    return inputs
+
+
+def _fit_on(config: LevelConfig, inputs, bounds, restarts, seed) -> FittedLevel:
+    """Maximum-likelihood fit of one level on its checked inputs."""
+    design, y, _, h, _ = inputs
+    kernel = _ml_fit(design, h, y, config.kernel.family, bounds, restarts,
+                     np.random.default_rng(seed))
+    return _assemble_level(config, kernel, inputs)
 
 
 def _assemble_level(config: LevelConfig, kernel: KernelSpec, inputs,
@@ -512,12 +524,13 @@ def fit_multifidelity(data: MultiFidelityData, configs, bounds=None,
     seed : seeds a single generator consumed sequentially by the level
         fits: level t draws its restarts after levels 1..t-1 have drawn
         theirs, so a fit is reproducible from the seed alone.
+
+    Every level is checked for estimability before any likelihood search.
     """
     _check_levels(data, configs)
+    inputs = [_estimable_inputs(config, data, t)
+              for t, config in enumerate(configs, start=1)]
     rng = np.random.default_rng(seed)
-    levels = [
-        fit_level(t, data, configs[t - 1], bounds=bounds,
-                  restarts=restarts, seed=rng)
-        for t in range(1, data.levels + 1)
-    ]
+    levels = [_fit_on(config, level_inputs, bounds, restarts, rng)
+              for config, level_inputs in zip(configs, inputs)]
     return MultiFidelityModel(levels, data, configs)

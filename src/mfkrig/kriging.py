@@ -88,7 +88,7 @@ def chol_nugget(r: np.ndarray) -> np.ndarray:
 
 def variance_factor(chol_lower: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Clamped 1 - r' R^{-1} r for each column of the cross-correlation ``c``."""
-    v = solve_triangular(chol_lower, c, lower=True)
+    v = solve_triangular(chol_lower, c, lower=True, check_finite=False)
     factor = 1.0 - np.einsum("ij,ij->j", v, v)
     bad = factor < -_VARIANCE_SLACK
     if np.any(bad):

@@ -6,6 +6,17 @@ current integrated mean squared error (IMSE), picks the deepest code
 level worth running, and appends the observed values to the design.
 Running level l means running levels 1..l at the same point so the
 designs stay nested; cost is charged accordingly.
+
+The search and the quadrature evaluate the top-level variance on node
+sets. GridSearch, the RandomSearch candidates, GridQuadrature,
+MonteCarloQuadrature and a weighted-sample measure are fixed node sets;
+``run_loop`` builds each once and keeps every level's cross-correlation
+to its nodes, R_t(D_t, nodes), between iterations. An iteration with
+frozen hyperparameters then computes one new row per grown level;
+reestimated lengthscales rebuild a level. The kept rows cost
+n_t * m * 8 bytes per level and node set (m nodes). Points polished by
+RandomSearch(polish=True) and MultistartSearch are fresh on every call
+and go through ``predict``.
 """
 
 from __future__ import annotations
@@ -15,10 +26,21 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .cokriging import MultiFidelityModel, fit_multifidelity
+from .cokriging import (
+    MultiFidelityModel,
+    _variance_recursion,
+    fit_multifidelity,
+)
 from .csvio import fmt, parse_row, read_csv
 from .exceptions import ParseError
-from .kernels import same_points
+from .kernels import (
+    add_matched_nugget,
+    basis_matrix,
+    cross_correlation,
+    same_points,
+    _as_points,
+)
+from .kriging import variance_factor
 
 IMSE_THRESHOLD = "imse-threshold"
 COST_WEIGHTED = "cost-weighted"
@@ -44,6 +66,9 @@ class WeightedSample:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.shape != (self.points.shape[0],):
             raise ValueError("need one weight per support point")
+        if not (np.all(np.isfinite(self.points))
+                and np.all(np.isfinite(self.weights))):
+            raise ValueError("support points and weights must be finite")
         if np.any(self.weights < 0):
             raise ValueError("weights must be nonnegative")
         if abs(self.weights.sum() - 1.0) > 1e-9:
@@ -199,13 +224,134 @@ def _top_variance(model, X) -> np.ndarray:
     return model.predict(X).variances[-1]
 
 
-def _lexicographic_best(candidates, variances):
-    """Candidate with the largest variance; exact ties break toward the
-    lexicographically smallest coordinates (scan order is canonical, so
-    permuting the input changes nothing)."""
-    order = np.lexsort(candidates.T[::-1])
-    variances = variances[order]
-    return candidates[order][int(np.argmax(variances))]
+def _extends(points, prefix) -> bool:
+    """True when ``points`` starts with the rows of ``prefix``, bit for bit."""
+    n = len(prefix)
+    return (len(points) >= n
+            and bool(same_points(points[:n], prefix).diagonal().all()))
+
+
+def _node_rows(kernel, rows, nodes) -> np.ndarray:
+    """R(rows, nodes) plus the nugget where a row is itself a node."""
+    return add_matched_nugget(cross_correlation(kernel, rows, nodes),
+                              rows, nodes)
+
+
+class _Nodes:
+    """A fixed node set of a search or quadrature, and what the loop reuses.
+
+    Holds the points, their lexicographic order, the quadrature weights
+    (None for an equal-weight average) and whether a search polishes its
+    best node. Per level it keeps R_t(D_t, nodes) with the matched
+    nugget: when the design grew by appended rows under the same kernel
+    only the new rows are computed, and any other change rebuilds the
+    level. The mask of nodes equal to an excluded point grows the same
+    way. ``top_variance`` equals ``predict(points).variances[-1]`` bit
+    for bit.
+    """
+
+    def __init__(self, points, weights=None, polish=False):
+        self.points = points
+        self.weights = weights
+        self.polish = polish
+        self.order = np.lexsort(points.T[::-1])
+        self._levels = {}  # level index -> (kernel, design, correlations)
+        self._excluded = None  # (excluded points, node mask)
+
+    def _correlations(self, k, level) -> np.ndarray:
+        kernel, design = level.kernel, level.design
+        kept = self._levels.pop(k, None)
+        if (kept is not None and kept[0].family == kernel.family
+                and np.array_equal(kept[0].lengthscales, kernel.lengthscales)
+                and _extends(design, kept[1])):
+            _, old, c = kept
+            if len(design) > len(old):
+                c = np.vstack([c, _node_rows(kernel, design[len(old):],
+                                             self.points)])
+        else:
+            kept = None  # release the stale correlations before the rebuild
+            c = _node_rows(kernel, design, self.points)
+        self._levels[k] = (kernel, design, c)
+        return c
+
+    def top_variance(self, model) -> np.ndarray:
+        """Top-level predictive variance at the nodes; no means are formed.
+
+        A model that is not a ``MultiFidelityModel`` (a stand-in with a
+        ``predict`` method) is evaluated through ``predict``.
+        """
+        if not isinstance(model, MultiFidelityModel):
+            return _top_variance(model, self.points)
+        bases = [lev.sigma2 * variance_factor(lev.chol, self._correlations(k, lev))
+                 for k, lev in enumerate(model.levels)]
+        rhos = [basis_matrix(lev.scaling, self.points) @ lev.rho_beta
+                for lev in model.levels[1:]]
+        return _variance_recursion(bases, rhos)[-1]
+
+    def _excluded_mask(self, exclude) -> np.ndarray:
+        exclude = _as_points(exclude)
+        kept = self._excluded
+        if kept is None or not _extends(exclude, kept[0]):
+            kept = (exclude[:0], np.zeros(len(self.points), dtype=bool))
+        seen, mask = kept
+        if len(exclude) > len(seen):
+            mask = mask | same_points(self.points, exclude[len(seen):]).any(axis=1)
+        self._excluded = (exclude, mask)
+        return mask
+
+    def best(self, variances, exclude=None):
+        """Node with the largest variance among those not bitwise equal to
+        an ``exclude`` point, or None when none is left. Exact ties break
+        toward the lexicographically smallest coordinates (scan order is
+        canonical, so permuting the nodes changes nothing)."""
+        order = self.order
+        if exclude is not None:
+            order = order[~self._excluded_mask(exclude)[order]]
+            if not order.size:
+                return None
+        return self.points[order[int(np.argmax(variances[order]))]]
+
+
+_SEARCH = "search strategy"
+_QUADRATURE = "quadrature"
+_STRATEGIES = {
+    _SEARCH: (GridSearch, RandomSearch, MultistartSearch),
+    _QUADRATURE: (GridQuadrature, MonteCarloQuadrature),
+}
+
+
+def _node_set(domain: Domain, strategy, kind):
+    """The fixed node set a search or quadrature strategy evaluates.
+
+    ``kind`` is _SEARCH or _QUADRATURE; None picks that kind's default.
+    A quadrature on a domain with a weighted-sample measure is the
+    measure itself. A resolved node set passes through, so the loop
+    resolves once and reuses its caches. A MultistartSearch, whose
+    candidates are fresh on every call, comes back as it is.
+    """
+    if isinstance(strategy, _Nodes):
+        return strategy
+    if kind == _QUADRATURE and domain.measure is not None:
+        return _Nodes(domain.measure.points, weights=domain.measure.weights)
+    if strategy is None:
+        default = default_search if kind == _SEARCH else default_quadrature
+        strategy = default(domain.dimension)
+    if not isinstance(strategy, _STRATEGIES[kind]):
+        raise TypeError(f"unknown {kind} {strategy!r}")
+    if isinstance(strategy, (GridSearch, GridQuadrature)):
+        midpoints = isinstance(strategy, GridQuadrature)
+        return _Nodes(product_grid(domain.bounds, strategy.n, midpoints))
+    if isinstance(strategy, MultistartSearch):
+        if strategy.k < 1:
+            raise ValueError("multistart search needs at least one start")
+        return strategy
+    if strategy.n < 1:
+        raise ValueError("random search needs at least one candidate"
+                         if kind == _SEARCH else
+                         "need at least one quadrature node")
+    points = domain.uniform_points(strategy.n,
+                                   np.random.default_rng(strategy.seed))
+    return _Nodes(points, polish=getattr(strategy, "polish", False))
 
 
 def _polish(model, domain, starts) -> np.ndarray:
@@ -226,34 +372,23 @@ def argmax_variance(model, domain: Domain, search=None, exclude=None):
     dimension). ``exclude`` drops candidates bitwise equal to given
     points (the loop uses it to keep enrichment's no-duplicate rule
     satisfiable); returns None when nothing survives the exclusion.
-    Otherwise returns the chosen point, shape (d,).
+    Otherwise returns the chosen point, shape (d,). Polished points are
+    fresh on every call and go through ``predict``.
     """
-    if search is None:
-        search = default_search(domain.dimension)
-    if isinstance(search, GridSearch):
-        candidates = product_grid(domain.bounds, search.n)
-    elif isinstance(search, RandomSearch):
-        if search.n < 1:
-            raise ValueError("random search needs at least one candidate")
-        rng = np.random.default_rng(search.seed)
-        candidates = domain.uniform_points(search.n, rng)
-        if search.polish:
-            v = _top_variance(model, candidates)
-            best = _lexicographic_best(candidates, v)
-            candidates = np.vstack([candidates, _polish(model, domain, best)])
-    elif isinstance(search, MultistartSearch):
-        if search.k < 1:
-            raise ValueError("multistart search needs at least one start")
-        rng = np.random.default_rng(search.seed)
-        starts = domain.uniform_points(search.k, rng)
+    nodes = _node_set(domain, search, _SEARCH)
+    if isinstance(nodes, MultistartSearch):
+        starts = domain.uniform_points(nodes.k,
+                                       np.random.default_rng(nodes.seed))
         candidates = np.vstack([starts, _polish(model, domain, starts)])
-    else:
-        raise TypeError(f"unknown search strategy {search!r}")
-    if exclude is not None:
-        candidates = candidates[~same_points(candidates, exclude).any(axis=1)]
-        if not len(candidates):
-            return None
-    return _lexicographic_best(candidates, _top_variance(model, candidates))
+        return _Nodes(candidates).best(_top_variance(model, candidates),
+                                       exclude)
+    variances = nodes.top_variance(model)
+    if nodes.polish:
+        polished = _polish(model, domain, nodes.best(variances))
+        variances = np.concatenate([variances,
+                                    _top_variance(model, polished)])
+        nodes = _Nodes(np.vstack([nodes.points, polished]))
+    return nodes.best(variances, exclude)
 
 
 def compute_imse(model, domain: Domain, quadrature=None) -> float:
@@ -262,21 +397,11 @@ def compute_imse(model, domain: Domain, quadrature=None) -> float:
     A weighted-sample measure is its own quadrature; the uniform
     measure is integrated by midpoint grid or Monte Carlo average.
     """
-    if domain.measure is not None:
-        v = _top_variance(model, domain.measure.points)
-        return float(v @ domain.measure.weights)
-    if quadrature is None:
-        quadrature = default_quadrature(domain.dimension)
-    if isinstance(quadrature, GridQuadrature):
-        nodes = product_grid(domain.bounds, quadrature.n, midpoints=True)
-    elif isinstance(quadrature, MonteCarloQuadrature):
-        if quadrature.n < 1:
-            raise ValueError("need at least one quadrature node")
-        rng = np.random.default_rng(quadrature.seed)
-        nodes = domain.uniform_points(quadrature.n, rng)
-    else:
-        raise TypeError(f"unknown quadrature {quadrature!r}")
-    return float(np.mean(_top_variance(model, nodes)))
+    nodes = _node_set(domain, quadrature, _QUADRATURE)
+    variances = nodes.top_variance(model)
+    if nodes.weights is None:
+        return float(np.mean(variances))
+    return float(variances @ nodes.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +602,10 @@ def run_loop(model, domain: Domain, cost: CostModel, budget,
     else:
         raise ValueError(f"unknown refit mode {refit!r}")
 
+    # Resolved once, so each level's node correlations carry over
+    # between iterations.
+    quadrature = _node_set(domain, quadrature, _QUADRATURE)
+    search = _node_set(domain, search, _SEARCH)
     trace = EnrichmentTrace(dimension=domain.dimension,
                             levels=model.level_count)
     cum = 0.0

@@ -1,8 +1,17 @@
-"""Shared test utilities: prior sampling and dense reference formulas."""
+"""Shared test utilities: prior sampling, dense reference formulas, and the
+sequential loop spelled out through public calls."""
 
 import numpy as np
 
 from mfkrig.kernels import KernelSpec, add_nugget, correlation_matrix, same_points
+from mfkrig.sequential import (
+    EnrichmentTrace,
+    TraceEntry,
+    argmax_variance,
+    choose_level,
+    compute_imse,
+    enrich,
+)
 
 
 def sample_gp(rng, points, kernel: KernelSpec, sigma2=1.0, mean=0.0):
@@ -64,3 +73,42 @@ def draw_ar1_data(rng, designs, rho_values, kernels, sigma2s):
         delta = sample_gp(rng, designs[t], kernels[t], sigma2=sigma2s[t])
         observations.append(rho_values[t - 1] * lower + delta)
     return observations
+
+
+def replay_loop(model, domain, cost, budget, simulators, rule="imse-threshold",
+                search=None, quadrature=None, refit="never", refit_seed=0):
+    """``run_loop`` spelled out through the public calls it makes.
+
+    Every call resolves its search and quadrature afresh, so this is the
+    reference for the loop's reuse of node sets between iterations.
+    Simulators must not fail. Returns (model, trace).
+    """
+    period = {"never": 0, "always": 1}.get(refit)
+    if period is None:
+        period = int(refit.removeprefix("every-"))
+    trace = EnrichmentTrace(dimension=domain.dimension,
+                            levels=model.level_count)
+    cum = 0.0
+    iteration = 0
+    imse = compute_imse(model, domain, quadrature)
+    while True:
+        x = argmax_variance(model, domain, search,
+                            exclude=model.data.designs[0])
+        if x is None:
+            break
+        level = choose_level(model, x, imse, cost, rule)
+        step = cost.cost_through(level)
+        if cum + step > budget:
+            break
+        iteration += 1
+        values = [float(np.asarray(simulators[t](x[None, :])).reshape(-1)[0])
+                  for t in range(level)]
+        model = enrich(model, x, level, values=values,
+                       reestimate=period > 0 and iteration % period == 0,
+                       seed=refit_seed)
+        cum += step
+        imse_after = compute_imse(model, domain, quadrature)
+        trace.entries.append(TraceEntry(iteration, x, level, values,
+                                        imse, imse_after, cum))
+        imse = imse_after
+    return model, trace

@@ -181,3 +181,16 @@ def test_too_few_points_for_the_extended_trend(no_likelihood):
     with pytest.raises(ValueError,
                        match="^level 2 needs at least 4 points, has 3$"):
         fit_level(2, data, config)
+
+
+def test_every_level_is_checked_before_any_search(no_likelihood):
+    # zero level-1 responses make level 2's scaling block z_1 . g vanish;
+    # the fit must say so before level 1's likelihood search starts
+    data, configs, _ = _forrester()
+    zeroed = MultiFidelityData(
+        data.designs, [np.zeros_like(data.observations[0]),
+                       data.observations[1]])
+    with pytest.raises(SingularTrendError,
+                       match="^level 2 extended trend matrix is singular: "
+                             "scaling block"):
+        fit_multifidelity(zeroed, configs)

@@ -2,7 +2,15 @@ import importlib
 import pathlib
 
 import mfkrig
-from mfkrig.cokriging import MultiFidelityModel
+import mfkrig.sequential as sequential
+from mfkrig.cokriging import (
+    LevelConfig,
+    LevelParameters,
+    MultiFidelityData,
+    MultiFidelityModel,
+)
+from mfkrig.kernels import BasisSpec, KernelSpec
+from mfkrig.testbed import get_problem, nested_lhs
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -21,3 +29,40 @@ def test_benchmark_imports_resolve(monkeypatch):
         importlib.import_module(module)
     for name in ("predict", "hypothetical_variance_after", "refit"):
         assert callable(getattr(MultiFidelityModel, name))
+
+
+def test_loop_iterations_are_delimited_by_compute_imse(monkeypatch):
+    # the benchmark's frozen-loop workload marks iterations by wrapping
+    # the module global sequential.compute_imse: run_loop must call it
+    # once before the loop and once after every iteration
+    problem = get_problem("forrester")
+    designs = nested_lhs([8, 4], problem.bounds, seed=2)
+    data = MultiFidelityData(
+        designs, [problem.evaluate(t, x) for t, x in enumerate(designs, 1)])
+    basis = BasisSpec("constant", 1)
+    model = MultiFidelityModel.from_parameters(
+        data, [LevelConfig(basis, KernelSpec("squared-exponential")),
+               LevelConfig(basis, KernelSpec("squared-exponential"),
+                           scaling=basis)],
+        [LevelParameters([0.3], 1.0, [0.0]),
+         LevelParameters([0.5], 0.5, [0.0], rho_beta=[1.5])])
+    args = (model, sequential.Domain(problem.bounds),
+            sequential.CostModel([1.0, 5.0]), 20.0,
+            [lambda x, t=t: problem.evaluate(t, x) for t in (1, 2)])
+    kwargs = dict(search=sequential.GridSearch(65),
+                  quadrature=sequential.GridQuadrature(64))
+    _, plain = sequential.run_loop(*args, **kwargs)
+
+    returned = []
+    original = sequential.compute_imse
+
+    def counted(*a, **kw):
+        returned.append(original(*a, **kw))
+        return returned[-1]
+
+    monkeypatch.setattr(sequential, "compute_imse", counted)
+    _, trace = sequential.run_loop(*args, **kwargs)
+    assert len(trace) > 1
+    assert len(returned) == len(trace) + 1
+    assert returned == ([plain.entries[0].imse_before]
+                        + [e.imse_after for e in plain.entries])

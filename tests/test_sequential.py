@@ -92,6 +92,12 @@ def test_weighted_sample_validation():
         WeightedSample([[0.1], [0.2]], [0.5, 0.6])
     with pytest.raises(ValueError, match="inside the box"):
         Domain([[0.0, 1.0]], WeightedSample([[2.0]], [1.0]))
+    # a nan support point would otherwise pass the box check and give a
+    # nan IMSE
+    with pytest.raises(ValueError, match="must be finite"):
+        WeightedSample([[np.nan], [0.2]], [0.5, 0.5])
+    with pytest.raises(ValueError, match="must be finite"):
+        WeightedSample([[0.1], [0.2]], [np.nan, 0.5])
 
 
 def test_cost_model_validation():
