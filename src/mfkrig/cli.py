@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -118,31 +119,30 @@ def _build_data(config, problem) -> MultiFidelityData:
     return MultiFidelityData(designs, observations)
 
 
-def _search_from(config):
-    raw = config.get("search")
-    if raw is None:
-        return None
-    kind = raw.get("kind")
-    if kind == "grid":
-        return GridSearch(int(raw["n"]))
-    if kind == "random":
-        return RandomSearch(int(raw["n"]), seed=int(raw.get("seed", 0)),
-                            polish=bool(raw.get("polish", False)))
-    if kind == "multistart":
-        return MultistartSearch(int(raw["k"]), seed=int(raw.get("seed", 0)))
-    raise _ConfigError(f"unknown search kind {kind!r}")
+# config kind -> (strategy type, the key that holds its size)
+_SEARCH_KINDS = {"grid": (GridSearch, "n"), "random": (RandomSearch, "n"),
+                 "multistart": (MultistartSearch, "k")}
+_QUADRATURE_KINDS = {"grid": (GridQuadrature, "n"),
+                     "monte-carlo": (MonteCarloQuadrature, "n")}
 
 
-def _quadrature_from(config):
-    raw = config.get("quadrature")
+def _strategy_from(config, key, kinds):
+    """The search or quadrature that config[key] describes, or None when
+    the key is absent. Optional fields (seed, polish) take the type of
+    their default."""
+    raw = config.get(key)
     if raw is None:
         return None
-    kind = raw.get("kind")
-    if kind == "grid":
-        return GridQuadrature(int(raw["n"]))
-    if kind == "monte-carlo":
-        return MonteCarloQuadrature(int(raw["n"]), seed=int(raw.get("seed", 0)))
-    raise _ConfigError(f"unknown quadrature kind {kind!r}")
+    if not isinstance(raw, dict):
+        raise _ConfigError(f"{key} must be an object")
+    if raw.get("kind") not in kinds:
+        raise _ConfigError(f"unknown {key} kind {raw.get('kind')!r}")
+    strategy, size = kinds[raw["kind"]]
+    if size not in raw:
+        raise _ConfigError(f"{key} needs {size!r}")
+    options = {f.name: type(f.default)(raw[f.name])
+               for f in fields(strategy)[1:] if f.name in raw}
+    return strategy(int(raw[size]), **options)
 
 
 def _fit_from_config(config, problem):
@@ -222,6 +222,8 @@ def cmd_predict(config, out, quiet) -> int:
 
 def cmd_sequential(config, out, quiet) -> int:
     problem = get_problem(_require(config, "problem"))
+    search = _strategy_from(config, "search", _SEARCH_KINDS)
+    quadrature = _strategy_from(config, "quadrature", _QUADRATURE_KINDS)
     model = _fit_from_config(config, problem)
     budget = _require(config, "budget")
     cost = CostModel(config.get("costs", problem.costs))
@@ -231,8 +233,8 @@ def cmd_sequential(config, out, quiet) -> int:
     model, trace = run_loop(
         model, domain, cost, budget, simulators,
         rule=config.get("rule", "imse-threshold"),
-        search=_search_from(config),
-        quadrature=_quadrature_from(config),
+        search=search,
+        quadrature=quadrature,
         refit=config.get("refit", "never"),
         refit_seed=int(config.get("seed", 0)))
     os.makedirs(out, exist_ok=True)

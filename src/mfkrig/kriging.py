@@ -248,6 +248,8 @@ def _ml_fit(design, trend_matrix, y, family, bounds, restarts, rng):
     """
     from scipy.optimize import minimize
 
+    if not (isinstance(restarts, (int, np.integer)) and restarts >= 1):
+        raise ValueError("restarts must be a positive integer")
     design = _as_points(design)
     y = np.asarray(y, dtype=float).ravel()
     n, d = design.shape
@@ -263,7 +265,7 @@ def _ml_fit(design, trend_matrix, y, family, bounds, restarts, rng):
         return nll if np.isfinite(nll) else np.inf
 
     starts = [0.5 * (log_lo + log_hi)]
-    for _ in range(max(0, restarts - 1)):
+    for _ in range(restarts - 1):
         starts.append(rng.uniform(log_lo, log_hi))
 
     best = None

@@ -8,15 +8,17 @@ Running level l means running levels 1..l at the same point so the
 designs stay nested; cost is charged accordingly.
 
 The search and the quadrature evaluate the top-level variance on node
-sets. GridSearch, the RandomSearch candidates, GridQuadrature,
-MonteCarloQuadrature and a weighted-sample measure are fixed node sets;
-``run_loop`` builds each once and keeps every level's cross-correlation
-to its nodes, R_t(D_t, nodes), between iterations. An iteration with
-frozen hyperparameters then computes one new row per grown level;
-reestimated lengthscales rebuild a level. The kept rows cost
-n_t * m * 8 bytes per level and node set (m nodes). Points polished by
-RandomSearch(polish=True) and MultistartSearch are fresh on every call
-and go through ``predict``.
+sets. Every strategy is a fixed node set: the GridSearch grid, the
+RandomSearch candidates, the MultistartSearch starts, the GridQuadrature
+and MonteCarloQuadrature nodes, or the support of a weighted-sample
+measure. ``run_loop`` builds each once and keeps every level's
+cross-correlation to its nodes, R_t(D_t, nodes), between iterations. An
+iteration with frozen hyperparameters then computes one new row per
+grown level; reestimated lengthscales rebuild a level. The kept rows
+cost n_t * m * 8 bytes per level and node set (m nodes). A search may
+polish its best node (RandomSearch(polish=True)) or every node
+(MultistartSearch) with a local solver; the polished points are fresh
+on every call and are evaluated as node sets of their own.
 """
 
 from __future__ import annotations
@@ -220,10 +222,6 @@ def product_grid(bounds, n, midpoints=False) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def _top_variance(model, X) -> np.ndarray:
-    return model.predict(X).variances[-1]
-
-
 def _extends(points, prefix) -> bool:
     """True when ``points`` starts with the rows of ``prefix``, bit for bit."""
     n = len(prefix)
@@ -241,16 +239,16 @@ class _Nodes:
     """A fixed node set of a search or quadrature, and what the loop reuses.
 
     Holds the points, their lexicographic order, the quadrature weights
-    (None for an equal-weight average) and whether a search polishes its
-    best node. Per level it keeps R_t(D_t, nodes) with the matched
-    nugget: when the design grew by appended rows under the same kernel
-    only the new rows are computed, and any other change rebuilds the
-    level. The mask of nodes equal to an excluded point grows the same
-    way. ``top_variance`` equals ``predict(points).variances[-1]`` bit
-    for bit.
+    (None for an equal-weight average) and what a search polishes: None,
+    its best node ("best") or every node ("all"). Per level it keeps
+    R_t(D_t, nodes) with the matched nugget: when the design grew by
+    appended rows under the same kernel only the new rows are computed,
+    and any other change rebuilds the level. The mask of nodes equal to
+    an excluded point grows the same way. ``top_variance`` equals
+    ``predict(points).variances[-1]`` bit for bit.
     """
 
-    def __init__(self, points, weights=None, polish=False):
+    def __init__(self, points, weights=None, polish=None):
         self.points = points
         self.weights = weights
         self.polish = polish
@@ -275,13 +273,7 @@ class _Nodes:
         return c
 
     def top_variance(self, model) -> np.ndarray:
-        """Top-level predictive variance at the nodes; no means are formed.
-
-        A model that is not a ``MultiFidelityModel`` (a stand-in with a
-        ``predict`` method) is evaluated through ``predict``.
-        """
-        if not isinstance(model, MultiFidelityModel):
-            return _top_variance(model, self.points)
+        """Top-level predictive variance at the nodes; no means are formed."""
         bases = [lev.sigma2 * variance_factor(lev.chol, self._correlations(k, lev))
                  for k, lev in enumerate(model.levels)]
         rhos = [basis_matrix(lev.scaling, self.points) @ lev.rho_beta
@@ -320,14 +312,14 @@ _STRATEGIES = {
 }
 
 
-def _node_set(domain: Domain, strategy, kind):
+def _node_set(domain: Domain, strategy, kind) -> _Nodes:
     """The fixed node set a search or quadrature strategy evaluates.
 
     ``kind`` is _SEARCH or _QUADRATURE; None picks that kind's default.
     A quadrature on a domain with a weighted-sample measure is the
-    measure itself. A resolved node set passes through, so the loop
-    resolves once and reuses its caches. A MultistartSearch, whose
-    candidates are fresh on every call, comes back as it is.
+    measure itself. A MultistartSearch is its seeded starts, every one
+    polished. A resolved node set passes through, so the loop resolves
+    once and reuses its caches.
     """
     if isinstance(strategy, _Nodes):
         return strategy
@@ -344,14 +336,16 @@ def _node_set(domain: Domain, strategy, kind):
     if isinstance(strategy, MultistartSearch):
         if strategy.k < 1:
             raise ValueError("multistart search needs at least one start")
-        return strategy
-    if strategy.n < 1:
-        raise ValueError("random search needs at least one candidate"
-                         if kind == _SEARCH else
-                         "need at least one quadrature node")
-    points = domain.uniform_points(strategy.n,
-                                   np.random.default_rng(strategy.seed))
-    return _Nodes(points, polish=getattr(strategy, "polish", False))
+        count, polish = strategy.k, "all"
+    else:
+        if strategy.n < 1:
+            raise ValueError("random search needs at least one candidate"
+                             if kind == _SEARCH else
+                             "need at least one quadrature node")
+        count = strategy.n
+        polish = "best" if getattr(strategy, "polish", False) else None
+    points = domain.uniform_points(count, np.random.default_rng(strategy.seed))
+    return _Nodes(points, polish=polish)
 
 
 def _polish(model, domain, starts) -> np.ndarray:
@@ -359,8 +353,9 @@ def _polish(model, domain, starts) -> np.ndarray:
     box = [(lo, hi) for lo, hi in domain.bounds]
     out = []
     for start in np.atleast_2d(starts):
-        res = minimize(lambda p: -float(_top_variance(model, p[None, :])[0]),
-                       start, method="L-BFGS-B", bounds=box)
+        res = minimize(
+            lambda p: -float(_Nodes(p[None, :]).top_variance(model)[0]),
+            start, method="L-BFGS-B", bounds=box)
         out.append(np.clip(res.x, domain.bounds[:, 0], domain.bounds[:, 1]))
     return np.asarray(out)
 
@@ -372,22 +367,16 @@ def argmax_variance(model, domain: Domain, search=None, exclude=None):
     dimension). ``exclude`` drops candidates bitwise equal to given
     points (the loop uses it to keep enrichment's no-duplicate rule
     satisfiable); returns None when nothing survives the exclusion.
-    Otherwise returns the chosen point, shape (d,). Polished points are
-    fresh on every call and go through ``predict``.
+    Otherwise returns the chosen point, shape (d,). The candidates are
+    the search's nodes plus the points it polishes from them.
     """
     nodes = _node_set(domain, search, _SEARCH)
-    if isinstance(nodes, MultistartSearch):
-        starts = domain.uniform_points(nodes.k,
-                                       np.random.default_rng(nodes.seed))
-        candidates = np.vstack([starts, _polish(model, domain, starts)])
-        return _Nodes(candidates).best(_top_variance(model, candidates),
-                                       exclude)
     variances = nodes.top_variance(model)
     if nodes.polish:
-        polished = _polish(model, domain, nodes.best(variances))
-        variances = np.concatenate([variances,
-                                    _top_variance(model, polished)])
-        nodes = _Nodes(np.vstack([nodes.points, polished]))
+        starts = nodes.points if nodes.polish == "all" else nodes.best(variances)
+        polished = _Nodes(_polish(model, domain, starts))
+        variances = np.concatenate([variances, polished.top_variance(model)])
+        nodes = _Nodes(np.vstack([nodes.points, polished.points]))
     return nodes.best(variances, exclude)
 
 
@@ -596,7 +585,10 @@ def run_loop(model, domain: Domain, cost: CostModel, budget,
     elif refit == REFIT_ALWAYS:
         period = 1
     elif isinstance(refit, str) and refit.startswith("every-"):
-        period = int(refit.split("-", 1)[1])
+        try:
+            period = int(refit.removeprefix("every-"))
+        except ValueError:
+            raise ValueError(f"unknown refit mode {refit!r}") from None
         if period < 1:
             raise ValueError("refit period must be a positive integer")
     else:

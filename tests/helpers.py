@@ -1,7 +1,9 @@
-"""Shared test utilities: prior sampling, dense reference formulas, and the
-sequential loop spelled out through public calls."""
+"""Shared test utilities: prior sampling, dense reference formulas, a
+variance search through ``predict``, and the sequential loop spelled out
+through public calls."""
 
 import numpy as np
+from scipy.optimize import minimize
 
 from mfkrig.kernels import KernelSpec, add_nugget, correlation_matrix, same_points
 from mfkrig.sequential import (
@@ -73,6 +75,39 @@ def draw_ar1_data(rng, designs, rho_values, kernels, sigma2s):
         delta = sample_gp(rng, designs[t], kernels[t], sigma2=sigma2s[t])
         observations.append(rho_values[t - 1] * lower + delta)
     return observations
+
+
+def reference_search(model, domain, count, seed, polish_all, exclude=None):
+    """A polished variance search through ``predict``, without node sets.
+
+    Draws ``count`` uniform starts with ``seed``, polishes every start
+    (``polish_all``, a MultistartSearch) or only the best one (a
+    RandomSearch with polish) by L-BFGS-B on the box, and returns the
+    candidate with the largest ``predict`` variance that is not equal to
+    an ``exclude`` row; ties go to the lexicographically smallest point.
+    """
+    def top(points):
+        return model.predict(points).variances[-1]
+
+    def best(points, variances):
+        keys = [(-v, tuple(p)) for p, v in zip(points, variances)]
+        return points[min(range(len(points)), key=keys.__getitem__)]
+
+    lo, hi = domain.bounds[:, 0], domain.bounds[:, 1]
+    starts = domain.uniform_points(count, np.random.default_rng(seed))
+    variances = top(starts)
+    polished = np.array([
+        np.clip(minimize(lambda p: -float(top(p[None, :])[0]), start,
+                         method="L-BFGS-B", bounds=list(zip(lo, hi))).x,
+                lo, hi)
+        for start in (starts if polish_all else [best(starts, variances)])])
+    candidates = np.vstack([starts, polished])
+    variances = np.concatenate([variances, top(polished)])
+    if exclude is not None:
+        kept = [not (np.asarray(exclude) == c).all(axis=1).any()
+                for c in candidates]
+        candidates, variances = candidates[kept], variances[kept]
+    return best(candidates, variances)
 
 
 def replay_loop(model, domain, cost, budget, simulators, rule="imse-threshold",

@@ -88,6 +88,16 @@ def test_fit_missing_data_directory(tmp_path, capsys):
     assert "nowhere" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("restarts", [0, -2])
+def test_fit_rejects_restarts_below_one(tmp_path, capsys, restarts):
+    out = tmp_path / "m"
+    config = json.loads(open(_fit_config(tmp_path, out)).read())
+    path = _config(tmp_path, "bad.json", restarts=restarts, **config)
+    assert main(["fit", "--config", path]) == EXIT_VALIDATION
+    assert "restarts must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_config_is_io_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -242,6 +252,34 @@ def test_sequential_rejects_a_nan_budget(tmp_path, capsys):
     assert "NaN" in open(config).read()
     assert main(["sequential", "--config", config]) == EXIT_VALIDATION
     assert "budget" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    (dict(search="grid"), "search must be an object"),
+    (dict(quadrature=[1]), "quadrature must be an object"),
+    (dict(search={"kind": "grid"}), "search needs 'n'"),
+    (dict(search={"kind": "multistart", "n": 4}), "search needs 'k'"),
+    (dict(quadrature={"kind": "monte-carlo"}), "quadrature needs 'n'"),
+])
+def test_sequential_names_a_malformed_strategy(tmp_path, capsys, override,
+                                               message):
+    out = tmp_path / "run"
+    config = json.loads(open(_sequential_config(tmp_path, out)).read())
+    config.update(override)
+    path = _config(tmp_path, "bad.json", **config)
+    assert main(["sequential", "--config", path]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sequential_rejects_an_unknown_refit_mode(tmp_path, capsys):
+    out = tmp_path / "run"
+    config = json.loads(open(_sequential_config(tmp_path, out)).read())
+    config["refit"] = "every-abc"
+    path = _config(tmp_path, "bad.json", **config)
+    assert main(["sequential", "--config", path]) == EXIT_VALIDATION
+    assert "unknown refit mode 'every-abc'" in capsys.readouterr().err
     assert not (out / "trace.csv").exists()
 
 

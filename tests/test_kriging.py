@@ -178,6 +178,20 @@ def test_fit_failure_when_every_start_degenerate():
         fit_one(problem, bounds=(1.0, 0.5))
 
 
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_fit_rejects_restarts_below_one_before_any_likelihood(monkeypatch,
+                                                             restarts):
+    import mfkrig.kriging as kriging
+
+    def never_called(*args, **kwargs):
+        raise AssertionError("likelihood evaluated")
+
+    monkeypatch.setattr(kriging, "_nll_terms", never_called)
+    problem = make_problem(np.random.default_rng(0))
+    with pytest.raises(ValueError, match="restarts must be a positive integer"):
+        fit_one(problem, restarts=restarts)
+
+
 def test_factorization_reproduces_correlation_matrix():
     rng = np.random.default_rng(8)
     problem = make_problem(rng, n=14)

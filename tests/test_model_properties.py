@@ -1,6 +1,7 @@
 """Model identities on generated nested data: interpolation at every level's
-design points, and predictions that do not depend on the row order of
-the designs.
+design points, predictions that do not depend on the row order of the
+designs, contributions that sum to the top-level variance, and node-set
+variances equal to ``predict``'s.
 
 Data are drawn from the autoregressive chain on 1-3 nested levels of 4-15
 points in d = 1 or 2, with lengthscales in [0.3, 0.6], sigma2 in [0.2, 2]
@@ -12,6 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mfkrig.sequential as sequential
 from mfkrig.cokriging import (
     LevelConfig,
     LevelParameters,
@@ -84,3 +86,19 @@ def test_predictions_ignore_the_row_order_of_the_designs(chain):
     assert np.max(np.abs(a.means - b.means)) <= 1e-7 * scale
     sigma2_sum = sum(par.sigma2 for par in params)
     assert np.max(np.abs(a.variances - b.variances)) <= 1e-9 * sigma2_sum
+
+
+@settings(max_examples=100, deadline=None)
+@given(_chains())
+def test_node_set_variance_is_predict_variance_and_contributions_sum(chain):
+    designs, observations, configs, params, rng = chain
+    model = _model(designs, observations, configs, params)
+    # random probes plus the top design, where the matched nugget applies
+    probes = np.vstack([rng.uniform(0.0, 1.0, size=(20, designs[0].shape[1])),
+                        designs[-1]])
+    out = model.predict(probes)
+    top = sequential._Nodes(probes).top_variance(model)
+    assert (top == out.variances[-1]).all()
+    sigma2_sum = sum(par.sigma2 for par in params)
+    assert np.max(np.abs(out.contributions.sum(axis=0) - out.variances[-1])) \
+        <= 1e-12 * sigma2_sum

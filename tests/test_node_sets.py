@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import mfkrig.sequential as sequential
-from helpers import replay_loop
+from helpers import reference_search, replay_loop
 from mfkrig.cokriging import (
     LevelConfig,
     LevelParameters,
@@ -125,6 +125,31 @@ def test_run_loop_equals_its_replay_through_public_calls(case):
         assert a.cumulative_cost == b.cumulative_cost
     for a, b in zip(got_model.data.designs, want_model.data.designs):
         assert (a == b).all()
+
+
+# ---------------------------------------------------------------------------
+# polished searches against a search through ``predict``
+
+
+@pytest.mark.parametrize("name, sizes", [("forrester", [8, 4]),
+                                         ("ripple2d", [12, 5])])
+@pytest.mark.parametrize("search", [MultistartSearch(4, seed=2),
+                                    RandomSearch(8, seed=3, polish=True)],
+                         ids=["multistart", "random-polish"])
+def test_polished_search_equals_a_search_through_predict(name, sizes, search):
+    model, bounds, _, _ = _setup(name, sizes)
+    domain = Domain(bounds)
+    multistart = isinstance(search, MultistartSearch)
+    count = search.k if multistart else search.n
+    want = reference_search(model, domain, count, search.seed, multistart)
+    assert (argmax_variance(model, domain, search) == want).all()
+    # excluding the winner and the design hands the choice to the runner-up
+    exclude = np.vstack([model.data.designs[0], want])
+    want = reference_search(model, domain, count, search.seed, multistart,
+                            exclude)
+    got = argmax_variance(model, domain, search, exclude=exclude)
+    assert (got == want).all()
+    assert not (got == exclude).all(axis=1).any()
 
 
 # ---------------------------------------------------------------------------

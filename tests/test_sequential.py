@@ -193,25 +193,26 @@ def test_unknown_search_rejected(forrester_model):
 # compute_imse
 
 
-class _ConstantVariance:
-    """Duck-typed stand-in whose top-level variance is a constant."""
-
-    def __init__(self, v, levels=2):
-        self.v = float(v)
-        self.levels = levels
-
-    def predict(self, X):
-        X = np.atleast_2d(X)
-        var = np.full((self.levels, X.shape[0]), self.v)
-        return SimpleNamespace(variances=var)
+def _constant_variance_model(design, sigma2):
+    """1-level model with lengthscale 1e-4: the correlation between points
+    0.005 or more apart underflows to 0, so the variance is ``sigma2``
+    away from the design and exactly 0 on it."""
+    design = np.asarray(design, dtype=float)[:, None]
+    basis = BasisSpec("constant", 1)
+    return MultiFidelityModel.from_parameters(
+        MultiFidelityData([design], [np.zeros(len(design))]),
+        [LevelConfig(basis, KernelSpec("squared-exponential"))],
+        [LevelParameters([1e-4], sigma2, [0.0])])
 
 
 def test_imse_of_constant_variance_is_that_constant():
-    stub = _ConstantVariance(0.37)
-    assert compute_imse(stub, UNIT1, GridQuadrature(100)) == pytest.approx(0.37)
-    assert compute_imse(stub, UNIT1,
+    model = _constant_variance_model([0.0, 0.5, 1.0], 0.37)
+    assert compute_imse(model, UNIT1, GridQuadrature(100)) == pytest.approx(0.37)
+    assert compute_imse(model, UNIT1,
                         MonteCarloQuadrature(500, seed=1)) == pytest.approx(0.37)
-    assert compute_imse(_ConstantVariance(0.0), UNIT1, GridQuadrature(10)) == 0.0
+    midpoints = (np.arange(10) + 0.5) / 10
+    assert compute_imse(_constant_variance_model(midpoints, 0.37), UNIT1,
+                        GridQuadrature(10)) == 0.0
 
 
 def test_grid_and_monte_carlo_quadratures_agree(forrester_model):
@@ -582,6 +583,22 @@ def test_loop_with_periodic_reestimation(forrester_model):
     with pytest.raises(ValueError, match="refit"):
         run_loop(forrester_model, UNIT1, cost, budget=3.0,
                  simulators=forrester_simulators(), refit="sometimes")
+
+
+@pytest.mark.parametrize("refit, message", [
+    ("every-abc", "unknown refit mode 'every-abc'"),
+    ("every-", "unknown refit mode 'every-'"),
+    ("every-1.5", r"unknown refit mode 'every-1\.5'"),
+    ("every-0", "refit period must be a positive integer"),
+])
+def test_loop_names_a_malformed_refit_period_before_any_run(forrester_model,
+                                                           refit, message):
+    def never_called(x):
+        raise AssertionError("simulator ran")
+
+    with pytest.raises(ValueError, match=message):
+        run_loop(forrester_model, UNIT1, CostModel([1.0, 5.0]), budget=8.0,
+                 simulators=[never_called] * 2, refit=refit)
 
 
 def test_loop_input_validation(forrester_model):
