@@ -81,16 +81,28 @@ def _require(config, key):
     return config[key]
 
 
+_TYPE_NAMES = {int: "an integer", bool: "true or false"}
+
+
+def _typed(config, key, kind, default=None, owner=""):
+    """config[key], exactly of type ``kind`` (int or bool: true is no
+    integer, 1 no bool), or ``default`` when the key is absent."""
+    value = config.get(key, default)
+    if type(value) is not kind:
+        raise _ConfigError(
+            f"{owner}{key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
+
+
 def _level_configs(config, dimension) -> list[LevelConfig]:
     """Level structure from config; defaults are constant bases and a
     squared-exponential kernel at every level. The fit checks the level
     count and layout against the data."""
     raw = config.get("levels")
-    count = config.get("level_count")
     if raw is None:
-        if count is None:
+        if config.get("level_count") is None:
             raise _ConfigError("config needs 'levels' or 'level_count'")
-        raw = [{} for _ in range(int(count))]
+        raw = [{} for _ in range(_typed(config, "level_count", int))]
     configs = []
     for t, entry in enumerate(raw, start=1):
         if not isinstance(entry, dict):
@@ -111,8 +123,8 @@ def _build_data(config, problem) -> MultiFidelityData:
     if problem is None:
         raise _ConfigError("config needs 'problem' or 'data_dir'")
     sizes = _require(config, "sizes")
-    seed = int(config.get("seed", 0))
-    designs = nested_lhs(sizes, problem.bounds, seed=seed)
+    designs = nested_lhs(sizes, problem.bounds,
+                         seed=_typed(config, "seed", int, 0))
     if len(designs) > problem.level_count:
         raise _ConfigError("more sizes than problem levels")
     observations = [problem.evaluate(t + 1, d) for t, d in enumerate(designs)]
@@ -128,8 +140,8 @@ _QUADRATURE_KINDS = {"grid": (GridQuadrature, "n"),
 
 def _strategy_from(config, key, kinds):
     """The search or quadrature that config[key] describes, or None when
-    the key is absent. Optional fields (seed, polish) take the type of
-    their default."""
+    the key is absent. The size is an integer; optional fields (seed,
+    polish) have the type of their default."""
     raw = config.get(key)
     if raw is None:
         return None
@@ -140,9 +152,9 @@ def _strategy_from(config, key, kinds):
     strategy, size = kinds[raw["kind"]]
     if size not in raw:
         raise _ConfigError(f"{key} needs {size!r}")
-    options = {f.name: type(f.default)(raw[f.name])
+    options = {f.name: _typed(raw, f.name, type(f.default), owner=f"{key} ")
                for f in fields(strategy)[1:] if f.name in raw}
-    return strategy(int(raw[size]), **options)
+    return strategy(_typed(raw, size, int, owner=f"{key} "), **options)
 
 
 def _fit_from_config(config, problem):
@@ -150,8 +162,8 @@ def _fit_from_config(config, problem):
     or None."""
     data = _build_data(config, problem)
     return fit_multifidelity(data, _level_configs(config, data.dimension),
-                             restarts=int(config.get("restarts", 5)),
-                             seed=int(config.get("seed", 0)))
+                             restarts=_typed(config, "restarts", int, 5),
+                             seed=_typed(config, "seed", int, 0))
 
 
 def _fit_report(model) -> str:
@@ -188,8 +200,7 @@ def cmd_fit(config, out, quiet) -> int:
 def _predict_points(config) -> np.ndarray:
     if "points_file" in config:
         return load_points(config["points_file"])
-    n = config.get("grid")
-    if n is None:
+    if config.get("grid") is None:
         raise _ConfigError("config needs 'points_file' or 'grid'")
     if "bounds" in config:
         bounds = _as_box(config["bounds"])
@@ -197,7 +208,7 @@ def _predict_points(config) -> np.ndarray:
         bounds = get_problem(config["problem"]).bounds
     else:
         raise _ConfigError("grid prediction needs 'bounds' or 'problem'")
-    return product_grid(bounds, int(n))
+    return product_grid(bounds, _typed(config, "grid", int))
 
 
 def cmd_predict(config, out, quiet) -> int:
@@ -236,7 +247,7 @@ def cmd_sequential(config, out, quiet) -> int:
         search=search,
         quadrature=quadrature,
         refit=config.get("refit", "never"),
-        refit_seed=int(config.get("seed", 0)))
+        refit_seed=_typed(config, "seed", int, 0))
     os.makedirs(out, exist_ok=True)
     trace_path = os.path.join(out, "trace.csv")
     write_trace(trace, trace_path)

@@ -16,8 +16,13 @@ leading coefficient block is beta_rho. Prediction recurses bottom-up:
     mean_t(x) = rho_{t-1}(x) mean_{t-1}(x) + f_t(x)' beta_t + r_t(x)' R_t^{-1} resid_t
     var_t(x)  = rho_{t-1}(x)^2 var_{t-1}(x) + sigma_t^2 (1 - r_t(x)' R_t^{-1} r_t(x))
 
-Per-level variance contributions come from telescoping the variance
-recursion; they power the level-choice rules in the sequential module.
+Each level's posterior is formed here from its correlations
+R_t(D_t, x) with the matched nugget (``kernels.probe_correlation``);
+``_variance_terms`` turns them into the bases and rho factors of the
+variance recursion, for ``predict``, ``hypothetical_variance_after`` and
+the node sets of the sequential loop alike. Per-level variance
+contributions come from telescoping the recursion; they power the
+level-choice rules in the sequential module.
 """
 
 from dataclasses import dataclass
@@ -30,14 +35,15 @@ from .kernels import (
     KernelSpec,
     basis_matrix,
     first_repeat,
+    probe_correlation,
     same_points,
     _as_points,
 )
 from .kriging import (
     _DEFAULT_RESTARTS,
-    _level_posterior,
     _ml_fit,
     _solve_level,
+    variance_factor,
 )
 
 
@@ -385,6 +391,15 @@ def _assemble_level(config: LevelConfig, kernel: KernelSpec, inputs,
         nll=nll if sigma2 is None else float("nan"), lower_values=lower_values)
 
 
+def _variance_terms(levels, correlations, X):
+    """(bases, rhos) of ``_variance_recursion`` at X (m, d) from each
+    level's R_t(D_t, X): base_t = sigma2_t (1 - r' R_t^{-1} r), and
+    rho from ``FittedLevel.rho``."""
+    bases = [lev.sigma2 * variance_factor(lev.chol, c)
+             for lev, c in zip(levels, correlations)]
+    return bases, [lev.rho(X) for lev in levels[1:]]
+
+
 def _variance_recursion(bases, rhos) -> np.ndarray:
     """(s, m) variances: var_1 = base_1, var_t = rho_{t-1}^2 var_{t-1} + base_t."""
     variances = [bases[0]]
@@ -432,25 +447,15 @@ class MultiFidelityModel:
                 coef=coef))
         return cls(levels, data, configs)
 
-    def _level_terms(self, X):
-        """Per-level posterior pieces at the probe batch X (m, d)."""
+    def _probe(self, x):
+        """(X, per-level R_t(D_t, X) with the matched nugget) of one point
+        (d,) or a batch (m, d); a non-finite probe raises ValueError."""
+        X = _as_points(x, self.dimension)
         bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
         if bad.size:
             raise ValueError(f"probe point {X[bad[0]]} is not finite")
-        means = []
-        bases = []
-        rhos = []
-        mean_prev = None
-        for k, lev in enumerate(self.levels):
-            m, base = _level_posterior(lev, X)
-            if k > 0:
-                rho = lev.rho(X)
-                rhos.append(rho)
-                m = rho * mean_prev + m
-            means.append(m)
-            bases.append(base)
-            mean_prev = m
-        return means, bases, rhos
+        return X, [probe_correlation(lev.kernel, lev.design, X)
+                   for lev in self.levels]
 
     def predict(self, x) -> PredictionBreakdown:
         """Posterior means, variances, and variance contributions, all levels.
@@ -460,8 +465,12 @@ class MultiFidelityModel:
         """
         xa = np.asarray(x, dtype=float)
         single = xa.ndim == 1
-        X = _as_points(xa, self.dimension)
-        means, bases, rhos = self._level_terms(X)
+        X, correlations = self._probe(xa)
+        bases, rhos = _variance_terms(self.levels, correlations, X)
+        means = []
+        for k, (lev, c) in enumerate(zip(self.levels, correlations)):
+            m = basis_matrix(lev.trend, X) @ lev.beta + c.T @ lev.alpha
+            means.append(m if k == 0 else rhos[k - 1] * means[-1] + m)
         s = len(self.levels)
         contributions = [None] * s
         prod = np.ones(X.shape[0])
@@ -490,8 +499,8 @@ class MultiFidelityModel:
         if not 1 <= level <= s:
             raise ValueError(f"level must be in [1, {s}]")
         xa = np.asarray(x, dtype=float)
-        X = _as_points(xa, self.dimension)
-        _, bases, rhos = self._level_terms(X)
+        X, correlations = self._probe(xa)
+        bases, rhos = _variance_terms(self.levels, correlations, X)
         bases[:level] = [np.zeros(X.shape[0])] * level
         stacked = _variance_recursion(bases, rhos)
         return stacked[:, 0] if xa.ndim == 1 else stacked

@@ -37,9 +37,9 @@ from scipy.linalg import cholesky, solve_triangular, LinAlgError
 from .cokriging import _check_levels
 from .exceptions import IllConditionedError, OracleTooLargeError
 from .kernels import (
-    add_matched_nugget,
     basis_matrix,
     cross_correlation,
+    probe_correlation,
     _as_points,
 )
 from .kriging import _VARIANCE_SLACK
@@ -102,10 +102,13 @@ class JointModel:
                        for tp in range(1, s + 1)])
             for t in range(1, s + 1)
         ])
+        # level t's rows are h'(D_t) at level t, zero under the higher
+        # levels' coefficients
+        rows = [self.h_prime(lev.design, level=t)
+                for t, lev in enumerate(self.levels, start=1)]
         self.trend_matrix = np.vstack([
-            np.hstack([self._trend_block(t, j) for j in range(1, s + 1)])
-            for t in range(1, s + 1)
-        ])
+            np.pad(h, ((0, 0), (0, rows[-1].shape[1] - h.shape[1])))
+            for h in rows])
         self._z = np.concatenate([lev.y for lev in self.levels])
         # factored lazily: an asymmetric V (non-constant rho) can still
         # be inspected even when its lower triangle is not factorable
@@ -122,39 +125,29 @@ class JointModel:
 
     # ------------------------------------------------------------ pieces
 
-    def _rho(self, i, X):
-        """rho_i over the batch, the scaling stored on level i+1 (i >= 1)."""
-        lev = self.levels[i]
-        return basis_matrix(lev.scaling, X) @ lev.rho_beta
-
     def _rho_prod(self, j, t, X):
-        """prod_{i=j}^{t-1} rho_i(X); empty products are 1."""
+        """prod_{i=j}^{t-1} rho_i(X), rho_i the scaling stored on level
+        i+1; empty products are 1."""
         out = np.ones(len(X))
-        for i in range(j, t):
-            out = out * self._rho(i, X)
+        for lev in self.levels[j:t]:
+            out = out * (basis_matrix(lev.scaling, X) @ lev.rho_beta)
         return out
 
-    def _pair_block(self, t, tp, a, b):
-        """cov(Z_t on points a, Z_{t'} on points b), shape (len(a), len(b))."""
+    def _pair_block(self, t, tp, a, b, nugget=True):
+        """cov(Z_t on points a, Z_{t'} on points b), shape (len(a), len(b)).
+
+        Each r_j carries the matched nugget unless ``nugget`` is False.
+        """
         if t < tp:
-            return self._pair_block(tp, t, b, a).T
+            return self._pair_block(tp, t, b, a, nugget).T
+        correlation = probe_correlation if nugget else cross_correlation
         lead = self._rho_prod(tp, t, a)
         out = np.zeros((len(a), len(b)))
         for j in range(1, tp + 1):
             lev = self.levels[j - 1]
             w = lead * self._rho_prod(j, tp, a) ** 2
-            r = add_matched_nugget(
-                cross_correlation(lev.kernel, a, b), a, b)
-            out += lev.sigma2 * w[:, None] * r
+            out += lev.sigma2 * w[:, None] * correlation(lev.kernel, a, b)
         return out
-
-    def _trend_block(self, t, j):
-        """Block (level t rows, level j coefficients) of the stacked trend."""
-        design = self.levels[t - 1].design
-        f = basis_matrix(self.levels[j - 1].trend, design)
-        if j > t:
-            return np.zeros_like(f)
-        return self._rho_prod(j, t, design)[:, None] * f
 
     # ------------------------------------------------------------ public
 
@@ -168,16 +161,7 @@ class JointModel:
             raise ValueError(f"levels must be in [1, {s}]")
         a = _as_points(np.asarray(x, dtype=float), self.dimension)
         b = _as_points(np.asarray(x_prime, dtype=float), self.dimension)
-        if t < tp:
-            t, tp, a, b = tp, t, b, a
-        lead = self._rho_prod(tp, t, a)
-        out = 0.0
-        for j in range(1, tp + 1):
-            lev = self.levels[j - 1]
-            w = lead * self._rho_prod(j, tp, a) ** 2
-            out += lev.sigma2 * float(w[0]) * float(
-                cross_correlation(lev.kernel, a, b)[0, 0])
-        return out
+        return float(self._pair_block(t, tp, a, b, nugget=False)[0, 0])
 
     def h_prime(self, x, level=None) -> np.ndarray:
         """Regression vector of the joint mean at ``x`` for the given level.

@@ -167,6 +167,13 @@ def add_matched_nugget(c: np.ndarray, xa, xb) -> np.ndarray:
     return out
 
 
+def probe_correlation(spec: KernelSpec, design, points) -> np.ndarray:
+    """R(design, points) with the matched nugget, shape (n, m): the
+    correlations every posterior in the library is formed from."""
+    return add_matched_nugget(cross_correlation(spec, design, points),
+                              design, points)
+
+
 def basis_matrix(spec: BasisSpec, points) -> np.ndarray:
     """Evaluate the basis at each point: (n, p) matrix, row i = basis(points_i)."""
     pts = _as_points(points, spec.dimension)

@@ -9,14 +9,11 @@ minimization of the concentrated negative log-likelihood
     (n - p) * log(sigma2_hat(theta)) + log det R(theta)
 
 over log-lengthscales (``_ml_fit``). ``_solve_level`` factors a level
-and stores its residual solve; ``_level_posterior`` gives its posterior
-at new points x,
-
-    mean     = f(x)' beta_hat + r(x)' R^{-1} (y - F beta_hat)
-    variance = sigma2_hat * (1 - r(x)' R^{-1} r(x))
-
-with the plug-in trend (no trend-estimation inflation term). A
-single-level model is a 1-level ``fit_multifidelity``.
+and stores its residual solve; ``variance_factor`` gives the
+1 - r(x)' R^{-1} r(x) of its plug-in posterior variance (no
+trend-estimation inflation term). The level posteriors themselves are
+formed in ``cokriging``. A single-level model is a 1-level
+``fit_multifidelity``.
 """
 
 from dataclasses import dataclass
@@ -33,11 +30,9 @@ from .exceptions import (
 from .kernels import (
     BasisSpec,
     KernelSpec,
-    add_matched_nugget,
     add_nugget,
     basis_matrix,
     correlation_matrix,
-    cross_correlation,
     _as_points,
 )
 
@@ -97,19 +92,6 @@ def variance_factor(chol_lower: np.ndarray, c: np.ndarray) -> np.ndarray:
             f"-{_VARIANCE_SLACK:g}; round-off alone cannot explain this"
         )
     return np.maximum(factor, 0.0)
-
-
-def _level_posterior(fitted, X):
-    """(f' beta + r' alpha, sigma2 (1 - r' R^{-1} r)) of one fitted level at X.
-
-    ``fitted`` carries design, trend, kernel, beta, sigma2, chol and
-    alpha. Probes that are stored design points carry the nugget term
-    too, otherwise they would miss the observed value by nugget * alpha.
-    """
-    c = add_matched_nugget(
-        cross_correlation(fitted.kernel, fitted.design, X), fitted.design, X)
-    mean = basis_matrix(fitted.trend, X) @ fitted.beta + c.T @ fitted.alpha
-    return mean, fitted.sigma2 * variance_factor(fitted.chol, c)
 
 
 def _gls(chol_lower, f, y):

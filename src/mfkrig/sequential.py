@@ -12,7 +12,9 @@ sets. Every strategy is a fixed node set: the GridSearch grid, the
 RandomSearch candidates, the MultistartSearch starts, the GridQuadrature
 and MonteCarloQuadrature nodes, or the support of a weighted-sample
 measure. ``run_loop`` builds each once and keeps every level's
-cross-correlation to its nodes, R_t(D_t, nodes), between iterations. An
+cross-correlation to its nodes, R_t(D_t, nodes), between iterations; the
+top-level variance is formed from them by the same routine as
+``predict``'s (``cokriging._variance_terms``). An
 iteration with frozen hyperparameters then computes one new row per
 grown level; reestimated lengthscales rebuild a level. The kept rows
 cost n_t * m * 8 bytes per level and node set (m nodes). A search may
@@ -23,7 +25,7 @@ on every call and are evaluated as node sets of their own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import minimize
@@ -31,18 +33,12 @@ from scipy.optimize import minimize
 from .cokriging import (
     MultiFidelityModel,
     _variance_recursion,
+    _variance_terms,
     fit_multifidelity,
 )
 from .csvio import fmt, parse_row, read_csv
 from .exceptions import ParseError
-from .kernels import (
-    add_matched_nugget,
-    basis_matrix,
-    cross_correlation,
-    same_points,
-    _as_points,
-)
-from .kriging import variance_factor
+from .kernels import probe_correlation, same_points, _as_points
 
 IMSE_THRESHOLD = "imse-threshold"
 COST_WEIGHTED = "cost-weighted"
@@ -150,43 +146,56 @@ class CostModel:
 # search and quadrature strategies
 
 
+class _Sized:
+    """A search or quadrature whose first field, its size, is at least 1."""
+
+    def __post_init__(self):
+        if getattr(self, fields(self)[0].name) < 1:
+            raise ValueError(self._empty)
+
+
 @dataclass(frozen=True)
-class GridSearch:
+class GridSearch(_Sized):
     """Scan a full product grid, endpoints included, n nodes per dimension."""
 
     n: int
+    _empty = "grid needs at least one node per dimension"
 
 
 @dataclass(frozen=True)
-class RandomSearch:
+class RandomSearch(_Sized):
     """Scan n uniform points; optionally polish the best with a local solver."""
 
     n: int
     seed: int = 0
     polish: bool = False
+    _empty = "random search needs at least one candidate"
 
 
 @dataclass(frozen=True)
-class MultistartSearch:
+class MultistartSearch(_Sized):
     """Run k bounded local maximizations from uniform random starts."""
 
     k: int
     seed: int = 0
+    _empty = "multistart search needs at least one start"
 
 
 @dataclass(frozen=True)
-class GridQuadrature:
+class GridQuadrature(_Sized):
     """Average over the product grid of per-dimension cell midpoints."""
 
     n: int
+    _empty = "grid needs at least one node per dimension"
 
 
 @dataclass(frozen=True)
-class MonteCarloQuadrature:
+class MonteCarloQuadrature(_Sized):
     """Average over n uniform draws, deterministic given the seed."""
 
     n: int
     seed: int = 0
+    _empty = "need at least one quadrature node"
 
 
 def default_search(dimension: int) -> GridSearch | RandomSearch:
@@ -229,12 +238,6 @@ def _extends(points, prefix) -> bool:
             and bool(same_points(points[:n], prefix).diagonal().all()))
 
 
-def _node_rows(kernel, rows, nodes) -> np.ndarray:
-    """R(rows, nodes) plus the nugget where a row is itself a node."""
-    return add_matched_nugget(cross_correlation(kernel, rows, nodes),
-                              rows, nodes)
-
-
 class _Nodes:
     """A fixed node set of a search or quadrature, and what the loop reuses.
 
@@ -264,21 +267,20 @@ class _Nodes:
                 and _extends(design, kept[1])):
             _, old, c = kept
             if len(design) > len(old):
-                c = np.vstack([c, _node_rows(kernel, design[len(old):],
-                                             self.points)])
+                c = np.vstack([c, probe_correlation(
+                    kernel, design[len(old):], self.points)])
         else:
             kept = None  # release the stale correlations before the rebuild
-            c = _node_rows(kernel, design, self.points)
+            c = probe_correlation(kernel, design, self.points)
         self._levels[k] = (kernel, design, c)
         return c
 
     def top_variance(self, model) -> np.ndarray:
         """Top-level predictive variance at the nodes; no means are formed."""
-        bases = [lev.sigma2 * variance_factor(lev.chol, self._correlations(k, lev))
-                 for k, lev in enumerate(model.levels)]
-        rhos = [basis_matrix(lev.scaling, self.points) @ lev.rho_beta
-                for lev in model.levels[1:]]
-        return _variance_recursion(bases, rhos)[-1]
+        correlations = [self._correlations(k, lev)
+                        for k, lev in enumerate(model.levels)]
+        return _variance_recursion(*_variance_terms(
+            model.levels, correlations, self.points))[-1]
 
     def _excluded_mask(self, exclude) -> np.ndarray:
         exclude = _as_points(exclude)
@@ -334,14 +336,8 @@ def _node_set(domain: Domain, strategy, kind) -> _Nodes:
         midpoints = isinstance(strategy, GridQuadrature)
         return _Nodes(product_grid(domain.bounds, strategy.n, midpoints))
     if isinstance(strategy, MultistartSearch):
-        if strategy.k < 1:
-            raise ValueError("multistart search needs at least one start")
         count, polish = strategy.k, "all"
     else:
-        if strategy.n < 1:
-            raise ValueError("random search needs at least one candidate"
-                             if kind == _SEARCH else
-                             "need at least one quadrature node")
         count = strategy.n
         polish = "best" if getattr(strategy, "polish", False) else None
     points = domain.uniform_points(count, np.random.default_rng(strategy.seed))

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import mfkrig.cokriging as cokriging
 from mfkrig.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from mfkrig.sequential import EnrichmentTrace, TraceEntry, write_trace
 from mfkrig.testbed import load_model
@@ -271,6 +272,77 @@ def test_sequential_names_a_malformed_strategy(tmp_path, capsys, override,
     assert main(["sequential", "--config", path]) == EXIT_VALIDATION
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.fixture
+def no_likelihood(monkeypatch):
+    """Any likelihood search fails the test."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a likelihood search ran")
+
+    monkeypatch.setattr(cokriging, "_ml_fit", fail)
+
+
+@pytest.mark.parametrize("override, message", [
+    (dict(search={"kind": "grid", "n": 0}),
+     "grid needs at least one node per dimension"),
+    (dict(search={"kind": "random", "n": 0}),
+     "random search needs at least one candidate"),
+    (dict(search={"kind": "multistart", "k": 0}),
+     "multistart search needs at least one start"),
+    (dict(quadrature={"kind": "grid", "n": 0}),
+     "grid needs at least one node per dimension"),
+    (dict(quadrature={"kind": "monte-carlo", "n": -1}),
+     "need at least one quadrature node"),
+])
+def test_sequential_rejects_an_empty_strategy_before_any_fit(
+        tmp_path, capsys, no_likelihood, override, message):
+    out = tmp_path / "run"
+    config = json.loads(open(_sequential_config(tmp_path, out)).read())
+    config.update(override)
+    path = _config(tmp_path, "bad.json", **config)
+    assert main(["sequential", "--config", path]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    (dict(restarts="many"), "'restarts' must be an integer, got 'many'"),
+    (dict(restarts=True), "'restarts' must be an integer, got True"),
+    (dict(seed="3"), "'seed' must be an integer, got '3'"),
+    (dict(seed=2.5), "'seed' must be an integer, got 2.5"),
+    (dict(level_count="two"), "'level_count' must be an integer, got 'two'"),
+    (dict(search={"kind": "grid", "n": "many"}),
+     "search 'n' must be an integer, got 'many'"),
+    (dict(search={"kind": "multistart", "k": 4.0}),
+     "search 'k' must be an integer, got 4.0"),
+    (dict(search={"kind": "random", "n": 64, "polish": "no"}),
+     "search 'polish' must be true or false, got 'no'"),
+    (dict(search={"kind": "random", "n": 64, "polish": 1}),
+     "search 'polish' must be true or false, got 1"),
+    (dict(search={"kind": "random", "n": 64, "seed": None}),
+     "search 'seed' must be an integer, got None"),
+    (dict(quadrature={"kind": "monte-carlo", "n": [8]}),
+     "quadrature 'n' must be an integer, got [8]"),
+])
+def test_sequential_names_a_mistyped_field(tmp_path, capsys, no_likelihood,
+                                           override, message):
+    out = tmp_path / "run"
+    config = json.loads(open(_sequential_config(tmp_path, out)).read())
+    config.update(override)
+    path = _config(tmp_path, "bad.json", **config)
+    assert main(["sequential", "--config", path]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_predict_names_a_mistyped_grid(tmp_path, fitted_dir, capsys):
+    config = _config(tmp_path, "pred.json", model_dir=str(fitted_dir),
+                     grid="ten", problem="forrester",
+                     out=str(tmp_path / "p"))
+    assert main(["predict", "--config", config]) == EXIT_VALIDATION
+    assert "'grid' must be an integer, got 'ten'" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
 
 
 def test_sequential_rejects_an_unknown_refit_mode(tmp_path, capsys):

@@ -98,6 +98,16 @@ def test_cross_covariance_same_upper_level():
     assert jm.cross_covariance(2, 2, x, xp) == pytest.approx(expected, rel=1e-12)
 
 
+def test_cross_covariance_has_no_nugget_at_a_design_point():
+    data, configs, params = chain_instance(5, rhos=(1.4,))
+    jm = JointModel(data, configs, params)
+    x = data.designs[1][0]
+    assert jm.cross_covariance(1, 1, x, x) == 1.0
+    assert jm.cross_covariance(2, 2, x, x) == 1.4 ** 2 * 1.0 + 0.25
+    # the stacked covariance V does carry it there
+    assert jm.v[0, 0] == 1.0 + 1e-10
+
+
 # --------------------------------------------------------------- V matrix
 
 def test_v_symmetric_for_constant_scaling():

@@ -1,13 +1,18 @@
 """Model identities on generated nested data: interpolation at every level's
 design points, predictions that do not depend on the row order of the
-designs, contributions that sum to the top-level variance, and node-set
-variances equal to ``predict``'s.
+designs, contributions that sum to the top-level variance, node-set
+variances equal to ``predict``'s, the lookahead variance equal to the
+suffix sum of the contributions, and a byte-identical save/load/save
+round trip.
 
 Data are drawn from the autoregressive chain on 1-3 nested levels of 4-15
 points in d = 1 or 2, with lengthscales in [0.3, 0.6], sigma2 in [0.2, 2]
 and rho in [0.5, 2], the ranges of acceptance criterion 5; models are
 built from the generating parameters with ``from_parameters``.
 """
+
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
@@ -21,7 +26,7 @@ from mfkrig.cokriging import (
     MultiFidelityModel,
 )
 from mfkrig.kernels import BasisSpec, KernelSpec, same_points
-from mfkrig.testbed import nested_lhs
+from mfkrig.testbed import load_model, nested_lhs, save_model
 
 from helpers import draw_ar1_data
 
@@ -102,3 +107,40 @@ def test_node_set_variance_is_predict_variance_and_contributions_sum(chain):
     sigma2_sum = sum(par.sigma2 for par in params)
     assert np.max(np.abs(out.contributions.sum(axis=0) - out.variances[-1])) \
         <= 1e-12 * sigma2_sum
+
+
+@settings(max_examples=100, deadline=None)
+@given(_chains())
+def test_lookahead_is_the_suffix_sum_of_the_contributions(chain):
+    designs, observations, configs, params, rng = chain
+    model = _model(designs, observations, configs, params)
+    probes = np.vstack([rng.uniform(0.0, 1.0, size=(20, designs[0].shape[1])),
+                        designs[-1]])
+    contributions = model.predict(probes).contributions
+    for level in range(1, len(designs) + 1):
+        after = model.hypothetical_variance_after(probes, level)
+        assert (after[-1] == contributions[level:].sum(axis=0)).all()
+        assert (after[:level] == 0.0).all()
+
+
+def _files(directory):
+    out = {}
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as fh:
+            out[name] = fh.read()
+    return out
+
+
+@settings(max_examples=50, deadline=None)
+@given(_chains())
+def test_save_load_save_is_byte_identical(chain):
+    designs, observations, configs, params, _ = chain
+    model = _model(designs, observations, configs, params)
+    with tempfile.TemporaryDirectory() as first, \
+            tempfile.TemporaryDirectory() as second:
+        save_model(model, first)
+        save_model(load_model(first), second)
+        saved = _files(first)
+        assert "model.json" in saved
+        assert len(saved) == 2 * len(designs) + 1
+        assert _files(second) == saved

@@ -161,15 +161,15 @@ UNIT1 = Domain([[0.0, 1.0]])
 
 @pytest.fixture()
 def correlation_rows(monkeypatch):
-    """Rows asked of ``cross_correlation`` by the node sets, per call."""
+    """Rows asked of ``probe_correlation`` by the node sets, per call."""
     rows = []
-    original = sequential.cross_correlation
+    original = sequential.probe_correlation
 
-    def counted(kernel, xa, xb):
-        rows.append(len(np.atleast_2d(xa)))
-        return original(kernel, xa, xb)
+    def counted(kernel, design, points):
+        rows.append(len(np.atleast_2d(design)))
+        return original(kernel, design, points)
 
-    monkeypatch.setattr(sequential, "cross_correlation", counted)
+    monkeypatch.setattr(sequential, "probe_correlation", counted)
     return rows
 
 

@@ -113,6 +113,21 @@ def test_cost_model_validation():
         cost.cost_through(4)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda n: GridSearch(n), "grid needs at least one node per dimension"),
+    (lambda n: RandomSearch(n, polish=True),
+     "random search needs at least one candidate"),
+    (lambda n: MultistartSearch(n), "multistart search needs at least one start"),
+    (lambda n: GridQuadrature(n), "grid needs at least one node per dimension"),
+    (lambda n: MonteCarloQuadrature(n), "need at least one quadrature node"),
+])
+def test_each_strategy_checks_its_own_size(make, message):
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=message):
+            make(n)
+    assert make(1) is not None
+
+
 # ---------------------------------------------------------------------------
 # argmax_variance
 
