@@ -31,6 +31,9 @@ from .exceptions import (
 )
 from .kernels import BasisSpec, KernelSpec
 from .sequential import (
+    IMSE_THRESHOLD,
+    LEVEL_RULES,
+    REFIT_NEVER,
     CostModel,
     Domain,
     GridQuadrature,
@@ -43,6 +46,8 @@ from .sequential import (
     run_loop,
     write_trace,
     _as_box,
+    _checked_budget,
+    _refit_period,
 )
 from .testbed import (
     get_problem,
@@ -92,6 +97,29 @@ def _typed(config, key, kind, default=None, owner=""):
         raise _ConfigError(
             f"{owner}{key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
     return value
+
+
+def _is_number(value) -> bool:
+    """A JSON number: true and false are not numbers here."""
+    return type(value) in (int, float)
+
+
+def _loop_settings(config, problem):
+    """(budget, cost model, rule, refit) of a sequential config, checked
+    before the initial fit so that a bad value costs no likelihood search."""
+    budget = _require(config, "budget")
+    if not _is_number(budget):
+        raise _ConfigError(f"'budget' must be a number, got {budget!r}")
+    costs = config.get("costs", problem.costs)
+    if not (isinstance(costs, list) and all(map(_is_number, costs))):
+        raise _ConfigError(f"'costs' must be a list of numbers, got {costs!r}")
+    rule = config.get("rule", IMSE_THRESHOLD)
+    if rule not in LEVEL_RULES:
+        raise _ConfigError(
+            f"'rule' must be one of {', '.join(LEVEL_RULES)}, got {rule!r}")
+    refit = config.get("refit", REFIT_NEVER)
+    _refit_period(refit)
+    return _checked_budget(budget), CostModel(costs), rule, refit
 
 
 def _level_configs(config, dimension) -> list[LevelConfig]:
@@ -235,18 +263,17 @@ def cmd_sequential(config, out, quiet) -> int:
     problem = get_problem(_require(config, "problem"))
     search = _strategy_from(config, "search", _SEARCH_KINDS)
     quadrature = _strategy_from(config, "quadrature", _QUADRATURE_KINDS)
+    budget, cost, rule, refit = _loop_settings(config, problem)
     model = _fit_from_config(config, problem)
-    budget = _require(config, "budget")
-    cost = CostModel(config.get("costs", problem.costs))
     simulators = [lambda x, t=t: problem.evaluate(t, x)
                   for t in range(1, problem.level_count + 1)]
     domain = Domain(problem.bounds)
     model, trace = run_loop(
         model, domain, cost, budget, simulators,
-        rule=config.get("rule", "imse-threshold"),
+        rule=rule,
         search=search,
         quadrature=quadrature,
-        refit=config.get("refit", "never"),
+        refit=refit,
         refit_seed=_typed(config, "seed", int, 0))
     os.makedirs(out, exist_ok=True)
     trace_path = os.path.join(out, "trace.csv")

@@ -103,12 +103,30 @@ def cross_correlation(spec: KernelSpec, xa, xb) -> np.ndarray:
     theta = spec.lengthscales
     a = _as_points(xa, theta.size)
     b = _as_points(xb, theta.size)
-    if spec.family == SQUARED_EXPONENTIAL:
-        d2 = cdist(a / theta, b / theta, "sqeuclidean")
-        return np.exp(-d2)
-    h = cdist(a / theta, b / theta, "euclidean")
+    return _scaled_correlation(spec.family, a / theta, b / theta)
+
+
+def _scaled_correlation(family, a, b) -> np.ndarray:
+    """The kernel formula of ``family`` between point sets already divided
+    by their lengthscales: the one place it is written.
+
+    Each step writes over an array made here, in the operation order of
+    exp(-d2) and (1 + u + (5/3) h h) exp(-u): the values are those of
+    the plain expressions without their large temporaries, whose
+    allocation cost more than the arithmetic at a few hundred points.
+    """
+    if family == SQUARED_EXPONENTIAL:
+        r = cdist(a, b, "sqeuclidean")
+        np.negative(r, out=r)
+        return np.exp(r, out=r)
+    h = cdist(a, b, "euclidean")
     u = np.sqrt(5.0) * h
-    return (1.0 + u + (5.0 / 3.0) * h * h) * np.exp(-u)
+    r = (5.0 / 3.0) * h
+    r *= h
+    r += np.add(1.0, u, out=h)
+    np.negative(u, out=u)
+    r *= np.exp(u, out=u)
+    return r
 
 
 def correlation_matrix(spec: KernelSpec, points) -> np.ndarray:

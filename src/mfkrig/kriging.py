@@ -14,12 +14,26 @@ and stores its residual solve; ``variance_factor`` gives the
 trend-estimation inflation term). The level posteriors themselves are
 formed in ``cokriging``. A single-level model is a 1-level
 ``fit_multifidelity``.
+
+``_nll_terms`` is the one likelihood evaluation. The ML search, the
+frozen refit in ``_solve_level`` and the public ``chol_nugget``,
+``gls_fit`` and ``concentrated_nll`` all factor and solve through its
+parts: the kernel formula on design / theta, dpotrf, two dtrtrs solves
+and dgelsd with the arguments ``scipy.linalg.lstsq`` passes. It calls
+LAPACK directly, skipping scipy's finite re-scans and work-size queries,
+because its inputs are checked where they enter the library: data by
+``MultiFidelityData``, lengthscales by ``KernelSpec`` or the search box,
+matrices by the public functions. Its results are bit for bit those of
+the scipy wrappers (``tests/helpers.py`` keeps that path as the oracle).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular, lstsq, LinAlgError
+from scipy.linalg import LinAlgError, solve_triangular
+from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
 
 from .exceptions import (
     FitFailedError,
@@ -28,12 +42,12 @@ from .exceptions import (
     SingularTrendError,
 )
 from .kernels import (
+    NUGGET,
     BasisSpec,
     KernelSpec,
-    add_nugget,
     basis_matrix,
-    correlation_matrix,
     _as_points,
+    _scaled_correlation,
 )
 
 # sigma2_hat below (this * data scale)^2 is treated as an exactly-zero
@@ -46,6 +60,13 @@ _SIGMA2_FLOOR_REL = 1e-12
 _VARIANCE_SLACK = 1e-9
 
 _DEFAULT_RESTARTS = 5
+
+# The LAPACK routines of the likelihood, bound once for float64, and
+# dgelsd's rcond: singular values below this times the largest count as
+# zero, the default of scipy.linalg.lstsq.
+_potrf, _trtrs, _gelsd, _gelsd_lwork = get_lapack_funcs(
+    ("potrf", "trtrs", "gelsd", "gelsd_lwork"), dtype=np.float64)
+_RCOND = np.finfo(float).eps
 
 
 @dataclass
@@ -70,15 +91,37 @@ class KrigingProblem:
         _check_estimable(1, basis_matrix(self.trend, self.design), 0)
 
 
+def _factor_in_place(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the Fortran-ordered ``a``, nugget already
+    on its diagonal, written over ``a``; or IllConditionedError."""
+    lo, info = _potrf(a, lower=1, clean=1, overwrite_a=1)
+    if info > 0:
+        raise IllConditionedError(
+            f"correlation matrix of size {a.shape[0]} is not positive definite "
+            "even after the nugget"
+        )
+    return lo
+
+
+def _nugget_factor(family, design, theta) -> np.ndarray:
+    """Lower Cholesky factor of R(theta) + nugget on ``design``."""
+    scaled = design / theta
+    r = _scaled_correlation(family, scaled, scaled)
+    np.fill_diagonal(r, 1.0 + NUGGET)
+    # R is exactly symmetric, so its transpose is the same matrix in the
+    # Fortran order dpotrf works on in place
+    return _factor_in_place(r.T)
+
+
 def chol_nugget(r: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of ``r`` + nugget, or IllConditionedError."""
-    try:
-        return cholesky(add_nugget(r), lower=True)
-    except LinAlgError as exc:
-        raise IllConditionedError(
-            f"correlation matrix of size {r.shape[0]} is not positive definite "
-            "even after the nugget"
-        ) from exc
+    a = np.array(r, dtype=float, order="F")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("correlation matrix must be square")
+    if not np.isfinite(a).all():
+        raise ValueError("correlation matrix must be finite")
+    a[np.diag_indices_from(a)] += NUGGET
+    return _factor_in_place(a)
 
 
 def variance_factor(chol_lower: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -94,24 +137,39 @@ def variance_factor(chol_lower: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.maximum(factor, 0.0)
 
 
+@lru_cache(maxsize=128)
+def _gelsd_work(n, p):
+    """(lwork, iwork) of dgelsd on an (n, p) system with one right-hand
+    side, queried as ``scipy.linalg.lstsq`` queries it."""
+    return _compute_lwork(_gelsd_lwork, n, p, 1, _RCOND)
+
+
 def _gls(chol_lower, f, y):
     """GLS on a pre-factored correlation matrix.
 
     Whitens both sides by the Cholesky factor and solves the resulting
-    ordinary least-squares problem. Returns (beta, sigma2, whitened
-    residual sum of squares is folded into sigma2 with the n - p divisor).
+    least-squares problem with dgelsd as ``scipy.linalg.lstsq`` calls it.
+    Returns (beta, sigma2), sigma2 the whitened residual sum of squares
+    over n - p. A factor from dpotrf has a positive diagonal, so the
+    triangular solves cannot fail.
     """
     n, p = f.shape
-    fw = solve_triangular(chol_lower, f, lower=True)
-    yw = solve_triangular(chol_lower, y, lower=True)
-    beta, _, rank, _ = lstsq(fw, yw)
+    fw, _ = _trtrs(chol_lower, f, lower=1)
+    yw, _ = _trtrs(chol_lower, y, lower=1)
+    x, _, rank, info = _gelsd(fw, yw, *_gelsd_work(n, p), _RCOND, 0, 0)
+    if info > 0:
+        raise LinAlgError("SVD did not converge in Linear Least Squares")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgelsd")
     if rank < p:
         raise SingularTrendError(
             f"trend matrix has rank {rank} < {p}; columns are collinear"
         )
+    beta = x[:p]
     resid = yw - fw @ beta
     sigma2 = float(resid @ resid) / (n - p)
     return beta, sigma2
+
 
 def gls_fit(r: np.ndarray, f: np.ndarray, y: np.ndarray):
     """Generalized least squares under correlation matrix ``r``.
@@ -142,6 +200,8 @@ def gls_fit(r: np.ndarray, f: np.ndarray, y: np.ndarray):
         raise ValueError("shapes of R, F, y are inconsistent")
     if r.shape[0] <= f.shape[1]:
         raise ValueError("need n > p residual degrees of freedom")
+    if not (np.isfinite(f).all() and np.isfinite(y).all()):
+        raise ValueError("trend matrix and responses must be finite")
     return _gls(chol_nugget(r), f, y)
 
 
@@ -150,13 +210,35 @@ def _sigma2_floor(y):
     return (_SIGMA2_FLOOR_REL * scale) ** 2
 
 
-def _nll_terms(design, trend_matrix, y, kernel):
-    """(nll, beta, sigma2_floored, chol) for fixed lengthscales."""
-    lo = chol_nugget(correlation_matrix(kernel, design))
-    beta, sigma2 = _gls(lo, trend_matrix, y)
-    sigma2 = max(sigma2, _sigma2_floor(y))
-    logdet = 2.0 * float(np.sum(np.log(np.diag(lo))))
-    n, p = trend_matrix.shape
+class _Likelihood(NamedTuple):
+    """One level's data, prepared once for repeated ``_nll_terms`` calls."""
+
+    family: str
+    design: np.ndarray
+    trend: np.ndarray
+    y: np.ndarray
+    sigma2_floor: float
+
+
+def _likelihood(family, design, trend_matrix, y) -> _Likelihood:
+    return _Likelihood(family, design, trend_matrix, y, _sigma2_floor(y))
+
+
+def _nll_terms(lik: _Likelihood, theta):
+    """(nll, beta, sigma2_floored, chol) at lengthscales ``theta``.
+
+    The one likelihood evaluation: the fit, the frozen refit and the
+    public GLS and likelihood functions all factor and solve through
+    it. Its inputs are checked where they enter the library, so it
+    calls LAPACK without scipy's finite re-scans.
+    """
+    if not np.isfinite(theta).all():
+        raise ValueError("lengthscales must be strictly positive and finite")
+    lo = _nugget_factor(lik.family, lik.design, theta)
+    beta, sigma2 = _gls(lo, lik.trend, lik.y)
+    sigma2 = max(sigma2, lik.sigma2_floor)
+    logdet = 2.0 * float(np.log(lo.diagonal()).sum())
+    n, p = lik.trend.shape
     nll = (n - p) * np.log(sigma2) + logdet
     return nll, beta, sigma2, lo
 
@@ -171,15 +253,17 @@ def _solve_level(kernel, design, trend_matrix, y, coef=None):
 
     Returns (chol, coef, sigma2, nll, alpha).
     """
+    theta = kernel.lengthscales
+    _as_points(design, theta.size)  # one lengthscale per design dimension
     if coef is None:
-        nll, coef, sigma2, lo = _nll_terms(design, trend_matrix, y, kernel)
+        nll, coef, sigma2, lo = _nll_terms(
+            _likelihood(kernel.family, design, trend_matrix, y), theta)
     else:
-        lo = chol_nugget(correlation_matrix(kernel, design))
+        lo = _nugget_factor(kernel.family, design, theta)
         nll = sigma2 = float("nan")
     resid = y - trend_matrix @ coef
-    alpha = solve_triangular(
-        lo.T, solve_triangular(lo, resid, lower=True), lower=False
-    )
+    v, _ = _trtrs(lo, resid, lower=1)
+    alpha, _ = _trtrs(lo, v, lower=1, trans=1)
     return lo, coef, sigma2, float(nll), alpha
 
 
@@ -193,9 +277,11 @@ def concentrated_nll(problem: KrigingProblem, theta) -> float:
     result is not finite.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    f = basis_matrix(problem.trend, problem.design)
     kernel = KernelSpec(problem.kernel.family, theta)
-    nll, _, _, _ = _nll_terms(problem.design, f, problem.y, kernel)
+    design = _as_points(problem.design, kernel.lengthscales.size)
+    f = basis_matrix(problem.trend, design)
+    nll, _, _, _ = _nll_terms(
+        _likelihood(kernel.family, design, f, problem.y), kernel.lengthscales)
     if not np.isfinite(nll):
         raise IllConditionedError(f"non-finite likelihood at theta={theta}")
     return float(nll)
@@ -238,10 +324,12 @@ def _ml_fit(design, trend_matrix, y, family, bounds, restarts, rng):
     lo, hi = _normalize_bounds(bounds, design, d)
     log_lo, log_hi = np.log(lo), np.log(hi)
 
+    lik = _likelihood(family, design, trend_matrix, y)
+
     def objective(z):
         theta = np.exp(np.clip(z, log_lo, log_hi))
         try:
-            nll, _, _, _ = _nll_terms(design, trend_matrix, y, KernelSpec(family, theta))
+            nll, _, _, _ = _nll_terms(lik, theta)
         except (IllConditionedError, SingularTrendError):
             return np.inf
         return nll if np.isfinite(nll) else np.inf

@@ -555,6 +555,32 @@ def read_trace(path) -> EnrichmentTrace:
 # the loop
 
 
+def _checked_budget(budget) -> float:
+    """The loop budget as a float; it must be positive and finite."""
+    budget = float(budget)
+    if not 0 < budget < np.inf:
+        raise ValueError(f"budget must be positive and finite, got {budget}")
+    return budget
+
+
+def _refit_period(refit) -> int:
+    """Iterations between refits of a refit mode: 0 for "never", 1 for
+    "always", k for "every-k" with k >= 1."""
+    if refit == REFIT_NEVER:
+        return 0
+    if refit == REFIT_ALWAYS:
+        return 1
+    if isinstance(refit, str) and refit.startswith("every-"):
+        try:
+            period = int(refit.removeprefix("every-"))
+        except ValueError:
+            raise ValueError(f"unknown refit mode {refit!r}") from None
+        if period < 1:
+            raise ValueError("refit period must be a positive integer")
+        return period
+    raise ValueError(f"unknown refit mode {refit!r}")
+
+
 def run_loop(model, domain: Domain, cost: CostModel, budget,
              simulators, rule=IMSE_THRESHOLD, search=None, quadrature=None,
              refit=REFIT_NEVER, refit_seed=0):
@@ -573,22 +599,8 @@ def run_loop(model, domain: Domain, cost: CostModel, budget,
         raise ValueError("cost model and model disagree on level count")
     if len(simulators) != model.level_count:
         raise ValueError("need one simulator per level")
-    budget = float(budget)
-    if not 0 < budget < np.inf:
-        raise ValueError(f"budget must be positive and finite, got {budget}")
-    if refit == REFIT_NEVER:
-        period = 0
-    elif refit == REFIT_ALWAYS:
-        period = 1
-    elif isinstance(refit, str) and refit.startswith("every-"):
-        try:
-            period = int(refit.removeprefix("every-"))
-        except ValueError:
-            raise ValueError(f"unknown refit mode {refit!r}") from None
-        if period < 1:
-            raise ValueError("refit period must be a positive integer")
-    else:
-        raise ValueError(f"unknown refit mode {refit!r}")
+    budget = _checked_budget(budget)
+    period = _refit_period(refit)
 
     # Resolved once, so each level's node correlations carry over
     # between iterations.

@@ -1,11 +1,15 @@
-"""Shared test utilities: prior sampling, dense reference formulas, a
-variance search through ``predict``, and the sequential loop spelled out
-through public calls."""
+"""Shared test utilities: prior sampling, dense reference formulas, the
+likelihood evaluation through scipy's checked wrappers, a variance search
+through ``predict``, and the sequential loop spelled out through public
+calls."""
 
 import numpy as np
+from scipy.linalg import LinAlgError, cholesky, lstsq, solve_triangular
 from scipy.optimize import minimize
 
+from mfkrig.exceptions import IllConditionedError, SingularTrendError
 from mfkrig.kernels import KernelSpec, add_nugget, correlation_matrix, same_points
+from mfkrig.kriging import _sigma2_floor
 from mfkrig.sequential import (
     EnrichmentTrace,
     TraceEntry,
@@ -33,6 +37,46 @@ def dense_gls(r, f, y):
     resid = y - f @ beta
     sigma2 = float(resid @ ri @ resid) / (len(y) - f.shape[1])
     return beta, sigma2
+
+
+def reference_chol_nugget(r):
+    """Lower Cholesky factor of ``r`` + nugget through ``scipy.linalg.cholesky``."""
+    try:
+        return cholesky(add_nugget(r), lower=True)
+    except LinAlgError as exc:
+        raise IllConditionedError(
+            f"correlation matrix of size {r.shape[0]} is not positive definite "
+            "even after the nugget"
+        ) from exc
+
+
+def reference_gls(chol_lower, f, y):
+    """(beta, sigma2) of GLS on a factor through ``solve_triangular`` and
+    ``lstsq``, with all of scipy's checks."""
+    n, p = f.shape
+    fw = solve_triangular(chol_lower, f, lower=True)
+    yw = solve_triangular(chol_lower, y, lower=True)
+    beta, _, rank, _ = lstsq(fw, yw)
+    if rank < p:
+        raise SingularTrendError(
+            f"trend matrix has rank {rank} < {p}; columns are collinear"
+        )
+    resid = yw - fw @ beta
+    sigma2 = float(resid @ resid) / (n - p)
+    return beta, sigma2
+
+
+def reference_nll_terms(design, trend_matrix, y, kernel):
+    """(nll, beta, sigma2_floored, chol) of ``kriging._nll_terms`` through
+    the public kernel and scipy wrappers: the oracle of the bare LAPACK
+    path, which must match it bit for bit."""
+    lo = reference_chol_nugget(correlation_matrix(kernel, design))
+    beta, sigma2 = reference_gls(lo, trend_matrix, y)
+    sigma2 = max(sigma2, _sigma2_floor(y))
+    logdet = 2.0 * float(np.sum(np.log(np.diag(lo))))
+    n, p = trend_matrix.shape
+    nll = (n - p) * np.log(sigma2) + logdet
+    return nll, beta, sigma2, lo
 
 
 def dense_predict(design, y, trend_matrix, beta, kernel, sigma2, x_matrix,

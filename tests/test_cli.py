@@ -336,6 +336,34 @@ def test_sequential_names_a_mistyped_field(tmp_path, capsys, no_likelihood,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override, message", [
+    (dict(budget="abc"), "'budget' must be a number, got 'abc'"),
+    (dict(budget=True), "'budget' must be a number, got True"),
+    (dict(budget=-1.0), "budget must be positive and finite, got -1.0"),
+    (dict(costs="abc"), "'costs' must be a list of numbers, got 'abc'"),
+    (dict(costs=[1.0, "5"]), "'costs' must be a list of numbers"),
+    (dict(costs=[5.0, 1.0]), "costs must be strictly increasing"),
+    (dict(rule="greedy"), "'rule' must be one of imse-threshold, "
+                          "cost-weighted, got 'greedy'"),
+    (dict(refit="every-abc"), "unknown refit mode 'every-abc'"),
+    (dict(refit="every-0"), "refit period must be a positive integer"),
+])
+def test_sequential_checks_its_loop_settings_before_any_fit(
+        tmp_path, capsys, monkeypatch, override, message):
+    fits = []
+    original = cokriging._ml_fit
+    monkeypatch.setattr(cokriging, "_ml_fit", lambda *args: (
+        fits.append(1), original(*args))[1])
+    out = tmp_path / "run"
+    config = json.loads(open(_sequential_config(tmp_path, out)).read())
+    config.update(override)
+    path = _config(tmp_path, "bad.json", **config)
+    assert main(["sequential", "--config", path]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert len(fits) == 0
+    assert not out.exists()
+
+
 def test_predict_names_a_mistyped_grid(tmp_path, fitted_dir, capsys):
     config = _config(tmp_path, "pred.json", model_dir=str(fitted_dir),
                      grid="ten", problem="forrester",

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mfkrig.kriging as kriging
 from mfkrig.exceptions import (
     FitFailedError,
     IllConditionedError,
@@ -11,15 +14,24 @@ from mfkrig.cokriging import LevelConfig, MultiFidelityData, fit_multifidelity
 from mfkrig.kernels import NUGGET, BasisSpec, KernelSpec, basis_matrix, correlation_matrix
 from mfkrig.kriging import (
     KrigingProblem,
+    chol_nugget,
     concentrated_nll,
     default_theta_bounds,
     gls_fit,
     variance_factor,
 )
 
-from helpers import dense_gls, dense_predict, sample_gp
+from helpers import (
+    dense_gls,
+    dense_predict,
+    reference_chol_nugget,
+    reference_gls,
+    reference_nll_terms,
+    sample_gp,
+)
 
 SE = "squared-exponential"
+M52 = "matern-5/2"
 
 
 def make_problem(rng, n=10, d=1, trend="constant", family=SE):
@@ -114,6 +126,115 @@ def test_nll_rejects_nonpositive_theta():
     problem = make_problem(np.random.default_rng(0))
     with pytest.raises(ValueError):
         concentrated_nll(problem, [-0.5])
+
+
+# ------------------------------- the LAPACK path against scipy's wrappers
+
+@st.composite
+def _likelihood_cases(draw):
+    """(family, design, trend matrix, y, theta): n in 2..60, d in 1..3,
+    both kernels and trends, responses that are smooth, exactly linear
+    (a zero residual under the linear trend) or constant, and
+    lengthscales anywhere in the default box, its ends included."""
+    d = draw(st.integers(1, 3))
+    trend = draw(st.sampled_from(["constant", "linear"]))
+    basis = BasisSpec(trend, d)
+    n = draw(st.integers(max(2, basis.size + 1), 60))
+    family = draw(st.sampled_from([SE, M52]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    design = rng.uniform(0.0, draw(st.sampled_from([1.0, 10.0])), size=(n, d))
+    y = {"smooth": np.sin(3.0 * design).sum(axis=1) + 0.1 * rng.normal(size=n),
+         "linear": 1.0 + design.sum(axis=1),
+         "constant": np.full(n, 2.5)}[
+        draw(st.sampled_from(["smooth", "linear", "constant"]))]
+    lo, hi = default_theta_bounds(design)
+    frac = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+        min_size=d, max_size=d)))
+    theta = np.where(frac == 0.0, lo, np.where(
+        frac == 1.0, hi, np.exp(np.log(lo) + frac * np.log(hi / lo))))
+    return family, design, basis_matrix(basis, design), y, theta
+
+
+def _outcome(evaluate):
+    """The arrays ``evaluate`` returns as bytes plus the factor's memory
+    order, or the type and message of the library error it raises."""
+    try:
+        out = evaluate()
+    except (IllConditionedError, SingularTrendError) as exc:
+        return type(exc), str(exc)
+    return ([np.asarray(a, dtype=float).tobytes() for a in out]
+            + [out[-1].flags.f_contiguous if len(out) == 4 else None])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_likelihood_cases())
+def test_lapack_path_is_bit_identical_to_the_scipy_wrappers(case):
+    family, design, f, y, theta = case
+    lean = _outcome(lambda: kriging._nll_terms(
+        kriging._likelihood(family, design, f, y), theta))
+    wrapped = _outcome(lambda: reference_nll_terms(
+        design, f, y, KernelSpec(family, theta)))
+    assert lean == wrapped
+    r = correlation_matrix(KernelSpec(family, theta), design)
+    assert _outcome(lambda: (chol_nugget(r),)) == \
+        _outcome(lambda: (reference_chol_nugget(r),))
+    assert _outcome(lambda: gls_fit(r, f, y)) == \
+        _outcome(lambda: reference_gls(reference_chol_nugget(r), f, y))
+
+
+# ------------------------------------------------------ error parity
+
+def test_likelihood_evaluation_rejects_a_collinear_trend():
+    design = np.random.default_rng(0).uniform(size=(6, 1))
+    lik = kriging._likelihood(SE, design, np.ones((6, 2)), design[:, 0])
+    with pytest.raises(SingularTrendError, match="rank 1 < 2"):
+        kriging._nll_terms(lik, np.array([0.3]))
+
+
+def test_chol_nugget_rejects_a_matrix_that_is_not_positive_definite():
+    with pytest.raises(IllConditionedError, match="not positive definite"):
+        chol_nugget(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def _nan_at(a, index):
+    a = np.array(a, dtype=float)
+    a[index] = np.nan
+    return a
+
+
+@pytest.mark.parametrize("call", [
+    lambda r, f, y: chol_nugget(_nan_at(r, (2, 1))),
+    lambda r, f, y: chol_nugget(_nan_at(r, (1, 2))),
+    lambda r, f, y: gls_fit(_nan_at(r, (0, 3)), f, y),
+    lambda r, f, y: gls_fit(r, _nan_at(f, (4, 1)), y),
+    lambda r, f, y: gls_fit(r, f, _nan_at(y, 5)),
+], ids=["chol-lower", "chol-upper", "gls-r", "gls-f", "gls-y"])
+def test_nan_input_fails_at_the_public_boundary(call):
+    pts = np.random.default_rng(3).uniform(size=(8, 1))
+    r = correlation_matrix(KernelSpec(SE, [0.3]), pts)
+    f = basis_matrix(BasisSpec("linear", 1), pts)
+    with pytest.raises(ValueError, match="must be finite"):
+        call(r, f, np.sin(pts[:, 0]))
+
+
+@pytest.mark.parametrize("theta", [[0.0], [np.nan], [np.inf]])
+def test_nll_rejects_a_zero_or_nonfinite_theta(theta):
+    problem = make_problem(np.random.default_rng(0))
+    with pytest.raises(ValueError,
+                       match="lengthscales must be strictly positive and finite"):
+        concentrated_nll(problem, theta)
+
+
+@pytest.mark.parametrize("theta", [np.nan, np.inf])
+def test_likelihood_evaluation_rejects_a_nonfinite_theta(theta):
+    problem = make_problem(np.random.default_rng(0))
+    lik = kriging._likelihood(SE, problem.design,
+                              basis_matrix(problem.trend, problem.design),
+                              problem.y)
+    with pytest.raises(ValueError,
+                       match="lengthscales must be strictly positive and finite"):
+        kriging._nll_terms(lik, np.array([theta]))
 
 
 # ------------------------------------------------------------------- fit

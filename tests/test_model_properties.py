@@ -2,35 +2,41 @@
 design points, predictions that do not depend on the row order of the
 designs, contributions that sum to the top-level variance, node-set
 variances equal to ``predict``'s, the lookahead variance equal to the
-suffix sum of the contributions, and a byte-identical save/load/save
-round trip.
+suffix sum of the contributions, a byte-identical save/load/save
+round trip, and fits that are byte-identical whether the likelihood runs
+through bare LAPACK or through scipy's checked wrappers.
 
 Data are drawn from the autoregressive chain on 1-3 nested levels of 4-15
 points in d = 1 or 2, with lengthscales in [0.3, 0.6], sigma2 in [0.2, 2]
 and rho in [0.5, 2], the ranges of acceptance criterion 5; models are
-built from the generating parameters with ``from_parameters``.
+built from the generating parameters with ``from_parameters``. The fit
+comparison instead fits the built-in problems on nested LHS designs.
 """
 
 import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mfkrig.kriging as kriging
 import mfkrig.sequential as sequential
 from mfkrig.cokriging import (
     LevelConfig,
     LevelParameters,
     MultiFidelityData,
     MultiFidelityModel,
+    fit_multifidelity,
 )
 from mfkrig.kernels import BasisSpec, KernelSpec, same_points
-from mfkrig.testbed import load_model, nested_lhs, save_model
+from mfkrig.testbed import get_problem, load_model, nested_lhs, save_model
 
-from helpers import draw_ar1_data
+from helpers import draw_ar1_data, reference_nll_terms
 
 SE = "squared-exponential"
+M52 = "matern-5/2"
 
 
 @st.composite
@@ -144,3 +150,40 @@ def test_save_load_save_is_byte_identical(chain):
         assert "model.json" in saved
         assert len(saved) == 2 * len(designs) + 1
         assert _files(second) == saved
+
+
+def _fitted_bytes(model):
+    """Every fitted array of every level as bytes, with the factor's
+    memory order, and every file ``save_model`` writes."""
+    parts = []
+    for lev in model.levels:
+        for a in (lev.kernel.lengthscales, lev.beta, lev.rho_beta, lev.chol,
+                  lev.alpha, [lev.sigma2], [lev.nll]):
+            parts.append(None if a is None else np.asarray(a, float).tobytes())
+        parts.append(lev.chol.flags.f_contiguous)
+    with tempfile.TemporaryDirectory() as directory:
+        save_model(model, directory)
+        return parts, _files(directory)
+
+
+@pytest.mark.parametrize("name, sizes, family, trend", [
+    ("forrester", [10, 5], SE, "constant"),
+    ("chain3", [12, 8, 4], M52, "constant"),
+    ("ripple2d", [16, 8], SE, "linear"),
+])
+def test_fit_is_byte_identical_through_the_scipy_wrappers(monkeypatch, name,
+                                                          sizes, family, trend):
+    problem = get_problem(name)
+    d = problem.dimension
+    designs = nested_lhs(sizes, problem.bounds, seed=4)
+    data = MultiFidelityData(designs, [problem.evaluate(t + 1, x)
+                                       for t, x in enumerate(designs)])
+    configs = [LevelConfig(BasisSpec(trend, d), KernelSpec(family),
+                           scaling=None if t == 0 else BasisSpec("constant", d))
+               for t in range(len(sizes))]
+    lean = fit_multifidelity(data, configs, restarts=2, seed=1)
+    monkeypatch.setattr(kriging, "_nll_terms", lambda lik, theta:
+                        reference_nll_terms(lik.design, lik.trend, lik.y,
+                                            KernelSpec(lik.family, theta)))
+    wrapped = fit_multifidelity(data, configs, restarts=2, seed=1)
+    assert _fitted_bytes(lean) == _fitted_bytes(wrapped)
