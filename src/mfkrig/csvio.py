@@ -9,17 +9,22 @@ import json
 
 from .exceptions import ParseError
 
+_FLOAT = ".17g"
+
 
 def fmt(v) -> str:
-    return format(float(v), ".17g")
+    return format(float(v), _FLOAT)
 
 
 def write_csv(path, header, rows) -> None:
-    """Header line, then one line of formatted floats per row."""
+    """Header line, then one line per row of as many floats as the
+    header has cells, each written as ``fmt`` writes it."""
+    # "%" + _FLOAT applied to float(v) gives fmt(v); one template per
+    # line spares a call per value
+    line = ",".join(["%" + _FLOAT] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        fh.writelines(line % tuple(map(float, row)) for row in rows)
 
 
 def read_csv(path):

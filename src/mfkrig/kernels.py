@@ -181,15 +181,20 @@ def add_matched_nugget(c: np.ndarray, xa, xb) -> np.ndarray:
     out = np.array(c, dtype=float, copy=True)
     if out.shape != (a.shape[0], b.shape[0]):
         raise ValueError("matrix shape does not match the point sets")
-    out[same_points(a, b)] += NUGGET
+    return _match_nugget(out, a, b)
+
+
+def _match_nugget(out, xa, xb) -> np.ndarray:
+    """``out`` with NUGGET added in place where xa[i] equals xb[j] exactly."""
+    out[same_points(xa, xb)] += NUGGET
     return out
 
 
 def probe_correlation(spec: KernelSpec, design, points) -> np.ndarray:
     """R(design, points) with the matched nugget, shape (n, m): the
     correlations every posterior in the library is formed from."""
-    return add_matched_nugget(cross_correlation(spec, design, points),
-                              design, points)
+    return _match_nugget(cross_correlation(spec, design, points),
+                         design, points)
 
 
 def basis_matrix(spec: BasisSpec, points) -> np.ndarray:

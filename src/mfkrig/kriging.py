@@ -8,9 +8,12 @@ minimization of the concentrated negative log-likelihood
 
     (n - p) * log(sigma2_hat(theta)) + log det R(theta)
 
-over log-lengthscales (``_ml_fit``). ``_solve_level`` factors a level
-and stores its residual solve; ``variance_factor`` gives the
-1 - r(x)' R^{-1} r(x) of its plug-in posterior variance (no
+over log-lengthscales (``_ml_fit``). The search clips each point into
+the log-lengthscale box and memoizes the NLL on the clipped vector, so
+a point it has already evaluated is not factored again; the evaluation
+is deterministic, so the memo changes no fitted value. ``_solve_level``
+factors a level and stores its residual solve; ``variance_factor``
+gives the 1 - r(x)' R^{-1} r(x) of its plug-in posterior variance (no
 trend-estimation inflation term). The level posteriors themselves are
 formed in ``cokriging``. A single-level model is a 1-level
 ``fit_multifidelity``.
@@ -313,6 +316,14 @@ def _ml_fit(design, trend_matrix, y, family, bounds, restarts, rng):
     Nelder-Mead, one run per start (start 0 is the log-box midpoint,
     the rest are drawn uniformly from the box with ``rng``). Returns the
     kernel at the best lengthscales found.
+
+    The objective clips each point into the log-box before it
+    evaluates, so Nelder-Mead's points outside the box, its collapsed
+    simplex vertices and each start's first point keep landing on
+    vectors already evaluated. It memoizes on the bytes of the clipped
+    vector, one memo per call shared by all starts: ``_nll_terms`` is
+    deterministic, so a hit returns the very float a fresh evaluation
+    would and every search follows the same path as without the memo.
     """
     from scipy.optimize import minimize
 
@@ -325,14 +336,19 @@ def _ml_fit(design, trend_matrix, y, family, bounds, restarts, rng):
     log_lo, log_hi = np.log(lo), np.log(hi)
 
     lik = _likelihood(family, design, trend_matrix, y)
+    memo = {}
 
     def objective(z):
-        theta = np.exp(np.clip(z, log_lo, log_hi))
-        try:
-            nll, _, _, _ = _nll_terms(lik, theta)
-        except (IllConditionedError, SingularTrendError):
-            return np.inf
-        return nll if np.isfinite(nll) else np.inf
+        z = np.clip(z, log_lo, log_hi)
+        key = z.tobytes()
+        nll = memo.get(key)
+        if nll is None:
+            try:
+                nll, _, _, _ = _nll_terms(lik, np.exp(z))
+            except (IllConditionedError, SingularTrendError):
+                nll = np.inf
+            memo[key] = nll = nll if np.isfinite(nll) else np.inf
+        return nll
 
     starts = [0.5 * (log_lo + log_hi)]
     for _ in range(restarts - 1):

@@ -1,14 +1,25 @@
 """Shared test utilities: prior sampling, dense reference formulas, the
-likelihood evaluation through scipy's checked wrappers, a variance search
-through ``predict``, and the sequential loop spelled out through public
-calls."""
+likelihood evaluation through scipy's checked wrappers, the likelihood
+search without its memo, a variance search through ``predict``, and the
+sequential loop spelled out through public calls."""
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky, lstsq, solve_triangular
 from scipy.optimize import minimize
 
-from mfkrig.exceptions import IllConditionedError, SingularTrendError
-from mfkrig.kernels import KernelSpec, add_nugget, correlation_matrix, same_points
+import mfkrig.kriging as kriging
+from mfkrig.exceptions import (
+    FitFailedError,
+    IllConditionedError,
+    SingularTrendError,
+)
+from mfkrig.kernels import (
+    KernelSpec,
+    add_nugget,
+    correlation_matrix,
+    same_points,
+    _as_points,
+)
 from mfkrig.kriging import _sigma2_floor
 from mfkrig.sequential import (
     EnrichmentTrace,
@@ -77,6 +88,44 @@ def reference_nll_terms(design, trend_matrix, y, kernel):
     n, p = trend_matrix.shape
     nll = (n - p) * np.log(sigma2) + logdet
     return nll, beta, sigma2, lo
+
+
+def reference_ml_fit(design, trend_matrix, y, family, bounds, restarts, rng):
+    """``kriging._ml_fit`` without its memo: every objective call clips
+    its point into the log-box and evaluates ``kriging._nll_terms`` afresh.
+    The oracle of the memoized search, whose fits must match it bit for
+    bit; it takes the same arguments, so it can stand in for it."""
+    design = _as_points(design)
+    y = np.asarray(y, dtype=float).ravel()
+    lo, hi = kriging._normalize_bounds(bounds, design, design.shape[1])
+    log_lo, log_hi = np.log(lo), np.log(hi)
+    lik = kriging._likelihood(family, design, trend_matrix, y)
+
+    def objective(z):
+        z = np.clip(z, log_lo, log_hi)
+        try:
+            nll, _, _, _ = kriging._nll_terms(lik, np.exp(z))
+        except (IllConditionedError, SingularTrendError):
+            return np.inf
+        return nll if np.isfinite(nll) else np.inf
+
+    starts = [0.5 * (log_lo + log_hi)]
+    starts += [rng.uniform(log_lo, log_hi) for _ in range(restarts - 1)]
+    best = None
+    for z0 in starts:
+        f0 = objective(z0)
+        if not np.isfinite(f0):
+            continue
+        res = minimize(objective, z0, method="Nelder-Mead",
+                       options={"xatol": 1e-6, "fatol": 1e-9,
+                                "maxiter": 400 * design.shape[1]})
+        fun, z = (res.fun, res.x) if res.fun <= f0 else (f0, z0)
+        if best is None or fun < best[0]:
+            best = (fun, np.clip(z, log_lo, log_hi))
+    if best is None:
+        raise FitFailedError(
+            f"all {len(starts)} likelihood starts were ill-conditioned")
+    return KernelSpec(family, np.exp(best[1]))
 
 
 def dense_predict(design, y, trend_matrix, beta, kernel, sigma2, x_matrix,

@@ -13,6 +13,7 @@ from mfkrig.kernels import (
     correlation_matrix,
     cross_correlation,
     first_repeat,
+    probe_correlation,
     same_points,
 )
 
@@ -172,6 +173,18 @@ def test_matched_nugget_hits_identical_rows_only():
 def test_matched_nugget_shape_mismatch():
     with pytest.raises(ValueError):
         add_matched_nugget(np.zeros((2, 2)), [[0.0], [1.0], [2.0]], [[0.0], [1.0]])
+
+
+@pytest.mark.parametrize("family", ["squared-exponential", "matern-5/2"])
+def test_probe_correlation_is_the_matched_nugget_on_the_correlations(family):
+    design = np.random.default_rng(2).uniform(size=(7, 2))
+    points = np.vstack([design[[4, 0]], [[0.3, 0.9]], [-0.0, 0.5]])
+    spec = KernelSpec(family, [0.4, 0.7])
+    for probe in (points, points[0]):
+        expected = add_matched_nugget(cross_correlation(spec, design, probe),
+                                      design, probe)
+        assert probe_correlation(spec, design, probe).tobytes() == \
+            expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from helpers import (
     dense_predict,
     reference_chol_nugget,
     reference_gls,
+    reference_ml_fit,
     reference_nll_terms,
     sample_gp,
 )
@@ -297,6 +300,74 @@ def test_fit_failure_when_every_start_degenerate():
     problem = make_problem(rng)
     with pytest.raises(ValueError):
         fit_one(problem, bounds=(1.0, 0.5))
+
+
+def _spy_evaluations(monkeypatch, ill_conditioned=lambda theta: False):
+    """Record the clipped log-lengthscale vector behind every
+    ``_nll_terms`` call of a search, raising IllConditionedError where
+    ``ill_conditioned(theta)``; returns the list of vectors (as bytes)."""
+    original = kriging._nll_terms
+    keys = []
+
+    def spy(lik, theta):
+        z = sys._getframe(1).f_locals["z"]  # the search objective's vector
+        assert np.exp(z).tobytes() == theta.tobytes()
+        keys.append(z.tobytes())
+        if ill_conditioned(theta):
+            raise IllConditionedError("spy")
+        return original(lik, theta)
+
+    monkeypatch.setattr(kriging, "_nll_terms", spy)
+    return keys
+
+
+def _search(problem, search, bounds=None, restarts=4, seed=3):
+    return search(problem.design, basis_matrix(problem.trend, problem.design),
+                  problem.y, problem.kernel.family, bounds, restarts,
+                  np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("d, family", [(1, SE), (2, M52)])
+def test_search_evaluates_each_clipped_vector_once(monkeypatch, d, family):
+    problem = make_problem(np.random.default_rng(4), n=12, d=d, family=family)
+    keys = _spy_evaluations(monkeypatch)
+    kernel = _search(problem, kriging._ml_fit)
+    memoized = list(keys)
+    keys.clear()
+    reference = _search(problem, reference_ml_fit)
+    assert len(set(memoized)) == len(memoized)
+    assert set(memoized) == set(keys)
+    assert len(keys) > len(memoized)  # the search does revisit points
+    assert kernel.lengthscales.tobytes() == reference.lengthscales.tobytes()
+
+
+def test_search_factors_an_ill_conditioned_vector_once(monkeypatch):
+    problem = make_problem(np.random.default_rng(6), n=12)
+    bounds = (0.05, 5.0)
+    keys = _spy_evaluations(monkeypatch, lambda theta: theta[0] > 1.0)
+    kernel = _search(problem, kriging._ml_fit, bounds)
+    memoized = list(keys)
+    keys.clear()
+    reference = _search(problem, reference_ml_fit, bounds)
+    raised = [k for k in memoized if np.exp(np.frombuffer(k))[0] > 1.0]
+    assert raised and len(set(memoized)) == len(memoized)
+    assert len([k for k in keys if np.exp(np.frombuffer(k))[0] > 1.0]) \
+        > len(raised)
+    assert kernel.lengthscales.tobytes() == reference.lengthscales.tobytes()
+
+
+@pytest.mark.parametrize("bounds, evaluations", [
+    (None, 4),          # four distinct starts
+    ((0.37, 0.37), 1),  # a degenerate box clips every start to one vector
+])
+def test_search_fails_when_every_start_is_ill_conditioned(monkeypatch, bounds,
+                                                          evaluations):
+    problem = make_problem(np.random.default_rng(0))
+    keys = _spy_evaluations(monkeypatch, lambda theta: True)
+    with pytest.raises(FitFailedError,
+                       match="all 4 likelihood starts were ill-conditioned"):
+        _search(problem, kriging._ml_fit, bounds)
+    assert len(keys) == evaluations
 
 
 @pytest.mark.parametrize("restarts", [0, -1])

@@ -4,7 +4,8 @@ designs, contributions that sum to the top-level variance, node-set
 variances equal to ``predict``'s, the lookahead variance equal to the
 suffix sum of the contributions, a byte-identical save/load/save
 round trip, and fits that are byte-identical whether the likelihood runs
-through bare LAPACK or through scipy's checked wrappers.
+through bare LAPACK or through scipy's checked wrappers, and whether the
+likelihood search memoizes its evaluations or not.
 
 Data are drawn from the autoregressive chain on 1-3 nested levels of 4-15
 points in d = 1 or 2, with lengthscales in [0.3, 0.6], sigma2 in [0.2, 2]
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mfkrig.cokriging as cokriging
 import mfkrig.kriging as kriging
 import mfkrig.sequential as sequential
 from mfkrig.cokriging import (
@@ -33,7 +35,7 @@ from mfkrig.cokriging import (
 from mfkrig.kernels import BasisSpec, KernelSpec, same_points
 from mfkrig.testbed import get_problem, load_model, nested_lhs, save_model
 
-from helpers import draw_ar1_data, reference_nll_terms
+from helpers import draw_ar1_data, reference_ml_fit, reference_nll_terms
 
 SE = "squared-exponential"
 M52 = "matern-5/2"
@@ -166,13 +168,15 @@ def _fitted_bytes(model):
         return parts, _files(directory)
 
 
-@pytest.mark.parametrize("name, sizes, family, trend", [
+_FIT_CASES = [
     ("forrester", [10, 5], SE, "constant"),
     ("chain3", [12, 8, 4], M52, "constant"),
     ("ripple2d", [16, 8], SE, "linear"),
-])
-def test_fit_is_byte_identical_through_the_scipy_wrappers(monkeypatch, name,
-                                                          sizes, family, trend):
+]
+
+
+def _problem_fit_inputs(name, sizes, family, trend):
+    """(data, configs) of a built-in problem on a nested LHS design."""
     problem = get_problem(name)
     d = problem.dimension
     designs = nested_lhs(sizes, problem.bounds, seed=4)
@@ -181,9 +185,28 @@ def test_fit_is_byte_identical_through_the_scipy_wrappers(monkeypatch, name,
     configs = [LevelConfig(BasisSpec(trend, d), KernelSpec(family),
                            scaling=None if t == 0 else BasisSpec("constant", d))
                for t in range(len(sizes))]
+    return data, configs
+
+
+@pytest.mark.parametrize("name, sizes, family, trend", _FIT_CASES)
+def test_fit_is_byte_identical_through_the_scipy_wrappers(monkeypatch, name,
+                                                          sizes, family, trend):
+    data, configs = _problem_fit_inputs(name, sizes, family, trend)
     lean = fit_multifidelity(data, configs, restarts=2, seed=1)
     monkeypatch.setattr(kriging, "_nll_terms", lambda lik, theta:
                         reference_nll_terms(lik.design, lik.trend, lik.y,
                                             KernelSpec(lik.family, theta)))
     wrapped = fit_multifidelity(data, configs, restarts=2, seed=1)
     assert _fitted_bytes(lean) == _fitted_bytes(wrapped)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("name, sizes, family, trend", _FIT_CASES)
+def test_fit_is_byte_identical_without_the_likelihood_memo(monkeypatch, name,
+                                                           sizes, family,
+                                                           trend, seed):
+    data, configs = _problem_fit_inputs(name, sizes, family, trend)
+    memoized = fit_multifidelity(data, configs, restarts=3, seed=seed)
+    monkeypatch.setattr(cokriging, "_ml_fit", reference_ml_fit)
+    fresh = fit_multifidelity(data, configs, restarts=3, seed=seed)
+    assert _fitted_bytes(memoized) == _fitted_bytes(fresh)
