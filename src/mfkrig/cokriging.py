@@ -17,12 +17,15 @@ leading coefficient block is beta_rho. Prediction recurses bottom-up:
     var_t(x)  = rho_{t-1}(x)^2 var_{t-1}(x) + sigma_t^2 (1 - r_t(x)' R_t^{-1} r_t(x))
 
 Each level's posterior is formed here from its correlations
-R_t(D_t, x) with the matched nugget (``kernels.probe_correlation``);
-``_variance_terms`` turns them into the bases and rho factors of the
-variance recursion, for ``predict``, ``hypothetical_variance_after`` and
-the node sets of the sequential loop alike. Per-level variance
-contributions come from telescoping the recursion; they power the
-level-choice rules in the sequential module.
+R_t(D_t, x) with the matched nugget (``kernels.probe_correlation``) and
+its variance factor 1 - r' R_t^{-1} r from the row recursion of
+``kriging.variance_factor``; ``_variance_terms`` turns the factors into
+the bases and rho factors of the variance recursion, for ``predict``,
+``hypothetical_variance_after`` and the node sets of the sequential
+loop alike. A frozen ``refit`` appends factor rows for the appended
+design points, so the loop's node sets can continue their kept solves.
+Per-level variance contributions come from telescoping the recursion;
+they power the level-choice rules in the sequential module.
 """
 
 from dataclasses import dataclass
@@ -34,6 +37,7 @@ from .kernels import (
     BasisSpec,
     KernelSpec,
     basis_matrix,
+    extends,
     first_repeat,
     probe_correlation,
     same_points,
@@ -182,7 +186,10 @@ class MultiFidelityData:
         """New data with ``x`` appended to levels 1..len(values).
 
         ``values`` holds the observed responses, cheapest level first.
-        The point must be new to D_1 (hence to every level).
+        The point must be new to D_1 (hence to every level). Only the new
+        point is checked, with the messages of the full rules: appending
+        a point new to D_1 to levels 1..l keeps the designs distinct and
+        nested.
         """
         x = np.asarray(x, dtype=float).ravel()
         if x.size != self.dimension:
@@ -195,16 +202,19 @@ class MultiFidelityData:
             raise DuplicateDesignPointError(
                 f"point {x} is already a level-1 design point"
             )
-        designs = []
-        observations = []
-        for t in range(self.levels):
-            if t < values.size:
-                designs.append(np.vstack([self.designs[t], x[None, :]]))
-                observations.append(np.append(self.observations[t], values[t]))
-            else:
-                designs.append(self.designs[t])
-                observations.append(self.observations[t])
-        return MultiFidelityData(designs, observations)
+        if not np.isfinite(x).all():
+            raise ValueError(f"level 1 design point {x} is not finite")
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            t = bad[0]
+            raise ValueError(
+                f"level {t + 1} value {values[t]} at point {x} is not finite")
+        grown = object.__new__(MultiFidelityData)
+        grown.designs = [np.vstack([dd, x]) if t < values.size else dd
+                         for t, dd in enumerate(self.designs)]
+        grown.observations = [np.append(z, values[t]) if t < values.size else z
+                              for t, z in enumerate(self.observations)]
+        return grown
 
 
 @dataclass
@@ -376,14 +386,16 @@ def _fit_on(config: LevelConfig, inputs, bounds, restarts, seed) -> FittedLevel:
 
 
 def _assemble_level(config: LevelConfig, kernel: KernelSpec, inputs,
-                    sigma2=None, coef=None) -> FittedLevel:
+                    sigma2=None, coef=None, grown_from=None) -> FittedLevel:
     """One level with the given kernel, on its ``_level_inputs``.
 
     ``coef`` (scaling block first) defaults to the GLS estimate;
     ``sigma2`` defaults to the ML estimate, which also sets ``nll``.
+    ``grown_from`` is passed to ``kriging._solve_level``.
     """
     design, y, lower_values, h, q = inputs
-    lo, coef, ml_sigma2, nll, alpha = _solve_level(kernel, design, h, y, coef)
+    lo, coef, ml_sigma2, nll, alpha = _solve_level(kernel, design, h, y, coef,
+                                                   grown_from)
     return FittedLevel(
         design=design, y=y, trend=config.trend, scaling=config.scaling,
         kernel=kernel, beta=coef[q:], rho_beta=coef[:q] if q else None,
@@ -391,12 +403,11 @@ def _assemble_level(config: LevelConfig, kernel: KernelSpec, inputs,
         nll=nll if sigma2 is None else float("nan"), lower_values=lower_values)
 
 
-def _variance_terms(levels, correlations, X):
+def _variance_terms(levels, factors, X):
     """(bases, rhos) of ``_variance_recursion`` at X (m, d) from each
-    level's R_t(D_t, X): base_t = sigma2_t (1 - r' R_t^{-1} r), and
-    rho from ``FittedLevel.rho``."""
-    bases = [lev.sigma2 * variance_factor(lev.chol, c)
-             for lev, c in zip(levels, correlations)]
+    level's variance factor 1 - r' R_t^{-1} r at X:
+    base_t = sigma2_t * factor_t, and rho from ``FittedLevel.rho``."""
+    bases = [lev.sigma2 * f for lev, f in zip(levels, factors)]
     return bases, [lev.rho(X) for lev in levels[1:]]
 
 
@@ -448,14 +459,17 @@ class MultiFidelityModel:
         return cls(levels, data, configs)
 
     def _probe(self, x):
-        """(X, per-level R_t(D_t, X) with the matched nugget) of one point
-        (d,) or a batch (m, d); a non-finite probe raises ValueError."""
+        """(X, per-level R_t(D_t, X) with the matched nugget, per-level
+        variance factors) of one point (d,) or a batch (m, d); a
+        non-finite probe raises ValueError."""
         X = _as_points(x, self.dimension)
         bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
         if bad.size:
             raise ValueError(f"probe point {X[bad[0]]} is not finite")
-        return X, [probe_correlation(lev.kernel, lev.design, X)
-                   for lev in self.levels]
+        correlations = [probe_correlation(lev.kernel, lev.design, X)
+                        for lev in self.levels]
+        return X, correlations, [variance_factor(lev.chol, c)
+                                 for lev, c in zip(self.levels, correlations)]
 
     def predict(self, x) -> PredictionBreakdown:
         """Posterior means, variances, and variance contributions, all levels.
@@ -465,8 +479,8 @@ class MultiFidelityModel:
         """
         xa = np.asarray(x, dtype=float)
         single = xa.ndim == 1
-        X, correlations = self._probe(xa)
-        bases, rhos = _variance_terms(self.levels, correlations, X)
+        X, correlations, factors = self._probe(xa)
+        bases, rhos = _variance_terms(self.levels, factors, X)
         means = []
         for k, (lev, c) in enumerate(zip(self.levels, correlations)):
             m = basis_matrix(lev.trend, X) @ lev.beta + c.T @ lev.alpha
@@ -499,8 +513,8 @@ class MultiFidelityModel:
         if not 1 <= level <= s:
             raise ValueError(f"level must be in [1, {s}]")
         xa = np.asarray(x, dtype=float)
-        X, correlations = self._probe(xa)
-        bases, rhos = _variance_terms(self.levels, correlations, X)
+        X, _, factors = self._probe(xa)
+        bases, rhos = _variance_terms(self.levels, factors, X)
         bases[:level] = [np.zeros(X.shape[0])] * level
         stacked = _variance_recursion(bases, rhos)
         return stacked[:, 0] if xa.ndim == 1 else stacked
@@ -510,15 +524,21 @@ class MultiFidelityModel:
 
         Kernel lengthscales and process variances carry over unchanged;
         trend and scaling coefficients are re-estimated by GLS and the
-        stored solves rebuilt. Used by enrichment in frozen mode.
+        stored solves rebuilt. Used by enrichment in frozen mode. A
+        level whose new design extends its old one bit for bit keeps its
+        factor and appends one row per new point
+        (``kriging._append_rows``), so the factor's leading block stays
+        bit for bit the old factor; any other design is refactored.
         """
         _check_levels(data, self.configs)
-        levels = [
-            _assemble_level(config, lev.kernel,
-                            _level_inputs(config, data, t), sigma2=lev.sigma2)
-            for t, (config, lev) in enumerate(zip(self.configs, self.levels),
-                                              start=1)
-        ]
+        levels = []
+        for t, (config, lev) in enumerate(zip(self.configs, self.levels),
+                                          start=1):
+            inputs = _level_inputs(config, data, t)
+            grown_from = lev.chol if extends(inputs[0], lev.design) else None
+            levels.append(_assemble_level(config, lev.kernel, inputs,
+                                          sigma2=lev.sigma2,
+                                          grown_from=grown_from))
         return MultiFidelityModel(levels, data, self.configs)
 
 

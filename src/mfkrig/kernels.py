@@ -161,6 +161,14 @@ def same_points(xa, xb) -> np.ndarray:
     return a.view(key) == b.view(key).T
 
 
+def extends(points, prefix) -> bool:
+    """True when the rows of ``prefix`` are the leading rows of ``points``,
+    bit for bit (the identity of ``same_points``, row by row)."""
+    n = len(prefix)
+    return (len(points) >= n and points.shape[1:] == prefix.shape[1:]
+            and points[:n].tobytes() == prefix.tobytes())
+
+
 def first_repeat(points) -> int | None:
     """Index of the first row that is the same point as an earlier row, or None."""
     dup = np.flatnonzero(np.tril(same_points(points, points), -1).any(axis=1))

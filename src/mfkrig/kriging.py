@@ -12,11 +12,17 @@ over log-lengthscales (``_ml_fit``). The search clips each point into
 the log-lengthscale box and memoizes the NLL on the clipped vector, so
 a point it has already evaluated is not factored again; the evaluation
 is deterministic, so the memo changes no fitted value. ``_solve_level``
-factors a level and stores its residual solve; ``variance_factor``
-gives the 1 - r(x)' R^{-1} r(x) of its plug-in posterior variance (no
-trend-estimation inflation term). The level posteriors themselves are
-formed in ``cokriging``. A single-level model is a 1-level
-``fit_multifidelity``.
+factors a level and stores its residual solve; a frozen refit of a
+design grown by appended rows grows the old factor row by row
+(``_append_rows``) instead, so its leading block stays bit for bit.
+``variance_factor`` gives the 1 - r(x)' R^{-1} r(x) of the plug-in
+posterior variance (no trend-estimation inflation term) from one row
+recursion, ``_solve_rows``: row i of V = L^{-1} C is
+(c_i - L[i, :i] V[:i]) / L_ii and a running sum of squared rows gives
+r' R^{-1} r. Every posterior variance in the library comes from it, so
+a solve kept on fixed nodes and continued over appended rows equals a
+fresh one bit for bit. The level posteriors themselves are formed in
+``cokriging``. A single-level model is a 1-level ``fit_multifidelity``.
 
 ``_nll_terms`` is the one likelihood evaluation. The ML search, the
 frozen refit in ``_solve_level`` and the public ``chol_nugget``,
@@ -35,7 +41,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_triangular
+from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
 
 from .exceptions import (
@@ -127,10 +133,59 @@ def chol_nugget(r: np.ndarray) -> np.ndarray:
     return _factor_in_place(a)
 
 
-def variance_factor(chol_lower: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Clamped 1 - r' R^{-1} r for each column of the cross-correlation ``c``."""
-    v = solve_triangular(chol_lower, c, lower=True, check_finite=False)
-    factor = 1.0 - np.einsum("ij,ij->j", v, v)
+def _append_rows(family, design, theta, chol_lower) -> np.ndarray:
+    """Lower Cholesky factor of R(theta) + nugget on ``design``, grown from
+    ``chol_lower``, the factor on its leading rows, one row at a time.
+
+    Row i is l = L[:i, :i]^{-1} r(design[:i], design[i]) (one dtrtrs)
+    and the pivot sqrt(1 + nugget - l'l), so the leading block stays bit
+    for bit the given factor. A non-positive pivot raises
+    IllConditionedError.
+    """
+    n, m = len(chol_lower), len(design)
+    if m == n:
+        return chol_lower
+    scaled = design / theta
+    r = _scaled_correlation(family, scaled[n:], scaled)
+    lo = np.zeros((m, m), order="F")
+    lo[:n, :n] = chol_lower
+    for i in range(n, m):
+        l, _ = _trtrs(lo[:i, :i], r[i - n, :i], lower=1)
+        pivot = 1.0 + NUGGET - l @ l
+        if not pivot > 0.0:
+            raise IllConditionedError(
+                f"correlation matrix of size {i + 1} is not positive definite "
+                "even after the nugget")
+        lo[i, :i] = l
+        lo[i, i] = np.sqrt(pivot)
+    return lo
+
+
+def _solve_rows(chol_lower, c, v, s, start) -> None:
+    """Continue V = L^{-1} C from row ``start`` by the row recursion.
+
+    ``c`` holds the rows of C from ``start`` on; rows of ``v`` below
+    ``start`` hold V already and the rest are written here, each as
+    v_i = (c_i - L[i, :i] V[:i]) * (1 / L_ii). ``s`` is the running sum
+    of the squared rows, updated in place. A fresh solve and one
+    continued after appended rows run the same operations, so they agree
+    bit for bit. The factor's rows are copied contiguous first: BLAS
+    sums a strided vector in another order than a contiguous one, and
+    the result must not depend on the factor's memory order.
+    """
+    stop = start + len(c)
+    rows = np.ascontiguousarray(chol_lower[start:stop])
+    inverses = 1.0 / chol_lower.diagonal()[start:stop]
+    for i, c_i, l_i, inverse in zip(range(start, stop), c, rows, inverses):
+        v_i = v[i]
+        np.subtract(c_i, l_i[:i] @ v[:i], out=v_i)
+        v_i *= inverse
+        s += v_i * v_i
+
+
+def _clamped_factor(s) -> np.ndarray:
+    """1 - s clamped at 0; a factor below the round-off slack is a bug."""
+    factor = 1.0 - s
     bad = factor < -_VARIANCE_SLACK
     if np.any(bad):
         raise InternalConsistencyError(
@@ -138,6 +193,18 @@ def variance_factor(chol_lower: np.ndarray, c: np.ndarray) -> np.ndarray:
             f"-{_VARIANCE_SLACK:g}; round-off alone cannot explain this"
         )
     return np.maximum(factor, 0.0)
+
+
+def variance_factor(chol_lower: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Clamped 1 - r' R^{-1} r for each column of the cross-correlation ``c``.
+
+    r' R^{-1} r is the sum of squares of the columns of V = L^{-1} C,
+    solved afresh by ``_solve_rows``.
+    """
+    c = np.asarray(c, dtype=float)
+    s = np.zeros(c.shape[1])
+    _solve_rows(chol_lower, c, np.empty(c.shape), s, 0)
+    return _clamped_factor(s)
 
 
 @lru_cache(maxsize=128)
@@ -237,7 +304,12 @@ def _nll_terms(lik: _Likelihood, theta):
     """
     if not np.isfinite(theta).all():
         raise ValueError("lengthscales must be strictly positive and finite")
-    lo = _nugget_factor(lik.family, lik.design, theta)
+    return _factored_nll_terms(
+        lik, _nugget_factor(lik.family, lik.design, theta))
+
+
+def _factored_nll_terms(lik: _Likelihood, lo):
+    """``_nll_terms`` on a given factor ``lo`` of R + nugget."""
     beta, sigma2 = _gls(lo, lik.trend, lik.y)
     sigma2 = max(sigma2, lik.sigma2_floor)
     logdet = 2.0 * float(np.log(lo.diagonal()).sum())
@@ -246,24 +318,31 @@ def _nll_terms(lik: _Likelihood, theta):
     return nll, beta, sigma2, lo
 
 
-def _solve_level(kernel, design, trend_matrix, y, coef=None):
+def _solve_level(kernel, design, trend_matrix, y, coef=None, grown_from=None):
     """Factor a level and store its residual solve; the one place this is done.
 
     Factors R + nugget for ``kernel`` on ``design`` and stores
     alpha = R^{-1}(y - H coef). Without ``coef`` the coefficients are
     GLS estimates, returned with the floored sigma2 and the concentrated
-    NLL; with ``coef`` given both of those are nan.
+    NLL; with ``coef`` given both of those are nan. ``grown_from`` is
+    the factor on the leading rows of ``design``, when the design grew
+    by appended rows under the same kernel: the factor is then grown
+    from it row by row (``_append_rows``) instead of refactored.
 
     Returns (chol, coef, sigma2, nll, alpha).
     """
     theta = kernel.lengthscales
     _as_points(design, theta.size)  # one lengthscale per design dimension
-    if coef is None:
-        nll, coef, sigma2, lo = _nll_terms(
-            _likelihood(kernel.family, design, trend_matrix, y), theta)
-    else:
+    if coef is not None:
         lo = _nugget_factor(kernel.family, design, theta)
         nll = sigma2 = float("nan")
+    else:
+        lik = _likelihood(kernel.family, design, trend_matrix, y)
+        if grown_from is None:
+            nll, coef, sigma2, lo = _nll_terms(lik, theta)
+        else:
+            nll, coef, sigma2, lo = _factored_nll_terms(lik, _append_rows(
+                kernel.family, design, theta, grown_from))
     resid = y - trend_matrix @ coef
     v, _ = _trtrs(lo, resid, lower=1)
     alpha, _ = _trtrs(lo, v, lower=1, trans=1)

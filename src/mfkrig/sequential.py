@@ -11,13 +11,16 @@ The search and the quadrature evaluate the top-level variance on node
 sets. Every strategy is a fixed node set: the GridSearch grid, the
 RandomSearch candidates, the MultistartSearch starts, the GridQuadrature
 and MonteCarloQuadrature nodes, or the support of a weighted-sample
-measure. ``run_loop`` builds each once and keeps every level's
-cross-correlation to its nodes, R_t(D_t, nodes), between iterations; the
-top-level variance is formed from them by the same routine as
-``predict``'s (``cokriging._variance_terms``). An
-iteration with frozen hyperparameters then computes one new row per
-grown level; reestimated lengthscales rebuild a level. The kept rows
-cost n_t * m * 8 bytes per level and node set (m nodes). A search may
+measure. ``run_loop`` builds each once and keeps, per level, the solve
+V_t = L_t^{-1} R_t(D_t, nodes) and the running sum of its squared rows
+(an m-vector for m nodes) between iterations. A frozen refit appends
+rows to each grown level's factor, so an iteration with frozen
+hyperparameters solves one new row of V_t per grown level by the row
+recursion ``predict`` runs too (``kriging._solve_rows``), and the
+top-level variance is formed by ``predict``'s routine
+(``cokriging._variance_terms``); reestimated lengthscales rebuild a
+level. V_t lives in a buffer whose row capacity doubles: at most
+2 * n_t * m * 8 bytes per level and node set. A search may
 polish its best node (RandomSearch(polish=True)) or every node
 (MultistartSearch) with a local solver; the polished points are fresh
 on every call and are evaluated as node sets of their own.
@@ -38,7 +41,8 @@ from .cokriging import (
 )
 from .csvio import fmt, parse_row, read_csv
 from .exceptions import ParseError
-from .kernels import probe_correlation, same_points, _as_points
+from .kernels import extends, probe_correlation, same_points, _as_points
+from .kriging import _clamped_factor, _solve_rows
 
 IMSE_THRESHOLD = "imse-threshold"
 COST_WEIGHTED = "cost-weighted"
@@ -231,11 +235,40 @@ def product_grid(bounds, n, midpoints=False) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def _extends(points, prefix) -> bool:
-    """True when ``points`` starts with the rows of ``prefix``, bit for bit."""
-    n = len(prefix)
-    return (len(points) >= n
-            and bool(same_points(points[:n], prefix).diagonal().all()))
+class _Solve:
+    """One level's kept variance solve on a node set: the kernel, design
+    and factor it was solved against, V = L^{-1} C in the leading rows
+    of a buffer whose capacity doubles, and the running sum of squares
+    of those rows."""
+
+    def __init__(self, level, m):
+        self.kernel, self.chol = level.kernel, None
+        self.design = level.design[:0]  # no rows solved yet
+        self.v = np.empty((0, m))
+        self.s = np.zeros(m)
+
+    def continues(self, level) -> bool:
+        """True when ``level`` grew from the kept state by appended rows:
+        same kernel, and design and factor extend the kept ones bit for
+        bit, so only the new rows of V are missing."""
+        kernel, n = level.kernel, len(self.design)
+        return (kernel.family == self.kernel.family
+                and np.array_equal(kernel.lengthscales,
+                                   self.kernel.lengthscales)
+                and extends(level.design, self.design)
+                and (level.chol is self.chol
+                     or extends(level.chol[:, :n], self.chol)))
+
+    def grow(self, level, points):
+        """Solve the rows of the design points new since the last call."""
+        n, design = len(self.design), level.design
+        if len(design) > len(self.v):
+            v = np.empty((max(2 * len(self.v), len(design)), len(points)))
+            v[:n] = self.v[:n]
+            self.v = v
+        c = probe_correlation(level.kernel, design[n:], points)
+        _solve_rows(level.chol, c, self.v, self.s, n)
+        self.kernel, self.design, self.chol = level.kernel, design, level.chol
 
 
 class _Nodes:
@@ -244,10 +277,13 @@ class _Nodes:
     Holds the points, their lexicographic order, the quadrature weights
     (None for an equal-weight average) and what a search polishes: None,
     its best node ("best") or every node ("all"). Per level it keeps
-    R_t(D_t, nodes) with the matched nugget: when the design grew by
-    appended rows under the same kernel only the new rows are computed,
-    and any other change rebuilds the level. The mask of nodes equal to
-    an excluded point grows the same way. ``top_variance`` equals
+    the variance solve V_t = L_t^{-1} R_t(D_t, nodes) and the running
+    sum of its squared rows (``_Solve``): when the design grew by
+    appended rows under the same kernel and its factor by appended rows
+    (a frozen refit), only the new rows are solved, and any other change
+    rebuilds the level. The mask of nodes equal to an excluded point
+    grows the same way. The row recursion is ``predict``'s own
+    (``kriging._solve_rows``), so ``top_variance`` equals
     ``predict(points).variances[-1]`` bit for bit.
     """
 
@@ -256,36 +292,29 @@ class _Nodes:
         self.weights = weights
         self.polish = polish
         self.order = np.lexsort(points.T[::-1])
-        self._levels = {}  # level index -> (kernel, design, correlations)
+        self._solves = {}  # level index -> _Solve
         self._excluded = None  # (excluded points, node mask)
 
-    def _correlations(self, k, level) -> np.ndarray:
-        kernel, design = level.kernel, level.design
-        kept = self._levels.pop(k, None)
-        if (kept is not None and kept[0].family == kernel.family
-                and np.array_equal(kept[0].lengthscales, kernel.lengthscales)
-                and _extends(design, kept[1])):
-            _, old, c = kept
-            if len(design) > len(old):
-                c = np.vstack([c, probe_correlation(
-                    kernel, design[len(old):], self.points)])
-        else:
-            kept = None  # release the stale correlations before the rebuild
-            c = probe_correlation(kernel, design, self.points)
-        self._levels[k] = (kernel, design, c)
-        return c
+    def _factor(self, k, level) -> np.ndarray:
+        solve = self._solves.get(k)
+        if solve is None or not solve.continues(level):
+            # rebinding both names releases the stale solve before the
+            # rebuild allocates
+            solve = self._solves[k] = _Solve(level, len(self.points))
+        if len(level.design) > len(solve.design):
+            solve.grow(level, self.points)
+        return _clamped_factor(solve.s)
 
     def top_variance(self, model) -> np.ndarray:
         """Top-level predictive variance at the nodes; no means are formed."""
-        correlations = [self._correlations(k, lev)
-                        for k, lev in enumerate(model.levels)]
+        factors = [self._factor(k, lev) for k, lev in enumerate(model.levels)]
         return _variance_recursion(*_variance_terms(
-            model.levels, correlations, self.points))[-1]
+            model.levels, factors, self.points))[-1]
 
     def _excluded_mask(self, exclude) -> np.ndarray:
         exclude = _as_points(exclude)
         kept = self._excluded
-        if kept is None or not _extends(exclude, kept[0]):
+        if kept is None or not extends(exclude, kept[0]):
             kept = (exclude[:0], np.zeros(len(self.points), dtype=bool))
         seen, mask = kept
         if len(exclude) > len(seen):

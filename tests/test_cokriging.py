@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mfkrig.cokriging as cokriging
 from mfkrig.cokriging import (
     LevelConfig,
     LevelParameters,
@@ -116,6 +117,43 @@ def test_with_point_rejects_too_many_values():
     data = two_level_data()
     with pytest.raises(ValueError):
         data.with_point([0.5111], [1.0, 2.0, 3.0])
+
+
+def _appended(data, x, values):
+    """The designs and responses of ``data`` with x appended to levels
+    1..len(values), built by hand."""
+    k = len(values)
+    return ([np.vstack([dd, x]) for dd in data.designs[:k]] + data.designs[k:],
+            [np.append(z, v) for z, v in zip(data.observations, values)]
+            + data.observations[k:])
+
+
+def test_with_point_checks_only_the_new_point(monkeypatch):
+    data = two_level_data()
+    designs, observations = _appended(data, [0.123456], [5.0, 6.0])
+
+    def full_check(*args):
+        raise AssertionError("a check over all the data ran")
+
+    monkeypatch.setattr(cokriging, "first_repeat", full_check)
+    monkeypatch.setattr(cokriging, "validate_nesting", full_check)
+    grown = data.with_point([0.123456], [5.0, 6.0])
+    for got, want in zip(grown.designs + grown.observations,
+                         designs + observations):
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+
+
+@pytest.mark.parametrize("x, values", [
+    ([np.inf], [1.0]), ([np.nan], [1.0, 2.0]), ([0.5111], [np.nan]),
+    ([0.5111], [1.0, -np.inf]),
+], ids=["inf-point", "nan-point", "nan-level-1", "inf-level-2"])
+def test_with_point_rejects_non_finite_input_as_the_data_rules_do(x, values):
+    data = two_level_data()
+    with pytest.raises(ValueError) as full:
+        MultiFidelityData(*_appended(data, x, values))
+    with pytest.raises(ValueError) as appended:
+        data.with_point(x, values)
+    assert str(appended.value) == str(full.value)
 
 
 # ------------------------------------------------------------------- rho

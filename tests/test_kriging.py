@@ -200,6 +200,17 @@ def test_chol_nugget_rejects_a_matrix_that_is_not_positive_definite():
         chol_nugget(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+def test_appended_row_with_a_non_positive_pivot_raises():
+    theta = np.array([0.4])
+    design = np.array([[0.1], [0.5], [0.9], [0.501]])
+    lo = kriging._nugget_factor(SE, design[:3], theta)
+    grown = kriging._append_rows(SE, design, theta, lo)
+    assert (grown[:3, :3] == lo).all() and grown[3, 3] > 0
+    # a factor too small for its rows: l'l is about 4 at the near-repeat
+    with pytest.raises(IllConditionedError, match="size 4 is not positive"):
+        kriging._append_rows(SE, design, theta, 0.5 * lo)
+
+
 def _nan_at(a, index):
     a = np.array(a, dtype=float)
     a[index] = np.nan
@@ -443,6 +454,18 @@ def test_predict_variance_nonnegative_on_probe_cloud():
     model = fit_one(problem, restarts=2, seed=3)
     probes = rng.uniform(0, 1, size=(1000, 2))
     assert np.all(model.predict(probes).variance >= 0)
+
+
+@pytest.mark.parametrize("m", [1, 7])
+def test_variance_factor_ignores_the_memory_order_of_the_factor(m):
+    rng = np.random.default_rng(5)
+    design = rng.uniform(0, 1, size=(12, 2))
+    theta = np.array([0.4, 0.5])
+    lo = kriging._nugget_factor(SE, design, theta)
+    c = kriging._scaled_correlation(SE, design / theta,
+                                    rng.uniform(0, 1, size=(m, 2)) / theta)
+    fortran = variance_factor(np.asfortranarray(lo), c)
+    assert (variance_factor(np.ascontiguousarray(lo), c) == fortran).all()
 
 
 def test_variance_clamp_raises_beyond_slack():

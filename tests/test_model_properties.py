@@ -2,16 +2,18 @@
 design points, predictions that do not depend on the row order of the
 designs, contributions that sum to the top-level variance, node-set
 variances equal to ``predict``'s, the lookahead variance equal to the
-suffix sum of the contributions, a byte-identical save/load/save
-round trip, and fits that are byte-identical whether the likelihood runs
-through bare LAPACK or through scipy's checked wrappers, and whether the
-likelihood search memoizes its evaluations or not.
+suffix sum of the contributions, a frozen refit that appends factor rows
+and node sets that continue their kept solves, a byte-identical
+save/load/save round trip, and fits that are byte-identical whether the
+likelihood runs through bare LAPACK or through scipy's checked wrappers,
+and whether the likelihood search memoizes its evaluations or not.
 
 Data are drawn from the autoregressive chain on 1-3 nested levels of 4-15
 points in d = 1 or 2, with lengthscales in [0.3, 0.6], sigma2 in [0.2, 2]
-and rho in [0.5, 2], the ranges of acceptance criterion 5; models are
-built from the generating parameters with ``from_parameters``. The fit
-comparison instead fits the built-in problems on nested LHS designs.
+and rho in [0.5, 2], the ranges of acceptance criterion 5; deeper chains
+of 4-6 levels check the variance identities. Models are built from the
+generating parameters with ``from_parameters``. The fit comparison
+instead fits the built-in problems on nested LHS designs.
 """
 
 import os
@@ -32,7 +34,13 @@ from mfkrig.cokriging import (
     MultiFidelityModel,
     fit_multifidelity,
 )
-from mfkrig.kernels import BasisSpec, KernelSpec, same_points
+from mfkrig.kernels import (
+    NUGGET,
+    BasisSpec,
+    KernelSpec,
+    correlation_matrix,
+    same_points,
+)
 from mfkrig.testbed import get_problem, load_model, nested_lhs, save_model
 
 from helpers import draw_ar1_data, reference_ml_fit, reference_nll_terms
@@ -42,9 +50,10 @@ M52 = "matern-5/2"
 
 
 @st.composite
-def _chains(draw):
-    """(designs, observations, configs, parameters, rng) of one chain."""
-    s = draw(st.integers(1, 3))
+def _chains(draw, levels=(1, 3)):
+    """(designs, observations, configs, parameters, rng) of one chain of
+    ``levels[0]`` to ``levels[1]`` levels."""
+    s = draw(st.integers(*levels))
     d = draw(st.sampled_from([1, 2]))
     sizes = sorted(draw(st.lists(st.integers(4, 15), min_size=s, max_size=s)),
                    reverse=True)
@@ -129,6 +138,69 @@ def test_lookahead_is_the_suffix_sum_of_the_contributions(chain):
         after = model.hypothetical_variance_after(probes, level)
         assert (after[-1] == contributions[level:].sum(axis=0)).all()
         assert (after[:level] == 0.0).all()
+
+
+def _top_prior_variance(params):
+    """sigma2_s + rho_{s-1}^2 (sigma2_{s-1} + ...): the scale of the
+    top-level variance."""
+    total = 0.0
+    for par in params:
+        rho = 1.0 if par.rho_beta is None else par.rho_beta[0]
+        total = rho ** 2 * total + par.sigma2
+    return total
+
+
+@settings(max_examples=50, deadline=None)
+@given(_chains(levels=(4, 6)))
+def test_deep_chain_variance_identities(chain):
+    designs, observations, configs, params, rng = chain
+    model = _model(designs, observations, configs, params)
+    probes = np.vstack([rng.uniform(0.0, 1.0, size=(20, designs[0].shape[1])),
+                        designs[-1]])
+    out = model.predict(probes)
+    assert (sequential._Nodes(probes).top_variance(model)
+            == out.variances[-1]).all()
+    # beyond three levels the sums group differently: equal to round-off
+    tol = 1e-12 * _top_prior_variance(params)
+    assert np.max(np.abs(out.contributions.sum(axis=0) - out.variances[-1])) \
+        <= tol
+    for level in range(1, len(designs) + 1):
+        after = model.hypothetical_variance_after(probes, level)
+        assert np.max(np.abs(after[-1] - out.contributions[level:].sum(axis=0))) \
+            <= tol
+        assert (after[:level] == 0.0).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_chains(), st.integers(1, 3))
+def test_frozen_refit_appends_factor_rows_and_node_sets_continue(chain, k):
+    designs, observations, configs, params, rng = chain
+    model = _model(designs, observations, configs, params)
+    d = designs[0].shape[1]
+    new = rng.uniform(0.0, 1.0, size=(k, d))
+    # the nodes include the new points, where the matched nugget applies
+    probes = np.vstack([rng.uniform(0.0, 1.0, size=(20, d)), designs[-1], new])
+    nodes = sequential._Nodes(probes)
+    nodes.top_variance(model)
+    data = model.data
+    for x in new:
+        level = int(rng.integers(1, len(designs) + 1))
+        data = data.with_point(x, rng.normal(size=level))
+    # the appended data keeps every data rule
+    MultiFidelityData(data.designs, data.observations)
+    grown = model.refit(data)
+    for old, lev in zip(model.levels, grown.levels):
+        n, m = len(old.design), len(lev.design)
+        assert (lev.chol[:n, :n] == old.chol).all()
+        r = correlation_matrix(lev.kernel, lev.design) + NUGGET * np.eye(m)
+        assert np.max(np.abs(lev.chol @ lev.chol.T - r)) <= 1e-12
+        # a Cholesky factor is accurate to about cond(R) * eps
+        fresh = kriging._nugget_factor(lev.kernel.family, lev.design,
+                                       lev.kernel.lengthscales)
+        assert np.max(np.abs(lev.chol - fresh)) \
+            <= np.linalg.cond(r) * np.finfo(float).eps
+    want = grown.predict(probes).variances[-1]
+    assert (nodes.top_variance(grown) == want).all()
 
 
 def _files(directory):
