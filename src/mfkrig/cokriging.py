@@ -18,8 +18,9 @@ leading coefficient block is beta_rho. Prediction recurses bottom-up:
 
 Each level's posterior is formed here from its correlations
 R_t(D_t, x) with the matched nugget (``kernels.probe_correlation``) and
-its variance factor 1 - r' R_t^{-1} r from the row recursion of
-``kriging.variance_factor``; ``_variance_terms`` turns the factors into
+its variance factor 1 - r' R_t^{-1} r from
+``kriging.variance_factor`` (the row recursion, or one dtrtrs for a
+single point); ``_variance_terms`` turns the factors into
 the bases and rho factors of the variance recursion, for ``predict``,
 ``hypothetical_variance_after`` and the node sets of the sequential
 loop alike. A frozen ``refit`` appends factor rows for the appended
@@ -110,6 +111,23 @@ def validate_nesting(designs):
     return None
 
 
+def _check_rows(level: int, design, values) -> None:
+    """The data rules on single rows of one level: one response per
+    design point, every point and every response finite."""
+    if len(values) != len(design):
+        raise ValueError(
+            f"level {level}: {len(values)} responses for {len(design)} points")
+    bad = np.flatnonzero(~np.isfinite(design).all(axis=1))
+    if bad.size:
+        raise ValueError(
+            f"level {level} design point {design[bad[0]]} is not finite")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"level {level} value {values[i]} at point "
+                         f"{design[i]} is not finite")
+
+
 class MultiFidelityData:
     """Nested designs D_s subset ... subset D_1 with aligned responses.
 
@@ -118,6 +136,10 @@ class MultiFidelityData:
     points of the level below. Nesting is exact point identity (bitwise
     equality of stored coordinates), never tolerance matching. Responses
     at a shared point may differ across levels; the codes are different.
+    The rules on single rows live in ``_check_rows``, which
+    ``with_point`` applies to the point it appends; it skips only the
+    rules over the whole set (distinct points, nesting), which appending
+    a point new to D_1 keeps.
 
     Parameters
     ----------
@@ -142,16 +164,7 @@ class MultiFidelityData:
                              for z in observations]
         for t, (dd, z) in enumerate(zip(self.designs, self.observations),
                                     start=1):
-            if len(z) != len(dd):
-                raise ValueError(f"level {t}: {len(z)} responses for {len(dd)} points")
-            bad = np.flatnonzero(~np.isfinite(dd).all(axis=1))
-            if bad.size:
-                raise ValueError(f"level {t} design point {dd[bad[0]]} is not finite")
-            bad = np.flatnonzero(~np.isfinite(z))
-            if bad.size:
-                i = bad[0]
-                raise ValueError(
-                    f"level {t} value {z[i]} at point {dd[i]} is not finite")
+            _check_rows(t, dd, z)
             dup = first_repeat(dd)
             if dup is not None:
                 raise ValueError(
@@ -187,9 +200,9 @@ class MultiFidelityData:
 
         ``values`` holds the observed responses, cheapest level first.
         The point must be new to D_1 (hence to every level). Only the new
-        point is checked, with the messages of the full rules: appending
-        a point new to D_1 to levels 1..l keeps the designs distinct and
-        nested.
+        point is checked, by ``_check_rows`` at each level it joins and
+        against D_1: appending a point new to D_1 to levels 1..l keeps
+        the designs distinct and nested.
         """
         x = np.asarray(x, dtype=float).ravel()
         if x.size != self.dimension:
@@ -198,17 +211,12 @@ class MultiFidelityData:
         values = np.asarray(values, dtype=float).ravel()
         if not 1 <= values.size <= self.levels:
             raise ValueError("need values for levels 1..l with l <= level count")
+        for t in range(values.size):
+            _check_rows(t + 1, x[None, :], values[t:t + 1])
         if same_points(x, self.designs[0]).any():
             raise DuplicateDesignPointError(
                 f"point {x} is already a level-1 design point"
             )
-        if not np.isfinite(x).all():
-            raise ValueError(f"level 1 design point {x} is not finite")
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            t = bad[0]
-            raise ValueError(
-                f"level {t + 1} value {values[t]} at point {x} is not finite")
         grown = object.__new__(MultiFidelityData)
         grown.designs = [np.vstack([dd, x]) if t < values.size else dd
                          for t, dd in enumerate(self.designs)]
@@ -529,6 +537,12 @@ class MultiFidelityModel:
         factor and appends one row per new point
         (``kriging._append_rows``), so the factor's leading block stays
         bit for bit the old factor; any other design is refactored.
+
+        The grown factor depends on the path: it equals a fresh
+        factorization of the same design (``from_parameters``, hence
+        ``testbed.load_model``) to round-off, about cond(R) * eps at
+        worst, not bit for bit. So a model saved after frozen refits and
+        loaded again predicts what the saved model did to round-off.
         """
         _check_levels(data, self.configs)
         levels = []

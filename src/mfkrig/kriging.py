@@ -19,9 +19,10 @@ design grown by appended rows grows the old factor row by row
 posterior variance (no trend-estimation inflation term) from one row
 recursion, ``_solve_rows``: row i of V = L^{-1} C is
 (c_i - L[i, :i] V[:i]) / L_ii and a running sum of squared rows gives
-r' R^{-1} r. Every posterior variance in the library comes from it, so
-a solve kept on fixed nodes and continued over appended rows equals a
-fresh one bit for bit. The level posteriors themselves are formed in
+r' R^{-1} r. Every posterior variance at more than one point comes
+from it, so a solve kept on fixed nodes and continued over appended
+rows equals a fresh one bit for bit; a single point, never kept, is
+solved by one dtrtrs. The level posteriors themselves are formed in
 ``cokriging``. A single-level model is a 1-level ``fit_multifidelity``.
 
 ``_nll_terms`` is the one likelihood evaluation. The ML search, the
@@ -67,6 +68,11 @@ _SIGMA2_FLOOR_REL = 1e-12
 # Variance factors in [-1e-9, 0) are round-off and clamp to 0; anything
 # more negative indicates a bug, not noise.
 _VARIANCE_SLACK = 1e-9
+
+# Columns per block of the variance row recursion: the rows of V a
+# block reads (n * 1024 * 8 bytes) stay in cache up to n of a few
+# hundred.
+_COLUMN_BLOCK = 1024
 
 _DEFAULT_RESTARTS = 5
 
@@ -171,16 +177,22 @@ def _solve_rows(chol_lower, c, v, s, start) -> None:
     continued after appended rows run the same operations, so they agree
     bit for bit. The factor's rows are copied contiguous first: BLAS
     sums a strided vector in another order than a contiguous one, and
-    the result must not depend on the factor's memory order.
+    the result must not depend on the factor's memory order. The
+    columns run in blocks of ``_COLUMN_BLOCK``, fixed by the column
+    count alone, so the rows of V a block reads stay in cache.
     """
     stop = start + len(c)
     rows = np.ascontiguousarray(chol_lower[start:stop])
     inverses = 1.0 / chol_lower.diagonal()[start:stop]
-    for i, c_i, l_i, inverse in zip(range(start, stop), c, rows, inverses):
-        v_i = v[i]
-        np.subtract(c_i, l_i[:i] @ v[:i], out=v_i)
-        v_i *= inverse
-        s += v_i * v_i
+    for j in range(0, c.shape[1], _COLUMN_BLOCK):
+        block = slice(j, j + _COLUMN_BLOCK)
+        v_block, s_block = v[:, block], s[block]
+        for i, c_i, l_i, inverse in zip(range(start, stop), c[:, block],
+                                        rows, inverses):
+            v_i = v_block[i]
+            np.subtract(c_i, l_i[:i] @ v_block[:i], out=v_i)
+            v_i *= inverse
+            s_block += v_i * v_i
 
 
 def _clamped_factor(s) -> np.ndarray:
@@ -198,10 +210,15 @@ def _clamped_factor(s) -> np.ndarray:
 def variance_factor(chol_lower: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Clamped 1 - r' R^{-1} r for each column of the cross-correlation ``c``.
 
-    r' R^{-1} r is the sum of squares of the columns of V = L^{-1} C,
-    solved afresh by ``_solve_rows``.
+    r' R^{-1} r is the sum of squares of the columns of V = L^{-1} C.
+    One column is solved by one dtrtrs: a single point is never kept,
+    and the row recursion would pay one Python step per design row for
+    it. More columns are solved afresh by ``_solve_rows``.
     """
     c = np.asarray(c, dtype=float)
+    if c.shape[1] == 1:
+        v, _ = _trtrs(chol_lower, c, lower=1)
+        return _clamped_factor(np.einsum("ij,ij->j", v, v))
     s = np.zeros(c.shape[1])
     _solve_rows(chol_lower, c, np.empty(c.shape), s, 0)
     return _clamped_factor(s)

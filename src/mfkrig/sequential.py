@@ -23,7 +23,9 @@ level. V_t lives in a buffer whose row capacity doubles: at most
 2 * n_t * m * 8 bytes per level and node set. A search may
 polish its best node (RandomSearch(polish=True)) or every node
 (MultistartSearch) with a local solver; the polished points are fresh
-on every call and are evaluated as node sets of their own.
+on every call and are evaluated as node sets of their own. Each
+objective call is a set of one node, which keeps nothing and is solved
+by one dtrtrs, as ``predict`` solves a single point.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .cokriging import (
 from .csvio import fmt, parse_row, read_csv
 from .exceptions import ParseError
 from .kernels import extends, probe_correlation, same_points, _as_points
-from .kriging import _clamped_factor, _solve_rows
+from .kriging import _clamped_factor, _solve_rows, variance_factor
 
 IMSE_THRESHOLD = "imse-threshold"
 COST_WEIGHTED = "cost-weighted"
@@ -284,7 +286,9 @@ class _Nodes:
     rebuilds the level. The mask of nodes equal to an excluded point
     grows the same way. The row recursion is ``predict``'s own
     (``kriging._solve_rows``), so ``top_variance`` equals
-    ``predict(points).variances[-1]`` bit for bit.
+    ``predict(points).variances[-1]`` bit for bit. A set of one node
+    keeps nothing and solves afresh as ``predict`` does; the polish
+    objective evaluates such sets.
     """
 
     def __init__(self, points, weights=None, polish=None):
@@ -296,6 +300,11 @@ class _Nodes:
         self._excluded = None  # (excluded points, node mask)
 
     def _factor(self, k, level) -> np.ndarray:
+        if len(self.points) == 1:
+            # predict solves one point by dtrtrs, which no kept solve
+            # could continue bit for bit; a fresh solve is cheap anyway
+            return variance_factor(level.chol, probe_correlation(
+                level.kernel, level.design, self.points))
         solve = self._solves.get(k)
         if solve is None or not solve.continues(level):
             # rebinding both names releases the stale solve before the

@@ -304,7 +304,10 @@ def load_model(directory) -> MultiFidelityModel:
 
     The stored parameters are taken as-is (no re-estimation); the
     correlation factorizations are recomputed from them, which is exact
-    because the CSVs round-trip every float bit-for-bit. A non-finite
+    because the CSVs round-trip every float bit-for-bit. A model whose
+    factors grew by frozen refits (``MultiFidelityModel.refit``, as in
+    ``run_loop``) comes back with fresh factors instead, so it predicts
+    what the saved model did to round-off, not bit for bit. A non-finite
     parameter raises the ValueError of ``LevelParameters`` or
     ``KernelSpec``.
     """

@@ -468,6 +468,19 @@ def test_variance_factor_ignores_the_memory_order_of_the_factor(m):
     assert (variance_factor(np.ascontiguousarray(lo), c) == fortran).all()
 
 
+def test_one_column_is_solved_as_a_column_among_others_to_round_off():
+    # one column goes through dtrtrs, several through the row recursion
+    rng = np.random.default_rng(6)
+    design = rng.uniform(0, 1, size=(40, 2))
+    theta = np.array([0.3, 0.5])
+    lo = kriging._nugget_factor(SE, design, theta)
+    c = kriging._scaled_correlation(SE, design / theta,
+                                    rng.uniform(0, 1, size=(9, 2)) / theta)
+    batch = variance_factor(lo, c)
+    single = np.array([variance_factor(lo, c[:, [j]])[0] for j in range(9)])
+    assert np.max(np.abs(single - batch)) <= 1e-12
+
+
 def test_variance_clamp_raises_beyond_slack():
     # fabricated inconsistent inputs: factor is about -1 at a duplicated point
     lo = np.linalg.cholesky(np.array([[1.0]]))

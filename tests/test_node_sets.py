@@ -6,6 +6,7 @@ numbers bit for bit."""
 import numpy as np
 import pytest
 
+import mfkrig.kriging as kriging
 import mfkrig.sequential as sequential
 from helpers import reference_search, replay_loop
 from mfkrig.cokriging import (
@@ -185,6 +186,33 @@ def test_enriched_node_gets_the_nugget_from_one_new_row(correlation_rows):
     want = grown.predict(nodes.points).variances[-1]
     assert (got == want).all()
     assert got[7] < 1e-9  # interpolated only because the row has the nugget
+
+
+def test_a_node_set_wider_than_a_column_block_continues_bit_for_bit(
+        correlation_rows):
+    model, _, _, simulators = _setup("forrester", [8, 4])
+    # 1500 nodes: one full block of the row recursion and a partial one
+    nodes = sequential._node_set(UNIT1, GridSearch(1500), sequential._SEARCH)
+    assert len(nodes.points) > kriging._COLUMN_BLOCK
+    nodes.top_variance(model)
+    x = nodes.points[700]
+    grown = enrich(model, x, 2, values=[s(x[None, :])[0] for s in simulators])
+    got = nodes.top_variance(grown)
+    assert correlation_rows == [8, 4, 1, 1]
+    assert (got == grown.predict(nodes.points).variances[-1]).all()
+
+
+def test_a_one_node_set_keeps_nothing_and_equals_predict(correlation_rows):
+    model, _, _, simulators = _setup("forrester", [8, 4])
+    nodes = sequential._Nodes(np.array([[0.3141]]))
+    assert (nodes.top_variance(model)
+            == model.predict(nodes.points).variances[-1]).all()
+    x = np.array([0.777])
+    grown = enrich(model, x, 2, values=[s(x[None, :])[0] for s in simulators])
+    got = nodes.top_variance(grown)
+    # a single point is solved afresh by dtrtrs, as predict solves it
+    assert correlation_rows == [8, 4, 9, 5] and not nodes._solves
+    assert (got == grown.predict(nodes.points).variances[-1]).all()
 
 
 def test_new_lengthscales_or_a_new_design_rebuild_the_cache(correlation_rows):

@@ -35,7 +35,7 @@ from mfkrig.sequential import (
     run_loop,
     write_trace,
 )
-from mfkrig.testbed import get_problem, nested_lhs
+from mfkrig.testbed import get_problem, load_model, nested_lhs, save_model
 
 UNIT1 = Domain([[0.0, 1.0]])
 
@@ -548,6 +548,27 @@ def test_frozen_loop_is_deterministic(forrester_model):
         assert a.level == b.level
         assert a.values == b.values
         assert a.imse_after == b.imse_after
+
+
+def test_a_reloaded_loop_model_predicts_the_in_loop_model_to_round_off(
+        forrester_model, tmp_path):
+    # the loop's frozen refits grow each factor by appended rows;
+    # load_model factors afresh, which differs from the grown factor in
+    # the last bits (cond(R) * eps at worst), so the two models agree to
+    # round-off but not bit for bit
+    final, trace = run_loop(forrester_model, UNIT1, CostModel([1.0, 5.0]),
+                            30.0, forrester_simulators())
+    assert len(trace) > 3
+    assert all(len(new.design) > len(old.design) for old, new
+               in zip(forrester_model.levels, final.levels))
+    save_model(final, tmp_path)
+    reloaded = load_model(tmp_path)
+    probes = np.linspace(0.0, 1.0, 257)[:, None]
+    a, b = final.predict(probes), reloaded.predict(probes)
+    y_scale = max(np.max(np.abs(z)) for z in final.data.observations)
+    var_scale = max(lev.sigma2 for lev in final.levels)
+    assert np.max(np.abs(a.means - b.means)) <= 1e-8 * y_scale
+    assert np.max(np.abs(a.variances - b.variances)) <= 1e-8 * var_scale
 
 
 def test_simulator_failure_flags_partial_trace(forrester_model):
