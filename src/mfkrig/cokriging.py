@@ -25,8 +25,11 @@ the bases and rho factors of the variance recursion, for ``predict``,
 ``hypothetical_variance_after`` and the node sets of the sequential
 loop alike. A frozen ``refit`` appends factor rows for the appended
 design points, so the loop's node sets can continue their kept solves.
-Per-level variance contributions come from telescoping the recursion;
-they power the level-choice rules in the sequential module.
+A model keeps its level searches by key (``_fit_on``), so a
+reestimating refit through ``_fit_levels`` searches again only the
+levels whose likelihood inputs changed. Per-level variance
+contributions come from telescoping the recursion; they power the
+level-choice rules in the sequential module.
 """
 
 from dataclasses import dataclass
@@ -46,7 +49,9 @@ from .kernels import (
 )
 from .kriging import (
     _DEFAULT_RESTARTS,
+    _draw_starts,
     _ml_fit,
+    _search_box,
     _solve_level,
     variance_factor,
 )
@@ -362,8 +367,9 @@ def fit_level(level: int, data: MultiFidelityData, config: LevelConfig,
     if not 1 <= level <= data.levels:
         raise ValueError(f"level must be in [1, {data.levels}]")
     _check_layout(level, config.scaling)
-    return _fit_on(config, _estimable_inputs(config, data, level), bounds,
-                   restarts, seed)
+    fitted, _ = _fit_on(config, _estimable_inputs(config, data, level),
+                        bounds, restarts, np.random.default_rng(seed), {})
+    return fitted
 
 
 def _level_inputs(config: LevelConfig, data: MultiFidelityData, level: int):
@@ -385,12 +391,31 @@ def _estimable_inputs(config: LevelConfig, data: MultiFidelityData, level: int):
     return inputs
 
 
-def _fit_on(config: LevelConfig, inputs, bounds, restarts, seed) -> FittedLevel:
-    """Maximum-likelihood fit of one level on its checked inputs."""
+def _fit_on(config: LevelConfig, inputs, bounds, restarts, rng, searches):
+    """Maximum-likelihood fit of one level on its checked inputs.
+
+    Returns (level, key). The key holds everything the search depends
+    on: the kernel family, the shapes and bytes of the design, the
+    responses and the regression matrix, the log-lengthscale box,
+    ``restarts`` and the state of ``rng`` before the starts are drawn.
+    ``searches`` maps the keys of earlier searches to the kernels they
+    found. A level whose key is there is assembled from that kernel
+    without a search; it still draws its starts, so the next level sees
+    the generator state a search would have left. The search is
+    deterministic, so the level is bit for bit the one a search gives.
+    """
     design, y, _, h, _ = inputs
-    kernel = _ml_fit(design, h, y, config.kernel.family, bounds, restarts,
-                     np.random.default_rng(seed))
-    return _assemble_level(config, kernel, inputs)
+    family = config.kernel.family
+    box = _search_box(design, bounds, restarts)
+    key = (family, restarts, str(rng.bit_generator.state),
+           *(b.tobytes() for b in box),
+           *((a.shape, a.tobytes()) for a in (design, y, h)))
+    kernel = searches.get(key)
+    if kernel is None:
+        kernel = _ml_fit(design, h, y, family, bounds, restarts, rng)
+    else:
+        _draw_starts(*box, restarts, rng)
+    return _assemble_level(config, kernel, inputs), key
 
 
 def _assemble_level(config: LevelConfig, kernel: KernelSpec, inputs,
@@ -431,7 +456,9 @@ class MultiFidelityModel:
     """Fitted s-level recursive co-kriging model.
 
     Immutable after construction; ``predict`` and
-    ``hypothetical_variance_after`` are read-only.
+    ``hypothetical_variance_after`` are read-only. A fitted model keeps
+    its level searches by key (``_fit_on``), a frozen ``refit`` carries
+    them forward, and nothing saves them.
     """
 
     def __init__(self, levels, data: MultiFidelityData, configs):
@@ -439,6 +466,7 @@ class MultiFidelityModel:
         self.levels = list(levels)
         self.data = data
         self.configs = list(configs)
+        self._searches = {}
 
     @property
     def level_count(self) -> int:
@@ -553,7 +581,9 @@ class MultiFidelityModel:
             levels.append(_assemble_level(config, lev.kernel, inputs,
                                           sigma2=lev.sigma2,
                                           grown_from=grown_from))
-        return MultiFidelityModel(levels, data, self.configs)
+        model = MultiFidelityModel(levels, data, self.configs)
+        model._searches = self._searches
+        return model
 
 
 def fit_multifidelity(data: MultiFidelityData, configs, bounds=None,
@@ -570,10 +600,21 @@ def fit_multifidelity(data: MultiFidelityData, configs, bounds=None,
 
     Every level is checked for estimability before any likelihood search.
     """
+    return _fit_levels(data, configs, {}, bounds, restarts, seed)
+
+
+def _fit_levels(data: MultiFidelityData, configs, searches, bounds=None,
+                restarts=_DEFAULT_RESTARTS, seed=0) -> MultiFidelityModel:
+    """``fit_multifidelity`` given the searches of an earlier model
+    (``searches``, as ``_fit_on`` takes them): a level whose search
+    inputs are unchanged takes the kernel found before. The new model
+    keeps the searches of its own levels only."""
     _check_levels(data, configs)
     inputs = [_estimable_inputs(config, data, t)
               for t, config in enumerate(configs, start=1)]
     rng = np.random.default_rng(seed)
-    levels = [_fit_on(config, level_inputs, bounds, restarts, rng)
+    fitted = [_fit_on(config, level_inputs, bounds, restarts, rng, searches)
               for config, level_inputs in zip(configs, inputs)]
-    return MultiFidelityModel(levels, data, configs)
+    model = MultiFidelityModel([level for level, _ in fitted], data, configs)
+    model._searches = {key: level.kernel for level, key in fitted}
+    return model

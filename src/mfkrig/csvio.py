@@ -7,9 +7,14 @@ raises ParseError naming the file and, where known, the 1-based line.
 
 import json
 
+import numpy as np
+
 from .exceptions import ParseError
 
 _FLOAT = ".17g"
+
+# Rows converted to Python floats at a time by write_csv.
+_ROW_BLOCK = 1024
 
 
 def fmt(v) -> str:
@@ -20,11 +25,17 @@ def write_csv(path, header, rows) -> None:
     """Header line, then one line per row of as many floats as the
     header has cells, each written as ``fmt`` writes it."""
     # "%" + _FLOAT applied to float(v) gives fmt(v); one template per
-    # line spares a call per value
+    # line spares a call per value, and converting rows to Python floats
+    # a block at a time spares a float() per value without holding every
+    # row's floats at once
     line = ",".join(["%" + _FLOAT] * len(header)) + "\n"
+    rows = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows),
+                      dtype=float)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(line % tuple(map(float, row)) for row in rows)
+        for start in range(0, len(rows), _ROW_BLOCK):
+            fh.writelines(line % tuple(row) for row
+                          in rows[start:start + _ROW_BLOCK].tolist())
 
 
 def read_csv(path):

@@ -405,6 +405,24 @@ def _normalize_bounds(bounds, design, d):
     return lo, hi
 
 
+def _search_box(design, bounds, restarts):
+    """(log_lo, log_hi), the log-lengthscale box of a search with
+    ``restarts`` starts on the (n, d) ``design``; both are checked."""
+    if not (isinstance(restarts, (int, np.integer)) and restarts >= 1):
+        raise ValueError("restarts must be a positive integer")
+    lo, hi = _normalize_bounds(bounds, design, design.shape[1])
+    return np.log(lo), np.log(hi)
+
+
+def _draw_starts(log_lo, log_hi, restarts, rng) -> list:
+    """The starts of a search: the box midpoint, then ``restarts - 1``
+    uniform draws from the box with ``rng``. A level whose search is
+    skipped still draws them, so the levels after it see the generator
+    state a search would have left."""
+    return [0.5 * (log_lo + log_hi)] + [rng.uniform(log_lo, log_hi)
+                                        for _ in range(restarts - 1)]
+
+
 def _ml_fit(design, trend_matrix, y, family, bounds, restarts, rng):
     """Multi-start concentrated-ML search for one level's lengthscales.
 
@@ -423,14 +441,9 @@ def _ml_fit(design, trend_matrix, y, family, bounds, restarts, rng):
     """
     from scipy.optimize import minimize
 
-    if not (isinstance(restarts, (int, np.integer)) and restarts >= 1):
-        raise ValueError("restarts must be a positive integer")
     design = _as_points(design)
     y = np.asarray(y, dtype=float).ravel()
-    n, d = design.shape
-    lo, hi = _normalize_bounds(bounds, design, d)
-    log_lo, log_hi = np.log(lo), np.log(hi)
-
+    log_lo, log_hi = _search_box(design, bounds, restarts)
     lik = _likelihood(family, design, trend_matrix, y)
     memo = {}
 
@@ -446,17 +459,15 @@ def _ml_fit(design, trend_matrix, y, family, bounds, restarts, rng):
             memo[key] = nll = nll if np.isfinite(nll) else np.inf
         return nll
 
-    starts = [0.5 * (log_lo + log_hi)]
-    for _ in range(restarts - 1):
-        starts.append(rng.uniform(log_lo, log_hi))
-
+    starts = _draw_starts(log_lo, log_hi, restarts, rng)
     best = None
     for idx, z0 in enumerate(starts):
         f0 = objective(z0)
         if not np.isfinite(f0):
             continue
         res = minimize(objective, z0, method="Nelder-Mead",
-                       options={"xatol": 1e-6, "fatol": 1e-9, "maxiter": 400 * d})
+                       options={"xatol": 1e-6, "fatol": 1e-9,
+                                "maxiter": 400 * design.shape[1]})
         fun, z = (res.fun, res.x) if res.fun <= f0 else (f0, z0)
         if best is None or fun < best[0]:
             best = (fun, np.clip(z, log_lo, log_hi))

@@ -33,13 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .cokriging import (
     MultiFidelityModel,
+    _fit_levels,
     _variance_recursion,
     _variance_terms,
-    fit_multifidelity,
 )
 from .csvio import fmt, parse_row, read_csv
 from .exceptions import ParseError
@@ -384,6 +383,8 @@ def _node_set(domain: Domain, strategy, kind) -> _Nodes:
 
 def _polish(model, domain, starts) -> np.ndarray:
     """Bounded local maximization of the top-level variance."""
+    from scipy.optimize import minimize
+
     box = [(lo, hi) for lo, hi in domain.bounds]
     out = []
     for start in np.atleast_2d(starts):
@@ -479,9 +480,16 @@ def enrich(model, x, level: int, values, reestimate=False,
     """New model with x observed at levels 1..level; the old one is kept.
 
     ``values`` holds one response per level 1..level. Hyperparameters
-    are frozen unless ``reestimate`` is set, in which case every level
-    is refitted from scratch on the grown data. The grown data is built
-    before any refit, so a non-finite value raises its ValueError first.
+    are frozen unless ``reestimate`` is set, in which case the result is
+    bit for bit ``fit_multifidelity(grown data, model.configs,
+    seed=seed)``. Only levels 1..level get the new point, so a level
+    above it whose search key (``cokriging._fit_on``) matches one of
+    ``model``'s searches takes the lengthscales found then instead of
+    searching again: with an integer ``seed``, every level above
+    ``level`` of a model fitted, or last reestimated, with that seed
+    and the default bounds and restarts. A loaded model keeps no
+    searches. The grown data is built before any refit, so a
+    non-finite value raises its ValueError first.
     """
     if not 1 <= level <= model.level_count:
         raise ValueError(f"level must be in 1..{model.level_count}")
@@ -492,7 +500,7 @@ def enrich(model, x, level: int, values, reestimate=False,
             f"got {values.size}")
     data = model.data.with_point(x, values)
     if reestimate:
-        return fit_multifidelity(data, model.configs, seed=seed)
+        return _fit_levels(data, model.configs, model._searches, seed=seed)
     return model.refit(data)
 
 
@@ -629,9 +637,13 @@ def run_loop(model, domain: Domain, cost: CostModel, budget,
     duplicate rule cannot trip), chooses how deep to run, evaluates the
     simulators, and enriches. ``refit`` is "never" (frozen
     hyperparameters), "always", or "every-k" for an integer k (refit on
-    iterations k, 2k, ...). A simulator failure (an exception or a
-    non-finite value) stops the loop and returns the partial trace
-    flagged incomplete. The budget must be positive and finite.
+    iterations k, 2k, ...). A refit reestimates through ``enrich`` with
+    ``refit_seed``, so it searches again only the levels whose data
+    changed since the model's last searches with that seed; the others
+    keep the lengthscales a fresh search would find again. A simulator
+    failure (an exception or a non-finite value) stops the loop and
+    returns the partial trace flagged incomplete. The budget must be
+    positive and finite.
     """
     if cost.levels != model.level_count:
         raise ValueError("cost model and model disagree on level count")

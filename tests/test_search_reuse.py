@@ -1,0 +1,248 @@
+"""A reestimating ``enrich`` searches again only the levels whose search
+inputs changed since the model's own searches, and gives bit for bit the
+model a fresh ``fit_multifidelity`` of the grown data gives.
+
+Running levels 1..l at a new point leaves the design, responses and
+regression matrix of every level above l unchanged, and with the same
+seed the generator reaches each level in the same state, so those
+searches would land where they did. Any other difference (seed,
+restarts, bounds, an unseeded generator) searches every level again, and
+a loaded model keeps no searches.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import mfkrig.cokriging as cokriging
+import mfkrig.sequential as sequential
+from mfkrig.cokriging import (
+    LevelConfig,
+    LevelParameters,
+    MultiFidelityData,
+    MultiFidelityModel,
+    fit_multifidelity,
+)
+from mfkrig.kernels import BasisSpec, KernelSpec
+from mfkrig.sequential import (
+    CostModel,
+    Domain,
+    GridQuadrature,
+    GridSearch,
+    enrich,
+    run_loop,
+)
+from mfkrig.testbed import get_problem, load_model, nested_lhs, save_model
+
+from helpers import draw_ar1_data, draw_nested_designs
+
+SE = "squared-exponential"
+M52 = "matern-5/2"
+
+
+def _bits(value):
+    """A comparable form of one field that tells apart any two values
+    that differ in a bit, shape or memory order."""
+    if isinstance(value, KernelSpec):
+        return value.family, _bits(value.lengthscales)
+    if isinstance(value, np.ndarray):
+        return (value.shape, value.dtype.str, value.flags.f_contiguous,
+                value.tobytes())
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    return value
+
+
+def _fields(model):
+    """Every field of every level of ``model``."""
+    return [(f.name, _bits(getattr(lev, f.name)))
+            for lev in model.levels for f in dataclasses.fields(lev)]
+
+
+def _configs(levels, d, family=SE):
+    return [LevelConfig(BasisSpec("constant", d), KernelSpec(family),
+                        scaling=None if t == 0 else BasisSpec("constant", d))
+            for t in range(levels)]
+
+
+@st.composite
+def _enrichments(draw):
+    """(data, configs, x, level, values, seed): 2-3 nested levels drawn
+    from the autoregressive chain, and one new point run through a
+    drawn level."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = draw(st.integers(2, 3))
+    d = draw(st.sampled_from([1, 2]))
+    sizes = [draw(st.integers(7, 10)), draw(st.integers(4, 6)), 3][:s]
+    designs = draw_nested_designs(rng, sizes, d)
+    kernels = [KernelSpec(SE, np.full(d, 0.4))] * s
+    observations = draw_ar1_data(rng, designs, [1.5] * (s - 1), kernels,
+                                 [1.0] * s)
+    level = draw(st.integers(1, s))
+    return (MultiFidelityData(designs, observations),
+            _configs(s, d, draw(st.sampled_from([SE, M52]))),
+            rng.uniform(size=d), level, rng.normal(size=level),
+            draw(st.integers(0, 3)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(_enrichments())
+def test_reestimating_enrich_equals_a_fresh_fit(case):
+    data, configs, x, level, values, seed = case
+    model = fit_multifidelity(data, configs, seed=seed)
+    grown = enrich(model, x, level, values, reestimate=True, seed=seed)
+    fresh = fit_multifidelity(data.with_point(x, values), configs, seed=seed)
+    assert _fields(grown) == _fields(fresh)
+    assert grown._searches.keys() == fresh._searches.keys()
+
+
+@pytest.fixture(scope="module")
+def chain3():
+    """(data, configs, x, values) of chain3 on [12, 8, 4] and a new point
+    with its responses at all three levels."""
+    problem = get_problem("chain3")
+    designs = nested_lhs([12, 8, 4], problem.bounds, seed=3)
+    data = MultiFidelityData(designs, [problem.evaluate(t + 1, x)
+                                       for t, x in enumerate(designs)])
+    x = np.array([0.4321])
+    values = [float(problem.evaluate(t + 1, x[None, :])[0]) for t in range(3)]
+    return data, _configs(3, 1, M52), x, values
+
+
+@pytest.fixture()
+def searched(monkeypatch):
+    """The list of design sizes that reach ``_ml_fit``, in call order."""
+    sizes = []
+    original = cokriging._ml_fit
+
+    def spy(design, *args):
+        sizes.append(len(design))
+        return original(design, *args)
+
+    monkeypatch.setattr(cokriging, "_ml_fit", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_only_the_levels_run_are_searched_again(chain3, searched, level):
+    data, configs, x, values = chain3
+    model = fit_multifidelity(data, configs, seed=0)
+    searched.clear()
+    grown = enrich(model, x, level, values[:level], reestimate=True, seed=0)
+    assert searched == [13, 9, 5][:level]
+    fresh = fit_multifidelity(grown.data, configs, seed=0)
+    assert _fields(grown) == _fields(fresh)
+
+
+def test_searches_carry_over_enrich_and_frozen_refit(chain3, searched):
+    data, configs, x, values = chain3
+    model = fit_multifidelity(data, configs, seed=0)
+    # a reestimating enrich keeps its searches, levels 2 and 3 reused ones
+    model = enrich(model, x, 1, values[:1], reestimate=True, seed=0)
+    # a frozen refit carries them forward
+    model = enrich(model, [0.8765], 1, [0.1], seed=0)
+    searched.clear()
+    model = enrich(model, [0.1234], 1, [0.2], reestimate=True, seed=0)
+    assert searched == [15]
+    assert _fields(model) == _fields(
+        fit_multifidelity(model.data, configs, seed=0))
+
+
+def _from_parameters(model):
+    return MultiFidelityModel.from_parameters(
+        model.data, model.configs,
+        [LevelParameters(lev.lengthscales, lev.sigma2, lev.beta, lev.rho_beta)
+         for lev in model.levels])
+
+
+def _reloaded(model, directory):
+    save_model(model, directory)
+    return load_model(directory)
+
+
+@pytest.mark.parametrize("fit_args, seed, rebuild", [
+    (dict(seed=0), 1, None),
+    (dict(seed=0, restarts=3), 0, None),
+    (dict(seed=0, bounds=(1e-3, 5.0)), 0, None),
+    (dict(seed=None), None, None),
+    (dict(seed=0), 0, lambda model, _: _from_parameters(model)),
+    (dict(seed=0), 0, _reloaded),
+], ids=["other-seed", "other-restarts", "other-bounds", "unseeded",
+        "from-parameters", "loaded"])
+def test_no_reuse_without_the_same_search_inputs(chain3, searched, tmp_path,
+                                                  fit_args, seed, rebuild):
+    data, configs, x, values = chain3
+    model = fit_multifidelity(data, configs, **fit_args)
+    if rebuild is not None:
+        model = rebuild(model, tmp_path)
+    searched.clear()
+    enrich(model, x, 1, values[:1], reestimate=True, seed=seed)
+    assert searched == [13, 8, 4]
+
+
+@pytest.mark.parametrize("restarts, searches", [(3, []), (4, [12, 8, 4])])
+def test_the_search_key_holds_restarts(chain3, searched, restarts, searches):
+    # through enrich, other restarts also move the generator state that
+    # every level above the first sees; refitting the same data isolates
+    # the first level's key
+    data, configs, _, _ = chain3
+    model = fit_multifidelity(data, configs, restarts=3, seed=0)
+    searched.clear()
+    cokriging._fit_levels(data, configs, model._searches, restarts=restarts,
+                          seed=0)
+    assert searched == searches
+
+
+def test_separate_fits_share_no_searches(chain3, searched):
+    data, configs, _, _ = chain3
+    fit_multifidelity(data, configs, restarts=2, seed=0)
+    fit_multifidelity(data, configs, restarts=2, seed=0)
+    assert searched == [12, 8, 4] * 2
+
+
+def _trace_bits(trace):
+    return [(e.iteration, e.x.tobytes(), e.level, e.values, e.imse_before,
+             e.imse_after, e.cumulative_cost) for e in trace.entries]
+
+
+@pytest.mark.parametrize("name, sizes, family, loop", [
+    ("forrester", [10, 5], SE, dict(budget=14.0)),
+    ("chain3", [12, 8, 4], M52, dict(budget=12.0, rule="cost-weighted")),
+])
+@pytest.mark.parametrize("refit", ["always", "every-2"])
+def test_loop_equals_a_loop_without_stored_searches(monkeypatch, searched,
+                                                    name, sizes, family, loop,
+                                                    refit):
+    problem = get_problem(name)
+    designs = nested_lhs(sizes, problem.bounds, seed=1)
+    data = MultiFidelityData(designs, [problem.evaluate(t + 1, x)
+                                       for t, x in enumerate(designs)])
+    configs = _configs(len(sizes), problem.dimension, family)
+    model = fit_multifidelity(data, configs, seed=0)
+    simulators = [lambda x, t=t: problem.evaluate(t + 1, x)
+                  for t in range(len(sizes))]
+
+    def run():
+        searched.clear()
+        final, trace = run_loop(
+            model, Domain(problem.bounds), CostModel(problem.costs),
+            simulators=simulators, search=GridSearch(65),
+            quadrature=GridQuadrature(64), refit=refit, **loop)
+        return final, trace, len(searched)
+
+    final, trace, reusing = run()
+    original = sequential.enrich
+
+    def forgetful(model, *args, **kwargs):
+        model._searches = {}
+        return original(model, *args, **kwargs)
+
+    monkeypatch.setattr(sequential, "enrich", forgetful)
+    forgot_final, forgot_trace, forgetting = run()
+    assert len(trace) >= 4
+    assert _trace_bits(trace) == _trace_bits(forgot_trace)
+    assert _fields(final) == _fields(forgot_final)
+    assert reusing < forgetting
