@@ -412,7 +412,7 @@ def _fit_on(config: LevelConfig, inputs, bounds, restarts, rng, searches):
            *((a.shape, a.tobytes()) for a in (design, y, h)))
     kernel = searches.get(key)
     if kernel is None:
-        kernel = _ml_fit(design, h, y, family, bounds, restarts, rng)
+        kernel = _ml_fit(design, h, y, family, box, restarts, rng)
     else:
         _draw_starts(*box, restarts, rng)
     return _assemble_level(config, kernel, inputs), key

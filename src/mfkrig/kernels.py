@@ -106,26 +106,11 @@ def cross_correlation(spec: KernelSpec, xa, xb) -> np.ndarray:
     return _scaled_correlation(spec.family, a / theta, b / theta)
 
 
-def _pairwise_distances(a, b, squared=False) -> np.ndarray:
-    """(na, nb) Euclidean distances between the rows of two (n, d) arrays,
-    or their squares, bit for bit as ``scipy.spatial.distance.cdist``
-    computes its "euclidean" and "sqeuclidean" metrics.
-
-    One dimension is one outer difference, squared, then the root. More
-    dimensions go to cdist, whose single pass beats numpy's several
-    passes per dimension; it is imported on first use (``_cdist``).
-    """
-    if a.shape[1] > 1:
-        return _cdist()(a, b, "sqeuclidean" if squared else "euclidean")
-    out = np.subtract.outer(a[:, 0], b[:, 0])
-    out *= out
-    return out if squared else np.sqrt(out, out=out)
-
-
 @cache
 def _cdist():
-    """``scipy.spatial.distance.cdist``. Importing scipy.spatial takes
-    about 0.1 s and 8 MB, which one-dimensional inputs never need."""
+    """``scipy.spatial.distance.cdist``, imported on first use: importing
+    scipy.spatial takes about 0.1 s and 8 MB, which a process that
+    computes no correlation never needs."""
     from scipy.spatial.distance import cdist
 
     return cdist
@@ -141,10 +126,10 @@ def _scaled_correlation(family, a, b) -> np.ndarray:
     allocation cost more than the arithmetic at a few hundred points.
     """
     if family == SQUARED_EXPONENTIAL:
-        r = _pairwise_distances(a, b, squared=True)
+        r = _cdist()(a, b, "sqeuclidean")
         np.negative(r, out=r)
         return np.exp(r, out=r)
-    h = _pairwise_distances(a, b)
+    h = _cdist()(a, b, "euclidean")
     u = np.sqrt(5.0) * h
     r = (5.0 / 3.0) * h
     r *= h

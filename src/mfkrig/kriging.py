@@ -423,12 +423,12 @@ def _draw_starts(log_lo, log_hi, restarts, rng) -> list:
                                         for _ in range(restarts - 1)]
 
 
-def _ml_fit(design, trend_matrix, y, family, bounds, restarts, rng):
+def _ml_fit(design, trend_matrix, y, family, box, restarts, rng):
     """Multi-start concentrated-ML search for one level's lengthscales.
 
     Minimizes the concentrated NLL over log-lengthscales with
-    Nelder-Mead, one run per start (start 0 is the log-box midpoint,
-    the rest are drawn uniformly from the box with ``rng``). Returns the
+    Nelder-Mead inside ``box``, the checked (log_lo, log_hi) of
+    ``_search_box``, one run per start (``_draw_starts``). Returns the
     kernel at the best lengthscales found.
 
     The objective clips each point into the log-box before it
@@ -443,7 +443,7 @@ def _ml_fit(design, trend_matrix, y, family, bounds, restarts, rng):
 
     design = _as_points(design)
     y = np.asarray(y, dtype=float).ravel()
-    log_lo, log_hi = _search_box(design, bounds, restarts)
+    log_lo, log_hi = box
     lik = _likelihood(family, design, trend_matrix, y)
     memo = {}
 

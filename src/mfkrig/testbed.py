@@ -24,7 +24,7 @@ from .cokriging import (
 )
 from .csvio import parse_row, read_csv, read_json, write_csv
 from .exceptions import ParseError
-from .kernels import BasisSpec, KernelSpec, _pairwise_distances
+from .kernels import BasisSpec, KernelSpec, _cdist
 from .sequential import CostModel, _as_box
 
 
@@ -86,7 +86,7 @@ def _maximin_subset(points, m) -> np.ndarray:
     n = len(points)
     if m >= n:
         return np.arange(n)
-    dist = _pairwise_distances(points, points)
+    dist = _cdist()(points, points)
     np.fill_diagonal(dist, np.inf)
     chosen = [int(np.argmax(dist.min(axis=1)))]
     mind = dist[chosen[0]].copy()

@@ -90,15 +90,14 @@ def reference_nll_terms(design, trend_matrix, y, kernel):
     return nll, beta, sigma2, lo
 
 
-def reference_ml_fit(design, trend_matrix, y, family, bounds, restarts, rng):
+def reference_ml_fit(design, trend_matrix, y, family, box, restarts, rng):
     """``kriging._ml_fit`` without its memo: every objective call clips
     its point into the log-box and evaluates ``kriging._nll_terms`` afresh.
     The oracle of the memoized search, whose fits must match it bit for
     bit; it takes the same arguments, so it can stand in for it."""
     design = _as_points(design)
     y = np.asarray(y, dtype=float).ravel()
-    lo, hi = kriging._normalize_bounds(bounds, design, design.shape[1])
-    log_lo, log_hi = np.log(lo), np.log(hi)
+    log_lo, log_hi = box
     lik = kriging._likelihood(family, design, trend_matrix, y)
 
     def objective(z):

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
-from scipy.spatial.distance import cdist
 
 from mfkrig.kernels import (
     NUGGET,
@@ -17,7 +15,6 @@ from mfkrig.kernels import (
     first_repeat,
     probe_correlation,
     same_points,
-    _pairwise_distances,
 )
 
 
@@ -245,25 +242,3 @@ def test_same_points_is_bitwise():
     assert same_points(np.empty((2, 0)), np.empty((3, 0))).all()
     column = np.arange(6.0).reshape(3, 2)[:, 1:]  # not C-contiguous
     assert same_points(column, [[3.0]]).tolist() == [[False], [True], [False]]
-
-
-@st.composite
-def _distance_pairs(draw):
-    """Two finite point sets of one dimension, 1-3, with repeated
-    coordinates and signed zeros among the values."""
-    d = draw(st.integers(1, 3))
-    values = st.one_of(
-        st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
-        st.sampled_from([0.0, -0.0, 1.0, 1e-300, -2.5]))
-    return tuple(draw(arrays(float, (draw(st.integers(1, 12)), d),
-                             elements=values)) for _ in range(2))
-
-
-@settings(max_examples=300, deadline=None)
-@given(_distance_pairs())
-def test_pairwise_distances_equal_cdist_bit_for_bit(pair):
-    a, b = pair
-    for squared, metric in ((True, "sqeuclidean"), (False, "euclidean")):
-        got = _pairwise_distances(a, b, squared=squared)
-        assert got.tobytes() == cdist(a, b, metric).tobytes()
-

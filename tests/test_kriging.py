@@ -333,8 +333,9 @@ def _spy_evaluations(monkeypatch, ill_conditioned=lambda theta: False):
 
 
 def _search(problem, search, bounds=None, restarts=4, seed=3):
+    box = kriging._search_box(problem.design, bounds, restarts)
     return search(problem.design, basis_matrix(problem.trend, problem.design),
-                  problem.y, problem.kernel.family, bounds, restarts,
+                  problem.y, problem.kernel.family, box, restarts,
                   np.random.default_rng(seed))
 
 

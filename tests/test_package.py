@@ -33,15 +33,13 @@ _LOADED = ("import sys; print(sorted(m for m in ('scipy.spatial', "
 @pytest.mark.parametrize("code, loaded", [
     ("import mfkrig", []),
     ("import mfkrig.kernels as k; k.correlation_matrix("
-     "k.KernelSpec('matern-5/2', [0.3]), [[0.1], [0.5]])", []),
-    ("import mfkrig.kernels as k; k.correlation_matrix("
      "k.KernelSpec('matern-5/2', [0.3, 1]), [[0.1, 0], [0.5, 1]])",
      ["scipy.spatial"]),
 ])
 def test_scipy_spatial_and_optimize_load_only_when_used(code, loaded):
-    # both take time and memory to import: distances in more than one
-    # dimension load scipy.spatial, and the polish and the likelihood
-    # search load scipy.optimize, each when first run
+    # both take time and memory to import: a correlation loads
+    # scipy.spatial, and the polish and the likelihood search load
+    # scipy.optimize, each when first run
     source = pathlib.Path(mfkrig.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(source)}
     out = subprocess.run([sys.executable, "-c", f"{code}; {_LOADED}"],
