@@ -29,7 +29,7 @@ from mfkrig import (
     MultiFidelityModel,
     nested_lhs,
 )
-from mfkrig.kernels import add_nugget, correlation_matrix, same_points
+from mfkrig.kernels import NUGGET, correlation_matrix, same_points
 
 # ----------------------------------------------------------------------
 # A three-level instance with fixed, known parameters
@@ -57,7 +57,9 @@ for t in range(3):
 observations = []
 for t in range(3):
     kern = KernelSpec("matern-5/2", params[t].lengthscales)
-    cov = sigma2s[t] * add_nugget(correlation_matrix(kern, designs[t]))
+    r = correlation_matrix(kern, designs[t])
+    r[np.diag_indices_from(r)] += NUGGET
+    cov = sigma2s[t] * r
     own = np.linalg.cholesky(cov) @ rng.standard_normal(len(designs[t]))
     if t == 0:
         observations.append(own)

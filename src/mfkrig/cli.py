@@ -268,13 +268,9 @@ def cmd_sequential(config, out, quiet) -> int:
     simulators = [lambda x, t=t: problem.evaluate(t, x)
                   for t in range(1, problem.level_count + 1)]
     domain = Domain(problem.bounds)
-    model, trace = run_loop(
-        model, domain, cost, budget, simulators,
-        rule=rule,
-        search=search,
-        quadrature=quadrature,
-        refit=refit,
-        refit_seed=_typed(config, "seed", int, 0))
+    model, trace = run_loop(model, domain, cost, budget, simulators,
+                            rule=rule, search=search, quadrature=quadrature,
+                            refit=refit)
     os.makedirs(out, exist_ok=True)
     trace_path = os.path.join(out, "trace.csv")
     write_trace(trace, trace_path)

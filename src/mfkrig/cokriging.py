@@ -25,11 +25,12 @@ the bases and rho factors of the variance recursion, for ``predict``,
 ``hypothetical_variance_after`` and the node sets of the sequential
 loop alike. A frozen ``refit`` appends factor rows for the appended
 design points, so the loop's node sets can continue their kept solves.
-A model keeps its level searches by key (``_fit_on``), so a
-reestimating refit through ``_fit_levels`` searches again only the
-levels whose likelihood inputs changed. Per-level variance
-contributions come from telescoping the recursion; they power the
-level-choice rules in the sequential module.
+A model keeps its fit settings and its level searches by key
+(``_fit_on``), so a reestimating refit (``_fit_levels``) fits as the
+model was fitted and searches again only the levels whose likelihood
+inputs changed. Per-level variance contributions come from telescoping
+the recursion; they power the level-choice rules in the sequential
+module.
 """
 
 from dataclasses import dataclass
@@ -394,27 +395,24 @@ def _estimable_inputs(config: LevelConfig, data: MultiFidelityData, level: int):
 def _fit_on(config: LevelConfig, inputs, bounds, restarts, rng, searches):
     """Maximum-likelihood fit of one level on its checked inputs.
 
-    Returns (level, key). The key holds everything the search depends
-    on: the kernel family, the shapes and bytes of the design, the
-    responses and the regression matrix, the log-lengthscale box,
-    ``restarts`` and the state of ``rng`` before the starts are drawn.
-    ``searches`` maps the keys of earlier searches to the kernels they
-    found. A level whose key is there is assembled from that kernel
-    without a search; it still draws its starts, so the next level sees
-    the generator state a search would have left. The search is
-    deterministic, so the level is bit for bit the one a search gives.
+    Draws the level's starts from ``rng`` and returns (level, key). The
+    key holds everything the search reads: the kernel family, the
+    log-lengthscale box, the starts, and the shapes and bytes of the
+    design, the responses and the regression matrix. ``searches`` maps
+    the keys of earlier searches to the kernels they found; a level
+    whose key is there is assembled from that kernel without a search.
+    The search is deterministic, so the level is bit for bit the one a
+    search gives.
     """
     design, y, _, h, _ = inputs
     family = config.kernel.family
     box = _search_box(design, bounds, restarts)
-    key = (family, restarts, str(rng.bit_generator.state),
-           *(b.tobytes() for b in box),
+    starts = _draw_starts(*box, restarts, rng)
+    key = (family, *(a.tobytes() for a in (*box, np.array(starts))),
            *((a.shape, a.tobytes()) for a in (design, y, h)))
     kernel = searches.get(key)
     if kernel is None:
-        kernel = _ml_fit(design, h, y, family, box, restarts, rng)
-    else:
-        _draw_starts(*box, restarts, rng)
+        kernel = _ml_fit(design, h, y, family, box, starts)
     return _assemble_level(config, kernel, inputs), key
 
 
@@ -456,9 +454,10 @@ class MultiFidelityModel:
     """Fitted s-level recursive co-kriging model.
 
     Immutable after construction; ``predict`` and
-    ``hypothetical_variance_after`` are read-only. A fitted model keeps
-    its level searches by key (``_fit_on``), a frozen ``refit`` carries
-    them forward, and nothing saves them.
+    ``hypothetical_variance_after`` are read-only. A model keeps the
+    ``(bounds, restarts, seed)`` of its fit (``_fit_settings``, else
+    ``(None, 5, 0)``) and its level searches by key (``_fit_on``); a
+    frozen ``refit`` carries both forward, and nothing saves them.
     """
 
     def __init__(self, levels, data: MultiFidelityData, configs):
@@ -466,6 +465,7 @@ class MultiFidelityModel:
         self.levels = list(levels)
         self.data = data
         self.configs = list(configs)
+        self._fit_settings = (None, _DEFAULT_RESTARTS, 0)
         self._searches = {}
 
     @property
@@ -582,6 +582,7 @@ class MultiFidelityModel:
                                           sigma2=lev.sigma2,
                                           grown_from=grown_from))
         model = MultiFidelityModel(levels, data, self.configs)
+        model._fit_settings = self._fit_settings
         model._searches = self._searches
         return model
 
@@ -599,6 +600,7 @@ def fit_multifidelity(data: MultiFidelityData, configs, bounds=None,
         theirs, so a fit is reproducible from the seed alone.
 
     Every level is checked for estimability before any likelihood search.
+    The model keeps the three settings for its reestimating refits.
     """
     return _fit_levels(data, configs, {}, bounds, restarts, seed)
 
@@ -608,7 +610,7 @@ def _fit_levels(data: MultiFidelityData, configs, searches, bounds=None,
     """``fit_multifidelity`` given the searches of an earlier model
     (``searches``, as ``_fit_on`` takes them): a level whose search
     inputs are unchanged takes the kernel found before. The new model
-    keeps the searches of its own levels only."""
+    keeps its settings and the searches of its own levels only."""
     _check_levels(data, configs)
     inputs = [_estimable_inputs(config, data, t)
               for t, config in enumerate(configs, start=1)]
@@ -616,5 +618,6 @@ def _fit_levels(data: MultiFidelityData, configs, searches, bounds=None,
     fitted = [_fit_on(config, level_inputs, bounds, restarts, rng, searches)
               for config, level_inputs in zip(configs, inputs)]
     model = MultiFidelityModel([level for level, _ in fitted], data, configs)
+    model._fit_settings = (bounds, restarts, seed)
     model._searches = {key: level.kernel for level, key in fitted}
     return model

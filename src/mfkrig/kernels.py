@@ -149,13 +149,6 @@ def correlation_matrix(spec: KernelSpec, points) -> np.ndarray:
     return r
 
 
-def add_nugget(r: np.ndarray) -> np.ndarray:
-    """Return a copy of ``r`` with NUGGET added to the diagonal."""
-    out = np.array(r, dtype=float, copy=True)
-    out[np.diag_indices_from(out)] += NUGGET
-    return out
-
-
 def same_points(xa, xb) -> np.ndarray:
     """(na, nb) boolean matrix, True where xa[i] and xb[j] are the same point.
 

@@ -416,20 +416,19 @@ def _search_box(design, bounds, restarts):
 
 def _draw_starts(log_lo, log_hi, restarts, rng) -> list:
     """The starts of a search: the box midpoint, then ``restarts - 1``
-    uniform draws from the box with ``rng``. A level whose search is
-    skipped still draws them, so the levels after it see the generator
-    state a search would have left."""
+    uniform draws from the box with ``rng``."""
     return [0.5 * (log_lo + log_hi)] + [rng.uniform(log_lo, log_hi)
                                         for _ in range(restarts - 1)]
 
 
-def _ml_fit(design, trend_matrix, y, family, box, restarts, rng):
+def _ml_fit(design, trend_matrix, y, family, box, starts):
     """Multi-start concentrated-ML search for one level's lengthscales.
 
     Minimizes the concentrated NLL over log-lengthscales with
     Nelder-Mead inside ``box``, the checked (log_lo, log_hi) of
-    ``_search_box``, one run per start (``_draw_starts``). Returns the
-    kernel at the best lengthscales found.
+    ``_search_box``, one run per start of ``starts`` (``_draw_starts``).
+    It draws nothing, so its result depends on its arguments alone.
+    Returns the kernel at the best lengthscales found.
 
     The objective clips each point into the log-box before it
     evaluates, so Nelder-Mead's points outside the box, its collapsed
@@ -459,7 +458,6 @@ def _ml_fit(design, trend_matrix, y, family, box, restarts, rng):
             memo[key] = nll = nll if np.isfinite(nll) else np.inf
         return nll
 
-    starts = _draw_starts(log_lo, log_hi, restarts, rng)
     best = None
     for idx, z0 in enumerate(starts):
         f0 = objective(z0)

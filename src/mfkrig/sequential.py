@@ -475,21 +475,21 @@ def choose_level(model, x, imse, cost: CostModel | None = None,
 # enrichment
 
 
-def enrich(model, x, level: int, values, reestimate=False,
-           seed=0) -> MultiFidelityModel:
+def enrich(model, x, level: int, values,
+           reestimate=False) -> MultiFidelityModel:
     """New model with x observed at levels 1..level; the old one is kept.
 
     ``values`` holds one response per level 1..level. Hyperparameters
     are frozen unless ``reestimate`` is set, in which case the result is
-    bit for bit ``fit_multifidelity(grown data, model.configs,
-    seed=seed)``. Only levels 1..level get the new point, so a level
-    above it whose search key (``cokriging._fit_on``) matches one of
-    ``model``'s searches takes the lengthscales found then instead of
-    searching again: with an integer ``seed``, every level above
-    ``level`` of a model fitted, or last reestimated, with that seed
-    and the default bounds and restarts. A loaded model keeps no
-    searches. The grown data is built before any refit, so a
-    non-finite value raises its ValueError first.
+    bit for bit ``fit_multifidelity(grown data, model.configs, bounds,
+    restarts, seed)`` with the settings ``model`` was fitted with. A
+    level whose search key (``cokriging._fit_on``) matches one of
+    ``model``'s searches takes the lengthscales found then: with an
+    integer seed, every level above ``level``. A ``seed=None`` fit draws
+    fresh starts on every reestimate and reuses none; a Generator seed
+    keeps being drawn from. A loaded model keeps no searches. The grown
+    data is built before any refit, so a non-finite value raises its
+    ValueError first.
     """
     if not 1 <= level <= model.level_count:
         raise ValueError(f"level must be in 1..{model.level_count}")
@@ -500,7 +500,8 @@ def enrich(model, x, level: int, values, reestimate=False,
             f"got {values.size}")
     data = model.data.with_point(x, values)
     if reestimate:
-        return _fit_levels(data, model.configs, model._searches, seed=seed)
+        return _fit_levels(data, model.configs, model._searches,
+                           *model._fit_settings)
     return model.refit(data)
 
 
@@ -629,7 +630,7 @@ def _refit_period(refit) -> int:
 
 def run_loop(model, domain: Domain, cost: CostModel, budget,
              simulators, rule=IMSE_THRESHOLD, search=None, quadrature=None,
-             refit=REFIT_NEVER, refit_seed=0):
+             refit=REFIT_NEVER):
     """Enrich until the next run would not fit in the budget.
 
     Returns (final model, EnrichmentTrace). Each iteration finds the
@@ -638,12 +639,11 @@ def run_loop(model, domain: Domain, cost: CostModel, budget,
     simulators, and enriches. ``refit`` is "never" (frozen
     hyperparameters), "always", or "every-k" for an integer k (refit on
     iterations k, 2k, ...). A refit reestimates through ``enrich`` with
-    ``refit_seed``, so it searches again only the levels whose data
-    changed since the model's last searches with that seed; the others
-    keep the lengthscales a fresh search would find again. A simulator
-    failure (an exception or a non-finite value) stops the loop and
-    returns the partial trace flagged incomplete. The budget must be
-    positive and finite.
+    the model's fit settings, so it searches again only the levels whose
+    data changed since the model's last searches. A simulator failure
+    (an exception or a non-finite value) stops the loop and returns the
+    partial trace flagged incomplete. The budget must be positive and
+    finite.
     """
     if cost.levels != model.level_count:
         raise ValueError("cost model and model disagree on level count")
@@ -680,8 +680,7 @@ def run_loop(model, domain: Domain, cost: CostModel, budget,
             trace.complete = False
             break
         reestimate = period > 0 and iteration % period == 0
-        model = enrich(model, x, level, values=values,
-                       reestimate=reestimate, seed=refit_seed)
+        model = enrich(model, x, level, values=values, reestimate=reestimate)
         cum += step
         imse_after = compute_imse(model, domain, quadrature)
         trace.entries.append(TraceEntry(iteration, x, level, values,

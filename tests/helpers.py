@@ -14,8 +14,8 @@ from mfkrig.exceptions import (
     SingularTrendError,
 )
 from mfkrig.kernels import (
+    NUGGET,
     KernelSpec,
-    add_nugget,
     correlation_matrix,
     same_points,
     _as_points,
@@ -29,6 +29,13 @@ from mfkrig.sequential import (
     compute_imse,
     enrich,
 )
+
+
+def add_nugget(r):
+    """A copy of ``r`` with NUGGET added to the diagonal."""
+    out = np.array(r, dtype=float, copy=True)
+    out[np.diag_indices_from(out)] += NUGGET
+    return out
 
 
 def sample_gp(rng, points, kernel: KernelSpec, sigma2=1.0, mean=0.0):
@@ -90,7 +97,7 @@ def reference_nll_terms(design, trend_matrix, y, kernel):
     return nll, beta, sigma2, lo
 
 
-def reference_ml_fit(design, trend_matrix, y, family, box, restarts, rng):
+def reference_ml_fit(design, trend_matrix, y, family, box, starts):
     """``kriging._ml_fit`` without its memo: every objective call clips
     its point into the log-box and evaluates ``kriging._nll_terms`` afresh.
     The oracle of the memoized search, whose fits must match it bit for
@@ -108,8 +115,6 @@ def reference_ml_fit(design, trend_matrix, y, family, box, restarts, rng):
             return np.inf
         return nll if np.isfinite(nll) else np.inf
 
-    starts = [0.5 * (log_lo + log_hi)]
-    starts += [rng.uniform(log_lo, log_hi) for _ in range(restarts - 1)]
     best = None
     for z0 in starts:
         f0 = objective(z0)
@@ -203,7 +208,7 @@ def reference_search(model, domain, count, seed, polish_all, exclude=None):
 
 
 def replay_loop(model, domain, cost, budget, simulators, rule="imse-threshold",
-                search=None, quadrature=None, refit="never", refit_seed=0):
+                search=None, quadrature=None, refit="never"):
     """``run_loop`` spelled out through the public calls it makes.
 
     Every call resolves its search and quadrature afresh, so this is the
@@ -231,8 +236,7 @@ def replay_loop(model, domain, cost, budget, simulators, rule="imse-threshold",
         values = [float(np.asarray(simulators[t](x[None, :])).reshape(-1)[0])
                   for t in range(level)]
         model = enrich(model, x, level, values=values,
-                       reestimate=period > 0 and iteration % period == 0,
-                       seed=refit_seed)
+                       reestimate=period > 0 and iteration % period == 0)
         cum += step
         imse_after = compute_imse(model, domain, quadrature)
         trace.entries.append(TraceEntry(iteration, x, level, values,

@@ -231,6 +231,26 @@ def test_sequential_is_deterministic(tmp_path):
         (out_b / "trace.csv").read_bytes()
 
 
+def test_sequential_reestimates_with_the_config_restarts(tmp_path,
+                                                         monkeypatch):
+    starts = []
+    original = cokriging._ml_fit
+
+    def spy(design, h, y, family, box, level_starts):
+        starts.append(len(level_starts))
+        return original(design, h, y, family, box, level_starts)
+
+    monkeypatch.setattr(cokriging, "_ml_fit", spy)
+    out = tmp_path / "run"
+    config = json.loads(open(_sequential_config(tmp_path, out,
+                                                budget=12.0)).read())
+    config.update(restarts=2, refit="always")
+    path = _config(tmp_path, "restarts.json", **config)
+    assert main(["sequential", "--config", path, "--quiet"]) == EXIT_OK
+    assert len(starts) > 2  # the loop reestimated
+    assert starts == [2] * len(starts)
+
+
 def test_sequential_budget_below_cheapest_run(tmp_path):
     out = tmp_path / "run"
     config = _sequential_config(tmp_path, out, budget=0.5)

@@ -8,7 +8,6 @@ from mfkrig.kernels import (
     BasisSpec,
     KernelSpec,
     add_matched_nugget,
-    add_nugget,
     basis_matrix,
     correlation_matrix,
     cross_correlation,
@@ -16,6 +15,8 @@ from mfkrig.kernels import (
     probe_correlation,
     same_points,
 )
+
+from helpers import add_nugget
 
 
 def test_squared_exponential_identity():
@@ -153,6 +154,7 @@ def test_linear_basis_2d_entrywise():
 
 
 def test_nugget_value_and_copy():
+    # the nugget of the test oracles (helpers.add_nugget)
     r = np.eye(2)
     out = add_nugget(r)
     assert out[0, 0] == 1.0 + NUGGET

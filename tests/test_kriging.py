@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mfkrig.cokriging as cokriging
 import mfkrig.kriging as kriging
 from mfkrig.exceptions import (
     FitFailedError,
@@ -24,6 +25,7 @@ from mfkrig.kriging import (
 )
 
 from helpers import (
+    add_nugget,
     dense_gls,
     dense_predict,
     reference_chol_nugget,
@@ -332,11 +334,30 @@ def _spy_evaluations(monkeypatch, ill_conditioned=lambda theta: False):
     return keys
 
 
+def _starts(box, restarts, seed):
+    """The start rule: the box midpoint, then restarts - 1 uniform draws."""
+    rng = np.random.default_rng(seed)
+    return [0.5 * (box[0] + box[1])] + [rng.uniform(*box)
+                                        for _ in range(restarts - 1)]
+
+
 def _search(problem, search, bounds=None, restarts=4, seed=3):
     box = kriging._search_box(problem.design, bounds, restarts)
     return search(problem.design, basis_matrix(problem.trend, problem.design),
-                  problem.y, problem.kernel.family, box, restarts,
-                  np.random.default_rng(seed))
+                  problem.y, problem.kernel.family, box,
+                  _starts(box, restarts, seed))
+
+
+def test_a_fit_searches_from_the_start_rule(monkeypatch):
+    searched = []
+    original = cokriging._ml_fit
+    monkeypatch.setattr(cokriging, "_ml_fit", lambda *args: (
+        searched.append(args[4:]), original(*args))[1])
+    fit_one(make_problem(np.random.default_rng(4), n=12, d=2), restarts=4,
+            seed=3)
+    (box, starts), = searched
+    assert np.array(starts).tobytes() == \
+        np.array(_starts(box, 4, 3)).tobytes()
 
 
 @pytest.mark.parametrize("d, family", [(1, SE), (2, M52)])
@@ -400,8 +421,6 @@ def test_factorization_reproduces_correlation_matrix():
     rng = np.random.default_rng(8)
     problem = make_problem(rng, n=14)
     level = fit_one(problem, restarts=2, seed=1).levels[0]
-    from mfkrig.kernels import add_nugget
-
     r = add_nugget(correlation_matrix(level.kernel, level.design))
     rec = level.chol @ level.chol.T
     assert np.linalg.norm(rec - r) <= 1e-8 * np.linalg.norm(r)

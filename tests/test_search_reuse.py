@@ -1,13 +1,14 @@
-"""A reestimating ``enrich`` searches again only the levels whose search
-inputs changed since the model's own searches, and gives bit for bit the
-model a fresh ``fit_multifidelity`` of the grown data gives.
+"""A reestimating ``enrich`` fits with the model's own bounds, restarts
+and seed, searches again only the levels whose search inputs changed
+since the model's own searches, and gives bit for bit the model a fresh
+``fit_multifidelity`` of the grown data with those settings gives.
 
 Running levels 1..l at a new point leaves the design, responses and
-regression matrix of every level above l unchanged, and with the same
-seed the generator reaches each level in the same state, so those
-searches would land where they did. Any other difference (seed,
-restarts, bounds, an unseeded generator) searches every level again, and
-a loaded model keeps no searches.
+regression matrix of every level above l unchanged, and with an integer
+seed each level draws the same starts, so those searches would land
+where they did. Any other difference (seed, restarts, bounds, an
+unseeded generator) searches every level again, and a loaded model keeps
+no searches.
 """
 
 import dataclasses
@@ -70,9 +71,9 @@ def _configs(levels, d, family=SE):
 
 @st.composite
 def _enrichments(draw):
-    """(data, configs, x, level, values, seed): 2-3 nested levels drawn
-    from the autoregressive chain, and one new point run through a
-    drawn level."""
+    """(data, configs, x, level, values, settings): 2-3 nested levels
+    drawn from the autoregressive chain, one new point run through a
+    drawn level, and drawn (bounds, restarts, seed) of the fit."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     s = draw(st.integers(2, 3))
     d = draw(st.sampled_from([1, 2]))
@@ -85,18 +86,21 @@ def _enrichments(draw):
     return (MultiFidelityData(designs, observations),
             _configs(s, d, draw(st.sampled_from([SE, M52]))),
             rng.uniform(size=d), level, rng.normal(size=level),
-            draw(st.integers(0, 3)))
+            (draw(st.sampled_from([None, (0.05, 2.0)])),
+             draw(st.integers(1, 4)), draw(st.integers(0, 3))))
 
 
 @settings(max_examples=12, deadline=None)
 @given(_enrichments())
 def test_reestimating_enrich_equals_a_fresh_fit(case):
-    data, configs, x, level, values, seed = case
-    model = fit_multifidelity(data, configs, seed=seed)
-    grown = enrich(model, x, level, values, reestimate=True, seed=seed)
-    fresh = fit_multifidelity(data.with_point(x, values), configs, seed=seed)
+    data, configs, x, level, values, fit_settings = case
+    model = fit_multifidelity(data, configs, *fit_settings)
+    grown = enrich(model, x, level, values, reestimate=True)
+    fresh = fit_multifidelity(data.with_point(x, values), configs,
+                              *fit_settings)
     assert _fields(grown) == _fields(fresh)
     assert grown._searches.keys() == fresh._searches.keys()
+    assert grown._fit_settings == fresh._fit_settings == fit_settings
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +135,7 @@ def test_only_the_levels_run_are_searched_again(chain3, searched, level):
     data, configs, x, values = chain3
     model = fit_multifidelity(data, configs, seed=0)
     searched.clear()
-    grown = enrich(model, x, level, values[:level], reestimate=True, seed=0)
+    grown = enrich(model, x, level, values[:level], reestimate=True)
     assert searched == [13, 9, 5][:level]
     fresh = fit_multifidelity(grown.data, configs, seed=0)
     assert _fields(grown) == _fields(fresh)
@@ -141,14 +145,26 @@ def test_searches_carry_over_enrich_and_frozen_refit(chain3, searched):
     data, configs, x, values = chain3
     model = fit_multifidelity(data, configs, seed=0)
     # a reestimating enrich keeps its searches, levels 2 and 3 reused ones
-    model = enrich(model, x, 1, values[:1], reestimate=True, seed=0)
+    model = enrich(model, x, 1, values[:1], reestimate=True)
     # a frozen refit carries them forward
-    model = enrich(model, [0.8765], 1, [0.1], seed=0)
+    model = enrich(model, [0.8765], 1, [0.1])
     searched.clear()
-    model = enrich(model, [0.1234], 1, [0.2], reestimate=True, seed=0)
+    model = enrich(model, [0.1234], 1, [0.2], reestimate=True)
     assert searched == [15]
     assert _fields(model) == _fields(
         fit_multifidelity(model.data, configs, seed=0))
+
+
+def test_a_frozen_refit_carries_the_fit_settings(chain3, searched):
+    data, configs, x, values = chain3
+    model = fit_multifidelity(data, configs, restarts=3, seed=0)
+    model = enrich(model, x, 1, values[:1])
+    assert model._fit_settings == (None, 3, 0)
+    searched.clear()
+    model = enrich(model, [0.1234], 1, [0.2], reestimate=True)
+    assert searched == [14]
+    assert _fields(model) == _fields(
+        fit_multifidelity(model.data, configs, restarts=3, seed=0))
 
 
 def _from_parameters(model):
@@ -163,23 +179,37 @@ def _reloaded(model, directory):
     return load_model(directory)
 
 
-@pytest.mark.parametrize("fit_args, seed, rebuild", [
-    (dict(seed=0), 1, None),
-    (dict(seed=0, restarts=3), 0, None),
-    (dict(seed=0, bounds=(1e-3, 5.0)), 0, None),
-    (dict(seed=None), None, None),
-    (dict(seed=0), 0, lambda model, _: _from_parameters(model)),
-    (dict(seed=0), 0, _reloaded),
+def _refitted(**other):
+    """A reestimate of the grown data with ``other`` fit settings than
+    the model's, given the model's searches."""
+    def refit(model, x, values):
+        grown = model.data.with_point(x, values)
+        cokriging._fit_levels(grown, model.configs, model._searches, **other)
+    return refit
+
+
+def _enriched(model, x, values):
+    enrich(model, x, 1, values, reestimate=True)
+
+
+@pytest.mark.parametrize("fit_args, rebuild, reestimate", [
+    (dict(seed=0), None, _refitted(seed=1)),
+    (dict(seed=0), None, _refitted(restarts=3)),
+    (dict(seed=0), None, _refitted(bounds=(1e-3, 5.0))),
+    (dict(seed=None), None, _enriched),
+    (dict(seed=0), lambda model, _: _from_parameters(model), _enriched),
+    (dict(seed=0), _reloaded, _enriched),
 ], ids=["other-seed", "other-restarts", "other-bounds", "unseeded",
         "from-parameters", "loaded"])
 def test_no_reuse_without_the_same_search_inputs(chain3, searched, tmp_path,
-                                                  fit_args, seed, rebuild):
+                                                  fit_args, rebuild,
+                                                  reestimate):
     data, configs, x, values = chain3
     model = fit_multifidelity(data, configs, **fit_args)
     if rebuild is not None:
         model = rebuild(model, tmp_path)
     searched.clear()
-    enrich(model, x, 1, values[:1], reestimate=True, seed=seed)
+    reestimate(model, x, values[:1])
     assert searched == [13, 8, 4]
 
 

@@ -422,7 +422,7 @@ def test_enrich_rejects_non_finite_values(forrester_model, bad):
 def test_enrich_with_reestimation_refits(forrester_model):
     x = np.array([0.18])
     new = enrich(forrester_model, x, 2, values=forrester_values(x, 2),
-                 reestimate=True, seed=0)
+                 reestimate=True)
     out = new.predict(x)
     cap = 1e-10 * max(level.sigma2 for level in new.levels)
     assert np.all(out.variances <= cap)
