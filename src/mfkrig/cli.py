@@ -30,6 +30,7 @@ from .exceptions import (
     ParseError,
 )
 from .kernels import BasisSpec, KernelSpec
+from .kriging import _DEFAULT_RESTARTS
 from .sequential import (
     IMSE_THRESHOLD,
     LEVEL_RULES,
@@ -190,7 +191,8 @@ def _fit_from_config(config, problem):
     or None."""
     data = _build_data(config, problem)
     return fit_multifidelity(data, _level_configs(config, data.dimension),
-                             restarts=_typed(config, "restarts", int, 5),
+                             restarts=_typed(config, "restarts", int,
+                                             _DEFAULT_RESTARTS),
                              seed=_typed(config, "seed", int, 0))
 
 

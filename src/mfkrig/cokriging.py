@@ -238,6 +238,9 @@ class FittedLevel:
     ``rho_beta`` is None at level 1. ``alpha`` stores the solve
     R_t^{-1}(z^t - rho(D_t) . z_{t-1}(D_t) - F_t beta); ``lower_values``
     keeps z_{t-1}(D_t) so the residual can be rebuilt after enrichment.
+    ``nll`` is the concentrated NLL at the level's lengthscales on its own
+    data, also after a frozen refit; it is nan only for given coefficients
+    (``from_parameters``, hence ``testbed.load_model``).
     """
 
     design: np.ndarray
@@ -368,8 +371,10 @@ def fit_level(level: int, data: MultiFidelityData, config: LevelConfig,
     if not 1 <= level <= data.levels:
         raise ValueError(f"level must be in [1, {data.levels}]")
     _check_layout(level, config.scaling)
-    fitted, _ = _fit_on(config, _estimable_inputs(config, data, level),
-                        bounds, restarts, np.random.default_rng(seed), {})
+    inputs = _level_inputs(config, data, level)
+    _check_estimable(level, *inputs[3:])
+    fitted, _ = _fit_on(config, inputs, bounds, restarts,
+                        np.random.default_rng(seed), {})
     return fitted
 
 
@@ -382,14 +387,6 @@ def _level_inputs(config: LevelConfig, data: MultiFidelityData, level: int):
     lower = data.lower_level_values(level)
     return (design, y, lower, extended_trend_matrix(config, design, lower),
             config.scaling.size)
-
-
-def _estimable_inputs(config: LevelConfig, data: MultiFidelityData, level: int):
-    """``_level_inputs`` of a level that passed ``_check_estimable``."""
-    inputs = _level_inputs(config, data, level)
-    _, _, _, h, q = inputs
-    _check_estimable(level, h, q)
-    return inputs
 
 
 def _fit_on(config: LevelConfig, inputs, bounds, restarts, rng, searches):
@@ -406,7 +403,7 @@ def _fit_on(config: LevelConfig, inputs, bounds, restarts, rng, searches):
     """
     design, y, _, h, _ = inputs
     family = config.kernel.family
-    box = _search_box(design, bounds, restarts)
+    box = _search_box(design, bounds)
     starts = _draw_starts(*box, restarts, rng)
     key = (family, *(a.tobytes() for a in (*box, np.array(starts))),
            *((a.shape, a.tobytes()) for a in (design, y, h)))
@@ -420,8 +417,8 @@ def _assemble_level(config: LevelConfig, kernel: KernelSpec, inputs,
                     sigma2=None, coef=None, grown_from=None) -> FittedLevel:
     """One level with the given kernel, on its ``_level_inputs``.
 
-    ``coef`` (scaling block first) defaults to the GLS estimate;
-    ``sigma2`` defaults to the ML estimate, which also sets ``nll``.
+    ``coef`` (scaling block first) defaults to the GLS estimate, which
+    also sets ``nll``; ``sigma2`` defaults to the ML estimate.
     ``grown_from`` is passed to ``kriging._solve_level``.
     """
     design, y, lower_values, h, q = inputs
@@ -431,7 +428,7 @@ def _assemble_level(config: LevelConfig, kernel: KernelSpec, inputs,
         design=design, y=y, trend=config.trend, scaling=config.scaling,
         kernel=kernel, beta=coef[q:], rho_beta=coef[:q] if q else None,
         sigma2=ml_sigma2 if sigma2 is None else sigma2, chol=lo, alpha=alpha,
-        nll=nll if sigma2 is None else float("nan"), lower_values=lower_values)
+        nll=nll, lower_values=lower_values)
 
 
 def _variance_terms(levels, factors, X):
@@ -564,7 +561,8 @@ class MultiFidelityModel:
         level whose new design extends its old one bit for bit keeps its
         factor and appends one row per new point
         (``kriging._append_rows``), so the factor's leading block stays
-        bit for bit the old factor; any other design is refactored.
+        bit for bit the old factor; any other design is refactored. Each
+        level's ``nll`` is taken on the new data (``FittedLevel``).
 
         The grown factor depends on the path: it equals a fresh
         factorization of the same design (``from_parameters``, hence
@@ -612,8 +610,10 @@ def _fit_levels(data: MultiFidelityData, configs, searches, bounds=None,
     inputs are unchanged takes the kernel found before. The new model
     keeps its settings and the searches of its own levels only."""
     _check_levels(data, configs)
-    inputs = [_estimable_inputs(config, data, t)
-              for t, config in enumerate(configs, start=1)]
+    inputs = []
+    for t, config in enumerate(configs, start=1):
+        inputs.append(_level_inputs(config, data, t))
+        _check_estimable(t, *inputs[-1][3:])
     rng = np.random.default_rng(seed)
     fitted = [_fit_on(config, level_inputs, bounds, restarts, rng, searches)
               for config, level_inputs in zip(configs, inputs)]

@@ -25,16 +25,17 @@ rows equals a fresh one bit for bit; a single point, never kept, is
 solved by one dtrtrs. The level posteriors themselves are formed in
 ``cokriging``. A single-level model is a 1-level ``fit_multifidelity``.
 
-``_nll_terms`` is the one likelihood evaluation. The ML search, the
-frozen refit in ``_solve_level`` and the public ``chol_nugget``,
-``gls_fit`` and ``concentrated_nll`` all factor and solve through its
-parts: the kernel formula on design / theta, dpotrf, two dtrtrs solves
-and dgelsd with the arguments ``scipy.linalg.lstsq`` passes. It calls
-LAPACK directly, skipping scipy's finite re-scans and work-size queries,
-because its inputs are checked where they enter the library: data by
-``MultiFidelityData``, lengthscales by ``KernelSpec`` or the search box,
-matrices by the public functions. Its results are bit for bit those of
-the scipy wrappers (``tests/helpers.py`` keeps that path as the oracle).
+``_factored_nll_terms`` is the one estimation on a factor: the ML
+search and ``concentrated_nll`` reach it through ``_nll_terms`` on a
+fresh factor, ``_solve_level`` on the factor it picked. They and the
+public ``chol_nugget`` and ``gls_fit`` use the same parts: the kernel
+formula on design / theta, dpotrf, two dtrtrs solves and dgelsd with
+the arguments ``scipy.linalg.lstsq`` passes. These call LAPACK directly,
+skipping scipy's finite re-scans and work-size queries, because inputs
+are checked where they enter the library: data by ``MultiFidelityData``,
+lengthscales by ``KernelSpec`` or the search box, matrices by the public
+functions. Results are bit for bit those of the scipy wrappers
+(``tests/helpers.py`` keeps that path as the oracle).
 """
 
 from dataclasses import dataclass
@@ -314,10 +315,8 @@ def _likelihood(family, design, trend_matrix, y) -> _Likelihood:
 def _nll_terms(lik: _Likelihood, theta):
     """(nll, beta, sigma2_floored, chol) at lengthscales ``theta``.
 
-    The one likelihood evaluation: the fit, the frozen refit and the
-    public GLS and likelihood functions all factor and solve through
-    it. Its inputs are checked where they enter the library, so it
-    calls LAPACK without scipy's finite re-scans.
+    The likelihood of the ML search and ``concentrated_nll``: a fresh
+    factor, then ``_factored_nll_terms``.
     """
     if not np.isfinite(theta).all():
         raise ValueError("lengthscales must be strictly positive and finite")
@@ -338,28 +337,24 @@ def _factored_nll_terms(lik: _Likelihood, lo):
 def _solve_level(kernel, design, trend_matrix, y, coef=None, grown_from=None):
     """Factor a level and store its residual solve; the one place this is done.
 
-    Factors R + nugget for ``kernel`` on ``design`` and stores
-    alpha = R^{-1}(y - H coef). Without ``coef`` the coefficients are
-    GLS estimates, returned with the floored sigma2 and the concentrated
-    NLL; with ``coef`` given both of those are nan. ``grown_from`` is
-    the factor on the leading rows of ``design``, when the design grew
-    by appended rows under the same kernel: the factor is then grown
-    from it row by row (``_append_rows``) instead of refactored.
+    Factors R + nugget for ``kernel`` on ``design`` afresh, or grows
+    ``grown_from``, the factor on its leading rows, by the appended rows
+    (``_append_rows``). Without ``coef`` the coefficients, floored sigma2
+    and concentrated NLL are estimated on that factor; with ``coef``
+    given sigma2 and NLL are nan. Stores alpha = R^{-1}(y - H coef).
 
     Returns (chol, coef, sigma2, nll, alpha).
     """
     theta = kernel.lengthscales
     _as_points(design, theta.size)  # one lengthscale per design dimension
-    if coef is not None:
+    if grown_from is None:
         lo = _nugget_factor(kernel.family, design, theta)
-        nll = sigma2 = float("nan")
     else:
-        lik = _likelihood(kernel.family, design, trend_matrix, y)
-        if grown_from is None:
-            nll, coef, sigma2, lo = _nll_terms(lik, theta)
-        else:
-            nll, coef, sigma2, lo = _factored_nll_terms(lik, _append_rows(
-                kernel.family, design, theta, grown_from))
+        lo = _append_rows(kernel.family, design, theta, grown_from)
+    nll = sigma2 = float("nan")
+    if coef is None:
+        nll, coef, sigma2, _ = _factored_nll_terms(
+            _likelihood(kernel.family, design, trend_matrix, y), lo)
     resid = y - trend_matrix @ coef
     v, _ = _trtrs(lo, resid, lower=1)
     alpha, _ = _trtrs(lo, v, lower=1, trans=1)
@@ -394,29 +389,25 @@ def default_theta_bounds(design) -> tuple[np.ndarray, np.ndarray]:
     return 1e-2 * side, 10.0 * side
 
 
-def _normalize_bounds(bounds, design, d):
+def _search_box(design, bounds):
+    """(log_lo, log_hi), the checked log-lengthscale box of a search on
+    the (n, d) ``design``: ``bounds`` (lo, hi) or, if None, the default."""
     if bounds is None:
         lo, hi = default_theta_bounds(design)
     else:
-        lo = np.broadcast_to(np.asarray(bounds[0], dtype=float), (d,)).copy()
-        hi = np.broadcast_to(np.asarray(bounds[1], dtype=float), (d,)).copy()
+        d = design.shape[1]
+        lo = np.broadcast_to(np.asarray(bounds[0], dtype=float), (d,))
+        hi = np.broadcast_to(np.asarray(bounds[1], dtype=float), (d,))
     if not (np.all(lo > 0) and np.all(lo <= hi) and np.all(hi < np.inf)):
         raise ValueError("bounds must satisfy 0 < lower <= upper < inf")
-    return lo, hi
-
-
-def _search_box(design, bounds, restarts):
-    """(log_lo, log_hi), the log-lengthscale box of a search with
-    ``restarts`` starts on the (n, d) ``design``; both are checked."""
-    if not (isinstance(restarts, (int, np.integer)) and restarts >= 1):
-        raise ValueError("restarts must be a positive integer")
-    lo, hi = _normalize_bounds(bounds, design, design.shape[1])
     return np.log(lo), np.log(hi)
 
 
 def _draw_starts(log_lo, log_hi, restarts, rng) -> list:
     """The starts of a search: the box midpoint, then ``restarts - 1``
-    uniform draws from the box with ``rng``."""
+    uniform draws from the box with ``rng``; ``restarts`` is checked first."""
+    if not (isinstance(restarts, (int, np.integer)) and restarts >= 1):
+        raise ValueError("restarts must be a positive integer")
     return [0.5 * (log_lo + log_hi)] + [rng.uniform(log_lo, log_hi)
                                         for _ in range(restarts - 1)]
 
@@ -428,7 +419,8 @@ def _ml_fit(design, trend_matrix, y, family, box, starts):
     Nelder-Mead inside ``box``, the checked (log_lo, log_hi) of
     ``_search_box``, one run per start of ``starts`` (``_draw_starts``).
     It draws nothing, so its result depends on its arguments alone.
-    Returns the kernel at the best lengthscales found.
+    Returns the kernel at the best lengthscales found; each run ends on
+    its best simplex vertex, which is never worse than its start.
 
     The objective clips each point into the log-box before it
     evaluates, so Nelder-Mead's points outside the box, its collapsed
@@ -440,8 +432,6 @@ def _ml_fit(design, trend_matrix, y, family, box, starts):
     """
     from scipy.optimize import minimize
 
-    design = _as_points(design)
-    y = np.asarray(y, dtype=float).ravel()
     log_lo, log_hi = box
     lik = _likelihood(family, design, trend_matrix, y)
     memo = {}
@@ -459,16 +449,14 @@ def _ml_fit(design, trend_matrix, y, family, box, starts):
         return nll
 
     best = None
-    for idx, z0 in enumerate(starts):
-        f0 = objective(z0)
-        if not np.isfinite(f0):
+    for z0 in starts:
+        if not np.isfinite(objective(z0)):
             continue
         res = minimize(objective, z0, method="Nelder-Mead",
                        options={"xatol": 1e-6, "fatol": 1e-9,
                                 "maxiter": 400 * design.shape[1]})
-        fun, z = (res.fun, res.x) if res.fun <= f0 else (f0, z0)
-        if best is None or fun < best[0]:
-            best = (fun, np.clip(z, log_lo, log_hi))
+        if best is None or res.fun < best[0]:
+            best = (res.fun, np.clip(res.x, log_lo, log_hi))
     if best is None:
         raise FitFailedError(
             f"all {len(starts)} likelihood starts were ill-conditioned"

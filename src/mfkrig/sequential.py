@@ -432,6 +432,18 @@ def compute_imse(model, domain: Domain, quadrature=None) -> float:
 # level choice
 
 
+def _check_rule(rule, cost, levels) -> None:
+    """The level-choice rule: one of ``LEVEL_RULES``; cost-weighted needs
+    a cost model over the model's ``levels`` levels."""
+    if rule not in LEVEL_RULES:
+        raise ValueError(f"unknown rule {rule!r}; expected one of {LEVEL_RULES}")
+    if rule == COST_WEIGHTED:
+        if cost is None:
+            raise ValueError("cost-weighted rule needs a cost model")
+        if cost.levels != levels:
+            raise ValueError("cost model and model disagree on level count")
+
+
 def choose_level(model, x, imse, cost: CostModel | None = None,
                  rule=IMSE_THRESHOLD) -> int:
     """Deepest level worth running at x (levels 1..choice are then run).
@@ -446,13 +458,7 @@ def choose_level(model, x, imse, cost: CostModel | None = None,
     unit of cumulative run cost; ties go to the cheaper level.
     """
     s = model.level_count
-    if rule not in LEVEL_RULES:
-        raise ValueError(f"unknown rule {rule!r}; expected one of {LEVEL_RULES}")
-    if rule == COST_WEIGHTED:
-        if cost is None:
-            raise ValueError("cost-weighted rule needs a cost model")
-        if cost.levels != s:
-            raise ValueError("cost model and model disagree on level count")
+    _check_rule(rule, cost, s)
     out = model.predict(x)
     # Running levels 1..l at x zeroes their share of the top-level
     # variance; what is left is the suffix sum of the contributions.
@@ -642,13 +648,14 @@ def run_loop(model, domain: Domain, cost: CostModel, budget,
     the model's fit settings, so it searches again only the levels whose
     data changed since the model's last searches. A simulator failure
     (an exception or a non-finite value) stops the loop and returns the
-    partial trace flagged incomplete. The budget must be positive and
-    finite.
+    partial trace flagged incomplete. The budget (positive and finite),
+    ``rule`` and ``refit`` are checked before the first IMSE.
     """
     if cost.levels != model.level_count:
         raise ValueError("cost model and model disagree on level count")
     if len(simulators) != model.level_count:
         raise ValueError("need one simulator per level")
+    _check_rule(rule, cost, model.level_count)
     budget = _checked_budget(budget)
     period = _refit_period(refit)
 

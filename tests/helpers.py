@@ -88,7 +88,14 @@ def reference_nll_terms(design, trend_matrix, y, kernel):
     """(nll, beta, sigma2_floored, chol) of ``kriging._nll_terms`` through
     the public kernel and scipy wrappers: the oracle of the bare LAPACK
     path, which must match it bit for bit."""
-    lo = reference_chol_nugget(correlation_matrix(kernel, design))
+    return reference_factored_nll_terms(
+        reference_chol_nugget(correlation_matrix(kernel, design)),
+        trend_matrix, y)
+
+
+def reference_factored_nll_terms(lo, trend_matrix, y):
+    """``reference_nll_terms`` on a given factor ``lo`` of R + nugget:
+    the oracle of ``kriging._factored_nll_terms``."""
     beta, sigma2 = reference_gls(lo, trend_matrix, y)
     sigma2 = max(sigma2, _sigma2_floor(y))
     logdet = 2.0 * float(np.sum(np.log(np.diag(lo))))

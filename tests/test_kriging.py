@@ -342,7 +342,7 @@ def _starts(box, restarts, seed):
 
 
 def _search(problem, search, bounds=None, restarts=4, seed=3):
-    box = kriging._search_box(problem.design, bounds, restarts)
+    box = kriging._search_box(problem.design, bounds)
     return search(problem.design, basis_matrix(problem.trend, problem.design),
                   problem.y, problem.kernel.family, box,
                   _starts(box, restarts, seed))
@@ -415,6 +415,16 @@ def test_fit_rejects_restarts_below_one_before_any_likelihood(monkeypatch,
     problem = make_problem(np.random.default_rng(0))
     with pytest.raises(ValueError, match="restarts must be a positive integer"):
         fit_one(problem, restarts=restarts)
+
+
+@pytest.mark.parametrize("restarts", [0, -1, 2.0])
+def test_draw_starts_rejects_a_restart_count_before_drawing(restarts):
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    box = kriging._search_box(np.array([[0.0], [1.0]]), None)
+    with pytest.raises(ValueError, match="restarts must be a positive integer"):
+        kriging._draw_starts(*box, restarts, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_factorization_reproduces_correlation_matrix():

@@ -43,7 +43,12 @@ from mfkrig.kernels import (
 )
 from mfkrig.testbed import get_problem, load_model, nested_lhs, save_model
 
-from helpers import draw_ar1_data, reference_ml_fit, reference_nll_terms
+from helpers import (
+    draw_ar1_data,
+    reference_factored_nll_terms,
+    reference_ml_fit,
+    reference_nll_terms,
+)
 
 SE = "squared-exponential"
 M52 = "matern-5/2"
@@ -268,6 +273,9 @@ def test_fit_is_byte_identical_through_the_scipy_wrappers(monkeypatch, name,
     monkeypatch.setattr(kriging, "_nll_terms", lambda lik, theta:
                         reference_nll_terms(lik.design, lik.trend, lik.y,
                                             KernelSpec(lik.family, theta)))
+    # each level's estimation on its factor, outside the search
+    monkeypatch.setattr(kriging, "_factored_nll_terms", lambda lik, lo:
+                        reference_factored_nll_terms(lo, lik.trend, lik.y))
     wrapped = fit_multifidelity(data, configs, restarts=2, seed=1)
     assert _fitted_bytes(lean) == _fitted_bytes(wrapped)
 

@@ -5,15 +5,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import mfkrig.sequential as sequential
 from mfkrig.cokriging import (
     LevelConfig,
     LevelParameters,
     MultiFidelityData,
     MultiFidelityModel,
+    extended_trend_matrix,
     fit_multifidelity,
 )
 from mfkrig.exceptions import DuplicateDesignPointError, ParseError
-from mfkrig.kernels import BasisSpec, KernelSpec
+from mfkrig.kernels import BasisSpec, KernelSpec, basis_matrix
 from mfkrig.sequential import (
     COST_WEIGHTED,
     IMSE_THRESHOLD,
@@ -36,6 +38,8 @@ from mfkrig.sequential import (
     write_trace,
 )
 from mfkrig.testbed import get_problem, load_model, nested_lhs, save_model
+
+from helpers import reference_factored_nll_terms, reference_nll_terms
 
 UNIT1 = Domain([[0.0, 1.0]])
 
@@ -429,6 +433,29 @@ def test_enrich_with_reestimation_refits(forrester_model):
     assert np.isfinite(new.levels[0].nll)  # a real fit happened
 
 
+def test_a_frozen_enrich_keeps_each_level_nll(forrester_model):
+    model = forrester_model
+    for x, level in [(0.23, 2), (0.71, 1), (0.91, 2)]:
+        x = np.array([x])
+        model = enrich(model, x, level, values=forrester_values(x, level))
+    for t, (lev, config) in enumerate(zip(model.levels, model.configs)):
+        h = (basis_matrix(config.trend, lev.design) if t == 0 else
+             extended_trend_matrix(config, lev.design, lev.lower_values))
+        # the concentrated NLL of the level's data on its own grown factor
+        own, _, _, _ = reference_factored_nll_terms(lev.chol, h, lev.y)
+        assert lev.nll == pytest.approx(own, rel=1e-12)
+        # a fresh factor differs from the grown one by round-off, about
+        # cond(R + nugget) * eps (MultiFidelityModel.refit)
+        fresh, _, _, lo = reference_nll_terms(lev.design, h, lev.y, lev.kernel)
+        bound = np.linalg.cond(lo @ lo.T) * np.finfo(float).eps
+        assert lev.nll == pytest.approx(fresh, rel=bound)
+    # given coefficients hold no likelihood
+    given = MultiFidelityModel.from_parameters(model.data, model.configs, [
+        LevelParameters(lev.lengthscales, lev.sigma2, lev.beta, lev.rho_beta)
+        for lev in model.levels])
+    assert all(np.isnan(lev.nll) for lev in given.levels)
+
+
 # ---------------------------------------------------------------------------
 # trace serialization
 
@@ -515,6 +542,18 @@ def test_loop_rejects_a_budget_that_is_not_positive_and_finite(
                  simulators=simulators, search=GridSearch(17),
                  quadrature=GridQuadrature(64))
     assert calls == []
+
+
+def test_loop_rejects_an_unknown_rule_before_any_imse(monkeypatch,
+                                                     forrester_model):
+    def never_called(*args, **kwargs):
+        raise AssertionError("IMSE computed")
+
+    monkeypatch.setattr(sequential, "compute_imse", never_called)
+    with pytest.raises(ValueError, match="unknown rule 'greedy'"):
+        run_loop(forrester_model, UNIT1, CostModel([1.0, 5.0]), budget=10.0,
+                 simulators=forrester_simulators(), rule="greedy",
+                 search=GridSearch(17), quadrature=GridQuadrature(64))
 
 
 def test_loop_reduces_imse_within_budget(forrester_model):
