@@ -30,11 +30,7 @@ from .exceptions import (
     ParseError,
 )
 from .kernels import BasisSpec, KernelSpec
-from .kriging import _DEFAULT_RESTARTS
 from .sequential import (
-    IMSE_THRESHOLD,
-    LEVEL_RULES,
-    REFIT_NEVER,
     CostModel,
     Domain,
     GridQuadrature,
@@ -47,8 +43,7 @@ from .sequential import (
     run_loop,
     write_trace,
     _as_box,
-    _checked_budget,
-    _refit_period,
+    _run_settings,
 )
 from .testbed import (
     get_problem,
@@ -81,46 +76,40 @@ def _load_config(path) -> dict:
     return config
 
 
-def _require(config, key):
-    if key not in config:
-        raise _ConfigError(f"config is missing required key {key!r}")
-    return config[key]
+_TYPE_NAMES = {int: "an integer", bool: "true or false", float: "a number",
+               str: "a string", list[int]: "a list of integers",
+               list[float]: "a list of numbers"}
 
 
-_TYPE_NAMES = {int: "an integer", bool: "true or false"}
+def _is_a(value, kind) -> bool:
+    """JSON types read exactly: true is no integer and 1 no bool; a
+    number (float) is an integer or a float."""
+    if getattr(kind, "__origin__", None) is list:
+        return type(value) is list and all(
+            _is_a(v, kind.__args__[0]) for v in value)
+    return type(value) in ((int, float) if kind is float else (kind,))
 
 
 def _typed(config, key, kind, default=None, owner=""):
-    """config[key], exactly of type ``kind`` (int or bool: true is no
-    integer, 1 no bool), or ``default`` when the key is absent."""
-    value = config.get(key, default)
-    if type(value) is not kind:
+    """config[key], of the JSON type ``kind`` (a key of ``_TYPE_NAMES``),
+    or ``default`` when the key is absent; with no default the key is
+    required. Errors name the key."""
+    if key not in config:
+        if default is None:
+            raise _ConfigError(f"{owner or 'config '}needs {key!r}")
+        return default
+    value = config[key]
+    if not _is_a(value, kind):
         raise _ConfigError(
             f"{owner}{key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
     return value
 
 
-def _is_number(value) -> bool:
-    """A JSON number: true and false are not numbers here."""
-    return type(value) in (int, float)
-
-
-def _loop_settings(config, problem):
-    """(budget, cost model, rule, refit) of a sequential config, checked
-    before the initial fit so that a bad value costs no likelihood search."""
-    budget = _require(config, "budget")
-    if not _is_number(budget):
-        raise _ConfigError(f"'budget' must be a number, got {budget!r}")
-    costs = config.get("costs", problem.costs)
-    if not (isinstance(costs, list) and all(map(_is_number, costs))):
-        raise _ConfigError(f"'costs' must be a list of numbers, got {costs!r}")
-    rule = config.get("rule", IMSE_THRESHOLD)
-    if rule not in LEVEL_RULES:
-        raise _ConfigError(
-            f"'rule' must be one of {', '.join(LEVEL_RULES)}, got {rule!r}")
-    refit = config.get("refit", REFIT_NEVER)
-    _refit_period(refit)
-    return _checked_budget(budget), CostModel(costs), rule, refit
+def _options(config, owner="", **kinds):
+    """The typed fields of ``kinds`` that the config sets, as keyword
+    arguments: an absent field keeps the library's default."""
+    return {key: _typed(config, key, kind, owner=owner)
+            for key, kind in kinds.items() if key in config}
 
 
 def _level_configs(config, dimension) -> list[LevelConfig]:
@@ -148,14 +137,13 @@ def _build_data(config, problem) -> MultiFidelityData:
     """Initial data: from a directory of CSVs, or by sampling a nested
     design and running the built-in problem's level functions."""
     if "data_dir" in config:
-        return load_data(config["data_dir"])
+        return load_data(_typed(config, "data_dir", str))
     if problem is None:
         raise _ConfigError("config needs 'problem' or 'data_dir'")
-    sizes = _require(config, "sizes")
-    designs = nested_lhs(sizes, problem.bounds,
-                         seed=_typed(config, "seed", int, 0))
-    if len(designs) > problem.level_count:
+    sizes = _typed(config, "sizes", list[int])
+    if len(sizes) > problem.level_count:
         raise _ConfigError("more sizes than problem levels")
+    designs = nested_lhs(sizes, problem.bounds, **_options(config, seed=int))
     observations = [problem.evaluate(t + 1, d) for t, d in enumerate(designs)]
     return MultiFidelityData(designs, observations)
 
@@ -179,21 +167,16 @@ def _strategy_from(config, key, kinds):
     if raw.get("kind") not in kinds:
         raise _ConfigError(f"unknown {key} kind {raw.get('kind')!r}")
     strategy, size = kinds[raw["kind"]]
-    if size not in raw:
-        raise _ConfigError(f"{key} needs {size!r}")
-    options = {f.name: _typed(raw, f.name, type(f.default), owner=f"{key} ")
-               for f in fields(strategy)[1:] if f.name in raw}
-    return strategy(_typed(raw, size, int, owner=f"{key} "), **options)
+    owner = f"{key} "
+    options = _options(raw, owner, **{f.name: type(f.default)
+                                      for f in fields(strategy)[1:]})
+    return strategy(_typed(raw, size, int, owner=owner), **options)
 
 
-def _fit_from_config(config, problem):
-    """The model a config describes; ``problem`` is its built-in problem
-    or None."""
-    data = _build_data(config, problem)
+def _fit(config, data):
+    """The model a config describes, fitted to ``data``."""
     return fit_multifidelity(data, _level_configs(config, data.dimension),
-                             restarts=_typed(config, "restarts", int,
-                                             _DEFAULT_RESTARTS),
-                             seed=_typed(config, "seed", int, 0))
+                             **_options(config, restarts=int, seed=int))
 
 
 def _fit_report(model) -> str:
@@ -213,8 +196,9 @@ def _fit_report(model) -> str:
 
 
 def cmd_fit(config, out, quiet) -> int:
-    problem = get_problem(config["problem"]) if "problem" in config else None
-    model = _fit_from_config(config, problem)
+    problem = (get_problem(_typed(config, "problem", str))
+               if "problem" in config else None)
+    model = _fit(config, _build_data(config, problem))
     os.makedirs(out, exist_ok=True)
     save_model(model, out)
     report = _fit_report(model)
@@ -229,20 +213,20 @@ def cmd_fit(config, out, quiet) -> int:
 
 def _predict_points(config) -> np.ndarray:
     if "points_file" in config:
-        return load_points(config["points_file"])
+        return load_points(_typed(config, "points_file", str))
     if config.get("grid") is None:
         raise _ConfigError("config needs 'points_file' or 'grid'")
     if "bounds" in config:
         bounds = _as_box(config["bounds"])
     elif "problem" in config:
-        bounds = get_problem(config["problem"]).bounds
+        bounds = get_problem(_typed(config, "problem", str)).bounds
     else:
         raise _ConfigError("grid prediction needs 'bounds' or 'problem'")
     return product_grid(bounds, _typed(config, "grid", int))
 
 
 def cmd_predict(config, out, quiet) -> int:
-    model = load_model(_require(config, "model_dir"))
+    model = load_model(_typed(config, "model_dir", str))
     points = _predict_points(config)
     s = model.level_count
     d = model.dimension
@@ -262,17 +246,20 @@ def cmd_predict(config, out, quiet) -> int:
 
 
 def cmd_sequential(config, out, quiet) -> int:
-    problem = get_problem(_require(config, "problem"))
+    problem = get_problem(_typed(config, "problem", str))
     search = _strategy_from(config, "search", _SEARCH_KINDS)
     quadrature = _strategy_from(config, "quadrature", _QUADRATURE_KINDS)
-    budget, cost, rule, refit = _loop_settings(config, problem)
-    model = _fit_from_config(config, problem)
+    data = _build_data(config, problem)
     simulators = [lambda x, t=t: problem.evaluate(t, x)
                   for t in range(1, problem.level_count + 1)]
-    domain = Domain(problem.bounds)
-    model, trace = run_loop(model, domain, cost, budget, simulators,
-                            rule=rule, search=search, quadrature=quadrature,
-                            refit=refit)
+    cost = CostModel(_typed(config, "costs", list[float], problem.costs))
+    budget = _typed(config, "budget", float)
+    settings = _options(config, rule=str, refit=str)
+    # the run's settings fail here, before the initial fit searches
+    _run_settings(data.levels, cost, budget, simulators, **settings)
+    model, trace = run_loop(_fit(config, data), Domain(problem.bounds), cost,
+                            budget, simulators, search=search,
+                            quadrature=quadrature, **settings)
     os.makedirs(out, exist_ok=True)
     trace_path = os.path.join(out, "trace.csv")
     write_trace(trace, trace_path)
@@ -288,9 +275,9 @@ def cmd_sequential(config, out, quiet) -> int:
 
 
 def cmd_report(config, out, quiet) -> int:
-    trace = read_trace(_require(config, "trace"))
+    trace = read_trace(_typed(config, "trace", str))
     if "costs" in config:
-        cost = CostModel(config["costs"])
+        cost = CostModel(_typed(config, "costs", list[float]))
         if cost.levels < trace.levels:
             raise ValueError("cost model has fewer levels than the trace")
         cum = 0.0
@@ -351,7 +338,7 @@ def main(argv=None) -> int:
             config["seed"] = args.seed
         if args.out is not None:
             config["out"] = args.out
-        out = config.get("out", "mfkrig-out")
+        out = _typed(config, "out", str, "mfkrig-out")
         return _COMMANDS[args.command](config, out, args.quiet)
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -573,7 +573,11 @@ def write_trace(trace: EnrichmentTrace, path) -> None:
 
 
 def read_trace(path) -> EnrichmentTrace:
-    """Parse a trace CSV back; malformed content names file and line."""
+    """Parse a trace CSV back; malformed content names file and line.
+
+    A level-l row must fill value_1..value_l and leave the deeper value
+    cells empty, as ``write_trace`` writes it.
+    """
     header, body = read_csv(path)
     dimension = sum(1 for c in header if c.startswith("x_"))
     levels = sum(1 for c in header if c.startswith("value_"))
@@ -585,8 +589,13 @@ def read_trace(path) -> EnrichmentTrace:
         iteration = int(cells[0])
         x = np.array([float(c) for c in cells[1:1 + dimension]])
         level = int(cells[1 + dimension])
+        if not 1 <= level <= levels:
+            raise ValueError(f"level {level} is outside 1..{levels}")
         raw = cells[2 + dimension:2 + dimension + levels]
-        values = [float(c) for c in raw if c != ""]
+        if "" in raw[:level] or any(raw[level:]):
+            raise ValueError(f"a level {level} row fills value_1.."
+                             f"value_{level} and no other value cell")
+        values = [float(c) for c in raw[:level]]
         tail = [float(c) for c in cells[-3:]]
         return TraceEntry(iteration, x, level, values, *tail)
 
@@ -596,11 +605,7 @@ def read_trace(path) -> EnrichmentTrace:
                 trace.complete = False
                 continue
             raise ParseError(f"{path}:{lineno}: unrecognized comment line")
-        entry = parse_row(path, lineno, line, len(header), parse)
-        if len(entry.values) != entry.level:
-            raise ParseError(f"{path}:{lineno}: level {entry.level} row "
-                             f"carries {len(entry.values)} values")
-        trace.entries.append(entry)
+        trace.entries.append(parse_row(path, lineno, line, len(header), parse))
     return trace
 
 
@@ -608,30 +613,34 @@ def read_trace(path) -> EnrichmentTrace:
 # the loop
 
 
-def _checked_budget(budget) -> float:
-    """The loop budget as a float; it must be positive and finite."""
+def _run_settings(levels, cost: CostModel, budget, simulators,
+                  rule=IMSE_THRESHOLD, refit=REFIT_NEVER):
+    """(budget as a float, refit period) of a run over ``levels`` levels.
+
+    The one check of a run's settings: the cost model and the simulators
+    cover every level, ``rule`` passes ``_check_rule``, the budget is
+    positive and finite, and ``refit`` is "never" (period 0), "always"
+    (1) or "every-k" for an integer k >= 1 (k).
+    """
+    if cost.levels != levels:
+        raise ValueError("cost model and model disagree on level count")
+    if len(simulators) != levels:
+        raise ValueError("need one simulator per level")
+    _check_rule(rule, cost, levels)
     budget = float(budget)
     if not 0 < budget < np.inf:
         raise ValueError(f"budget must be positive and finite, got {budget}")
-    return budget
-
-
-def _refit_period(refit) -> int:
-    """Iterations between refits of a refit mode: 0 for "never", 1 for
-    "always", k for "every-k" with k >= 1."""
-    if refit == REFIT_NEVER:
-        return 0
-    if refit == REFIT_ALWAYS:
-        return 1
-    if isinstance(refit, str) and refit.startswith("every-"):
-        try:
-            period = int(refit.removeprefix("every-"))
-        except ValueError:
-            raise ValueError(f"unknown refit mode {refit!r}") from None
-        if period < 1:
-            raise ValueError("refit period must be a positive integer")
-        return period
-    raise ValueError(f"unknown refit mode {refit!r}")
+    if refit in (REFIT_NEVER, REFIT_ALWAYS):
+        return budget, int(refit == REFIT_ALWAYS)
+    if not (isinstance(refit, str) and refit.startswith("every-")):
+        raise ValueError(f"unknown refit mode {refit!r}")
+    try:
+        period = int(refit.removeprefix("every-"))
+    except ValueError:
+        raise ValueError(f"unknown refit mode {refit!r}") from None
+    if period < 1:
+        raise ValueError("refit period must be a positive integer")
+    return budget, period
 
 
 def run_loop(model, domain: Domain, cost: CostModel, budget,
@@ -648,16 +657,11 @@ def run_loop(model, domain: Domain, cost: CostModel, budget,
     the model's fit settings, so it searches again only the levels whose
     data changed since the model's last searches. A simulator failure
     (an exception or a non-finite value) stops the loop and returns the
-    partial trace flagged incomplete. The budget (positive and finite),
-    ``rule`` and ``refit`` are checked before the first IMSE.
+    partial trace flagged incomplete. Every setting is checked by
+    ``_run_settings`` before the first IMSE.
     """
-    if cost.levels != model.level_count:
-        raise ValueError("cost model and model disagree on level count")
-    if len(simulators) != model.level_count:
-        raise ValueError("need one simulator per level")
-    _check_rule(rule, cost, model.level_count)
-    budget = _checked_budget(budget)
-    period = _refit_period(refit)
+    budget, period = _run_settings(model.level_count, cost, budget,
+                                   simulators, rule, refit)
 
     # Resolved once, so each level's node correlations carry over
     # between iterations.

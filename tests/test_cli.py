@@ -344,6 +344,14 @@ def test_sequential_rejects_an_empty_strategy_before_any_fit(
      "search 'seed' must be an integer, got None"),
     (dict(quadrature={"kind": "monte-carlo", "n": [8]}),
      "quadrature 'n' must be an integer, got [8]"),
+    (dict(sizes="84"), "'sizes' must be a list of integers, got '84'"),
+    (dict(sizes=[8.7, 4]), "'sizes' must be a list of integers, got [8.7, 4]"),
+    (dict(sizes=[8, "4"]), "'sizes' must be a list of integers, got [8, '4']"),
+    (dict(sizes=8), "'sizes' must be a list of integers, got 8"),
+    (dict(problem=3), "'problem' must be a string, got 3"),
+    (dict(data_dir=0), "'data_dir' must be a string, got 0"),
+    (dict(out=0), "'out' must be a string, got 0"),
+    (dict(rule=1), "'rule' must be a string, got 1"),
 ])
 def test_sequential_names_a_mistyped_field(tmp_path, capsys, no_likelihood,
                                            override, message):
@@ -363,10 +371,12 @@ def test_sequential_names_a_mistyped_field(tmp_path, capsys, no_likelihood,
     (dict(costs="abc"), "'costs' must be a list of numbers, got 'abc'"),
     (dict(costs=[1.0, "5"]), "'costs' must be a list of numbers"),
     (dict(costs=[5.0, 1.0]), "costs must be strictly increasing"),
-    (dict(rule="greedy"), "'rule' must be one of imse-threshold, "
-                          "cost-weighted, got 'greedy'"),
+    (dict(rule="greedy"), "unknown rule 'greedy'"),
     (dict(refit="every-abc"), "unknown refit mode 'every-abc'"),
     (dict(refit="every-0"), "refit period must be a positive integer"),
+    (dict(costs=[1.0, 5.0, 10.0]),
+     "cost model and model disagree on level count"),
+    (dict(problem="chain3", sizes=[10, 5]), "need one simulator per level"),
 ])
 def test_sequential_checks_its_loop_settings_before_any_fit(
         tmp_path, capsys, monkeypatch, override, message):
@@ -381,6 +391,36 @@ def test_sequential_checks_its_loop_settings_before_any_fit(
     assert main(["sequential", "--config", path]) == EXIT_VALIDATION
     assert message in capsys.readouterr().err
     assert len(fits) == 0
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, fields, message", [
+    ("fit", dict(data_dir=0, level_count=2),
+     "'data_dir' must be a string, got 0"),
+    ("predict", dict(model_dir=0, grid=5, problem="forrester"),
+     "'model_dir' must be a string, got 0"),
+    ("predict", dict(model_dir="{model}", points_file=0),
+     "'points_file' must be a string, got 0"),
+    ("predict", dict(model_dir="{model}", grid=5, problem=["forrester"]),
+     "'problem' must be a string, got ['forrester']"),
+    ("report", dict(trace=0), "'trace' must be a string, got 0"),
+    ("report", dict(trace="{trace}", costs="15"),
+     "'costs' must be a list of numbers, got '15'"),
+    ("report", dict(trace="{trace}", costs=[1.0, 5.0], out=0),
+     "'out' must be a string, got 0"),
+])
+def test_a_mistyped_field_is_named_before_any_work(
+        tmp_path, fitted_dir, capsys, no_likelihood, command, fields,
+        message):
+    trace = tmp_path / "trace.csv"
+    write_trace(EnrichmentTrace(dimension=1, levels=2), trace)
+    paths = {"{model}": str(fitted_dir), "{trace}": str(trace)}
+    out = tmp_path / "out"
+    config = _config(tmp_path, "bad.json", **{"out": str(out), **{
+        key: paths.get(value, value) if isinstance(value, str) else value
+        for key, value in fields.items()}})
+    assert main([command, "--config", config]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -476,6 +516,22 @@ def test_report_malformed_trace_is_io_error(tmp_path, capsys):
                      out=str(tmp_path / "report"))
     assert main(["report", "--config", config]) == EXIT_IO
     assert "trace.csv:1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", [
+    "1,0.5,0,,,1.0,0.5,1.0",  # level 0, no values
+    "1,0.5,1,,3.0,1.0,0.5,1.0",  # a level-1 value in the value_2 cell
+])
+def test_report_rejects_a_row_off_the_cell_layout(tmp_path, capsys,
+                                                  no_likelihood, row):
+    path = tmp_path / "trace.csv"
+    path.write_text("iter,x_0,level,value_1,value_2,imse_before,imse_after,"
+                    f"cum_cost\n{row}\n")
+    out = tmp_path / "report"
+    config = _config(tmp_path, "report.json", trace=str(path), out=str(out))
+    assert main(["report", "--config", config]) == EXIT_IO
+    assert "trace.csv:2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -517,6 +517,17 @@ def test_trace_parse_errors_name_line(tmp_path):
     with pytest.raises(ParseError, match=r"trace\.csv:2"):
         read_trace(path)
 
+    # A level-l row fills value_1..value_l and leaves the deeper cells
+    # empty: no level 0 without values, no value moved to a deeper cell.
+    for level, values in (("0", ["", "", ""]), ("1", ["", "2.5", ""])):
+        bad = list(lines)
+        cells = bad[1].split(",")
+        cells[3], cells[4:7] = level, values
+        bad[1] = ",".join(cells)
+        path.write_text("\n".join(bad) + "\n")
+        with pytest.raises(ParseError, match=r"trace\.csv:2"):
+            read_trace(path)
+
 
 # ---------------------------------------------------------------------------
 # run_loop
