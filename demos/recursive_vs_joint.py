@@ -16,13 +16,13 @@ Run from the repository root:
     python3 demos/recursive_vs_joint.py
 """
 
+import os
 import sys
 
 import numpy as np
 
 from mfkrig import (
     BasisSpec,
-    JointModel,
     KernelSpec,
     LevelConfig,
     LevelParameters,
@@ -31,6 +31,11 @@ from mfkrig import (
     nested_lhs,
 )
 from mfkrig.kernels import NUGGET, correlation_matrix, same_points
+
+# the stacked formulation is the test suite's oracle, not a package module
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "tests"))
+from joint_oracle import JointModel  # noqa: E402
 
 # ----------------------------------------------------------------------
 # A three-level instance with fixed, known parameters

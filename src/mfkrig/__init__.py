@@ -24,11 +24,9 @@ from .exceptions import (
     IllConditionedError,
     InternalConsistencyError,
     MfkrigError,
-    OracleTooLargeError,
     ParseError,
     SingularTrendError,
 )
-from .joint import JointModel
 from .kernels import BasisSpec, KernelSpec
 from .kriging import KrigingProblem
 from .sequential import (
@@ -73,7 +71,6 @@ __all__ = [
     "GridSearch",
     "IllConditionedError",
     "InternalConsistencyError",
-    "JointModel",
     "KernelSpec",
     "KrigingProblem",
     "LevelConfig",
@@ -83,7 +80,6 @@ __all__ = [
     "MultiFidelityData",
     "MultiFidelityModel",
     "MultistartSearch",
-    "OracleTooLargeError",
     "ParseError",
     "PredictionBreakdown",
     "RandomSearch",

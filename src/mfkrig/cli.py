@@ -26,7 +26,6 @@ from .exceptions import (
     IllConditionedError,
     InternalConsistencyError,
     MfkrigError,
-    OracleTooLargeError,
     ParseError,
 )
 from .kernels import BasisSpec, KernelSpec
@@ -60,7 +59,7 @@ EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
 _NUMERICAL_ERRORS = (FitFailedError, IllConditionedError,
-                     InternalConsistencyError, OracleTooLargeError)
+                     InternalConsistencyError)
 # every other library error is a validation error
 _VALIDATION_ERRORS = (ValueError, KeyError, TypeError, MfkrigError)
 
@@ -78,7 +77,8 @@ def _load_config(path) -> dict:
 
 _TYPE_NAMES = {int: "an integer", bool: "true or false", float: "a number",
                str: "a string", list[int]: "a list of integers",
-               list[float]: "a list of numbers"}
+               list[float]: "a list of numbers",
+               list[list[float]]: "a list of lists of numbers"}
 
 
 def _is_a(value, kind) -> bool:
@@ -217,7 +217,7 @@ def _predict_points(config) -> np.ndarray:
     if config.get("grid") is None:
         raise _ConfigError("config needs 'points_file' or 'grid'")
     if "bounds" in config:
-        bounds = _as_box(config["bounds"])
+        bounds = _as_box(_typed(config, "bounds", list[list[float]]))
     elif "problem" in config:
         bounds = get_problem(_typed(config, "problem", str)).bounds
     else:
@@ -278,8 +278,9 @@ def cmd_report(config, out, quiet) -> int:
     trace = read_trace(_typed(config, "trace", str))
     if "costs" in config:
         cost = CostModel(_typed(config, "costs", list[float]))
-        if cost.levels < trace.levels:
-            raise ValueError("cost model has fewer levels than the trace")
+        if cost.levels != trace.levels:
+            raise ValueError(f"cost model has {cost.levels} levels, "
+                             f"the trace {trace.levels}")
         cum = 0.0
         for e in trace.entries:
             cum += cost.cost_through(e.level)

@@ -25,9 +25,5 @@ class DuplicateDesignPointError(MfkrigError):
     """Enrichment point already present in the design."""
 
 
-class OracleTooLargeError(MfkrigError):
-    """Joint-model oracle asked to factor more points than its cap allows."""
-
-
 class ParseError(MfkrigError):
     """A data or model file could not be parsed; message names file and line."""

@@ -34,17 +34,21 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular, LinAlgError
 
-from .cokriging import _check_levels
-from .exceptions import IllConditionedError, OracleTooLargeError
-from .kernels import (
+from mfkrig.cokriging import _check_levels
+from mfkrig.exceptions import IllConditionedError, MfkrigError
+from mfkrig.kernels import (
     basis_matrix,
     cross_correlation,
     probe_correlation,
     _as_points,
 )
-from .kriging import _VARIANCE_SLACK
+from mfkrig.kriging import _VARIANCE_SLACK
 
 DEFAULT_MAX_POINTS = 200
+
+
+class OracleTooLargeError(MfkrigError):
+    """Joint-model oracle asked to factor more points than its cap allows."""
 
 
 @dataclass

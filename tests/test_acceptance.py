@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 from helpers import draw_ar1_data
+from joint_oracle import JointModel
 from mfkrig.cli import EXIT_OK, main
 from mfkrig.cokriging import (
     LevelConfig,
@@ -21,7 +22,6 @@ from mfkrig.cokriging import (
     fit_level,
     fit_multifidelity,
 )
-from mfkrig.joint import JointModel
 from mfkrig.kernels import (
     BasisSpec,
     KernelSpec,

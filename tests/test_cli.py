@@ -408,6 +408,10 @@ def test_sequential_checks_its_loop_settings_before_any_fit(
      "'costs' must be a list of numbers, got '15'"),
     ("report", dict(trace="{trace}", costs=[1.0, 5.0], out=0),
      "'out' must be a string, got 0"),
+    ("predict", dict(model_dir="{model}", grid=5, bounds=[["0", True]]),
+     "'bounds' must be a list of lists of numbers, got [['0', True]]"),
+    ("report", dict(trace="{trace}", costs=[1.0, 5.0, 10.0]),
+     "cost model has 3 levels, the trace 2"),
 ])
 def test_a_mistyped_field_is_named_before_any_work(
         tmp_path, fitted_dir, capsys, no_likelihood, command, fields,

@@ -7,11 +7,10 @@ from mfkrig.cokriging import (
     MultiFidelityData,
     MultiFidelityModel,
 )
-from mfkrig.exceptions import OracleTooLargeError
-from mfkrig.joint import DEFAULT_MAX_POINTS, JointModel
 from mfkrig.kernels import BasisSpec, KernelSpec, basis_matrix, cross_correlation
 
 from helpers import dense_predict, draw_ar1_data, draw_nested_designs
+from joint_oracle import DEFAULT_MAX_POINTS, JointModel, OracleTooLargeError
 
 SE = "squared-exponential"
 M52 = "matern-5/2"

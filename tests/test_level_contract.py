@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mfkrig.cokriging as cokriging
+from joint_oracle import JointModel
 from mfkrig.cli import EXIT_VALIDATION, main
 from mfkrig.cokriging import (
     LevelConfig,
@@ -18,7 +19,6 @@ from mfkrig.cokriging import (
     fit_multifidelity,
 )
 from mfkrig.exceptions import SingularTrendError
-from mfkrig.joint import JointModel
 from mfkrig.kernels import BasisSpec, KernelSpec
 from mfkrig.kriging import KrigingProblem
 from mfkrig.testbed import get_problem, nested_lhs, save_data

@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 import mfkrig
+import mfkrig.cli
 import mfkrig.sequential as sequential
 from mfkrig.cokriging import (
     LevelConfig,
@@ -24,6 +26,17 @@ def test_every_exported_name_resolves():
     missing = [name for name in mfkrig.__all__ if not hasattr(mfkrig, name)]
     assert missing == []
     assert len(set(mfkrig.__all__)) == len(mfkrig.__all__)
+
+
+def test_the_package_ships_one_posterior():
+    # the stacked-covariance formulation is the tests' oracle, joint_oracle
+    assert importlib.util.find_spec("mfkrig.joint") is None
+    for name in ("JointModel", "OracleTooLargeError"):
+        assert name not in mfkrig.__all__
+        assert not hasattr(mfkrig.exceptions, name)
+    assert mfkrig.cli._NUMERICAL_ERRORS == (
+        mfkrig.FitFailedError, mfkrig.IllConditionedError,
+        mfkrig.InternalConsistencyError)
 
 
 _LOADED = ("import sys; print(sorted(m for m in ('scipy.spatial', "
