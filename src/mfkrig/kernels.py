@@ -139,6 +139,18 @@ def _scaled_correlation(family, a, b) -> np.ndarray:
     return r
 
 
+def _log_lengthscale_weight(family, scaled) -> np.ndarray:
+    """W with dR/d(log theta_k) = W * D_k on the points ``scaled``, already
+    divided by their lengthscales, where D_k holds their squared
+    differences in dimension k: 2 R for the squared exponential and
+    (5/3)(1 + u) exp(-u), u = sqrt(5) h, for Matern-5/2, the derivatives
+    of the formulas of ``_scaled_correlation``."""
+    if family == SQUARED_EXPONENTIAL:
+        return 2.0 * _scaled_correlation(family, scaled, scaled)
+    u = np.sqrt(5.0) * _cdist()(scaled, scaled, "euclidean")
+    return (5.0 / 3.0) * (1.0 + u) * np.exp(-u)
+
+
 def correlation_matrix(spec: KernelSpec, points) -> np.ndarray:
     """Symmetric correlation matrix of a point set, unit diagonal, no nugget."""
     pts = _as_points(points)

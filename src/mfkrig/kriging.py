@@ -3,15 +3,16 @@
 Each level of a ``MultiFidelityModel`` is a universal-kriging fit on its
 own design; this module holds the numerics that fit and predict one
 such level. Trend coefficients and process variance come from
-generalized least squares; lengthscales from multi-start Nelder-Mead
-minimization of the concentrated negative log-likelihood
+generalized least squares; lengthscales from multi-start minimization
+of the concentrated negative log-likelihood
 
     (n - p) * log(sigma2_hat(theta)) + log det R(theta)
 
-over log-lengthscales (``_ml_fit``). The search clips each point into
-the log-lengthscale box and memoizes the NLL on the clipped vector, so
-a point it has already evaluated is not factored again; the evaluation
-is deterministic, so the memo changes no fitted value. ``_solve_level``
+over log-lengthscales inside a box (``_ml_fit``): L-BFGS-B on its
+analytic gradient (``_nll_gradient``) where the level's residuals are
+well above round-off, and a memoized Nelder-Mead search on a level
+whose residuals are round-off, whose likelihood has no well-posed
+minimum. ``_solve_level``
 factors a level and stores its residual solve; a frozen refit of a
 design grown by appended rows grows the old factor row by row
 (``_append_rows``) instead, so its leading block stays bit for bit.
@@ -38,6 +39,7 @@ functions. Results are bit for bit those of the scipy wrappers
 (``tests/helpers.py`` keeps that path as the oracle).
 """
 
+import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -58,6 +60,7 @@ from .kernels import (
     KernelSpec,
     basis_matrix,
     _as_points,
+    _log_lengthscale_weight,
     _scaled_correlation,
 )
 
@@ -77,11 +80,20 @@ _COLUMN_BLOCK = 1024
 
 _DEFAULT_RESTARTS = 5
 
+# A level whose sigma2_hat is below this times its floor at some start of
+# its search has only round-off residuals: no well-posed likelihood.
+_WELL_POSED = 1e6
+
+# The farthest an L-BFGS-B run's first step moves, in log-lengthscale.
+_FIRST_STEP = 0.25
+
+_log = logging.getLogger(__name__)
+
 # The LAPACK routines of the likelihood, bound once for float64, and
 # dgelsd's rcond: singular values below this times the largest count as
 # zero, the default of scipy.linalg.lstsq.
-_potrf, _trtrs, _gelsd, _gelsd_lwork = get_lapack_funcs(
-    ("potrf", "trtrs", "gelsd", "gelsd_lwork"), dtype=np.float64)
+_potrf, _potri, _trtrs, _gelsd, _gelsd_lwork = get_lapack_funcs(
+    ("potrf", "potri", "trtrs", "gelsd", "gelsd_lwork"), dtype=np.float64)
 _RCOND = np.finfo(float).eps
 
 
@@ -334,6 +346,29 @@ def _factored_nll_terms(lik: _Likelihood, lo):
     return nll, beta, sigma2, lo
 
 
+def _nll_gradient(lik: _Likelihood, theta, terms) -> np.ndarray:
+    """d nll / d(log theta) at ``theta`` from its ``_nll_terms``.
+
+    Component k is tr(R^{-1} dR_k) - alpha' dR_k alpha / sigma2, with
+    alpha = R^{-1}(y - H beta) and dR_k = W * D_k
+    (``kernels._log_lengthscale_weight``); beta and sigma2 are
+    concentrated out, so their own change does not enter (Rasmussen &
+    Williams 2006, 5.4.1). A floored sigma2 does not move with theta,
+    so the second term is dropped there. Each D_k is symmetric with a
+    zero diagonal, so each sum is twice its strict lower triangle.
+    """
+    _, beta, sigma2, lo = terms
+    m, _ = _potri(lo, lower=1)
+    if sigma2 > lik.sigma2_floor:
+        v, _ = _trtrs(lo, lik.y - lik.trend @ beta, lower=1)
+        alpha, _ = _trtrs(lo, v, lower=1, trans=1)
+        m -= np.outer(alpha / sigma2, alpha)
+    scaled = lik.design / theta
+    m = np.tril(m, -1) * _log_lengthscale_weight(lik.family, scaled)
+    diff = scaled[:, None, :] - scaled[None, :, :]
+    return 2.0 * np.einsum("ij,ijk->k", m, diff * diff)
+
+
 def _solve_level(kernel, design, trend_matrix, y, coef=None, grown_from=None):
     """Factor a level and store its residual solve; the one place this is done.
 
@@ -415,51 +450,107 @@ def _draw_starts(log_lo, log_hi, restarts, rng) -> list:
 def _ml_fit(design, trend_matrix, y, family, box, starts):
     """Multi-start concentrated-ML search for one level's lengthscales.
 
-    Minimizes the concentrated NLL over log-lengthscales with
-    Nelder-Mead inside ``box``, the checked (log_lo, log_hi) of
-    ``_search_box``, one run per start of ``starts`` (``_draw_starts``).
-    It draws nothing, so its result depends on its arguments alone.
-    Returns the kernel at the best lengthscales found; each run ends on
-    its best simplex vertex, which is never worse than its start.
+    Minimizes the concentrated NLL over log-lengthscales inside ``box``,
+    the checked (log_lo, log_hi) of ``_search_box``, one run per start
+    of ``starts`` (``_draw_starts``). It draws nothing, so its result
+    depends on its arguments alone. Each start is evaluated once, and
+    its sigma2_hat picks the route:
 
-    The objective clips each point into the log-box before it
-    evaluates, so Nelder-Mead's points outside the box, its collapsed
-    simplex vertices and each start's first point keep landing on
-    vectors already evaluated. It memoizes on the bytes of the clipped
-    vector, one memo per call shared by all starts: ``_nll_terms`` is
-    deterministic, so a hit returns the very float a fresh evaluation
-    would and every search follows the same path as without the memo.
+    * A well-posed level runs L-BFGS-B inside the box on the analytic
+      gradient (``_nll_gradient``). scipy's first step on a boxed
+      problem is the full projected -g, so each run divides objective
+      and gradient by max(1, |g(z0)| / ``_FIRST_STEP``): its first step
+      moves at most that far.
+    * A level whose sigma2_hat is below ``_WELL_POSED`` times its floor
+      at some start has only round-off residuals, so its NLL is
+      round-off too and a gradient means nothing there. It runs
+      Nelder-Mead on an objective that clips each point into the box
+      and memoizes the NLL on the bytes of the clipped vector, one memo
+      per call shared by all starts: ``_nll_terms`` is deterministic,
+      so a hit returns the very float a fresh evaluation would and the
+      search follows the same path as without the memo.
+
+    Returns the kernel at the best point the runs reached, never worse
+    than the best start, and logs one DEBUG record of the search to the
+    ``mfkrig.kriging`` logger: its route, start count, ``_nll_terms``
+    evaluations, best NLL and the dimensions on a bound of the box.
     """
     from scipy.optimize import minimize
 
     log_lo, log_hi = box
     lik = _likelihood(family, design, trend_matrix, y)
-    memo = {}
+    evaluations = 0
 
-    def objective(z):
-        z = np.clip(z, log_lo, log_hi)
-        key = z.tobytes()
-        nll = memo.get(key)
-        if nll is None:
-            try:
-                nll, _, _, _ = _nll_terms(lik, np.exp(z))
-            except (IllConditionedError, SingularTrendError):
-                nll = np.inf
-            memo[key] = nll = nll if np.isfinite(nll) else np.inf
-        return nll
+    def evaluate(z):
+        """``_nll_terms`` at log-lengthscales ``z``, None where they fail."""
+        nonlocal evaluations
+        evaluations += 1
+        try:
+            terms = _nll_terms(lik, np.exp(z))
+        except (IllConditionedError, SingularTrendError):
+            return None
+        return terms if np.isfinite(terms[0]) else None
 
-    best = None
+    at_start = {}  # (z, terms) by the bytes of the clipped start z
     for z0 in starts:
-        if not np.isfinite(objective(z0)):
-            continue
-        res = minimize(objective, z0, method="Nelder-Mead",
-                       options={"xatol": 1e-6, "fatol": 1e-9,
-                                "maxiter": 400 * design.shape[1]})
-        if best is None or res.fun < best[0]:
-            best = (res.fun, np.clip(res.x, log_lo, log_hi))
-    if best is None:
+        z = np.clip(z0, log_lo, log_hi)
+        if z.tobytes() not in at_start:
+            at_start[z.tobytes()] = (z, evaluate(z))
+    finite = [(z, terms) for z, terms in at_start.values() if terms is not None]
+    if not finite:
         raise FitFailedError(
             f"all {len(starts)} likelihood starts were ill-conditioned"
         )
+    if any(terms[2] < _WELL_POSED * lik.sigma2_floor for _, terms in finite):
+        route = "nelder-mead"
+        best = [np.inf, None]
+        memo = {key: np.inf if terms is None else terms[0]
+                for key, (_, terms) in at_start.items()}
 
-    return KernelSpec(family, np.exp(best[1]))
+        def objective(z):
+            z = np.clip(z, log_lo, log_hi)
+            key = z.tobytes()
+            nll = memo.get(key)
+            if nll is None:
+                terms = evaluate(z)
+                memo[key] = nll = np.inf if terms is None else terms[0]
+            return nll
+
+        for z0 in starts:
+            if not np.isfinite(objective(z0)):
+                continue
+            res = minimize(objective, z0, method="Nelder-Mead",
+                           options={"xatol": 1e-6, "fatol": 1e-9,
+                                    "maxiter": 400 * design.shape[1]})
+            if res.fun < best[0]:
+                best = [res.fun, np.clip(res.x, log_lo, log_hi)]
+    else:
+        route = "l-bfgs-b"
+        best = list(min(((terms[0], z) for z, terms in finite),
+                        key=lambda start: start[0]))
+        for z0, terms0 in finite:
+            g0 = _nll_gradient(lik, np.exp(z0), terms0)
+            scale = max(1.0, float(np.linalg.norm(g0)) / _FIRST_STEP)
+
+            def objective(z, z0=z0, terms0=terms0, g0=g0, scale=scale):
+                if z.tobytes() == z0.tobytes():
+                    nll, g = terms0[0], g0
+                else:
+                    terms = evaluate(z)
+                    if terms is None:
+                        return np.inf, np.zeros_like(z)
+                    nll, g = terms[0], _nll_gradient(lik, np.exp(z), terms)
+                    if nll < best[0]:
+                        best[:] = nll, z.copy()
+                return nll / scale, g / scale
+
+            minimize(objective, z0, jac=True, method="L-BFGS-B",
+                     bounds=list(zip(log_lo, log_hi)))
+
+    z = best[1]
+    # L-BFGS-B's line search can stop a round-off away from a bound
+    on_bound = np.minimum(z - log_lo, log_hi - z) < 1e-8
+    _log.debug("search %s: %d starts, %d evaluations, best nll %.17g, "
+               "on a bound in dimensions %s", route, len(starts), evaluations,
+               best[0], np.flatnonzero(on_bound).tolist())
+    return KernelSpec(family, np.exp(z))

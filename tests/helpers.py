@@ -1,7 +1,8 @@
 """Shared test utilities: prior sampling, dense reference formulas, the
-likelihood evaluation through scipy's checked wrappers, the likelihood
-search without its memo, a variance search through ``predict``, and the
-sequential loop spelled out through public calls."""
+likelihood evaluation through scipy's checked wrappers, the Nelder-Mead
+route of the likelihood search without its memo, the routes searches
+log, a variance search through ``predict``, and the sequential loop
+spelled out through public calls."""
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky, lstsq, solve_triangular
@@ -105,10 +106,14 @@ def reference_factored_nll_terms(lo, trend_matrix, y):
 
 
 def reference_ml_fit(design, trend_matrix, y, family, box, starts):
-    """``kriging._ml_fit`` without its memo: every objective call clips
-    its point into the log-box and evaluates ``kriging._nll_terms`` afresh.
-    The oracle of the memoized search, whose fits must match it bit for
-    bit; it takes the same arguments, so it can stand in for it."""
+    """The Nelder-Mead route of ``kriging._ml_fit`` without its memo:
+    every objective call clips its point into the log-box and evaluates
+    ``kriging._nll_terms`` afresh. A round-off level, whose sigma2_hat is
+    below ``kriging._WELL_POSED`` times its floor at some start, takes
+    that route, and its fit must match this one bit for bit. On a
+    well-posed level this is the Nelder-Mead search that L-BFGS-B
+    replaced, the yardstick for the L-BFGS-B route's NLL. It takes the
+    same arguments as ``_ml_fit``, so it can stand in for it."""
     design = _as_points(design)
     y = np.asarray(y, dtype=float).ravel()
     log_lo, log_hi = box
@@ -163,6 +168,12 @@ def draw_nested_designs(rng, sizes, d):
         idx = rng.choice(len(designs[-1]), size=n, replace=False)
         designs.append(designs[-1][idx])
     return designs
+
+
+def search_routes(records):
+    """The route of each ``kriging._ml_fit`` search, in call order, read
+    from the DEBUG records of the ``mfkrig.kriging`` logger."""
+    return [r.args[0] for r in records if r.name == "mfkrig.kriging"]
 
 
 def draw_ar1_data(rng, designs, rho_values, kernels, sigma2s):

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,9 @@ from helpers import (
     dense_predict,
     draw_ar1_data,
     draw_nested_designs,
+    reference_ml_fit,
     sample_gp,
+    search_routes,
 )
 
 SE = "squared-exponential"
@@ -190,17 +194,38 @@ def test_rho_on_level_one_is_an_error():
 
 # -------------------------------------------------------------- fit_level
 
-def test_exact_scaling_relation_recovered():
-    # z2 = 2 * z1 on D_2 exactly, no discrepancy: beta_rho -> 2,
-    # residual-zero variance path taken (floored positive, tiny)
+def _exact_scaling_data():
+    """z2 = 2 * z1 on D_2 exactly, with no discrepancy."""
     rng = np.random.default_rng(3)
     designs = draw_nested_designs(rng, (20, 10), 1)
     z1 = sample_gp(rng, designs[0], KernelSpec(SE, [0.25]))
     z2 = 2.0 * z1[np.argmax(same_points(designs[1], designs[0]), axis=1)]
-    data = MultiFidelityData(designs, [z1, z2])
-    level = fit_level(2, data, two_level_configs()[1], restarts=2, seed=0)
+    return MultiFidelityData(designs, [z1, z2])
+
+
+def test_exact_scaling_relation_recovered():
+    # beta_rho -> 2, residual-zero variance path taken (floored positive, tiny)
+    level = fit_level(2, _exact_scaling_data(), two_level_configs()[1],
+                      restarts=2, seed=0)
     assert level.rho_beta[0] == pytest.approx(2.0, abs=1e-6)
     assert 0 < level.sigma2 < 1e-20
+
+
+def test_exact_scaling_relation_is_fitted_as_the_nelder_mead_reference(
+        monkeypatch, caplog):
+    # a round-off level keeps the Nelder-Mead search, bit for bit
+    def fitted(level):
+        return [np.asarray(a, dtype=float).tobytes() for a in (
+            level.kernel.lengthscales, level.beta, level.rho_beta,
+            level.sigma2, level.nll, level.chol, level.alpha)]
+
+    data, config = _exact_scaling_data(), two_level_configs()[1]
+    caplog.set_level(logging.DEBUG, logger="mfkrig.kriging")
+    level = fit_level(2, data, config, restarts=2, seed=0)
+    assert search_routes(caplog.records) == ["nelder-mead"]
+    monkeypatch.setattr(cokriging, "_ml_fit", reference_ml_fit)
+    assert fitted(level) == fitted(fit_level(2, data, config, restarts=2,
+                                             seed=0))
 
 
 def test_zero_lower_responses_name_the_scaling_block():

@@ -1,3 +1,4 @@
+import logging
 import sys
 
 import numpy as np
@@ -15,6 +16,7 @@ from mfkrig.exceptions import (
 )
 from mfkrig.cokriging import LevelConfig, MultiFidelityData, fit_multifidelity
 from mfkrig.kernels import NUGGET, BasisSpec, KernelSpec, basis_matrix, correlation_matrix
+from mfkrig.testbed import get_problem, nested_lhs
 from mfkrig.kriging import (
     KrigingProblem,
     chol_nugget,
@@ -30,9 +32,11 @@ from helpers import (
     dense_predict,
     reference_chol_nugget,
     reference_gls,
+    draw_ar1_data,
     reference_ml_fit,
     reference_nll_terms,
     sample_gp,
+    search_routes,
 )
 
 SE = "squared-exponential"
@@ -186,6 +190,52 @@ def test_lapack_path_is_bit_identical_to_the_scipy_wrappers(case):
         _outcome(lambda: (reference_chol_nugget(r),))
     assert _outcome(lambda: gls_fit(r, f, y)) == \
         _outcome(lambda: reference_gls(reference_chol_nugget(r), f, y))
+
+
+@st.composite
+def _gradient_cases(draw):
+    """(likelihood, log-lengthscales, floored): n = 6-14 points in
+    d = 1-3, both kernels and trends, lengthscales in [0.05, 0.2]. The
+    first coordinate lies on a jittered grid, so points are at least
+    0.5 / n apart and R is well conditioned enough for central
+    differences to resolve 1e-5. A floored case raises the sigma2 floor
+    to 10 times the unfloored estimate, so the floor holds near z while
+    the residual alpha stays far from round-off."""
+    d = draw(st.integers(1, 3))
+    basis = BasisSpec(draw(st.sampled_from(["constant", "linear"])), d)
+    family = draw(st.sampled_from([SE, M52]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(6, 14))
+    design = rng.uniform(0.0, 1.0, size=(n, d))
+    design[:, 0] = (rng.permutation(n) + 0.5 + rng.uniform(-0.25, 0.25, n)) / n
+    y = np.sin(3.0 * design).sum(axis=1) + 0.1 * rng.normal(size=n)
+    z = np.log(rng.uniform(0.05, 0.2, size=d))
+    lik = kriging._likelihood(family, design, basis_matrix(basis, design), y)
+    floored = draw(st.booleans())
+    if floored:
+        _, sigma2 = kriging._gls(kriging._nugget_factor(family, design,
+                                                        np.exp(z)),
+                                 lik.trend, y)
+        lik = lik._replace(sigma2_floor=10.0 * sigma2)
+    return lik, z, floored
+
+
+@settings(max_examples=100, deadline=None)
+@given(_gradient_cases())
+def test_nll_gradient_matches_central_differences(case):
+    lik, z, floored = case
+    terms = kriging._nll_terms(lik, np.exp(z))
+    assert (terms[2] == lik.sigma2_floor) == floored
+    gradient = kriging._nll_gradient(lik, np.exp(z), terms)
+    h = 1e-5
+    central = np.array([
+        (kriging._nll_terms(lik, np.exp(z + h * e))[0]
+         - kriging._nll_terms(lik, np.exp(z - h * e))[0]) / (2.0 * h)
+        for e in np.eye(z.size)])
+    # floored, the NLL is (n - p) log(floor) + log det R: the residual
+    # term must be absent from the gradient for the two to agree
+    np.testing.assert_allclose(gradient, central, rtol=1e-5,
+                               atol=1e-5 * max(1.0, np.abs(central).max()))
 
 
 # ------------------------------------------------------ error parity
@@ -360,11 +410,22 @@ def test_a_fit_searches_from_the_start_rule(monkeypatch):
         np.array(_starts(box, 4, 3)).tobytes()
 
 
+def _round_off_problem(rng, d=1, family=SE):
+    """A problem whose responses lie in its linear trend's span, so its
+    residuals are round-off at every lengthscale."""
+    problem = make_problem(rng, n=12, d=d, trend="linear", family=family)
+    y = basis_matrix(problem.trend, problem.design) @ np.arange(1.0, d + 2)
+    return KrigingProblem(problem.design, y, problem.trend, problem.kernel)
+
+
 @pytest.mark.parametrize("d, family", [(1, SE), (2, M52)])
-def test_search_evaluates_each_clipped_vector_once(monkeypatch, d, family):
-    problem = make_problem(np.random.default_rng(4), n=12, d=d, family=family)
+def test_search_evaluates_each_clipped_vector_once(monkeypatch, caplog, d,
+                                                   family):
+    problem = _round_off_problem(np.random.default_rng(4), d, family)
+    caplog.set_level(logging.DEBUG, logger="mfkrig.kriging")
     keys = _spy_evaluations(monkeypatch)
     kernel = _search(problem, kriging._ml_fit)
+    assert search_routes(caplog.records) == ["nelder-mead"]
     memoized = list(keys)
     keys.clear()
     reference = _search(problem, reference_ml_fit)
@@ -374,11 +435,13 @@ def test_search_evaluates_each_clipped_vector_once(monkeypatch, d, family):
     assert kernel.lengthscales.tobytes() == reference.lengthscales.tobytes()
 
 
-def test_search_factors_an_ill_conditioned_vector_once(monkeypatch):
-    problem = make_problem(np.random.default_rng(6), n=12)
+def test_search_factors_an_ill_conditioned_vector_once(monkeypatch, caplog):
+    problem = _round_off_problem(np.random.default_rng(6))
     bounds = (0.05, 5.0)
+    caplog.set_level(logging.DEBUG, logger="mfkrig.kriging")
     keys = _spy_evaluations(monkeypatch, lambda theta: theta[0] > 1.0)
     kernel = _search(problem, kriging._ml_fit, bounds)
+    assert search_routes(caplog.records) == ["nelder-mead"]
     memoized = list(keys)
     keys.clear()
     reference = _search(problem, reference_ml_fit, bounds)
@@ -387,6 +450,99 @@ def test_search_factors_an_ill_conditioned_vector_once(monkeypatch):
     assert len([k for k in keys if np.exp(np.frombuffer(k))[0] > 1.0]) \
         > len(raised)
     assert kernel.lengthscales.tobytes() == reference.lengthscales.tobytes()
+
+
+@pytest.mark.parametrize("d, family", [(1, SE), (2, M52)])
+def test_a_well_posed_search_evaluates_each_start_once(monkeypatch, caplog, d,
+                                                       family):
+    problem = make_problem(np.random.default_rng(4), n=12, d=d, family=family)
+    caplog.set_level(logging.DEBUG, logger="mfkrig.kriging")
+    keys = _spy_evaluations(monkeypatch)
+    box = kriging._search_box(problem.design, None)
+    starts = _starts(box, 4, 3)
+    _search(problem, kriging._ml_fit)
+    assert search_routes(caplog.records) == ["l-bfgs-b"]
+    assert keys[:4] == [z.tobytes() for z in starts]
+    assert all(keys.count(z.tobytes()) == 1 for z in starts)
+    # the first step from the first start moves at most _FIRST_STEP
+    step = np.frombuffer(keys[4]) - starts[0]
+    assert 0 < np.linalg.norm(step) <= kriging._FIRST_STEP * (1 + 1e-12)
+
+
+def _spy_searches(monkeypatch):
+    """Record (arguments, kernel) of every ``_ml_fit`` call of a fit."""
+    searches = []
+    original = cokriging._ml_fit
+
+    def spy(*args):
+        searches.append((args, original(*args)))
+        return searches[-1][1]
+
+    monkeypatch.setattr(cokriging, "_ml_fit", spy)
+    return searches
+
+
+def _search_nll(args, kernel):
+    """The concentrated NLL of a search's level at ``kernel``."""
+    design, h, y, family, _, _ = args
+    nll, _, _, _ = kriging._nll_terms(
+        kriging._likelihood(family, design, h, y), kernel.lengthscales)
+    return nll
+
+
+@pytest.mark.parametrize("seed, level", [(17, 2), (13, 1)])
+def test_capped_first_step_reaches_the_nelder_mead_optimum(monkeypatch, seed,
+                                                           level):
+    # acceptance criterion 5's data; an uncapped first step jumps from
+    # these levels' starts to a worse optimum on the box's bound
+    rng = np.random.default_rng(5000 + seed)
+    d = int(rng.integers(1, 3))
+    designs = nested_lhs([10, 5], [[0.0, 1.0]] * d,
+                         seed=int(rng.integers(1 << 31)))
+    kernels = [KernelSpec(SE, rng.uniform(0.3, 0.6, d)) for _ in range(2)]
+    data = MultiFidelityData(
+        designs, draw_ar1_data(rng, designs, [1.5], kernels, [1.0, 0.4]))
+    configs = [LevelConfig(BasisSpec("constant", d), KernelSpec(SE)),
+               LevelConfig(BasisSpec("constant", d), KernelSpec(SE),
+                           scaling=BasisSpec("constant", d))]
+    searches = _spy_searches(monkeypatch)
+    fit_multifidelity(data, configs, restarts=2, seed=seed)
+    args, kernel = searches[level - 1]
+    reference = _search_nll(args, reference_ml_fit(*args))
+    assert _search_nll(args, kernel) <= \
+        reference + 1e-6 * max(1.0, abs(reference))
+
+
+def test_each_search_logs_one_debug_record(monkeypatch, caplog):
+    problem = get_problem("chain3")
+    designs = nested_lhs([12, 8, 4], problem.bounds, seed=4)
+    data = MultiFidelityData(designs, [problem.evaluate(t + 1, x)
+                                       for t, x in enumerate(designs)])
+    # the top code is linear in the one below: level 3 is round-off
+    configs = [LevelConfig(BasisSpec(trend, 1), KernelSpec(SE),
+                           None if t == 0 else BasisSpec("constant", 1))
+               for t, trend in enumerate(["constant", "constant", "linear"])]
+    calls = []
+    original = kriging._nll_terms
+    monkeypatch.setattr(kriging, "_nll_terms", lambda lik, theta: (
+        calls.append(len(lik.y)), original(lik, theta))[1])
+    caplog.set_level(logging.DEBUG, logger="mfkrig.kriging")
+    model = fit_multifidelity(data, configs, restarts=3, seed=2)
+    records = [r for r in caplog.records if r.name == "mfkrig.kriging"]
+    assert [r.levelno for r in records] == [logging.DEBUG] * 3
+    assert [r.args[:3] for r in records] == [
+        ("l-bfgs-b", 3, calls.count(12)), ("l-bfgs-b", 3, calls.count(8)),
+        ("nelder-mead", 3, calls.count(4))]
+    for record, lev in zip(records, model.levels):
+        assert record.args[3] == lev.nll
+        box = np.exp(kriging._search_box(lev.design, None))
+        gap = np.abs(lev.kernel.lengthscales / box - 1.0).min(axis=0)
+        assert record.args[4] == np.flatnonzero(gap < 1e-8).tolist()
+        assert not np.any((gap >= 1e-8) & (gap < 1e-6))  # no borderline case
+    assert records[2].args[4] == [0]  # the round-off level ends on its bound
+    assert "search nelder-mead: 3 starts" in records[2].getMessage()
+    assert not logging.getLogger("mfkrig.kriging").handlers
+    assert not logging.getLogger("mfkrig").handlers
 
 
 @pytest.mark.parametrize("bounds, evaluations", [
