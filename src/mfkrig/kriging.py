@@ -8,11 +8,12 @@ of the concentrated negative log-likelihood
 
     (n - p) * log(sigma2_hat(theta)) + log det R(theta)
 
-over log-lengthscales inside a box (``_ml_fit``): L-BFGS-B on its
-analytic gradient (``_nll_gradient``) where the level's residuals are
-well above round-off, and a memoized Nelder-Mead search on a level
-whose residuals are round-off, whose likelihood has no well-posed
-minimum. ``_solve_level``
+over log-lengthscales inside a box (``_ml_fit``), by L-BFGS-B on its
+analytic gradient (``_nll_gradient``). A sigma2_hat below 1e6 times its
+floor is round-off of a zero residual and counts as the floor
+(``_factored_nll_terms``), so a level whose residuals are round-off has
+the smooth objective (n - p) * log(floor) + log det R instead of one
+that follows round-off noise. ``_solve_level``
 factors a level and stores its residual solve; a frozen refit of a
 design grown by appended rows grows the old factor row by row
 (``_append_rows``) instead, so its leading block stays bit for bit.
@@ -64,9 +65,9 @@ from .kernels import (
     _scaled_correlation,
 )
 
-# sigma2_hat below (this * data scale)^2 is treated as an exactly-zero
-# residual: it is floored so the fitted variance stays positive and the
-# concentrated NLL finite on degenerate (exact-relation) datasets.
+# (this * data scale)^2 is the sigma2 of an exactly-zero residual: the
+# fitted variance stays positive and the concentrated NLL finite on
+# degenerate (exact-relation) datasets.
 _SIGMA2_FLOOR_REL = 1e-12
 
 # Variance factors in [-1e-9, 0) are round-off and clamp to 0; anything
@@ -80,8 +81,8 @@ _COLUMN_BLOCK = 1024
 
 _DEFAULT_RESTARTS = 5
 
-# A level whose sigma2_hat is below this times its floor at some start of
-# its search has only round-off residuals: no well-posed likelihood.
+# sigma2_hat below this times the floor is round-off of a zero residual
+# and is taken as the floor itself.
 _WELL_POSED = 1e6
 
 # The farthest an L-BFGS-B run's first step moves, in log-lengthscale.
@@ -325,7 +326,7 @@ def _likelihood(family, design, trend_matrix, y) -> _Likelihood:
 
 
 def _nll_terms(lik: _Likelihood, theta):
-    """(nll, beta, sigma2_floored, chol) at lengthscales ``theta``.
+    """(nll, beta, sigma2, chol) at lengthscales ``theta``.
 
     The likelihood of the ML search and ``concentrated_nll``: a fresh
     factor, then ``_factored_nll_terms``.
@@ -337,9 +338,16 @@ def _nll_terms(lik: _Likelihood, theta):
 
 
 def _factored_nll_terms(lik: _Likelihood, lo):
-    """``_nll_terms`` on a given factor ``lo`` of R + nugget."""
+    """``_nll_terms`` on a given factor ``lo`` of R + nugget.
+
+    The one rule for sigma2: a sigma2_hat below ``_WELL_POSED`` times the
+    floor is round-off of a zero residual and is taken as exactly the
+    floor; any other is kept as it is. The stored sigma2, the stored NLL
+    and the search objective all come from here.
+    """
     beta, sigma2 = _gls(lo, lik.trend, lik.y)
-    sigma2 = max(sigma2, lik.sigma2_floor)
+    if sigma2 < _WELL_POSED * lik.sigma2_floor:
+        sigma2 = lik.sigma2_floor
     logdet = 2.0 * float(np.log(lo.diagonal()).sum())
     n, p = lik.trend.shape
     nll = (n - p) * np.log(sigma2) + logdet
@@ -353,9 +361,10 @@ def _nll_gradient(lik: _Likelihood, theta, terms) -> np.ndarray:
     alpha = R^{-1}(y - H beta) and dR_k = W * D_k
     (``kernels._log_lengthscale_weight``); beta and sigma2 are
     concentrated out, so their own change does not enter (Rasmussen &
-    Williams 2006, 5.4.1). A floored sigma2 does not move with theta,
-    so the second term is dropped there. Each D_k is symmetric with a
-    zero diagonal, so each sum is twice its strict lower triangle.
+    Williams 2006, 5.4.1). A sigma2 taken as the floor does not move
+    with theta, so the second term is dropped there. Each D_k is
+    symmetric with a zero diagonal, so each sum is twice its strict
+    lower triangle.
     """
     _, beta, sigma2, lo = terms
     m, _ = _potri(lo, lower=1)
@@ -374,8 +383,8 @@ def _solve_level(kernel, design, trend_matrix, y, coef=None, grown_from=None):
 
     Factors R + nugget for ``kernel`` on ``design`` afresh, or grows
     ``grown_from``, the factor on its leading rows, by the appended rows
-    (``_append_rows``). Without ``coef`` the coefficients, floored sigma2
-    and concentrated NLL are estimated on that factor; with ``coef``
+    (``_append_rows``). Without ``coef`` the coefficients, sigma2 and
+    concentrated NLL are estimated on that factor; with ``coef``
     given sigma2 and NLL are nan. Stores alpha = R^{-1}(y - H coef).
 
     Returns (chol, coef, sigma2, nll, alpha).
@@ -400,7 +409,9 @@ def concentrated_nll(problem: KrigingProblem, theta) -> float:
     """Concentrated (profile) negative log-likelihood at lengthscales theta.
 
     beta and sigma2 are concentrated out in closed form; the returned
-    value is (n - p) log sigma2_hat(theta) + log det R(theta).
+    value is (n - p) log sigma2_hat(theta) + log det R(theta), where a
+    sigma2_hat below 1e6 times the floor (1e-12 * max(1, max |y|))^2 is
+    round-off and counts as the floor.
 
     Raises IllConditionedError when R(theta) cannot be factored or the
     result is not finite.
@@ -451,29 +462,21 @@ def _ml_fit(design, trend_matrix, y, family, box, starts):
     """Multi-start concentrated-ML search for one level's lengthscales.
 
     Minimizes the concentrated NLL over log-lengthscales inside ``box``,
-    the checked (log_lo, log_hi) of ``_search_box``, one run per start
-    of ``starts`` (``_draw_starts``). It draws nothing, so its result
-    depends on its arguments alone. Each start is evaluated once, and
-    its sigma2_hat picks the route:
+    the checked (log_lo, log_hi) of ``_search_box``, by L-BFGS-B on the
+    analytic gradient (``_nll_gradient``), one run per start of
+    ``starts`` (``_draw_starts``). It draws nothing, so its result
+    depends on its arguments alone. Each distinct start is evaluated
+    once and each run answers its first call from that evaluation.
+    scipy's first step on a boxed problem is the full projected -g, so
+    each run divides objective and gradient by
+    max(1, |g(z0)| / ``_FIRST_STEP``): its first step moves at most that
+    far.
 
-    * A well-posed level runs L-BFGS-B inside the box on the analytic
-      gradient (``_nll_gradient``). scipy's first step on a boxed
-      problem is the full projected -g, so each run divides objective
-      and gradient by max(1, |g(z0)| / ``_FIRST_STEP``): its first step
-      moves at most that far.
-    * A level whose sigma2_hat is below ``_WELL_POSED`` times its floor
-      at some start has only round-off residuals, so its NLL is
-      round-off too and a gradient means nothing there. It runs
-      Nelder-Mead on an objective that clips each point into the box
-      and memoizes the NLL on the bytes of the clipped vector, one memo
-      per call shared by all starts: ``_nll_terms`` is deterministic,
-      so a hit returns the very float a fresh evaluation would and the
-      search follows the same path as without the memo.
-
-    Returns the kernel at the best point the runs reached, never worse
+    Returns the kernel at the best point the runs evaluated, never worse
     than the best start, and logs one DEBUG record of the search to the
-    ``mfkrig.kriging`` logger: its route, start count, ``_nll_terms``
-    evaluations, best NLL and the dimensions on a bound of the box.
+    ``mfkrig.kriging`` logger: its start count, ``_nll_terms``
+    evaluations, best NLL, whether sigma2 there is the floor, and the
+    dimensions on a bound of the box.
     """
     from scipy.optimize import minimize
 
@@ -501,56 +504,32 @@ def _ml_fit(design, trend_matrix, y, family, box, starts):
         raise FitFailedError(
             f"all {len(starts)} likelihood starts were ill-conditioned"
         )
-    if any(terms[2] < _WELL_POSED * lik.sigma2_floor for _, terms in finite):
-        route = "nelder-mead"
-        best = [np.inf, None]
-        memo = {key: np.inf if terms is None else terms[0]
-                for key, (_, terms) in at_start.items()}
+    best = list(min(((terms[0], z, terms[2]) for z, terms in finite),
+                    key=lambda start: start[0]))
+    for z0, terms0 in finite:
+        g0 = _nll_gradient(lik, np.exp(z0), terms0)
+        scale = max(1.0, float(np.linalg.norm(g0)) / _FIRST_STEP)
 
-        def objective(z):
-            z = np.clip(z, log_lo, log_hi)
-            key = z.tobytes()
-            nll = memo.get(key)
-            if nll is None:
+        def objective(z, z0=z0, terms0=terms0, g0=g0, scale=scale):
+            if z.tobytes() == z0.tobytes():
+                nll, g = terms0[0], g0
+            else:
                 terms = evaluate(z)
-                memo[key] = nll = np.inf if terms is None else terms[0]
-            return nll
+                if terms is None:
+                    return np.inf, np.zeros_like(z)
+                nll, g = terms[0], _nll_gradient(lik, np.exp(z), terms)
+                if nll < best[0]:
+                    best[:] = nll, z.copy(), terms[2]
+            return nll / scale, g / scale
 
-        for z0 in starts:
-            if not np.isfinite(objective(z0)):
-                continue
-            res = minimize(objective, z0, method="Nelder-Mead",
-                           options={"xatol": 1e-6, "fatol": 1e-9,
-                                    "maxiter": 400 * design.shape[1]})
-            if res.fun < best[0]:
-                best = [res.fun, np.clip(res.x, log_lo, log_hi)]
-    else:
-        route = "l-bfgs-b"
-        best = list(min(((terms[0], z) for z, terms in finite),
-                        key=lambda start: start[0]))
-        for z0, terms0 in finite:
-            g0 = _nll_gradient(lik, np.exp(z0), terms0)
-            scale = max(1.0, float(np.linalg.norm(g0)) / _FIRST_STEP)
+        minimize(objective, z0, jac=True, method="L-BFGS-B",
+                 bounds=list(zip(log_lo, log_hi)))
 
-            def objective(z, z0=z0, terms0=terms0, g0=g0, scale=scale):
-                if z.tobytes() == z0.tobytes():
-                    nll, g = terms0[0], g0
-                else:
-                    terms = evaluate(z)
-                    if terms is None:
-                        return np.inf, np.zeros_like(z)
-                    nll, g = terms[0], _nll_gradient(lik, np.exp(z), terms)
-                    if nll < best[0]:
-                        best[:] = nll, z.copy()
-                return nll / scale, g / scale
-
-            minimize(objective, z0, jac=True, method="L-BFGS-B",
-                     bounds=list(zip(log_lo, log_hi)))
-
-    z = best[1]
+    nll, z, sigma2 = best
     # L-BFGS-B's line search can stop a round-off away from a bound
     on_bound = np.minimum(z - log_lo, log_hi - z) < 1e-8
-    _log.debug("search %s: %d starts, %d evaluations, best nll %.17g, "
-               "on a bound in dimensions %s", route, len(starts), evaluations,
-               best[0], np.flatnonzero(on_bound).tolist())
+    _log.debug("search: %d starts, %d evaluations, best nll %.17g, "
+               "sigma2 floored %s, on a bound in dimensions %s", len(starts),
+               evaluations, nll, sigma2 == lik.sigma2_floor,
+               np.flatnonzero(on_bound).tolist())
     return KernelSpec(family, np.exp(z))

@@ -576,7 +576,8 @@ def read_trace(path) -> EnrichmentTrace:
     """Parse a trace CSV back; malformed content names file and line.
 
     A level-l row must fill value_1..value_l and leave the deeper value
-    cells empty, as ``write_trace`` writes it.
+    cells empty, as ``write_trace`` writes it, and every number must be
+    finite.
     """
     header, body = read_csv(path)
     dimension = sum(1 for c in header if c.startswith("x_"))
@@ -585,9 +586,15 @@ def read_trace(path) -> EnrichmentTrace:
     if dimension < 1 or levels < 1 or header != trace.header():
         raise ParseError(f"{path}:1: unrecognized trace header")
 
+    def number(cell):
+        value = float(cell)
+        if not np.isfinite(value):
+            raise ValueError(f"non-finite value {cell!r}")
+        return value
+
     def parse(cells):
         iteration = int(cells[0])
-        x = np.array([float(c) for c in cells[1:1 + dimension]])
+        x = np.array([number(c) for c in cells[1:1 + dimension]])
         level = int(cells[1 + dimension])
         if not 1 <= level <= levels:
             raise ValueError(f"level {level} is outside 1..{levels}")
@@ -595,8 +602,8 @@ def read_trace(path) -> EnrichmentTrace:
         if "" in raw[:level] or any(raw[level:]):
             raise ValueError(f"a level {level} row fills value_1.."
                              f"value_{level} and no other value cell")
-        values = [float(c) for c in raw[:level]]
-        tail = [float(c) for c in cells[-3:]]
+        values = [number(c) for c in raw[:level]]
+        tail = [number(c) for c in cells[-3:]]
         return TraceEntry(iteration, x, level, values, *tail)
 
     for lineno, line in body:

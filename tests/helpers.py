@@ -1,8 +1,8 @@
 """Shared test utilities: prior sampling, dense reference formulas, the
-likelihood evaluation through scipy's checked wrappers, the Nelder-Mead
-route of the likelihood search without its memo, the routes searches
-log, a variance search through ``predict``, and the sequential loop
-spelled out through public calls."""
+likelihood evaluation through scipy's checked wrappers, a Nelder-Mead
+likelihood search as the yardstick of the library's L-BFGS-B search, a
+variance search through ``predict``, and the sequential loop spelled out
+through public calls."""
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky, lstsq, solve_triangular
@@ -86,7 +86,7 @@ def reference_gls(chol_lower, f, y):
 
 
 def reference_nll_terms(design, trend_matrix, y, kernel):
-    """(nll, beta, sigma2_floored, chol) of ``kriging._nll_terms`` through
+    """(nll, beta, sigma2, chol) of ``kriging._nll_terms`` through
     the public kernel and scipy wrappers: the oracle of the bare LAPACK
     path, which must match it bit for bit."""
     return reference_factored_nll_terms(
@@ -96,9 +96,12 @@ def reference_nll_terms(design, trend_matrix, y, kernel):
 
 def reference_factored_nll_terms(lo, trend_matrix, y):
     """``reference_nll_terms`` on a given factor ``lo`` of R + nugget:
-    the oracle of ``kriging._factored_nll_terms``."""
+    the oracle of ``kriging._factored_nll_terms``. A sigma2_hat below a
+    million times the floor is round-off and counts as the floor."""
     beta, sigma2 = reference_gls(lo, trend_matrix, y)
-    sigma2 = max(sigma2, _sigma2_floor(y))
+    floor = _sigma2_floor(y)
+    if sigma2 < 1e6 * floor:
+        sigma2 = floor
     logdet = 2.0 * float(np.sum(np.log(np.diag(lo))))
     n, p = trend_matrix.shape
     nll = (n - p) * np.log(sigma2) + logdet
@@ -106,14 +109,11 @@ def reference_factored_nll_terms(lo, trend_matrix, y):
 
 
 def reference_ml_fit(design, trend_matrix, y, family, box, starts):
-    """The Nelder-Mead route of ``kriging._ml_fit`` without its memo:
-    every objective call clips its point into the log-box and evaluates
-    ``kriging._nll_terms`` afresh. A round-off level, whose sigma2_hat is
-    below ``kriging._WELL_POSED`` times its floor at some start, takes
-    that route, and its fit must match this one bit for bit. On a
-    well-posed level this is the Nelder-Mead search that L-BFGS-B
-    replaced, the yardstick for the L-BFGS-B route's NLL. It takes the
-    same arguments as ``_ml_fit``, so it can stand in for it."""
+    """A Nelder-Mead likelihood search, the yardstick for the NLL that
+    ``kriging._ml_fit`` reaches by L-BFGS-B: from each start, every
+    objective call clips its point into the log-box and evaluates
+    ``kriging._nll_terms`` afresh. It takes the same arguments as
+    ``_ml_fit``, so it can stand in for it."""
     design = _as_points(design)
     y = np.asarray(y, dtype=float).ravel()
     log_lo, log_hi = box
@@ -168,12 +168,6 @@ def draw_nested_designs(rng, sizes, d):
         idx = rng.choice(len(designs[-1]), size=n, replace=False)
         designs.append(designs[-1][idx])
     return designs
-
-
-def search_routes(records):
-    """The route of each ``kriging._ml_fit`` search, in call order, read
-    from the DEBUG records of the ``mfkrig.kriging`` logger."""
-    return [r.args[0] for r in records if r.name == "mfkrig.kriging"]
 
 
 def draw_ar1_data(rng, designs, rho_values, kernels, sigma2s):

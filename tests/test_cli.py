@@ -525,6 +525,8 @@ def test_report_malformed_trace_is_io_error(tmp_path, capsys):
 @pytest.mark.parametrize("row", [
     "1,0.5,0,,,1.0,0.5,1.0",  # level 0, no values
     "1,0.5,1,,3.0,1.0,0.5,1.0",  # a level-1 value in the value_2 cell
+    "1,nan,1,2.0,,1.0,0.5,1.0",  # a non-finite coordinate
+    "1,0.5,1,2.0,,1.0,inf,1.0",  # a non-finite IMSE
 ])
 def test_report_rejects_a_row_off_the_cell_layout(tmp_path, capsys,
                                                   no_likelihood, row):

@@ -5,9 +5,7 @@ variances equal to ``predict``'s, the lookahead variance equal to the
 suffix sum of the contributions, a frozen refit that appends factor rows
 and node sets that continue their kept solves, a byte-identical
 save/load/save round trip, and fits that are byte-identical whether the
-likelihood runs through bare LAPACK or through scipy's checked wrappers,
-and whether the Nelder-Mead route of the likelihood search, taken by
-levels with only round-off residuals, memoizes its evaluations or not.
+likelihood runs through bare LAPACK or through scipy's checked wrappers.
 
 Data are drawn from the autoregressive chain on 1-3 nested levels of 4-15
 points in d = 1 or 2, with lengthscales in [0.3, 0.6], sigma2 in [0.2, 2]
@@ -17,7 +15,6 @@ generating parameters with ``from_parameters``. The fit comparison
 instead fits the built-in problems on nested LHS designs.
 """
 
-import logging
 import os
 import tempfile
 
@@ -26,7 +23,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import mfkrig.cokriging as cokriging
 import mfkrig.kriging as kriging
 import mfkrig.sequential as sequential
 from mfkrig.cokriging import (
@@ -48,9 +44,7 @@ from mfkrig.testbed import get_problem, load_model, nested_lhs, save_model
 from helpers import (
     draw_ar1_data,
     reference_factored_nll_terms,
-    reference_ml_fit,
     reference_nll_terms,
-    search_routes,
 )
 
 SE = "squared-exponential"
@@ -281,30 +275,3 @@ def test_fit_is_byte_identical_through_the_scipy_wrappers(monkeypatch, name,
                         reference_factored_nll_terms(lo, lik.trend, lik.y))
     wrapped = fit_multifidelity(data, configs, restarts=2, seed=1)
     assert _fitted_bytes(lean) == _fitted_bytes(wrapped)
-
-
-# Each built-in problem's code is an exact linear function of the level
-# below, so with a linear trend every level above the first has only
-# round-off residuals and its search takes the memoized Nelder-Mead route.
-_ROUND_OFF_CASES = [(name, sizes, family, "linear")
-                    for name, sizes, family, _ in _FIT_CASES]
-
-
-@pytest.mark.parametrize("seed", [0, 1, 7])
-@pytest.mark.parametrize("name, sizes, family, trend", _ROUND_OFF_CASES)
-def test_fit_is_byte_identical_without_the_likelihood_memo(monkeypatch, caplog,
-                                                           name, sizes, family,
-                                                           trend, seed):
-    data, configs = _problem_fit_inputs(name, sizes, family, trend)
-    caplog.set_level(logging.DEBUG, logger="mfkrig.kriging")
-    memoized = fit_multifidelity(data, configs, restarts=3, seed=seed)
-    routes = search_routes(caplog.records)
-    assert routes == ["l-bfgs-b"] + ["nelder-mead"] * (len(sizes) - 1)
-    searches = iter(routes)
-    original = cokriging._ml_fit
-    monkeypatch.setattr(cokriging, "_ml_fit", lambda *args: (
-        reference_ml_fit if next(searches) == "nelder-mead" else original)(
-            *args))
-    fresh = fit_multifidelity(data, configs, restarts=3, seed=seed)
-    assert next(searches, None) is None
-    assert _fitted_bytes(memoized) == _fitted_bytes(fresh)

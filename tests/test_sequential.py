@@ -528,6 +528,17 @@ def test_trace_parse_errors_name_line(tmp_path):
         with pytest.raises(ParseError, match=r"trace\.csv:2"):
             read_trace(path)
 
+    # Every number is finite: a coordinate, a value, an IMSE or a cost.
+    for column, cell in ((1, "nan"), (4, "nan"), (7, "-inf"), (8, "inf"),
+                         (9, "inf")):
+        bad = list(lines)
+        cells = bad[2].split(",")
+        cells[column] = cell
+        bad[2] = ",".join(cells)
+        path.write_text("\n".join(bad) + "\n")
+        with pytest.raises(ParseError, match=r"trace\.csv:3: non-finite"):
+            read_trace(path)
+
 
 # ---------------------------------------------------------------------------
 # run_loop
