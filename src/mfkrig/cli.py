@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .cokriging import (
     MultiFidelityData,
     fit_multifidelity,
 )
-from .csvio import fmt, read_json, write_csv
+from .csvio import _typed, fmt, read_json, write_csv
 from .exceptions import (
     FitFailedError,
     IllConditionedError,
@@ -64,47 +65,6 @@ _NUMERICAL_ERRORS = (FitFailedError, IllConditionedError,
 _VALIDATION_ERRORS = (ValueError, KeyError, TypeError, MfkrigError)
 
 
-class _ConfigError(ValueError):
-    """Config file is structurally wrong (missing or mistyped key)."""
-
-
-def _load_config(path) -> dict:
-    config = read_json(path)
-    if not isinstance(config, dict):
-        raise _ConfigError(f"{path}: config must be a JSON object")
-    return config
-
-
-_TYPE_NAMES = {int: "an integer", bool: "true or false", float: "a number",
-               str: "a string", list[int]: "a list of integers",
-               list[float]: "a list of numbers",
-               list[list[float]]: "a list of lists of numbers"}
-
-
-def _is_a(value, kind) -> bool:
-    """JSON types read exactly: true is no integer and 1 no bool; a
-    number (float) is an integer or a float."""
-    if getattr(kind, "__origin__", None) is list:
-        return type(value) is list and all(
-            _is_a(v, kind.__args__[0]) for v in value)
-    return type(value) in ((int, float) if kind is float else (kind,))
-
-
-def _typed(config, key, kind, default=None, owner=""):
-    """config[key], of the JSON type ``kind`` (a key of ``_TYPE_NAMES``),
-    or ``default`` when the key is absent; with no default the key is
-    required. Errors name the key."""
-    if key not in config:
-        if default is None:
-            raise _ConfigError(f"{owner or 'config '}needs {key!r}")
-        return default
-    value = config[key]
-    if not _is_a(value, kind):
-        raise _ConfigError(
-            f"{owner}{key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
-    return value
-
-
 def _options(config, owner="", **kinds):
     """The typed fields of ``kinds`` that the config sets, as keyword
     arguments: an absent field keeps the library's default."""
@@ -112,24 +72,19 @@ def _options(config, owner="", **kinds):
             for key, kind in kinds.items() if key in config}
 
 
-def _level_configs(config, dimension) -> list[LevelConfig]:
-    """Level structure from config; defaults are constant bases and a
-    squared-exponential kernel at every level. The fit checks the level
-    count and layout against the data."""
-    raw = config.get("levels")
-    if raw is None:
-        if config.get("level_count") is None:
-            raise _ConfigError("config needs 'levels' or 'level_count'")
-        raw = [{} for _ in range(_typed(config, "level_count", int))]
+def _level_configs(config, data) -> list[LevelConfig]:
+    """Level structure from config, by default at every level of the
+    data: squared-exponential kernels, constant trends and, above level
+    1, constant scalings. The fit checks it against the data."""
     configs = []
-    for t, entry in enumerate(raw, start=1):
-        if not isinstance(entry, dict):
-            raise _ConfigError(f"levels[{t - 1}] must be an object")
-        kernel = KernelSpec(entry.get("kernel", "squared-exponential"))
-        trend = BasisSpec(entry.get("trend", "constant"), dimension)
-        scaling = entry.get("scaling", "constant" if t > 1 else None)
-        spec = None if scaling is None else BasisSpec(scaling, dimension)
-        configs.append(LevelConfig(trend=trend, kernel=kernel, scaling=spec))
+    for t, entry in enumerate(
+            _typed(config, "levels", list[dict], [{}] * data.levels), start=1):
+        field = partial(_typed, entry, owner=f"levels[{t - 1}] ")
+        scaling = field("scaling", str | None, "constant" if t > 1 else None)
+        configs.append(LevelConfig(
+            BasisSpec(field("trend", str, "constant"), data.dimension),
+            KernelSpec(field("kernel", str, "squared-exponential")),
+            None if scaling is None else BasisSpec(scaling, data.dimension)))
     return configs
 
 
@@ -139,43 +94,42 @@ def _build_data(config, problem) -> MultiFidelityData:
     if "data_dir" in config:
         return load_data(_typed(config, "data_dir", str))
     if problem is None:
-        raise _ConfigError("config needs 'problem' or 'data_dir'")
+        raise ValueError("config needs 'problem' or 'data_dir'")
     sizes = _typed(config, "sizes", list[int])
     if len(sizes) > problem.level_count:
-        raise _ConfigError("more sizes than problem levels")
+        raise ValueError("more sizes than problem levels")
     designs = nested_lhs(sizes, problem.bounds, **_options(config, seed=int))
     observations = [problem.evaluate(t + 1, d) for t, d in enumerate(designs)]
     return MultiFidelityData(designs, observations)
 
 
-# config kind -> (strategy type, the key that holds its size)
-_SEARCH_KINDS = {"grid": (GridSearch, "n"), "random": (RandomSearch, "n"),
-                 "multistart": (MultistartSearch, "k")}
-_QUADRATURE_KINDS = {"grid": (GridQuadrature, "n"),
-                     "monte-carlo": (MonteCarloQuadrature, "n")}
+# config kind -> strategy type; a strategy's first field is its size
+_SEARCH_KINDS = {"grid": GridSearch, "random": RandomSearch,
+                 "multistart": MultistartSearch}
+_QUADRATURE_KINDS = {"grid": GridQuadrature,
+                     "monte-carlo": MonteCarloQuadrature}
 
 
 def _strategy_from(config, key, kinds):
     """The search or quadrature that config[key] describes, or None when
     the key is absent. The size is an integer; optional fields (seed,
     polish) have the type of their default."""
-    raw = config.get(key)
+    raw = _typed(config, key, dict, None)
     if raw is None:
         return None
-    if not isinstance(raw, dict):
-        raise _ConfigError(f"{key} must be an object")
-    if raw.get("kind") not in kinds:
-        raise _ConfigError(f"unknown {key} kind {raw.get('kind')!r}")
-    strategy, size = kinds[raw["kind"]]
     owner = f"{key} "
-    options = _options(raw, owner, **{f.name: type(f.default)
-                                      for f in fields(strategy)[1:]})
-    return strategy(_typed(raw, size, int, owner=owner), **options)
+    kind = _typed(raw, "kind", str, owner=owner)
+    if kind not in kinds:
+        raise ValueError(f"unknown {key} kind {kind!r}")
+    size, *optional = fields(kinds[kind])
+    return kinds[kind](_typed(raw, size.name, int, owner=owner),
+                       **_options(raw, owner, **{f.name: type(f.default)
+                                                 for f in optional}))
 
 
 def _fit(config, data):
     """The model a config describes, fitted to ``data``."""
-    return fit_multifidelity(data, _level_configs(config, data.dimension),
+    return fit_multifidelity(data, _level_configs(config, data),
                              **_options(config, restarts=int, seed=int))
 
 
@@ -214,14 +168,14 @@ def cmd_fit(config, out, quiet) -> int:
 def _predict_points(config) -> np.ndarray:
     if "points_file" in config:
         return load_points(_typed(config, "points_file", str))
-    if config.get("grid") is None:
-        raise _ConfigError("config needs 'points_file' or 'grid'")
+    if "grid" not in config:
+        raise ValueError("config needs 'points_file' or 'grid'")
     if "bounds" in config:
         bounds = _as_box(_typed(config, "bounds", list[list[float]]))
     elif "problem" in config:
         bounds = get_problem(_typed(config, "problem", str)).bounds
     else:
-        raise _ConfigError("grid prediction needs 'bounds' or 'problem'")
+        raise ValueError("grid prediction needs 'bounds' or 'problem'")
     return product_grid(bounds, _typed(config, "grid", int))
 
 
@@ -334,7 +288,7 @@ def main(argv=None) -> int:
                        help="suppress informational output")
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config)
+        config = read_json(args.config, ValueError)
         if args.seed is not None:
             config["seed"] = args.seed
         if args.out is not None:

@@ -87,7 +87,8 @@ def _check_levels(data, configs, parameters=None) -> None:
 
     ``data`` has one config per level and, when ``parameters`` are
     given (``LevelParameters`` or fitted levels), one parameter set per
-    level; every level follows the layout rule of ``_check_layout``.
+    level; every level follows the layout rule of ``_check_layout``, and
+    beta and rho_beta have one value per trend and scaling column.
     """
     if len(configs) != data.levels:
         raise ValueError(f"{len(configs)} configs for {data.levels} levels")
@@ -97,7 +98,13 @@ def _check_levels(data, configs, parameters=None) -> None:
     for t, config in enumerate(configs, start=1):
         _check_layout(t, config.scaling)
         if parameters is not None:
-            _check_layout(t, parameters[t - 1].rho_beta)
+            par = parameters[t - 1]
+            _check_layout(t, par.rho_beta)
+            for name, coef, basis in (("beta", par.beta, config.trend),
+                                      ("rho_beta", par.rho_beta, config.scaling)):
+                if basis is not None and coef.size != basis.size:
+                    raise ValueError(f"level {t}: {name} has {coef.size} values, "
+                                     f"its {basis.kind} basis {basis.size} columns")
 
 
 def validate_nesting(designs):
@@ -326,19 +333,19 @@ def extended_trend_matrix(config: LevelConfig, design, lower_values) -> np.ndarr
     return np.hstack([g, f])
 
 
-def _check_estimable(level: int, h: np.ndarray, q: int) -> None:
+def _check_estimable(level: int, h: np.ndarray, q=None) -> None:
     """The estimability rule of one level's regression on ``h``.
 
     ``h`` is the level's regression matrix, its scaling block (width
     ``q``, 0 at level 1) first. It needs at least p + 1 rows and full
     column rank; a rank deficiency raises SingularTrendError naming the
-    rank-deficient block.
+    rank-deficient block. Without ``q`` only the row count is checked.
     """
     n, p_total = h.shape
     if n < p_total + 1:
         raise ValueError(
             f"level {level} needs at least {p_total + 1} points, has {n}")
-    if np.linalg.matrix_rank(h) >= p_total:
+    if q is None or np.linalg.matrix_rank(h) >= p_total:
         return
     if np.linalg.matrix_rank(h[:, :q]) < q:
         block = ("scaling block (scaling basis times lower-level responses "
@@ -559,10 +566,10 @@ class MultiFidelityModel:
         trend and scaling coefficients are re-estimated by GLS and the
         stored solves rebuilt. Used by enrichment in frozen mode. A
         level whose new design extends its old one bit for bit keeps its
-        factor and appends one row per new point
-        (``kriging._append_rows``), so the factor's leading block stays
-        bit for bit the old factor; any other design is refactored. Each
-        level's ``nll`` is taken on the new data (``FittedLevel``).
+        factor and appends one row per new point (``kriging._append_rows``),
+        so the factor's leading block stays bit for bit the old factor;
+        any other design is refactored. Each level's ``nll`` is taken on
+        the new data (``FittedLevel``). Too few points raise ValueError.
 
         The grown factor depends on the path: it equals a fresh
         factorization of the same design (``from_parameters``, hence
@@ -575,6 +582,7 @@ class MultiFidelityModel:
         for t, (config, lev) in enumerate(zip(self.configs, self.levels),
                                           start=1):
             inputs = _level_inputs(config, data, t)
+            _check_estimable(t, inputs[3])
             grown_from = lev.chol if extends(inputs[0], lev.design) else None
             levels.append(_assemble_level(config, lev.kernel, inputs,
                                           sigma2=lev.sigma2,

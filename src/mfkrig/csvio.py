@@ -3,9 +3,11 @@
 Floats are written with 17 significant digits, which round-trips any
 float64 exactly. An unreadable file or malformed CSV or JSON content
 raises ParseError naming the file and, where known, the 1-based line.
+Every JSON field, of a config or of ``model.json``, is read by ``_typed``.
 """
 
 import json
+from types import UnionType
 
 import numpy as np
 
@@ -53,15 +55,54 @@ def read_csv(path):
     return header, body
 
 
-def read_json(path):
-    """The parsed content of a JSON file."""
+def read_json(path, error=ParseError):
+    """The JSON object in a file; other JSON content raises ``error``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            content = json.load(fh)
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    if type(content) is not dict:
+        raise error(f"{path}: content must be a JSON object")
+    return content
+
+
+_TYPE_NAMES = {int: "an integer", bool: "true or false", float: "a number",
+               str: "a string", dict: "an object",
+               list[int]: "a list of integers", list[float]: "a list of numbers",
+               list[list[float]]: "a list of lists of numbers",
+               list[dict]: "a list of objects", str | None: "a string or null",
+               list[float] | None: "a list of numbers or null"}
+
+_REQUIRED = object()
+
+
+def _is_a(value, kind) -> bool:
+    """JSON types read exactly: true is no integer and 1 no bool; a
+    number (float) is an integer or a float; ``kind | None`` takes null."""
+    if isinstance(kind, UnionType):
+        return any(_is_a(value, k) for k in kind.__args__)
+    if getattr(kind, "__origin__", None) is list:
+        return type(value) is list and all(
+            _is_a(v, kind.__args__[0]) for v in value)
+    return type(value) in ((int, float) if kind is float else (kind,))
+
+
+def _typed(obj, key, kind, default=_REQUIRED, owner="", error=ValueError):
+    """obj[key], of the JSON type ``kind`` (a key of ``_TYPE_NAMES``),
+    or ``default`` when the key is absent; with no default the key is
+    required. Errors are ``error``s naming the key after ``owner``."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise error(f"{owner or 'config '}needs {key!r}")
+        return default
+    value = obj[key]
+    if not _is_a(value, kind):
+        raise error(
+            f"{owner}{key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
 
 
 def parse_row(path, lineno, line, width, parse):

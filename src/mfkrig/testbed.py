@@ -22,7 +22,7 @@ from .cokriging import (
     MultiFidelityData,
     MultiFidelityModel,
 )
-from .csvio import parse_row, read_csv, read_json, write_csv
+from .csvio import _typed, parse_row, read_csv, read_json, write_csv
 from .exceptions import ParseError
 from .kernels import BasisSpec, KernelSpec, _cdist
 from .sequential import CostModel, _as_box
@@ -275,22 +275,25 @@ def load_data(directory) -> MultiFidelityData:
     return MultiFidelityData(designs, observations)
 
 
+# the fields of each level in model.json and their JSON types
+_LEVEL_FIELDS = {"kernel_family": str, "lengthscales": list[float],
+                 "sigma2": float, "beta": list[float], "trend": str,
+                 "rho_beta": list[float] | None, "scaling": str | None}
+
+
 def save_model(model: MultiFidelityModel, directory) -> None:
     """Write the model's data CSVs plus a JSON parameter sidecar."""
     save_data(model.data, directory)
-    levels = []
-    for level in model.levels:
-        entry = {
-            "kernel_family": level.kernel.family,
-            "lengthscales": [float(v) for v in level.kernel.lengthscales],
-            "sigma2": float(level.sigma2),
-            "beta": [float(v) for v in level.beta],
-            "trend": level.trend.kind,
-            "rho_beta": (None if level.rho_beta is None
-                         else [float(v) for v in level.rho_beta]),
-            "scaling": None if level.scaling is None else level.scaling.kind,
-        }
-        levels.append(entry)
+
+    def floats(a):
+        return None if a is None else [float(v) for v in a]
+
+    levels = [{"kernel_family": lev.kernel.family,
+               "lengthscales": floats(lev.kernel.lengthscales),
+               "sigma2": float(lev.sigma2), "beta": floats(lev.beta),
+               "trend": lev.trend.kind, "rho_beta": floats(lev.rho_beta),
+               "scaling": None if lev.scaling is None else lev.scaling.kind}
+              for lev in model.levels]
     sidecar = {"dimension": model.dimension, "levels": levels}
     path = os.path.join(directory, _MODEL_SIDECAR)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -306,35 +309,28 @@ def load_model(directory) -> MultiFidelityModel:
     because the CSVs round-trip every float bit-for-bit. A model whose
     factors grew by frozen refits (``MultiFidelityModel.refit``, as in
     ``run_loop``) comes back with fresh factors instead, so it predicts
-    what the saved model did to round-off, not bit for bit. A non-finite
-    parameter raises the ValueError of ``LevelParameters`` or
-    ``KernelSpec``.
+    what the saved model did to round-off, not bit for bit. A sidecar
+    field that is missing, mistyped or at odds with the data raises
+    ParseError naming the file; a non-finite parameter raises the
+    ValueError of ``LevelParameters`` or ``KernelSpec``.
     """
     data = load_data(directory)
     path = os.path.join(directory, _MODEL_SIDECAR)
     sidecar = read_json(path)
-    entries = sidecar.get("levels")
-    if not isinstance(entries, list) or len(entries) != data.levels:
+    d, entries = (_typed(sidecar, key, kind, owner=f"{path}: ", error=ParseError)
+                  for key, kind in (("dimension", int), ("levels", list[dict])))
+    if (d, len(entries)) != (data.dimension, data.levels):
         raise ParseError(
-            f"{path}: sidecar must list {data.levels} levels to match the data")
-    d = data.dimension
-    configs = []
-    params = []
+            f"{path}: sidecar has {len(entries)} levels in dimension {d}, "
+            f"the data {data.levels} in dimension {data.dimension}")
+    configs, params = [], []
     for t, entry in enumerate(entries, start=1):
-        try:
-            kernel = KernelSpec(entry["kernel_family"])
-            trend = BasisSpec(entry["trend"], d)
-            scaling = (None if entry["scaling"] is None
-                       else BasisSpec(entry["scaling"], d))
-            par = LevelParameters(
-                lengthscales=np.asarray(entry["lengthscales"], dtype=float),
-                sigma2=float(entry["sigma2"]),
-                beta=np.asarray(entry["beta"], dtype=float),
-                rho_beta=(None if entry["rho_beta"] is None
-                          else np.asarray(entry["rho_beta"], dtype=float)),
-            )
-        except KeyError as exc:
-            raise ParseError(f"{path}: level {t} is missing field {exc}") from exc
-        configs.append(LevelConfig(trend=trend, kernel=kernel, scaling=scaling))
-        params.append(par)
+        f = {key: _typed(entry, key, kind, owner=f"{path}: level {t} ",
+                         error=ParseError)
+             for key, kind in _LEVEL_FIELDS.items()}
+        configs.append(LevelConfig(
+            BasisSpec(f["trend"], d), KernelSpec(f["kernel_family"]),
+            None if f["scaling"] is None else BasisSpec(f["scaling"], d)))
+        params.append(LevelParameters(f["lengthscales"], f["sigma2"],
+                                      f["beta"], f["rho_beta"]))
     return MultiFidelityModel.from_parameters(data, configs, params)

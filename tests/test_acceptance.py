@@ -344,7 +344,6 @@ def test_criterion_9_cli_determinism_and_round_trip(tmp_path):
         "problem": "forrester",
         "sizes": [12, 6],
         "seed": 7,
-        "level_count": 2,
     }
     sidecars = []
     for run in ("a", "b"):

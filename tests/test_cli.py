@@ -65,6 +65,26 @@ def test_fit_is_deterministic_across_runs(tmp_path):
         (out_b / "model.json").read_bytes()
 
 
+def _fit_files(tmp_path, name, **levels):
+    """The bytes of every file a forrester fit writes, by file name."""
+    out = tmp_path / name
+    config = _config(tmp_path, f"{name}.json", problem="forrester",
+                     sizes=[8, 4], seed=7, out=str(out), **levels)
+    assert main(["fit", "--config", config, "--quiet"]) == EXIT_OK
+    return {f: (out / f).read_bytes() for f in sorted(os.listdir(out))}
+
+
+def test_a_config_without_levels_gets_the_default_at_every_level(tmp_path):
+    assert _fit_files(tmp_path, "default") == \
+        _fit_files(tmp_path, "explicit", levels=[{}, {}])
+
+
+def test_a_config_that_sets_level_count_runs_as_without_it(tmp_path):
+    # the data fix the level count; the old key is an unknown key
+    assert _fit_files(tmp_path, "with", level_count=5) == \
+        _fit_files(tmp_path, "without")
+
+
 def test_seed_flag_overrides_config(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -84,7 +104,7 @@ def test_fit_rejects_growing_sizes(tmp_path, capsys):
 
 def test_fit_missing_data_directory(tmp_path, capsys):
     config = _config(tmp_path, "fit.json", data_dir=str(tmp_path / "nowhere"),
-                     level_count=2, out=str(tmp_path / "m"))
+                     out=str(tmp_path / "m"))
     assert main(["fit", "--config", config]) == EXIT_IO
     assert "nowhere" in capsys.readouterr().err
 
@@ -188,7 +208,6 @@ def _sequential_config(tmp_path, out, budget=30.0, name="seq.json", seed=3):
         problem="forrester",
         sizes=[8, 4],
         seed=seed,
-        level_count=2,
         costs=[1.0, 5.0],
         budget=budget,
         rule="imse-threshold",
@@ -262,7 +281,7 @@ def test_sequential_budget_below_cheapest_run(tmp_path):
 def test_sequential_requires_budget(tmp_path, capsys):
     out = tmp_path / "run"
     config = _config(tmp_path, "seq.json", problem="forrester", sizes=[8, 4],
-                     level_count=2, out=str(out))
+                     out=str(out))
     assert main(["sequential", "--config", config]) == EXIT_VALIDATION
     assert "budget" in capsys.readouterr().err
 
@@ -277,11 +296,13 @@ def test_sequential_rejects_a_nan_budget(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("override, message", [
-    (dict(search="grid"), "search must be an object"),
-    (dict(quadrature=[1]), "quadrature must be an object"),
+    (dict(search="grid"), "'search' must be an object, got 'grid'"),
+    (dict(quadrature=[1]), "'quadrature' must be an object, got [1]"),
     (dict(search={"kind": "grid"}), "search needs 'n'"),
     (dict(search={"kind": "multistart", "n": 4}), "search needs 'k'"),
     (dict(quadrature={"kind": "monte-carlo"}), "quadrature needs 'n'"),
+    (dict(search=[]), "'search' must be an object, got []"),
+    (dict(search={"kind": 5, "n": 3}), "search 'kind' must be a string, got 5"),
 ])
 def test_sequential_names_a_malformed_strategy(tmp_path, capsys, override,
                                                message):
@@ -331,7 +352,7 @@ def test_sequential_rejects_an_empty_strategy_before_any_fit(
     (dict(restarts=True), "'restarts' must be an integer, got True"),
     (dict(seed="3"), "'seed' must be an integer, got '3'"),
     (dict(seed=2.5), "'seed' must be an integer, got 2.5"),
-    (dict(level_count="two"), "'level_count' must be an integer, got 'two'"),
+    (dict(levels=3), "'levels' must be a list of objects, got 3"),
     (dict(search={"kind": "grid", "n": "many"}),
      "search 'n' must be an integer, got 'many'"),
     (dict(search={"kind": "multistart", "k": 4.0}),
@@ -352,6 +373,8 @@ def test_sequential_rejects_an_empty_strategy_before_any_fit(
     (dict(data_dir=0), "'data_dir' must be a string, got 0"),
     (dict(out=0), "'out' must be a string, got 0"),
     (dict(rule=1), "'rule' must be a string, got 1"),
+    (dict(levels={"a": 1}), "'levels' must be a list of objects, got {'a': 1}"),
+    (dict(levels=[{"trend": 1}, {}]), "levels[0] 'trend' must be a string, got 1"),
 ])
 def test_sequential_names_a_mistyped_field(tmp_path, capsys, no_likelihood,
                                            override, message):
@@ -395,7 +418,7 @@ def test_sequential_checks_its_loop_settings_before_any_fit(
 
 
 @pytest.mark.parametrize("command, fields, message", [
-    ("fit", dict(data_dir=0, level_count=2),
+    ("fit", dict(data_dir=0),
      "'data_dir' must be a string, got 0"),
     ("predict", dict(model_dir=0, grid=5, problem="forrester"),
      "'model_dir' must be a string, got 0"),
@@ -434,6 +457,53 @@ def test_predict_names_a_mistyped_grid(tmp_path, fitted_dir, capsys):
                      out=str(tmp_path / "p"))
     assert main(["predict", "--config", config]) == EXIT_VALIDATION
     assert "'grid' must be an integer, got 'ten'" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
+
+
+def _set(t, **fields):
+    """An edit of a model.json that sets fields of level t."""
+    return lambda sidecar: sidecar["levels"][t - 1].update(fields)
+
+
+def _one_more(t, key):
+    """An edit of a model.json that appends a coefficient to level t's."""
+    return lambda sidecar: sidecar["levels"][t - 1][key].append(1.0)
+
+
+@pytest.mark.parametrize("edit, code, message", [
+    (_set(1, lengthscales=True), EXIT_IO,
+     "model.json: level 1 'lengthscales' must be a list of numbers, got True"),
+    (_set(1, lengthscales=["0.5"]), EXIT_IO,
+     "model.json: level 1 'lengthscales' must be a list of numbers, "
+     "got ['0.5']"),
+    (_set(2, sigma2="2"), EXIT_IO,
+     "model.json: level 2 'sigma2' must be a number, got '2'"),
+    (lambda sidecar: sidecar["levels"].__setitem__(1, "x"), EXIT_IO,
+     "model.json: 'levels' must be a list of objects, got [{"),
+    (lambda sidecar: sidecar.update(dimension=7), EXIT_IO,
+     "model.json: sidecar has 2 levels in dimension 7, the data 2 in "
+     "dimension 1"),
+    (lambda sidecar: sidecar["levels"][0].__delitem__("sigma2"), EXIT_IO,
+     "model.json: level 1 needs 'sigma2'"),
+    (lambda sidecar: [sidecar], EXIT_IO,
+     "model.json: content must be a JSON object"),
+    (_one_more(1, "beta"), EXIT_VALIDATION,
+     "error: level 1: beta has 2 values, its constant basis 1 columns"),
+    (_one_more(2, "rho_beta"), EXIT_VALIDATION,
+     "error: level 2: rho_beta has 2 values, its constant basis 1 columns"),
+], ids=["lengthscales-true", "lengthscales-strings", "sigma2-string",
+        "level-string", "dimension", "missing-sigma2", "list", "beta-count",
+        "rho_beta-count"])
+def test_predict_names_a_bad_model_field(tmp_path, fitted_dir, capsys, edit,
+                                         code, message):
+    sidecar = json.loads((fitted_dir / "model.json").read_text())
+    replaced = edit(sidecar)  # None when the edit is in place
+    (fitted_dir / "model.json").write_text(
+        json.dumps(sidecar if replaced is None else replaced))
+    config = _config(tmp_path, "pred.json", model_dir=str(fitted_dir),
+                     grid=5, problem="forrester", out=str(tmp_path / "p"))
+    assert main(["predict", "--config", config]) == code
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "p").exists()
 
 

@@ -183,6 +183,25 @@ def test_too_few_points_for_the_extended_trend(no_likelihood):
         fit_level(2, data, config)
 
 
+def test_a_frozen_refit_onto_too_few_points_states_the_rule():
+    # linear trend and scaling: p = 4 columns at level 2, refit on 4 points
+    problem = get_problem("forrester")
+    designs = nested_lhs([10, 6], problem.bounds, seed=7)
+    values = [problem.evaluate(t, d) for t, d in enumerate(designs, 1)]
+    linear = BasisSpec("linear", 1)
+    configs = [LevelConfig(linear, KernelSpec(SE)),
+               LevelConfig(linear, KernelSpec(SE), scaling=linear)]
+    params = [LevelParameters([0.2], 1.0, [0.0, 1.0]),
+              LevelParameters([0.3], 0.5, [0.0, 1.0], rho_beta=[2.0, 0.0])]
+    model = MultiFidelityModel.from_parameters(
+        MultiFidelityData(designs, values), configs, params)
+    fewer = MultiFidelityData([designs[0], designs[1][:4]],
+                              [values[0], values[1][:4]])
+    with pytest.raises(ValueError,
+                       match="^level 2 needs at least 5 points, has 4$"):
+        model.refit(fewer)
+
+
 def test_every_level_is_checked_before_any_search(no_likelihood):
     # zero level-1 responses make level 2's scaling block z_1 . g vanish;
     # the fit must say so before level 1's likelihood search starts
