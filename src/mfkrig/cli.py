@@ -33,15 +33,12 @@ from .kernels import BasisSpec, KernelSpec
 from .sequential import (
     CostModel,
     Domain,
-    GridQuadrature,
-    GridSearch,
-    MonteCarloQuadrature,
-    MultistartSearch,
-    RandomSearch,
     product_grid,
     read_trace,
     run_loop,
     write_trace,
+    _QUADRATURE_KINDS,
+    _SEARCH_KINDS,
     _as_box,
     _run_settings,
 )
@@ -101,13 +98,6 @@ def _build_data(config, problem) -> MultiFidelityData:
     designs = nested_lhs(sizes, problem.bounds, **_options(config, seed=int))
     observations = [problem.evaluate(t + 1, d) for t, d in enumerate(designs)]
     return MultiFidelityData(designs, observations)
-
-
-# config kind -> strategy type; a strategy's first field is its size
-_SEARCH_KINDS = {"grid": GridSearch, "random": RandomSearch,
-                 "multistart": MultistartSearch}
-_QUADRATURE_KINDS = {"grid": GridQuadrature,
-                     "monte-carlo": MonteCarloQuadrature}
 
 
 def _strategy_from(config, key, kinds):

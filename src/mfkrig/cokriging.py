@@ -87,8 +87,9 @@ def _check_levels(data, configs, parameters=None) -> None:
 
     ``data`` has one config per level and, when ``parameters`` are
     given (``LevelParameters`` or fitted levels), one parameter set per
-    level; every level follows the layout rule of ``_check_layout``, and
-    beta and rho_beta have one value per trend and scaling column.
+    level; every level follows the layout rule of ``_check_layout``,
+    beta and rho_beta have one value per trend and scaling column, and
+    the lengthscales one per data dimension.
     """
     if len(configs) != data.levels:
         raise ValueError(f"{len(configs)} configs for {data.levels} levels")
@@ -100,6 +101,10 @@ def _check_levels(data, configs, parameters=None) -> None:
         if parameters is not None:
             par = parameters[t - 1]
             _check_layout(t, par.rho_beta)
+            if par.lengthscales.size != data.dimension:
+                raise ValueError(
+                    f"level {t}: lengthscales has {par.lengthscales.size} "
+                    f"values, the data dimension is {data.dimension}")
             for name, coef, basis in (("beta", par.beta, config.trend),
                                       ("rho_beta", par.rho_beta, config.scaling)):
                 if basis is not None and coef.size != basis.size:

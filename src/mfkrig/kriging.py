@@ -483,44 +483,42 @@ def _ml_fit(design, trend_matrix, y, family, box, starts):
     log_lo, log_hi = box
     lik = _likelihood(family, design, trend_matrix, y)
     evaluations = 0
+    best = [np.inf, None, None]  # nll, z and sigma2 of the best point
 
     def evaluate(z):
-        """``_nll_terms`` at log-lengthscales ``z``, None where they fail."""
+        """(nll, gradient) at ``z``, or None; records a new best point."""
         nonlocal evaluations
         evaluations += 1
         try:
             terms = _nll_terms(lik, np.exp(z))
         except (IllConditionedError, SingularTrendError):
             return None
-        return terms if np.isfinite(terms[0]) else None
+        nll = terms[0]
+        if not np.isfinite(nll):
+            return None
+        if nll < best[0]:
+            best[:] = nll, z.copy(), terms[2]
+        return nll, _nll_gradient(lik, np.exp(z), terms)
 
-    at_start = {}  # (z, terms) by the bytes of the clipped start z
+    at_start = {}  # (z, evaluation) by the bytes of the clipped start z
     for z0 in starts:
         z = np.clip(z0, log_lo, log_hi)
         if z.tobytes() not in at_start:
             at_start[z.tobytes()] = (z, evaluate(z))
-    finite = [(z, terms) for z, terms in at_start.values() if terms is not None]
-    if not finite:
+    if best[1] is None:
         raise FitFailedError(
             f"all {len(starts)} likelihood starts were ill-conditioned"
         )
-    best = list(min(((terms[0], z, terms[2]) for z, terms in finite),
-                    key=lambda start: start[0]))
-    for z0, terms0 in finite:
-        g0 = _nll_gradient(lik, np.exp(z0), terms0)
-        scale = max(1.0, float(np.linalg.norm(g0)) / _FIRST_STEP)
+    for z0, first in at_start.values():
+        if first is None:
+            continue
+        scale = max(1.0, float(np.linalg.norm(first[1])) / _FIRST_STEP)
 
-        def objective(z, z0=z0, terms0=terms0, g0=g0, scale=scale):
-            if z.tobytes() == z0.tobytes():
-                nll, g = terms0[0], g0
-            else:
-                terms = evaluate(z)
-                if terms is None:
-                    return np.inf, np.zeros_like(z)
-                nll, g = terms[0], _nll_gradient(lik, np.exp(z), terms)
-                if nll < best[0]:
-                    best[:] = nll, z.copy(), terms[2]
-            return nll / scale, g / scale
+        def objective(z, z0=z0, first=first, scale=scale):
+            value = first if z.tobytes() == z0.tobytes() else evaluate(z)
+            if value is None:
+                return np.inf, np.zeros_like(z)
+            return value[0] / scale, value[1] / scale
 
         minimize(objective, z0, jac=True, method="L-BFGS-B",
                  bounds=list(zip(log_lo, log_hi)))

@@ -20,12 +20,12 @@ recursion ``predict`` runs too (``kriging._solve_rows``), and the
 top-level variance is formed by ``predict``'s routine
 (``cokriging._variance_terms``); reestimated lengthscales rebuild a
 level. V_t lives in a buffer whose row capacity doubles: at most
-2 * n_t * m * 8 bytes per level and node set. A search may
-polish its best node (RandomSearch(polish=True)) or every node
-(MultistartSearch) with a local solver; the polished points are fresh
-on every call and are evaluated as node sets of their own. Each
-objective call is a set of one node, which keeps nothing and is solved
-by one dtrtrs, as ``predict`` solves a single point.
+2 * n_t * m * 8 bytes per level and node set. Node sets exist to keep
+solves between iterations; points evaluated once go through
+``predict``. A search may polish its best node
+(RandomSearch(polish=True)) or every node (MultistartSearch) with a
+local solver on ``-predict(x).variance``, and the polished points,
+fresh on every call, are scored by ``predict`` too.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .cokriging import (
 from .csvio import fmt, parse_row, read_csv
 from .exceptions import ParseError
 from .kernels import extends, probe_correlation, same_points, _as_points
-from .kriging import _clamped_factor, _solve_rows, variance_factor
+from .kriging import _clamped_factor, _solve_rows
 
 IMSE_THRESHOLD = "imse-threshold"
 COST_WEIGHTED = "cost-weighted"
@@ -286,8 +286,8 @@ class _Nodes:
     grows the same way. The row recursion is ``predict``'s own
     (``kriging._solve_rows``), so ``top_variance`` equals
     ``predict(points).variances[-1]`` bit for bit. A set of one node
-    keeps nothing and solves afresh as ``predict`` does; the polish
-    objective evaluates such sets.
+    keeps nothing: its variance is ``predict``'s, which solves one point
+    by one dtrtrs.
     """
 
     def __init__(self, points, weights=None, polish=None):
@@ -299,11 +299,6 @@ class _Nodes:
         self._excluded = None  # (excluded points, node mask)
 
     def _factor(self, k, level) -> np.ndarray:
-        if len(self.points) == 1:
-            # predict solves one point by dtrtrs, which no kept solve
-            # could continue bit for bit; a fresh solve is cheap anyway
-            return variance_factor(level.chol, probe_correlation(
-                level.kernel, level.design, self.points))
         solve = self._solves.get(k)
         if solve is None or not solve.continues(level):
             # rebinding both names releases the stale solve before the
@@ -314,7 +309,9 @@ class _Nodes:
         return _clamped_factor(solve.s)
 
     def top_variance(self, model) -> np.ndarray:
-        """Top-level predictive variance at the nodes; no means are formed."""
+        """Top-level predictive variance at the nodes."""
+        if len(self.points) == 1:
+            return model.predict(self.points).variances[-1]
         factors = [self._factor(k, lev) for k, lev in enumerate(model.levels)]
         return _variance_recursion(*_variance_terms(
             model.levels, factors, self.points))[-1]
@@ -343,12 +340,16 @@ class _Nodes:
         return self.points[order[int(np.argmax(variances[order]))]]
 
 
+# config kind -> strategy type; a strategy's first field is its size
+_SEARCH_KINDS = {"grid": GridSearch, "random": RandomSearch,
+                 "multistart": MultistartSearch}
+_QUADRATURE_KINDS = {"grid": GridQuadrature,
+                     "monte-carlo": MonteCarloQuadrature}
+
 _SEARCH = "search strategy"
 _QUADRATURE = "quadrature"
-_STRATEGIES = {
-    _SEARCH: (GridSearch, RandomSearch, MultistartSearch),
-    _QUADRATURE: (GridQuadrature, MonteCarloQuadrature),
-}
+_STRATEGIES = {_SEARCH: tuple(_SEARCH_KINDS.values()),
+               _QUADRATURE: tuple(_QUADRATURE_KINDS.values())}
 
 
 def _node_set(domain: Domain, strategy, kind) -> _Nodes:
@@ -382,17 +383,14 @@ def _node_set(domain: Domain, strategy, kind) -> _Nodes:
 
 
 def _polish(model, domain, starts) -> np.ndarray:
-    """Bounded local maximization of the top-level variance."""
+    """Local maxima of ``predict``'s top-level variance, one per start."""
     from scipy.optimize import minimize
 
-    box = [(lo, hi) for lo, hi in domain.bounds]
-    out = []
-    for start in np.atleast_2d(starts):
-        res = minimize(
-            lambda p: -float(_Nodes(p[None, :]).top_variance(model)[0]),
-            start, method="L-BFGS-B", bounds=box)
-        out.append(np.clip(res.x, domain.bounds[:, 0], domain.bounds[:, 1]))
-    return np.asarray(out)
+    lo, hi = domain.bounds.T
+    return np.array([
+        np.clip(minimize(lambda p: -model.predict(p).variance, start,
+                         method="L-BFGS-B", bounds=domain.bounds).x, lo, hi)
+        for start in np.atleast_2d(starts)])
 
 
 def argmax_variance(model, domain: Domain, search=None, exclude=None):
@@ -409,9 +407,10 @@ def argmax_variance(model, domain: Domain, search=None, exclude=None):
     variances = nodes.top_variance(model)
     if nodes.polish:
         starts = nodes.points if nodes.polish == "all" else nodes.best(variances)
-        polished = _Nodes(_polish(model, domain, starts))
-        variances = np.concatenate([variances, polished.top_variance(model)])
-        nodes = _Nodes(np.vstack([nodes.points, polished.points]))
+        polished = _polish(model, domain, starts)
+        variances = np.concatenate(
+            [variances, model.predict(polished).variances[-1]])
+        nodes = _Nodes(np.vstack([nodes.points, polished]))
     return nodes.best(variances, exclude)
 
 

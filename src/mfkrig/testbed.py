@@ -4,12 +4,14 @@ Nested designs are built by Latin-hypercube sampling the largest level
 and then extracting greedy maximin subsets, so every level is a
 bit-exact subset of the one below it.  Persistence writes one design
 CSV and one response CSV per level plus a JSON sidecar holding the
-fitted parameters; floats are stored with 17 significant digits so a
-round trip reproduces them exactly.
+fitted parameters; CSV floats are stored with 17 significant digits and
+sidecar floats in JSON's shortest round-trip form, so a round trip
+reproduces them exactly.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -237,7 +239,11 @@ def load_points(path) -> np.ndarray:
 
 
 def save_data(data: MultiFidelityData, directory) -> None:
-    """Write per-level design and response CSVs under directory."""
+    """Write per-level design and response CSVs under directory.
+
+    The level files of a deeper data set saved there before are removed,
+    so that ``load_data`` reads back these levels only.
+    """
     os.makedirs(directory, exist_ok=True)
     d = data.dimension
     header = [f"dim_{j}" for j in range(d)]
@@ -245,6 +251,12 @@ def save_data(data: MultiFidelityData, directory) -> None:
         write_csv(_design_path(directory, t), header, data.designs[t - 1])
         write_csv(_response_path(directory, t), ["value"],
                   [[v] for v in data.observations[t - 1]])
+    t = data.levels + 1
+    while os.path.exists(_design_path(directory, t)):
+        os.remove(_design_path(directory, t))
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(_response_path(directory, t))
+        t += 1
 
 
 def load_data(directory) -> MultiFidelityData:

@@ -6,10 +6,18 @@ import os
 import numpy as np
 import pytest
 
+import mfkrig.cli as cli
 import mfkrig.cokriging as cokriging
-from mfkrig.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
-from mfkrig.sequential import EnrichmentTrace, TraceEntry, write_trace
-from mfkrig.testbed import load_model
+import mfkrig.kriging as kriging
+from mfkrig.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
+from mfkrig.exceptions import IllConditionedError
+from mfkrig.sequential import (
+    EnrichmentTrace,
+    TraceEntry,
+    read_trace,
+    write_trace,
+)
+from mfkrig.testbed import TestProblem, get_problem, load_model
 
 
 def _config(tmp_path, name, **kwargs):
@@ -107,6 +115,18 @@ def test_fit_missing_data_directory(tmp_path, capsys):
                      out=str(tmp_path / "m"))
     assert main(["fit", "--config", config]) == EXIT_IO
     assert "nowhere" in capsys.readouterr().err
+
+
+def test_fit_exits_2_on_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    def ill_conditioned(*args):
+        raise IllConditionedError("not positive definite")
+
+    monkeypatch.setattr(kriging, "_nll_terms", ill_conditioned)
+    out = tmp_path / "model"
+    assert main(["fit", "--config", _fit_config(tmp_path, out)]) \
+        == EXIT_NUMERICAL
+    assert "likelihood starts were ill-conditioned" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("restarts", [0, -2])
@@ -268,6 +288,34 @@ def test_sequential_reestimates_with_the_config_restarts(tmp_path,
     assert main(["sequential", "--config", path, "--quiet"]) == EXIT_OK
     assert len(starts) > 2  # the loop reestimated
     assert starts == [2] * len(starts)
+
+
+def test_a_failing_simulator_exits_2_and_keeps_the_partial_run(
+        tmp_path, capsys, monkeypatch):
+    forrester = get_problem("forrester")
+    runs = []
+
+    def top(x):
+        if len(x) == 1:  # a run of the loop, not the initial design
+            runs.append(x)
+            if len(runs) > 2:
+                raise RuntimeError("the simulator crashed")
+        return forrester.evaluate(2, x)
+
+    problem = TestProblem("forrester", forrester.bounds,
+                          [forrester.levels[0], top], forrester.costs)
+    monkeypatch.setattr(cli, "get_problem", lambda name: problem)
+    out = tmp_path / "run"
+    config = _sequential_config(tmp_path, out)
+    assert main(["sequential", "--config", config, "--quiet"]) \
+        == EXIT_NUMERICAL
+    assert "simulator failed; trace is partial" in capsys.readouterr().err
+    assert (out / "trace.csv").read_text().endswith("\n# incomplete\n")
+    trace = read_trace(out / "trace.csv")
+    assert not trace.complete
+    assert [e.level for e in trace.entries].count(2) == 2
+    model = load_model(out / "model")
+    assert [len(d) for d in model.data.designs] == [8 + len(trace), 4 + 2]
 
 
 def test_sequential_budget_below_cheapest_run(tmp_path):
@@ -491,9 +539,13 @@ def _one_more(t, key):
      "error: level 1: beta has 2 values, its constant basis 1 columns"),
     (_one_more(2, "rho_beta"), EXIT_VALIDATION,
      "error: level 2: rho_beta has 2 values, its constant basis 1 columns"),
+    (_one_more(1, "lengthscales"), EXIT_VALIDATION,
+     "error: level 1: lengthscales has 2 values, the data dimension is 1"),
+    (_set(2, lengthscales=[]), EXIT_VALIDATION,
+     "error: level 2: lengthscales has 0 values, the data dimension is 1"),
 ], ids=["lengthscales-true", "lengthscales-strings", "sigma2-string",
         "level-string", "dimension", "missing-sigma2", "list", "beta-count",
-        "rho_beta-count"])
+        "rho_beta-count", "lengthscales-count", "lengthscales-empty"])
 def test_predict_names_a_bad_model_field(tmp_path, fitted_dir, capsys, edit,
                                          code, message):
     sidecar = json.loads((fitted_dir / "model.json").read_text())

@@ -6,6 +6,7 @@ numbers bit for bit."""
 import numpy as np
 import pytest
 
+import mfkrig.cokriging as cokriging
 import mfkrig.kriging as kriging
 import mfkrig.sequential as sequential
 from helpers import reference_search, replay_loop
@@ -160,18 +161,23 @@ def test_polished_search_equals_a_search_through_predict(name, sizes, search):
 UNIT1 = Domain([[0.0, 1.0]])
 
 
-@pytest.fixture()
-def correlation_rows(monkeypatch):
-    """Rows asked of ``probe_correlation`` by the node sets, per call."""
+def _count_rows(monkeypatch, module):
+    """Rows asked of ``module.probe_correlation``, per call."""
     rows = []
-    original = sequential.probe_correlation
+    original = module.probe_correlation
 
     def counted(kernel, design, points):
         rows.append(len(np.atleast_2d(design)))
         return original(kernel, design, points)
 
-    monkeypatch.setattr(sequential, "probe_correlation", counted)
+    monkeypatch.setattr(module, "probe_correlation", counted)
     return rows
+
+
+@pytest.fixture()
+def correlation_rows(monkeypatch):
+    """Rows asked of ``probe_correlation`` by the node sets, per call."""
+    return _count_rows(monkeypatch, sequential)
 
 
 def test_enriched_node_gets_the_nugget_from_one_new_row(correlation_rows):
@@ -202,7 +208,9 @@ def test_a_node_set_wider_than_a_column_block_continues_bit_for_bit(
     assert (got == grown.predict(nodes.points).variances[-1]).all()
 
 
-def test_a_one_node_set_keeps_nothing_and_equals_predict(correlation_rows):
+def test_a_one_node_set_keeps_nothing_and_equals_predict(monkeypatch):
+    # a one-node set reads its rows through predict
+    correlation_rows = _count_rows(monkeypatch, cokriging)
     model, _, _, simulators = _setup("forrester", [8, 4])
     nodes = sequential._Nodes(np.array([[0.3141]]))
     assert (nodes.top_variance(model)
@@ -211,7 +219,7 @@ def test_a_one_node_set_keeps_nothing_and_equals_predict(correlation_rows):
     grown = enrich(model, x, 2, values=[s(x[None, :])[0] for s in simulators])
     got = nodes.top_variance(grown)
     # a single point is solved afresh by dtrtrs, as predict solves it
-    assert correlation_rows == [8, 4, 9, 5] and not nodes._solves
+    assert correlation_rows == [8, 4, 8, 4, 9, 5] and not nodes._solves
     assert (got == grown.predict(nodes.points).variances[-1]).all()
 
 

@@ -208,6 +208,22 @@ def test_unknown_search_rejected(forrester_model):
         argmax_variance(forrester_model, UNIT1, search="grid")
 
 
+@pytest.mark.parametrize("dimension, search, quadrature", [
+    (1, GridSearch(1025), GridQuadrature(1024)),
+    (2, GridSearch(101), GridQuadrature(48)),
+    (3, RandomSearch(4096, seed=0, polish=True),
+     MonteCarloQuadrature(4096, seed=0)),
+], ids=["1d", "2d", "3d"])
+def test_the_default_strategies_per_dimension(dimension, search, quadrature):
+    design = np.random.default_rng(dimension).uniform(size=(6, dimension))
+    model = _single_level_model(design, np.sin(3.0 * design.sum(axis=1)))
+    domain = Domain([[0.0, 1.0]] * dimension)
+    assert (argmax_variance(model, domain)
+            == argmax_variance(model, domain, search)).all()
+    assert compute_imse(model, domain) == compute_imse(model, domain,
+                                                       quadrature)
+
+
 # ---------------------------------------------------------------------------
 # compute_imse
 

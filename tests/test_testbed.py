@@ -231,6 +231,31 @@ def test_save_load_save_is_byte_identical(tmp_path):
             assert fa.read() == fb.read(), name
 
 
+def test_a_model_saved_over_a_deeper_one_loads(tmp_path):
+    deep = _small_data(sizes=(9, 5, 3))
+    basis = BasisSpec("constant", 1)
+    configs = [LevelConfig(basis, KernelSpec("squared-exponential"),
+                           scaling=None if t == 0 else basis)
+               for t in range(3)]
+    params = [LevelParameters([0.5], 1.0, [0.0],
+                              rho_beta=None if t == 0 else [1.0])
+              for t in range(3)]
+    save_model(MultiFidelityModel.from_parameters(deep, configs, params),
+               tmp_path)
+    (tmp_path / "notes.txt").write_text("kept\n")
+    model = _fitted_model()
+    save_model(model, tmp_path)
+    # the level-3 files go, and nothing else does
+    assert sorted(os.listdir(tmp_path)) == [
+        "design_1.csv", "design_2.csv", "level_1.csv", "level_2.csv",
+        "model.json", "notes.txt"]
+    loaded = load_model(tmp_path)
+    assert loaded.level_count == 2
+    probes = np.linspace(0.0, 1.0, 11)[:, None]
+    np.testing.assert_allclose(loaded.predict(probes).means,
+                               model.predict(probes).means, rtol=0, atol=1e-15)
+
+
 def test_truncated_csv_parse_error_names_line(tmp_path):
     data = _small_data()
     save_data(data, tmp_path)
