@@ -194,9 +194,11 @@ def cmd_sequential(config, out, quiet) -> int:
     search = _strategy_from(config, "search", _SEARCH_KINDS)
     quadrature = _strategy_from(config, "quadrature", _QUADRATURE_KINDS)
     data = _build_data(config, problem)
+    # the data fix the level count: a prefix of the problem's levels runs
     simulators = [lambda x, t=t: problem.evaluate(t, x)
-                  for t in range(1, problem.level_count + 1)]
-    cost = CostModel(_typed(config, "costs", list[float], problem.costs))
+                  for t in range(1, problem.level_count + 1)][:data.levels]
+    cost = CostModel(_typed(config, "costs", list[float],
+                            problem.costs[:data.levels]))
     budget = _typed(config, "budget", float)
     settings = _options(config, rule=str, refit=str)
     # the run's settings fail here, before the initial fit searches
@@ -213,7 +215,8 @@ def cmd_sequential(config, out, quiet) -> int:
         print(f"{len(trace)} iterations, trace in {trace_path}, "
               f"final model in {model_dir}")
     if not trace.complete:
-        print("simulator failed; trace is partial", file=sys.stderr)
+        print(f"simulator failed; trace is partial: {trace.failure}",
+              file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 

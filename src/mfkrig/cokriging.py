@@ -25,12 +25,11 @@ the bases and rho factors of the variance recursion, for ``predict``,
 ``hypothetical_variance_after`` and the node sets of the sequential
 loop alike. A frozen ``refit`` appends factor rows for the appended
 design points, so the loop's node sets can continue their kept solves.
-A model keeps its fit settings and its level searches by key
+A model keeps its fit settings and its levels by search key
 (``_fit_on``), so a reestimating refit (``_fit_levels``) fits as the
-model was fitted and searches again only the levels whose likelihood
-inputs changed. Per-level variance contributions come from telescoping
-the recursion; they power the level-choice rules in the sequential
-module.
+model was fitted and searches and solves again only the levels whose
+likelihood inputs changed. Per-level variance contributions come from
+telescoping the recursion; they power the sequential level rules.
 """
 
 from dataclasses import dataclass
@@ -408,10 +407,10 @@ def _fit_on(config: LevelConfig, inputs, bounds, restarts, rng, searches):
     key holds everything the search reads: the kernel family, the
     log-lengthscale box, the starts, and the shapes and bytes of the
     design, the responses and the regression matrix. ``searches`` maps
-    the keys of earlier searches to the kernels they found; a level
-    whose key is there is assembled from that kernel without a search.
-    The search is deterministic, so the level is bit for bit the one a
-    search gives.
+    the keys of earlier searches of the same configs to the levels they
+    built from the search's solve at its best point; a level whose key
+    is there is that level, with no search and no solve. The search is
+    deterministic, so that level is bit for bit the one a search gives.
     """
     design, y, _, h, _ = inputs
     family = config.kernel.family
@@ -419,23 +418,27 @@ def _fit_on(config: LevelConfig, inputs, bounds, restarts, rng, searches):
     starts = _draw_starts(*box, restarts, rng)
     key = (family, *(a.tobytes() for a in (*box, np.array(starts))),
            *((a.shape, a.tobytes()) for a in (design, y, h)))
-    kernel = searches.get(key)
-    if kernel is None:
-        kernel = _ml_fit(design, h, y, family, box, starts)
-    return _assemble_level(config, kernel, inputs), key
+    level = searches.get(key)
+    if level is None:
+        kernel, terms = _ml_fit(design, h, y, family, box, starts)
+        level = _assemble_level(config, kernel, inputs, terms=terms)
+    return level, key
 
 
 def _assemble_level(config: LevelConfig, kernel: KernelSpec, inputs,
-                    sigma2=None, coef=None, grown_from=None) -> FittedLevel:
+                    sigma2=None, coef=None, grown_from=None,
+                    terms=None) -> FittedLevel:
     """One level with the given kernel, on its ``_level_inputs``.
 
-    ``coef`` (scaling block first) defaults to the GLS estimate, which
-    also sets ``nll``; ``sigma2`` defaults to the ML estimate.
-    ``grown_from`` is passed to ``kriging._solve_level``.
+    ``terms``, a search's solve, is the level's; else
+    ``kriging._solve_level`` solves with ``coef`` (scaling block first;
+    by default the GLS estimate) and ``grown_from``. ``sigma2`` defaults
+    to the ML estimate.
     """
     design, y, lower_values, h, q = inputs
-    lo, coef, ml_sigma2, nll, alpha = _solve_level(kernel, design, h, y, coef,
-                                                   grown_from)
+    if terms is None:
+        terms = _solve_level(kernel, design, h, y, coef, grown_from)
+    nll, coef, ml_sigma2, lo, alpha = terms
     return FittedLevel(
         design=design, y=y, trend=config.trend, scaling=config.scaling,
         kernel=kernel, beta=coef[q:], rho_beta=coef[:q] if q else None,
@@ -465,8 +468,9 @@ class MultiFidelityModel:
     Immutable after construction; ``predict`` and
     ``hypothetical_variance_after`` are read-only. A model keeps the
     ``(bounds, restarts, seed)`` of its fit (``_fit_settings``, else
-    ``(None, 5, 0)``) and its level searches by key (``_fit_on``); a
-    frozen ``refit`` carries both forward, and nothing saves them.
+    ``(None, 5, 0)``) and the levels its searches built by search key
+    (``_searches``, as ``_fit_on`` keys them); a frozen ``refit`` carries
+    both forward, and nothing saves them.
     """
 
     def __init__(self, levels, data: MultiFidelityData, configs):
@@ -620,8 +624,8 @@ def _fit_levels(data: MultiFidelityData, configs, searches, bounds=None,
                 restarts=_DEFAULT_RESTARTS, seed=0) -> MultiFidelityModel:
     """``fit_multifidelity`` given the searches of an earlier model
     (``searches``, as ``_fit_on`` takes them): a level whose search
-    inputs are unchanged takes the kernel found before. The new model
-    keeps its settings and the searches of its own levels only."""
+    inputs are unchanged is the level built before. The new model keeps
+    its settings and the searches of its own levels only."""
     _check_levels(data, configs)
     inputs = []
     for t, config in enumerate(configs, start=1):
@@ -632,5 +636,5 @@ def _fit_levels(data: MultiFidelityData, configs, searches, bounds=None,
               for config, level_inputs in zip(configs, inputs)]
     model = MultiFidelityModel([level for level, _ in fitted], data, configs)
     model._fit_settings = (bounds, restarts, seed)
-    model._searches = {key: level.kernel for level, key in fitted}
+    model._searches = {key: level for level, key in fitted}
     return model

@@ -10,29 +10,25 @@ of the concentrated negative log-likelihood
 
 over log-lengthscales inside a box (``_ml_fit``), by L-BFGS-B on its
 analytic gradient (``_nll_gradient``). A sigma2_hat below 1e6 times its
-floor is round-off of a zero residual and counts as the floor
-(``_factored_nll_terms``), so a level whose residuals are round-off has
-the smooth objective (n - p) * log(floor) + log det R instead of one
-that follows round-off noise. ``_solve_level``
-factors a level and stores its residual solve; a frozen refit of a
-design grown by appended rows grows the old factor row by row
-(``_append_rows``) instead, so its leading block stays bit for bit.
-``variance_factor`` gives the 1 - r(x)' R^{-1} r(x) of the plug-in
-posterior variance (no trend-estimation inflation term) from one row
-recursion, ``_solve_rows``: row i of V = L^{-1} C is
-(c_i - L[i, :i] V[:i]) / L_ii and a running sum of squared rows gives
-r' R^{-1} r. Every posterior variance at more than one point comes
-from it, so a solve kept on fixed nodes and continued over appended
-rows equals a fresh one bit for bit; a single point, never kept, is
-solved by one dtrtrs. The level posteriors themselves are formed in
-``cokriging``. A single-level model is a 1-level ``fit_multifidelity``.
+floor is round-off of a zero residual and counts as the floor, so a
+round-off level has the smooth objective (n - p) log(floor) + log det R.
 
-``_factored_nll_terms`` is the one estimation on a factor: the ML
-search and ``concentrated_nll`` reach it through ``_nll_terms`` on a
-fresh factor, ``_solve_level`` on the factor it picked. They and the
-public ``chol_nugget`` and ``gls_fit`` use the same parts: the kernel
-formula on design / theta, dpotrf, two dtrtrs solves and dgelsd with
-the arguments ``scipy.linalg.lstsq`` passes. These call LAPACK directly,
+``_factored_nll_terms`` is the one solve on a factor: the GLS estimate
+(or given coefficients), sigma2, the NLL and alpha = R^{-1}(y - H beta).
+The search reaches it through ``_nll_terms`` on a fresh factor, and its
+best evaluation is the fitted level. ``_solve_level`` reaches it for a
+level no search solved, on a fresh factor or, for a frozen refit, on
+the old factor grown by the appended rows (``_append_rows``), whose
+leading block stays bit for bit. The nugget joins a factored diagonal
+in ``_factor_in_place`` alone. ``variance_factor`` gives the
+1 - r(x)' R^{-1} r(x) of the plug-in posterior variance (no
+trend-estimation inflation term) by the row recursion ``_solve_rows``,
+so a solve kept on fixed nodes and continued over appended rows equals
+a fresh one bit for bit. The level posteriors are formed in
+``cokriging``; a single-level model is a 1-level ``fit_multifidelity``.
+
+These and the public ``chol_nugget`` and ``gls_fit`` call dpotrf, dtrtrs
+and dgelsd (with the arguments ``scipy.linalg.lstsq`` passes) directly,
 skipping scipy's finite re-scans and work-size queries, because inputs
 are checked where they enter the library: data by ``MultiFidelityData``,
 lengthscales by ``KernelSpec`` or the search box, matrices by the public
@@ -121,8 +117,10 @@ class KrigingProblem:
 
 
 def _factor_in_place(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of the Fortran-ordered ``a``, nugget already
-    on its diagonal, written over ``a``; or IllConditionedError."""
+    """Lower Cholesky factor of the Fortran-ordered ``a`` + nugget, written
+    over ``a``; or IllConditionedError. The one place the nugget joins a
+    diagonal that is factored."""
+    a.flat[::len(a) + 1] += NUGGET
     lo, info = _potrf(a, lower=1, clean=1, overwrite_a=1)
     if info > 0:
         raise IllConditionedError(
@@ -136,7 +134,7 @@ def _nugget_factor(family, design, theta) -> np.ndarray:
     """Lower Cholesky factor of R(theta) + nugget on ``design``."""
     scaled = design / theta
     r = _scaled_correlation(family, scaled, scaled)
-    np.fill_diagonal(r, 1.0 + NUGGET)
+    np.fill_diagonal(r, 1.0)
     # R is exactly symmetric, so its transpose is the same matrix in the
     # Fortran order dpotrf works on in place
     return _factor_in_place(r.T)
@@ -149,7 +147,6 @@ def chol_nugget(r: np.ndarray) -> np.ndarray:
         raise ValueError("correlation matrix must be square")
     if not np.isfinite(a).all():
         raise ValueError("correlation matrix must be finite")
-    a[np.diag_indices_from(a)] += NUGGET
     return _factor_in_place(a)
 
 
@@ -326,7 +323,7 @@ def _likelihood(family, design, trend_matrix, y) -> _Likelihood:
 
 
 def _nll_terms(lik: _Likelihood, theta):
-    """(nll, beta, sigma2, chol) at lengthscales ``theta``.
+    """(nll, beta, sigma2, chol, alpha) at lengthscales ``theta``.
 
     The likelihood of the ML search and ``concentrated_nll``: a fresh
     factor, then ``_factored_nll_terms``.
@@ -337,28 +334,32 @@ def _nll_terms(lik: _Likelihood, theta):
         lik, _nugget_factor(lik.family, lik.design, theta))
 
 
-def _factored_nll_terms(lik: _Likelihood, lo):
-    """``_nll_terms`` on a given factor ``lo`` of R + nugget.
+def _factored_nll_terms(lik: _Likelihood, lo, coef=None):
+    """(nll, coef, sigma2, lo, alpha) on a factor ``lo`` of R + nugget.
 
-    The one rule for sigma2: a sigma2_hat below ``_WELL_POSED`` times the
-    floor is round-off of a zero residual and is taken as exactly the
-    floor; any other is kept as it is. The stored sigma2, the stored NLL
-    and the search objective all come from here.
+    ``coef`` defaults to the GLS estimate, under the one rule for sigma2:
+    a sigma2_hat below ``_WELL_POSED`` times the floor is round-off of a
+    zero residual and is taken as exactly the floor. With ``coef`` given,
+    nll and sigma2 are nan. alpha = R^{-1}(y - H coef).
     """
-    beta, sigma2 = _gls(lo, lik.trend, lik.y)
-    if sigma2 < _WELL_POSED * lik.sigma2_floor:
-        sigma2 = lik.sigma2_floor
-    logdet = 2.0 * float(np.log(lo.diagonal()).sum())
-    n, p = lik.trend.shape
-    nll = (n - p) * np.log(sigma2) + logdet
-    return nll, beta, sigma2, lo
+    nll = sigma2 = float("nan")
+    if coef is None:
+        coef, sigma2 = _gls(lo, lik.trend, lik.y)
+        if sigma2 < _WELL_POSED * lik.sigma2_floor:
+            sigma2 = lik.sigma2_floor
+        logdet = 2.0 * float(np.log(lo.diagonal()).sum())
+        n, p = lik.trend.shape
+        nll = float((n - p) * np.log(sigma2) + logdet)
+    v, _ = _trtrs(lo, lik.y - lik.trend @ coef, lower=1)
+    alpha, _ = _trtrs(lo, v, lower=1, trans=1)
+    return nll, coef, sigma2, lo, alpha
 
 
 def _nll_gradient(lik: _Likelihood, theta, terms) -> np.ndarray:
     """d nll / d(log theta) at ``theta`` from its ``_nll_terms``.
 
     Component k is tr(R^{-1} dR_k) - alpha' dR_k alpha / sigma2, with
-    alpha = R^{-1}(y - H beta) and dR_k = W * D_k
+    alpha = R^{-1}(y - H beta) as the terms hold it and dR_k = W * D_k
     (``kernels._log_lengthscale_weight``); beta and sigma2 are
     concentrated out, so their own change does not enter (Rasmussen &
     Williams 2006, 5.4.1). A sigma2 taken as the floor does not move
@@ -366,11 +367,9 @@ def _nll_gradient(lik: _Likelihood, theta, terms) -> np.ndarray:
     symmetric with a zero diagonal, so each sum is twice its strict
     lower triangle.
     """
-    _, beta, sigma2, lo = terms
+    _, _, sigma2, lo, alpha = terms
     m, _ = _potri(lo, lower=1)
     if sigma2 > lik.sigma2_floor:
-        v, _ = _trtrs(lo, lik.y - lik.trend @ beta, lower=1)
-        alpha, _ = _trtrs(lo, v, lower=1, trans=1)
         m -= np.outer(alpha / sigma2, alpha)
     scaled = lik.design / theta
     m = np.tril(m, -1) * _log_lengthscale_weight(lik.family, scaled)
@@ -379,30 +378,17 @@ def _nll_gradient(lik: _Likelihood, theta, terms) -> np.ndarray:
 
 
 def _solve_level(kernel, design, trend_matrix, y, coef=None, grown_from=None):
-    """Factor a level and store its residual solve; the one place this is done.
-
-    Factors R + nugget for ``kernel`` on ``design`` afresh, or grows
-    ``grown_from``, the factor on its leading rows, by the appended rows
-    (``_append_rows``). Without ``coef`` the coefficients, sigma2 and
-    concentrated NLL are estimated on that factor; with ``coef``
-    given sigma2 and NLL are nan. Stores alpha = R^{-1}(y - H coef).
-
-    Returns (chol, coef, sigma2, nll, alpha).
-    """
+    """``_factored_nll_terms`` of a level no search solved, on a fresh
+    factor or on ``grown_from``, the factor on its leading rows, grown by
+    the appended rows (``_append_rows``)."""
     theta = kernel.lengthscales
     _as_points(design, theta.size)  # one lengthscale per design dimension
     if grown_from is None:
         lo = _nugget_factor(kernel.family, design, theta)
     else:
         lo = _append_rows(kernel.family, design, theta, grown_from)
-    nll = sigma2 = float("nan")
-    if coef is None:
-        nll, coef, sigma2, _ = _factored_nll_terms(
-            _likelihood(kernel.family, design, trend_matrix, y), lo)
-    resid = y - trend_matrix @ coef
-    v, _ = _trtrs(lo, resid, lower=1)
-    alpha, _ = _trtrs(lo, v, lower=1, trans=1)
-    return lo, coef, sigma2, float(nll), alpha
+    return _factored_nll_terms(
+        _likelihood(kernel.family, design, trend_matrix, y), lo, coef)
 
 
 def concentrated_nll(problem: KrigingProblem, theta) -> float:
@@ -420,11 +406,11 @@ def concentrated_nll(problem: KrigingProblem, theta) -> float:
     kernel = KernelSpec(problem.kernel.family, theta)
     design = _as_points(problem.design, kernel.lengthscales.size)
     f = basis_matrix(problem.trend, design)
-    nll, _, _, _ = _nll_terms(
-        _likelihood(kernel.family, design, f, problem.y), kernel.lengthscales)
+    nll = _nll_terms(_likelihood(kernel.family, design, f, problem.y),
+                     kernel.lengthscales)[0]
     if not np.isfinite(nll):
         raise IllConditionedError(f"non-finite likelihood at theta={theta}")
-    return float(nll)
+    return nll
 
 
 def default_theta_bounds(design) -> tuple[np.ndarray, np.ndarray]:
@@ -472,18 +458,18 @@ def _ml_fit(design, trend_matrix, y, family, box, starts):
     max(1, |g(z0)| / ``_FIRST_STEP``): its first step moves at most that
     far.
 
-    Returns the kernel at the best point the runs evaluated, never worse
-    than the best start, and logs one DEBUG record of the search to the
-    ``mfkrig.kriging`` logger: its start count, ``_nll_terms``
-    evaluations, best NLL, whether sigma2 there is the floor, and the
-    dimensions on a bound of the box.
+    Returns the kernel and ``_nll_terms`` of the best point the runs
+    evaluated, never worse than the best start, and logs one DEBUG
+    record of the search to the ``mfkrig.kriging`` logger: its start
+    count, ``_nll_terms`` evaluations, best NLL, whether sigma2 there is
+    the floor, and the dimensions on a bound of the box.
     """
     from scipy.optimize import minimize
 
     log_lo, log_hi = box
     lik = _likelihood(family, design, trend_matrix, y)
     evaluations = 0
-    best = [np.inf, None, None]  # nll, z and sigma2 of the best point
+    best = [np.inf, None, None]  # nll, z and terms of the best point
 
     def evaluate(z):
         """(nll, gradient) at ``z``, or None; records a new best point."""
@@ -497,7 +483,7 @@ def _ml_fit(design, trend_matrix, y, family, box, starts):
         if not np.isfinite(nll):
             return None
         if nll < best[0]:
-            best[:] = nll, z.copy(), terms[2]
+            best[:] = nll, z.copy(), terms
         return nll, _nll_gradient(lik, np.exp(z), terms)
 
     at_start = {}  # (z, evaluation) by the bytes of the clipped start z
@@ -523,11 +509,11 @@ def _ml_fit(design, trend_matrix, y, family, box, starts):
         minimize(objective, z0, jac=True, method="L-BFGS-B",
                  bounds=list(zip(log_lo, log_hi)))
 
-    nll, z, sigma2 = best
+    nll, z, terms = best
     # L-BFGS-B's line search can stop a round-off away from a bound
     on_bound = np.minimum(z - log_lo, log_hi - z) < 1e-8
     _log.debug("search: %d starts, %d evaluations, best nll %.17g, "
                "sigma2 floored %s, on a bound in dimensions %s", len(starts),
-               evaluations, nll, sigma2 == lik.sigma2_floor,
+               evaluations, nll, terms[2] == lik.sigma2_floor,
                np.flatnonzero(on_bound).tolist())
-    return KernelSpec(family, np.exp(z))
+    return KernelSpec(family, np.exp(z)), terms

@@ -489,12 +489,12 @@ def enrich(model, x, level: int, values,
     bit for bit ``fit_multifidelity(grown data, model.configs, bounds,
     restarts, seed)`` with the settings ``model`` was fitted with. A
     level whose search key (``cokriging._fit_on``) matches one of
-    ``model``'s searches takes the lengthscales found then: with an
-    integer seed, every level above ``level``. A ``seed=None`` fit draws
-    fresh starts on every reestimate and reuses none; a Generator seed
-    keeps being drawn from. A loaded model keeps no searches. The grown
-    data is built before any refit, so a non-finite value raises its
-    ValueError first.
+    ``model``'s searches is the level that search built, with no search
+    and no solve: with an integer seed, every level above ``level``. A
+    ``seed=None`` fit draws fresh starts on every reestimate and reuses
+    none; a Generator seed keeps being drawn from. A loaded model keeps
+    no searches. The grown data is built before any refit, so a
+    non-finite value raises its ValueError first.
     """
     if not 1 <= level <= model.level_count:
         raise ValueError(f"level must be in 1..{model.level_count}")
@@ -529,12 +529,14 @@ class TraceEntry:
 
 @dataclass
 class EnrichmentTrace:
-    """Loop history plus the schema facts needed to serialize it."""
+    """Loop history plus the schema facts needed to serialize it;
+    ``failure``, kept in no file, says what stopped an incomplete run."""
 
     dimension: int
     levels: int
     entries: list = field(default_factory=list)
     complete: bool = True
+    failure: str = ""
 
     def __len__(self):
         return len(self.entries)
@@ -663,8 +665,9 @@ def run_loop(model, domain: Domain, cost: CostModel, budget,
     the model's fit settings, so it searches again only the levels whose
     data changed since the model's last searches. A simulator failure
     (an exception or a non-finite value) stops the loop and returns the
-    partial trace flagged incomplete. Every setting is checked by
-    ``_run_settings`` before the first IMSE.
+    partial trace flagged incomplete, its ``failure`` naming the level
+    and cause. ``_run_settings`` checks every setting before the first
+    IMSE.
     """
     budget, period = _run_settings(model.level_count, cost, budget,
                                    simulators, rule, refit)
@@ -688,13 +691,16 @@ def run_loop(model, domain: Domain, cost: CostModel, budget,
         if cum + step > budget:
             break
         iteration += 1
+        values = []
         try:
-            values = [float(np.asarray(simulators[t](x[None, :])).reshape(-1)[0])
-                      for t in range(level)]
-        except Exception:
-            values = None
-        if values is None or not np.all(np.isfinite(values)):
+            for simulator in simulators[:level]:
+                value = float(np.asarray(simulator(x[None, :])).reshape(-1)[0])
+                if not np.isfinite(value):
+                    raise ValueError(f"non-finite value {value}")
+                values.append(value)
+        except Exception as exc:
             trace.complete = False
+            trace.failure = f"level {len(values) + 1} simulator failed: {exc}"
             break
         reestimate = period > 0 and iteration % period == 0
         model = enrich(model, x, level, values=values, reestimate=reestimate)

@@ -86,7 +86,7 @@ def reference_gls(chol_lower, f, y):
 
 
 def reference_nll_terms(design, trend_matrix, y, kernel):
-    """(nll, beta, sigma2, chol) of ``kriging._nll_terms`` through
+    """(nll, beta, sigma2, chol, alpha) of ``kriging._nll_terms`` through
     the public kernel and scipy wrappers: the oracle of the bare LAPACK
     path, which must match it bit for bit."""
     return reference_factored_nll_terms(
@@ -94,18 +94,24 @@ def reference_nll_terms(design, trend_matrix, y, kernel):
         trend_matrix, y)
 
 
-def reference_factored_nll_terms(lo, trend_matrix, y):
+def reference_factored_nll_terms(lo, trend_matrix, y, coef=None):
     """``reference_nll_terms`` on a given factor ``lo`` of R + nugget:
     the oracle of ``kriging._factored_nll_terms``. A sigma2_hat below a
-    million times the floor is round-off and counts as the floor."""
-    beta, sigma2 = reference_gls(lo, trend_matrix, y)
-    floor = _sigma2_floor(y)
-    if sigma2 < 1e6 * floor:
-        sigma2 = floor
-    logdet = 2.0 * float(np.sum(np.log(np.diag(lo))))
-    n, p = trend_matrix.shape
-    nll = (n - p) * np.log(sigma2) + logdet
-    return nll, beta, sigma2, lo
+    million times the floor is round-off and counts as the floor; with
+    ``coef`` given, nll and sigma2 are nan. alpha = R^{-1}(y - H coef)
+    comes from two ``solve_triangular`` calls."""
+    nll = sigma2 = float("nan")
+    if coef is None:
+        coef, sigma2 = reference_gls(lo, trend_matrix, y)
+        floor = _sigma2_floor(y)
+        if sigma2 < 1e6 * floor:
+            sigma2 = floor
+        logdet = 2.0 * float(np.sum(np.log(np.diag(lo))))
+        n, p = trend_matrix.shape
+        nll = float((n - p) * np.log(sigma2) + logdet)
+    v = solve_triangular(lo, y - trend_matrix @ coef, lower=True)
+    alpha = solve_triangular(lo, v, lower=True, trans=1)
+    return nll, coef, sigma2, lo, alpha
 
 
 def reference_ml_fit(design, trend_matrix, y, family, box, starts):
@@ -113,7 +119,8 @@ def reference_ml_fit(design, trend_matrix, y, family, box, starts):
     ``kriging._ml_fit`` reaches by L-BFGS-B: from each start, every
     objective call clips its point into the log-box and evaluates
     ``kriging._nll_terms`` afresh. It takes the same arguments as
-    ``_ml_fit``, so it can stand in for it."""
+    ``_ml_fit`` and returns the same (kernel, terms at the best point),
+    so it can stand in for it."""
     design = _as_points(design)
     y = np.asarray(y, dtype=float).ravel()
     log_lo, log_hi = box
@@ -122,7 +129,7 @@ def reference_ml_fit(design, trend_matrix, y, family, box, starts):
     def objective(z):
         z = np.clip(z, log_lo, log_hi)
         try:
-            nll, _, _, _ = kriging._nll_terms(lik, np.exp(z))
+            nll = kriging._nll_terms(lik, np.exp(z))[0]
         except (IllConditionedError, SingularTrendError):
             return np.inf
         return nll if np.isfinite(nll) else np.inf
@@ -141,7 +148,8 @@ def reference_ml_fit(design, trend_matrix, y, family, box, starts):
     if best is None:
         raise FitFailedError(
             f"all {len(starts)} likelihood starts were ill-conditioned")
-    return KernelSpec(family, np.exp(best[1]))
+    theta = np.exp(best[1])
+    return KernelSpec(family, theta), kriging._nll_terms(lik, theta)
 
 
 def dense_predict(design, y, trend_matrix, beta, kernel, sigma2, x_matrix,

@@ -10,6 +10,7 @@ import mfkrig.cli as cli
 import mfkrig.cokriging as cokriging
 import mfkrig.kriging as kriging
 from mfkrig.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
+from mfkrig.cokriging import MultiFidelityData
 from mfkrig.exceptions import IllConditionedError
 from mfkrig.sequential import (
     EnrichmentTrace,
@@ -17,7 +18,13 @@ from mfkrig.sequential import (
     read_trace,
     write_trace,
 )
-from mfkrig.testbed import TestProblem, get_problem, load_model
+from mfkrig.testbed import (
+    TestProblem,
+    get_problem,
+    load_model,
+    nested_lhs,
+    save_data,
+)
 
 
 def _config(tmp_path, name, **kwargs):
@@ -309,13 +316,33 @@ def test_a_failing_simulator_exits_2_and_keeps_the_partial_run(
     config = _sequential_config(tmp_path, out)
     assert main(["sequential", "--config", config, "--quiet"]) \
         == EXIT_NUMERICAL
-    assert "simulator failed; trace is partial" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "simulator failed; trace is partial" in err
+    # the line names the failing level and the simulator's own message
+    assert "level 2" in err and "the simulator crashed" in err
     assert (out / "trace.csv").read_text().endswith("\n# incomplete\n")
     trace = read_trace(out / "trace.csv")
     assert not trace.complete
     assert [e.level for e in trace.entries].count(2) == 2
     model = load_model(out / "model")
     assert [len(d) for d in model.data.designs] == [8 + len(trace), 4 + 2]
+
+
+@pytest.mark.parametrize("costs", [dict(costs=[1.0, 4.0]), {}])
+def test_sequential_runs_a_prefix_of_the_problem_levels(tmp_path, costs):
+    # the data fix the level count, as they do for fit: two sizes run
+    # chain3's first two levels, at its first two costs by default
+    out = tmp_path / "run"
+    config = json.loads(open(_sequential_config(tmp_path, out,
+                                                budget=12.0)).read())
+    del config["costs"]
+    config.update(problem="chain3", sizes=[10, 5], **costs)
+    path = _config(tmp_path, "prefix.json", **config)
+    assert main(["sequential", "--config", path, "--quiet"]) == EXIT_OK
+    trace = read_trace(out / "trace.csv")
+    assert trace.levels == 2 and trace.complete and len(trace) >= 1
+    assert trace.entries[-1].cumulative_cost <= 12.0
+    assert load_model(out / "model").level_count == 2
 
 
 def test_sequential_budget_below_cheapest_run(tmp_path):
@@ -447,10 +474,18 @@ def test_sequential_names_a_mistyped_field(tmp_path, capsys, no_likelihood,
     (dict(refit="every-0"), "refit period must be a positive integer"),
     (dict(costs=[1.0, 5.0, 10.0]),
      "cost model and model disagree on level count"),
-    (dict(problem="chain3", sizes=[10, 5]), "need one simulator per level"),
+    # three levels of data, and forrester has two level functions
+    (dict(data_dir="chain3-data", costs=[1.0, 4.0, 16.0]),
+     "need one simulator per level"),
 ])
 def test_sequential_checks_its_loop_settings_before_any_fit(
         tmp_path, capsys, monkeypatch, override, message):
+    monkeypatch.chdir(tmp_path)
+    chain3 = get_problem("chain3")
+    designs = nested_lhs([10, 6, 3], chain3.bounds)
+    save_data(MultiFidelityData(designs, [chain3.evaluate(t + 1, x)
+                                          for t, x in enumerate(designs)]),
+              "chain3-data")
     fits = []
     original = cokriging._ml_fit
     monkeypatch.setattr(cokriging, "_ml_fit", lambda *args: (

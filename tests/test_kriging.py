@@ -172,7 +172,7 @@ def _outcome(evaluate):
     except (IllConditionedError, SingularTrendError) as exc:
         return type(exc), str(exc)
     return ([np.asarray(a, dtype=float).tobytes() for a in out]
-            + [out[-1].flags.f_contiguous if len(out) == 4 else None])
+            + [out[3].flags.f_contiguous if len(out) == 5 else None])
 
 
 @settings(max_examples=300, deadline=None)
@@ -250,7 +250,7 @@ def test_sigma2_within_round_off_of_zero_counts_as_the_floor(ratio, snapped):
     _, sigma2 = kriging._gls(lo, f, problem.y)
     lik = kriging._likelihood(SE, problem.design, f, problem.y)._replace(
         sigma2_floor=sigma2 / ratio)
-    nll, _, kept, _ = kriging._factored_nll_terms(lik, lo)
+    nll, _, kept, _, _ = kriging._factored_nll_terms(lik, lo)
     assert kept == (lik.sigma2_floor if snapped else sigma2)
     n, p = f.shape
     logdet = 2.0 * float(np.log(lo.diagonal()).sum())
@@ -434,7 +434,7 @@ def test_search_steps_past_an_ill_conditioned_vector(monkeypatch):
     problem = make_problem(np.random.default_rng(6), n=12, trend="linear")
     bounds = (0.05, 5.0)
     keys = _spy_evaluations(monkeypatch, lambda theta: theta[0] > 1.0)
-    kernel = _search(problem, kriging._ml_fit, bounds)
+    kernel, _ = _search(problem, kriging._ml_fit, bounds)
     assert any(np.exp(np.frombuffer(k))[0] > 1.0 for k in keys)
     monkeypatch.undo()
     assert kernel.lengthscales[0] <= 1.0
@@ -459,7 +459,8 @@ def test_a_well_posed_search_evaluates_each_start_once(monkeypatch, d, family):
 
 
 def _spy_searches(monkeypatch):
-    """Record (arguments, kernel) of every ``_ml_fit`` call of a fit."""
+    """Record (arguments, (kernel, terms)) of every ``_ml_fit`` call of a
+    fit."""
     searches = []
     original = cokriging._ml_fit
 
@@ -474,9 +475,8 @@ def _spy_searches(monkeypatch):
 def _search_nll(args, kernel):
     """The concentrated NLL of a search's level at ``kernel``."""
     design, h, y, family, _, _ = args
-    nll, _, _, _ = kriging._nll_terms(
-        kriging._likelihood(family, design, h, y), kernel.lengthscales)
-    return nll
+    return kriging._nll_terms(
+        kriging._likelihood(family, design, h, y), kernel.lengthscales)[0]
 
 
 @pytest.mark.parametrize("seed, level", [(17, 2), (13, 1)])
@@ -496,8 +496,8 @@ def test_capped_first_step_reaches_the_nelder_mead_optimum(monkeypatch, seed,
                            scaling=BasisSpec("constant", d))]
     searches = _spy_searches(monkeypatch)
     fit_multifidelity(data, configs, restarts=2, seed=seed)
-    args, kernel = searches[level - 1]
-    reference = _search_nll(args, reference_ml_fit(*args))
+    args, (kernel, _) = searches[level - 1]
+    reference = _search_nll(args, reference_ml_fit(*args)[0])
     assert _search_nll(args, kernel) <= \
         reference + 1e-6 * max(1.0, abs(reference))
 

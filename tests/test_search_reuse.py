@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mfkrig.cokriging as cokriging
+import mfkrig.kriging as kriging
 import mfkrig.sequential as sequential
 from mfkrig.cokriging import (
     LevelConfig,
@@ -128,6 +129,40 @@ def searched(monkeypatch):
 
     monkeypatch.setattr(cokriging, "_ml_fit", spy)
     return sizes
+
+
+def _spy_solves(monkeypatch):
+    """(design sizes of every ``_nugget_factor`` call, design sizes of
+    every ``_nll_terms`` call), each in call order."""
+    factors, evaluations = [], []
+    nugget_factor, nll_terms = kriging._nugget_factor, kriging._nll_terms
+    monkeypatch.setattr(kriging, "_nugget_factor", lambda family, design, theta: (
+        factors.append(len(design)), nugget_factor(family, design, theta))[1])
+    monkeypatch.setattr(kriging, "_nll_terms", lambda lik, theta: (
+        evaluations.append(len(lik.y)), nll_terms(lik, theta))[1])
+    return factors, evaluations
+
+
+def test_a_fit_factors_once_per_likelihood_evaluation(chain3, monkeypatch):
+    # a searched level is the search's solve at its best point
+    data, configs, _, _ = chain3
+    factors, evaluations = _spy_solves(monkeypatch)
+    fit_multifidelity(data, configs, seed=0)
+    assert sorted(set(evaluations)) == [4, 8, 12]
+    assert factors == evaluations
+
+
+def test_a_level_kept_by_its_search_key_is_not_solved_again(chain3,
+                                                          monkeypatch):
+    data, configs, x, values = chain3
+    model = fit_multifidelity(data, configs, seed=0)
+    factors, _ = _spy_solves(monkeypatch)
+    grown = enrich(model, x, 1, values[:1], reestimate=True)
+    assert grown.levels[0] is not model.levels[0]
+    assert all(new is old for new, old in zip(grown.levels[1:],
+                                              model.levels[1:]))
+    # only level 1, grown to 13 points, is factored
+    assert factors and set(factors) == {13}
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])

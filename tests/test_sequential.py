@@ -458,11 +458,12 @@ def test_a_frozen_enrich_keeps_each_level_nll(forrester_model):
         h = (basis_matrix(config.trend, lev.design) if t == 0 else
              extended_trend_matrix(config, lev.design, lev.lower_values))
         # the concentrated NLL of the level's data on its own grown factor
-        own, _, _, _ = reference_factored_nll_terms(lev.chol, h, lev.y)
+        own = reference_factored_nll_terms(lev.chol, h, lev.y)[0]
         assert lev.nll == pytest.approx(own, rel=1e-12)
         # a fresh factor differs from the grown one by round-off, about
         # cond(R + nugget) * eps (MultiFidelityModel.refit)
-        fresh, _, _, lo = reference_nll_terms(lev.design, h, lev.y, lev.kernel)
+        fresh, _, _, lo, _ = reference_nll_terms(lev.design, h, lev.y,
+                                                 lev.kernel)
         bound = np.linalg.cond(lo @ lo.T) * np.finfo(float).eps
         assert lev.nll == pytest.approx(fresh, rel=bound)
     # given coefficients hold no likelihood
@@ -665,6 +666,7 @@ def test_simulator_failure_flags_partial_trace(forrester_model):
                         quadrature=GridQuadrature(128))
     assert not trace.complete
     assert len(trace) == 2
+    assert trace.failure == "level 1 simulator failed: solver diverged"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -684,6 +686,20 @@ def test_non_finite_simulator_output_flags_partial_trace(forrester_model, bad):
     assert not trace.complete
     assert len(trace) == 2
     assert all(np.all(np.isfinite(z)) for z in model.data.observations)
+
+
+def test_a_non_finite_top_level_value_names_its_level(forrester_model):
+    problem = get_problem("forrester")
+    sims = [lambda x: problem.evaluate(1, x), lambda x: np.full(len(x), np.nan)]
+    model, trace = run_loop(forrester_model, UNIT1, CostModel([1.0, 5.0]),
+                            budget=50.0, simulators=sims,
+                            search=GridSearch(129),
+                            quadrature=GridQuadrature(128))
+    assert not trace.complete
+    assert trace.failure == "level 2 simulator failed: non-finite value nan"
+    # the failing run joins no level; the runs before it are all level 1
+    assert all(e.level == 1 for e in trace.entries)
+    assert len(model.data.designs[1]) == len(forrester_model.data.designs[1])
 
 
 def test_loop_with_periodic_reestimation(forrester_model):
