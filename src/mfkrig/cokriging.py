@@ -50,6 +50,7 @@ from .kernels import (
 from .kriging import (
     _DEFAULT_RESTARTS,
     _draw_starts,
+    _likelihood,
     _ml_fit,
     _search_box,
     _solve_level,
@@ -383,64 +384,55 @@ def fit_level(level: int, data: MultiFidelityData, config: LevelConfig,
         raise ValueError(f"level must be in [1, {data.levels}]")
     _check_layout(level, config.scaling)
     inputs = _level_inputs(config, data, level)
-    _check_estimable(level, *inputs[3:])
-    fitted, _ = _fit_on(config, inputs, bounds, restarts,
-                        np.random.default_rng(seed), {})
-    return fitted
+    _check_estimable(level, inputs[0].trend, inputs[2])
+    return _fit_on(config, inputs, bounds, restarts,
+                   np.random.default_rng(seed), {})[0]
 
 
 def _level_inputs(config: LevelConfig, data: MultiFidelityData, level: int):
-    """(design, responses, z_{t-1}(D_t), regression matrix, scaling block
-    width) of one level: F at level 1, else [G . z_{t-1} | F]."""
+    """(likelihood record with regression matrix F at level 1, else
+    [G . z_{t-1} | F], z_{t-1}(D_t), scaling block width) of one level."""
     design, y = data.designs[level - 1], data.observations[level - 1]
     if config.scaling is None:
-        return design, y, None, basis_matrix(config.trend, design), 0
-    lower = data.lower_level_values(level)
-    return (design, y, lower, extended_trend_matrix(config, design, lower),
-            config.scaling.size)
+        lower, h, q = None, basis_matrix(config.trend, design), 0
+    else:
+        lower = data.lower_level_values(level)
+        h, q = extended_trend_matrix(config, design, lower), config.scaling.size
+    return _likelihood(config.kernel.family, design, h, y), lower, q
 
 
 def _fit_on(config: LevelConfig, inputs, bounds, restarts, rng, searches):
     """Maximum-likelihood fit of one level on its checked inputs.
 
     Draws the level's starts from ``rng`` and returns (level, key). The
-    key holds everything the search reads: the kernel family, the
-    log-lengthscale box, the starts, and the shapes and bytes of the
-    design, the responses and the regression matrix. ``searches`` maps
+    key holds everything the search reads: the log-lengthscale box, the
+    starts, and the likelihood record's family and the shapes and bytes
+    of its design, responses and regression matrix. ``searches`` maps
     the keys of earlier searches of the same configs to the levels they
     built from the search's solve at its best point; a level whose key
     is there is that level, with no search and no solve. The search is
     deterministic, so that level is bit for bit the one a search gives.
     """
-    design, y, _, h, _ = inputs
-    family = config.kernel.family
-    box = _search_box(design, bounds)
+    lik = inputs[0]
+    box = _search_box(lik.design, bounds)
     starts = _draw_starts(*box, restarts, rng)
-    key = (family, *(a.tobytes() for a in (*box, np.array(starts))),
-           *((a.shape, a.tobytes()) for a in (design, y, h)))
+    key = (lik.family, *(a.tobytes() for a in (*box, np.array(starts))),
+           *((a.shape, a.tobytes()) for a in (lik.design, lik.y, lik.trend)))
     level = searches.get(key)
     if level is None:
-        kernel, terms = _ml_fit(design, h, y, family, box, starts)
-        level = _assemble_level(config, kernel, inputs, terms=terms)
+        level = _assemble_level(config, inputs, *_ml_fit(lik, box, starts))
     return level, key
 
 
-def _assemble_level(config: LevelConfig, kernel: KernelSpec, inputs,
-                    sigma2=None, coef=None, grown_from=None,
-                    terms=None) -> FittedLevel:
-    """One level with the given kernel, on its ``_level_inputs``.
-
-    ``terms``, a search's solve, is the level's; else
-    ``kriging._solve_level`` solves with ``coef`` (scaling block first;
-    by default the GLS estimate) and ``grown_from``. ``sigma2`` defaults
-    to the ML estimate.
-    """
-    design, y, lower_values, h, q = inputs
-    if terms is None:
-        terms = _solve_level(kernel, design, h, y, coef, grown_from)
+def _assemble_level(config: LevelConfig, inputs, kernel: KernelSpec, terms,
+                    sigma2=None) -> FittedLevel:
+    """One level with the given kernel on its ``_level_inputs``, from its
+    solve ``terms``: the search's at its best point or
+    ``kriging._solve_level``'s. ``sigma2`` defaults to the ML estimate."""
+    lik, lower_values, q = inputs
     nll, coef, ml_sigma2, lo, alpha = terms
     return FittedLevel(
-        design=design, y=y, trend=config.trend, scaling=config.scaling,
+        design=lik.design, y=lik.y, trend=config.trend, scaling=config.scaling,
         kernel=kernel, beta=coef[q:], rho_beta=coef[:q] if q else None,
         sigma2=ml_sigma2 if sigma2 is None else sigma2, chol=lo, alpha=alpha,
         nll=nll, lower_values=lower_values)
@@ -501,10 +493,11 @@ class MultiFidelityModel:
         levels = []
         for t, (config, par) in enumerate(zip(configs, parameters), start=1):
             coef = par.beta if t == 1 else np.concatenate([par.rho_beta, par.beta])
-            levels.append(_assemble_level(
-                config, config.kernel.with_lengthscales(par.lengthscales),
-                _level_inputs(config, data, t), sigma2=float(par.sigma2),
-                coef=coef))
+            kernel = config.kernel.with_lengthscales(par.lengthscales)
+            inputs = _level_inputs(config, data, t)
+            terms = _solve_level(inputs[0], kernel.lengthscales, coef)
+            levels.append(_assemble_level(config, inputs, kernel, terms,
+                                          sigma2=float(par.sigma2)))
         return cls(levels, data, configs)
 
     def _probe(self, x):
@@ -591,11 +584,12 @@ class MultiFidelityModel:
         for t, (config, lev) in enumerate(zip(self.configs, self.levels),
                                           start=1):
             inputs = _level_inputs(config, data, t)
-            _check_estimable(t, inputs[3])
-            grown_from = lev.chol if extends(inputs[0], lev.design) else None
-            levels.append(_assemble_level(config, lev.kernel, inputs,
-                                          sigma2=lev.sigma2,
-                                          grown_from=grown_from))
+            lik = inputs[0]
+            _check_estimable(t, lik.trend)
+            grown_from = lev.chol if extends(lik.design, lev.design) else None
+            terms = _solve_level(lik, lev.lengthscales, grown_from=grown_from)
+            levels.append(_assemble_level(config, inputs, lev.kernel, terms,
+                                          sigma2=lev.sigma2))
         model = MultiFidelityModel(levels, data, self.configs)
         model._fit_settings = self._fit_settings
         model._searches = self._searches
@@ -630,7 +624,7 @@ def _fit_levels(data: MultiFidelityData, configs, searches, bounds=None,
     inputs = []
     for t, config in enumerate(configs, start=1):
         inputs.append(_level_inputs(config, data, t))
-        _check_estimable(t, *inputs[-1][3:])
+        _check_estimable(t, inputs[-1][0].trend, inputs[-1][2])
     rng = np.random.default_rng(seed)
     fitted = [_fit_on(config, level_inputs, bounds, restarts, rng, searches)
               for config, level_inputs in zip(configs, inputs)]

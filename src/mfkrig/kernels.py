@@ -8,7 +8,8 @@ Two kernel families are supported, both positive-valued with r(x, x) = 1:
 
 Lengthscales are anisotropic (one per input dimension). Correlation
 matrices are exactly symmetric with unit diagonal; ``NUGGET`` is the
-additive diagonal term used everywhere a matrix gets factorized.
+diagonal term added wherever one is factorized. Each formula is written
+once, in ``_scaled_correlation``, which also gives the gradient weight.
 """
 
 from dataclasses import dataclass
@@ -116,19 +117,23 @@ def _cdist():
     return cdist
 
 
-def _scaled_correlation(family, a, b) -> np.ndarray:
+def _scaled_correlation(family, a, b, weight=False):
     """The kernel formula of ``family`` between point sets already divided
-    by their lengthscales: the one place it is written.
+    by their lengthscales: the one place it is written. With ``weight``,
+    ``b`` is ``a`` and the result is (R, W), dR/d(log theta_k) = W * D_k
+    for D_k the squared differences in dimension k (Rasmussen & Williams
+    2006, 5.4.1): 2 R, or (5/3)(1 + u) exp(-u) for Matern-5/2.
 
     Each step writes over an array made here, in the operation order of
-    exp(-d2) and (1 + u + (5/3) h h) exp(-u): the values are those of
-    the plain expressions without their large temporaries, whose
-    allocation cost more than the arithmetic at a few hundred points.
+    exp(-d2), (1 + u + (5/3) h h) exp(-u) and W's formula, so the values
+    are those of the plain expressions without their large temporaries,
+    whose allocation cost more than the arithmetic at a few hundred points.
     """
     if family == SQUARED_EXPONENTIAL:
         r = _cdist()(a, b, "sqeuclidean")
         np.negative(r, out=r)
-        return np.exp(r, out=r)
+        np.exp(r, out=r)
+        return (r, 2.0 * r) if weight else r
     h = _cdist()(a, b, "euclidean")
     u = np.sqrt(5.0) * h
     r = (5.0 / 3.0) * h
@@ -136,19 +141,10 @@ def _scaled_correlation(family, a, b) -> np.ndarray:
     r += np.add(1.0, u, out=h)
     np.negative(u, out=u)
     r *= np.exp(u, out=u)
+    if weight:  # h holds 1 + u and u holds exp(-u)
+        np.multiply(5.0 / 3.0, h, out=h)
+        return r, np.multiply(h, u, out=h)
     return r
-
-
-def _log_lengthscale_weight(family, scaled) -> np.ndarray:
-    """W with dR/d(log theta_k) = W * D_k on the points ``scaled``, already
-    divided by their lengthscales, where D_k holds their squared
-    differences in dimension k: 2 R for the squared exponential and
-    (5/3)(1 + u) exp(-u), u = sqrt(5) h, for Matern-5/2, the derivatives
-    of the formulas of ``_scaled_correlation``."""
-    if family == SQUARED_EXPONENTIAL:
-        return 2.0 * _scaled_correlation(family, scaled, scaled)
-    u = np.sqrt(5.0) * _cdist()(scaled, scaled, "euclidean")
-    return (5.0 / 3.0) * (1.0 + u) * np.exp(-u)
 
 
 def correlation_matrix(spec: KernelSpec, points) -> np.ndarray:

@@ -15,17 +15,18 @@ round-off level has the smooth objective (n - p) log(floor) + log det R.
 
 ``_factored_nll_terms`` is the one solve on a factor: the GLS estimate
 (or given coefficients), sigma2, the NLL and alpha = R^{-1}(y - H beta).
-The search reaches it through ``_nll_terms`` on a fresh factor, and its
-best evaluation is the fitted level. ``_solve_level`` reaches it for a
-level no search solved, on a fresh factor or, for a frozen refit, on
-the old factor grown by the appended rows (``_append_rows``), whose
-leading block stays bit for bit. The nugget joins a factored diagonal
-in ``_factor_in_place`` alone. ``variance_factor`` gives the
-1 - r(x)' R^{-1} r(x) of the plug-in posterior variance (no
-trend-estimation inflation term) by the row recursion ``_solve_rows``,
-so a solve kept on fixed nodes and continued over appended rows equals
-a fresh one bit for bit. The level posteriors are formed in
-``cokriging``; a single-level model is a 1-level ``fit_multifidelity``.
+The search reaches it through ``_nll_terms`` on a fresh factor, whose
+kernel evaluation also gives the gradient weight, and its best evaluation
+is the fitted level. ``_solve_level`` reaches it for a level no search
+solved, on a fresh factor or, for a frozen refit, on the old factor grown
+by the appended rows (``_append_rows``), whose leading block stays bit
+for bit; both read the level's ``_Likelihood`` record. The nugget joins a
+factored diagonal in ``_factor_in_place`` alone. ``variance_factor``
+gives the 1 - r(x)' R^{-1} r(x) of the plug-in posterior variance (no
+trend-estimation inflation term) by the row recursion ``_solve_rows``, so
+a solve kept on fixed nodes and continued over appended rows equals a
+fresh one bit for bit. The level posteriors are formed in ``cokriging``;
+a single-level model is a 1-level ``fit_multifidelity``.
 
 These and the public ``chol_nugget`` and ``gls_fit`` call dpotrf, dtrtrs
 and dgelsd (with the arguments ``scipy.linalg.lstsq`` passes) directly,
@@ -57,7 +58,6 @@ from .kernels import (
     KernelSpec,
     basis_matrix,
     _as_points,
-    _log_lengthscale_weight,
     _scaled_correlation,
 )
 
@@ -130,14 +130,14 @@ def _factor_in_place(a: np.ndarray) -> np.ndarray:
     return lo
 
 
-def _nugget_factor(family, design, theta) -> np.ndarray:
-    """Lower Cholesky factor of R(theta) + nugget on ``design``."""
+def _nugget_factor(family, design, theta):
+    """(lower factor of R(theta) + nugget, gradient weight W) on ``design``."""
     scaled = design / theta
-    r = _scaled_correlation(family, scaled, scaled)
+    r, w = _scaled_correlation(family, scaled, scaled, weight=True)
     np.fill_diagonal(r, 1.0)
     # R is exactly symmetric, so its transpose is the same matrix in the
     # Fortran order dpotrf works on in place
-    return _factor_in_place(r.T)
+    return _factor_in_place(r.T), w
 
 
 def chol_nugget(r: np.ndarray) -> np.ndarray:
@@ -309,7 +309,7 @@ def _sigma2_floor(y):
 
 
 class _Likelihood(NamedTuple):
-    """One level's data, prepared once for repeated ``_nll_terms`` calls."""
+    """One level's likelihood record: what its search and solve read."""
 
     family: str
     design: np.ndarray
@@ -323,15 +323,15 @@ def _likelihood(family, design, trend_matrix, y) -> _Likelihood:
 
 
 def _nll_terms(lik: _Likelihood, theta):
-    """(nll, beta, sigma2, chol, alpha) at lengthscales ``theta``.
+    """(nll, beta, sigma2, chol, alpha, w) at lengthscales ``theta``.
 
-    The likelihood of the ML search and ``concentrated_nll``: a fresh
-    factor, then ``_factored_nll_terms``.
+    The likelihood of the ML search and ``concentrated_nll``:
+    ``_nugget_factor``, then ``_factored_nll_terms`` on its factor.
     """
     if not np.isfinite(theta).all():
         raise ValueError("lengthscales must be strictly positive and finite")
-    return _factored_nll_terms(
-        lik, _nugget_factor(lik.family, lik.design, theta))
+    lo, w = _nugget_factor(lik.family, lik.design, theta)
+    return (*_factored_nll_terms(lik, lo), w)
 
 
 def _factored_nll_terms(lik: _Likelihood, lo, coef=None):
@@ -359,36 +359,33 @@ def _nll_gradient(lik: _Likelihood, theta, terms) -> np.ndarray:
     """d nll / d(log theta) at ``theta`` from its ``_nll_terms``.
 
     Component k is tr(R^{-1} dR_k) - alpha' dR_k alpha / sigma2, with
-    alpha = R^{-1}(y - H beta) as the terms hold it and dR_k = W * D_k
-    (``kernels._log_lengthscale_weight``); beta and sigma2 are
-    concentrated out, so their own change does not enter (Rasmussen &
-    Williams 2006, 5.4.1). A sigma2 taken as the floor does not move
+    alpha = R^{-1}(y - H beta) and dR_k = W * D_k as the terms hold
+    them, D_k the squared differences in dimension k; beta and sigma2
+    are concentrated out, so their own change does not enter (Rasmussen
+    & Williams 2006, 5.4.1). A sigma2 taken as the floor does not move
     with theta, so the second term is dropped there. Each D_k is
     symmetric with a zero diagonal, so each sum is twice its strict
     lower triangle.
     """
-    _, _, sigma2, lo, alpha = terms
+    _, _, sigma2, lo, alpha, w = terms
     m, _ = _potri(lo, lower=1)
     if sigma2 > lik.sigma2_floor:
         m -= np.outer(alpha / sigma2, alpha)
     scaled = lik.design / theta
-    m = np.tril(m, -1) * _log_lengthscale_weight(lik.family, scaled)
+    m = np.tril(m, -1) * w
     diff = scaled[:, None, :] - scaled[None, :, :]
     return 2.0 * np.einsum("ij,ijk->k", m, diff * diff)
 
 
-def _solve_level(kernel, design, trend_matrix, y, coef=None, grown_from=None):
+def _solve_level(lik: _Likelihood, theta, coef=None, grown_from=None):
     """``_factored_nll_terms`` of a level no search solved, on a fresh
     factor or on ``grown_from``, the factor on its leading rows, grown by
     the appended rows (``_append_rows``)."""
-    theta = kernel.lengthscales
-    _as_points(design, theta.size)  # one lengthscale per design dimension
     if grown_from is None:
-        lo = _nugget_factor(kernel.family, design, theta)
+        lo, _ = _nugget_factor(lik.family, lik.design, theta)
     else:
-        lo = _append_rows(kernel.family, design, theta, grown_from)
-    return _factored_nll_terms(
-        _likelihood(kernel.family, design, trend_matrix, y), lo, coef)
+        lo = _append_rows(lik.family, lik.design, theta, grown_from)
+    return _factored_nll_terms(lik, lo, coef)
 
 
 def concentrated_nll(problem: KrigingProblem, theta) -> float:
@@ -435,17 +432,21 @@ def _search_box(design, bounds):
     return np.log(lo), np.log(hi)
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _draw_starts(log_lo, log_hi, restarts, rng) -> list:
     """The starts of a search: the box midpoint, then ``restarts - 1``
     uniform draws from the box with ``rng``; ``restarts`` is checked first."""
-    if not (isinstance(restarts, (int, np.integer)) and restarts >= 1):
+    if not (_is_integer(restarts) and restarts >= 1):
         raise ValueError("restarts must be a positive integer")
     return [0.5 * (log_lo + log_hi)] + [rng.uniform(log_lo, log_hi)
                                         for _ in range(restarts - 1)]
 
 
-def _ml_fit(design, trend_matrix, y, family, box, starts):
-    """Multi-start concentrated-ML search for one level's lengthscales.
+def _ml_fit(lik: _Likelihood, box, starts):
+    """Multi-start concentrated-ML search for the lengthscales of ``lik``.
 
     Minimizes the concentrated NLL over log-lengthscales inside ``box``,
     the checked (log_lo, log_hi) of ``_search_box``, by L-BFGS-B on the
@@ -454,12 +455,11 @@ def _ml_fit(design, trend_matrix, y, family, box, starts):
     depends on its arguments alone. Each distinct start is evaluated
     once and each run answers its first call from that evaluation.
     scipy's first step on a boxed problem is the full projected -g, so
-    each run divides objective and gradient by
-    max(1, |g(z0)| / ``_FIRST_STEP``): its first step moves at most that
-    far.
+    each run divides objective and gradient by max(1, |g(z0)| /
+    ``_FIRST_STEP``): its first step moves at most that far.
 
-    Returns the kernel and ``_nll_terms`` of the best point the runs
-    evaluated, never worse than the best start, and logs one DEBUG
+    Returns the kernel and ``_factored_nll_terms`` of the best point the
+    runs evaluated, never worse than the best start, and logs one DEBUG
     record of the search to the ``mfkrig.kriging`` logger: its start
     count, ``_nll_terms`` evaluations, best NLL, whether sigma2 there is
     the floor, and the dimensions on a bound of the box.
@@ -467,7 +467,6 @@ def _ml_fit(design, trend_matrix, y, family, box, starts):
     from scipy.optimize import minimize
 
     log_lo, log_hi = box
-    lik = _likelihood(family, design, trend_matrix, y)
     evaluations = 0
     best = [np.inf, None, None]  # nll, z and terms of the best point
 
@@ -475,16 +474,17 @@ def _ml_fit(design, trend_matrix, y, family, box, starts):
         """(nll, gradient) at ``z``, or None; records a new best point."""
         nonlocal evaluations
         evaluations += 1
+        theta = np.exp(z)
         try:
-            terms = _nll_terms(lik, np.exp(z))
+            terms = _nll_terms(lik, theta)
         except (IllConditionedError, SingularTrendError):
             return None
         nll = terms[0]
         if not np.isfinite(nll):
             return None
         if nll < best[0]:
-            best[:] = nll, z.copy(), terms
-        return nll, _nll_gradient(lik, np.exp(z), terms)
+            best[:] = nll, z.copy(), terms[:5]
+        return nll, _nll_gradient(lik, theta, terms)
 
     at_start = {}  # (z, evaluation) by the bytes of the clipped start z
     for z0 in starts:
@@ -516,4 +516,4 @@ def _ml_fit(design, trend_matrix, y, family, box, starts):
                "sigma2 floored %s, on a bound in dimensions %s", len(starts),
                evaluations, nll, terms[2] == lik.sigma2_floor,
                np.flatnonzero(on_bound).tolist())
-    return KernelSpec(family, np.exp(z)), terms
+    return KernelSpec(lik.family, np.exp(z)), terms

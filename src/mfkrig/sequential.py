@@ -43,7 +43,7 @@ from .cokriging import (
 from .csvio import fmt, parse_row, read_csv
 from .exceptions import ParseError
 from .kernels import extends, probe_correlation, same_points, _as_points
-from .kriging import _clamped_factor, _solve_rows
+from .kriging import _clamped_factor, _is_integer, _solve_rows
 
 IMSE_THRESHOLD = "imse-threshold"
 COST_WEIGHTED = "cost-weighted"
@@ -152,10 +152,13 @@ class CostModel:
 
 
 class _Sized:
-    """A search or quadrature whose first field, its size, is at least 1."""
+    """A search or quadrature whose first field, its size, is an integer >= 1."""
 
     def __post_init__(self):
-        if getattr(self, fields(self)[0].name) < 1:
+        size = getattr(self, name := fields(self)[0].name)
+        if not _is_integer(size):
+            raise ValueError(f"{name!r} must be an integer, got {size!r}")
+        if size < 1:
             raise ValueError(self._empty)
 
 
@@ -433,14 +436,13 @@ def compute_imse(model, domain: Domain, quadrature=None) -> float:
 
 def _check_rule(rule, cost, levels) -> None:
     """The level-choice rule: one of ``LEVEL_RULES``; cost-weighted needs
-    a cost model over the model's ``levels`` levels."""
+    a cost model, and a cost model covers the model's ``levels`` levels."""
     if rule not in LEVEL_RULES:
         raise ValueError(f"unknown rule {rule!r}; expected one of {LEVEL_RULES}")
-    if rule == COST_WEIGHTED:
-        if cost is None:
-            raise ValueError("cost-weighted rule needs a cost model")
-        if cost.levels != levels:
-            raise ValueError("cost model and model disagree on level count")
+    if rule == COST_WEIGHTED and cost is None:
+        raise ValueError("cost-weighted rule needs a cost model")
+    if cost is not None and cost.levels != levels:
+        raise ValueError("cost model and model disagree on level count")
 
 
 def choose_level(model, x, imse, cost: CostModel | None = None,
@@ -625,16 +627,14 @@ def _run_settings(levels, cost: CostModel, budget, simulators,
                   rule=IMSE_THRESHOLD, refit=REFIT_NEVER):
     """(budget as a float, refit period) of a run over ``levels`` levels.
 
-    The one check of a run's settings: the cost model and the simulators
-    cover every level, ``rule`` passes ``_check_rule``, the budget is
+    The one check of a run's settings: ``rule`` and the cost model pass
+    ``_check_rule``, the simulators cover every level, the budget is
     positive and finite, and ``refit`` is "never" (period 0), "always"
     (1) or "every-k" for an integer k >= 1 (k).
     """
-    if cost.levels != levels:
-        raise ValueError("cost model and model disagree on level count")
+    _check_rule(rule, cost, levels)
     if len(simulators) != levels:
         raise ValueError("need one simulator per level")
-    _check_rule(rule, cost, levels)
     budget = float(budget)
     if not 0 < budget < np.inf:
         raise ValueError(f"budget must be positive and finite, got {budget}")

@@ -1,12 +1,14 @@
 """Shared test utilities: prior sampling, dense reference formulas, the
 likelihood evaluation through scipy's checked wrappers, a Nelder-Mead
 likelihood search as the yardstick of the library's L-BFGS-B search, a
-variance search through ``predict``, and the sequential loop spelled out
+variance search through ``predict``, the likelihood gradient's weight
+from its own distance matrix, and the sequential loop spelled out
 through public calls."""
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky, lstsq, solve_triangular
 from scipy.optimize import minimize
+from scipy.spatial.distance import cdist
 
 import mfkrig.kriging as kriging
 from mfkrig.exceptions import (
@@ -19,7 +21,6 @@ from mfkrig.kernels import (
     KernelSpec,
     correlation_matrix,
     same_points,
-    _as_points,
 )
 from mfkrig.kriging import _sigma2_floor
 from mfkrig.sequential import (
@@ -114,17 +115,15 @@ def reference_factored_nll_terms(lo, trend_matrix, y, coef=None):
     return nll, coef, sigma2, lo, alpha
 
 
-def reference_ml_fit(design, trend_matrix, y, family, box, starts):
+def reference_ml_fit(lik, box, starts):
     """A Nelder-Mead likelihood search, the yardstick for the NLL that
     ``kriging._ml_fit`` reaches by L-BFGS-B: from each start, every
     objective call clips its point into the log-box and evaluates
     ``kriging._nll_terms`` afresh. It takes the same arguments as
-    ``_ml_fit`` and returns the same (kernel, terms at the best point),
-    so it can stand in for it."""
-    design = _as_points(design)
-    y = np.asarray(y, dtype=float).ravel()
+    ``_ml_fit`` (a likelihood record, the box and the starts) and
+    returns the same (kernel, solve at the best point), so it can stand
+    in for it."""
     log_lo, log_hi = box
-    lik = kriging._likelihood(family, design, trend_matrix, y)
 
     def objective(z):
         z = np.clip(z, log_lo, log_hi)
@@ -141,7 +140,7 @@ def reference_ml_fit(design, trend_matrix, y, family, box, starts):
             continue
         res = minimize(objective, z0, method="Nelder-Mead",
                        options={"xatol": 1e-6, "fatol": 1e-9,
-                                "maxiter": 400 * design.shape[1]})
+                                "maxiter": 400 * lik.design.shape[1]})
         fun, z = (res.fun, res.x) if res.fun <= f0 else (f0, z0)
         if best is None or fun < best[0]:
             best = (fun, np.clip(z, log_lo, log_hi))
@@ -149,7 +148,20 @@ def reference_ml_fit(design, trend_matrix, y, family, box, starts):
         raise FitFailedError(
             f"all {len(starts)} likelihood starts were ill-conditioned")
     theta = np.exp(best[1])
-    return KernelSpec(family, theta), kriging._nll_terms(lik, theta)
+    return KernelSpec(lik.family, theta), kriging._nll_terms(lik, theta)[:5]
+
+
+def reference_log_lengthscale_weight(family, scaled):
+    """W with dR/d(log theta_k) = W * D_k on the points ``scaled``, already
+    divided by their lengthscales, where D_k holds their squared
+    differences in dimension k: 2 R for the squared exponential and
+    (5/3)(1 + u) exp(-u), u = sqrt(5) h, for Matern-5/2, from a second
+    distance matrix. The oracle of the weight ``kriging._nll_gradient``
+    reads, which must match it bit for bit."""
+    if family == "squared-exponential":
+        return 2.0 * np.exp(-cdist(scaled, scaled, "sqeuclidean"))
+    u = np.sqrt(5.0) * cdist(scaled, scaled, "euclidean")
+    return (5.0 / 3.0) * (1.0 + u) * np.exp(-u)
 
 
 def dense_predict(design, y, trend_matrix, beta, kernel, sigma2, x_matrix,

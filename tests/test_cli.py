@@ -282,9 +282,9 @@ def test_sequential_reestimates_with_the_config_restarts(tmp_path,
     starts = []
     original = cokriging._ml_fit
 
-    def spy(design, h, y, family, box, level_starts):
+    def spy(lik, box, level_starts):
         starts.append(len(level_starts))
-        return original(design, h, y, family, box, level_starts)
+        return original(lik, box, level_starts)
 
     monkeypatch.setattr(cokriging, "_ml_fit", spy)
     out = tmp_path / "run"

@@ -33,6 +33,7 @@ from helpers import (
     reference_chol_nugget,
     reference_gls,
     draw_ar1_data,
+    reference_log_lengthscale_weight,
     reference_ml_fit,
     reference_nll_terms,
     sample_gp,
@@ -180,7 +181,7 @@ def _outcome(evaluate):
 def test_lapack_path_is_bit_identical_to_the_scipy_wrappers(case):
     family, design, f, y, theta = case
     lean = _outcome(lambda: kriging._nll_terms(
-        kriging._likelihood(family, design, f, y), theta))
+        kriging._likelihood(family, design, f, y), theta)[:5])
     wrapped = _outcome(lambda: reference_nll_terms(
         design, f, y, KernelSpec(family, theta)))
     assert lean == wrapped
@@ -189,6 +190,26 @@ def test_lapack_path_is_bit_identical_to_the_scipy_wrappers(case):
         _outcome(lambda: (reference_chol_nugget(r),))
     assert _outcome(lambda: gls_fit(r, f, y)) == \
         _outcome(lambda: reference_gls(reference_chol_nugget(r), f, y))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_likelihood_cases())
+def test_gradient_weight_is_the_reference_weight_bit_for_bit(case):
+    # the weight comes from the distances of R itself; the reference
+    # builds it from a second distance matrix
+    family, design, f, y, theta = case
+    scaled = design / theta
+    want = reference_log_lengthscale_weight(family, scaled).tobytes()
+    r, w = kriging._scaled_correlation(family, scaled, scaled, weight=True)
+    assert w.tobytes() == want
+    assert r.tobytes() == \
+        kriging._scaled_correlation(family, scaled, scaled).tobytes()
+    try:
+        terms = kriging._nll_terms(kriging._likelihood(family, design, f, y),
+                                   theta)
+    except (IllConditionedError, SingularTrendError):
+        return
+    assert terms[5].tobytes() == want  # the weight _nll_gradient reads
 
 
 @st.composite
@@ -215,9 +236,8 @@ def _gradient_cases(draw):
     # sigma2_hat / floor: None keeps the data's own floor
     ratio = draw(st.sampled_from([None, 1e3, 0.1]))
     if ratio is not None:
-        _, sigma2 = kriging._gls(kriging._nugget_factor(family, design,
-                                                        np.exp(z)),
-                                 lik.trend, y)
+        lo, _ = kriging._nugget_factor(family, design, np.exp(z))
+        _, sigma2 = kriging._gls(lo, lik.trend, y)
         lik = lik._replace(sigma2_floor=sigma2 / ratio)
     return lik, z, ratio is not None
 
@@ -246,7 +266,7 @@ def test_sigma2_within_round_off_of_zero_counts_as_the_floor(ratio, snapped):
     # ratio is sigma2_hat / floor; below 1e6 the estimate is round-off
     problem = make_problem(np.random.default_rng(1), n=10)
     f = basis_matrix(problem.trend, problem.design)
-    lo = kriging._nugget_factor(SE, problem.design, np.array([0.3]))
+    lo, _ = kriging._nugget_factor(SE, problem.design, np.array([0.3]))
     _, sigma2 = kriging._gls(lo, f, problem.y)
     lik = kriging._likelihood(SE, problem.design, f, problem.y)._replace(
         sigma2_floor=sigma2 / ratio)
@@ -274,7 +294,7 @@ def test_chol_nugget_rejects_a_matrix_that_is_not_positive_definite():
 def test_appended_row_with_a_non_positive_pivot_raises():
     theta = np.array([0.4])
     design = np.array([[0.1], [0.5], [0.9], [0.501]])
-    lo = kriging._nugget_factor(SE, design[:3], theta)
+    lo, _ = kriging._nugget_factor(SE, design[:3], theta)
     grown = kriging._append_rows(SE, design, theta, lo)
     assert (grown[:3, :3] == lo).all() and grown[3, 3] > 0
     # a factor too small for its rows: l'l is about 4 at the near-repeat
@@ -412,16 +432,17 @@ def _starts(box, restarts, seed):
 
 def _search(problem, search, bounds=None, restarts=4, seed=3):
     box = kriging._search_box(problem.design, bounds)
-    return search(problem.design, basis_matrix(problem.trend, problem.design),
-                  problem.y, problem.kernel.family, box,
-                  _starts(box, restarts, seed))
+    lik = kriging._likelihood(problem.kernel.family, problem.design,
+                              basis_matrix(problem.trend, problem.design),
+                              problem.y)
+    return search(lik, box, _starts(box, restarts, seed))
 
 
 def test_a_fit_searches_from_the_start_rule(monkeypatch):
     searched = []
     original = cokriging._ml_fit
     monkeypatch.setattr(cokriging, "_ml_fit", lambda *args: (
-        searched.append(args[4:]), original(*args))[1])
+        searched.append(args[1:]), original(*args))[1])
     fit_one(make_problem(np.random.default_rng(4), n=12, d=2), restarts=4,
             seed=3)
     (box, starts), = searched
@@ -474,9 +495,8 @@ def _spy_searches(monkeypatch):
 
 def _search_nll(args, kernel):
     """The concentrated NLL of a search's level at ``kernel``."""
-    design, h, y, family, _, _ = args
-    return kriging._nll_terms(
-        kriging._likelihood(family, design, h, y), kernel.lengthscales)[0]
+    lik, _, _ = args
+    return kriging._nll_terms(lik, kernel.lengthscales)[0]
 
 
 @pytest.mark.parametrize("seed, level", [(17, 2), (13, 1)])
@@ -564,7 +584,7 @@ def test_fit_rejects_restarts_below_one_before_any_likelihood(monkeypatch,
         fit_one(problem, restarts=restarts)
 
 
-@pytest.mark.parametrize("restarts", [0, -1, 2.0])
+@pytest.mark.parametrize("restarts", [0, -1, 2.0, True])
 def test_draw_starts_rejects_a_restart_count_before_drawing(restarts):
     rng = np.random.default_rng(5)
     state = rng.bit_generator.state
@@ -638,7 +658,7 @@ def test_variance_factor_ignores_the_memory_order_of_the_factor(m):
     rng = np.random.default_rng(5)
     design = rng.uniform(0, 1, size=(12, 2))
     theta = np.array([0.4, 0.5])
-    lo = kriging._nugget_factor(SE, design, theta)
+    lo, _ = kriging._nugget_factor(SE, design, theta)
     c = kriging._scaled_correlation(SE, design / theta,
                                     rng.uniform(0, 1, size=(m, 2)) / theta)
     fortran = variance_factor(np.asfortranarray(lo), c)
@@ -650,7 +670,7 @@ def test_one_column_is_solved_as_a_column_among_others_to_round_off():
     rng = np.random.default_rng(6)
     design = rng.uniform(0, 1, size=(40, 2))
     theta = np.array([0.3, 0.5])
-    lo = kriging._nugget_factor(SE, design, theta)
+    lo, _ = kriging._nugget_factor(SE, design, theta)
     c = kriging._scaled_correlation(SE, design / theta,
                                     rng.uniform(0, 1, size=(9, 2)) / theta)
     batch = variance_factor(lo, c)

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mfkrig.cokriging as cokriging
+import mfkrig.kernels as kernels
 import mfkrig.kriging as kriging
 import mfkrig.sequential as sequential
 from mfkrig.cokriging import (
@@ -123,9 +124,9 @@ def searched(monkeypatch):
     sizes = []
     original = cokriging._ml_fit
 
-    def spy(design, *args):
-        sizes.append(len(design))
-        return original(design, *args)
+    def spy(lik, *args):
+        sizes.append(len(lik.y))
+        return original(lik, *args)
 
     monkeypatch.setattr(cokriging, "_ml_fit", spy)
     return sizes
@@ -150,6 +151,32 @@ def test_a_fit_factors_once_per_likelihood_evaluation(chain3, monkeypatch):
     fit_multifidelity(data, configs, seed=0)
     assert sorted(set(evaluations)) == [4, 8, 12]
     assert factors == evaluations
+
+
+@pytest.mark.parametrize("family", [SE, M52])
+def test_a_likelihood_evaluation_builds_one_distance_matrix(chain3,
+                                                           monkeypatch,
+                                                           family):
+    # R and the weight of its gradient come from one kernel evaluation;
+    # kernels._cdist caches scipy's cdist, so the count is taken there
+    data, _, _, _ = chain3
+    cdist, calls, per_evaluation = kernels._cdist(), [], []
+    monkeypatch.setattr(kernels, "_cdist", lambda: lambda *args: (
+        calls.append(1), cdist(*args))[1])
+    nll_terms = kriging._nll_terms
+
+    def spy(lik, theta):
+        before = len(calls)
+        try:
+            return nll_terms(lik, theta)
+        finally:
+            per_evaluation.append(len(calls) - before)
+
+    monkeypatch.setattr(kriging, "_nll_terms", spy)
+    fit_multifidelity(data, _configs(3, 1, family), seed=0)
+    assert len(per_evaluation) > 3
+    assert per_evaluation == [1] * len(per_evaluation)
+    assert len(calls) == len(per_evaluation)
 
 
 def test_a_level_kept_by_its_search_key_is_not_solved_again(chain3,

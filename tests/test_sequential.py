@@ -1,5 +1,7 @@
 """Tests for the sequential design engine."""
 
+import re
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -129,7 +131,13 @@ def test_each_strategy_checks_its_own_size(make, message):
     for n in (0, -3):
         with pytest.raises(ValueError, match=message):
             make(n)
-    assert make(1) is not None
+    # a size that is no integer is named with its field, before any use
+    field = fields(make(1))[0].name
+    for n in (2.5, True, "5"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{field!r} must be an integer, got {n!r}")):
+            make(n)
+    assert make(1) is not None and make(np.int64(3)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +374,15 @@ def test_choose_level_input_validation(forrester_model):
     with pytest.raises(ValueError, match="level count"):
         choose_level(forrester_model, x, imse=0.1,
                      cost=CostModel([1.0, 2.0, 3.0]), rule=COST_WEIGHTED)
+
+
+def test_choose_level_checks_a_cost_model_under_every_rule(forrester_model):
+    # the default rule reads no cost, but a cost model it is given must
+    # still cover the model's levels
+    with pytest.raises(ValueError,
+                       match="cost model and model disagree on level count"):
+        choose_level(forrester_model, np.array([0.5]), imse=0.1,
+                      cost=CostModel([1.0, 2.0, 3.0]))
 
 
 def test_variance_drop_matches_contribution_sum(forrester_model):
