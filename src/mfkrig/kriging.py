@@ -9,7 +9,9 @@ of the concentrated negative log-likelihood
     (n - p) * log(sigma2_hat(theta)) + log det R(theta)
 
 over log-lengthscales inside a box (``_ml_fit``), by L-BFGS-B on its
-analytic gradient (``_nll_gradient``). A sigma2_hat below 1e6 times its
+analytic gradient (``_nll_gradient``): one matrix-vector product of the
+design's squared differences, built once per search, against the
+weighted lower triangle of R^{-1}. A sigma2_hat below 1e6 times its
 floor is round-off of a zero residual and counts as the floor, so a
 round-off level has the smooth objective (n - p) log(floor) + log det R.
 
@@ -355,26 +357,38 @@ def _factored_nll_terms(lik: _Likelihood, lo, coef=None):
     return nll, coef, sigma2, lo, alpha
 
 
-def _nll_gradient(lik: _Likelihood, theta, terms) -> np.ndarray:
-    """d nll / d(log theta) at ``theta`` from its ``_nll_terms``.
+def _squared_differences(design) -> np.ndarray:
+    """(d, n^2) array whose row k is the n x n matrix D_k of squared
+    differences (x_ik - x_jk)^2 of the (n, d) ``design`` in dimension k,
+    flattened. The gradient's one input from the design, built once per
+    search."""
+    x = np.ascontiguousarray(design.T)
+    diff = x[:, :, None] - x[:, None, :]
+    diff *= diff
+    return diff.reshape(len(x), -1)
+
+
+def _nll_gradient(lik: _Likelihood, theta, terms, sq_diff) -> np.ndarray:
+    """d nll / d(log theta) at ``theta`` from its ``_nll_terms`` and the
+    design's ``_squared_differences`` D.
 
     Component k is tr(R^{-1} dR_k) - alpha' dR_k alpha / sigma2, with
-    alpha = R^{-1}(y - H beta) and dR_k = W * D_k as the terms hold
-    them, D_k the squared differences in dimension k; beta and sigma2
-    are concentrated out, so their own change does not enter (Rasmussen
-    & Williams 2006, 5.4.1). A sigma2 taken as the floor does not move
-    with theta, so the second term is dropped there. Each D_k is
-    symmetric with a zero diagonal, so each sum is twice its strict
-    lower triangle.
+    alpha = R^{-1}(y - H beta) and dR_k = W * D_k / theta_k^2; beta and
+    sigma2 are concentrated out, so their own change does not enter
+    (Rasmussen & Williams 2006, 5.4.1). A sigma2 taken as the floor does
+    not move with theta, so the second term is dropped there. W * D_k is
+    symmetric with a zero diagonal, so the trace term is twice its sum
+    against M_lower, dpotri's lower triangle of R^{-1} with zeros above
+    it (the factor is cleaned). All d components are one gemv,
+    g = D vec(2 M_lower * W - (alpha alpha' / sigma2) * W) / theta^2,
+    here with the exact factor 2 taken out of the vector.
     """
     _, _, sigma2, lo, alpha, w = terms
     m, _ = _potri(lo, lower=1)
     if sigma2 > lik.sigma2_floor:
-        m -= np.outer(alpha / sigma2, alpha)
-    scaled = lik.design / theta
-    m = np.tril(m, -1) * w
-    diff = scaled[:, None, :] - scaled[None, :, :]
-    return 2.0 * np.einsum("ij,ijk->k", m, diff * diff)
+        m -= np.outer(alpha / (2.0 * sigma2), alpha)
+    m *= w
+    return 2.0 * (sq_diff @ m.ravel()) / (theta * theta)
 
 
 def _solve_level(lik: _Likelihood, theta, coef=None, grown_from=None):
@@ -452,7 +466,9 @@ def _ml_fit(lik: _Likelihood, box, starts):
     the checked (log_lo, log_hi) of ``_search_box``, by L-BFGS-B on the
     analytic gradient (``_nll_gradient``), one run per start of
     ``starts`` (``_draw_starts``). It draws nothing, so its result
-    depends on its arguments alone. Each distinct start is evaluated
+    depends on its arguments alone. The gradient's input from the design,
+    its ``_squared_differences``, is built here once per search, so no
+    solve outside a search pays for it. Each distinct start is evaluated
     once and each run answers its first call from that evaluation.
     scipy's first step on a boxed problem is the full projected -g, so
     each run divides objective and gradient by max(1, |g(z0)| /
@@ -467,6 +483,7 @@ def _ml_fit(lik: _Likelihood, box, starts):
     from scipy.optimize import minimize
 
     log_lo, log_hi = box
+    sq_diff = _squared_differences(lik.design)
     evaluations = 0
     best = [np.inf, None, None]  # nll, z and terms of the best point
 
@@ -484,7 +501,7 @@ def _ml_fit(lik: _Likelihood, box, starts):
             return None
         if nll < best[0]:
             best[:] = nll, z.copy(), terms[:5]
-        return nll, _nll_gradient(lik, theta, terms)
+        return nll, _nll_gradient(lik, theta, terms, sq_diff)
 
     at_start = {}  # (z, evaluation) by the bytes of the clipped start z
     for z0 in starts:

@@ -225,6 +225,8 @@ def default_quadrature(dimension: int) -> GridQuadrature | MonteCarloQuadrature:
 
 def product_grid(bounds, n, midpoints=False) -> np.ndarray:
     """Product grid over the box, in lexicographic row order."""
+    if not _is_integer(n):
+        raise ValueError(f"'n' must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("grid needs at least one node per dimension")
     axes = []

@@ -27,6 +27,7 @@ from .cokriging import (
 from .csvio import _typed, parse_row, read_csv, read_json, write_csv
 from .exceptions import ParseError
 from .kernels import BasisSpec, KernelSpec, _cdist
+from .kriging import _is_integer
 from .sequential import CostModel, _as_box
 
 
@@ -53,6 +54,10 @@ def nested_lhs(sizes, bounds, seed=0) -> list[np.ndarray]:
         One (n_t, d) array per level; each level's rows are bit-exact
         rows of the previous level's array.
     """
+    sizes = list(sizes)
+    for n in sizes:
+        if not _is_integer(n):
+            raise ValueError(f"level sizes must be integers, got {n!r}")
     sizes = [int(n) for n in sizes]
     if not sizes:
         raise ValueError("need at least one level size")

@@ -2,11 +2,12 @@
 likelihood evaluation through scipy's checked wrappers, a Nelder-Mead
 likelihood search as the yardstick of the library's L-BFGS-B search, a
 variance search through ``predict``, the likelihood gradient's weight
-from its own distance matrix, and the sequential loop spelled out
-through public calls."""
+from its own distance matrix, the likelihood gradient by its direct
+formula, and the sequential loop spelled out through public calls."""
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky, lstsq, solve_triangular
+from scipy.linalg.lapack import dpotri
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
@@ -162,6 +163,23 @@ def reference_log_lengthscale_weight(family, scaled):
         return 2.0 * np.exp(-cdist(scaled, scaled, "sqeuclidean"))
     u = np.sqrt(5.0) * cdist(scaled, scaled, "euclidean")
     return (5.0 / 3.0) * (1.0 + u) * np.exp(-u)
+
+
+def reference_nll_gradient(lik, theta, terms):
+    """d nll / d(log theta) of ``kriging._nll_gradient`` by the direct
+    formula: the (n, n, d) broadcast of differences of the scaled design
+    against the strict lower triangle of R^{-1} - alpha alpha' / sigma2
+    (without the alpha term where sigma2 is the floor), times the weight
+    W of the terms. The oracle of the one-gemv form, which must match it
+    to round-off."""
+    _, _, sigma2, lo, alpha, w = terms
+    m, _ = dpotri(lo, lower=1)
+    if sigma2 > lik.sigma2_floor:
+        m -= np.outer(alpha / sigma2, alpha)
+    scaled = lik.design / theta
+    m = np.tril(m, -1) * w
+    diff = scaled[:, None, :] - scaled[None, :, :]
+    return 2.0 * np.einsum("ij,ijk->k", m, diff * diff)
 
 
 def dense_predict(design, y, trend_matrix, beta, kernel, sigma2, x_matrix,

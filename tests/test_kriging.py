@@ -35,6 +35,7 @@ from helpers import (
     draw_ar1_data,
     reference_log_lengthscale_weight,
     reference_ml_fit,
+    reference_nll_gradient,
     reference_nll_terms,
     sample_gp,
 )
@@ -213,25 +214,30 @@ def test_gradient_weight_is_the_reference_weight_bit_for_bit(case):
 
 
 @st.composite
-def _gradient_cases(draw):
-    """(likelihood, log-lengthscales, floored): n = 6-14 points in
-    d = 1-3, both kernels and trends, lengthscales in [0.05, 0.2]. The
-    first coordinate lies on a jittered grid, so points are at least
-    0.5 / n apart and R is well conditioned enough for central
-    differences to resolve 1e-5. A floored case sets the sigma2 floor to
-    a tenth of the estimate, so the estimate is within round-off of zero
-    and counts as the floor, or to ten times it, so the floor is above
-    it; either holds near z while the residual alpha stays far from
-    round-off."""
+def _gradient_cases(draw, sizes=(6, 14), spacings=None):
+    """(likelihood, log-lengthscales, floored): n points in d = 1-3, n
+    drawn from ``sizes`` (and above the trend's size), both kernels and
+    trends. The first coordinate lies on a jittered grid, so points are
+    at least 0.5 / n apart. The lengthscales are uniform in [0.05, 0.2],
+    so R is well conditioned enough for central differences to resolve
+    1e-5 at n = 6-14; or, with ``spacings`` (lo, hi), uniform in
+    [lo, hi] / n, so R stays well conditioned at any n. A floored case
+    sets the sigma2 floor to a tenth of the estimate, so the estimate is
+    within round-off of zero and counts as the floor, or to ten times
+    it, so the floor is above it; either holds near z while the residual
+    alpha stays far from round-off."""
     d = draw(st.integers(1, 3))
     basis = BasisSpec(draw(st.sampled_from(["constant", "linear"])), d)
     family = draw(st.sampled_from([SE, M52]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(6, 14))
+    n = draw(st.integers(max(sizes[0], basis.size + 1), sizes[1]))
     design = rng.uniform(0.0, 1.0, size=(n, d))
     design[:, 0] = (rng.permutation(n) + 0.5 + rng.uniform(-0.25, 0.25, n)) / n
     y = np.sin(3.0 * design).sum(axis=1) + 0.1 * rng.normal(size=n)
-    z = np.log(rng.uniform(0.05, 0.2, size=d))
+    if spacings is None:
+        z = np.log(rng.uniform(0.05, 0.2, size=d))
+    else:
+        z = np.log(rng.uniform(*spacings, size=d) / n)
     lik = kriging._likelihood(family, design, basis_matrix(basis, design), y)
     # sigma2_hat / floor: None keeps the data's own floor
     ratio = draw(st.sampled_from([None, 1e3, 0.1]))
@@ -248,7 +254,8 @@ def test_nll_gradient_matches_central_differences(case):
     lik, z, floored = case
     terms = kriging._nll_terms(lik, np.exp(z))
     assert (terms[2] == lik.sigma2_floor) == floored
-    gradient = kriging._nll_gradient(lik, np.exp(z), terms)
+    gradient = kriging._nll_gradient(lik, np.exp(z), terms,
+                                     kriging._squared_differences(lik.design))
     h = 1e-5
     central = np.array([
         (kriging._nll_terms(lik, np.exp(z + h * e))[0]
@@ -258,6 +265,21 @@ def test_nll_gradient_matches_central_differences(case):
     # term must be absent from the gradient for the two to agree
     np.testing.assert_allclose(gradient, central, rtol=1e-5,
                                atol=1e-5 * max(1.0, np.abs(central).max()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gradient_cases(sizes=(2, 60), spacings=(0.5, 2.0)))
+def test_nll_gradient_matches_the_direct_formula(case):
+    # one gemv over the squared differences against the (n, n, d)
+    # broadcast of the scaled design over the strict lower triangle
+    lik, z, floored = case
+    theta = np.exp(z)
+    terms = kriging._nll_terms(lik, theta)
+    assert (terms[2] == lik.sigma2_floor) == floored
+    want = reference_nll_gradient(lik, theta, terms)
+    gradient = kriging._nll_gradient(lik, theta, terms,
+                                     kriging._squared_differences(lik.design))
+    assert np.abs(gradient - want).max() <= 1e-9 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("ratio, snapped", [

@@ -45,6 +45,7 @@ from helpers import (
     draw_ar1_data,
     reference_factored_nll_terms,
     reference_log_lengthscale_weight,
+    reference_nll_gradient,
     reference_nll_terms,
 )
 
@@ -280,3 +281,20 @@ def test_fit_is_byte_identical_through_the_scipy_wrappers(monkeypatch, name,
                             lo, lik.trend, lik.y, coef))
     wrapped = fit_multifidelity(data, configs, restarts=2, seed=1)
     assert _fitted_bytes(lean) == _fitted_bytes(wrapped)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("name, sizes, family, trend", _FIT_CASES)
+def test_fit_is_no_worse_than_with_the_direct_gradient(monkeypatch, name,
+                                                       sizes, family, trend,
+                                                       seed):
+    # the one-gemv gradient moves the search by round-off only: no level
+    # ends worse than the search on the (n, n, d) broadcast formula
+    data, configs = _problem_fit_inputs(name, sizes, family, trend)
+    model = fit_multifidelity(data, configs, seed=seed)
+    monkeypatch.setattr(kriging, "_nll_gradient",
+                        lambda lik, theta, terms, sq_diff:
+                        reference_nll_gradient(lik, theta, terms))
+    direct = fit_multifidelity(data, configs, seed=seed)
+    for lev, ref in zip(model.levels, direct.levels):
+        assert lev.nll <= ref.nll + 1e-9 * abs(ref.nll)

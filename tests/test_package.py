@@ -19,7 +19,9 @@ from mfkrig.cokriging import (
 from mfkrig.kernels import BasisSpec, KernelSpec
 from mfkrig.testbed import get_problem, nested_lhs
 
-PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+CONSOLE_SCRIPT = ROOT / "ci" / "console_script.sh"
 
 
 def test_every_exported_name_resolves():
@@ -106,3 +108,24 @@ def test_loop_iterations_are_delimited_by_compute_imse(monkeypatch):
     assert len(returned) == len(trace) + 1
     assert returned == ([plain.entries[0].imse_before]
                         + [e.imse_after for e in plain.entries])
+
+
+def _console_script(directory, *command):
+    source = pathlib.Path(mfkrig.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(source)}
+    return subprocess.run(["bash", str(CONSOLE_SCRIPT), *command],
+                          cwd=directory, env=env, capture_output=True,
+                          text=True)
+
+
+def test_console_script_commands_run_through_the_module(tmp_path):
+    # the workflow runs the same script through the installed mfkrig
+    run = _console_script(tmp_path, sys.executable, "-m", "mfkrig.cli")
+    assert run.returncode == 0, run.stderr
+    for out in ("fit", "predict", "sequential", "report", "predict-bounds",
+                "fit-from-data", "ripple-fit", "ripple-sequential", "refit",
+                "refit-predict", "prefix-sequential", "matern-fit",
+                "matern-sequential"):
+        assert (tmp_path / out).is_dir(), out
+    # a failing command fails the script
+    assert _console_script(tmp_path, "false").returncode != 0

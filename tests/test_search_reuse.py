@@ -192,6 +192,26 @@ def test_a_level_kept_by_its_search_key_is_not_solved_again(chain3,
     assert factors and set(factors) == {13}
 
 
+def test_squared_differences_are_built_once_per_search(chain3, searched,
+                                                      monkeypatch, tmp_path):
+    # the gradient's design input belongs to the search: no solve
+    # outside one builds it
+    data, configs, x, values = chain3
+    built = []
+    squared_differences = kriging._squared_differences
+    monkeypatch.setattr(kriging, "_squared_differences", lambda design: (
+        built.append(len(design)), squared_differences(design))[1])
+    model = fit_multifidelity(data, configs, seed=0)
+    assert built == searched == [12, 8, 4]
+    built.clear()
+    searched.clear()
+    enrich(model, x, 1, values[:1])  # a frozen refit
+    _from_parameters(model)
+    _reloaded(model, tmp_path)
+    cokriging._fit_levels(data, configs, model._searches, seed=0)
+    assert built == searched == []
+
+
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_only_the_levels_run_are_searched_again(chain3, searched, level):
     data, configs, x, values = chain3

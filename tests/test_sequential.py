@@ -35,6 +35,7 @@ from mfkrig.sequential import (
     choose_level,
     compute_imse,
     enrich,
+    product_grid,
     read_trace,
     run_loop,
     write_trace,
@@ -138,6 +139,21 @@ def test_each_strategy_checks_its_own_size(make, message):
                 f"{field!r} must be an integer, got {n!r}")):
             make(n)
     assert make(1) is not None and make(np.int64(3)) is not None
+
+
+@pytest.mark.parametrize("midpoints", [False, True])
+def test_product_grid_takes_an_integer_node_count(midpoints):
+    for n in (2.5, True, "3"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"'n' must be an integer, got {n!r}")):
+            product_grid([[0.0, 1.0]], n, midpoints=midpoints)
+    for n in (0, -2):
+        with pytest.raises(ValueError,
+                           match="grid needs at least one node per dimension"):
+            product_grid([[0.0, 1.0]], n, midpoints=midpoints)
+    grid = product_grid([[0.0, 1.0]], np.int64(4), midpoints=midpoints)
+    assert (grid == product_grid([[0.0, 1.0]], 4, midpoints=midpoints)).all()
+    assert grid.shape == (4, 1)
 
 
 # ---------------------------------------------------------------------------

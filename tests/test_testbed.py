@@ -1,6 +1,7 @@
 """Tests for nested designs, built-in problems, and persistence."""
 
 import itertools
+import re
 import os
 
 import numpy as np
@@ -102,6 +103,16 @@ def test_nonmonotone_sizes_rejected():
         nested_lhs([1], UNIT1, seed=0)
     with pytest.raises(ValueError):
         nested_lhs([], UNIT1, seed=0)
+
+
+@pytest.mark.parametrize("sizes, bad", [
+    ([10.5, 5], "10.5"), (["8", "4"], "'8'"), ([8, True], "True"),
+    ([8, 4.0], "4.0")])
+def test_sizes_that_are_not_integers_are_named(sizes, bad):
+    with pytest.raises(ValueError, match=re.escape(
+            f"level sizes must be integers, got {bad}")):
+        nested_lhs(sizes, UNIT1, seed=0)
+    assert [len(x) for x in nested_lhs(np.array([8, 4]), UNIT1)] == [8, 4]
 
 
 # ---------------------------------------------------------------------------
