@@ -46,6 +46,7 @@ from .kernels import (
     probe_correlation,
     same_points,
     _as_points,
+    _check_level,
 )
 from .kriging import (
     _DEFAULT_RESTARTS,
@@ -207,8 +208,7 @@ class MultiFidelityData:
         Well-defined because of nesting. ``level`` is 1-based and must
         be >= 2.
         """
-        if not 2 <= level <= self.levels:
-            raise ValueError(f"level must be in [2, {self.levels}]")
+        _check_level(level, self.levels, lowest=2)
         rows = np.argmax(
             same_points(self.designs[level - 1], self.designs[level - 2]), axis=1)
         return self.observations[level - 2][rows]
@@ -380,8 +380,7 @@ def fit_level(level: int, data: MultiFidelityData, config: LevelConfig,
         generator through all levels so level fits stay sequential and
         reproducible.
     """
-    if not 1 <= level <= data.levels:
-        raise ValueError(f"level must be in [1, {data.levels}]")
+    _check_level(level, data.levels)
     _check_layout(level, config.scaling)
     inputs = _level_inputs(config, data, level)
     _check_estimable(level, inputs[0].trend, inputs[2])
@@ -427,10 +426,10 @@ def _fit_on(config: LevelConfig, inputs, bounds, restarts, rng, searches):
 def _assemble_level(config: LevelConfig, inputs, kernel: KernelSpec, terms,
                     sigma2=None) -> FittedLevel:
     """One level with the given kernel on its ``_level_inputs``, from its
-    solve ``terms``: the search's at its best point or
-    ``kriging._solve_level``'s. ``sigma2`` defaults to the ML estimate."""
+    ``kriging._solve_level`` ``terms``: the search's at its best point or
+    a solve at given parameters. ``sigma2`` defaults to the ML estimate."""
     lik, lower_values, q = inputs
-    nll, coef, ml_sigma2, lo, alpha = terms
+    nll, coef, ml_sigma2, lo, alpha, _ = terms
     return FittedLevel(
         design=lik.design, y=lik.y, trend=config.trend, scaling=config.scaling,
         kernel=kernel, beta=coef[q:], rho_beta=coef[:q] if q else None,
@@ -551,9 +550,7 @@ class MultiFidelityModel:
         ``predict(x).contributions[level:].sum(0)`` up to round-off (bit
         for bit with at most three levels).
         """
-        s = len(self.levels)
-        if not 1 <= level <= s:
-            raise ValueError(f"level must be in [1, {s}]")
+        _check_level(level, self.level_count)
         xa = np.asarray(x, dtype=float)
         X, _, factors = self._probe(xa)
         bases, rhos = _variance_terms(self.levels, factors, X)

@@ -30,6 +30,18 @@ LINEAR = "linear"
 BASIS_KINDS = (CONSTANT, LINEAR)
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_level(level, levels, lowest=1) -> None:
+    """The one rule of a level index: a Python or numpy integer, not a
+    bool, in [lowest, levels]."""
+    if not (_is_integer(level) and lowest <= level <= levels):
+        raise ValueError(
+            f"level must be an integer in [{lowest}, {levels}], got {level!r}")
+
+
 @dataclass
 class KernelSpec:
     """Stationary correlation kernel: family name plus per-dimension lengthscales.
@@ -68,8 +80,9 @@ class BasisSpec:
     def __post_init__(self):
         if self.kind not in BASIS_KINDS:
             raise ValueError(f"unknown basis kind {self.kind!r}")
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
+        if not (_is_integer(self.dimension) and self.dimension >= 1):
+            raise ValueError("basis dimension must be a positive integer, "
+                             f"got {self.dimension!r}")
 
     @property
     def size(self) -> int:

@@ -15,20 +15,20 @@ weighted lower triangle of R^{-1}. A sigma2_hat below 1e6 times its
 floor is round-off of a zero residual and counts as the floor, so a
 round-off level has the smooth objective (n - p) log(floor) + log det R.
 
-``_factored_nll_terms`` is the one solve on a factor: the GLS estimate
+``_solve_level`` is the one solve of a level, read from its
+``_Likelihood`` record: the factor of R + nugget, then the GLS estimate
 (or given coefficients), sigma2, the NLL and alpha = R^{-1}(y - H beta).
-The search reaches it through ``_nll_terms`` on a fresh factor, whose
-kernel evaluation also gives the gradient weight, and its best evaluation
-is the fitted level. ``_solve_level`` reaches it for a level no search
-solved, on a fresh factor or, for a frozen refit, on the old factor grown
-by the appended rows (``_append_rows``), whose leading block stays bit
-for bit; both read the level's ``_Likelihood`` record. The nugget joins a
-factored diagonal in ``_factor_in_place`` alone. ``variance_factor``
-gives the 1 - r(x)' R^{-1} r(x) of the plug-in posterior variance (no
-trend-estimation inflation term) by the row recursion ``_solve_rows``, so
-a solve kept on fixed nodes and continued over appended rows equals a
-fresh one bit for bit. The level posteriors are formed in ``cokriging``;
-a single-level model is a 1-level ``fit_multifidelity``.
+The factor is fresh, from a kernel evaluation that also gives the
+gradient weight, or, for a frozen refit, the old factor grown by the
+appended rows (``_append_rows``), whose leading block stays bit for bit.
+Every search evaluation is one fresh solve, and the best is the fitted
+level. The nugget joins a factored diagonal in ``_factor_in_place``
+alone. ``variance_factor`` gives the 1 - r(x)' R^{-1} r(x) of the
+plug-in posterior variance (no trend-estimation inflation term) by the
+row recursion ``_solve_rows``, so a solve kept on fixed nodes and
+continued over appended rows equals a fresh one bit for bit. The level
+posteriors are formed in ``cokriging``; a single-level model is a
+1-level ``fit_multifidelity``.
 
 These and the public ``chol_nugget`` and ``gls_fit`` call dpotrf, dtrtrs
 and dgelsd (with the arguments ``scipy.linalg.lstsq`` passes) directly,
@@ -60,6 +60,7 @@ from .kernels import (
     KernelSpec,
     basis_matrix,
     _as_points,
+    _is_integer,
     _scaled_correlation,
 )
 
@@ -130,16 +131,6 @@ def _factor_in_place(a: np.ndarray) -> np.ndarray:
             "even after the nugget"
         )
     return lo
-
-
-def _nugget_factor(family, design, theta):
-    """(lower factor of R(theta) + nugget, gradient weight W) on ``design``."""
-    scaled = design / theta
-    r, w = _scaled_correlation(family, scaled, scaled, weight=True)
-    np.fill_diagonal(r, 1.0)
-    # R is exactly symmetric, so its transpose is the same matrix in the
-    # Fortran order dpotrf works on in place
-    return _factor_in_place(r.T), w
 
 
 def chol_nugget(r: np.ndarray) -> np.ndarray:
@@ -324,26 +315,31 @@ def _likelihood(family, design, trend_matrix, y) -> _Likelihood:
     return _Likelihood(family, design, trend_matrix, y, _sigma2_floor(y))
 
 
-def _nll_terms(lik: _Likelihood, theta):
-    """(nll, beta, sigma2, chol, alpha, w) at lengthscales ``theta``.
+def _solve_level(lik: _Likelihood, theta, coef=None, grown_from=None):
+    """(nll, coef, sigma2, chol, alpha, w): the one solve of a level at
+    lengthscales ``theta``.
 
-    The likelihood of the ML search and ``concentrated_nll``:
-    ``_nugget_factor``, then ``_factored_nll_terms`` on its factor.
+    The factor of R + nugget is fresh, from one kernel evaluation that
+    also gives the gradient weight W, or, with ``grown_from`` (the
+    factor on the leading rows), grown by the appended rows
+    (``_append_rows``) with w None. ``coef`` defaults to the GLS
+    estimate, under the one rule for sigma2: a sigma2_hat below
+    ``_WELL_POSED`` times the floor is round-off of a zero residual and
+    is taken as exactly the floor. With ``coef`` given, nll and sigma2
+    are nan. alpha = R^{-1}(y - H coef).
     """
     if not np.isfinite(theta).all():
         raise ValueError("lengthscales must be strictly positive and finite")
-    lo, w = _nugget_factor(lik.family, lik.design, theta)
-    return (*_factored_nll_terms(lik, lo), w)
-
-
-def _factored_nll_terms(lik: _Likelihood, lo, coef=None):
-    """(nll, coef, sigma2, lo, alpha) on a factor ``lo`` of R + nugget.
-
-    ``coef`` defaults to the GLS estimate, under the one rule for sigma2:
-    a sigma2_hat below ``_WELL_POSED`` times the floor is round-off of a
-    zero residual and is taken as exactly the floor. With ``coef`` given,
-    nll and sigma2 are nan. alpha = R^{-1}(y - H coef).
-    """
+    w = None
+    if grown_from is None:
+        scaled = lik.design / theta
+        r, w = _scaled_correlation(lik.family, scaled, scaled, weight=True)
+        np.fill_diagonal(r, 1.0)
+        # R is exactly symmetric, so its transpose is the same matrix in
+        # the Fortran order dpotrf works on in place
+        lo = _factor_in_place(r.T)
+    else:
+        lo = _append_rows(lik.family, lik.design, theta, grown_from)
     nll = sigma2 = float("nan")
     if coef is None:
         coef, sigma2 = _gls(lo, lik.trend, lik.y)
@@ -354,7 +350,7 @@ def _factored_nll_terms(lik: _Likelihood, lo, coef=None):
         nll = float((n - p) * np.log(sigma2) + logdet)
     v, _ = _trtrs(lo, lik.y - lik.trend @ coef, lower=1)
     alpha, _ = _trtrs(lo, v, lower=1, trans=1)
-    return nll, coef, sigma2, lo, alpha
+    return nll, coef, sigma2, lo, alpha, w
 
 
 def _squared_differences(design) -> np.ndarray:
@@ -369,8 +365,8 @@ def _squared_differences(design) -> np.ndarray:
 
 
 def _nll_gradient(lik: _Likelihood, theta, terms, sq_diff) -> np.ndarray:
-    """d nll / d(log theta) at ``theta`` from its ``_nll_terms`` and the
-    design's ``_squared_differences`` D.
+    """d nll / d(log theta) at ``theta`` from its fresh ``_solve_level``
+    ``terms`` and the design's ``_squared_differences`` D.
 
     Component k is tr(R^{-1} dR_k) - alpha' dR_k alpha / sigma2, with
     alpha = R^{-1}(y - H beta) and dR_k = W * D_k / theta_k^2; beta and
@@ -391,17 +387,6 @@ def _nll_gradient(lik: _Likelihood, theta, terms, sq_diff) -> np.ndarray:
     return 2.0 * (sq_diff @ m.ravel()) / (theta * theta)
 
 
-def _solve_level(lik: _Likelihood, theta, coef=None, grown_from=None):
-    """``_factored_nll_terms`` of a level no search solved, on a fresh
-    factor or on ``grown_from``, the factor on its leading rows, grown by
-    the appended rows (``_append_rows``)."""
-    if grown_from is None:
-        lo, _ = _nugget_factor(lik.family, lik.design, theta)
-    else:
-        lo = _append_rows(lik.family, lik.design, theta, grown_from)
-    return _factored_nll_terms(lik, lo, coef)
-
-
 def concentrated_nll(problem: KrigingProblem, theta) -> float:
     """Concentrated (profile) negative log-likelihood at lengthscales theta.
 
@@ -417,8 +402,8 @@ def concentrated_nll(problem: KrigingProblem, theta) -> float:
     kernel = KernelSpec(problem.kernel.family, theta)
     design = _as_points(problem.design, kernel.lengthscales.size)
     f = basis_matrix(problem.trend, design)
-    nll = _nll_terms(_likelihood(kernel.family, design, f, problem.y),
-                     kernel.lengthscales)[0]
+    nll = _solve_level(_likelihood(kernel.family, design, f, problem.y),
+                       kernel.lengthscales)[0]
     if not np.isfinite(nll):
         raise IllConditionedError(f"non-finite likelihood at theta={theta}")
     return nll
@@ -446,10 +431,6 @@ def _search_box(design, bounds):
     return np.log(lo), np.log(hi)
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _draw_starts(log_lo, log_hi, restarts, rng) -> list:
     """The starts of a search: the box midpoint, then ``restarts - 1``
     uniform draws from the box with ``rng``; ``restarts`` is checked first."""
@@ -474,11 +455,11 @@ def _ml_fit(lik: _Likelihood, box, starts):
     each run divides objective and gradient by max(1, |g(z0)| /
     ``_FIRST_STEP``): its first step moves at most that far.
 
-    Returns the kernel and ``_factored_nll_terms`` of the best point the
+    Returns the kernel and the ``_solve_level`` of the best point the
     runs evaluated, never worse than the best start, and logs one DEBUG
     record of the search to the ``mfkrig.kriging`` logger: its start
-    count, ``_nll_terms`` evaluations, best NLL, whether sigma2 there is
-    the floor, and the dimensions on a bound of the box.
+    count, evaluations (``_solve_level`` calls), best NLL, whether
+    sigma2 there is the floor, and the dimensions on a bound of the box.
     """
     from scipy.optimize import minimize
 
@@ -493,14 +474,14 @@ def _ml_fit(lik: _Likelihood, box, starts):
         evaluations += 1
         theta = np.exp(z)
         try:
-            terms = _nll_terms(lik, theta)
+            terms = _solve_level(lik, theta)
         except (IllConditionedError, SingularTrendError):
             return None
         nll = terms[0]
         if not np.isfinite(nll):
             return None
         if nll < best[0]:
-            best[:] = nll, z.copy(), terms[:5]
+            best[:] = nll, z.copy(), terms
         return nll, _nll_gradient(lik, theta, terms, sq_diff)
 
     at_start = {}  # (z, evaluation) by the bytes of the clipped start z

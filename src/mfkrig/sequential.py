@@ -42,8 +42,15 @@ from .cokriging import (
 )
 from .csvio import fmt, parse_row, read_csv
 from .exceptions import ParseError
-from .kernels import extends, probe_correlation, same_points, _as_points
-from .kriging import _clamped_factor, _is_integer, _solve_rows
+from .kernels import (
+    extends,
+    probe_correlation,
+    same_points,
+    _as_points,
+    _check_level,
+    _is_integer,
+)
+from .kriging import _clamped_factor, _solve_rows
 
 IMSE_THRESHOLD = "imse-threshold"
 COST_WEIGHTED = "cost-weighted"
@@ -142,8 +149,7 @@ class CostModel:
 
     def cost_through(self, level: int) -> float:
         """Cost of one run of levels 1..level at a point."""
-        if not 1 <= level <= len(self.costs):
-            raise ValueError(f"level must be in 1..{len(self.costs)}")
+        _check_level(level, len(self.costs))
         return float(sum(self.costs[:level]))
 
 
@@ -322,7 +328,7 @@ class _Nodes:
             model.levels, factors, self.points))[-1]
 
     def _excluded_mask(self, exclude) -> np.ndarray:
-        exclude = _as_points(exclude)
+        exclude = _as_points(exclude, self.points.shape[1])
         kept = self._excluded
         if kept is None or not extends(exclude, kept[0]):
             kept = (exclude[:0], np.zeros(len(self.points), dtype=bool))
@@ -500,8 +506,7 @@ def enrich(model, x, level: int, values,
     no searches. The grown data is built before any refit, so a
     non-finite value raises its ValueError first.
     """
-    if not 1 <= level <= model.level_count:
-        raise ValueError(f"level must be in 1..{model.level_count}")
+    _check_level(level, model.level_count)
     values = np.asarray(values, dtype=float).ravel()
     if values.size != level:
         raise ValueError(

@@ -26,8 +26,7 @@ from .cokriging import (
 )
 from .csvio import _typed, parse_row, read_csv, read_json, write_csv
 from .exceptions import ParseError
-from .kernels import BasisSpec, KernelSpec, _cdist
-from .kriging import _is_integer
+from .kernels import BasisSpec, KernelSpec, _cdist, _check_level, _is_integer
 from .sequential import CostModel, _as_box
 
 
@@ -143,8 +142,7 @@ class TestProblem:
 
     def evaluate(self, level: int, x) -> np.ndarray:
         """Evaluate one level (1-based, cheapest first) at points x."""
-        if not 1 <= level <= len(self.levels):
-            raise ValueError(f"level must be in 1..{len(self.levels)}")
+        _check_level(level, len(self.levels))
         pts = np.asarray(x, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(-1, self.dimension)

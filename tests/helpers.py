@@ -1,5 +1,6 @@
 """Shared test utilities: prior sampling, dense reference formulas, the
-likelihood evaluation through scipy's checked wrappers, a Nelder-Mead
+likelihood evaluation through scipy's checked wrappers, a fresh factor
+of R + nugget from the library's solve, a Nelder-Mead
 likelihood search as the yardstick of the library's L-BFGS-B search, a
 variance search through ``predict``, the likelihood gradient's weight
 from its own distance matrix, the likelihood gradient by its direct
@@ -88,9 +89,9 @@ def reference_gls(chol_lower, f, y):
 
 
 def reference_nll_terms(design, trend_matrix, y, kernel):
-    """(nll, beta, sigma2, chol, alpha) of ``kriging._nll_terms`` through
-    the public kernel and scipy wrappers: the oracle of the bare LAPACK
-    path, which must match it bit for bit."""
+    """(nll, beta, sigma2, chol, alpha) of a fresh ``kriging._solve_level``
+    through the public kernel and scipy wrappers: the oracle of the bare
+    LAPACK path, which must match it bit for bit."""
     return reference_factored_nll_terms(
         reference_chol_nugget(correlation_matrix(kernel, design)),
         trend_matrix, y)
@@ -98,7 +99,8 @@ def reference_nll_terms(design, trend_matrix, y, kernel):
 
 def reference_factored_nll_terms(lo, trend_matrix, y, coef=None):
     """``reference_nll_terms`` on a given factor ``lo`` of R + nugget:
-    the oracle of ``kriging._factored_nll_terms``. A sigma2_hat below a
+    the oracle of ``kriging._solve_level`` on a grown factor (one that
+    already covers every row is used as it is). A sigma2_hat below a
     million times the floor is round-off and counts as the floor; with
     ``coef`` given, nll and sigma2 are nan. alpha = R^{-1}(y - H coef)
     comes from two ``solve_triangular`` calls."""
@@ -116,11 +118,20 @@ def reference_factored_nll_terms(lo, trend_matrix, y, coef=None):
     return nll, coef, sigma2, lo, alpha
 
 
+def fresh_factor(family, design, theta):
+    """The lower factor of R(theta) + nugget on ``design`` (n >= 2) that a
+    fresh ``kriging._solve_level`` builds, here of a constant-trend level
+    on the design's first coordinate."""
+    lik = kriging._likelihood(family, design, np.ones((len(design), 1)),
+                              design[:, 0])
+    return kriging._solve_level(lik, theta)[3]
+
+
 def reference_ml_fit(lik, box, starts):
     """A Nelder-Mead likelihood search, the yardstick for the NLL that
     ``kriging._ml_fit`` reaches by L-BFGS-B: from each start, every
-    objective call clips its point into the log-box and evaluates
-    ``kriging._nll_terms`` afresh. It takes the same arguments as
+    objective call clips its point into the log-box and solves the level
+    afresh (``kriging._solve_level``). It takes the same arguments as
     ``_ml_fit`` (a likelihood record, the box and the starts) and
     returns the same (kernel, solve at the best point), so it can stand
     in for it."""
@@ -129,7 +140,7 @@ def reference_ml_fit(lik, box, starts):
     def objective(z):
         z = np.clip(z, log_lo, log_hi)
         try:
-            nll = kriging._nll_terms(lik, np.exp(z))[0]
+            nll = kriging._solve_level(lik, np.exp(z))[0]
         except (IllConditionedError, SingularTrendError):
             return np.inf
         return nll if np.isfinite(nll) else np.inf
@@ -149,7 +160,7 @@ def reference_ml_fit(lik, box, starts):
         raise FitFailedError(
             f"all {len(starts)} likelihood starts were ill-conditioned")
     theta = np.exp(best[1])
-    return KernelSpec(lik.family, theta), kriging._nll_terms(lik, theta)[:5]
+    return KernelSpec(lik.family, theta), kriging._solve_level(lik, theta)
 
 
 def reference_log_lengthscale_weight(family, scaled):

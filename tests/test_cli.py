@@ -128,7 +128,7 @@ def test_fit_exits_2_on_a_numerical_failure(tmp_path, capsys, monkeypatch):
     def ill_conditioned(*args):
         raise IllConditionedError("not positive definite")
 
-    monkeypatch.setattr(kriging, "_nll_terms", ill_conditioned)
+    monkeypatch.setattr(kriging, "_solve_level", ill_conditioned)
     out = tmp_path / "model"
     assert main(["fit", "--config", _fit_config(tmp_path, out)]) \
         == EXIT_NUMERICAL

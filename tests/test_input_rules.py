@@ -1,7 +1,10 @@
-"""The finite-value contract: NaN and inf stop at the type that owns the input."""
+"""The finite-value contract: NaN and inf stop at the type that owns the
+input. And the level-index rule: every site that takes a level takes a
+Python or numpy integer, not a bool, inside its range."""
 
 import json
 import os
+import re
 import tempfile
 from types import SimpleNamespace
 
@@ -16,10 +19,11 @@ from mfkrig.cokriging import (
     LevelParameters,
     MultiFidelityData,
     MultiFidelityModel,
+    fit_level,
     fit_multifidelity,
 )
 from mfkrig.kernels import BasisSpec, KernelSpec
-from mfkrig.sequential import CostModel
+from mfkrig.sequential import CostModel, enrich
 from mfkrig.testbed import (
     get_problem,
     load_data,
@@ -213,3 +217,37 @@ def test_non_finite_entry_stops_data_and_its_files(case):
             with open(os.path.join(first, name), "rb") as fa, \
                     open(os.path.join(second, name), "rb") as fb:
                 assert fa.read() == fb.read(), name
+
+
+# ---------------------------------------------------------------------------
+# level indices
+
+
+_LEVEL_SITES = {
+    "fit_level": lambda model, level: fit_level(
+        level, model.data, model.configs[1], restarts=1),
+    "lower_level_values": lambda model, level:
+        model.data.lower_level_values(level),
+    "hypothetical_variance_after": lambda model, level:
+        model.hypothetical_variance_after([0.5], level),
+    "enrich": lambda model, level: enrich(
+        model, [0.123], level, np.ones(int(level))),
+    "cost_through": lambda model, level:
+        CostModel([1.0, 5.0]).cost_through(level),
+    "evaluate": lambda model, level:
+        get_problem("forrester").evaluate(level, [[0.5]]),
+}
+
+
+@pytest.mark.parametrize("site", _LEVEL_SITES)
+@pytest.mark.parametrize("level", [1.5, 2.0, True, 3, 0])
+def test_every_level_site_takes_only_an_integer_in_range(site, level):
+    lowest = 2 if site == "lower_level_values" else 1
+    with pytest.raises(ValueError, match=re.escape(
+            f"level must be an integer in [{lowest}, 2], got {level!r}")):
+        _LEVEL_SITES[site](_model(), level)
+
+
+@pytest.mark.parametrize("site", _LEVEL_SITES)
+def test_every_level_site_takes_a_numpy_integer(site):
+    _LEVEL_SITES[site](_model(), np.int64(2))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,6 +153,17 @@ def test_linear_basis_2d_entrywise():
     for i in range(4):
         assert f[i, 0] == 1.0
         np.testing.assert_array_equal(f[i, 1:], pts[i])
+
+
+@pytest.mark.parametrize("dimension", [2.5, 2.0, True, "2", None, 0])
+def test_basis_rejects_a_dimension_that_is_not_a_positive_integer(dimension):
+    with pytest.raises(ValueError, match=re.escape(
+            f"basis dimension must be a positive integer, got {dimension!r}")):
+        BasisSpec("linear", dimension)
+
+
+def test_basis_takes_a_numpy_integer_dimension():
+    assert BasisSpec("linear", np.int64(2)).size == 3
 
 
 def test_nugget_value_and_copy():

@@ -33,6 +33,7 @@ from helpers import (
     reference_chol_nugget,
     reference_gls,
     draw_ar1_data,
+    fresh_factor,
     reference_log_lengthscale_weight,
     reference_ml_fit,
     reference_nll_gradient,
@@ -181,7 +182,7 @@ def _outcome(evaluate):
 @given(_likelihood_cases())
 def test_lapack_path_is_bit_identical_to_the_scipy_wrappers(case):
     family, design, f, y, theta = case
-    lean = _outcome(lambda: kriging._nll_terms(
+    lean = _outcome(lambda: kriging._solve_level(
         kriging._likelihood(family, design, f, y), theta)[:5])
     wrapped = _outcome(lambda: reference_nll_terms(
         design, f, y, KernelSpec(family, theta)))
@@ -206,8 +207,8 @@ def test_gradient_weight_is_the_reference_weight_bit_for_bit(case):
     assert r.tobytes() == \
         kriging._scaled_correlation(family, scaled, scaled).tobytes()
     try:
-        terms = kriging._nll_terms(kriging._likelihood(family, design, f, y),
-                                   theta)
+        terms = kriging._solve_level(kriging._likelihood(family, design, f, y),
+                                     theta)
     except (IllConditionedError, SingularTrendError):
         return
     assert terms[5].tobytes() == want  # the weight _nll_gradient reads
@@ -242,7 +243,7 @@ def _gradient_cases(draw, sizes=(6, 14), spacings=None):
     # sigma2_hat / floor: None keeps the data's own floor
     ratio = draw(st.sampled_from([None, 1e3, 0.1]))
     if ratio is not None:
-        lo, _ = kriging._nugget_factor(family, design, np.exp(z))
+        lo = kriging._solve_level(lik, np.exp(z))[3]
         _, sigma2 = kriging._gls(lo, lik.trend, y)
         lik = lik._replace(sigma2_floor=sigma2 / ratio)
     return lik, z, ratio is not None
@@ -252,14 +253,14 @@ def _gradient_cases(draw, sizes=(6, 14), spacings=None):
 @given(_gradient_cases())
 def test_nll_gradient_matches_central_differences(case):
     lik, z, floored = case
-    terms = kriging._nll_terms(lik, np.exp(z))
+    terms = kriging._solve_level(lik, np.exp(z))
     assert (terms[2] == lik.sigma2_floor) == floored
     gradient = kriging._nll_gradient(lik, np.exp(z), terms,
                                      kriging._squared_differences(lik.design))
     h = 1e-5
     central = np.array([
-        (kriging._nll_terms(lik, np.exp(z + h * e))[0]
-         - kriging._nll_terms(lik, np.exp(z - h * e))[0]) / (2.0 * h)
+        (kriging._solve_level(lik, np.exp(z + h * e))[0]
+         - kriging._solve_level(lik, np.exp(z - h * e))[0]) / (2.0 * h)
         for e in np.eye(z.size)])
     # floored, the NLL is (n - p) log(floor) + log det R: the residual
     # term must be absent from the gradient for the two to agree
@@ -274,7 +275,7 @@ def test_nll_gradient_matches_the_direct_formula(case):
     # broadcast of the scaled design over the strict lower triangle
     lik, z, floored = case
     theta = np.exp(z)
-    terms = kriging._nll_terms(lik, theta)
+    terms = kriging._solve_level(lik, theta)
     assert (terms[2] == lik.sigma2_floor) == floored
     want = reference_nll_gradient(lik, theta, terms)
     gradient = kriging._nll_gradient(lik, theta, terms,
@@ -288,11 +289,13 @@ def test_sigma2_within_round_off_of_zero_counts_as_the_floor(ratio, snapped):
     # ratio is sigma2_hat / floor; below 1e6 the estimate is round-off
     problem = make_problem(np.random.default_rng(1), n=10)
     f = basis_matrix(problem.trend, problem.design)
-    lo, _ = kriging._nugget_factor(SE, problem.design, np.array([0.3]))
+    lik = kriging._likelihood(SE, problem.design, f, problem.y)
+    theta = np.array([0.3])
+    lo = kriging._solve_level(lik, theta)[3]
     _, sigma2 = kriging._gls(lo, f, problem.y)
-    lik = kriging._likelihood(SE, problem.design, f, problem.y)._replace(
-        sigma2_floor=sigma2 / ratio)
-    nll, _, kept, _, _ = kriging._factored_nll_terms(lik, lo)
+    lik = lik._replace(sigma2_floor=sigma2 / ratio)
+    # a factor that covers every row is solved on as it is
+    nll, _, kept, _, _, _ = kriging._solve_level(lik, theta, grown_from=lo)
     assert kept == (lik.sigma2_floor if snapped else sigma2)
     n, p = f.shape
     logdet = 2.0 * float(np.log(lo.diagonal()).sum())
@@ -305,7 +308,7 @@ def test_likelihood_evaluation_rejects_a_collinear_trend():
     design = np.random.default_rng(0).uniform(size=(6, 1))
     lik = kriging._likelihood(SE, design, np.ones((6, 2)), design[:, 0])
     with pytest.raises(SingularTrendError, match="rank 1 < 2"):
-        kriging._nll_terms(lik, np.array([0.3]))
+        kriging._solve_level(lik, np.array([0.3]))
 
 
 def test_chol_nugget_rejects_a_matrix_that_is_not_positive_definite():
@@ -316,7 +319,7 @@ def test_chol_nugget_rejects_a_matrix_that_is_not_positive_definite():
 def test_appended_row_with_a_non_positive_pivot_raises():
     theta = np.array([0.4])
     design = np.array([[0.1], [0.5], [0.9], [0.501]])
-    lo, _ = kriging._nugget_factor(SE, design[:3], theta)
+    lo = fresh_factor(SE, design[:3], theta)
     grown = kriging._append_rows(SE, design, theta, lo)
     assert (grown[:3, :3] == lo).all() and grown[3, 3] > 0
     # a factor too small for its rows: l'l is about 4 at the near-repeat
@@ -361,7 +364,7 @@ def test_likelihood_evaluation_rejects_a_nonfinite_theta(theta):
                               problem.y)
     with pytest.raises(ValueError,
                        match="lengthscales must be strictly positive and finite"):
-        kriging._nll_terms(lik, np.array([theta]))
+        kriging._solve_level(lik, np.array([theta]))
 
 
 # ------------------------------------------------------------------- fit
@@ -428,9 +431,9 @@ def test_fit_failure_when_every_start_degenerate():
 
 def _spy_evaluations(monkeypatch, ill_conditioned=lambda theta: False):
     """Record the clipped log-lengthscale vector behind every
-    ``_nll_terms`` call of a search, raising IllConditionedError where
+    ``_solve_level`` call of a search, raising IllConditionedError where
     ``ill_conditioned(theta)``; returns the list of vectors (as bytes)."""
-    original = kriging._nll_terms
+    original = kriging._solve_level
     keys = []
 
     def spy(lik, theta):
@@ -441,7 +444,7 @@ def _spy_evaluations(monkeypatch, ill_conditioned=lambda theta: False):
             raise IllConditionedError("spy")
         return original(lik, theta)
 
-    monkeypatch.setattr(kriging, "_nll_terms", spy)
+    monkeypatch.setattr(kriging, "_solve_level", spy)
     return keys
 
 
@@ -518,7 +521,7 @@ def _spy_searches(monkeypatch):
 def _search_nll(args, kernel):
     """The concentrated NLL of a search's level at ``kernel``."""
     lik, _, _ = args
-    return kriging._nll_terms(lik, kernel.lengthscales)[0]
+    return kriging._solve_level(lik, kernel.lengthscales)[0]
 
 
 @pytest.mark.parametrize("seed, level", [(17, 2), (13, 1)])
@@ -554,8 +557,8 @@ def test_each_search_logs_one_debug_record(monkeypatch, caplog):
                            None if t == 0 else BasisSpec("constant", 1))
                for t, trend in enumerate(["constant", "constant", "linear"])]
     calls = []
-    original = kriging._nll_terms
-    monkeypatch.setattr(kriging, "_nll_terms", lambda lik, theta: (
+    original = kriging._solve_level
+    monkeypatch.setattr(kriging, "_solve_level", lambda lik, theta: (
         calls.append(len(lik.y)), original(lik, theta))[1])
     caplog.set_level(logging.DEBUG, logger="mfkrig.kriging")
     model = fit_multifidelity(data, configs, restarts=3, seed=2)
@@ -600,7 +603,7 @@ def test_fit_rejects_restarts_below_one_before_any_likelihood(monkeypatch,
     def never_called(*args, **kwargs):
         raise AssertionError("likelihood evaluated")
 
-    monkeypatch.setattr(kriging, "_nll_terms", never_called)
+    monkeypatch.setattr(kriging, "_solve_level", never_called)
     problem = make_problem(np.random.default_rng(0))
     with pytest.raises(ValueError, match="restarts must be a positive integer"):
         fit_one(problem, restarts=restarts)
@@ -680,7 +683,7 @@ def test_variance_factor_ignores_the_memory_order_of_the_factor(m):
     rng = np.random.default_rng(5)
     design = rng.uniform(0, 1, size=(12, 2))
     theta = np.array([0.4, 0.5])
-    lo, _ = kriging._nugget_factor(SE, design, theta)
+    lo = fresh_factor(SE, design, theta)
     c = kriging._scaled_correlation(SE, design / theta,
                                     rng.uniform(0, 1, size=(m, 2)) / theta)
     fortran = variance_factor(np.asfortranarray(lo), c)
@@ -692,7 +695,7 @@ def test_one_column_is_solved_as_a_column_among_others_to_round_off():
     rng = np.random.default_rng(6)
     design = rng.uniform(0, 1, size=(40, 2))
     theta = np.array([0.3, 0.5])
-    lo, _ = kriging._nugget_factor(SE, design, theta)
+    lo = fresh_factor(SE, design, theta)
     c = kriging._scaled_correlation(SE, design / theta,
                                     rng.uniform(0, 1, size=(9, 2)) / theta)
     batch = variance_factor(lo, c)

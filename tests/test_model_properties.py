@@ -43,7 +43,7 @@ from mfkrig.testbed import get_problem, load_model, nested_lhs, save_model
 
 from helpers import (
     draw_ar1_data,
-    reference_factored_nll_terms,
+    fresh_factor,
     reference_log_lengthscale_weight,
     reference_nll_gradient,
     reference_nll_terms,
@@ -199,8 +199,8 @@ def test_frozen_refit_appends_factor_rows_and_node_sets_continue(chain, k):
         r = correlation_matrix(lev.kernel, lev.design) + NUGGET * np.eye(m)
         assert np.max(np.abs(lev.chol @ lev.chol.T - r)) <= 1e-12
         # a Cholesky factor is accurate to about cond(R) * eps
-        fresh, _ = kriging._nugget_factor(lev.kernel.family, lev.design,
-                                          lev.kernel.lengthscales)
+        fresh = fresh_factor(lev.kernel.family, lev.design,
+                             lev.kernel.lengthscales)
         assert np.max(np.abs(lev.chol - fresh)) \
             <= np.linalg.cond(r) * np.finfo(float).eps
     want = grown.predict(probes).variances[-1]
@@ -269,16 +269,16 @@ def test_fit_is_byte_identical_through_the_scipy_wrappers(monkeypatch, name,
                                                           sizes, family, trend):
     data, configs = _problem_fit_inputs(name, sizes, family, trend)
     lean = fit_multifidelity(data, configs, restarts=2, seed=1)
-    # the search's evaluations, with the gradient's weight from its own
-    # distance matrix
-    monkeypatch.setattr(kriging, "_nll_terms", lambda lik, theta: (
-        *reference_nll_terms(lik.design, lik.trend, lik.y,
-                             KernelSpec(lik.family, theta)),
-        reference_log_lengthscale_weight(lik.family, lik.design / theta)))
-    # any solve on a factor outside the search
-    monkeypatch.setattr(kriging, "_factored_nll_terms",
-                        lambda lik, lo, coef=None: reference_factored_nll_terms(
-                            lo, lik.trend, lik.y, coef))
+    def reference_solve(lik, theta, coef=None, grown_from=None):
+        # a fit solves afresh only: the search's evaluations, with the
+        # gradient's weight from its own distance matrix
+        assert coef is None and grown_from is None
+        return (*reference_nll_terms(lik.design, lik.trend, lik.y,
+                                     KernelSpec(lik.family, theta)),
+                reference_log_lengthscale_weight(lik.family,
+                                                 lik.design / theta))
+
+    monkeypatch.setattr(kriging, "_solve_level", reference_solve)
     wrapped = fit_multifidelity(data, configs, restarts=2, seed=1)
     assert _fitted_bytes(lean) == _fitted_bytes(wrapped)
 

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import json
 import os
 import pathlib
 import subprocess
@@ -22,6 +23,7 @@ from mfkrig.testbed import get_problem, nested_lhs
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 CONSOLE_SCRIPT = ROOT / "ci" / "console_script.sh"
+DIGEST = ROOT / "ci" / "digest.py"
 
 
 def test_every_exported_name_resolves():
@@ -129,3 +131,26 @@ def test_console_script_commands_run_through_the_module(tmp_path):
         assert (tmp_path / out).is_dir(), out
     # a failing command fails the script
     assert _console_script(tmp_path, "false").returncode != 0
+
+
+def test_digest_prints_one_line_per_workload(tmp_path):
+    # the smoke inputs of the three benchmark workloads, run from an
+    # unrelated directory: the script finds the checkout by its own path
+    run = subprocess.run([sys.executable, str(DIGEST), "--smoke"],
+                         cwd=tmp_path, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    lines = [json.loads(line) for line in run.stdout.splitlines()]
+    assert [line["workload"] for line in lines] == ["fit", "loop-frozen", "cli"]
+    for line in lines:
+        assert len(line["sha256"]) == 64 and int(line["sha256"], 16) >= 0
+        assert line["failed"] == 0
+        assert set(line["quality"]) == {"nll_sum", "rmse", "imse_final"}
+    assert list(tmp_path.iterdir()) == []
+    again = subprocess.run([sys.executable, str(DIGEST), "--smoke", "cli",
+                            "fit"], capture_output=True, text=True)
+    assert [json.loads(line) for line in again.stdout.splitlines()] == \
+        [lines[2], lines[0]]
+    unknown = subprocess.run([sys.executable, str(DIGEST), "fitt"],
+                             capture_output=True, text=True)
+    assert unknown.returncode == 2
+    assert "unknown workloads: fitt" in unknown.stderr

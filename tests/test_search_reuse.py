@@ -12,6 +12,7 @@ no searches.
 """
 
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -133,24 +134,88 @@ def searched(monkeypatch):
 
 
 def _spy_solves(monkeypatch):
-    """(design sizes of every ``_nugget_factor`` call, design sizes of
-    every ``_nll_terms`` call), each in call order."""
-    factors, evaluations = [], []
-    nugget_factor, nll_terms = kriging._nugget_factor, kriging._nll_terms
-    monkeypatch.setattr(kriging, "_nugget_factor", lambda family, design, theta: (
-        factors.append(len(design)), nugget_factor(family, design, theta))[1])
-    monkeypatch.setattr(kriging, "_nll_terms", lambda lik, theta: (
-        evaluations.append(len(lik.y)), nll_terms(lik, theta))[1])
-    return factors, evaluations
+    """(design sizes of every ``_factor_in_place`` call, (design size,
+    fresh) of every ``_solve_level`` call), each in call order. The solve
+    is spied on where ``kriging`` and ``cokriging`` both call it."""
+    factors, solves = [], []
+    factor_in_place, solve_level = kriging._factor_in_place, kriging._solve_level
+
+    def solve_spy(lik, theta, coef=None, grown_from=None):
+        solves.append((len(lik.y), grown_from is None))
+        return solve_level(lik, theta, coef, grown_from)
+
+    monkeypatch.setattr(kriging, "_factor_in_place", lambda a: (
+        factors.append(len(a)), factor_in_place(a))[1])
+    for module in (kriging, cokriging):
+        monkeypatch.setattr(module, "_solve_level", solve_spy)
+    return factors, solves
 
 
 def test_a_fit_factors_once_per_likelihood_evaluation(chain3, monkeypatch):
     # a searched level is the search's solve at its best point
     data, configs, _, _ = chain3
-    factors, evaluations = _spy_solves(monkeypatch)
+    factors, solves = _spy_solves(monkeypatch)
     fit_multifidelity(data, configs, seed=0)
-    assert sorted(set(evaluations)) == [4, 8, 12]
-    assert factors == evaluations
+    assert sorted({n for n, _ in solves}) == [4, 8, 12]
+    assert factors == [n for n, fresh in solves if fresh] == \
+        [n for n, _ in solves]
+
+
+def _reversed_first_level(data):
+    """``data`` with the rows of level 1 in reverse order: its design no
+    longer extends the one it was fitted on, and no level above moves."""
+    return MultiFidelityData(
+        [data.designs[0][::-1], *data.designs[1:]],
+        [data.observations[0][::-1], *data.observations[1:]])
+
+
+# (design size, fresh) of every _solve_level call each path makes
+_PATH_SOLVES = {
+    "frozen-refit-grown": [(13, False), (8, False), (4, False)],
+    "frozen-refit-fresh": [(12, True), (8, False), (4, False)],
+    "from-parameters": [(12, True), (8, True), (4, True)],
+    "load-model": [(12, True), (8, True), (4, True)],
+    "concentrated-nll": [(12, True)],
+}
+
+
+@pytest.mark.parametrize("path", _PATH_SOLVES)
+def test_every_path_solves_a_level_through_one_function(chain3, monkeypatch,
+                                                        tmp_path, path):
+    # one _solve_level call per level, and a fresh factorization for
+    # exactly the calls with no factor to grow
+    data, configs, x, values = chain3
+    model = fit_multifidelity(data, configs, seed=0)
+    save_model(model, tmp_path)
+    factors, solves = _spy_solves(monkeypatch)
+    if path == "frozen-refit-grown":
+        enrich(model, x, 1, values[:1])
+    elif path == "frozen-refit-fresh":
+        model.refit(_reversed_first_level(data))
+    elif path == "from-parameters":
+        _from_parameters(model)
+    elif path == "load-model":
+        load_model(tmp_path)
+    else:
+        lev = model.levels[0]
+        kriging.concentrated_nll(kriging.KrigingProblem(
+            lev.design, lev.y, lev.trend, lev.kernel), lev.lengthscales)
+    assert solves == _PATH_SOLVES[path]
+    assert factors == [n for n, fresh in solves if fresh]
+
+
+def test_every_search_evaluation_is_one_fresh_solve(chain3, monkeypatch,
+                                                    caplog):
+    # the DEBUG record of each search counts its evaluations
+    data, configs, _, _ = chain3
+    factors, solves = _spy_solves(monkeypatch)
+    caplog.set_level(logging.DEBUG, logger="mfkrig.kriging")
+    fit_multifidelity(data, configs, seed=0)
+    evaluations = [r.args[1] for r in caplog.records
+                   if r.name == "mfkrig.kriging"]
+    assert [solves.count((n, True)) for n in (12, 8, 4)] == evaluations
+    assert len(solves) == sum(evaluations)
+    assert factors == [n for n, _ in solves]
 
 
 @pytest.mark.parametrize("family", [SE, M52])
@@ -163,16 +228,16 @@ def test_a_likelihood_evaluation_builds_one_distance_matrix(chain3,
     cdist, calls, per_evaluation = kernels._cdist(), [], []
     monkeypatch.setattr(kernels, "_cdist", lambda: lambda *args: (
         calls.append(1), cdist(*args))[1])
-    nll_terms = kriging._nll_terms
+    solve_level = kriging._solve_level
 
     def spy(lik, theta):
         before = len(calls)
         try:
-            return nll_terms(lik, theta)
+            return solve_level(lik, theta)
         finally:
             per_evaluation.append(len(calls) - before)
 
-    monkeypatch.setattr(kriging, "_nll_terms", spy)
+    monkeypatch.setattr(kriging, "_solve_level", spy)
     fit_multifidelity(data, _configs(3, 1, family), seed=0)
     assert len(per_evaluation) > 3
     assert per_evaluation == [1] * len(per_evaluation)

@@ -207,6 +207,27 @@ def test_exclusion_drops_bitwise_matches(forrester_model):
     assert kept is not None
 
 
+@pytest.mark.parametrize("exclude", [[[0.25]], [[0.25, 0.0, 0.0]]])
+def test_exclusion_of_another_dimension_raises(exclude):
+    problem = get_problem("ripple2d")
+    designs = nested_lhs([12, 6], problem.bounds, seed=0)
+    data = MultiFidelityData(designs, [problem.evaluate(t, x)
+                                       for t, x in enumerate(designs, 1)])
+    constant = BasisSpec("constant", 2)
+    model = fit_multifidelity(data, [
+        LevelConfig(constant, KernelSpec("squared-exponential")),
+        LevelConfig(constant, KernelSpec("squared-exponential"),
+                    scaling=constant)], restarts=1)
+    domain = Domain(problem.bounds)
+    with pytest.raises(ValueError, match=re.escape(
+            f"points have dimension {len(exclude[0])}, expected 2")):
+        argmax_variance(model, domain, GridSearch(5), exclude=exclude)
+    # a point of the right dimension is excluded
+    best = argmax_variance(model, domain, GridSearch(5))
+    assert (argmax_variance(model, domain, GridSearch(5), exclude=[best])
+            != best).any()
+
+
 def test_random_search_is_seeded_and_polish_improves(forrester_model):
     a = argmax_variance(forrester_model, UNIT1, RandomSearch(64, seed=5))
     b = argmax_variance(forrester_model, UNIT1, RandomSearch(64, seed=5))
