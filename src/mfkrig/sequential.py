@@ -328,7 +328,10 @@ class _Nodes:
             model.levels, factors, self.points))[-1]
 
     def _excluded_mask(self, exclude) -> np.ndarray:
-        exclude = _as_points(exclude, self.points.shape[1])
+        d = self.points.shape[1]
+        if np.size(exclude) == 0:  # an empty list excludes nothing
+            exclude = np.empty((0, d))
+        exclude = _as_points(exclude, d)
         kept = self._excluded
         if kept is None or not extends(exclude, kept[0]):
             kept = (exclude[:0], np.zeros(len(self.points), dtype=bool))
@@ -606,8 +609,7 @@ def read_trace(path) -> EnrichmentTrace:
         iteration = int(cells[0])
         x = np.array([number(c) for c in cells[1:1 + dimension]])
         level = int(cells[1 + dimension])
-        if not 1 <= level <= levels:
-            raise ValueError(f"level {level} is outside 1..{levels}")
+        _check_level(level, levels)
         raw = cells[2 + dimension:2 + dimension + levels]
         if "" in raw[:level] or any(raw[level:]):
             raise ValueError(f"a level {level} row fills value_1.."

@@ -146,11 +146,3 @@ def test_digest_prints_one_line_per_workload(tmp_path):
         assert line["failed"] == 0
         assert set(line["quality"]) == {"nll_sum", "rmse", "imse_final"}
     assert list(tmp_path.iterdir()) == []
-    again = subprocess.run([sys.executable, str(DIGEST), "--smoke", "cli",
-                            "fit"], capture_output=True, text=True)
-    assert [json.loads(line) for line in again.stdout.splitlines()] == \
-        [lines[2], lines[0]]
-    unknown = subprocess.run([sys.executable, str(DIGEST), "fitt"],
-                             capture_output=True, text=True)
-    assert unknown.returncode == 2
-    assert "unknown workloads: fitt" in unknown.stderr

@@ -207,8 +207,7 @@ def test_exclusion_drops_bitwise_matches(forrester_model):
     assert kept is not None
 
 
-@pytest.mark.parametrize("exclude", [[[0.25]], [[0.25, 0.0, 0.0]]])
-def test_exclusion_of_another_dimension_raises(exclude):
+def test_exclusion_of_another_dimension_raises():
     problem = get_problem("ripple2d")
     designs = nested_lhs([12, 6], problem.bounds, seed=0)
     data = MultiFidelityData(designs, [problem.evaluate(t, x)
@@ -219,11 +218,17 @@ def test_exclusion_of_another_dimension_raises(exclude):
         LevelConfig(constant, KernelSpec("squared-exponential"),
                     scaling=constant)], restarts=1)
     domain = Domain(problem.bounds)
-    with pytest.raises(ValueError, match=re.escape(
-            f"points have dimension {len(exclude[0])}, expected 2")):
-        argmax_variance(model, domain, GridSearch(5), exclude=exclude)
-    # a point of the right dimension is excluded
+    for exclude in ([[0.25]], [[0.25, 0.0, 0.0]]):
+        with pytest.raises(ValueError, match=re.escape(
+                f"points have dimension {len(exclude[0])}, expected 2")):
+            argmax_variance(model, domain, GridSearch(5), exclude=exclude)
     best = argmax_variance(model, domain, GridSearch(5))
+    # an empty exclusion, of any shape, excludes nothing
+    for exclude in ([], np.empty((0, 2))):
+        np.testing.assert_array_equal(
+            argmax_variance(model, domain, GridSearch(5), exclude=exclude),
+            best)
+    # a point of the right dimension is excluded
     assert (argmax_variance(model, domain, GridSearch(5), exclude=[best])
             != best).any()
 
