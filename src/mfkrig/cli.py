@@ -59,7 +59,7 @@ EXIT_IO = 3
 _NUMERICAL_ERRORS = (FitFailedError, IllConditionedError,
                      InternalConsistencyError)
 # every other library error is a validation error
-_VALIDATION_ERRORS = (ValueError, KeyError, TypeError, MfkrigError)
+_VALIDATION_ERRORS = (ValueError, MfkrigError)
 
 
 def _options(config, owner="", **kinds):
@@ -194,6 +194,9 @@ def cmd_sequential(config, out, quiet) -> int:
     search = _strategy_from(config, "search", _SEARCH_KINDS)
     quadrature = _strategy_from(config, "quadrature", _QUADRATURE_KINDS)
     data = _build_data(config, problem)
+    if data.dimension != problem.dimension:
+        raise ValueError(f"the data have dimension {data.dimension}, problem "
+                         f"{problem.name!r} has dimension {problem.dimension}")
     # the data fix the level count: a prefix of the problem's levels runs
     simulators = [lambda x, t=t: problem.evaluate(t, x)
                   for t in range(1, problem.level_count + 1)][:data.levels]

@@ -47,6 +47,7 @@ from .kernels import (
     same_points,
     _as_points,
     _check_level,
+    _is_number,
 )
 from .kriging import (
     _DEFAULT_RESTARTS,
@@ -130,23 +131,6 @@ def validate_nesting(designs):
     return None
 
 
-def _check_rows(level: int, design, values) -> None:
-    """The data rules on single rows of one level: one response per
-    design point, every point and every response finite."""
-    if len(values) != len(design):
-        raise ValueError(
-            f"level {level}: {len(values)} responses for {len(design)} points")
-    bad = np.flatnonzero(~np.isfinite(design).all(axis=1))
-    if bad.size:
-        raise ValueError(
-            f"level {level} design point {design[bad[0]]} is not finite")
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        i = bad[0]
-        raise ValueError(f"level {level} value {values[i]} at point "
-                         f"{design[i]} is not finite")
-
-
 class MultiFidelityData:
     """Nested designs D_s subset ... subset D_1 with aligned responses.
 
@@ -155,10 +139,8 @@ class MultiFidelityData:
     points of the level below. Nesting is exact point identity (bitwise
     equality of stored coordinates), never tolerance matching. Responses
     at a shared point may differ across levels; the codes are different.
-    The rules on single rows live in ``_check_rows``, which
-    ``with_point`` applies to the point it appends; it skips only the
-    rules over the whole set (distinct points, nesting), which appending
-    a point new to D_1 keeps.
+    A repeated point within a level raises DuplicateDesignPointError;
+    every other broken rule raises ValueError.
 
     Parameters
     ----------
@@ -183,11 +165,22 @@ class MultiFidelityData:
                              for z in observations]
         for t, (dd, z) in enumerate(zip(self.designs, self.observations),
                                     start=1):
-            _check_rows(t, dd, z)
+            if len(z) != len(dd):
+                raise ValueError(
+                    f"level {t}: {len(z)} responses for {len(dd)} points")
+            bad = np.flatnonzero(~np.isfinite(dd).all(axis=1))
+            if bad.size:
+                raise ValueError(
+                    f"level {t} design point {dd[bad[0]]} is not finite")
+            bad = np.flatnonzero(~np.isfinite(z))
+            if bad.size:
+                i = bad[0]
+                raise ValueError(f"level {t} value {z[i]} at point "
+                                 f"{dd[i]} is not finite")
             dup = first_repeat(dd)
             if dup is not None:
-                raise ValueError(
-                    f"level {t}: design point {dup} duplicates an earlier one")
+                raise DuplicateDesignPointError(
+                    f"level {t}: design point {dd[dup]} duplicates an earlier one")
         violation = validate_nesting(self.designs)
         if violation is not None:
             t, i = violation
@@ -216,11 +209,9 @@ class MultiFidelityData:
     def with_point(self, x, values) -> "MultiFidelityData":
         """New data with ``x`` appended to levels 1..len(values).
 
-        ``values`` holds the observed responses, cheapest level first.
-        The point must be new to D_1 (hence to every level). Only the new
-        point is checked, by ``_check_rows`` at each level it joins and
-        against D_1: appending a point new to D_1 to levels 1..l keeps
-        the designs distinct and nested.
+        ``values`` holds the responses, cheapest level first. The grown
+        data go through the constructor, so a point already in D_1 raises
+        DuplicateDesignPointError.
         """
         x = np.asarray(x, dtype=float).ravel()
         if x.size != self.dimension:
@@ -229,18 +220,11 @@ class MultiFidelityData:
         values = np.asarray(values, dtype=float).ravel()
         if not 1 <= values.size <= self.levels:
             raise ValueError("need values for levels 1..l with l <= level count")
-        for t in range(values.size):
-            _check_rows(t + 1, x[None, :], values[t:t + 1])
-        if same_points(x, self.designs[0]).any():
-            raise DuplicateDesignPointError(
-                f"point {x} is already a level-1 design point"
-            )
-        grown = object.__new__(MultiFidelityData)
-        grown.designs = [np.vstack([dd, x]) if t < values.size else dd
-                         for t, dd in enumerate(self.designs)]
-        grown.observations = [np.append(z, values[t]) if t < values.size else z
-                              for t, z in enumerate(self.observations)]
-        return grown
+        k = values.size
+        return MultiFidelityData(
+            [np.vstack([dd, x]) for dd in self.designs[:k]] + self.designs[k:],
+            [np.append(z, v) for z, v in zip(self.observations, values)]
+            + self.observations[k:])
 
 
 @dataclass
@@ -285,8 +269,8 @@ class FittedLevel:
 class LevelParameters:
     """Externally supplied parameters for one level (no estimation).
 
-    ``sigma2`` must be positive and every coefficient finite; the kernel
-    checks the lengthscales.
+    ``sigma2`` must be a positive number and every coefficient finite;
+    the kernel checks the lengthscales.
     """
 
     lengthscales: np.ndarray
@@ -299,6 +283,8 @@ class LevelParameters:
         self.beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
         if self.rho_beta is not None:
             self.rho_beta = np.atleast_1d(np.asarray(self.rho_beta, dtype=float))
+        if not _is_number(self.sigma2):
+            raise ValueError(f"sigma2 must be a number, got {self.sigma2!r}")
         if not 0 < self.sigma2 < np.inf:
             raise ValueError("sigma2 must be positive and finite")
         if not np.all(np.isfinite(self.beta)):

@@ -22,7 +22,7 @@ class InternalConsistencyError(MfkrigError):
 
 
 class DuplicateDesignPointError(MfkrigError):
-    """Enrichment point already present in the design."""
+    """A design point repeated within a level, on building or enriching data."""
 
 
 class ParseError(MfkrigError):

@@ -34,6 +34,11 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
 def _check_level(level, levels, lowest=1) -> None:
     """The one rule of a level index: a Python or numpy integer, not a
     bool, in [lowest, levels]."""

@@ -49,6 +49,7 @@ from .kernels import (
     _as_points,
     _check_level,
     _is_integer,
+    _is_number,
 )
 from .kriging import _clamped_factor, _solve_rows
 
@@ -129,12 +130,15 @@ class Domain:
 
 @dataclass
 class CostModel:
-    """Per-level run costs: finite, positive, strictly increasing with
-    fidelity. The one place the cost rules are checked."""
+    """Per-level run costs: finite, positive numbers, strictly increasing
+    with fidelity. The one place the cost rules are checked."""
 
     costs: list
 
     def __post_init__(self):
+        for c in self.costs:
+            if not _is_number(c):
+                raise ValueError(f"costs must be numbers, got {c!r}")
         self.costs = [float(c) for c in self.costs]
         if not self.costs or self.costs[0] <= 0:
             raise ValueError("costs must be positive")
@@ -507,7 +511,7 @@ def enrich(model, x, level: int, values,
     ``seed=None`` fit draws fresh starts on every reestimate and reuses
     none; a Generator seed keeps being drawn from. A loaded model keeps
     no searches. The grown data is built before any refit, so a
-    non-finite value raises its ValueError first.
+    non-finite value or a repeated point raises first.
     """
     _check_level(level, model.level_count)
     values = np.asarray(values, dtype=float).ravel()
@@ -637,13 +641,15 @@ def _run_settings(levels, cost: CostModel, budget, simulators,
     """(budget as a float, refit period) of a run over ``levels`` levels.
 
     The one check of a run's settings: ``rule`` and the cost model pass
-    ``_check_rule``, the simulators cover every level, the budget is
-    positive and finite, and ``refit`` is "never" (period 0), "always"
-    (1) or "every-k" for an integer k >= 1 (k).
+    ``_check_rule``, the simulators cover every level, the budget is a
+    positive, finite number, and ``refit`` is "never" (period 0),
+    "always" (1) or "every-k" for an integer k >= 1 (k).
     """
     _check_rule(rule, cost, levels)
     if len(simulators) != levels:
         raise ValueError("need one simulator per level")
+    if not _is_number(budget):
+        raise ValueError(f"budget must be a number, got {budget!r}")
     budget = float(budget)
     if not 0 < budget < np.inf:
         raise ValueError(f"budget must be positive and finite, got {budget}")

@@ -266,9 +266,9 @@ def load_data(directory) -> MultiFidelityData:
     """Read the per-level CSVs written by save_data.
 
     Levels are discovered by consecutive file names starting at 1.
-    Malformed files raise ParseError with the offending line; nesting,
-    row-count or non-finite-value problems surface as the data object's
-    ValueError.
+    Malformed files raise ParseError with the offending line; the data
+    object's rules raise as it does: ValueError, or
+    DuplicateDesignPointError for a repeated point.
     """
     designs = []
     observations = []

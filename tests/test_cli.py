@@ -477,6 +477,8 @@ def test_sequential_names_a_mistyped_field(tmp_path, capsys, no_likelihood,
     # three levels of data, and forrester has two level functions
     (dict(data_dir="chain3-data", costs=[1.0, 4.0, 16.0]),
      "need one simulator per level"),
+    (dict(data_dir="chain3-data", problem="ripple2d"),
+     "the data have dimension 1, problem 'ripple2d' has dimension 2"),
 ])
 def test_sequential_checks_its_loop_settings_before_any_fit(
         tmp_path, capsys, monkeypatch, override, message):
@@ -699,6 +701,18 @@ def test_report_rejects_a_row_off_the_cell_layout(tmp_path, capsys,
 
 # ---------------------------------------------------------------------------
 # argument plumbing
+
+
+@pytest.mark.parametrize("error", [TypeError, KeyError])
+def test_an_error_outside_the_library_rules_propagates(tmp_path, monkeypatch,
+                                                       error):
+    # a bug's traceback is not printed as an invalid-config message
+    def broken(config, out, quiet):
+        raise error("not a config error")
+
+    monkeypatch.setitem(cli._COMMANDS, "fit", broken)
+    with pytest.raises(error, match="not a config error"):
+        main(["fit", "--config", _fit_config(tmp_path, tmp_path / "out")])
 
 
 def test_missing_config_flag_is_usage_error():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mfkrig.cokriging as cokriging
 from mfkrig.cokriging import (
@@ -85,7 +87,7 @@ def test_data_rejects_response_count_mismatch():
 
 
 def test_data_rejects_duplicate_points_within_level():
-    with pytest.raises(ValueError, match="duplicates"):
+    with pytest.raises(DuplicateDesignPointError, match="duplicates"):
         MultiFidelityData([[[0.3], [0.3], [0.9]]], [[1.0, 2.0, 3.0]])
 
 
@@ -129,19 +131,53 @@ def _appended(data, x, values):
             + data.observations[k:])
 
 
-def test_with_point_checks_only_the_new_point(monkeypatch):
-    data = two_level_data()
-    designs, observations = _appended(data, [0.123456], [5.0, 6.0])
+@st.composite
+def _enrichment(draw):
+    """Nested 1-3 level data in d = 1-2, and a point with responses for
+    levels 1..l: a point new to D_1, a point of D_1, or a new point with
+    one non-finite coordinate or response."""
+    levels = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 2))
+    sizes = sorted(draw(st.lists(st.integers(1, 6), min_size=levels,
+                                 max_size=levels)), reverse=True)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    designs = draw_nested_designs(rng, sizes, d)
+    finite = st.floats(-1e3, 1e3)
+    observations = [draw(st.lists(finite, min_size=n, max_size=n))
+                    for n in sizes]
+    values = draw(st.lists(finite, min_size=1, max_size=levels))
+    # draw_nested_designs samples [0, 1]^d, so these points are new
+    x = np.array(draw(st.lists(st.floats(1.5, 3.0), min_size=d, max_size=d)))
+    kind = draw(st.sampled_from(["new", "repeat", "bad point", "bad value"]))
+    bad = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    if kind == "repeat":
+        x = designs[0][draw(st.integers(0, sizes[0] - 1))].copy()
+    elif kind == "bad point":
+        x[draw(st.integers(0, d - 1))] = bad
+    elif kind == "bad value":
+        values[draw(st.integers(0, len(values) - 1))] = bad
+    return MultiFidelityData(designs, observations), x, values, kind
 
-    def full_check(*args):
-        raise AssertionError("a check over all the data ran")
 
-    monkeypatch.setattr(cokriging, "first_repeat", full_check)
-    monkeypatch.setattr(cokriging, "validate_nesting", full_check)
-    grown = data.with_point([0.123456], [5.0, 6.0])
-    for got, want in zip(grown.designs + grown.observations,
-                         designs + observations):
-        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+@settings(max_examples=100, deadline=None)
+@given(_enrichment())
+def test_with_point_builds_what_the_constructor_builds(case):
+    data, x, values, kind = case
+    designs, observations = _appended(data, x, values)
+    if kind == "new":
+        grown = data.with_point(x, values)
+        full = MultiFidelityData(designs, observations)
+        for got, want in zip(grown.designs + grown.observations,
+                             full.designs + full.observations):
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape
+        return
+    error = DuplicateDesignPointError if kind == "repeat" else ValueError
+    with pytest.raises(error) as full:
+        MultiFidelityData(designs, observations)
+    with pytest.raises(error) as appended:
+        data.with_point(x, values)
+    assert type(appended.value) is type(full.value)
+    assert str(appended.value) == str(full.value)
 
 
 @pytest.mark.parametrize("x, values", [

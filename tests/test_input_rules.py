@@ -1,6 +1,8 @@
 """The finite-value contract: NaN and inf stop at the type that owns the
-input. And the level-index rule: every site that takes a level takes a
-Python or numpy integer, not a bool, inside its range."""
+input. The level-index rule: every site that takes a level takes a
+Python or numpy integer, not a bool, inside its range. The number rule:
+every cost, budget and sigma2 is a Python or numpy number, not a bool.
+And one error for a repeated design point, wherever data are built."""
 
 import json
 import os
@@ -22,8 +24,10 @@ from mfkrig.cokriging import (
     fit_level,
     fit_multifidelity,
 )
+from mfkrig.exceptions import DuplicateDesignPointError
 from mfkrig.kernels import BasisSpec, KernelSpec
-from mfkrig.sequential import CostModel, enrich
+from mfkrig.kriging import KrigingProblem
+from mfkrig.sequential import CostModel, enrich, _run_settings
 from mfkrig.testbed import (
     get_problem,
     load_data,
@@ -251,3 +255,61 @@ def test_every_level_site_takes_only_an_integer_in_range(site, level):
 @pytest.mark.parametrize("site", _LEVEL_SITES)
 def test_every_level_site_takes_a_numpy_integer(site):
     _LEVEL_SITES[site](_model(), np.int64(2))
+
+
+# ---------------------------------------------------------------------------
+# numbers
+
+
+_NUMBER_SITES = {
+    "costs": lambda value: CostModel([0.5, value]),
+    "budget": lambda value: _run_settings(
+        2, CostModel([1.0, 5.0]), value, [None, None]),
+    "sigma2": lambda value: LevelParameters([0.3], value, [0.0]),
+}
+
+
+@pytest.mark.parametrize("site", _NUMBER_SITES)
+@pytest.mark.parametrize("value", [True, np.True_, "5", None],
+                         ids=["bool", "numpy-bool", "str", "None"])
+def test_every_number_site_takes_only_a_number(site, value):
+    with pytest.raises(ValueError, match=re.escape(
+            f"must be a number, got {value!r}" if site != "costs"
+            else f"costs must be numbers, got {value!r}")):
+        _NUMBER_SITES[site](value)
+
+
+@pytest.mark.parametrize("site", _NUMBER_SITES)
+@pytest.mark.parametrize("value", [5, 5.0, np.int64(5), np.float32(5.0)])
+def test_every_number_site_takes_a_python_or_numpy_number(site, value):
+    _NUMBER_SITES[site](value)
+
+
+# ---------------------------------------------------------------------------
+# repeated design points
+
+
+def test_a_repeated_point_is_one_error_wherever_data_are_built(
+        tmp_path, capsys):
+    data = _model().data
+    x = data.designs[1][2]
+    message = re.escape(f"level 1: design point {x} duplicates an earlier one")
+    designs = [np.vstack([data.designs[0], x]), data.designs[1]]
+    observations = [np.append(data.observations[0], 1.0),
+                    data.observations[1]]
+    with pytest.raises(DuplicateDesignPointError, match=message):
+        MultiFidelityData(designs, observations)
+    with pytest.raises(DuplicateDesignPointError, match=message):
+        data.with_point(x, [1.0])
+    with pytest.raises(DuplicateDesignPointError, match=message):
+        KrigingProblem(designs[0], observations[0], BasisSpec("constant", 1),
+                       KernelSpec(SE))
+    save_data(SimpleNamespace(designs=designs, observations=observations,
+                              levels=2, dimension=1), tmp_path / "data")
+    with pytest.raises(DuplicateDesignPointError, match=message):
+        load_data(tmp_path / "data")
+    config = tmp_path / "fit.json"
+    config.write_text(json.dumps({"data_dir": str(tmp_path / "data"),
+                                  "out": str(tmp_path / "out")}))
+    assert main(["fit", "--config", str(config)]) == EXIT_VALIDATION
+    assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import mfkrig.cokriging as cokriging
 import mfkrig.kriging as kriging
 from mfkrig.exceptions import (
+    DuplicateDesignPointError,
     FitFailedError,
     IllConditionedError,
     InternalConsistencyError,
@@ -713,7 +714,7 @@ def test_variance_clamp_raises_beyond_slack():
 # ------------------------------------------------------------ validation
 
 def test_problem_rejects_duplicate_points():
-    with pytest.raises(ValueError):
+    with pytest.raises(DuplicateDesignPointError):
         KrigingProblem([[0.2], [0.2], [0.7]], [1.0, 2.0, 3.0],
                        BasisSpec("constant", 1), KernelSpec(SE))
 
