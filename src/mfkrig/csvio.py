@@ -1,13 +1,20 @@
 """The file conventions shared by every file the package reads and writes.
 
 Floats are written with 17 significant digits, which round-trips any
-float64 exactly. An unreadable file or malformed CSV or JSON content
+float64 exactly: ``fmt`` defines the text. ``write_csv`` formats a block
+of rows at a time in numpy and writes the bytes a per-value ``fmt`` join
+gives; a value it cannot decide exactly that way (zero, inf, nan, a
+magnitude outside [1e-280, 1e280], a rounding within 1e-9 of a tie) is
+written by ``fmt``. An unreadable file or malformed CSV or JSON content
 raises ParseError naming the file and, where known, the 1-based line.
 Every JSON field, of a config or of ``model.json``, is read by ``_typed``.
 """
 
+import functools
 import json
+import math
 from types import UnionType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,8 +22,15 @@ from .exceptions import ParseError
 
 _FLOAT = ".17g"
 
-# Rows converted to Python floats at a time by write_csv.
-_ROW_BLOCK = 1024
+# Rows formatted at a time by write_csv: a block's temporaries stay small.
+_ROW_BLOCK = 256
+
+# Magnitudes whose digits write_csv finds in numpy, and how near .5 the
+# scaled fraction may come (its error is below 1e-14) before fmt decides.
+_LOW, _HIGH = 1e-280, 1e280
+_TIE = 1e-9
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into 26-bit halves
+_POW = 300            # the power tables run from 10**-_POW to 10**_POW
 
 
 def fmt(v) -> str:
@@ -26,18 +40,153 @@ def fmt(v) -> str:
 def write_csv(path, header, rows) -> None:
     """Header line, then one line per row of as many floats as the
     header has cells, each written as ``fmt`` writes it."""
-    # "%" + _FLOAT applied to float(v) gives fmt(v); one template per
-    # line spares a call per value, and converting rows to Python floats
-    # a block at a time spares a float() per value without holding every
-    # row's floats at once
-    line = ",".join(["%" + _FLOAT] * len(header)) + "\n"
     rows = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows),
                       dtype=float)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    rows = rows.reshape(len(rows), len(header))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
         for start in range(0, len(rows), _ROW_BLOCK):
-            fh.writelines(line % tuple(row) for row
-                          in rows[start:start + _ROW_BLOCK].tolist())
+            fh.write(_format_block(rows[start:start + _ROW_BLOCK]))
+
+
+class _Tables(NamedTuple):
+    """Read-only lookup tables of ``_format_block``. The 8-byte words
+    are byte strings, combined by & and | alone, so byte order is moot."""
+    hi: np.ndarray        # at e + _POW: 10**e, nearest double,
+    lo: np.ndarray        # the nearest double to 10**e - hi,
+    hi_high: np.ndarray   # hi's high and low 26-bit halves,
+    hi_low: np.ndarray
+    least: np.ndarray     # the least double not below 10**e,
+    exponent: np.ndarray  # and the word "e+XX[X]"; the last word is empty
+    head: np.ndarray      # word of sign, "0.000"[:k], lead digit, point
+    four: np.ndarray      # word of g's 4 digits, a NUL after each
+    zeros: np.ndarray     # count of g's trailing zeros, 4 for g = 0
+    keep: np.ndarray      # [c, i]: digits 4i+1..4i+4 up to digit c
+    point: np.ndarray     # [j + 1, i]: a point after digit j in word i
+
+
+def _words(texts) -> np.ndarray:
+    """Each byte string NUL-padded to one 8-byte word."""
+    return np.frombuffer(b"".join(t.ljust(8, b"\0") for t in texts), "u8")
+
+
+@functools.cache
+def _tables() -> _Tables:
+    """Built on first use, with integer arithmetic."""
+    hi, lo, least = [], [], []
+    for e in range(-_POW, _POW + 1):
+        num, den = 10 ** max(e, 0), 10 ** max(-e, 0)
+        h = num / den
+        hn, hd = h.as_integer_ratio()
+        rest = num * hd - hn * den
+        hi.append(h)
+        lo.append(rest / (den * hd))
+        least.append(math.nextafter(h, math.inf) if rest > 0 else h)
+    hi = np.array(hi)
+    c = hi * _SPLIT
+    hi_high = c - (c - hi)
+    g = np.arange(10 ** 4)
+    zeros = sum((g % 10 ** j == 0).astype(np.uint8) for j in (1, 2, 3, 4))
+    zeros[0] = 4
+    four = np.zeros((10 ** 4, 8), np.uint8)
+    four[:, ::2] = g[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    tables = _Tables(
+        hi, np.array(lo), hi_high, hi - hi_high, np.array(least),
+        _words([b"e%+03d" % e for e in range(-_POW, _POW + 1)] + [b""]),
+        # index ((sign * 6 + k) * 10 + lead) * 2 + point
+        _words([b"\0-"[sign:sign + 1] + b"0.000"[:k].ljust(5, b"\0")
+                + b"%d" % lead + b"."[:point]
+                for sign in (0, 1) for k in range(6) for lead in range(10)
+                for point in (0, 1)]),
+        four.view(np.uint64).ravel(),
+        zeros,
+        _words([b"\xff\0" * min(max(c - 4 * i, 0), 4)
+                for c in range(17) for i in range(4)]).reshape(17, 4),
+        _words([b"\0\0" * (j - 1 - 4 * i) + b"\0."
+                if 0 <= j - 1 - 4 * i < 4 else b""
+                for j in range(-1, 17) for i in range(4)]).reshape(18, 4))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _format_block(block) -> np.ndarray:
+    """The bytes of ``block``'s rows as the per-value ``fmt`` join writes
+    them, a comma after each cell but the last of a row, which ends in a
+    newline.
+
+    a = |v| gets e = floor(log10 a), and q, a * 10**(16 - e) rounded to
+    an integer, from Dekker's exact two-product with 10**(16 - e) as
+    hi + lo. Six 8-byte words per cell lay out ``%.17g`` in fixed slots:
+    sign, "0.000", the lead digit and a point; the other 16 digits, each
+    with a point slot; the exponent and the separator. Unused bytes are
+    NUL, and one compress drops them. ``fmt`` writes the values this
+    cannot decide exactly: zero, inf, nan, magnitudes outside [_LOW,
+    _HIGH], and scaled fractions within _TIE of .5.
+    """
+    if not block.shape[1]:  # a row without cells is an empty line
+        return np.full(len(block), ord("\n"), np.uint8)
+    tab = _tables()
+    v = block.ravel()
+    n = len(v)
+    a = np.abs(v)
+    decided = (a >= _LOW) & (a <= _HIGH)
+    a[~decided] = 1.0
+    # log10 may put e one off next to a power of ten
+    e = np.floor(np.log10(a)).astype(np.intp)
+    e -= a < tab.least[e + _POW]
+    e += a >= tab.least[e + _POW + 1]
+    k = 16 - e + _POW
+    hi_high, hi_low = tab.hi_high[k], tab.hi_low[k]
+    p = a * tab.hi[k]
+    c = a * _SPLIT
+    a_high = c - (c - a)
+    a_low = a - a_high
+    t = (((a_high * hi_high - p) + a_high * hi_low + a_low * hi_high)
+         + a_low * hi_low) + a * tab.lo[k]   # a * 10**(16 - e) == p + t
+    whole = np.floor(t)
+    t -= whole
+    decided &= np.abs(t - 0.5) >= _TIE
+    q = p.astype(np.int64) + whole.astype(np.int64) + (t > 0.5)
+    top = q == 10 ** 17  # rounded up into the next decade
+    q[top] = 10 ** 16
+    e += top
+    # q's digits: the lead one, then four groups of four, split in floats
+    # once each part is below 2**53
+    halves = np.empty((2, n))
+    halves[0] = q // 10 ** 8
+    halves[1] = q % 10 ** 8
+    lead = np.floor(halves[0] / 1e8)
+    halves[0] -= lead * 1e8
+    high = np.floor(halves / 1e4)
+    groups = np.stack([high[0], halves[0] - high[0] * 1e4,
+                       high[1], halves[1] - high[1] * 1e4]).astype(np.intp)
+    z = np.take(tab.zeros, groups)
+    last = 16 - (z[3] + (z[3] == 4) * (z[2] + (z[2] == 4) * (
+        z[1] + (z[1] == 4) * z[0])))
+    # fixed notation puts the point after digit e, or e < 0 in "0.000"
+    fixed = (e >= -4) & (e < 17)
+    dot = np.where(fixed, e, 0)
+    point = np.where((last > dot) & (dot >= 0), dot, -1)
+    out = np.empty((n, 6), np.uint64)
+    out[:, 0] = np.take(tab.head, (
+        (np.signbit(v) * 6 + np.where(dot < 0, 1 - dot, 0)) * 10
+        + lead.astype(np.intp)) * 2 + (point == 0))
+    out[:, 1:5] = (np.take(tab.four, groups.T)
+                   & np.take(tab.keep, np.maximum(dot, last), axis=0)
+                   | np.take(tab.point, point + 1, axis=0))
+    out[:, 5] = np.take(tab.exponent, np.where(fixed, -1, e + _POW))
+    chars = out.view(np.uint8)
+    cells = chars.reshape(block.shape + (48,))
+    cells[:, :-1, 45] = ord(",")
+    cells[:, -1, 45] = ord("\n")
+    undecided = np.flatnonzero(~decided)
+    if undecided.size:
+        text = b"".join(fmt(x).encode().ljust(45, b"\0")
+                        for x in v[undecided].tolist())
+        chars[undecided, :45] = np.frombuffer(text, np.uint8).reshape(-1, 45)
+    flat = chars.ravel()
+    return np.compress(flat != 0, flat)
 
 
 def read_csv(path):

@@ -199,9 +199,19 @@ def extends(points, prefix) -> bool:
 
 
 def first_repeat(points) -> int | None:
-    """Index of the first row that is the same point as an earlier row, or None."""
-    dup = np.flatnonzero(np.tril(same_points(points, points), -1).any(axis=1))
-    return int(dup[0]) if dup.size else None
+    """Index of the first row that is the same point as an earlier row, or None.
+
+    Rows are compared by their bytes, the identity of ``same_points``.
+    """
+    pts = np.ascontiguousarray(_as_points(points))
+    raw, width = pts.tobytes(), pts.itemsize * pts.shape[1]
+    seen = set()
+    for i in range(pts.shape[0]):
+        row = raw[i * width:(i + 1) * width]
+        if row in seen:
+            return i
+        seen.add(row)
+    return None
 
 
 def add_matched_nugget(c: np.ndarray, xa, xb) -> np.ndarray:

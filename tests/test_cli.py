@@ -11,10 +11,12 @@ import mfkrig.cokriging as cokriging
 import mfkrig.kriging as kriging
 from mfkrig.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from mfkrig.cokriging import MultiFidelityData
+from mfkrig.csvio import fmt
 from mfkrig.exceptions import IllConditionedError
 from mfkrig.sequential import (
     EnrichmentTrace,
     TraceEntry,
+    product_grid,
     read_trace,
     write_trace,
 )
@@ -205,6 +207,30 @@ def test_predict_empty_points_file(tmp_path, fitted_dir):
     assert main(["predict", "--config", config, "--quiet"]) == EXIT_OK
     lines = (out / "predictions.csv").read_text().splitlines()
     assert len(lines) == 1 and lines[0].startswith("x_0,")
+
+
+@pytest.mark.parametrize("problem, sizes, grid", [
+    ("ripple2d", [20, 10], 25), ("chain3", [12, 8, 4], 700)])
+def test_predict_writes_the_per_value_fmt_join(tmp_path, problem, sizes,
+                                               grid):
+    model_dir, out = tmp_path / "model", tmp_path / "pred"
+    fit = _config(tmp_path, "fit.json", problem=problem, sizes=sizes,
+                  seed=7, out=str(model_dir))
+    assert main(["fit", "--config", fit, "--quiet"]) == EXIT_OK
+    config = _config(tmp_path, "predict.json", model_dir=str(model_dir),
+                     grid=grid, problem=problem, out=str(out))
+    assert main(["predict", "--config", config, "--quiet"]) == EXIT_OK
+    points = product_grid(get_problem(problem).bounds, grid)
+    pred = load_model(model_dir).predict(points)
+    s, d = len(sizes), points.shape[1]
+    header = ([f"x_{j}" for j in range(d)]
+              + [f"{name}_{t}" for name in ("mean", "var", "contrib")
+                 for t in range(1, s + 1)])
+    rows = np.hstack([points, pred.means.T, pred.variances.T,
+                      pred.contributions.T])
+    expected = "".join(",".join(cells) + "\n" for cells in
+                       [header] + [[fmt(v) for v in row] for row in rows])
+    assert (out / "predictions.csv").read_bytes() == expected.encode()
 
 
 def _assert_predict_rejects_dimension(tmp_path, fitted_dir, capsys, probes):

@@ -70,3 +70,46 @@ def test_write_csv_bytes_equal_the_per_value_fmt_join(tmp_path_factory,
     header, rows = table
     tmp_path = tmp_path_factory.getbasetemp()
     assert _written(tmp_path, header, rows) == _reference(header, rows)
+
+
+def _powers_of_ten():
+    """Every 1e-310 ... 1e308 with both neighbours, and their negatives."""
+    values = []
+    for k in range(-310, 309):
+        x = float(f"1e{k}")
+        values += [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+    return values + [-x for x in values]
+
+
+def _below_its_power(x, k) -> bool:
+    """x < 10**k exactly."""
+    num, den = x.as_integer_ratio()
+    return num * 10 ** max(-k, 0) < den * 10 ** max(k, 0)
+
+
+def test_write_csv_matches_fmt_on_random_bits_and_edge_lists(tmp_path):
+    bits = np.random.default_rng(26).integers(0, 2**64, 200_000,
+                                              dtype=np.uint64)
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324,
+                -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308]
+    # doubles just below a power of ten that round up to it at 17 digits
+    decade_ups = [1e-14, 1e-70, 1e-305]
+    assert all(_below_its_power(x, int(fmt(x)[2:])) for x in decade_ups)
+    # exact and near decimal ties at the 18th significant digit
+    ties = ([j / 4 + 1234567890123456.0 for j in range(-400, 400)]
+            + [j / 8 + 2.0**52 for j in range(-400, 400)])
+    # both edges of the range whose digits are found in numpy
+    edges = [y for x in (1e-280, 1e280) for y in
+             (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf))]
+    values = np.concatenate([
+        bits.view(np.float64), specials, decade_ups, ties, edges,
+        np.negative(edges), _powers_of_ten()])
+    values = np.concatenate([values, np.zeros(-len(values) % 8)])
+    header = [f"c_{j}" for j in range(8)]
+    rows = values.reshape(-1, 8)
+    assert _written(tmp_path, header, rows) == _reference(header, rows)
+
+
+def test_write_csv_writes_rows_without_cells_as_empty_lines(tmp_path):
+    rows = np.empty((2, 0))
+    assert _written(tmp_path, [], rows) == _reference([], rows) == b"\n" * 3
