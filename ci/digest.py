@@ -7,7 +7,9 @@ seed 1 on the sources of this checkout, in a temporary directory, and
 prints one JSON line per workload: the sha256 of
 ``pickle.dumps(wl.fingerprint(result))``, the failed-operation count and
 the quality metrics. Two commits whose lines are equal gave the same
-outputs bit for bit. Nothing is written in the checkout.
+outputs bit for bit. Nothing is written in the checkout. The exit status
+is 1 when any workload failed an operation, so a broken output fails the
+step that runs it.
 """
 
 import os
@@ -47,9 +49,17 @@ def digest(name, scale) -> dict:
                 "quality": wl.quality(result)}
 
 
-if __name__ == "__main__":
-    scale = "smoke" if sys.argv[1:] == ["--smoke"] else "full"
-    if sys.argv[1:] not in ([], ["--smoke"]):
+def main(args) -> int:
+    """Print the digest lines; 1 if any workload failed an operation."""
+    if args not in ([], ["--smoke"]):
         sys.exit(f"usage: {sys.argv[0]} [--smoke]")
+    failed = 0
     for name in workloads.WORKLOADS:
-        print(json.dumps(digest(name, scale)), flush=True)
+        line = digest(name, "smoke" if args else "full")
+        print(json.dumps(line), flush=True)
+        failed += line["failed"]
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

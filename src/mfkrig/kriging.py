@@ -11,9 +11,12 @@ of the concentrated negative log-likelihood
 over log-lengthscales inside a box (``_ml_fit``), by L-BFGS-B on its
 analytic gradient (``_nll_gradient``): one matrix-vector product of the
 design's squared differences, built once per search, against the
-weighted lower triangle of R^{-1}. A sigma2_hat below 1e6 times its
-floor is round-off of a zero residual and counts as the floor, so a
-round-off level has the smooth objective (n - p) log(floor) + log det R.
+weighted lower triangle of R^{-1}. Each run is one public
+``scipy.optimize.minimize`` call, with value and gradient as two
+callables sharing one evaluation per point. A sigma2_hat below 1e6
+times its floor is round-off of a zero residual and counts as the floor,
+so a round-off level has the smooth objective
+(n - p) log(floor) + log det R.
 
 ``_solve_level`` is the one solve of a level, read from its
 ``_Likelihood`` record: the factor of R + nugget, then the GLS estimate
@@ -40,6 +43,7 @@ functions. Results are bit for bit those of the scipy wrappers
 """
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -122,8 +126,9 @@ class KrigingProblem:
 def _factor_in_place(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of the Fortran-ordered ``a`` + nugget, written
     over ``a``; or IllConditionedError. The one place the nugget joins a
-    diagonal that is factored."""
-    a.flat[::len(a) + 1] += NUGGET
+    diagonal that is factored. ``a`` is contiguous, so its diagonal is
+    every (n + 1)-th element of a raveled view."""
+    a.ravel("K")[::len(a) + 1] += NUGGET
     lo, info = _potrf(a, lower=1, clean=1, overwrite_a=1)
     if info > 0:
         raise IllConditionedError(
@@ -333,8 +338,9 @@ def _solve_level(lik: _Likelihood, theta, coef=None, grown_from=None):
     w = None
     if grown_from is None:
         scaled = lik.design / theta
+        # each family's kernel of a point with itself is exactly 1.0, so
+        # R's diagonal needs no writing
         r, w = _scaled_correlation(lik.family, scaled, scaled, weight=True)
-        np.fill_diagonal(r, 1.0)
         # R is exactly symmetric, so its transpose is the same matrix in
         # the Fortran order dpotrf works on in place
         lo = _factor_in_place(r.T)
@@ -377,14 +383,20 @@ def _nll_gradient(lik: _Likelihood, theta, terms, sq_diff) -> np.ndarray:
     against M_lower, dpotri's lower triangle of R^{-1} with zeros above
     it (the factor is cleaned). All d components are one gemv,
     g = D vec(2 M_lower * W - (alpha alpha' / sigma2) * W) / theta^2,
-    here with the exact factor 2 taken out of the vector.
+    here with the exact factor 2 taken out of the vector. dpotri's M is
+    in Fortran order and the gemv reads a C-order vec, so the vector is
+    built in a C-ordered array, which reads M once and is contiguous
+    with W.
     """
     _, _, sigma2, lo, alpha, w = terms
     m, _ = _potri(lo, lower=1)
     if sigma2 > lik.sigma2_floor:
-        m -= np.outer(alpha / (2.0 * sigma2), alpha)
-    m *= w
-    return 2.0 * (sq_diff @ m.ravel()) / (theta * theta)
+        v = (alpha / (2.0 * sigma2))[:, None] * alpha
+        np.subtract(m, v, out=v)
+    else:
+        v = np.ascontiguousarray(m)
+    v *= w
+    return 2.0 * (sq_diff @ v.ravel()) / (theta * theta)
 
 
 def concentrated_nll(problem: KrigingProblem, theta) -> float:
@@ -455,13 +467,19 @@ def _ml_fit(lik: _Likelihood, box, starts):
     each run divides objective and gradient by max(1, |g(z0)| /
     ``_FIRST_STEP``): its first step moves at most that far.
 
+    Each run is one call of the public ``scipy.optimize.minimize``, which
+    a tracer can wrap, with value and gradient as two callables: both
+    answer from the evaluation at the last z scipy asked about, keyed by
+    the bytes of z, and evaluate only at another z. One ``Bounds`` of the
+    box serves every run.
+
     Returns the kernel and the ``_solve_level`` of the best point the
     runs evaluated, never worse than the best start, and logs one DEBUG
     record of the search to the ``mfkrig.kriging`` logger: its start
     count, evaluations (``_solve_level`` calls), best NLL, whether
     sigma2 there is the floor, and the dimensions on a bound of the box.
     """
-    from scipy.optimize import minimize
+    from scipy.optimize import Bounds, minimize
 
     log_lo, log_hi = box
     sq_diff = _squared_differences(lik.design)
@@ -478,7 +496,7 @@ def _ml_fit(lik: _Likelihood, box, starts):
         except (IllConditionedError, SingularTrendError):
             return None
         nll = terms[0]
-        if not np.isfinite(nll):
+        if not math.isfinite(nll):
             return None
         if nll < best[0]:
             best[:] = nll, z.copy(), terms
@@ -493,19 +511,28 @@ def _ml_fit(lik: _Likelihood, box, starts):
         raise FitFailedError(
             f"all {len(starts)} likelihood starts were ill-conditioned"
         )
-    for z0, first in at_start.values():
+    bounds = Bounds(log_lo, log_hi)
+    for key0, (z0, first) in at_start.items():
         if first is None:
             continue
         scale = max(1.0, float(np.linalg.norm(first[1])) / _FIRST_STEP)
+        last = [key0, first]  # bytes of the last z asked about, evaluation
 
-        def objective(z, z0=z0, first=first, scale=scale):
-            value = first if z.tobytes() == z0.tobytes() else evaluate(z)
-            if value is None:
-                return np.inf, np.zeros_like(z)
-            return value[0] / scale, value[1] / scale
+        def at(z, key0=key0, first=first, last=last):
+            key = z.tobytes()
+            if key != last[0]:
+                last[:] = key, first if key == key0 else evaluate(z)
+            return last[1]
 
-        minimize(objective, z0, jac=True, method="L-BFGS-B",
-                 bounds=list(zip(log_lo, log_hi)))
+        def value(z, at=at, scale=scale):
+            v = at(z)
+            return np.inf if v is None else v[0] / scale
+
+        def gradient(z, at=at, scale=scale):
+            v = at(z)
+            return np.zeros_like(z) if v is None else v[1] / scale
+
+        minimize(value, z0, jac=gradient, method="L-BFGS-B", bounds=bounds)
 
     nll, z, terms = best
     # L-BFGS-B's line search can stop a round-off away from a bound

@@ -1,7 +1,8 @@
 """Shared test utilities: prior sampling, dense reference formulas, the
 likelihood evaluation through scipy's checked wrappers, a fresh factor
 of R + nugget from the library's solve, a Nelder-Mead
-likelihood search as the yardstick of the library's L-BFGS-B search, a
+likelihood search as the yardstick of the library's L-BFGS-B search,
+that search with its former memoized ``minimize`` call as its oracle, a
 variance search through ``predict``, the likelihood gradient's weight
 from its own distance matrix, the likelihood gradient by its direct
 formula, and the sequential loop spelled out through public calls."""
@@ -161,6 +162,62 @@ def reference_ml_fit(lik, box, starts):
             f"all {len(starts)} likelihood starts were ill-conditioned")
     theta = np.exp(best[1])
     return KernelSpec(lik.family, theta), kriging._solve_level(lik, theta)
+
+
+def memoized_ml_fit(lik, box, starts):
+    """``kriging._ml_fit`` as it called ``scipy.optimize.minimize`` before
+    value and gradient were two callables: one objective returning both
+    (``jac=True``, so scipy memoizes the gradient), and the box as a list
+    of (lo, hi) pairs on every run. The distinct clipped starts are each
+    evaluated once, each run answers its first call from its start and
+    divides by the same ``_FIRST_STEP`` scale, and the best point is the
+    first strict minimum. An evaluation is ``kriging._solve_level`` and
+    the gradient of the old ``_nll_gradient``, with its ``np.outer``.
+    The oracle of ``_ml_fit``, which must match it bit for bit."""
+    log_lo, log_hi = box
+    sq_diff = kriging._squared_differences(lik.design)
+    best = [np.inf, None, None]
+
+    def evaluate(z):
+        theta = np.exp(z)
+        try:
+            terms = kriging._solve_level(lik, theta)
+        except (IllConditionedError, SingularTrendError):
+            return None
+        nll, _, sigma2, lo, alpha, w = terms
+        if not np.isfinite(nll):
+            return None
+        if nll < best[0]:
+            best[:] = nll, z.copy(), terms
+        m, _ = dpotri(lo, lower=1)
+        if sigma2 > lik.sigma2_floor:
+            m -= np.outer(alpha / (2.0 * sigma2), alpha)
+        m *= w
+        return nll, 2.0 * (sq_diff @ m.ravel()) / (theta * theta)
+
+    at_start = {}
+    for z0 in starts:
+        z = np.clip(z0, log_lo, log_hi)
+        if z.tobytes() not in at_start:
+            at_start[z.tobytes()] = (z, evaluate(z))
+    if best[1] is None:
+        raise FitFailedError(
+            f"all {len(starts)} likelihood starts were ill-conditioned")
+    for z0, first in at_start.values():
+        if first is None:
+            continue
+        scale = max(1.0, float(np.linalg.norm(first[1])) / kriging._FIRST_STEP)
+
+        def objective(z, z0=z0, first=first, scale=scale):
+            value = first if z.tobytes() == z0.tobytes() else evaluate(z)
+            if value is None:
+                return np.inf, np.zeros_like(z)
+            return value[0] / scale, value[1] / scale
+
+        minimize(objective, z0, jac=True, method="L-BFGS-B",
+                 bounds=list(zip(log_lo, log_hi)))
+    _, z, terms = best
+    return KernelSpec(lik.family, np.exp(z)), terms
 
 
 def reference_log_lengthscale_weight(family, scaled):

@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfkrig.csvio import fmt, write_csv
+from mfkrig.csvio import _format_block, fmt, write_csv
 
 _EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
           1e308, -1e308, 1.7976931348623157e308, float("inf"),
@@ -70,6 +70,11 @@ def test_write_csv_bytes_equal_the_per_value_fmt_join(tmp_path_factory,
     header, rows = table
     tmp_path = tmp_path_factory.getbasetemp()
     assert _written(tmp_path, header, rows) == _reference(header, rows)
+    # write_csv joins blocks this small; the numpy path gives the same bytes
+    block = np.array(rows if isinstance(rows, np.ndarray) else list(rows),
+                     dtype=float).reshape(-1, len(header))
+    assert (bytes(_format_block(block))
+            == _reference(header, rows).partition(b"\n")[2])
 
 
 def _powers_of_ten():
@@ -113,3 +118,4 @@ def test_write_csv_matches_fmt_on_random_bits_and_edge_lists(tmp_path):
 def test_write_csv_writes_rows_without_cells_as_empty_lines(tmp_path):
     rows = np.empty((2, 0))
     assert _written(tmp_path, [], rows) == _reference([], rows) == b"\n" * 3
+    assert bytes(_format_block(rows)) == b"\n" * 2

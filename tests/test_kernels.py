@@ -16,6 +16,7 @@ from mfkrig.kernels import (
     first_repeat,
     probe_correlation,
     same_points,
+    _scaled_correlation,
 )
 
 from helpers import add_nugget
@@ -104,6 +105,20 @@ def test_matrix_matches_entrywise_correlation(family):
         for j in range(5):
             assert r[i, j] == pytest.approx(
                 cross_correlation(spec, pts[i], pts[j])[0, 0], abs=1e-15)
+
+
+@pytest.mark.parametrize("family", ["squared-exponential", "matern-5/2"])
+def test_kernel_of_a_point_with_itself_is_exactly_one(family):
+    # the likelihood's solve writes no unit diagonal into R: it relies on this
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        n, d = rng.integers(1, 30), rng.integers(1, 4)
+        scale = 10.0 ** rng.uniform(-8, 8)
+        theta = 10.0 ** rng.uniform(-6, 6, d)
+        scaled = rng.uniform(-1.0, 1.0, size=(n, d)) * scale / theta
+        r = _scaled_correlation(family, scaled, scaled)
+        r_weighted, _ = _scaled_correlation(family, scaled, scaled, weight=True)
+        assert (np.diag(r) == 1.0).all() and (np.diag(r_weighted) == 1.0).all()
 
 
 @pytest.mark.parametrize("family", ["squared-exponential", "matern-5/2"])

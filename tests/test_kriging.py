@@ -35,6 +35,7 @@ from helpers import (
     reference_gls,
     draw_ar1_data,
     fresh_factor,
+    memoized_ml_fit,
     reference_log_lengthscale_weight,
     reference_ml_fit,
     reference_nll_gradient,
@@ -594,6 +595,84 @@ def test_search_fails_when_every_start_is_ill_conditioned(monkeypatch, bounds,
                        match="all 4 likelihood starts were ill-conditioned"):
         _search(problem, kriging._ml_fit, bounds)
     assert len(keys) == evaluations
+
+
+def _oracle_level(case):
+    """(likelihood, box, starts, ill_conditioned) of seeded level ``case``:
+    both kernels, d = 1-3, n = 5-40, constant and linear trends, GP
+    responses. Case 0 is a linear response under a linear trend, so its
+    sigma2_hat is round-off and counts as the floor; case 1 is taken to
+    fail to factor at first lengthscales above half its midpoint
+    start's."""
+    rng = np.random.default_rng([27, case])
+    family = (SE, M52)[case % 2]
+    d = 1 + case // 2 % 3
+    trend = BasisSpec("linear" if case == 0 or case // 6 % 2 else "constant",
+                      d)
+    n = int(rng.integers(5, 41))
+    design = rng.uniform(0.0, 1.0, size=(n, d))
+    if case == 0:
+        y = 1.0 + design @ rng.uniform(-2.0, 2.0, d)
+    else:
+        y = sample_gp(rng, design, KernelSpec(family, rng.uniform(0.1, 0.8, d)))
+    box = kriging._search_box(design, None)
+    starts = kriging._draw_starts(*box, 5, rng)
+    lik = kriging._likelihood(family, design, basis_matrix(trend, design), y)
+    cut = 0.5 * np.exp(starts[0][0]) if case == 1 else np.inf
+    return lik, box, starts, lambda theta: theta[0] > cut
+
+
+@pytest.mark.parametrize("case", range(24))
+def test_search_is_bit_identical_to_the_memoized_minimize_call(monkeypatch,
+                                                               case):
+    lik, box, starts, ill_conditioned = _oracle_level(case)
+    _spy_evaluations(monkeypatch, ill_conditioned)
+    assert ill_conditioned(np.exp(starts[0])) == (case == 1)
+    kernel, terms = kriging._ml_fit(lik, box, starts)
+    want_kernel, want = memoized_ml_fit(lik, box, starts)
+    assert kernel.lengthscales.tobytes() == want_kernel.lengthscales.tobytes()
+    nll, coef, sigma2, lo, alpha, _ = terms
+    assert np.float64(nll).tobytes() == np.float64(want[0]).tobytes()
+    for got, expected in ((coef, want[1]), (lo, want[3]), (alpha, want[4])):
+        assert got.tobytes() == expected.tobytes()
+    assert (sigma2 == lik.sigma2_floor) == (case == 0)
+
+
+@pytest.mark.parametrize("bounds, distinct", [
+    (None, 4),          # four distinct starts
+    ((0.37, 0.37), 1),  # a degenerate box clips every start to one vector
+])
+def test_search_calls_minimize_once_per_distinct_start(monkeypatch, bounds,
+                                                       distinct):
+    # perfbench counts likelihood evaluations by wrapping
+    # scipy.optimize.minimize; every run must go through it
+    import scipy.optimize
+
+    calls = []
+    original = scipy.optimize.minimize
+
+    def spy(fun, x0, **kwargs):
+        result = original(fun, x0, **kwargs)
+        calls.append((kwargs, result.nfev))
+        return result
+
+    searches = _spy_searches(monkeypatch)
+    monkeypatch.setattr(scipy.optimize, "minimize", spy)
+    problem = get_problem("chain3")
+    designs = nested_lhs([12, 8, 4], problem.bounds, seed=4)
+    data = MultiFidelityData(designs, [problem.evaluate(t + 1, x)
+                                       for t, x in enumerate(designs)])
+    configs = [LevelConfig(BasisSpec("constant", 1), KernelSpec(SE),
+                           None if t == 0 else BasisSpec("constant", 1))
+               for t in range(3)]
+    fit_multifidelity(data, configs, bounds=bounds, restarts=4, seed=2)
+    assert [len({np.clip(z, *box).tobytes() for z in starts})
+            for (_, box, starts), _ in searches] == [distinct] * 3
+    assert len(calls) == 3 * distinct
+    for kwargs, _ in calls:
+        assert callable(kwargs["jac"]) and kwargs["method"] == "L-BFGS-B"
+        assert isinstance(kwargs["bounds"], scipy.optimize.Bounds)
+    assert sum(nfev for _, nfev in calls) > 0
 
 
 @pytest.mark.parametrize("restarts", [0, -1])

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -146,3 +147,53 @@ def test_digest_prints_one_line_per_workload(tmp_path):
         assert line["failed"] == 0
         assert set(line["quality"]) == {"nll_sum", "rmse", "imse_final"}
     assert list(tmp_path.iterdir()) == []
+
+
+class _StandInWorkload:
+    """A workload of the digest's interface whose pass fails ``failed``
+    operations."""
+
+    def __init__(self, name, failed):
+        self.name, self.failed = name, failed
+
+    def __call__(self, seed, scale, workdir):
+        return self
+
+    def setup(self):
+        pass
+
+    def check(self, result):
+        result.failed_ops = self.failed
+
+    def fingerprint(self, result):
+        return self.name
+
+    def quality(self, result):
+        return {}
+
+
+@pytest.mark.parametrize("failed, status", [
+    ({"a": 0, "b": 0}, 0),
+    ({"a": 0, "b": 2}, 1),
+    ({"a": 1, "b": 0}, 1),
+])
+def test_digest_exits_1_when_a_workload_fails(monkeypatch, capsys, failed,
+                                              status):
+    # in process, on stand-in workloads; the module's own set-up (BLAS
+    # threads, sys.path, bytecode) is undone when the test ends
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    stand_in = types.ModuleType("workloads")
+    stand_in.WORKLOADS = {name: _StandInWorkload(name, count)
+                          for name, count in failed.items()}
+    stand_in.measured_pass = lambda wl: types.SimpleNamespace(failed_ops=0)
+    monkeypatch.setitem(sys.modules, "workloads", stand_in)
+    spec = importlib.util.spec_from_file_location("digest", DIGEST)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    assert digest.main(["--smoke"]) == status
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(line["workload"], line["failed"]) for line in lines] == list(
+        failed.items())
