@@ -33,6 +33,9 @@ echo '{"problem": "chain3", "sizes": [10, 5], "budget": 12, "out": "prefix-seque
 # the Matern-5/2 likelihood and its gradient
 echo '{"problem": "chain3", "sizes": [10, 6, 3], "levels": [{"kernel": "matern-5/2"}, {"kernel": "matern-5/2"}, {"kernel": "matern-5/2"}], "out": "matern-fit"}' > matern-fit.json
 echo '{"problem": "chain3", "sizes": [10, 6, 3], "levels": [{"kernel": "matern-5/2"}, {"kernel": "matern-5/2"}, {"kernel": "matern-5/2"}], "budget": 12, "refit": "always", "out": "matern-sequential"}' > matern-sequential.json
+# every other command searches and integrates on the default grids;
+# this one runs the seeded uniform node sets, every start polished
+echo '{"problem": "forrester", "sizes": [8, 4], "budget": 10, "costs": [1, 5], "search": {"kind": "multistart", "k": 4, "seed": 3}, "quadrature": {"kind": "monte-carlo", "n": 256, "seed": 5}, "out": "uniform-sequential"}' > uniform-sequential.json
 for command in fit predict sequential report; do
   "$@" "$command" --config "$command.json" --quiet
 done
@@ -46,3 +49,4 @@ done
 "$@" sequential --config prefix-sequential.json --quiet
 "$@" fit --config matern-fit.json --quiet
 "$@" sequential --config matern-sequential.json --quiet
+"$@" sequential --config uniform-sequential.json --quiet

@@ -20,8 +20,7 @@ from mfkrig import (
     BasisSpec,
     CostModel,
     Domain,
-    GridQuadrature,
-    GridSearch,
+    Grid,
     KernelSpec,
     LevelConfig,
     MultiFidelityData,
@@ -54,9 +53,12 @@ domain = Domain(problem.bounds)
 cost = CostModel(problem.costs)
 simulators = [lambda x, t=t: problem.evaluate(t, x)
               for t in range(1, problem.level_count + 1)]
+# One spec, two roles: the search scans Grid(513)'s nodes, endpoints
+# included, and the IMSE averages over Grid(512)'s cell midpoints.
+# Uniform(n, seed, polish) draws random nodes instead.
 model, trace = run_loop(model, domain, cost, budget=25.0,
-                        simulators=simulators, search=GridSearch(513),
-                        quadrature=GridQuadrature(512), refit="always")
+                        simulators=simulators, search=Grid(513),
+                        quadrature=Grid(512), refit="always")
 
 print(f"{'iter':>4} {'x':>8} {'level':>5} {'cost':>6} "
       f"{'imse before':>12} {'imse after':>12}")

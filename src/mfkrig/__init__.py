@@ -33,11 +33,8 @@ from .sequential import (
     CostModel,
     Domain,
     EnrichmentTrace,
-    GridQuadrature,
-    GridSearch,
-    MonteCarloQuadrature,
-    MultistartSearch,
-    RandomSearch,
+    Grid,
+    Uniform,
     WeightedSample,
     argmax_variance,
     choose_level,
@@ -67,8 +64,7 @@ __all__ = [
     "DuplicateDesignPointError",
     "EnrichmentTrace",
     "FitFailedError",
-    "GridQuadrature",
-    "GridSearch",
+    "Grid",
     "IllConditionedError",
     "InternalConsistencyError",
     "KernelSpec",
@@ -76,15 +72,13 @@ __all__ = [
     "LevelConfig",
     "LevelParameters",
     "MfkrigError",
-    "MonteCarloQuadrature",
     "MultiFidelityData",
     "MultiFidelityModel",
-    "MultistartSearch",
     "ParseError",
     "PredictionBreakdown",
-    "RandomSearch",
     "SingularTrendError",
     "TestProblem",
+    "Uniform",
     "WeightedSample",
     "argmax_variance",
     "builtin_problems",

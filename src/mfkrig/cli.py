@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
 from functools import partial
 
 import numpy as np
@@ -33,12 +32,12 @@ from .kernels import BasisSpec, KernelSpec
 from .sequential import (
     CostModel,
     Domain,
+    Grid,
+    Uniform,
     product_grid,
     read_trace,
     run_loop,
     write_trace,
-    _QUADRATURE_KINDS,
-    _SEARCH_KINDS,
     _as_box,
     _run_settings,
 )
@@ -100,21 +99,34 @@ def _build_data(config, problem) -> MultiFidelityData:
     return MultiFidelityData(designs, observations)
 
 
-def _strategy_from(config, key, kinds):
+# config key -> kind -> (spec, size key, polish); a random search reads
+# its polish from the config's true or false
+_KINDS = {"search": {"grid": (Grid, "n", None),
+                     "random": (Uniform, "n", None),
+                     "multistart": (Uniform, "k", "all")},
+          "quadrature": {"grid": (Grid, "n", None),
+                         "monte-carlo": (Uniform, "n", None)}}
+
+
+def _strategy_from(config, key):
     """The search or quadrature that config[key] describes, or None when
-    the key is absent. The size is an integer; optional fields (seed,
-    polish) have the type of their default."""
+    the key is absent. The size and the seed are integers, a random
+    search's polish true or false."""
     raw = _typed(config, key, dict, None)
     if raw is None:
         return None
     owner = f"{key} "
     kind = _typed(raw, "kind", str, owner=owner)
-    if kind not in kinds:
+    if kind not in _KINDS[key]:
         raise ValueError(f"unknown {key} kind {kind!r}")
-    size, *optional = fields(kinds[kind])
-    return kinds[kind](_typed(raw, size.name, int, owner=owner),
-                       **_options(raw, owner, **{f.name: type(f.default)
-                                                 for f in optional}))
+    spec, size_key, polish = _KINDS[key][kind]
+    size = _typed(raw, size_key, int, owner=owner)
+    if spec is Grid:
+        return Grid(size)
+    seed = _typed(raw, "seed", int, 0, owner=owner)
+    if kind == "random" and _typed(raw, "polish", bool, False, owner=owner):
+        polish = "best"
+    return Uniform(size, seed, polish)
 
 
 def _fit(config, data):
@@ -191,8 +203,8 @@ def cmd_predict(config, out, quiet) -> int:
 
 def cmd_sequential(config, out, quiet) -> int:
     problem = get_problem(_typed(config, "problem", str))
-    search = _strategy_from(config, "search", _SEARCH_KINDS)
-    quadrature = _strategy_from(config, "quadrature", _QUADRATURE_KINDS)
+    search = _strategy_from(config, "search")
+    quadrature = _strategy_from(config, "quadrature")
     data = _build_data(config, problem)
     if data.dimension != problem.dimension:
         raise ValueError(f"the data have dimension {data.dimension}, problem "

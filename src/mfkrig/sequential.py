@@ -7,11 +7,12 @@ level worth running, and appends the observed values to the design.
 Running level l means running levels 1..l at the same point so the
 designs stay nested; cost is charged accordingly.
 
-The search and the quadrature evaluate the top-level variance on node
-sets. Every strategy is a fixed node set: the GridSearch grid, the
-RandomSearch candidates, the MultistartSearch starts, the GridQuadrature
-and MonteCarloQuadrature nodes, or the support of a weighted-sample
-measure. ``run_loop`` builds each once and keeps, per level, the solve
+The search and the quadrature evaluate the top-level variance on fixed
+node sets. Two specs describe them: ``Grid(n)``, a product grid with
+endpoints as a search and cell midpoints as a quadrature, and
+``Uniform(n, seed, polish)``, seeded uniform draws; a quadrature on a
+weighted-sample measure is the measure's support. ``run_loop`` builds
+each once and keeps, per level, the solve
 V_t = L_t^{-1} R_t(D_t, nodes) and the running sum of its squared rows
 (an m-vector for m nodes) between iterations. A frozen refit appends
 rows to each grown level's factor, so an iteration with frozen
@@ -22,15 +23,15 @@ top-level variance is formed by ``predict``'s routine
 level. V_t lives in a buffer whose row capacity doubles: at most
 2 * n_t * m * 8 bytes per level and node set. Node sets exist to keep
 solves between iterations; points evaluated once go through
-``predict``. A search may polish its best node
-(RandomSearch(polish=True)) or every node (MultistartSearch) with a
+``predict``. A Uniform search may polish its best node
+(``polish="best"``) or every node (``"all"``, a multistart) with a
 local solver on ``-predict(x).variance``, and the polished points,
 fresh on every call, are scored by ``predict`` too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -161,84 +162,64 @@ class CostModel:
 # search and quadrature strategies
 
 
-class _Sized:
-    """A search or quadrature whose first field, its size, is an integer >= 1."""
+_EMPTY_GRID = "grid needs at least one node per dimension"
+
+
+def _check_count(n, empty) -> None:
+    """Check a node count, an integer >= 1; ``empty`` is the error below 1."""
+    if not _is_integer(n):
+        raise ValueError(f"'n' must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(empty)
+
+
+@dataclass(frozen=True)
+class Grid:
+    """Product grid, n nodes per dimension: endpoints included as a
+    search, cell midpoints as a quadrature."""
+
+    n: int
 
     def __post_init__(self):
-        size = getattr(self, name := fields(self)[0].name)
-        if not _is_integer(size):
-            raise ValueError(f"{name!r} must be an integer, got {size!r}")
-        if size < 1:
-            raise ValueError(self._empty)
+        _check_count(self.n, _EMPTY_GRID)
+
+
+_POLISH = (None, "best", "all")
 
 
 @dataclass(frozen=True)
-class GridSearch(_Sized):
-    """Scan a full product grid, endpoints included, n nodes per dimension."""
+class Uniform:
+    """n uniform draws on the box, deterministic given the seed.
 
-    n: int
-    _empty = "grid needs at least one node per dimension"
-
-
-@dataclass(frozen=True)
-class RandomSearch(_Sized):
-    """Scan n uniform points; optionally polish the best with a local solver."""
+    ``polish`` is what a search polishes with a local solver: nothing
+    (None), its best node ("best") or every node ("all"). A quadrature
+    polishes nothing.
+    """
 
     n: int
     seed: int = 0
-    polish: bool = False
-    _empty = "random search needs at least one candidate"
+    polish: str | None = None
+
+    def __post_init__(self):
+        _check_count(self.n, "need at least one uniform node")
+        if not (_is_integer(self.seed) and self.seed >= 0):
+            raise ValueError(
+                f"'seed' must be a non-negative integer, got {self.seed!r}")
+        if self.polish not in _POLISH:
+            raise ValueError(
+                f"'polish' must be one of {_POLISH}, got {self.polish!r}")
 
 
-@dataclass(frozen=True)
-class MultistartSearch(_Sized):
-    """Run k bounded local maximizations from uniform random starts."""
+GridSearch = GridQuadrature = Grid  # old names, imported by perfbench
 
-    k: int
-    seed: int = 0
-    _empty = "multistart search needs at least one start"
-
-
-@dataclass(frozen=True)
-class GridQuadrature(_Sized):
-    """Average over the product grid of per-dimension cell midpoints."""
-
-    n: int
-    _empty = "grid needs at least one node per dimension"
-
-
-@dataclass(frozen=True)
-class MonteCarloQuadrature(_Sized):
-    """Average over n uniform draws, deterministic given the seed."""
-
-    n: int
-    seed: int = 0
-    _empty = "need at least one quadrature node"
-
-
-def default_search(dimension: int) -> GridSearch | RandomSearch:
-    """Grid scan in low dimension, random scan plus polish above."""
-    if dimension == 1:
-        return GridSearch(1025)
-    if dimension == 2:
-        return GridSearch(101)
-    return RandomSearch(4096, seed=0, polish=True)
-
-
-def default_quadrature(dimension: int) -> GridQuadrature | MonteCarloQuadrature:
-    if dimension == 1:
-        return GridQuadrature(1024)
-    if dimension == 2:
-        return GridQuadrature(48)
-    return MonteCarloQuadrature(4096, seed=0)
+# the default (search, quadrature) in one, two, and three or more dimensions
+_DEFAULTS = ((Grid(1025), Grid(1024)), (Grid(101), Grid(48)),
+             (Uniform(4096, polish="best"), Uniform(4096)))
 
 
 def product_grid(bounds, n, midpoints=False) -> np.ndarray:
     """Product grid over the box, in lexicographic row order."""
-    if not _is_integer(n):
-        raise ValueError(f"'n' must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError("grid needs at least one node per dimension")
+    _check_count(n, _EMPTY_GRID)
     axes = []
     for lo, hi in bounds:
         if midpoints:
@@ -358,46 +339,31 @@ class _Nodes:
         return self.points[order[int(np.argmax(variances[order]))]]
 
 
-# config kind -> strategy type; a strategy's first field is its size
-_SEARCH_KINDS = {"grid": GridSearch, "random": RandomSearch,
-                 "multistart": MultistartSearch}
-_QUADRATURE_KINDS = {"grid": GridQuadrature,
-                     "monte-carlo": MonteCarloQuadrature}
+def _node_set(domain: Domain, spec, quadrature: bool) -> _Nodes:
+    """The fixed node set a search (or, with ``quadrature``, a
+    quadrature) evaluates.
 
-_SEARCH = "search strategy"
-_QUADRATURE = "quadrature"
-_STRATEGIES = {_SEARCH: tuple(_SEARCH_KINDS.values()),
-               _QUADRATURE: tuple(_QUADRATURE_KINDS.values())}
-
-
-def _node_set(domain: Domain, strategy, kind) -> _Nodes:
-    """The fixed node set a search or quadrature strategy evaluates.
-
-    ``kind`` is _SEARCH or _QUADRATURE; None picks that kind's default.
-    A quadrature on a domain with a weighted-sample measure is the
-    measure itself. A MultistartSearch is its seeded starts, every one
-    polished. A resolved node set passes through, so the loop resolves
-    once and reuses its caches.
+    None picks the default per dimension. A Grid has endpoints as a
+    search and cell midpoints as a quadrature; a quadrature on a domain
+    with a weighted-sample measure is the measure itself. A resolved
+    node set passes through, so the loop resolves once and reuses its
+    caches.
     """
-    if isinstance(strategy, _Nodes):
-        return strategy
-    if kind == _QUADRATURE and domain.measure is not None:
+    if isinstance(spec, _Nodes):
+        return spec
+    if quadrature and domain.measure is not None:
         return _Nodes(domain.measure.points, weights=domain.measure.weights)
-    if strategy is None:
-        default = default_search if kind == _SEARCH else default_quadrature
-        strategy = default(domain.dimension)
-    if not isinstance(strategy, _STRATEGIES[kind]):
-        raise TypeError(f"unknown {kind} {strategy!r}")
-    if isinstance(strategy, (GridSearch, GridQuadrature)):
-        midpoints = isinstance(strategy, GridQuadrature)
-        return _Nodes(product_grid(domain.bounds, strategy.n, midpoints))
-    if isinstance(strategy, MultistartSearch):
-        count, polish = strategy.k, "all"
-    else:
-        count = strategy.n
-        polish = "best" if getattr(strategy, "polish", False) else None
-    points = domain.uniform_points(count, np.random.default_rng(strategy.seed))
-    return _Nodes(points, polish=polish)
+    if spec is None:
+        spec = _DEFAULTS[min(domain.dimension, 3) - 1][quadrature]
+    if isinstance(spec, Grid):
+        return _Nodes(product_grid(domain.bounds, spec.n, midpoints=quadrature))
+    if not isinstance(spec, Uniform):
+        role = "quadrature" if quadrature else "search"
+        raise TypeError(f"unknown {role} {spec!r}")
+    if quadrature and spec.polish:
+        raise ValueError(f"a quadrature polishes nothing, got {spec!r}")
+    points = domain.uniform_points(spec.n, np.random.default_rng(spec.seed))
+    return _Nodes(points, polish=spec.polish)
 
 
 def _polish(model, domain, starts) -> np.ndarray:
@@ -414,14 +380,15 @@ def _polish(model, domain, starts) -> np.ndarray:
 def argmax_variance(model, domain: Domain, search=None, exclude=None):
     """Point of maximum top-level predictive variance over the box.
 
-    search is GridSearch, RandomSearch, or MultistartSearch (default per
-    dimension). ``exclude`` drops candidates bitwise equal to given
-    points (the loop uses it to keep enrichment's no-duplicate rule
-    satisfiable); returns None when nothing survives the exclusion.
+    search is a Grid or a Uniform (default per dimension: Grid(1025),
+    Grid(101), then Uniform(4096, polish="best")). ``exclude`` drops
+    candidates bitwise equal to given points (the loop uses it to keep
+    enrichment's no-duplicate rule satisfiable); returns None when
+    nothing survives the exclusion.
     Otherwise returns the chosen point, shape (d,). The candidates are
     the search's nodes plus the points it polishes from them.
     """
-    nodes = _node_set(domain, search, _SEARCH)
+    nodes = _node_set(domain, search, False)
     variances = nodes.top_variance(model)
     if nodes.polish:
         starts = nodes.points if nodes.polish == "all" else nodes.best(variances)
@@ -436,9 +403,11 @@ def compute_imse(model, domain: Domain, quadrature=None) -> float:
     """Integrated top-level variance under the domain's input measure.
 
     A weighted-sample measure is its own quadrature; the uniform
-    measure is integrated by midpoint grid or Monte Carlo average.
+    measure is integrated by a Grid of cell midpoints or by a Uniform's
+    Monte Carlo average (default per dimension: Grid(1024), Grid(48),
+    then Uniform(4096)). A Uniform that polishes is no quadrature.
     """
-    nodes = _node_set(domain, quadrature, _QUADRATURE)
+    nodes = _node_set(domain, quadrature, True)
     variances = nodes.top_variance(model)
     if nodes.weights is None:
         return float(np.mean(variances))
@@ -643,7 +612,7 @@ def _run_settings(levels, cost: CostModel, budget, simulators,
     The one check of a run's settings: ``rule`` and the cost model pass
     ``_check_rule``, the simulators cover every level, the budget is a
     positive, finite number, and ``refit`` is "never" (period 0),
-    "always" (1) or "every-k" for an integer k >= 1 (k).
+    "always" (1) or "every-k" for k >= 1 in ASCII digits (k).
     """
     _check_rule(rule, cost, levels)
     if len(simulators) != levels:
@@ -655,12 +624,10 @@ def _run_settings(levels, cost: CostModel, budget, simulators,
         raise ValueError(f"budget must be positive and finite, got {budget}")
     if refit in (REFIT_NEVER, REFIT_ALWAYS):
         return budget, int(refit == REFIT_ALWAYS)
-    if not (isinstance(refit, str) and refit.startswith("every-")):
+    k = refit.removeprefix("every-") if isinstance(refit, str) else refit
+    if k == refit or not (k.isascii() and k.isdigit()):
         raise ValueError(f"unknown refit mode {refit!r}")
-    try:
-        period = int(refit.removeprefix("every-"))
-    except ValueError:
-        raise ValueError(f"unknown refit mode {refit!r}") from None
+    period = int(k)
     if period < 1:
         raise ValueError("refit period must be a positive integer")
     return budget, period
@@ -689,8 +656,8 @@ def run_loop(model, domain: Domain, cost: CostModel, budget,
 
     # Resolved once, so each level's node correlations carry over
     # between iterations.
-    quadrature = _node_set(domain, quadrature, _QUADRATURE)
-    search = _node_set(domain, search, _SEARCH)
+    quadrature = _node_set(domain, quadrature, True)
+    search = _node_set(domain, search, False)
     trace = EnrichmentTrace(dimension=domain.dimension,
                             levels=model.level_count)
     cum = 0.0

@@ -296,8 +296,8 @@ def reference_search(model, domain, count, seed, polish_all, exclude=None):
     """A polished variance search through ``predict``, without node sets.
 
     Draws ``count`` uniform starts with ``seed``, polishes every start
-    (``polish_all``, a MultistartSearch) or only the best one (a
-    RandomSearch with polish) by L-BFGS-B on the box, and returns the
+    (``polish_all``, a Uniform with polish="all") or only the best one
+    (polish="best") by L-BFGS-B on the box, and returns the
     candidate with the largest ``predict`` variance that is not equal to
     an ``exclude`` row; ties go to the lexicographically smallest point.
     """

@@ -31,8 +31,7 @@ from mfkrig.kernels import (
 from mfkrig.sequential import (
     CostModel,
     Domain,
-    GridQuadrature,
-    GridSearch,
+    Grid,
     choose_level,
     compute_imse,
     enrich,
@@ -285,8 +284,8 @@ def test_criterion_7_sequential_imse_decay():
     t0 = time.perf_counter()
     model, simulators, _ = _forrester_setup(seed=0)
     _, trace = run_loop(model, UNIT, CostModel([1.0, 5.0]), budget=30.0,
-                        simulators=simulators, search=GridSearch(257),
-                        quadrature=GridQuadrature(256), refit="never")
+                        simulators=simulators, search=Grid(257),
+                        quadrature=Grid(256), refit="never")
     entries = trace.entries
     ok = trace.complete and len(entries) >= 2
     detail = "loop made too few iterations"
@@ -308,8 +307,8 @@ def test_criterion_8_multifidelity_advantage():
     # Both arms refit after every run so the comparison measures the
     # information bought, not the luck of a frozen initial fit.
     budget = 18.0
-    quad = GridQuadrature(256)
-    search = GridSearch(257)
+    quad = Grid(256)
+    search = Grid(257)
     wins = 0
     for rep in range(10):
         seed = 100 + rep

@@ -429,13 +429,17 @@ def no_likelihood(monkeypatch):
     (dict(search={"kind": "grid", "n": 0}),
      "grid needs at least one node per dimension"),
     (dict(search={"kind": "random", "n": 0}),
-     "random search needs at least one candidate"),
+     "need at least one uniform node"),
     (dict(search={"kind": "multistart", "k": 0}),
-     "multistart search needs at least one start"),
+     "need at least one uniform node"),
     (dict(quadrature={"kind": "grid", "n": 0}),
      "grid needs at least one node per dimension"),
     (dict(quadrature={"kind": "monte-carlo", "n": -1}),
-     "need at least one quadrature node"),
+     "need at least one uniform node"),
+    (dict(search={"kind": "random", "n": 16, "seed": -1}),
+     "'seed' must be a non-negative integer, got -1"),
+    (dict(quadrature={"kind": "monte-carlo", "n": 16, "seed": -1}),
+     "'seed' must be a non-negative integer, got -1"),
 ])
 def test_sequential_rejects_an_empty_strategy_before_any_fit(
         tmp_path, capsys, no_likelihood, override, message):

@@ -94,8 +94,8 @@ def test_loop_iterations_are_delimited_by_compute_imse(monkeypatch):
     args = (model, sequential.Domain(problem.bounds),
             sequential.CostModel([1.0, 5.0]), 20.0,
             [lambda x, t=t: problem.evaluate(t, x) for t in (1, 2)])
-    kwargs = dict(search=sequential.GridSearch(65),
-                  quadrature=sequential.GridQuadrature(64))
+    kwargs = dict(search=sequential.Grid(65),
+                  quadrature=sequential.Grid(64))
     _, plain = sequential.run_loop(*args, **kwargs)
 
     returned = []
@@ -128,7 +128,7 @@ def test_console_script_commands_run_through_the_module(tmp_path):
     for out in ("fit", "predict", "sequential", "report", "predict-bounds",
                 "fit-from-data", "ripple-fit", "ripple-sequential", "refit",
                 "refit-predict", "prefix-sequential", "matern-fit",
-                "matern-sequential"):
+                "matern-sequential", "uniform-sequential"):
         assert (tmp_path / out).is_dir(), out
     # a failing command fails the script
     assert _console_script(tmp_path, "false").returncode != 0

@@ -34,8 +34,7 @@ from mfkrig.kernels import BasisSpec, KernelSpec
 from mfkrig.sequential import (
     CostModel,
     Domain,
-    GridQuadrature,
-    GridSearch,
+    Grid,
     enrich,
     run_loop,
 )
@@ -406,8 +405,8 @@ def test_loop_equals_a_loop_without_stored_searches(monkeypatch, searched,
         searched.clear()
         final, trace = run_loop(
             model, Domain(problem.bounds), CostModel(problem.costs),
-            simulators=simulators, search=GridSearch(65),
-            quadrature=GridQuadrature(64), refit=refit, **loop)
+            simulators=simulators, search=Grid(65),
+            quadrature=Grid(64), refit=refit, **loop)
         return final, trace, len(searched)
 
     final, trace, reusing = run()

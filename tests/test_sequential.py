@@ -1,7 +1,6 @@
 """Tests for the sequential design engine."""
 
 import re
-from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,12 +23,9 @@ from mfkrig.sequential import (
     CostModel,
     Domain,
     EnrichmentTrace,
-    GridQuadrature,
-    GridSearch,
-    MonteCarloQuadrature,
-    MultistartSearch,
-    RandomSearch,
+    Grid,
     TraceEntry,
+    Uniform,
     WeightedSample,
     argmax_variance,
     choose_level,
@@ -120,25 +116,44 @@ def test_cost_model_validation():
         cost.cost_through(4)
 
 
+# each Uniform case keeps the id it had as its own class: a random search,
+# a multistart search and a Monte Carlo quadrature
 @pytest.mark.parametrize("make, message", [
-    (lambda n: GridSearch(n), "grid needs at least one node per dimension"),
-    (lambda n: RandomSearch(n, polish=True),
-     "random search needs at least one candidate"),
-    (lambda n: MultistartSearch(n), "multistart search needs at least one start"),
-    (lambda n: GridQuadrature(n), "grid needs at least one node per dimension"),
-    (lambda n: MonteCarloQuadrature(n), "need at least one quadrature node"),
+    (lambda n: Grid(n), "grid needs at least one node per dimension"),
+    pytest.param(lambda n: Uniform(n, polish="best"),
+                 "need at least one uniform node",
+                 id="<lambda>-random search needs at least one candidate"),
+    pytest.param(lambda n: Uniform(n, polish="all"),
+                 "need at least one uniform node",
+                 id="<lambda>-multistart search needs at least one start"),
+    pytest.param(lambda n: Uniform(n), "need at least one uniform node",
+                 id="<lambda>-need at least one quadrature node"),
 ])
 def test_each_strategy_checks_its_own_size(make, message):
     for n in (0, -3):
         with pytest.raises(ValueError, match=message):
             make(n)
     # a size that is no integer is named with its field, before any use
-    field = fields(make(1))[0].name
     for n in (2.5, True, "5"):
         with pytest.raises(ValueError, match=re.escape(
-                f"{field!r} must be an integer, got {n!r}")):
+                f"'n' must be an integer, got {n!r}")):
             make(n)
     assert make(1) is not None and make(np.int64(3)) is not None
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", -1), ("seed", True), ("seed", False), ("seed", "3"),
+    ("seed", 2.0), ("seed", None),
+    ("polish", True), ("polish", False), ("polish", "yes"), ("polish", 1),
+])
+def test_uniform_names_a_bad_seed_or_polish_before_any_use(field, value):
+    # a bool seed would seed 0 or 1, a string one fail at first draw, and
+    # an unknown polish would polish nothing or the best node
+    with pytest.raises(ValueError, match=re.escape(f"{field!r} must be")):
+        Uniform(4, **{field: value})
+    for polish in (None, "best", "all"):
+        assert Uniform(4, seed=np.int64(3), polish=polish).polish == polish
+    assert Uniform(4, seed=0).seed == 0
 
 
 @pytest.mark.parametrize("midpoints", [False, True])
@@ -164,7 +179,7 @@ def test_grid_argmax_matches_exhaustive_scan(forrester_model):
     grid = np.linspace(0.0, 1.0, 1001)[:, None]
     v = forrester_model.predict(grid).variances[-1]
     expected = grid[int(np.argmax(v))]
-    got = argmax_variance(forrester_model, UNIT1, GridSearch(1001))
+    got = argmax_variance(forrester_model, UNIT1, Grid(1001))
     np.testing.assert_array_equal(got, expected)
 
 
@@ -180,7 +195,7 @@ def _single_level_model(design, y, theta=0.3):
 
 def test_symmetric_design_tie_breaks_to_smallest():
     model = _single_level_model([[0.25], [0.75]], [0.3, -0.1])
-    got = argmax_variance(model, UNIT1, GridSearch(5))
+    got = argmax_variance(model, UNIT1, Grid(5))
     # Nodes are {0, .25, .5, .75, 1}; the boundary nodes tie by symmetry
     # and the tie must resolve to the smaller coordinate.
     v = model.predict(np.array([[0.0], [1.0]])).variances[-1]
@@ -191,18 +206,18 @@ def test_symmetric_design_tie_breaks_to_smallest():
 def test_zero_variance_domain_returns_unique_probe():
     model = _single_level_model([[0.25]], [0.7])
     domain = Domain([[0.0, 0.5]])
-    got = argmax_variance(model, domain, GridSearch(1))
+    got = argmax_variance(model, domain, Grid(1))
     np.testing.assert_array_equal(got, [0.25])
     assert model.predict(got).variances[-1] <= 1e-12
 
 
 def test_exclusion_drops_bitwise_matches(forrester_model):
     design = forrester_model.data.designs[0]
-    got = argmax_variance(forrester_model, UNIT1, GridSearch(11),
+    got = argmax_variance(forrester_model, UNIT1, Grid(11),
                           exclude=np.linspace(0.0, 1.0, 11)[:, None])
     assert got is None
     # Excluding the design leaves grid nodes untouched (no exact overlap).
-    kept = argmax_variance(forrester_model, UNIT1, GridSearch(11),
+    kept = argmax_variance(forrester_model, UNIT1, Grid(11),
                            exclude=design)
     assert kept is not None
 
@@ -221,33 +236,33 @@ def test_exclusion_of_another_dimension_raises():
     for exclude in ([[0.25]], [[0.25, 0.0, 0.0]]):
         with pytest.raises(ValueError, match=re.escape(
                 f"points have dimension {len(exclude[0])}, expected 2")):
-            argmax_variance(model, domain, GridSearch(5), exclude=exclude)
-    best = argmax_variance(model, domain, GridSearch(5))
+            argmax_variance(model, domain, Grid(5), exclude=exclude)
+    best = argmax_variance(model, domain, Grid(5))
     # an empty exclusion, of any shape, excludes nothing
     for exclude in ([], np.empty((0, 2))):
         np.testing.assert_array_equal(
-            argmax_variance(model, domain, GridSearch(5), exclude=exclude),
+            argmax_variance(model, domain, Grid(5), exclude=exclude),
             best)
     # a point of the right dimension is excluded
-    assert (argmax_variance(model, domain, GridSearch(5), exclude=[best])
+    assert (argmax_variance(model, domain, Grid(5), exclude=[best])
             != best).any()
 
 
 def test_random_search_is_seeded_and_polish_improves(forrester_model):
-    a = argmax_variance(forrester_model, UNIT1, RandomSearch(64, seed=5))
-    b = argmax_variance(forrester_model, UNIT1, RandomSearch(64, seed=5))
+    a = argmax_variance(forrester_model, UNIT1, Uniform(64, seed=5))
+    b = argmax_variance(forrester_model, UNIT1, Uniform(64, seed=5))
     np.testing.assert_array_equal(a, b)
 
     polished = argmax_variance(forrester_model, UNIT1,
-                               RandomSearch(64, seed=5, polish=True))
+                               Uniform(64, seed=5, polish="best"))
     va = forrester_model.predict(a).variances[-1]
     vp = forrester_model.predict(polished).variances[-1]
     assert vp >= va
 
 
 def test_multistart_reaches_grid_optimum(forrester_model):
-    got = argmax_variance(forrester_model, UNIT1, MultistartSearch(8, seed=3))
-    dense = argmax_variance(forrester_model, UNIT1, GridSearch(4097))
+    got = argmax_variance(forrester_model, UNIT1, Uniform(8, seed=3, polish="all"))
+    dense = argmax_variance(forrester_model, UNIT1, Grid(4097))
     v_got = forrester_model.predict(got).variances[-1]
     v_dense = forrester_model.predict(dense).variances[-1]
     assert v_got >= v_dense * (1 - 1e-6)
@@ -259,10 +274,9 @@ def test_unknown_search_rejected(forrester_model):
 
 
 @pytest.mark.parametrize("dimension, search, quadrature", [
-    (1, GridSearch(1025), GridQuadrature(1024)),
-    (2, GridSearch(101), GridQuadrature(48)),
-    (3, RandomSearch(4096, seed=0, polish=True),
-     MonteCarloQuadrature(4096, seed=0)),
+    (1, Grid(1025), Grid(1024)),
+    (2, Grid(101), Grid(48)),
+    (3, Uniform(4096, seed=0, polish="best"), Uniform(4096, seed=0)),
 ], ids=["1d", "2d", "3d"])
 def test_the_default_strategies_per_dimension(dimension, search, quadrature):
     design = np.random.default_rng(dimension).uniform(size=(6, dimension))
@@ -292,31 +306,31 @@ def _constant_variance_model(design, sigma2):
 
 def test_imse_of_constant_variance_is_that_constant():
     model = _constant_variance_model([0.0, 0.5, 1.0], 0.37)
-    assert compute_imse(model, UNIT1, GridQuadrature(100)) == pytest.approx(0.37)
+    assert compute_imse(model, UNIT1, Grid(100)) == pytest.approx(0.37)
     assert compute_imse(model, UNIT1,
-                        MonteCarloQuadrature(500, seed=1)) == pytest.approx(0.37)
+                        Uniform(500, seed=1)) == pytest.approx(0.37)
     midpoints = (np.arange(10) + 0.5) / 10
     assert compute_imse(_constant_variance_model(midpoints, 0.37), UNIT1,
-                        GridQuadrature(10)) == 0.0
+                        Grid(10)) == 0.0
 
 
 def test_grid_and_monte_carlo_quadratures_agree(forrester_model):
-    grid = compute_imse(forrester_model, UNIT1, GridQuadrature(4097))
+    grid = compute_imse(forrester_model, UNIT1, Grid(4097))
     n = 100_000
     rng = np.random.default_rng(7)
     nodes = UNIT1.uniform_points(n, rng)
     sample = forrester_model.predict(nodes).variances[-1]
-    mc = compute_imse(forrester_model, UNIT1, MonteCarloQuadrature(n, seed=7))
+    mc = compute_imse(forrester_model, UNIT1, Uniform(n, seed=7))
     np.testing.assert_allclose(mc, np.mean(sample), rtol=1e-12)
     se = np.std(sample) / np.sqrt(n)
     assert abs(grid - mc) <= 3 * se
 
 
 def test_monte_carlo_imse_deterministic_given_seed(forrester_model):
-    a = compute_imse(forrester_model, UNIT1, MonteCarloQuadrature(256, seed=9))
-    b = compute_imse(forrester_model, UNIT1, MonteCarloQuadrature(256, seed=9))
+    a = compute_imse(forrester_model, UNIT1, Uniform(256, seed=9))
+    b = compute_imse(forrester_model, UNIT1, Uniform(256, seed=9))
     assert a == b
-    c = compute_imse(forrester_model, UNIT1, MonteCarloQuadrature(256, seed=10))
+    c = compute_imse(forrester_model, UNIT1, Uniform(256, seed=10))
     assert a != c
 
 
@@ -328,7 +342,7 @@ def test_weighted_sample_measure_is_its_own_quadrature(forrester_model):
     expected = forrester_model.predict(pts).variances[-1] @ w
     np.testing.assert_allclose(got, expected, rtol=1e-14)
     # Quadrature argument is irrelevant under a discrete measure.
-    assert got == compute_imse(forrester_model, domain, GridQuadrature(3))
+    assert got == compute_imse(forrester_model, domain, Grid(3))
 
 
 def test_imse_invariant_under_dimension_relabeling():
@@ -337,8 +351,8 @@ def test_imse_invariant_under_dimension_relabeling():
     a = _single_level_model(pts, y)
     b = _single_level_model(pts[:, ::-1], y)
     domain = Domain([[0.0, 1.0], [0.0, 1.0]])
-    ia = compute_imse(a, domain, GridQuadrature(40))
-    ib = compute_imse(b, domain, GridQuadrature(40))
+    ia = compute_imse(a, domain, Grid(40))
+    ib = compute_imse(b, domain, Grid(40))
     np.testing.assert_allclose(ia, ib, rtol=1e-8)
 
 
@@ -376,7 +390,7 @@ def test_threshold_rule_two_level_inequality():
 
 
 def test_threshold_rule_on_fitted_model(forrester_model):
-    x = argmax_variance(forrester_model, UNIT1, GridSearch(257))
+    x = argmax_variance(forrester_model, UNIT1, Grid(257))
     h1 = forrester_model.hypothetical_variance_after(x, 1)[-1]
     assert choose_level(forrester_model, x, imse=h1 * 1.01) == 1
     assert choose_level(forrester_model, x, imse=h1 * 0.99) == 2
@@ -624,7 +638,7 @@ def test_budget_below_cheapest_run_gives_empty_trace(forrester_model):
     cost = CostModel([1.0, 5.0])
     model, trace = run_loop(forrester_model, UNIT1, cost, budget=0.5,
                             simulators=forrester_simulators(),
-                            search=GridSearch(65), quadrature=GridQuadrature(64))
+                            search=Grid(65), quadrature=Grid(64))
     assert len(trace) == 0 and trace.complete
     assert model is forrester_model
 
@@ -637,8 +651,8 @@ def test_loop_rejects_a_budget_that_is_not_positive_and_finite(
                   for t in (1, 2)]
     with pytest.raises(ValueError, match="budget must be positive and finite"):
         run_loop(forrester_model, UNIT1, CostModel([1.0, 5.0]), budget=budget,
-                 simulators=simulators, search=GridSearch(17),
-                 quadrature=GridQuadrature(64))
+                 simulators=simulators, search=Grid(17),
+                 quadrature=Grid(64))
     assert calls == []
 
 
@@ -651,15 +665,15 @@ def test_loop_rejects_an_unknown_rule_before_any_imse(monkeypatch,
     with pytest.raises(ValueError, match="unknown rule 'greedy'"):
         run_loop(forrester_model, UNIT1, CostModel([1.0, 5.0]), budget=10.0,
                  simulators=forrester_simulators(), rule="greedy",
-                 search=GridSearch(17), quadrature=GridQuadrature(64))
+                 search=Grid(17), quadrature=Grid(64))
 
 
 def test_loop_reduces_imse_within_budget(forrester_model):
     cost = CostModel([1.0, 5.0])
     model, trace = run_loop(forrester_model, UNIT1, cost, budget=20.0,
                             simulators=forrester_simulators(),
-                            search=GridSearch(257),
-                            quadrature=GridQuadrature(256))
+                            search=Grid(257),
+                            quadrature=Grid(256))
     assert len(trace) >= 1
     assert trace.complete
     costs = [e.cumulative_cost for e in trace.entries]
@@ -675,8 +689,8 @@ def test_loop_reduces_imse_within_budget(forrester_model):
 
 def test_frozen_loop_is_deterministic(forrester_model):
     cost = CostModel([1.0, 5.0])
-    kwargs = dict(simulators=forrester_simulators(), search=GridSearch(129),
-                  quadrature=GridQuadrature(128), budget=12.0)
+    kwargs = dict(simulators=forrester_simulators(), search=Grid(129),
+                  quadrature=Grid(128), budget=12.0)
     _, t1 = run_loop(forrester_model, UNIT1, cost, **kwargs)
     _, t2 = run_loop(forrester_model, UNIT1, cost, **kwargs)
     assert len(t1) == len(t2) > 0
@@ -721,8 +735,8 @@ def test_simulator_failure_flags_partial_trace(forrester_model):
 
     sims = [flaky_low, lambda x: problem.evaluate(2, x)]
     _, trace = run_loop(forrester_model, UNIT1, cost, budget=50.0,
-                        simulators=sims, search=GridSearch(129),
-                        quadrature=GridQuadrature(128))
+                        simulators=sims, search=Grid(129),
+                        quadrature=Grid(128))
     assert not trace.complete
     assert len(trace) == 2
     assert trace.failure == "level 1 simulator failed: solver diverged"
@@ -740,8 +754,8 @@ def test_non_finite_simulator_output_flags_partial_trace(forrester_model, bad):
 
     sims = [broken_low, lambda x: problem.evaluate(2, x)]
     model, trace = run_loop(forrester_model, UNIT1, cost, budget=50.0,
-                            simulators=sims, search=GridSearch(129),
-                            quadrature=GridQuadrature(128))
+                            simulators=sims, search=Grid(129),
+                            quadrature=Grid(128))
     assert not trace.complete
     assert len(trace) == 2
     assert all(np.all(np.isfinite(z)) for z in model.data.observations)
@@ -752,8 +766,8 @@ def test_a_non_finite_top_level_value_names_its_level(forrester_model):
     sims = [lambda x: problem.evaluate(1, x), lambda x: np.full(len(x), np.nan)]
     model, trace = run_loop(forrester_model, UNIT1, CostModel([1.0, 5.0]),
                             budget=50.0, simulators=sims,
-                            search=GridSearch(129),
-                            quadrature=GridQuadrature(128))
+                            search=Grid(129),
+                            quadrature=Grid(128))
     assert not trace.complete
     assert trace.failure == "level 2 simulator failed: non-finite value nan"
     # the failing run joins no level; the runs before it are all level 1
@@ -765,8 +779,8 @@ def test_loop_with_periodic_reestimation(forrester_model):
     cost = CostModel([1.0, 5.0])
     model, trace = run_loop(forrester_model, UNIT1, cost, budget=8.0,
                             simulators=forrester_simulators(),
-                            search=GridSearch(65),
-                            quadrature=GridQuadrature(64), refit="every-2")
+                            search=Grid(65),
+                            quadrature=Grid(64), refit="every-2")
     assert trace.complete and len(trace) >= 1
     with pytest.raises(ValueError, match="refit"):
         run_loop(forrester_model, UNIT1, cost, budget=3.0,
@@ -778,6 +792,11 @@ def test_loop_with_periodic_reestimation(forrester_model):
     ("every-", "unknown refit mode 'every-'"),
     ("every-1.5", r"unknown refit mode 'every-1\.5'"),
     ("every-0", "refit period must be a positive integer"),
+    # k is ASCII digits only, not whatever int() reads as an integer
+    ("every-1_0", "unknown refit mode 'every-1_0'"),
+    ("every- 2", "unknown refit mode 'every- 2'"),
+    ("every-+3", r"unknown refit mode 'every-\+3'"),
+    ("every-\u0663", "unknown refit mode 'every-\u0663'"),
 ])
 def test_loop_names_a_malformed_refit_period_before_any_run(forrester_model,
                                                            refit, message):
