@@ -110,8 +110,8 @@ _KINDS = {"search": {"grid": (Grid, "n", None),
 
 def _strategy_from(config, key):
     """The search or quadrature that config[key] describes, or None when
-    the key is absent. The size and the seed are integers, a random
-    search's polish true or false."""
+    the key is absent. The size is an integer, the seed a non-negative
+    one, a random search's polish true or false."""
     raw = _typed(config, key, dict, None)
     if raw is None:
         return None
@@ -124,6 +124,9 @@ def _strategy_from(config, key):
     if spec is Grid:
         return Grid(size)
     seed = _typed(raw, "seed", int, 0, owner=owner)
+    if seed < 0:  # Uniform's own check would not name the object
+        raise ValueError(
+            f"{owner}'seed' must be a non-negative integer, got {seed!r}")
     if kind == "random" and _typed(raw, "polish", bool, False, owner=owner):
         polish = "best"
     return Uniform(size, seed, polish)

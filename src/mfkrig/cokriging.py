@@ -20,11 +20,13 @@ Each level's posterior is formed here from its correlations
 R_t(D_t, x) with the matched nugget (``kernels.probe_correlation``) and
 its variance factor 1 - r' R_t^{-1} r from
 ``kriging.variance_factor`` (the row recursion, or one dtrtrs for a
-single point); ``_variance_terms`` turns the factors into
-the bases and rho factors of the variance recursion, for ``predict``,
-``hypothetical_variance_after`` and the node sets of the sequential
-loop alike. A frozen ``refit`` appends factor rows for the appended
-design points, so the loop's node sets can continue their kept solves.
+single point); ``_variance_terms`` turns the factors into the bases
+and rho factors of the variance recursion, and ``_variance_recursion``
+and ``_contributions`` turn those into the per-level variances and
+contributions, for ``predict``, ``hypothetical_variance_after`` and the
+kept node sets of the sequential loop alike. A frozen ``refit`` appends
+factor rows for the appended design points, so the loop's node sets
+can continue their kept solves.
 A model keeps its fit settings and its levels by search key
 (``_fit_on``), so a reestimating refit (``_fit_levels``) fits as the
 model was fitted and searches and solves again only the levels whose
@@ -431,12 +433,25 @@ def _variance_terms(levels, factors, X):
     return bases, [lev.rho(X) for lev in levels[1:]]
 
 
-def _variance_recursion(bases, rhos) -> np.ndarray:
-    """(s, m) variances: var_1 = base_1, var_t = rho_{t-1}^2 var_{t-1} + base_t."""
+def _variance_recursion(bases, rhos) -> list:
+    """Per-level variances, level 1 first: var_1 = base_1,
+    var_t = rho_{t-1}^2 var_{t-1} + base_t."""
     variances = [bases[0]]
     for k in range(1, len(bases)):
         variances.append(rhos[k - 1] ** 2 * variances[k - 1] + bases[k])
-    return np.vstack(variances)
+    return variances
+
+
+def _contributions(bases, rhos) -> list:
+    """Per-level shares of the top-level variance, level 1 first: base_t
+    times the product of rho_k^2 over the levels k above t."""
+    shares = [None] * len(bases)
+    prod = np.ones(len(bases[0]))
+    for k in range(len(bases) - 1, -1, -1):
+        shares[k] = bases[k] * prod
+        if k > 0:
+            prod = prod * rhos[k - 1] ** 2
+    return shares
 
 
 class MultiFidelityModel:
@@ -512,15 +527,8 @@ class MultiFidelityModel:
         for k, (lev, c) in enumerate(zip(self.levels, correlations)):
             m = basis_matrix(lev.trend, X) @ lev.beta + c.T @ lev.alpha
             means.append(m if k == 0 else rhos[k - 1] * means[-1] + m)
-        s = len(self.levels)
-        contributions = [None] * s
-        prod = np.ones(X.shape[0])
-        for k in range(s - 1, -1, -1):
-            contributions[k] = bases[k] * prod
-            if k > 0:
-                prod = prod * rhos[k - 1] ** 2
-        out = (np.vstack(means), _variance_recursion(bases, rhos),
-               np.vstack(contributions))
+        out = (np.vstack(means), np.vstack(_variance_recursion(bases, rhos)),
+               np.vstack(_contributions(bases, rhos)))
         if single:
             out = tuple(a[:, 0] for a in out)
         return PredictionBreakdown(*out)
@@ -541,7 +549,7 @@ class MultiFidelityModel:
         X, _, factors = self._probe(xa)
         bases, rhos = _variance_terms(self.levels, factors, X)
         bases[:level] = [np.zeros(X.shape[0])] * level
-        stacked = _variance_recursion(bases, rhos)
+        stacked = np.vstack(_variance_recursion(bases, rhos))
         return stacked[:, 0] if xa.ndim == 1 else stacked
 
     def refit(self, data: MultiFidelityData) -> "MultiFidelityModel":

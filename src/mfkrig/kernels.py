@@ -117,12 +117,15 @@ def cross_correlation(spec: KernelSpec, xa, xb) -> np.ndarray:
         Point sets of shape (na, d) and (nb, d); a single point may be
         passed as a (d,) vector.
     """
+    return _scaled_correlation(spec.family, *_scaled(spec, xa, xb))
+
+
+def _scaled(spec: KernelSpec, *point_sets) -> list:
+    """Each point set as (n, d) points divided by the kernel's lengthscales."""
     if spec.lengthscales is None:
         raise ValueError("kernel lengthscales are not set")
     theta = spec.lengthscales
-    a = _as_points(xa, theta.size)
-    b = _as_points(xb, theta.size)
-    return _scaled_correlation(spec.family, a / theta, b / theta)
+    return [_as_points(x, theta.size) / theta for x in point_sets]
 
 
 @cache
@@ -228,20 +231,26 @@ def add_matched_nugget(c: np.ndarray, xa, xb) -> np.ndarray:
     out = np.array(c, dtype=float, copy=True)
     if out.shape != (a.shape[0], b.shape[0]):
         raise ValueError("matrix shape does not match the point sets")
-    return _match_nugget(out, a, b)
-
-
-def _match_nugget(out, xa, xb) -> np.ndarray:
-    """``out`` with NUGGET added in place where xa[i] equals xb[j] exactly."""
-    out[same_points(xa, xb)] += NUGGET
+    out[same_points(a, b)] += NUGGET
     return out
 
 
 def probe_correlation(spec: KernelSpec, design, points) -> np.ndarray:
     """R(design, points) with the matched nugget, shape (n, m): the
     correlations every posterior in the library is formed from."""
-    return _match_nugget(cross_correlation(spec, design, points),
-                         design, points)
+    return _probe_rows(spec.family, *_scaled(spec, design, points),
+                       same_points(design, points))
+
+
+def _probe_rows(family, design, points, matches) -> np.ndarray:
+    """R(design, points) with NUGGET added at ``matches``, from point sets
+    already divided by the lengthscales: ``probe_correlation`` and a kept
+    node set (``sequential._Solve``) build their rows here. ``matches``
+    is the boolean (n, m) mask of ``same_points`` or its (rows, columns)
+    index pairs."""
+    out = _scaled_correlation(family, design, points)
+    out[matches] += NUGGET
+    return out
 
 
 def basis_matrix(spec: BasisSpec, points) -> np.ndarray:

@@ -12,21 +12,29 @@ node sets. Two specs describe them: ``Grid(n)``, a product grid with
 endpoints as a search and cell midpoints as a quadrature, and
 ``Uniform(n, seed, polish)``, seeded uniform draws; a quadrature on a
 weighted-sample measure is the measure's support. ``run_loop`` builds
-each once and keeps, per level, the solve
-V_t = L_t^{-1} R_t(D_t, nodes) and the running sum of its squared rows
-(an m-vector for m nodes) between iterations. A frozen refit appends
-rows to each grown level's factor, so an iteration with frozen
-hyperparameters solves one new row of V_t per grown level by the row
-recursion ``predict`` runs too (``kriging._solve_rows``), and the
-top-level variance is formed by ``predict``'s routine
-(``cokriging._variance_terms``); reestimated lengthscales rebuild a
-level. V_t lives in a buffer whose row capacity doubles: at most
-2 * n_t * m * 8 bytes per level and node set. Node sets exist to keep
-solves between iterations; points evaluated once go through
-``predict``. A Uniform search may polish its best node
-(``polish="best"``) or every node (``"all"``, a multistart) with a
-local solver on ``-predict(x).variance``, and the polished points,
-fresh on every call, are scored by ``predict`` too.
+each once. A node set indexes its points once: their lexicographic
+order and sorted first coordinates, which bisection searches for the
+nodes equal to a point. Per level it keeps, between iterations, the
+nodes divided by the lengthscales, the scaling basis and rho at the
+nodes, the solve V_t = L_t^{-1} R_t(D_t, nodes), the running sum of its
+squared rows and the clamped variance factor (m-vectors for m nodes);
+rho is formed again only when the level's coefficients change. A frozen
+refit appends rows to each grown level's factor, so an iteration with
+frozen hyperparameters pays only for its new rows: per grown level, one
+row of correlations from the kept scaled nodes, with the matched nugget
+at the nodes the index finds, one row of V_t by the row recursion
+``predict`` runs too (``kriging._solve_rows``), and the factor. A level
+that did not grow keeps its factor. The top-level variance is formed by
+``predict``'s recursion (``cokriging._variance_recursion``), and the
+loop chooses the level at a search node from the same kept state by
+``choose_level``'s rule. Reestimated lengthscales rebuild a level. V_t
+lives in a buffer whose row capacity doubles: at most 2 * n_t * m * 8
+bytes per level and node set. Node sets exist to keep solves between
+iterations; points evaluated once go through ``predict``. A Uniform
+search may polish its best node (``polish="best"``) or every node
+(``"all"``, a multistart) with a local solver on
+``-predict(x).variance``, and the polished points, fresh on every call,
+are scored by ``predict`` too, and so is the level choice at them.
 """
 
 from __future__ import annotations
@@ -37,20 +45,21 @@ import numpy as np
 
 from .cokriging import (
     MultiFidelityModel,
+    _contributions,
     _fit_levels,
     _variance_recursion,
-    _variance_terms,
 )
 from .csvio import fmt, parse_row, read_csv
 from .exceptions import ParseError
 from .kernels import (
+    basis_matrix,
     extends,
-    probe_correlation,
-    same_points,
     _as_points,
     _check_level,
     _is_integer,
     _is_number,
+    _probe_rows,
+    _scaled,
 )
 from .kriging import _clamped_factor, _solve_rows
 
@@ -234,15 +243,19 @@ def product_grid(bounds, n, midpoints=False) -> np.ndarray:
 
 class _Solve:
     """One level's kept variance solve on a node set: the kernel, design
-    and factor it was solved against, V = L^{-1} C in the leading rows
-    of a buffer whose capacity doubles, and the running sum of squares
-    of those rows."""
+    and factor it was solved against, the nodes divided by the kernel's
+    lengthscales, V = L^{-1} C in the leading rows of a buffer whose
+    capacity doubles, the running sum s of squares of those rows, and
+    the clamped factor 1 - s. A new kernel or design makes a new one;
+    ``grow`` solves appended rows and recomputes the factor."""
 
-    def __init__(self, level, m):
+    def __init__(self, level, points):
         self.kernel, self.chol = level.kernel, None
         self.design = level.design[:0]  # no rows solved yet
-        self.v = np.empty((0, m))
-        self.s = np.zeros(m)
+        self.scaled, = _scaled(level.kernel, points)
+        self.v = np.empty((0, len(points)))
+        self.s = np.zeros(len(points))
+        self.factor = None
 
     def continues(self, level) -> bool:
         """True when ``level`` grew from the kept state by appended rows:
@@ -256,61 +269,126 @@ class _Solve:
                 and (level.chol is self.chol
                      or extends(level.chol[:, :n], self.chol)))
 
-    def grow(self, level, points):
-        """Solve the rows of the design points new since the last call."""
+    def grow(self, level, nodes):
+        """Solve the rows of the design points new since the last call;
+        the nodes' index finds the nodes that take the matched nugget."""
         n, design = len(self.design), level.design
         if len(design) > len(self.v):
-            v = np.empty((max(2 * len(self.v), len(design)), len(points)))
+            v = np.empty((max(2 * len(self.v), len(design)), len(self.s)))
             v[:n] = self.v[:n]
             self.v = v
-        c = probe_correlation(level.kernel, design[n:], points)
+        new = design[n:]
+        c = _probe_rows(level.kernel.family, *_scaled(level.kernel, new),
+                        self.scaled, nodes.matches(new))
         _solve_rows(level.chol, c, self.v, self.s, n)
+        self.factor = _clamped_factor(self.s)
         self.kernel, self.design, self.chol = level.kernel, design, level.chol
 
 
 class _Nodes:
     """A fixed node set of a search or quadrature, and what the loop reuses.
 
-    Holds the points, their lexicographic order, the quadrature weights
-    (None for an equal-weight average) and what a search polishes: None,
-    its best node ("best") or every node ("all"). Per level it keeps
-    the variance solve V_t = L_t^{-1} R_t(D_t, nodes) and the running
-    sum of its squared rows (``_Solve``): when the design grew by
+    Holds the points, their lexicographic order (None when the points
+    are in that order already, as every product grid is), the
+    quadrature weights (None for an equal-weight average) and what a
+    search polishes: None, its best node ("best") or every node ("all").
+    The sorted first coordinates index the points, so a point's equal
+    nodes are found by bisection (``matches``). Per level it keeps the
+    scaling basis and rho at the nodes (``_rho``), and the variance solve
+    V_t = L_t^{-1} R_t(D_t, nodes) with the running sum of its squared
+    rows and the clamped factor (``_Solve``): when the design grew by
     appended rows under the same kernel and its factor by appended rows
     (a frozen refit), only the new rows are solved, and any other change
     rebuilds the level. The mask of nodes equal to an excluded point
     grows the same way. The row recursion is ``predict``'s own
     (``kriging._solve_rows``), so ``top_variance`` equals
-    ``predict(points).variances[-1]`` bit for bit. A set of one node
-    keeps nothing: its variance is ``predict``'s, which solves one point
-    by one dtrtrs.
+    ``predict(points).variances[-1]`` bit for bit, and ``breakdown`` its
+    variance and contributions at a node. A set of one node keeps
+    nothing: its variance is ``predict``'s, which solves one point by
+    one dtrtrs.
     """
 
     def __init__(self, points, weights=None, polish=None):
         self.points = points
         self.weights = weights
         self.polish = polish
-        self.order = np.lexsort(points.T[::-1])
+        order = np.lexsort(points.T[::-1])
+        self.order = None if (order == np.arange(len(order))).all() else order
+        # the points in that order and their first coordinates, bisected
+        # by ``matches``
+        self._sorted = points if self.order is None else points[order]
+        self._first = self._sorted[:, 0].copy()
         self._solves = {}  # level index -> _Solve
+        self._rhos = {}  # level index -> (scaling spec, basis, rho_beta, rho)
         self._excluded = None  # (excluded points, node mask)
+
+    def matches(self, points):
+        """(rows, nodes): the index pairs of each row of ``points`` and
+        every node bitwise equal to it, the identity of ``same_points``.
+        Bisection narrows the sorted nodes one coordinate at a time to
+        those equal to the row, and their bytes are compared."""
+        lo = self._first.searchsorted(points[:, 0])
+        hi = self._first.searchsorted(points[:, 0], "right")
+        rows, nodes = [], []
+        for i in np.flatnonzero(hi > lo):
+            a, b, x = lo[i], hi[i], points[i]
+            for k in range(1, len(x)):  # [a, b) is sorted by coordinate k
+                column = self._sorted[a:b, k]
+                a, b = (a + column.searchsorted(x[k]),
+                        a + column.searchsorted(x[k], "right"))
+            for j in range(a, b):
+                if self._sorted[j].tobytes() == x.tobytes():
+                    rows.append(i)
+                    nodes.append(j)
+        nodes = np.array(nodes, dtype=np.intp)
+        return (np.array(rows, dtype=np.intp),
+                nodes if self.order is None else self.order[nodes])
 
     def _factor(self, k, level) -> np.ndarray:
         solve = self._solves.get(k)
         if solve is None or not solve.continues(level):
             # rebinding both names releases the stale solve before the
             # rebuild allocates
-            solve = self._solves[k] = _Solve(level, len(self.points))
+            solve = self._solves[k] = _Solve(level, self.points)
         if len(level.design) > len(solve.design):
-            solve.grow(level, self.points)
-        return _clamped_factor(solve.s)
+            solve.grow(level, self)
+        return solve.factor
+
+    def _rho(self, k, level) -> np.ndarray:
+        """Level k's rho at the nodes, formed as ``FittedLevel.rho``
+        forms it from the kept scaling basis, and kept while the
+        level's coefficients stay the same bit for bit."""
+        spec, basis, beta, rho = self._rhos.get(k, (None,) * 4)
+        if spec != level.scaling:
+            spec, beta = level.scaling, None
+            basis = basis_matrix(spec, self.points)
+        if beta is None or beta.tobytes() != level.rho_beta.tobytes():
+            beta, rho = level.rho_beta, basis @ level.rho_beta
+        self._rhos[k] = (spec, basis, beta, rho)
+        return rho
+
+    def _terms(self, model, at=slice(None)):
+        """(bases, rhos) of ``predict``'s variance recursion at the nodes
+        ``at`` slices, from the kept factors and rhos."""
+        levels = model.levels
+        return ([lev.sigma2 * self._factor(k, lev)[at]
+                 for k, lev in enumerate(levels)],
+                [self._rho(k, lev)[at] for k, lev in enumerate(levels) if k])
 
     def top_variance(self, model) -> np.ndarray:
         """Top-level predictive variance at the nodes."""
         if len(self.points) == 1:
             return model.predict(self.points).variances[-1]
-        factors = [self._factor(k, lev) for k, lev in enumerate(model.levels)]
-        return _variance_recursion(*_variance_terms(
-            model.levels, factors, self.points))[-1]
+        return _variance_recursion(*self._terms(model))[-1]
+
+    def breakdown(self, model, j):
+        """(top-level variance, per-level contributions) at node j of a
+        set of more than one node, from the kept state: those of
+        ``predict(points)`` at j bit for bit, and of a one-point
+        ``predict`` up to round-off."""
+        terms = self._terms(model, slice(j, j + 1))
+        return (_variance_recursion(*terms)[-1][0],
+                np.concatenate(_contributions(*terms)))
 
     def _excluded_mask(self, exclude) -> np.ndarray:
         d = self.points.shape[1]
@@ -321,22 +399,25 @@ class _Nodes:
         if kept is None or not extends(exclude, kept[0]):
             kept = (exclude[:0], np.zeros(len(self.points), dtype=bool))
         seen, mask = kept
-        if len(exclude) > len(seen):
-            mask = mask | same_points(self.points, exclude[len(seen):]).any(axis=1)
+        mask[self.matches(exclude[len(seen):])[1]] = True
         self._excluded = (exclude, mask)
         return mask
 
     def best(self, variances, exclude=None):
-        """Node with the largest variance among those not bitwise equal to
-        an ``exclude`` point, or None when none is left. Exact ties break
-        toward the lexicographically smallest coordinates (scan order is
-        canonical, so permuting the nodes changes nothing)."""
-        order = self.order
+        """Index of the node with the largest variance among those not
+        bitwise equal to an ``exclude`` point, or None when none is left.
+        Exact ties break toward the lexicographically smallest
+        coordinates (scan order is canonical, so permuting the nodes
+        changes nothing)."""
         if exclude is not None:
-            order = order[~self._excluded_mask(exclude)[order]]
-            if not order.size:
+            mask = self._excluded_mask(exclude)
+            if mask.all():
                 return None
-        return self.points[order[int(np.argmax(variances[order]))]]
+            # variances are never below 0, so no excluded node can win
+            variances = np.where(mask, -np.inf, variances)
+        if self.order is None:
+            return int(np.argmax(variances))
+        return int(self.order[np.argmax(variances[self.order])])
 
 
 def _node_set(domain: Domain, spec, quadrature: bool) -> _Nodes:
@@ -377,6 +458,25 @@ def _polish(model, domain, starts) -> np.ndarray:
         for start in np.atleast_2d(starts)])
 
 
+def _argmax(model, domain, nodes, exclude):
+    """(point, node index) of ``argmax_variance`` on a resolved node set;
+    the index is None for a polished point, and both are None when
+    nothing survives the exclusion."""
+    variances = nodes.top_variance(model)
+    candidates = nodes
+    if nodes.polish:
+        starts = (nodes.points if nodes.polish == "all"
+                  else nodes.points[nodes.best(variances)])
+        polished = _polish(model, domain, starts)
+        variances = np.concatenate(
+            [variances, model.predict(polished).variances[-1]])
+        candidates = _Nodes(np.vstack([nodes.points, polished]))
+    j = candidates.best(variances, exclude)
+    if j is None:
+        return None, None
+    return candidates.points[j], (j if j < len(nodes.points) else None)
+
+
 def argmax_variance(model, domain: Domain, search=None, exclude=None):
     """Point of maximum top-level predictive variance over the box.
 
@@ -388,15 +488,7 @@ def argmax_variance(model, domain: Domain, search=None, exclude=None):
     Otherwise returns the chosen point, shape (d,). The candidates are
     the search's nodes plus the points it polishes from them.
     """
-    nodes = _node_set(domain, search, False)
-    variances = nodes.top_variance(model)
-    if nodes.polish:
-        starts = nodes.points if nodes.polish == "all" else nodes.best(variances)
-        polished = _polish(model, domain, starts)
-        variances = np.concatenate(
-            [variances, model.predict(polished).variances[-1]])
-        nodes = _Nodes(np.vstack([nodes.points, polished]))
-    return nodes.best(variances, exclude)
+    return _argmax(model, domain, _node_set(domain, search, False), exclude)[0]
 
 
 def compute_imse(model, domain: Domain, quadrature=None) -> float:
@@ -442,18 +534,24 @@ def choose_level(model, x, imse, cost: CostModel | None = None,
     cost-weighted: the level maximizing variance reduction at x per
     unit of cumulative run cost; ties go to the cheaper level.
     """
-    s = model.level_count
-    _check_rule(rule, cost, s)
+    _check_rule(rule, cost, model.level_count)
     out = model.predict(x)
+    return _level_rule(out.variances[-1], out.contributions, imse, cost,
+                       rule)
+
+
+def _level_rule(total, contributions, imse, cost, rule) -> int:
+    """``choose_level``'s rule on the top-level variance ``total`` at x
+    and the per-level contributions (s,) to it."""
+    s = len(contributions)
     # Running levels 1..l at x zeroes their share of the top-level
     # variance; what is left is the suffix sum of the contributions.
-    after = [out.contributions[level:].sum() for level in range(1, s + 1)]
+    after = [contributions[level:].sum() for level in range(1, s + 1)]
     if rule == IMSE_THRESHOLD:
         for level in range(1, s):
             if after[level - 1] < imse:
                 return level
         return s
-    total = out.variances[-1]
     best, best_ratio = 1, -np.inf
     for level in range(1, s + 1):
         ratio = (total - after[level - 1]) / cost.cost_through(level)
@@ -640,21 +738,22 @@ def run_loop(model, domain: Domain, cost: CostModel, budget,
 
     Returns (final model, EnrichmentTrace). Each iteration finds the
     maximum-variance point (design points of D_1 excluded so the
-    duplicate rule cannot trip), chooses how deep to run, evaluates the
-    simulators, and enriches. ``refit`` is "never" (frozen
-    hyperparameters), "always", or "every-k" for an integer k (refit on
-    iterations k, 2k, ...). A refit reestimates through ``enrich`` with
-    the model's fit settings, so it searches again only the levels whose
-    data changed since the model's last searches. A simulator failure
-    (an exception or a non-finite value) stops the loop and returns the
-    partial trace flagged incomplete, its ``failure`` naming the level
-    and cause. ``_run_settings`` checks every setting before the first
-    IMSE.
+    duplicate rule cannot trip), chooses how deep to run (at a search
+    node from the search's kept state, by ``choose_level``'s rule; at a
+    polished point by ``choose_level``), evaluates the simulators, and
+    enriches. ``refit`` is "never" (frozen hyperparameters), "always",
+    or "every-k" for an integer k (refit on iterations k, 2k, ...). A
+    refit reestimates through ``enrich`` with the model's fit settings,
+    so it searches again only the levels whose data changed since the
+    model's last searches. A simulator failure (an exception or a
+    non-finite value) stops the loop and returns the partial trace
+    flagged incomplete, its ``failure`` naming the level and cause.
+    ``_run_settings`` checks every setting before the first IMSE.
     """
     budget, period = _run_settings(model.level_count, cost, budget,
                                    simulators, rule, refit)
 
-    # Resolved once, so each level's node correlations carry over
+    # Resolved once, so each level's kept node state carries over
     # between iterations.
     quadrature = _node_set(domain, quadrature, True)
     search = _node_set(domain, search, False)
@@ -664,11 +763,14 @@ def run_loop(model, domain: Domain, cost: CostModel, budget,
     iteration = 0
     imse = compute_imse(model, domain, quadrature)
     while True:
-        x = argmax_variance(model, domain, search,
-                            exclude=model.data.designs[0])
+        x, node = _argmax(model, domain, search, model.data.designs[0])
         if x is None:
             break  # every candidate already observed; nothing left to add
-        level = choose_level(model, x, imse, cost, rule)
+        if node is None or len(search.points) == 1:
+            level = choose_level(model, x, imse, cost, rule)
+        else:  # the level rule on the search's kept state at the node
+            level = _level_rule(*search.breakdown(model, node), imse, cost,
+                                rule)
         step = cost.cost_through(level)
         if cum + step > budget:
             break

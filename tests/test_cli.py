@@ -436,10 +436,13 @@ def no_likelihood(monkeypatch):
      "grid needs at least one node per dimension"),
     (dict(quadrature={"kind": "monte-carlo", "n": -1}),
      "need at least one uniform node"),
-    (dict(search={"kind": "random", "n": 16, "seed": -1}),
-     "'seed' must be a non-negative integer, got -1"),
-    (dict(quadrature={"kind": "monte-carlo", "n": 16, "seed": -1}),
-     "'seed' must be a non-negative integer, got -1"),
+    # the ids the two cases had before the message named its object
+    pytest.param(dict(search={"kind": "random", "n": 16, "seed": -1}),
+                 "search 'seed' must be a non-negative integer, got -1",
+                 id="override5-'seed' must be a non-negative integer, got -1"),
+    pytest.param(dict(quadrature={"kind": "monte-carlo", "n": 16, "seed": -1}),
+                 "quadrature 'seed' must be a non-negative integer, got -1",
+                 id="override6-'seed' must be a non-negative integer, got -1"),
 ])
 def test_sequential_rejects_an_empty_strategy_before_any_fit(
         tmp_path, capsys, no_likelihood, override, message):

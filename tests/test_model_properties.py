@@ -3,7 +3,8 @@ design points, predictions that do not depend on the row order of the
 designs, contributions that sum to the top-level variance, node-set
 variances equal to ``predict``'s, the lookahead variance equal to the
 suffix sum of the contributions, a frozen refit that appends factor rows
-and node sets that continue their kept solves, a byte-identical
+and node sets that continue their kept solves, frozen loops whose level
+choices from kept node state equal ``choose_level``'s, a byte-identical
 save/load/save round trip, and fits that are byte-identical whether the
 likelihood runs through bare LAPACK or through scipy's checked wrappers.
 
@@ -17,6 +18,7 @@ instead fits the built-in problems on nested LHS designs.
 
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,6 +49,7 @@ from helpers import (
     reference_log_lengthscale_weight,
     reference_nll_gradient,
     reference_nll_terms,
+    replay_loop,
 )
 
 SE = "squared-exponential"
@@ -123,8 +126,14 @@ def test_node_set_variance_is_predict_variance_and_contributions_sum(chain):
     probes = np.vstack([rng.uniform(0.0, 1.0, size=(20, designs[0].shape[1])),
                         designs[-1]])
     out = model.predict(probes)
-    top = sequential._Nodes(probes).top_variance(model)
+    nodes = sequential._Nodes(probes)
+    top = nodes.top_variance(model)
     assert (top == out.variances[-1]).all()
+    # the kept state at a node gives predict's variance split there
+    for j in (0, len(probes) - 1):
+        variance, contributions = nodes.breakdown(model, j)
+        assert variance == out.variances[-1, j]
+        assert (contributions == out.contributions[:, j]).all()
     sigma2_sum = sum(par.sigma2 for par in params)
     assert np.max(np.abs(out.contributions.sum(axis=0) - out.variances[-1])) \
         <= 1e-12 * sigma2_sum
@@ -205,6 +214,41 @@ def test_frozen_refit_appends_factor_rows_and_node_sets_continue(chain, k):
             <= np.linalg.cond(r) * np.finfo(float).eps
     want = grown.predict(probes).variances[-1]
     assert (nodes.top_variance(grown) == want).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_chains(levels=(2, 3)), st.sampled_from(sequential.LEVEL_RULES))
+def test_the_frozen_loop_chooses_from_kept_node_state_as_choose_level(
+        chain, rule):
+    designs, observations, configs, params, _ = chain
+    model = _model(designs, observations, configs, params)
+    s, d = len(designs), designs[0].shape[1]
+    domain = sequential.Domain([[0.0, 1.0]] * d)
+    cost = sequential.CostModel([1.0, 3.0, 6.0][:s])
+    simulators = [lambda x, t=t: np.sin(3.0 * x.sum(axis=1)) + 0.1 * t
+                  for t in range(s)]
+    search, quadrature = sequential.Grid(9), sequential.Grid(6)
+    args = (model, domain, cost, 15.0, simulators)
+    kwargs = dict(rule=rule, search=search, quadrature=quadrature)
+    with mock.patch.object(sequential, "choose_level",
+                           wraps=sequential.choose_level) as spy:
+        final, got = sequential.run_loop(*args, **kwargs)
+    assert spy.call_count == 0  # every level came from the kept state
+    # the replay calls choose_level at every point the loop chose
+    _, want = replay_loop(*args, **kwargs)
+    assert len(got) == len(want) > 0
+    for a, b in zip(got.entries, want.entries):
+        assert (a.x == b.x).all() and a.level == b.level
+        assert a.imse_before == b.imse_before
+    # and so does every search node off the design, on the final model
+    nodes = sequential._node_set(domain, search, False)
+    imse = sequential.compute_imse(final, domain, quadrature)
+    off = ~same_points(nodes.points, final.data.designs[0]).any(axis=1)
+    for j in np.flatnonzero(off):
+        kept = sequential._level_rule(*nodes.breakdown(final, j), imse, cost,
+                                      rule)
+        assert kept == sequential.choose_level(final, nodes.points[j], imse,
+                                               cost, rule)
 
 
 def _files(directory):

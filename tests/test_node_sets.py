@@ -19,7 +19,12 @@ from mfkrig.cokriging import (
     MultiFidelityData,
     MultiFidelityModel,
 )
-from mfkrig.kernels import BasisSpec, KernelSpec
+from mfkrig.kernels import (
+    BasisSpec,
+    KernelSpec,
+    probe_correlation,
+    same_points,
+)
 from mfkrig.sequential import (
     CostModel,
     Domain,
@@ -251,6 +256,8 @@ def test_one_grid_gives_endpoints_as_a_search_and_midpoints_as_a_quadrature():
     assert (search.points[:, 0] == [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0]).all()
     assert (quadrature.points[:, 0] == [0.125, 0.375, 0.625, 0.875]).all()
     assert search.polish is None and quadrature.polish is None
+    # a product grid is in lexicographic order, so ``best`` gathers nothing
+    assert search.order is None and quadrature.order is None
 
 
 # ---------------------------------------------------------------------------
@@ -281,23 +288,24 @@ def test_polished_search_equals_a_search_through_predict(name, sizes, search):
 # the per-level cache of a node set
 
 
-def _count_rows(monkeypatch, module):
-    """Rows asked of ``module.probe_correlation``, per call."""
+def _count_rows(monkeypatch, module, name):
+    """Rows asked of the row builder ``module.name``, per call; both
+    builders take the design rows second."""
     rows = []
-    original = module.probe_correlation
+    original = getattr(module, name)
 
-    def counted(kernel, design, points):
+    def counted(first, design, *rest):
         rows.append(len(np.atleast_2d(design)))
-        return original(kernel, design, points)
+        return original(first, design, *rest)
 
-    monkeypatch.setattr(module, "probe_correlation", counted)
+    monkeypatch.setattr(module, name, counted)
     return rows
 
 
 @pytest.fixture()
 def correlation_rows(monkeypatch):
-    """Rows asked of ``probe_correlation`` by the node sets, per call."""
-    return _count_rows(monkeypatch, sequential)
+    """Rows asked of the row builder by the node sets, per call."""
+    return _count_rows(monkeypatch, sequential, "_probe_rows")
 
 
 def test_enriched_node_gets_the_nugget_from_one_new_row(correlation_rows):
@@ -328,9 +336,47 @@ def test_a_node_set_wider_than_a_column_block_continues_bit_for_bit(
     assert (got == grown.predict(nodes.points).variances[-1]).all()
 
 
+# node sets whose last column block of the row recursion is one column;
+# solving an appended row across the full width instead, outside the
+# blocks, changes bits on both
+@pytest.mark.parametrize("name, sizes, spec", [
+    ("forrester", [16, 6], Grid(1025)),
+    ("ripple2d", [30, 10], Uniform(2049, seed=7))],
+    ids=["1d-grid1025", "2d-uniform2049"])
+def test_frozen_appends_on_a_one_column_last_block_equal_predict(name, sizes,
+                                                                 spec):
+    model, bounds, _, simulators = _setup(name, sizes)
+    domain = Domain(bounds)
+    nodes = sequential._node_set(domain, spec, False)
+    assert len(nodes.points) % kriging._COLUMN_BLOCK == 1
+    nodes.top_variance(model)
+    for level in (1, 2, 1, 2, 1, 1):
+        x = argmax_variance(model, domain, nodes,
+                            exclude=model.data.designs[0])
+        model = enrich(model, x, level,
+                       values=[s(x[None, :])[0] for s in simulators[:level]])
+        got = nodes.top_variance(model)
+        assert (got == model.predict(nodes.points).variances[-1]).all()
+
+
+def test_a_fresh_solve_equals_a_fresh_solve_and_a_one_row_append():
+    # 1025 columns: one full column block and a block of one column
+    model, _, _, _ = _setup("forrester", [30, 10])
+    level = model.levels[0]
+    nodes = sequential.product_grid(UNIT1.bounds, 1025)
+    c = probe_correlation(level.kernel, level.design, nodes)
+    n, m = c.shape
+    fresh_v, fresh_s = np.empty((n, m)), np.zeros(m)
+    kriging._solve_rows(level.chol, c, fresh_v, fresh_s, 0)
+    v, s = np.empty((n, m)), np.zeros(m)
+    kriging._solve_rows(level.chol, c[:n - 1], v, s, 0)
+    kriging._solve_rows(level.chol, c[n - 1:], v, s, n - 1)
+    assert (v == fresh_v).all() and (s == fresh_s).all()
+
+
 def test_a_one_node_set_keeps_nothing_and_equals_predict(monkeypatch):
     # a one-node set reads its rows through predict
-    correlation_rows = _count_rows(monkeypatch, cokriging)
+    correlation_rows = _count_rows(monkeypatch, cokriging, "probe_correlation")
     model, _, _, simulators = _setup("forrester", [8, 4])
     nodes = sequential._Nodes(np.array([[0.3141]]))
     assert (nodes.top_variance(model)
@@ -341,6 +387,30 @@ def test_a_one_node_set_keeps_nothing_and_equals_predict(monkeypatch):
     # a single point is solved afresh by dtrtrs, as predict solves it
     assert correlation_rows == [8, 4, 8, 4, 9, 5] and not nodes._solves
     assert (got == grown.predict(nodes.points).variances[-1]).all()
+
+
+def test_a_linear_scaling_keeps_rho_until_its_coefficients_change():
+    model, _, _, simulators = _setup("forrester", [8, 4])
+    linear = BasisSpec("linear", 1)
+    configs = [model.configs[0],
+               LevelConfig(BasisSpec("constant", 1), KernelSpec(SE),
+                           scaling=linear)]
+    params = [LevelParameters([0.3], 1.0, [0.0]),
+              LevelParameters([0.6], 0.5, [0.0], rho_beta=[1.1, 0.2])]
+    model = MultiFidelityModel.from_parameters(model.data, configs, params)
+    nodes = sequential._node_set(UNIT1, Grid(65), False)
+    assert (nodes.top_variance(model)
+            == model.predict(nodes.points).variances[-1]).all()
+    # the first refit estimates level 2's coefficients, given until then;
+    # a level 1 run leaves them, and a level 2 run estimates them anew
+    for i, (level, keeps) in enumerate([(1, False), (1, True), (2, False)]):
+        kept = nodes._rhos[1][3]
+        x = nodes.points[10 + i]
+        model = enrich(model, x, level,
+                       values=[s(x[None, :])[0] for s in simulators[:level]])
+        got = nodes.top_variance(model)
+        assert (got == model.predict(nodes.points).variances[-1]).all()
+        assert (nodes._rhos[1][3] is kept) == keeps
 
 
 def test_new_lengthscales_or_a_new_design_rebuild_the_cache(correlation_rows):
@@ -364,6 +434,28 @@ def test_new_lengthscales_or_a_new_design_rebuild_the_cache(correlation_rows):
     got = nodes.top_variance(moved)
     assert correlation_rows == [8, 4, 8, 8]
     assert (got == moved.predict(nodes.points).variances[-1]).all()
+
+
+@pytest.mark.parametrize("points", [
+    # duplicates, -0.0 beside 0.0, and no lexicographic order
+    np.random.default_rng(3).choice([-1.0, -0.0, 0.0, 0.5, 1.0],
+                                    size=(60, 2)),
+    sequential.product_grid(np.array([[-1.0, 1.0], [0.0, 1.0]]), 5),
+], ids=["duplicates", "grid"])
+def test_the_node_index_finds_every_bitwise_equal_node(points):
+    nodes = sequential._Nodes(points)
+    queries = np.vstack([points[::7], [[0.25, 0.5], [-0.0, 0.0],
+                                       [0.0, -0.0]]])
+    rows, found = nodes.matches(queries)
+    want = same_points(queries, points)
+    got = np.zeros_like(want)
+    got[rows, found] = True
+    assert (got == want).all() and len(rows) == want.sum()
+    # every copy of an excluded point is excluded
+    variances = np.arange(len(points), dtype=float)
+    j = nodes.best(variances, exclude=queries)
+    assert not same_points(points[j], queries).any()
+    assert nodes.best(variances, exclude=points) is None
 
 
 def test_fully_excluded_search_returns_none_and_stops_the_loop():
