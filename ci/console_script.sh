@@ -27,8 +27,9 @@ echo '{"problem": "ripple2d", "sizes": [12, 6], "levels": [{"trend": "linear"}, 
 echo '{"problem": "chain3", "sizes": [10, 6, 3], "out": "refit"}' > refit-deep.json
 echo '{"problem": "forrester", "sizes": [8, 4], "out": "refit"}' > refit-shallow.json
 echo '{"model_dir": "refit", "grid": 11, "problem": "forrester", "out": "refit-predict"}' > refit-predict.json
-# the data fix the level count: two sizes run chain3's first two levels
-echo '{"problem": "chain3", "sizes": [10, 5], "budget": 12, "out": "prefix-sequential"}' > prefix-sequential.json
+# the data fix the level count: two sizes run chain3's first two levels;
+# a linear scaling gives the frozen loop a rho that varies over the box
+echo '{"problem": "chain3", "sizes": [10, 5], "levels": [{}, {"scaling": "linear"}], "budget": 12, "out": "prefix-sequential"}' > prefix-sequential.json
 # every other command uses the default squared exponential; these run
 # the Matern-5/2 likelihood and its gradient
 echo '{"problem": "chain3", "sizes": [10, 6, 3], "levels": [{"kernel": "matern-5/2"}, {"kernel": "matern-5/2"}, {"kernel": "matern-5/2"}], "out": "matern-fit"}' > matern-fit.json

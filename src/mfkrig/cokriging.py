@@ -40,6 +40,7 @@ import numpy as np
 
 from .exceptions import DuplicateDesignPointError, SingularTrendError
 from .kernels import (
+    CONSTANT,
     BasisSpec,
     KernelSpec,
     basis_matrix,
@@ -259,11 +260,17 @@ class FittedLevel:
         return self.kernel.lengthscales
 
     def rho(self, x):
-        """Scaling function g(x)' beta_rho; float for a single point."""
+        """Scaling function g(x)' beta_rho; float for a single point. A
+        constant basis skips the product: rho_beta[0] + 0.0 is its value
+        bit for bit, -0.0 turned into +0.0 included."""
         if self.scaling is None:
             raise ValueError("level 1 has no scaling function")
         xa = np.asarray(x, dtype=float)
-        out = basis_matrix(self.scaling, _as_points(xa)) @ self.rho_beta
+        X = _as_points(xa, self.scaling.dimension)
+        if self.scaling.kind == CONSTANT:
+            out = np.full(len(X), self.rho_beta[0] + 0.0)
+        else:
+            out = basis_matrix(self.scaling, X) @ self.rho_beta
         return float(out[0]) if xa.ndim == 1 else out
 
 

@@ -15,18 +15,18 @@ weighted-sample measure is the measure's support. ``run_loop`` builds
 each once. A node set indexes its points once: their lexicographic
 order and sorted first coordinates, which bisection searches for the
 nodes equal to a point. Per level it keeps, between iterations, the
-nodes divided by the lengthscales, the scaling basis and rho at the
-nodes, the solve V_t = L_t^{-1} R_t(D_t, nodes), the running sum of its
-squared rows and the clamped variance factor (m-vectors for m nodes);
-rho is formed again only when the level's coefficients change. A frozen
-refit appends rows to each grown level's factor, so an iteration with
-frozen hyperparameters pays only for its new rows: per grown level, one
-row of correlations from the kept scaled nodes, with the matched nugget
-at the nodes the index finds, one row of V_t by the row recursion
-``predict`` runs too (``kriging._solve_rows``), and the factor. A level
-that did not grow keeps its factor. The top-level variance is formed by
-``predict``'s recursion (``cokriging._variance_recursion``), and the
-loop chooses the level at a search node from the same kept state by
+nodes divided by the lengthscales, the solve V_t = L_t^{-1} R_t(D_t,
+nodes), the running sum of its squared rows and the clamped variance
+factor (m-vectors for m nodes). A frozen refit appends rows to each
+grown level's factor, so an iteration with frozen hyperparameters pays
+only for its new rows: per grown level, one row of correlations from
+the kept scaled nodes, with the matched nugget at the nodes the index
+finds, one row of V_t by the row recursion ``predict`` runs too
+(``kriging._solve_rows``), and the factor. A level that did not grow
+keeps its factor. The top-level variance is formed from the kept
+factors by ``predict``'s terms and recursion
+(``cokriging._variance_terms``, ``_variance_recursion``), and the loop
+chooses the level at a search node from the same kept state by
 ``choose_level``'s rule. Reestimated lengthscales rebuild a level. V_t
 lives in a buffer whose row capacity doubles: at most 2 * n_t * m * 8
 bytes per level and node set. Node sets exist to keep solves between
@@ -48,11 +48,11 @@ from .cokriging import (
     _contributions,
     _fit_levels,
     _variance_recursion,
+    _variance_terms,
 )
 from .csvio import fmt, parse_row, read_csv
 from .exceptions import ParseError
 from .kernels import (
-    basis_matrix,
     extends,
     _as_points,
     _check_level,
@@ -263,8 +263,8 @@ class _Solve:
         bit, so only the new rows of V are missing."""
         kernel, n = level.kernel, len(self.design)
         return (kernel.family == self.kernel.family
-                and np.array_equal(kernel.lengthscales,
-                                   self.kernel.lengthscales)
+                and kernel.lengthscales.tobytes()
+                == self.kernel.lengthscales.tobytes()
                 and extends(level.design, self.design)
                 and (level.chol is self.chol
                      or extends(level.chol[:, :n], self.chol)))
@@ -294,18 +294,18 @@ class _Nodes:
     search polishes: None, its best node ("best") or every node ("all").
     The sorted first coordinates index the points, so a point's equal
     nodes are found by bisection (``matches``). Per level it keeps the
-    scaling basis and rho at the nodes (``_rho``), and the variance solve
-    V_t = L_t^{-1} R_t(D_t, nodes) with the running sum of its squared
-    rows and the clamped factor (``_Solve``): when the design grew by
-    appended rows under the same kernel and its factor by appended rows
-    (a frozen refit), only the new rows are solved, and any other change
-    rebuilds the level. The mask of nodes equal to an excluded point
-    grows the same way. The row recursion is ``predict``'s own
-    (``kriging._solve_rows``), so ``top_variance`` equals
-    ``predict(points).variances[-1]`` bit for bit, and ``breakdown`` its
-    variance and contributions at a node. A set of one node keeps
-    nothing: its variance is ``predict``'s, which solves one point by
-    one dtrtrs.
+    variance solve V_t = L_t^{-1} R_t(D_t, nodes) with the running sum of
+    its squared rows and the clamped factor (``_Solve``): when the design
+    grew by appended rows under the same kernel and its factor by
+    appended rows (a frozen refit), only the new rows are solved, and any
+    other change rebuilds the level. The mask of nodes equal to an
+    excluded point grows the same way. The row recursion and the terms
+    of the variance recursion are ``predict``'s own
+    (``kriging._solve_rows``, ``cokriging._variance_terms``), so
+    ``top_variance`` equals ``predict(points).variances[-1]`` bit for
+    bit, and ``breakdown`` its variance and contributions at a node. A
+    set of one node keeps nothing: its variance is ``predict``'s, which
+    solves one point by one dtrtrs.
     """
 
     def __init__(self, points, weights=None, polish=None):
@@ -319,7 +319,6 @@ class _Nodes:
         self._sorted = points if self.order is None else points[order]
         self._first = self._sorted[:, 0].copy()
         self._solves = {}  # level index -> _Solve
-        self._rhos = {}  # level index -> (scaling spec, basis, rho_beta, rho)
         self._excluded = None  # (excluded points, node mask)
 
     def matches(self, points):
@@ -354,26 +353,16 @@ class _Nodes:
             solve.grow(level, self)
         return solve.factor
 
-    def _rho(self, k, level) -> np.ndarray:
-        """Level k's rho at the nodes, formed as ``FittedLevel.rho``
-        forms it from the kept scaling basis, and kept while the
-        level's coefficients stay the same bit for bit."""
-        spec, basis, beta, rho = self._rhos.get(k, (None,) * 4)
-        if spec != level.scaling:
-            spec, beta = level.scaling, None
-            basis = basis_matrix(spec, self.points)
-        if beta is None or beta.tobytes() != level.rho_beta.tobytes():
-            beta, rho = level.rho_beta, basis @ level.rho_beta
-        self._rhos[k] = (spec, basis, beta, rho)
-        return rho
-
     def _terms(self, model, at=slice(None)):
         """(bases, rhos) of ``predict``'s variance recursion at the nodes
-        ``at`` slices, from the kept factors and rhos."""
+        ``at`` slices, from the kept factors; rho is sliced after it is
+        formed at every node, as a linear scaling on fewer rows can differ
+        from ``predict(points)``'s in the last bit."""
         levels = model.levels
-        return ([lev.sigma2 * self._factor(k, lev)[at]
-                 for k, lev in enumerate(levels)],
-                [self._rho(k, lev)[at] for k, lev in enumerate(levels) if k])
+        bases, rhos = _variance_terms(
+            levels, [self._factor(k, lev)[at] for k, lev in enumerate(levels)],
+            self.points)
+        return bases, [rho[at] for rho in rhos]
 
     def top_variance(self, model) -> np.ndarray:
         """Top-level predictive variance at the nodes."""

@@ -197,10 +197,16 @@ def test_with_point_rejects_non_finite_input_as_the_data_rules_do(x, values):
 
 def test_rho_constant_one_and_zero():
     data = two_level_data()
-    for value in (1.0, 0.0):
+    batch = np.array([[0.3], [0.777], [-0.0], [1.0], [0.3]])
+    for value in (1.0, 0.0, -0.0):
         model = fixed_two_level_model(data, rho=value)
-        assert model.levels[1].rho([0.3]) == value
-        assert model.levels[1].rho([0.777]) == value
+        level = model.levels[1]
+        single = level.rho([0.3])
+        assert single == value and level.rho([0.777]) == value
+        assert type(single) is float and np.copysign(1.0, single) == 1.0
+        # the product's value bit for bit: -0.0 comes out as +0.0
+        want = basis_matrix(level.scaling, batch) @ level.rho_beta
+        assert level.rho(batch).tobytes() == want.tobytes()
 
 
 def test_rho_linear_in_x():

@@ -10,7 +10,8 @@ likelihood runs through bare LAPACK or through scipy's checked wrappers.
 
 Data are drawn from the autoregressive chain on 1-3 nested levels of 4-15
 points in d = 1 or 2, with lengthscales in [0.3, 0.6], sigma2 in [0.2, 2]
-and rho in [0.5, 2], the ranges of acceptance criterion 5; deeper chains
+and rho in [0.5, 2], the ranges of acceptance criterion 5; the node-set
+test also draws a linear rho with slopes in [-0.5, 0.5]. Deeper chains
 of 4-6 levels check the variance identities. Models are built from the
 generating parameters with ``from_parameters``. The fit comparison
 instead fits the built-in problems on nested LHS designs.
@@ -57,9 +58,11 @@ M52 = "matern-5/2"
 
 
 @st.composite
-def _chains(draw, levels=(1, 3)):
+def _chains(draw, levels=(1, 3), scalings=("constant",)):
     """(designs, observations, configs, parameters, rng) of one chain of
-    ``levels[0]`` to ``levels[1]`` levels."""
+    ``levels[0]`` to ``levels[1]`` levels. The models scale by one basis
+    kind drawn from ``scalings``; a linear one adds slopes in [-0.5, 0.5]
+    to the chain's rho."""
     s = draw(st.integers(*levels))
     d = draw(st.sampled_from([1, 2]))
     sizes = sorted(draw(st.lists(st.integers(4, 15), min_size=s, max_size=s)),
@@ -68,6 +71,9 @@ def _chains(draw, levels=(1, 3)):
               for _ in range(s)]
     sigma2s = [draw(st.floats(0.2, 2.0)) for _ in range(s)]
     rhos = [draw(st.floats(0.5, 2.0)) for _ in range(s - 1)]
+    scaling = BasisSpec(draw(st.sampled_from(scalings)), d)
+    rho_betas = [[rho] + [draw(st.floats(-0.5, 0.5))
+                          for _ in range(scaling.size - 1)] for rho in rhos]
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     designs = nested_lhs(sizes, [[0.0, 1.0]] * d, seed=seed)
@@ -75,10 +81,10 @@ def _chains(draw, levels=(1, 3)):
     observations = draw_ar1_data(rng, designs, rhos, kernels, sigma2s)
     constant = BasisSpec("constant", d)
     configs = [LevelConfig(constant, KernelSpec(SE),
-                           scaling=None if t == 0 else constant)
+                           scaling=None if t == 0 else scaling)
                for t in range(s)]
     params = [LevelParameters(thetas[t], sigma2s[t], [0.0],
-                              rho_beta=None if t == 0 else [rhos[t - 1]])
+                              rho_beta=None if t == 0 else rho_betas[t - 1])
               for t in range(s)]
     return designs, observations, configs, params, rng
 
@@ -118,7 +124,7 @@ def test_predictions_ignore_the_row_order_of_the_designs(chain):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_chains())
+@given(_chains(scalings=("constant", "linear")))
 def test_node_set_variance_is_predict_variance_and_contributions_sum(chain):
     designs, observations, configs, params, rng = chain
     model = _model(designs, observations, configs, params)

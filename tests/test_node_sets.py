@@ -389,7 +389,7 @@ def test_a_one_node_set_keeps_nothing_and_equals_predict(monkeypatch):
     assert (got == grown.predict(nodes.points).variances[-1]).all()
 
 
-def test_a_linear_scaling_keeps_rho_until_its_coefficients_change():
+def test_a_linear_scaling_matches_predict_as_its_coefficients_change():
     model, _, _, simulators = _setup("forrester", [8, 4])
     linear = BasisSpec("linear", 1)
     configs = [model.configs[0],
@@ -404,13 +404,16 @@ def test_a_linear_scaling_keeps_rho_until_its_coefficients_change():
     # the first refit estimates level 2's coefficients, given until then;
     # a level 1 run leaves them, and a level 2 run estimates them anew
     for i, (level, keeps) in enumerate([(1, False), (1, True), (2, False)]):
-        kept = nodes._rhos[1][3]
+        kept = model.levels[1].rho_beta.tobytes()
         x = nodes.points[10 + i]
         model = enrich(model, x, level,
                        values=[s(x[None, :])[0] for s in simulators[:level]])
-        got = nodes.top_variance(model)
-        assert (got == model.predict(nodes.points).variances[-1]).all()
-        assert (nodes._rhos[1][3] is kept) == keeps
+        assert (model.levels[1].rho_beta.tobytes() == kept) == keeps
+        out = model.predict(nodes.points)
+        assert (nodes.top_variance(model) == out.variances[-1]).all()
+        variance, contributions = nodes.breakdown(model, 30)
+        assert variance == out.variances[-1, 30]
+        assert (contributions == out.contributions[:, 30]).all()
 
 
 def test_new_lengthscales_or_a_new_design_rebuild_the_cache(correlation_rows):
