@@ -37,6 +37,9 @@ echo '{"problem": "chain3", "sizes": [10, 6, 3], "levels": [{"kernel": "matern-5
 # every other command searches and integrates on the default grids;
 # this one runs the seeded uniform node sets, every start polished
 echo '{"problem": "forrester", "sizes": [8, 4], "budget": 10, "costs": [1, 5], "search": {"kind": "multistart", "k": 4, "seed": 3}, "quadrature": {"kind": "monte-carlo", "n": 256, "seed": 5}, "out": "uniform-sequential"}' > uniform-sequential.json
+# a frozen 2-D loop whose random search polishes its best node, so the
+# polished pick runs in two dimensions
+echo '{"problem": "ripple2d", "sizes": [12, 6], "budget": 10, "search": {"kind": "random", "n": 64, "seed": 1, "polish": true}, "out": "polish-sequential"}' > polish-sequential.json
 # the only frozen loop with three levels, choosing by cost per variance
 echo '{"problem": "chain3", "sizes": [10, 6, 3], "budget": 12, "rule": "cost-weighted", "out": "cost-weighted-sequential"}' > cost-weighted-sequential.json
 for command in fit predict sequential report; do
@@ -53,4 +56,5 @@ done
 "$@" fit --config matern-fit.json --quiet
 "$@" sequential --config matern-sequential.json --quiet
 "$@" sequential --config uniform-sequential.json --quiet
+"$@" sequential --config polish-sequential.json --quiet
 "$@" sequential --config cost-weighted-sequential.json --quiet

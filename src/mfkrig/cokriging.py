@@ -25,8 +25,9 @@ and rho factors of the variance recursion, and ``_variance_recursion``
 and ``_contributions`` turn those into the per-level variances and
 contributions, for ``predict``, ``hypothetical_variance_after`` and the
 kept node sets of the sequential loop alike. A frozen ``refit`` appends
-factor rows for the appended design points, so the loop's node sets
-can continue their kept solves.
+factor rows for the appended design points and records the factor each
+level grew from, so the loop's node sets continue their kept solves by
+that lineage.
 A model keeps its fit settings and its levels by search key
 (``_fit_on``), so a reestimating refit (``_fit_levels``) fits as the
 model was fitted and searches and solves again only the levels whose
@@ -34,7 +35,7 @@ likelihood inputs changed. Per-level variance contributions come from
 telescoping the recursion; they power the sequential level rules.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -239,7 +240,10 @@ class FittedLevel:
     keeps z_{t-1}(D_t) so the residual can be rebuilt after enrichment.
     ``nll`` is the concentrated NLL at the level's lengthscales on its own
     data, also after a frozen refit; it is nan only for given coefficients
-    (``from_parameters``, hence ``testbed.load_model``).
+    (``from_parameters``, hence ``testbed.load_model``). ``grown_from``
+    is the factor a frozen refit grew ``chol`` from by appended rows
+    (``chol`` itself when none was appended), else None: the lineage by
+    which the loop's node sets continue their solves.
     """
 
     design: np.ndarray
@@ -254,6 +258,8 @@ class FittedLevel:
     alpha: np.ndarray
     nll: float
     lower_values: np.ndarray | None = None
+    grown_from: np.ndarray | None = field(default=None, repr=False,
+                                          compare=False)
 
     @property
     def lengthscales(self) -> np.ndarray:
@@ -442,10 +448,14 @@ def _variance_terms(levels, factors, X):
 
 def _variance_recursion(bases, rhos) -> list:
     """Per-level variances, level 1 first: var_1 = base_1,
-    var_t = rho_{t-1}^2 var_{t-1} + base_t."""
+    var_t = rho_{t-1}^2 var_{t-1} + base_t, in that operation order, each
+    level in one new array."""
     variances = [bases[0]]
     for k in range(1, len(bases)):
-        variances.append(rhos[k - 1] ** 2 * variances[k - 1] + bases[k])
+        var = np.square(rhos[k - 1])
+        var *= variances[k - 1]
+        var += bases[k]
+        variances.append(var)
     return variances
 
 
@@ -567,9 +577,11 @@ class MultiFidelityModel:
         stored solves rebuilt. Used by enrichment in frozen mode. A
         level whose new design extends its old one bit for bit keeps its
         factor and appends one row per new point (``kriging._append_rows``),
-        so the factor's leading block stays bit for bit the old factor;
-        any other design is refactored. Each level's ``nll`` is taken on
-        the new data (``FittedLevel``). Too few points raise ValueError.
+        so the factor's leading block stays bit for bit the old factor,
+        and records the old factor as its lineage
+        (``FittedLevel.grown_from``); any other design is refactored and
+        has none. Each level's ``nll`` is taken on the new data
+        (``FittedLevel``). Too few points raise ValueError.
 
         The grown factor depends on the path: it equals a fresh
         factorization of the same design (``from_parameters``, hence
@@ -588,6 +600,7 @@ class MultiFidelityModel:
             terms = _solve_level(lik, lev.lengthscales, grown_from=grown_from)
             levels.append(_assemble_level(config, inputs, lev.kernel, terms,
                                           sigma2=lev.sigma2))
+            levels[-1].grown_from = grown_from
         model = MultiFidelityModel(levels, data, self.configs)
         model._fit_settings = self._fit_settings
         model._searches = self._searches

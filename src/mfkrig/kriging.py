@@ -24,12 +24,13 @@ so a round-off level has the smooth objective
 The factor is fresh, from a kernel evaluation that also gives the
 gradient weight, or, for a frozen refit, the old factor grown by the
 appended rows (``_append_rows``), whose leading block stays bit for bit.
-Every search evaluation is one fresh solve, and the best is the fitted
-level. The nugget joins a factored diagonal in ``_factor_in_place``
-alone. ``variance_factor`` gives the 1 - r(x)' R^{-1} r(x) of the
-plug-in posterior variance (no trend-estimation inflation term) by the
-row recursion ``_solve_rows``, so a solve kept on fixed nodes and
-continued over appended rows equals a fresh one bit for bit. The level
+Each distinct vector a search evaluates is one fresh solve, and the
+best is the fitted level. The nugget joins a factored diagonal in
+``_factor_in_place`` alone. ``variance_factor`` gives the
+1 - r(x)' R^{-1} r(x) of the plug-in posterior variance (no
+trend-estimation inflation term) by the row recursion ``_solve_rows``,
+so a solve kept on fixed nodes and continued over appended rows equals
+a fresh one bit for bit. The level
 posteriors are formed in ``cokriging``; a single-level model is a
 1-level ``fit_multifidelity``.
 
@@ -81,6 +82,11 @@ _VARIANCE_SLACK = 1e-9
 # block reads (n * 1024 * 8 bytes) stay in cache up to n of a few
 # hundred.
 _COLUMN_BLOCK = 1024
+
+# Up to this many elements of V read by one row (2 MiB), or for a single
+# row, the recursion runs row by row over the full width; beyond it,
+# block by block, so a block's rows stay in cache across rows.
+_ROW_ORDER_ELEMENTS = 1 << 18
 
 _DEFAULT_RESTARTS = 5
 
@@ -187,14 +193,32 @@ def _solve_rows(chol_lower, c, v, s, start) -> None:
     bit for bit. The factor's rows are copied contiguous first: BLAS
     sums a strided vector in another order than a contiguous one, and
     the result must not depend on the factor's memory order. The
-    columns run in blocks of ``_COLUMN_BLOCK``, fixed by the column
-    count alone, so the rows of V a block reads stay in cache.
+    product L[i, :i] V[:i] is one gemv per block of ``_COLUMN_BLOCK``
+    columns, fixed by the column count alone, as a gemv's bits depend on
+    its width. The rest is elementwise, so the loop order leaves the
+    bits alone: one row (an append) or a V of at most
+    ``_ROW_ORDER_ELEMENTS`` read per row runs row by row, with one
+    subtract, scale and square-accumulate over the full width; a larger
+    fresh solve runs block by block, so the rows of V a block reads stay
+    in cache.
     """
-    stop = start + len(c)
+    stop, width = start + len(c), c.shape[1]
     rows = np.ascontiguousarray(chol_lower[start:stop])
     inverses = 1.0 / chol_lower.diagonal()[start:stop]
-    for j in range(0, c.shape[1], _COLUMN_BLOCK):
-        block = slice(j, j + _COLUMN_BLOCK)
+    blocks = [slice(j, j + _COLUMN_BLOCK)
+              for j in range(0, width, _COLUMN_BLOCK)]
+    if len(c) == 1 or stop * width <= _ROW_ORDER_ELEMENTS:
+        square = np.empty(width)
+        for i, c_i, l_i, inverse in zip(range(start, stop), c, rows, inverses):
+            v_i, l_i = v[i], l_i[:i]
+            for block in blocks:
+                np.matmul(l_i, v[:i, block], out=v_i[block])
+            np.subtract(c_i, v_i, out=v_i)
+            v_i *= inverse
+            np.multiply(v_i, v_i, out=square)
+            s += square
+        return
+    for block in blocks:
         v_block, s_block = v[:, block], s[block]
         for i, c_i, l_i, inverse in zip(range(start, stop), c[:, block],
                                         rows, inverses):
@@ -205,15 +229,18 @@ def _solve_rows(chol_lower, c, v, s, start) -> None:
 
 
 def _clamped_factor(s) -> np.ndarray:
-    """1 - s clamped at 0; a factor below the round-off slack is a bug."""
+    """1 - s clamped at 0; a factor below the round-off slack is a bug.
+    One minimum checks all factors; a nan minimum looks again, so a nan
+    hides no bad factor."""
     factor = 1.0 - s
-    bad = factor < -_VARIANCE_SLACK
-    if np.any(bad):
-        raise InternalConsistencyError(
-            f"predicted variance factor {factor[bad].min():.3e} is below "
-            f"-{_VARIANCE_SLACK:g}; round-off alone cannot explain this"
-        )
-    return np.maximum(factor, 0.0)
+    if factor.size and not factor.min() >= -_VARIANCE_SLACK:
+        bad = factor[factor < -_VARIANCE_SLACK]
+        if bad.size:
+            raise InternalConsistencyError(
+                f"predicted variance factor {bad.min():.3e} is below "
+                f"-{_VARIANCE_SLACK:g}; round-off alone cannot explain this"
+            )
+    return np.maximum(factor, 0.0, out=factor)
 
 
 def variance_factor(chol_lower: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -461,17 +488,18 @@ def _ml_fit(lik: _Likelihood, box, starts):
     ``starts`` (``_draw_starts``). It draws nothing, so its result
     depends on its arguments alone. The gradient's input from the design,
     its ``_squared_differences``, is built here once per search, so no
-    solve outside a search pays for it. Each distinct start is evaluated
-    once and each run answers its first call from that evaluation.
-    scipy's first step on a boxed problem is the full projected -g, so
-    each run divides objective and gradient by max(1, |g(z0)| /
-    ``_FIRST_STEP``): its first step moves at most that far.
+    solve outside a search pays for it. The search keeps every
+    evaluation, (nll, gradient) or None, by the bytes of z, so each
+    distinct z is solved once: a start, a point two runs reach (often a
+    corner of the box) or a z scipy asks about again. A repeat is never
+    strictly better, so the best point is the one a search without the
+    memo finds. scipy's first step on a boxed problem is the full
+    projected -g, so each run divides objective and gradient by max(1,
+    |g(z0)| / ``_FIRST_STEP``): its first step moves at most that far.
 
     Each run is one call of the public ``scipy.optimize.minimize``, which
-    a tracer can wrap, with value and gradient as two callables: both
-    answer from the evaluation at the last z scipy asked about, keyed by
-    the bytes of z, and evaluate only at another z. One ``Bounds`` of the
-    box serves every run.
+    a tracer can wrap, with value and gradient as two callables that
+    answer from the memo. One ``Bounds`` of the box serves every run.
 
     Returns the kernel and the ``_solve_level`` of the best point the
     runs evaluated, never worse than the best start, and logs one DEBUG
@@ -502,33 +530,35 @@ def _ml_fit(lik: _Likelihood, box, starts):
             best[:] = nll, z.copy(), terms
         return nll, _nll_gradient(lik, theta, terms, sq_diff)
 
-    at_start = {}  # (z, evaluation) by the bytes of the clipped start z
+    memo = {}  # evaluation by the bytes of z, across the whole search
+
+    def at(z):
+        key = z.tobytes()
+        if key not in memo:
+            memo[key] = evaluate(z)
+        return memo[key]
+
+    clipped = {}  # each distinct clipped start by its bytes
     for z0 in starts:
         z = np.clip(z0, log_lo, log_hi)
-        if z.tobytes() not in at_start:
-            at_start[z.tobytes()] = (z, evaluate(z))
+        clipped.setdefault(z.tobytes(), z)
+        at(z)
     if best[1] is None:
         raise FitFailedError(
             f"all {len(starts)} likelihood starts were ill-conditioned"
         )
     bounds = Bounds(log_lo, log_hi)
-    for key0, (z0, first) in at_start.items():
+    for z0 in clipped.values():
+        first = at(z0)
         if first is None:
             continue
         scale = max(1.0, float(np.linalg.norm(first[1])) / _FIRST_STEP)
-        last = [key0, first]  # bytes of the last z asked about, evaluation
 
-        def at(z, key0=key0, first=first, last=last):
-            key = z.tobytes()
-            if key != last[0]:
-                last[:] = key, first if key == key0 else evaluate(z)
-            return last[1]
-
-        def value(z, at=at, scale=scale):
+        def value(z, scale=scale):
             v = at(z)
             return np.inf if v is None else v[0] / scale
 
-        def gradient(z, at=at, scale=scale):
+        def gradient(z, scale=scale):
             v = at(z)
             return np.zeros_like(z) if v is None else v[1] / scale
 

@@ -27,14 +27,19 @@ keeps its factor. The top-level variance is formed from the kept
 factors by ``predict``'s terms and recursion
 (``cokriging._variance_terms``, ``_variance_recursion``), and the loop
 chooses the level at a search node from the same kept state by
-``choose_level``'s rule. Reestimated lengthscales rebuild a level. V_t
-lives in a buffer whose row capacity doubles: at most 2 * n_t * m * 8
-bytes per level and node set. Node sets exist to keep solves between
-iterations; points evaluated once go through ``predict``. A Uniform
-search may polish its best node (``polish="best"``) or every node
-(``"all"``, a multistart) with a local solver on
-``-predict(x).variance``, and the polished points, fresh on every call,
-are scored by ``predict`` too, and so is the level choice at them.
+``choose_level``'s rule. A level continues its kept solve by lineage
+(``FittedLevel.grown_from``), not by comparing bytes. Reestimated
+lengthscales rebuild a level. V_t lives in a buffer that ``run_loop``
+sizes once per run for a bound on the level's rows, n_t + budget //
+cost_through(t), when that takes at most ``_RESERVE_BYTES`` (64 MiB)
+per level and node set; beyond it, and outside a loop, the row capacity
+doubles, to at most 2 * n_t * m * 8 bytes. Node sets exist to keep
+solves between iterations; points evaluated once go through
+``predict``. A Uniform search may polish its best node
+(``polish="best"``) or every node (``"all"``, a multistart) with a
+local solver on ``-predict(x).variance``, and the polished points,
+fresh on every call, are scored by ``predict`` too, and so is the level
+choice at them; they join the kept set's best node under its tie rule.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from .csvio import fmt, parse_row, read_csv
 from .exceptions import ParseError
 from .kernels import (
     extends,
+    same_points,
     _as_points,
     _check_level,
     _is_integer,
@@ -241,40 +247,59 @@ def product_grid(bounds, n, midpoints=False) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+# The most bytes a loop reserves for one level's V on one node set; a
+# larger bound, or a node set used outside a loop, doubles instead.
+_RESERVE_BYTES = 1 << 26
+
+
 class _Solve:
     """One level's kept variance solve on a node set: the kernel, design
     and factor it was solved against, the nodes divided by the kernel's
-    lengthscales, V = L^{-1} C in the leading rows of a buffer whose
-    capacity doubles, the running sum s of squares of those rows, and
-    the clamped factor 1 - s. A new kernel or design makes a new one;
-    ``grow`` solves appended rows and recomputes the factor."""
+    lengthscales, V = L^{-1} C in the leading rows of a buffer, the
+    running sum s of squares of those rows, and the clamped factor
+    1 - s. The buffer is allocated once with ``reserve`` rows when the
+    loop gives a bound on the level's rows (``_Nodes.reserve``), and
+    doubles its capacity when more rows are needed. A new kernel or
+    design makes a new one; ``grow`` solves appended rows and recomputes
+    the factor."""
 
-    def __init__(self, level, points):
+    def __init__(self, level, points, reserve=0):
         self.kernel, self.chol = level.kernel, None
         self.design = level.design[:0]  # no rows solved yet
         self.scaled, = _scaled(level.kernel, points)
+        self.reserve = reserve
         self.v = np.empty((0, len(points)))
         self.s = np.zeros(len(points))
         self.factor = None
 
     def continues(self, level) -> bool:
-        """True when ``level`` grew from the kept state by appended rows:
-        same kernel, and design and factor extend the kept ones bit for
-        bit, so only the new rows of V are missing."""
-        kernel, n = level.kernel, len(self.design)
+        """True when only rows of V for appended design points are
+        missing: ``level`` holds the kept factor or a frozen refit grew
+        it from that factor (``FittedLevel.grown_from``), keeping the
+        kernel and extending design and factor bit for bit. A level
+        without that lineage continues only when its kernel, design and
+        factor equal the kept ones; a grown one is rebuilt, to the same
+        bits."""
+        chol = self.chol
+        if chol is None:
+            return False
+        if level.chol is chol or level.grown_from is chol:
+            return True
+        kernel = level.kernel
         return (kernel.family == self.kernel.family
                 and kernel.lengthscales.tobytes()
                 == self.kernel.lengthscales.tobytes()
-                and extends(level.design, self.design)
-                and (level.chol is self.chol
-                     or extends(level.chol[:, :n], self.chol)))
+                and level.chol.shape == chol.shape
+                and level.design.tobytes() == self.design.tobytes()
+                and level.chol.tobytes() == chol.tobytes())
 
     def grow(self, level, nodes):
         """Solve the rows of the design points new since the last call;
         the nodes' index finds the nodes that take the matched nugget."""
         n, design = len(self.design), level.design
         if len(design) > len(self.v):
-            v = np.empty((max(2 * len(self.v), len(design)), len(self.s)))
+            v = np.empty((max(2 * len(self.v), len(design), self.reserve),
+                          len(self.s)))
             v[:n] = self.v[:n]
             self.v = v
         new = design[n:]
@@ -295,13 +320,12 @@ class _Nodes:
     The sorted first coordinates index the points, so a point's equal
     nodes are found by bisection (``matches``). Per level it keeps the
     variance solve V_t = L_t^{-1} R_t(D_t, nodes) with the running sum of
-    its squared rows and the clamped factor (``_Solve``): when the design
-    grew by appended rows under the same kernel and its factor by
-    appended rows (a frozen refit), only the new rows are solved, and any
-    other change rebuilds the level. The mask of nodes equal to an
-    excluded point grows the same way. The row recursion and the terms
-    of the variance recursion are ``predict``'s own
-    (``kriging._solve_rows``, ``cokriging._variance_terms``), so
+    its squared rows and the clamped factor (``_Solve``): when a frozen
+    refit grew the level from the kept factor by appended rows, only the
+    new rows are solved, and any other change rebuilds the level. The
+    mask of nodes equal to an excluded point grows the same way. The row
+    recursion and the terms of the variance recursion are ``predict``'s
+    own (``kriging._solve_rows``, ``cokriging._variance_terms``), so
     ``top_variance`` equals ``predict(points).variances[-1]`` bit for
     bit, and ``breakdown`` its variance and contributions at a node. A
     set of one node keeps nothing: its variance is ``predict``'s, which
@@ -319,7 +343,15 @@ class _Nodes:
         self._sorted = points if self.order is None else points[order]
         self._first = self._sorted[:, 0].copy()
         self._solves = {}  # level index -> _Solve
+        self._reserve = {}  # level index -> rows to reserve
         self._excluded = None  # (excluded points, node mask)
+
+    def reserve(self, rows) -> None:
+        """Size each level's V buffer for a bound on the level's design
+        rows, ``rows[k]`` for level index k, when the bound's V fits in
+        ``_RESERVE_BYTES``; each solve then allocates once."""
+        cap = _RESERVE_BYTES // (8 * len(self.points))
+        self._reserve = {k: r for k, r in enumerate(rows) if r <= cap}
 
     def matches(self, points):
         """(rows, nodes): the index pairs of each row of ``points`` and
@@ -348,7 +380,8 @@ class _Nodes:
         if solve is None or not solve.continues(level):
             # rebinding both names releases the stale solve before the
             # rebuild allocates
-            solve = self._solves[k] = _Solve(level, self.points)
+            solve = self._solves[k] = _Solve(level, self.points,
+                                             self._reserve.get(k, 0))
         if len(level.design) > len(solve.design):
             solve.grow(level, self)
         return solve.factor
@@ -450,20 +483,30 @@ def _polish(model, domain, starts) -> np.ndarray:
 def _argmax(model, domain, nodes, exclude):
     """(point, node index) of ``argmax_variance`` on a resolved node set;
     the index is None for a polished point, and both are None when
-    nothing survives the exclusion."""
+    nothing survives the exclusion.
+
+    The polished points, in order after the nodes, join the kept set's
+    ``best`` under its tie rule: the larger variance wins, and an exact
+    tie goes to the lexicographically smaller point, then to the
+    earlier candidate, so a node beats a polished point equal to it."""
     variances = nodes.top_variance(model)
-    candidates = nodes
+    j = nodes.best(variances, exclude)
+    best = None if j is None else (variances[j], nodes.points[j], j)
     if nodes.polish:
         starts = (nodes.points if nodes.polish == "all"
                   else nodes.points[nodes.best(variances)])
         polished = _polish(model, domain, starts)
-        variances = np.concatenate(
-            [variances, model.predict(polished).variances[-1]])
-        candidates = _Nodes(np.vstack([nodes.points, polished]))
-    j = candidates.best(variances, exclude)
-    if j is None:
-        return None, None
-    return candidates.points[j], (j if j < len(nodes.points) else None)
+        # scored together, as a batch's bits can depend on its width
+        scores = model.predict(polished).variances[-1]
+        kept = np.ones(len(polished), dtype=bool)
+        if exclude is not None and np.size(exclude):
+            kept = ~same_points(polished, _as_points(
+                exclude, domain.dimension)).any(axis=1)
+        for x, v in zip(polished[kept], scores[kept]):
+            if best is None or v > best[0] or (
+                    v == best[0] and tuple(x) < tuple(best[1])):
+                best = v, x, None
+    return (None, None) if best is None else best[1:]
 
 
 def argmax_variance(model, domain: Domain, search=None, exclude=None):
@@ -743,9 +786,14 @@ def run_loop(model, domain: Domain, cost: CostModel, budget,
                                    simulators, rule, refit)
 
     # Resolved once, so each level's kept node state carries over
-    # between iterations.
+    # between iterations. Level t gains a row only by a run costing at
+    # least cost_through(t), which bounds its rows for the whole run.
     quadrature = _node_set(domain, quadrature, True)
     search = _node_set(domain, search, False)
+    rows = [len(design) + int(budget // cost.cost_through(t))
+            for t, design in enumerate(model.data.designs, start=1)]
+    quadrature.reserve(rows)
+    search.reserve(rows)
     trace = EnrichmentTrace(dimension=domain.dimension,
                             levels=model.level_count)
     cum = 0.0

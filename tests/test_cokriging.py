@@ -394,6 +394,14 @@ def test_contributions_sum_to_top_variance():
     assert np.all(out.contributions >= 0)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_predict_on_no_points_gives_empty_rows(d):
+    model = fixed_two_level_model(two_level_data(seed=2, d=d), d=d)
+    out = model.predict(np.empty((0, d)))
+    for a in (out.means, out.variances, out.contributions):
+        assert a.shape == (2, 0) and a.dtype == float
+
+
 def test_predict_single_point_matches_batch_column():
     data = two_level_data(seed=2)
     model = fixed_two_level_model(data)

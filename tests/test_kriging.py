@@ -638,6 +638,24 @@ def test_search_is_bit_identical_to_the_memoized_minimize_call(monkeypatch,
     assert (sigma2 == lik.sigma2_floor) == (case == 0)
 
 
+@pytest.mark.parametrize("case", [0, 1, 6, 12, 18])
+def test_a_search_solves_each_distinct_vector_once(monkeypatch, case):
+    # in these searches runs meet at vectors another run or start met,
+    # mostly a corner of the box; the oracle solves them again
+    lik, box, starts, ill_conditioned = _oracle_level(case)
+    keys = _spy_evaluations(monkeypatch, ill_conditioned)
+    kernel, terms = kriging._ml_fit(lik, box, starts)
+    assert len(keys) == len(set(keys))
+    searched = len(keys)
+    want_kernel, want = memoized_ml_fit(lik, box, starts)
+    oracle = keys[searched:]
+    assert len(oracle) > len(set(oracle)) == searched
+    assert set(oracle) == set(keys[:searched])
+    assert kernel.lengthscales.tobytes() == want_kernel.lengthscales.tobytes()
+    for got, expected in zip(terms[:5], want[:5]):
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
 @pytest.mark.parametrize("bounds, distinct", [
     (None, 4),          # four distinct starts
     ((0.37, 0.37), 1),  # a degenerate box clips every start to one vector
@@ -788,6 +806,17 @@ def test_variance_clamp_raises_beyond_slack():
     lo = np.linalg.cholesky(np.array([[1.0]]))
     with pytest.raises(InternalConsistencyError):
         variance_factor(lo, np.array([[1.4]]))
+
+
+def test_variance_clamp_sees_a_bad_factor_beside_a_nan():
+    # the factors are 1 - s: nan and -1.0
+    with pytest.raises(InternalConsistencyError, match="-1.000e"):
+        kriging._clamped_factor(1.0 - np.array([np.nan, -1.0]))
+    # a nan alone passes through, a round-off negative clamps to 0, and
+    # no columns give no factors
+    got = kriging._clamped_factor(1.0 - np.array([np.nan, -1e-10, 0.25]))
+    assert np.isnan(got[0]) and got[1:].tolist() == [0.0, 0.25]
+    assert kriging._clamped_factor(np.zeros(0)).shape == (0,)
 
 
 # ------------------------------------------------------------ validation

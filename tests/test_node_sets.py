@@ -475,3 +475,160 @@ def test_fully_excluded_search_returns_none_and_stops_the_loop():
     again, empty = run_loop(final, UNIT1, cost, 200.0, simulators,
                             search=Grid(5), quadrature=Grid(16))
     assert again is final and len(empty) == 0 and empty.complete
+
+
+# ---------------------------------------------------------------------------
+# the loop's reserve and the lineage of a kept solve
+
+
+def test_a_budgeted_frozen_loop_allocates_each_kept_solve_once():
+    model, bounds, cost, simulators = _setup("ripple2d", [12, 5])
+    domain = Domain(bounds)
+    search = sequential._node_set(domain, Grid(21), False)
+    quadrature = sequential._node_set(domain, Grid(12), True)
+    buffers = []
+
+    def first_level(x):  # records the kept buffers at every iteration
+        buffers.append([nodes._solves[k].v for nodes in (search, quadrature)
+                        for k in (0, 1)])
+        return simulators[0](x)
+
+    budget = 24
+    final, trace = run_loop(model, domain, cost, budget,
+                            [first_level, simulators[1]], search=search,
+                            quadrature=quadrature)
+    assert len(trace) > 1 and {e.level for e in trace.entries} == {1, 2}
+    rows = [12 + budget // 1, 5 + budget // 4]  # cost_through: 1, then 4
+    assert search._reserve == quadrature._reserve == dict(enumerate(rows))
+    kept = [nodes._solves[k].v for nodes in (search, quadrature)
+            for k in (0, 1)]
+    assert [len(v) for v in kept] == rows * 2
+    for seen in buffers:
+        assert all(a is b for a, b in zip(seen, kept))
+    assert all(len(d) <= r for d, r in zip(final.data.designs, rows))
+
+
+def test_a_huge_budget_reserves_nothing_and_gives_the_trace():
+    model, _, cost, simulators = _setup("forrester", [8, 4])
+    search = sequential._node_set(UNIT1, Grid(5), False)
+    quadrature = sequential._node_set(UNIT1, Grid(16), True)
+    # the grid runs out of nodes long before the budget, so the bound on
+    # the rows is far above the cap and the buffers double as needed
+    final, trace = run_loop(model, UNIT1, cost, 1e12, simulators,
+                            search=search, quadrature=quadrature)
+    assert trace.complete and len(trace) == 5
+    assert search._reserve == quadrature._reserve == {}
+    for nodes in (search, quadrature):
+        for solve in nodes._solves.values():
+            assert solve.v.nbytes <= sequential._RESERVE_BYTES
+            assert len(solve.v) < 2 * len(solve.design)
+    assert _trace_digest(final, trace) == (
+        "5c207c3c1a7d8c19ccd6f34084aa27bd047e65ba014aa2db315b913304ac4e50")
+
+
+def _parameters(model):
+    """The ``LevelParameters`` of each of ``model``'s levels."""
+    return [LevelParameters(lev.lengthscales, lev.sigma2, lev.beta,
+                            rho_beta=lev.rho_beta) for lev in model.levels]
+
+
+def test_a_level_without_lineage_rebuilds_its_kept_solve(correlation_rows):
+    model, _, _, simulators = _setup("forrester", [8, 4])
+    nodes = sequential._node_set(UNIT1, Grid(33), False)
+    nodes.top_variance(model)
+    x = nodes.points[7]
+    grown = enrich(model, x, 2, values=[s(x[None, :])[0] for s in simulators])
+    # a frozen refit records the factor it grew each level from
+    assert all(new.grown_from is old.chol
+               for new, old in zip(grown.levels, model.levels))
+    # the same grown data and parameters, factored afresh: no lineage
+    fresh = MultiFidelityModel.from_parameters(grown.data, grown.configs,
+                                               _parameters(grown))
+    assert all(lev.grown_from is None for lev in fresh.levels)
+    got = nodes.top_variance(fresh)
+    assert correlation_rows == [8, 4, 9, 5]
+    assert (got == fresh.predict(nodes.points).variances[-1]).all()
+    # the grown model, whose factors the fresh ones do not descend from,
+    # rebuilds too, and a frozen refit of it continues by one row each
+    got = nodes.top_variance(grown)
+    assert correlation_rows == [8, 4, 9, 5, 9, 5]
+    assert (got == grown.predict(nodes.points).variances[-1]).all()
+    x = nodes.points[20]
+    again = enrich(grown, x, 2, values=[s(x[None, :])[0] for s in simulators])
+    got = nodes.top_variance(again)
+    assert correlation_rows == [8, 4, 9, 5, 9, 5, 1, 1]
+    assert (got == again.predict(nodes.points).variances[-1]).all()
+
+
+def test_two_refits_of_one_model_do_not_continue_each_other(correlation_rows):
+    model, _, _, simulators = _setup("forrester", [8, 4])
+    nodes = sequential._node_set(UNIT1, Grid(33), False)
+    nodes.top_variance(model)
+    branches = []
+    for j in (7, 20):
+        x = nodes.points[j]
+        branches.append(enrich(model, x, 1,
+                               values=[simulators[0](x[None, :])[0]]))
+    for branch in branches:
+        got = nodes.top_variance(branch)
+        assert (got == branch.predict(nodes.points).variances[-1]).all()
+    # the first branch appends a row to the kept level-1 solve; the
+    # second grew from the same factor, not from the first branch's
+    assert correlation_rows == [8, 4, 1, 9]
+
+
+# ---------------------------------------------------------------------------
+# the polished pick against a second node set of nodes and polished points
+
+
+def _reference_argmax(model, domain, nodes, exclude):
+    """``_argmax`` as it picked before: the best of one node set holding
+    the nodes and then the polished points."""
+    variances = nodes.top_variance(model)
+    starts = (nodes.points if nodes.polish == "all"
+              else nodes.points[nodes.best(variances)])
+    polished = sequential._polish(model, domain, starts)
+    candidates = sequential._Nodes(np.vstack([nodes.points, polished]))
+    j = candidates.best(np.concatenate(
+        [variances, model.predict(polished).variances[-1]]), exclude)
+    if j is None:
+        return None, None
+    return candidates.points[j], (j if j < len(nodes.points) else None)
+
+
+@pytest.mark.parametrize("polish, onto", [
+    ("all", "starts"),    # every polished point a node: every tie exact
+    ("best", "starts"),   # the best node polished onto itself
+    ("best", "first"),    # the best node polished onto the first node
+    ("best", "top"),      # onto the lexicographically largest node
+], ids=["all-onto-starts", "best-onto-itself", "best-onto-first",
+        "best-onto-top"])
+def test_a_polished_point_on_a_node_is_picked_as_before(monkeypatch, polish,
+                                                        onto):
+    model, bounds, _, _ = _setup("ripple2d", [12, 5])
+    domain = Domain(bounds)
+    nodes = sequential._node_set(domain, Uniform(40, seed=2, polish=polish),
+                                 False)
+    order = np.lexsort(nodes.points.T[::-1])
+
+    def polish_onto_a_node(model, domain, starts):
+        starts = np.atleast_2d(starts)
+        if onto == "starts":
+            return starts.copy()
+        node = nodes.points[order[0 if onto == "first" else -1]]
+        return np.repeat(node[None], len(starts), axis=0)
+
+    monkeypatch.setattr(sequential, "_polish", polish_onto_a_node)
+    variances = nodes.top_variance(model)
+    first = nodes.best(variances)
+    for exclude in (None, model.data.designs[0],
+                    np.vstack([model.data.designs[0], nodes.points[first]])):
+        got = sequential._argmax(model, domain, nodes, exclude)
+        want = _reference_argmax(model, domain, nodes, exclude)
+        assert got[1] == want[1]
+        assert got[0].tobytes() == want[0].tobytes()
+        if polish == "all":  # a node wins the tie with its polished copy
+            assert got[1] == nodes.best(variances, exclude)
+    # with the best node excluded, its polished copy is excluded too
+    got = sequential._argmax(model, domain, nodes, nodes.points[[first]])
+    assert not (got[0] == nodes.points[first]).all()
