@@ -30,7 +30,7 @@ from mfkrig import (
     MultiFidelityModel,
     nested_lhs,
 )
-from mfkrig.kernels import NUGGET, correlation_matrix, same_points
+from mfkrig.kernels import NUGGET, PointIndex, correlation_matrix
 
 # the stacked formulation is the test suite's oracle, not a package module
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -70,7 +70,8 @@ for t in range(3):
     if t == 0:
         observations.append(own)
     else:
-        idx = np.argmax(same_points(designs[t], designs[t - 1]), axis=1)
+        # the row of each nested point in the level below
+        idx = PointIndex(designs[t - 1]).matches(designs[t])[1]
         observations.append(rhos[t][0] * observations[t - 1][idx] + own)
 
 data = MultiFidelityData(designs, observations)

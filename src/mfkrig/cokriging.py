@@ -17,8 +17,8 @@ leading coefficient block is beta_rho. Prediction recurses bottom-up:
     var_t(x)  = rho_{t-1}(x)^2 var_{t-1}(x) + sigma_t^2 (1 - r_t(x)' R_t^{-1} r_t(x))
 
 Each level's posterior is formed here from its correlations
-R_t(D_t, x) with the matched nugget (``kernels.probe_correlation``) and
-its variance factor 1 - r' R_t^{-1} r from
+R_t(D_t, x) with the matched nugget (``kernels.probe_correlation`` on
+the data's ``PointIndex`` of D_t) and its variance factor 1 - r' R_t^{-1} r from
 ``kriging.variance_factor`` (the row recursion, or one dtrtrs for a
 single point); ``_variance_terms`` turns the factors into the bases
 and rho factors of the variance recursion, and ``_variance_recursion``
@@ -44,11 +44,10 @@ from .kernels import (
     CONSTANT,
     BasisSpec,
     KernelSpec,
+    PointIndex,
     basis_matrix,
     extends,
-    first_repeat,
     probe_correlation,
-    same_points,
     _as_points,
     _check_level,
     _is_number,
@@ -119,20 +118,23 @@ def _check_levels(data, configs, parameters=None) -> None:
 
 
 def validate_nesting(designs):
-    """Check exact point-identity nesting of a design sequence.
+    """Check exact point-identity nesting (``PointIndex``) of designs read
+    as ``MultiFidelityData`` reads them: None when every level's points
+    are points of the level below, else the first violation as (1-based
+    level, 0-based point index)."""
+    return _check_nesting([PointIndex(dd) for dd in designs])[0]
 
-    Returns None when every level's points appear bit-for-bit in the
-    level below; otherwise the first violation as (level, point index)
-    with 1-based level and 0-based index.
-    """
-    arrays = [np.asarray(a, dtype=float) for a in designs]
-    arrays = [a[:, None] if a.ndim == 1 else a for a in arrays]
-    for t in range(1, len(arrays)):
-        missing = np.flatnonzero(
-            ~same_points(arrays[t], arrays[t - 1]).any(axis=1))
-        if missing.size:
-            return (t + 1, int(missing[0]))
-    return None
+
+def _check_nesting(indexes):
+    """(``validate_nesting``'s result, each upper level's rows below)."""
+    below = []
+    for t in range(1, len(indexes)):
+        rows, found = indexes[t - 1].matches(indexes[t].points)
+        nested = np.bincount(rows, minlength=len(indexes[t].points)) > 0
+        if not nested.all():
+            return (t + 1, int(np.argmin(nested))), below
+        below.append(found)
+    return None, below
 
 
 class MultiFidelityData:
@@ -144,7 +146,8 @@ class MultiFidelityData:
     equality of stored coordinates), never tolerance matching. Responses
     at a shared point may differ across levels; the codes are different.
     A repeated point within a level raises DuplicateDesignPointError;
-    every other broken rule raises ValueError.
+    every other broken rule (dimension 0 too) raises ValueError. Each
+    level's ``PointIndex`` (``indexes``) is built once; ``predict`` reuses it.
 
     Parameters
     ----------
@@ -167,6 +170,7 @@ class MultiFidelityData:
                                  f"{dd.shape[1]}, expected {d}")
         self.observations = [np.asarray(z, dtype=float).ravel()
                              for z in observations]
+        self.indexes = []
         for t, (dd, z) in enumerate(zip(self.designs, self.observations),
                                     start=1):
             if len(z) != len(dd):
@@ -181,11 +185,13 @@ class MultiFidelityData:
                 i = bad[0]
                 raise ValueError(f"level {t} value {z[i]} at point "
                                  f"{dd[i]} is not finite")
-            dup = first_repeat(dd)
-            if dup is not None:
+            self.indexes.append(PointIndex(dd))
+            if not self.indexes[-1].distinct:
+                rows, found = self.indexes[-1].matches(dd)
+                i = rows[found < rows][0]  # the first row equal to an earlier one
                 raise DuplicateDesignPointError(
-                    f"level {t}: design point {dd[dup]} duplicates an earlier one")
-        violation = validate_nesting(self.designs)
+                    f"level {t}: design point {dd[i]} duplicates an earlier one")
+        violation, self._below = _check_nesting(self.indexes)
         if violation is not None:
             t, i = violation
             raise ValueError(f"nesting violated: level {t} point {i} is not a "
@@ -202,13 +208,11 @@ class MultiFidelityData:
     def lower_level_values(self, level: int) -> np.ndarray:
         """Responses of level-1 code ``level - 1`` at the points of D_level.
 
-        Well-defined because of nesting. ``level`` is 1-based and must
-        be >= 2.
+        Well-defined because of nesting, whose check kept the rows;
+        ``level`` is 1-based and >= 2.
         """
         _check_level(level, self.levels, lowest=2)
-        rows = np.argmax(
-            same_points(self.designs[level - 1], self.designs[level - 2]), axis=1)
-        return self.observations[level - 2][rows]
+        return self.observations[level - 2][self._below[level - 2]]
 
     def with_point(self, x, values) -> "MultiFidelityData":
         """New data with ``x`` appended to levels 1..len(values).
@@ -484,6 +488,10 @@ class MultiFidelityModel:
 
     def __init__(self, levels, data: MultiFidelityData, configs):
         _check_levels(data, configs, levels)
+        for t, (lev, dd) in enumerate(zip(levels, data.designs), start=1):
+            if len(lev.design) != len(dd) or not extends(lev.design, dd):
+                raise ValueError(f"level {t} was fitted on another design "
+                                 "than the data's")
         self.levels = list(levels)
         self.data = data
         self.configs = list(configs)
@@ -525,8 +533,8 @@ class MultiFidelityModel:
         bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
         if bad.size:
             raise ValueError(f"probe point {X[bad[0]]} is not finite")
-        correlations = [probe_correlation(lev.kernel, lev.design, X)
-                        for lev in self.levels]
+        correlations = [probe_correlation(lev.kernel, index, X) for lev, index
+                        in zip(self.levels, self.data.indexes)]
         return X, correlations, [variance_factor(lev.chol, c)
                                  for lev, c in zip(self.levels, correlations)]
 

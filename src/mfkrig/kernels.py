@@ -10,6 +10,8 @@ Lengthscales are anisotropic (one per input dimension). Correlation
 matrices are exactly symmetric with unit diagonal; ``NUGGET`` is the
 diagonal term added wherever one is factorized. Each formula is written
 once, in ``_scaled_correlation``, which also gives the gradient weight.
+Point identity (bitwise equal coordinates), on which nesting, the
+duplicate rule and the matched nugget rest, lives in ``PointIndex``.
 """
 
 from dataclasses import dataclass
@@ -103,6 +105,8 @@ def _as_points(x, d=None) -> np.ndarray:
         raise ValueError("points must form a 2-d array")
     if d is not None and pts.shape[1] != d:
         raise ValueError(f"points have dimension {pts.shape[1]}, expected {d}")
+    if pts.shape[1] == 0:
+        raise ValueError("points need at least one coordinate")
     return pts
 
 
@@ -178,51 +182,67 @@ def correlation_matrix(spec: KernelSpec, points) -> np.ndarray:
     return r
 
 
-def same_points(xa, xb) -> np.ndarray:
-    """(na, nb) boolean matrix, True where xa[i] and xb[j] are the same point.
+def _lexicographic_order(columns):
+    """The rows' stable lexicographic order, or None when already in it."""
+    order = np.lexsort(columns.T[::-1])
+    return None if (order == np.arange(len(order))).all() else order
 
-    Point identity is bitwise equality of the float64 rows: -0.0 and 0.0
-    are different points and no tolerance applies. A (d,) vector is one
-    point; sets of different dimension share no points, and all rows of
-    dimension 0 are the same point.
-    """
-    a, b = (np.ascontiguousarray(_as_points(x)) for x in (xa, xb))
-    if a.shape[1] != b.shape[1] or a.shape[1] == 0:
-        return np.full((a.shape[0], b.shape[0]), a.shape[1] == b.shape[1])
-    key = np.dtype((np.void, a.itemsize * a.shape[1]))
-    return a.view(key) == b.view(key).T
+
+def _keys(points) -> np.ndarray:
+    """One bytes key per point, its coordinates as big-endian float64: equal
+    only for equal points, ordered as the rows of their bits as uint64."""
+    keys = np.ascontiguousarray(points, ">f8")
+    return keys.view((np.void, 8 * points.shape[1])).ravel()
+
+
+class PointIndex:
+    """The library's one point identity, built once per (n, d) point set:
+    points are the same when their float64 coordinates are bitwise equal
+    (-0.0 is not 0.0; no tolerance). Holds the points, their lexicographic
+    order (None when already in it, as a product grid is), their sorted
+    ``_keys`` (in ``_by_key`` order, None when already in it) and whether
+    no point repeats (``distinct``: no two sorted keys side by side equal)."""
+
+    def __init__(self, points):
+        self.points = points = np.ascontiguousarray(_as_points(points))
+        self.order = _lexicographic_order(points)
+        self._by_key = _lexicographic_order(points.view(np.uint64))
+        keys = _keys(points)
+        self._keys = keys if self._by_key is None else keys[self._by_key]
+        self.distinct = not (self._keys[1:] == self._keys[:-1]).any()
+
+    def matches(self, points):
+        """(rows, found): the index pairs of each row of ``points`` and each
+        indexed point bitwise equal to it, in row order; points of another
+        dimension match none. One bisection of the sorted keys finds, for
+        every row at once, the run of points equal to it."""
+        x = _as_points(points)
+        keys = _keys(x if x.shape[1] == self.points.shape[1] else self.points[:0])
+        lo = self._keys.searchsorted(keys)
+        count = self._keys.searchsorted(keys, "right") - lo
+        if self.distinct:  # a row equals one point at most
+            rows = count.nonzero()[0]
+            found = lo[rows]
+        else:
+            rows = np.repeat(np.arange(len(count)), count)
+            found = (lo - (count.cumsum() - count))[rows] + np.arange(len(rows))
+        return rows, found if self._by_key is None else self._by_key[found]
 
 
 def extends(points, prefix) -> bool:
     """True when the rows of ``prefix`` are the leading rows of ``points``,
-    bit for bit (the identity of ``same_points``, row by row)."""
+    bit for bit (the identity of ``PointIndex``, row by row)."""
     n = len(prefix)
     return (len(points) >= n and points.shape[1:] == prefix.shape[1:]
             and points[:n].tobytes() == prefix.tobytes())
-
-
-def first_repeat(points) -> int | None:
-    """Index of the first row that is the same point as an earlier row, or None.
-
-    Rows are compared by their bytes, the identity of ``same_points``.
-    """
-    pts = np.ascontiguousarray(_as_points(points))
-    raw, width = pts.tobytes(), pts.itemsize * pts.shape[1]
-    seen = set()
-    for i in range(pts.shape[0]):
-        row = raw[i * width:(i + 1) * width]
-        if row in seen:
-            return i
-        seen.add(row)
-    return None
 
 
 def add_matched_nugget(c: np.ndarray, xa, xb) -> np.ndarray:
     """Return a copy of ``c`` with NUGGET added where xa[i] equals xb[j] exactly.
 
     The nugget acts as a white-noise component of the process: it is
-    carried by a point, not a location, so only bitwise-identical rows
-    (the same stored point appearing in both sets) pick up the term.
+    carried by a point, not a location, so only rows ``PointIndex`` finds
+    identical (the same stored point in both sets) pick up the term.
     Keeps predictors evaluated at design points consistent with the
     nugget-regularized training matrix, so they interpolate exactly.
     """
@@ -231,25 +251,26 @@ def add_matched_nugget(c: np.ndarray, xa, xb) -> np.ndarray:
     out = np.array(c, dtype=float, copy=True)
     if out.shape != (a.shape[0], b.shape[0]):
         raise ValueError("matrix shape does not match the point sets")
-    out[same_points(a, b)] += NUGGET
+    out[PointIndex(a).matches(b)[::-1]] += NUGGET
     return out
 
 
-def probe_correlation(spec: KernelSpec, design, points) -> np.ndarray:
-    """R(design, points) with the matched nugget, shape (n, m): the
-    correlations every posterior in the library is formed from."""
-    return _probe_rows(spec.family, *_scaled(spec, design, points),
-                       same_points(design, points))
+def probe_correlation(spec: KernelSpec, index, points) -> np.ndarray:
+    """R(design, points) with the nugget where a point is a design point,
+    shape (n, m), for the design held by the ``PointIndex`` ``index``:
+    the correlations every posterior in the library is formed from."""
+    return _probe_rows(spec.family, *_scaled(spec, index.points, points),
+                       index.matches(points)[::-1])
 
 
-def _probe_rows(family, design, points, matches) -> np.ndarray:
-    """R(design, points) with NUGGET added at ``matches``, from point sets
-    already divided by the lengthscales: ``probe_correlation`` and a kept
-    node set (``sequential._Solve``) build their rows here. ``matches``
-    is the boolean (n, m) mask of ``same_points`` or its (rows, columns)
-    index pairs."""
+def _probe_rows(family, design, points, pairs) -> np.ndarray:
+    """R(design, points) with NUGGET added at the (design row, point)
+    index ``pairs`` of equal points, from point sets already divided by
+    the lengthscales: ``probe_correlation`` and a kept node set
+    (``sequential._Solve``) build their rows here."""
     out = _scaled_correlation(family, design, points)
-    out[matches] += NUGGET
+    if len(pairs[0]):  # most probes are no design point
+        out[pairs] += NUGGET
     return out
 
 

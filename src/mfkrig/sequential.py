@@ -12,9 +12,9 @@ node sets. Two specs describe them: ``Grid(n)``, a product grid with
 endpoints as a search and cell midpoints as a quadrature, and
 ``Uniform(n, seed, polish)``, seeded uniform draws; a quadrature on a
 weighted-sample measure is the measure's support. ``run_loop`` builds
-each once. A node set indexes its points once: their lexicographic
-order and sorted first coordinates, which bisection searches for the
-nodes equal to a point. Per level it keeps, between iterations, the
+each once. A node set indexes its points once (``kernels.PointIndex``,
+the library's one point identity), and bisection in that index finds
+the nodes equal to a point. Per level it keeps, between iterations, the
 nodes divided by the lengthscales, the solve V_t = L_t^{-1} R_t(D_t,
 nodes), the running sum of its squared rows and the clamped variance
 factor (m-vectors for m nodes). A frozen refit appends rows to each
@@ -58,8 +58,8 @@ from .cokriging import (
 from .csvio import fmt, parse_row, read_csv
 from .exceptions import ParseError
 from .kernels import (
+    PointIndex,
     extends,
-    same_points,
     _as_points,
     _check_level,
     _is_integer,
@@ -295,7 +295,7 @@ class _Solve:
 
     def grow(self, level, nodes):
         """Solve the rows of the design points new since the last call;
-        the nodes' index finds the nodes that take the matched nugget."""
+        the nodes' index bisects for those that take the matched nugget."""
         n, design = len(self.design), level.design
         if len(design) > len(self.v):
             v = np.empty((max(2 * len(self.v), len(design), self.reserve),
@@ -304,7 +304,7 @@ class _Solve:
             self.v = v
         new = design[n:]
         c = _probe_rows(level.kernel.family, *_scaled(level.kernel, new),
-                        self.scaled, nodes.matches(new))
+                        self.scaled, nodes.index.matches(new))
         _solve_rows(level.chol, c, self.v, self.s, n)
         self.factor = _clamped_factor(self.s)
         self.kernel, self.design, self.chol = level.kernel, design, level.chol
@@ -313,12 +313,10 @@ class _Solve:
 class _Nodes:
     """A fixed node set of a search or quadrature, and what the loop reuses.
 
-    Holds the points, their lexicographic order (None when the points
-    are in that order already, as every product grid is), the
-    quadrature weights (None for an equal-weight average) and what a
-    search polishes: None, its best node ("best") or every node ("all").
-    The sorted first coordinates index the points, so a point's equal
-    nodes are found by bisection (``matches``). Per level it keeps the
+    Holds the points, their ``kernels.PointIndex``, whose order is
+    ``best``'s scan order, the quadrature weights (None for an
+    equal-weight average) and what a search polishes: None, its best
+    node ("best") or every node ("all"). Per level it keeps the
     variance solve V_t = L_t^{-1} R_t(D_t, nodes) with the running sum of
     its squared rows and the clamped factor (``_Solve``): when a frozen
     refit grew the level from the kept factor by appended rows, only the
@@ -336,12 +334,7 @@ class _Nodes:
         self.points = points
         self.weights = weights
         self.polish = polish
-        order = np.lexsort(points.T[::-1])
-        self.order = None if (order == np.arange(len(order))).all() else order
-        # the points in that order and their first coordinates, bisected
-        # by ``matches``
-        self._sorted = points if self.order is None else points[order]
-        self._first = self._sorted[:, 0].copy()
+        self.index = PointIndex(points)
         self._solves = {}  # level index -> _Solve
         self._reserve = {}  # level index -> rows to reserve
         self._excluded = None  # (excluded points, node mask)
@@ -352,28 +345,6 @@ class _Nodes:
         ``_RESERVE_BYTES``; each solve then allocates once."""
         cap = _RESERVE_BYTES // (8 * len(self.points))
         self._reserve = {k: r for k, r in enumerate(rows) if r <= cap}
-
-    def matches(self, points):
-        """(rows, nodes): the index pairs of each row of ``points`` and
-        every node bitwise equal to it, the identity of ``same_points``.
-        Bisection narrows the sorted nodes one coordinate at a time to
-        those equal to the row, and their bytes are compared."""
-        lo = self._first.searchsorted(points[:, 0])
-        hi = self._first.searchsorted(points[:, 0], "right")
-        rows, nodes = [], []
-        for i in np.flatnonzero(hi > lo):
-            a, b, x = lo[i], hi[i], points[i]
-            for k in range(1, len(x)):  # [a, b) is sorted by coordinate k
-                column = self._sorted[a:b, k]
-                a, b = (a + column.searchsorted(x[k]),
-                        a + column.searchsorted(x[k], "right"))
-            for j in range(a, b):
-                if self._sorted[j].tobytes() == x.tobytes():
-                    rows.append(i)
-                    nodes.append(j)
-        nodes = np.array(nodes, dtype=np.intp)
-        return (np.array(rows, dtype=np.intp),
-                nodes if self.order is None else self.order[nodes])
 
     def _factor(self, k, level) -> np.ndarray:
         solve = self._solves.get(k)
@@ -421,7 +392,7 @@ class _Nodes:
         if kept is None or not extends(exclude, kept[0]):
             kept = (exclude[:0], np.zeros(len(self.points), dtype=bool))
         seen, mask = kept
-        mask[self.matches(exclude[len(seen):])[1]] = True
+        mask[self.index.matches(exclude[len(seen):])[1]] = True
         self._excluded = (exclude, mask)
         return mask
 
@@ -437,9 +408,9 @@ class _Nodes:
                 return None
             # variances are never below 0, so no excluded node can win
             variances = np.where(mask, -np.inf, variances)
-        if self.order is None:
+        if self.index.order is None:
             return int(np.argmax(variances))
-        return int(self.order[np.argmax(variances[self.order])])
+        return int(self.index.order[np.argmax(variances[self.index.order])])
 
 
 def _node_set(domain: Domain, spec, quadrature: bool) -> _Nodes:
@@ -500,8 +471,7 @@ def _argmax(model, domain, nodes, exclude):
         scores = model.predict(polished).variances[-1]
         kept = np.ones(len(polished), dtype=bool)
         if exclude is not None and np.size(exclude):
-            kept = ~same_points(polished, _as_points(
-                exclude, domain.dimension)).any(axis=1)
+            kept[PointIndex(exclude).matches(polished)[0]] = False
         for x, v in zip(polished[kept], scores[kept]):
             if best is None or v > best[0] or (
                     v == best[0] and tuple(x) < tuple(best[1])):

@@ -23,7 +23,6 @@ from mfkrig.kernels import (
     NUGGET,
     KernelSpec,
     correlation_matrix,
-    same_points,
 )
 from mfkrig.kriging import _sigma2_floor
 from mfkrig.sequential import (
@@ -267,6 +266,19 @@ def dense_predict(design, y, trend_matrix, beta, kernel, sigma2, x_matrix,
     return mean, var
 
 
+def reference_same_points(a, b):
+    """(len(a), len(b)) boolean matrix, True where a[i] and b[j] are the
+    same point: row identity through a tobytes() dict, one row at a time.
+    The oracle of ``kernels.PointIndex``."""
+    index = {}
+    for j, row in enumerate(b):
+        index.setdefault(row.tobytes(), []).append(j)
+    out = np.zeros((len(a), len(b)), dtype=bool)
+    for i, row in enumerate(a):
+        out[i, index.get(row.tobytes(), [])] = True
+    return out
+
+
 def draw_nested_designs(rng, sizes, d):
     """Random designs on [0,1]^d nested by subsetting rows, largest first."""
     designs = [rng.uniform(0.0, 1.0, size=(sizes[0], d))]
@@ -285,7 +297,8 @@ def draw_ar1_data(rng, designs, rho_values, kernels, sigma2s):
     """
     observations = [sample_gp(rng, designs[0], kernels[0], sigma2=sigma2s[0])]
     for t in range(1, len(designs)):
-        rows = np.argmax(same_points(designs[t], designs[t - 1]), axis=1)
+        rows = np.argmax(reference_same_points(designs[t], designs[t - 1]),
+                         axis=1)
         lower = observations[t - 1][rows]
         delta = sample_gp(rng, designs[t], kernels[t], sigma2=sigma2s[t])
         observations.append(rho_values[t - 1] * lower + delta)

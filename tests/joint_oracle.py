@@ -37,9 +37,9 @@ from scipy.linalg import cholesky, solve_triangular, LinAlgError
 from mfkrig.cokriging import _check_levels
 from mfkrig.exceptions import IllConditionedError, MfkrigError
 from mfkrig.kernels import (
+    add_matched_nugget,
     basis_matrix,
     cross_correlation,
-    probe_correlation,
     _as_points,
 )
 from mfkrig.kriging import _VARIANCE_SLACK
@@ -144,13 +144,15 @@ class JointModel:
         """
         if t < tp:
             return self._pair_block(tp, t, b, a, nugget).T
-        correlation = probe_correlation if nugget else cross_correlation
         lead = self._rho_prod(tp, t, a)
         out = np.zeros((len(a), len(b)))
         for j in range(1, tp + 1):
             lev = self.levels[j - 1]
             w = lead * self._rho_prod(j, tp, a) ** 2
-            out += lev.sigma2 * w[:, None] * correlation(lev.kernel, a, b)
+            r = cross_correlation(lev.kernel, a, b)
+            if nugget:
+                r = add_matched_nugget(r, a, b)
+            out += lev.sigma2 * w[:, None] * r
         return out
 
     # ------------------------------------------------------------ public

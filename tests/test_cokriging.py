@@ -12,6 +12,7 @@ from mfkrig.cokriging import (
     extended_trend_matrix,
     fit_level,
     fit_multifidelity,
+    validate_nesting,
 )
 from mfkrig.exceptions import DuplicateDesignPointError, SingularTrendError
 from mfkrig.kernels import (
@@ -21,7 +22,6 @@ from mfkrig.kernels import (
     basis_matrix,
     correlation_matrix,
     cross_correlation,
-    same_points,
 )
 from mfkrig.kriging import _sigma2_floor, variance_factor
 
@@ -31,6 +31,7 @@ from helpers import (
     draw_ar1_data,
     draw_nested_designs,
     reference_ml_fit,
+    reference_same_points,
     sample_gp,
 )
 
@@ -91,6 +92,15 @@ def test_data_rejects_duplicate_points_within_level():
         MultiFidelityData([[[0.3], [0.3], [0.9]]], [[1.0, 2.0, 3.0]])
 
 
+def test_data_rejects_designs_of_dimension_zero():
+    # every row of dimension 0 would be the same point
+    for rows in (1, 2):
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            MultiFidelityData([np.empty((rows, 0))], [np.ones(rows)])
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        validate_nesting([np.empty((2, 0)), np.empty((1, 0))])
+
+
 def test_lower_level_values_follow_subset_order():
     rng = np.random.default_rng(1)
     d1 = rng.uniform(0, 1, size=(6, 2))
@@ -98,6 +108,23 @@ def test_lower_level_values_follow_subset_order():
     order = [4, 0, 3]
     data = MultiFidelityData([d1, d1[order]], [z1, np.zeros(3)])
     np.testing.assert_array_equal(data.lower_level_values(2), z1[order])
+
+
+def test_model_rejects_levels_fitted_on_other_designs():
+    # predict finds design points in the data's indexes, so a level must
+    # hold the data's design, bit for bit
+    data = two_level_data(seed=2)
+    model = fixed_two_level_model(data)
+    same = MultiFidelityData([dd.copy() for dd in data.designs],
+                             data.observations)
+    MultiFidelityModel(model.levels, same, model.configs)
+    reversed_rows = MultiFidelityData(
+        [data.designs[0][::-1], data.designs[1]],
+        [data.observations[0][::-1], data.observations[1]])
+    grown = data.with_point(np.array([0.4321]), [0.0])
+    for other in (reversed_rows, grown):
+        with pytest.raises(ValueError, match="level 1 was fitted on another"):
+            MultiFidelityModel(model.levels, other, model.configs)
 
 
 def test_with_point_appends_to_prefix_levels():
@@ -238,7 +265,8 @@ def _exact_scaling_data():
     rng = np.random.default_rng(3)
     designs = draw_nested_designs(rng, (20, 10), 1)
     z1 = sample_gp(rng, designs[0], KernelSpec(SE, [0.25]))
-    z2 = 2.0 * z1[np.argmax(same_points(designs[1], designs[0]), axis=1)]
+    z2 = 2.0 * z1[np.argmax(reference_same_points(designs[1], designs[0]),
+                            axis=1)]
     return MultiFidelityData(designs, [z1, z2])
 
 
@@ -330,7 +358,8 @@ def test_predict_interpolates_every_level_at_nested_points():
     data = two_level_data(seed=7)
     model = fit_multifidelity(data, two_level_configs(), restarts=2, seed=0)
     sigma2s = [lev.sigma2 for lev in model.levels]
-    rows = np.argmax(same_points(data.designs[1], data.designs[0]), axis=1)
+    rows = np.argmax(reference_same_points(data.designs[1], data.designs[0]),
+                     axis=1)
     for i, x in enumerate(data.designs[1]):
         out = model.predict(x)
         z = [data.observations[0][rows[i]], data.observations[1][i]]
@@ -342,7 +371,8 @@ def test_predict_interpolates_every_level_at_nested_points():
 def test_predict_level_one_interpolates_unshared_points():
     data = two_level_data(seed=7)
     model = fit_multifidelity(data, two_level_configs(), restarts=2, seed=0)
-    shared = same_points(data.designs[0], data.designs[1]).any(axis=1)
+    shared = reference_same_points(data.designs[0],
+                                   data.designs[1]).any(axis=1)
     for i, x in enumerate(data.designs[0]):
         if shared[i]:
             continue

@@ -5,21 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfkrig.cokriging import MultiFidelityData, validate_nesting
+from mfkrig.exceptions import DuplicateDesignPointError
 from mfkrig.kernels import (
     NUGGET,
     BasisSpec,
     KernelSpec,
+    PointIndex,
     add_matched_nugget,
     basis_matrix,
     correlation_matrix,
     cross_correlation,
-    first_repeat,
     probe_correlation,
-    same_points,
     _scaled_correlation,
 )
 
-from helpers import add_nugget
+from helpers import add_nugget, reference_same_points
 
 
 def test_squared_exponential_identity():
@@ -213,62 +214,124 @@ def test_probe_correlation_is_the_matched_nugget_on_the_correlations(family):
     for probe in (points, points[0]):
         expected = add_matched_nugget(cross_correlation(spec, design, probe),
                                       design, probe)
-        assert probe_correlation(spec, design, probe).tobytes() == \
-            expected.tobytes()
+        assert probe_correlation(spec, PointIndex(design), probe).tobytes() \
+            == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
 # point identity
 
 # Few distinct values, so generated sets repeat rows and mix 0.0 with -0.0.
-_VALUES = [0.0, -0.0, 0.5, 1.0, np.inf, np.nan]
+_VALUES = [0.0, -0.0, 0.5, 1.0, -1.0, np.inf, np.nan]
+_FINITE = _VALUES[:5]
 
 
 @st.composite
 def _point_sets(draw):
-    d = draw(st.integers(1, 3))
-    row = st.lists(st.sampled_from(_VALUES), min_size=d, max_size=d)
+    # Up to 4 coordinates and up to 40 indexed rows drawn from at most 4,
+    # so indexes repeat points and rows share leading coordinates; finite
+    # sets reach the data rules.
+    d = draw(st.integers(1, 4))
+    values = draw(st.sampled_from([_VALUES, _FINITE]))
+    row = st.lists(st.sampled_from(values), min_size=d, max_size=d)
     rows = draw(st.lists(row, min_size=1, max_size=4))
-    pick = st.lists(st.integers(0, len(rows) - 1), max_size=6)
-    a = np.array([rows[i] for i in draw(pick)], dtype=float).reshape(-1, d)
-    b = np.array([rows[i] for i in draw(pick)], dtype=float).reshape(-1, d)
+    index = st.integers(0, len(rows) - 1)
+    a = np.array([rows[i] for i in draw(st.lists(index, max_size=6))],
+                 dtype=float).reshape(-1, d)
+    b = np.array([rows[i] for i in draw(st.lists(index, max_size=40))],
+                 dtype=float).reshape(-1, d)
     return a, b
 
 
-def _bytes_reference(a, b):
-    """Row identity through a tobytes() dict, one row at a time."""
-    index = {}
-    for j, row in enumerate(b):
-        index.setdefault(row.tobytes(), []).append(j)
-    out = np.zeros((len(a), len(b)), dtype=bool)
-    for i, row in enumerate(a):
-        out[i, index.get(row.tobytes(), [])] = True
-    return out
+def _first_repeat(points):
+    same = reference_same_points(points, points)
+    return next((i for i in range(len(points)) if same[i, :i].any()), None)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_point_sets())
-def test_same_points_matches_bytes_reference(sets):
+def test_point_index_matches_bytes_reference(sets):
     a, b = sets
-    expected = _bytes_reference(a, b)
-    np.testing.assert_array_equal(same_points(a, b), expected)
+    expected = reference_same_points(a, b)
+    index = PointIndex(b)
+    rows, found = index.matches(a)
+    # every equal pair once, in row order
+    assert len(rows) == expected.sum() and (np.diff(rows) >= 0).all()
+    got = np.zeros_like(expected)
+    got[rows, found] = True
+    np.testing.assert_array_equal(got, expected)
+    assert index.distinct == (reference_same_points(b, b).sum() == len(b))
     for i in range(len(a)):  # a bare (d,) vector is one point
-        np.testing.assert_array_equal(same_points(a[i], b), expected[i:i + 1])
+        rows, found = index.matches(a[i])
+        assert (rows == 0).all()
+        np.testing.assert_array_equal(np.sort(found),
+                                      np.flatnonzero(expected[i]))
     c = np.arange(float(len(a) * len(b))).reshape(len(a), len(b))
     np.testing.assert_array_equal(add_matched_nugget(c, a, b),
                                   c + NUGGET * expected)
+    # nesting: the first point of a that is no point of b
+    missing = np.flatnonzero(~expected.any(axis=1))
+    assert validate_nesting([b, a]) == ((2, missing[0]) if missing.size
+                                        else None)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        return
+    # the duplicate rule: the first row equal to an earlier row
     for points in (a, b):
-        same = _bytes_reference(points, points)
-        repeats = [i for i in range(len(points)) if same[i, :i].any()]
-        assert first_repeat(points) == (repeats[0] if repeats else None)
+        repeat = _first_repeat(points)
+        if repeat is None:
+            MultiFidelityData([points], [np.zeros(len(points))])
+        else:
+            with pytest.raises(DuplicateDesignPointError, match=re.escape(
+                    f"level 1: design point {points[repeat]} duplicates")):
+                MultiFidelityData([points], [np.zeros(len(points))])
+    # lower_level_values: the row of each nested point in the level below
+    lower = b[[i for i in range(len(b))
+               if not reference_same_points(b[i:i + 1], b[:i]).any()]]
+    upper = a[expected.any(axis=1)]
+    upper = upper[[i for i in range(len(upper))
+                   if not reference_same_points(upper[i:i + 1],
+                                                upper[:i]).any()]]
+    data = MultiFidelityData([lower, upper],
+                             [np.arange(len(lower)), np.zeros(len(upper))])
+    assert data.lower_level_values(2).tolist() == [
+        np.flatnonzero(same)[0] for same in reference_same_points(upper, lower)]
 
 
-def test_same_points_is_bitwise():
-    assert not same_points([0.0, 1.0], [[-0.0, 1.0]]).any()
-    assert same_points([0.0, 1.0], [[0.0, 1.0]]).all()
-    assert not same_points([0.1], [[np.nextafter(0.1, 1.0)]]).any()
-    assert same_points(np.empty((0, 2)), [[0.0, 1.0]]).shape == (0, 1)
-    assert not same_points([[0.0, 1.0]], [[0.0, 1.0, 2.0]]).any()
-    assert same_points(np.empty((2, 0)), np.empty((3, 0))).all()
+def _pairs(index, points):
+    return [pair.tolist() for pair in index.matches(points)]
+
+
+def test_point_index_is_bitwise():
+    assert _pairs(PointIndex([[-0.0, 1.0]]), [0.0, 1.0]) == [[], []]
+    assert _pairs(PointIndex([[0.0, 1.0]]), [0.0, 1.0]) == [[0], [0]]
+    assert _pairs(PointIndex([0.1]), [[np.nextafter(0.1, 1.0)]]) == [[], []]
+    # an empty set, indexed or queried
+    assert _pairs(PointIndex(np.empty((0, 2))), [[0.0, 1.0]]) == [[], []]
+    assert _pairs(PointIndex([[0.0, 1.0]]), np.empty((0, 2))) == [[], []]
+    # sets of different dimension share no points
+    assert _pairs(PointIndex([[0.0, 1.0]]), [[0.0, 1.0, 2.0]]) == [[], []]
+    assert _pairs(PointIndex([[0.0, 1.0, 2.0]]), [[0.0, 1.0]]) == [[], []]
     column = np.arange(6.0).reshape(3, 2)[:, 1:]  # not C-contiguous
-    assert same_points(column, [[3.0]]).tolist() == [[False], [True], [False]]
+    assert _pairs(PointIndex(column), [[3.0]]) == [[0], [1]]
+    assert _pairs(PointIndex([[3.0]]), column) == [[1], [0]]
+    # a long run of points sharing a first coordinate, before or after
+    # the others, next to a query row that matches no point
+    run = [[1.0, float(k)] for k in range(17)]
+    for points in (run + [[0.0, 0.0], [0.0, 1.0]],
+                   run + [[0.0, 0.0], [0.0, 1.0], [2.0, 0.0]],
+                   [[0.0, 1.0], [2.0, 0.0]] + run):
+        index = PointIndex(points)
+        want = points.index([0.0, 1.0])
+        assert _pairs(index, [[1.0, 99.0], [0.0, 1.0]]) == [[1], [want]]
+        assert _pairs(index, [[0.0, 1.0], [1.0, 99.0]]) == [[0], [want]]
+        assert _pairs(index, [[1.0, 16.0], [1.0, 99.0], [1.0, 3.0]]) == [
+            [0, 2], [points.index([1.0, 16.0]), points.index([1.0, 3.0])]]
+    # a repeated point is found at each of its rows, in row order
+    index = PointIndex([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [-0.0, 0.0]])
+    assert not index.distinct and PointIndex([[0.0], [-0.0]]).distinct
+    assert _pairs(index, [[1.0, 0.0], [2.0, 2.0], [0.0, 0.0]]) == [
+        [0, 0, 2], [0, 2, 1]]
+    # a point has at least one coordinate
+    for points in (np.empty((2, 0)), np.empty((0, 0)), []):
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            PointIndex(points)

@@ -40,7 +40,6 @@ from mfkrig.kernels import (
     BasisSpec,
     KernelSpec,
     correlation_matrix,
-    same_points,
 )
 from mfkrig.testbed import get_problem, load_model, nested_lhs, save_model
 
@@ -50,6 +49,7 @@ from helpers import (
     reference_log_lengthscale_weight,
     reference_nll_gradient,
     reference_nll_terms,
+    reference_same_points,
     replay_loop,
 )
 
@@ -115,7 +115,7 @@ def test_predictions_ignore_the_row_order_of_the_designs(chain):
                       configs, params)
     model = _model(designs, observations, configs, params)
     probes = rng.uniform(0.0, 1.0, size=(20, designs[0].shape[1]))
-    probes = probes[~same_points(probes, designs[0]).any(axis=1)]
+    probes = probes[~reference_same_points(probes, designs[0]).any(axis=1)]
     a, b = model.predict(probes), shuffled.predict(probes)
     scale = max(1.0, float(np.max(np.abs(a.means))))
     assert np.max(np.abs(a.means - b.means)) <= 1e-7 * scale
@@ -249,7 +249,8 @@ def test_the_frozen_loop_chooses_from_kept_node_state_as_choose_level(
     # and so does every search node off the design, on the final model
     nodes = sequential._node_set(domain, search, False)
     imse = sequential.compute_imse(final, domain, quadrature)
-    off = ~same_points(nodes.points, final.data.designs[0]).any(axis=1)
+    off = ~reference_same_points(nodes.points,
+                                 final.data.designs[0]).any(axis=1)
     for j in np.flatnonzero(off):
         kept = sequential._level_rule(*nodes.breakdown(final, j), imse, cost,
                                       rule)

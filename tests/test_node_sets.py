@@ -12,7 +12,7 @@ import mfkrig.cli as cli
 import mfkrig.cokriging as cokriging
 import mfkrig.kriging as kriging
 import mfkrig.sequential as sequential
-from helpers import reference_search, replay_loop
+from helpers import reference_same_points, reference_search, replay_loop
 from mfkrig.cokriging import (
     LevelConfig,
     LevelParameters,
@@ -22,8 +22,8 @@ from mfkrig.cokriging import (
 from mfkrig.kernels import (
     BasisSpec,
     KernelSpec,
+    PointIndex,
     probe_correlation,
-    same_points,
 )
 from mfkrig.sequential import (
     CostModel,
@@ -257,7 +257,7 @@ def test_one_grid_gives_endpoints_as_a_search_and_midpoints_as_a_quadrature():
     assert (quadrature.points[:, 0] == [0.125, 0.375, 0.625, 0.875]).all()
     assert search.polish is None and quadrature.polish is None
     # a product grid is in lexicographic order, so ``best`` gathers nothing
-    assert search.order is None and quadrature.order is None
+    assert search.index.order is None and quadrature.index.order is None
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +288,14 @@ def test_polished_search_equals_a_search_through_predict(name, sizes, search):
 # the per-level cache of a node set
 
 
-def _count_rows(monkeypatch, module, name):
-    """Rows asked of the row builder ``module.name``, per call; both
-    builders take the design rows second."""
+def _count_rows(monkeypatch, module, name, design_rows=len):
+    """Rows asked of the row builder ``module.name``, per call: both
+    builders take the design second, and ``design_rows`` counts its rows."""
     rows = []
     original = getattr(module, name)
 
     def counted(first, design, *rest):
-        rows.append(len(np.atleast_2d(design)))
+        rows.append(design_rows(design))
         return original(first, design, *rest)
 
     monkeypatch.setattr(module, name, counted)
@@ -364,7 +364,7 @@ def test_a_fresh_solve_equals_a_fresh_solve_and_a_one_row_append():
     model, _, _, _ = _setup("forrester", [30, 10])
     level = model.levels[0]
     nodes = sequential.product_grid(UNIT1.bounds, 1025)
-    c = probe_correlation(level.kernel, level.design, nodes)
+    c = probe_correlation(level.kernel, PointIndex(level.design), nodes)
     n, m = c.shape
     fresh_v, fresh_s = np.empty((n, m)), np.zeros(m)
     kriging._solve_rows(level.chol, c, fresh_v, fresh_s, 0)
@@ -376,7 +376,8 @@ def test_a_fresh_solve_equals_a_fresh_solve_and_a_one_row_append():
 
 def test_a_one_node_set_keeps_nothing_and_equals_predict(monkeypatch):
     # a one-node set reads its rows through predict
-    correlation_rows = _count_rows(monkeypatch, cokriging, "probe_correlation")
+    correlation_rows = _count_rows(monkeypatch, cokriging, "probe_correlation",
+                                   lambda index: len(index.points))
     model, _, _, simulators = _setup("forrester", [8, 4])
     nodes = sequential._Nodes(np.array([[0.3141]]))
     assert (nodes.top_variance(model)
@@ -444,20 +445,23 @@ def test_new_lengthscales_or_a_new_design_rebuild_the_cache(correlation_rows):
     np.random.default_rng(3).choice([-1.0, -0.0, 0.0, 0.5, 1.0],
                                     size=(60, 2)),
     sequential.product_grid(np.array([[-1.0, 1.0], [0.0, 1.0]]), 5),
-], ids=["duplicates", "grid"])
+    # many nodes per first coordinate, most of them repeated
+    np.random.default_rng(4).choice([-1.0, -0.0, 0.0, 0.5, 1.0],
+                                    size=(300, 2)),
+], ids=["duplicates", "grid", "narrowed"])
 def test_the_node_index_finds_every_bitwise_equal_node(points):
     nodes = sequential._Nodes(points)
     queries = np.vstack([points[::7], [[0.25, 0.5], [-0.0, 0.0],
                                        [0.0, -0.0]]])
-    rows, found = nodes.matches(queries)
-    want = same_points(queries, points)
+    rows, found = nodes.index.matches(queries)
+    want = reference_same_points(queries, points)
     got = np.zeros_like(want)
     got[rows, found] = True
     assert (got == want).all() and len(rows) == want.sum()
     # every copy of an excluded point is excluded
     variances = np.arange(len(points), dtype=float)
     j = nodes.best(variances, exclude=queries)
-    assert not same_points(points[j], queries).any()
+    assert not reference_same_points(points[j:j + 1], queries).any()
     assert nodes.best(variances, exclude=points) is None
 
 

@@ -15,7 +15,7 @@ from mfkrig.cokriging import (
     validate_nesting,
 )
 from mfkrig.exceptions import ParseError
-from mfkrig.kernels import BasisSpec, KernelSpec, same_points
+from mfkrig.kernels import BasisSpec, KernelSpec
 from mfkrig.sequential import CostModel, Domain
 from mfkrig.testbed import (
     TestProblem,
@@ -27,6 +27,8 @@ from mfkrig.testbed import (
     save_data,
     save_model,
 )
+
+from helpers import reference_same_points
 
 UNIT1 = [[0.0, 1.0]]
 UNIT2 = [[0.0, 1.0], [0.0, 1.0]]
@@ -131,6 +133,18 @@ def test_validate_nesting_flags_first_violation():
     assert validate_nesting([designs[0]]) is None
 
 
+def test_validate_nesting_reads_designs_as_the_data_does():
+    # a bare (d,) vector is one point, to both
+    designs = [np.array([0.1, 0.2, 0.3]), np.array([0.2])]
+    assert validate_nesting(designs) == (2, 0)
+    with pytest.raises(ValueError,
+                       match="design for level 2 has dimension 1, expected 3"):
+        MultiFidelityData(designs, [[1.0], [2.0]])
+    columns = [d[:, None] for d in designs]
+    assert validate_nesting(columns) is None
+    assert MultiFidelityData(columns, [[1.0, 2.0, 3.0], [4.0]]).levels == 2
+
+
 def test_validate_nesting_accepts_reordered_subset():
     parent = np.array([[0.1], [0.5], [0.9]])
     child = np.array([[0.9], [0.1]])
@@ -215,7 +229,8 @@ def _small_data(seed=0, sizes=(7, 4)):
                     for d in designs]
     # Higher levels observe the same physical points, so restrict by lookup.
     for t in range(1, len(designs)):
-        rows = np.argmax(same_points(designs[t], designs[0]), axis=1)
+        rows = np.argmax(reference_same_points(designs[t], designs[0]),
+                         axis=1)
         observations[t] = observations[0][rows] + 0.5
     return MultiFidelityData(designs, observations)
 
