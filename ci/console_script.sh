@@ -42,6 +42,10 @@ echo '{"problem": "forrester", "sizes": [8, 4], "budget": 10, "costs": [1, 5], "
 echo '{"problem": "ripple2d", "sizes": [12, 6], "budget": 10, "search": {"kind": "random", "n": 64, "seed": 1, "polish": true}, "out": "polish-sequential"}' > polish-sequential.json
 # the only frozen loop with three levels, choosing by cost per variance
 echo '{"problem": "chain3", "sizes": [10, 6, 3], "budget": 12, "rule": "cost-weighted", "out": "cost-weighted-sequential"}' > cost-weighted-sequential.json
+# reestimates every third iteration of a three-level loop: the frozen
+# refits between keep the levels a run did not reach, a level-3 run grows
+# every level, and each reestimate starts from the kept levels
+echo '{"problem": "chain3", "sizes": [10, 6, 3], "budget": 30, "refit": "every-3", "rule": "cost-weighted", "out": "every-sequential"}' > every-sequential.json
 for command in fit predict sequential report; do
   "$@" "$command" --config "$command.json" --quiet
 done
@@ -58,3 +62,4 @@ done
 "$@" sequential --config uniform-sequential.json --quiet
 "$@" sequential --config polish-sequential.json --quiet
 "$@" sequential --config cost-weighted-sequential.json --quiet
+"$@" sequential --config every-sequential.json --quiet

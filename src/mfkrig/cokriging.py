@@ -24,10 +24,11 @@ single point); ``_variance_terms`` turns the factors into the bases
 and rho factors of the variance recursion, and ``_variance_recursion``
 and ``_contributions`` turn those into the per-level variances and
 contributions, for ``predict``, ``hypothetical_variance_after`` and the
-kept node sets of the sequential loop alike. A frozen ``refit`` appends
-factor rows for the appended design points and records the factor each
-level grew from, so the loop's node sets continue their kept solves by
-that lineage.
+kept node sets of the sequential loop alike. A frozen ``refit`` keeps
+each estimated level whose likelihood inputs are unchanged, appends
+factor rows for the appended design points of the others and records
+the factor each level grew from, so the loop's node sets continue their
+kept solves by identity or by that lineage.
 A model keeps its fit settings and its levels by search key
 (``_fit_on``), so a reestimating refit (``_fit_levels``) fits as the
 model was fitted and searches and solves again only the levels whose
@@ -137,6 +138,33 @@ def _check_nesting(indexes):
     return None, below
 
 
+def _check_finite(level, design, responses) -> None:
+    """The finiteness rule of a level's design points and responses
+    (ValueError naming the first non-finite one): ``MultiFidelityData``
+    checks every row, ``with_point`` the appended one."""
+    bad = np.flatnonzero(~np.isfinite(design).all(axis=1))
+    if bad.size:
+        raise ValueError(
+            f"level {level} design point {design[bad[0]]} is not finite")
+    bad = np.flatnonzero(~np.isfinite(responses))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"level {level} value {responses[i]} at point "
+                         f"{design[i]} is not finite")
+
+
+def _check_distinct(level, index):
+    """``index``, after the duplicate rule of its level's design points:
+    a point equal to an earlier one raises DuplicateDesignPointError."""
+    if not index.distinct:
+        rows, found = index.matches(index.points)
+        i = rows[found < rows][0]  # the first row equal to an earlier one
+        raise DuplicateDesignPointError(
+            f"level {level}: design point {index.points[i]} duplicates an "
+            "earlier one")
+    return index
+
+
 class MultiFidelityData:
     """Nested designs D_s subset ... subset D_1 with aligned responses.
 
@@ -176,21 +204,8 @@ class MultiFidelityData:
             if len(z) != len(dd):
                 raise ValueError(
                     f"level {t}: {len(z)} responses for {len(dd)} points")
-            bad = np.flatnonzero(~np.isfinite(dd).all(axis=1))
-            if bad.size:
-                raise ValueError(
-                    f"level {t} design point {dd[bad[0]]} is not finite")
-            bad = np.flatnonzero(~np.isfinite(z))
-            if bad.size:
-                i = bad[0]
-                raise ValueError(f"level {t} value {z[i]} at point "
-                                 f"{dd[i]} is not finite")
-            self.indexes.append(PointIndex(dd))
-            if not self.indexes[-1].distinct:
-                rows, found = self.indexes[-1].matches(dd)
-                i = rows[found < rows][0]  # the first row equal to an earlier one
-                raise DuplicateDesignPointError(
-                    f"level {t}: design point {dd[i]} duplicates an earlier one")
+            _check_finite(t, dd, z)
+            self.indexes.append(_check_distinct(t, PointIndex(dd)))
         violation, self._below = _check_nesting(self.indexes)
         if violation is not None:
             t, i = violation
@@ -217,9 +232,16 @@ class MultiFidelityData:
     def with_point(self, x, values) -> "MultiFidelityData":
         """New data with ``x`` appended to levels 1..len(values).
 
-        ``values`` holds the responses, cheapest level first. The grown
-        data go through the constructor, so a point already in D_1 raises
-        DuplicateDesignPointError.
+        ``values`` holds the responses, cheapest level first. Only the
+        new point is checked, by the constructor's own rules and in its
+        order: per level, a non-finite coordinate or value raises
+        ValueError and, at level 1, a point already in D_1 raises
+        DuplicateDesignPointError (a point new to D_1 is new to every
+        level, and nested in the grown levels below). The result equals
+        the constructor's on the grown designs and responses field for
+        field. Each grown level gets one new ``PointIndex`` and ``_below``
+        its new last row; a level above len(values) keeps its design,
+        responses and index objects.
         """
         x = np.asarray(x, dtype=float).ravel()
         if x.size != self.dimension:
@@ -229,10 +251,19 @@ class MultiFidelityData:
         if not 1 <= values.size <= self.levels:
             raise ValueError("need values for levels 1..l with l <= level count")
         k = values.size
-        return MultiFidelityData(
-            [np.vstack([dd, x]) for dd in self.designs[:k]] + self.designs[k:],
-            [np.append(z, v) for z, v in zip(self.observations, values)]
-            + self.observations[k:])
+        new = object.__new__(MultiFidelityData)
+        new.designs, new.observations = self.designs[:], self.observations[:]
+        new.indexes, new._below = self.indexes[:], self._below[:]
+        for t in range(k):
+            dd = np.vstack([self.designs[t], x])
+            _check_finite(t + 1, dd[-1:], values[t:t + 1])
+            new.designs[t], new.observations[t] = dd, np.append(
+                self.observations[t], values[t])
+            new.indexes[t] = _check_distinct(t + 1, PointIndex(dd))
+            if t:
+                new._below[t - 1] = np.append(self._below[t - 1],
+                                              len(self.designs[t - 1]))
+        return new
 
 
 @dataclass
@@ -247,7 +278,10 @@ class FittedLevel:
     (``from_parameters``, hence ``testbed.load_model``). ``grown_from``
     is the factor a frozen refit grew ``chol`` from by appended rows
     (``chol`` itself when none was appended), else None: the lineage by
-    which the loop's node sets continue their solves.
+    which the loop's node sets continue their solves. A level that a
+    frozen refit keeps (``MultiFidelityModel.refit``) is the same object
+    and carries the lineage it had; the node sets continue it by its
+    ``chol``, the factor they kept.
     """
 
     design: np.ndarray
@@ -442,6 +476,22 @@ def _assemble_level(config: LevelConfig, inputs, kernel: KernelSpec, terms,
         nll=nll, lower_values=lower_values)
 
 
+def _keeps(level: FittedLevel, data, t) -> bool:
+    """True when a frozen refit on ``data`` keeps ``level``, its level
+    ``t``: its coefficients were estimated (``nll`` is not nan) and its
+    design, responses and lower-level values are bit for bit those of
+    ``data`` (the same arrays, as ``with_point`` leaves a level it did
+    not grow, or equal bytes)."""
+
+    def same(a, b):
+        return a is b or (a.shape == b.shape and a.tobytes() == b.tobytes())
+
+    return (not np.isnan(level.nll)
+            and same(data.designs[t - 1], level.design)
+            and same(data.observations[t - 1], level.y)
+            and (t == 1 or same(data.lower_level_values(t), level.lower_values)))
+
+
 def _variance_terms(levels, factors, X):
     """(bases, rhos) of ``_variance_recursion`` at X (m, d) from each
     level's variance factor 1 - r' R_t^{-1} r at X:
@@ -583,13 +633,20 @@ class MultiFidelityModel:
         Kernel lengthscales and process variances carry over unchanged;
         trend and scaling coefficients are re-estimated by GLS and the
         stored solves rebuilt. Used by enrichment in frozen mode. A
-        level whose new design extends its old one bit for bit keeps its
-        factor and appends one row per new point (``kriging._append_rows``),
-        so the factor's leading block stays bit for bit the old factor,
-        and records the old factor as its lineage
-        (``FittedLevel.grown_from``); any other design is refactored and
-        has none. Each level's ``nll`` is taken on the new data
-        (``FittedLevel``). Too few points raise ValueError.
+        level whose coefficients were estimated (``nll`` not nan) and
+        whose likelihood inputs on ``data`` (design, responses and, above
+        level 1, lower-level values) equal its own bit for bit is kept:
+        the new model holds the same ``FittedLevel`` object, with its own
+        lineage, which is what a solve would rebuild bit for bit. Levels
+        with given coefficients (``from_parameters``, hence
+        ``testbed.load_model``) are solved again. A solved level whose
+        new design extends its old one bit for bit keeps its factor and
+        appends one row per new point (``kriging._append_rows``), so the
+        factor's leading block stays bit for bit the old factor, and
+        records the old factor as its lineage (``FittedLevel.grown_from``);
+        any other design is refactored and has none. Each level's ``nll``
+        is taken on the new data (``FittedLevel``). Too few points raise
+        ValueError.
 
         The grown factor depends on the path: it equals a fresh
         factorization of the same design (``from_parameters``, hence
@@ -601,6 +658,9 @@ class MultiFidelityModel:
         levels = []
         for t, (config, lev) in enumerate(zip(self.configs, self.levels),
                                           start=1):
+            if _keeps(lev, data, t):
+                levels.append(lev)
+                continue
             inputs = _level_inputs(config, data, t)
             lik = inputs[0]
             _check_estimable(t, lik.trend)

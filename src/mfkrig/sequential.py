@@ -22,24 +22,25 @@ grown level's factor, so an iteration with frozen hyperparameters pays
 only for its new rows: per grown level, one row of correlations from
 the kept scaled nodes, with the matched nugget at the nodes the index
 finds, one row of V_t by the row recursion ``predict`` runs too
-(``kriging._solve_rows``), and the factor. A level that did not grow
-keeps its factor. The top-level variance is formed from the kept
-factors by ``predict``'s terms and recursion
+(``kriging._solve_rows``), and the factor. A level that did not grow is
+kept whole by the refit, factor included. The top-level variance is
+formed from the kept factors by ``predict``'s terms and recursion
 (``cokriging._variance_terms``, ``_variance_recursion``), and the loop
 chooses the level at a search node from the same kept state by
-``choose_level``'s rule. A level continues its kept solve by lineage
-(``FittedLevel.grown_from``), not by comparing bytes. Reestimated
-lengthscales rebuild a level. V_t lives in a buffer that ``run_loop``
-sizes once per run for a bound on the level's rows, n_t + budget //
-cost_through(t), when that takes at most ``_RESERVE_BYTES`` (64 MiB)
-per level and node set; beyond it, and outside a loop, the row capacity
-doubles, to at most 2 * n_t * m * 8 bytes. Node sets exist to keep
-solves between iterations; points evaluated once go through
-``predict``. A Uniform search may polish its best node
-(``polish="best"``) or every node (``"all"``, a multistart) with a
-local solver on ``-predict(x).variance``, and the polished points,
-fresh on every call, are scored by ``predict`` too, and so is the level
-choice at them; they join the kept set's best node under its tie rule.
+``choose_level``'s rule. A level continues its kept solve by identity
+(it holds the kept factor) or by lineage (``FittedLevel.grown_from``),
+not by comparing bytes. Reestimated lengthscales rebuild a level. V_t
+lives in a buffer that ``run_loop`` sizes once per run for a bound on
+the level's rows, n_t + budget // cost_through(t), when that takes at
+most ``_RESERVE_BYTES`` (64 MiB) per level and node set; beyond it, and
+outside a loop, the row capacity doubles, to at most 2 * n_t * m * 8
+bytes. Node sets exist to keep solves between iterations; points
+evaluated once go through ``predict``. A Uniform search may polish its
+best node (``polish="best"``) or every node (``"all"``, a multistart)
+with a local solver on ``-predict(x).variance``, and the polished
+points, fresh on every call, are scored by ``predict`` too, and so is
+the level choice at them; they join the kept set's best node under its
+tie rule.
 """
 
 from __future__ import annotations
@@ -401,16 +402,20 @@ class _Nodes:
         bitwise equal to an ``exclude`` point, or None when none is left.
         Exact ties break toward the lexicographically smallest
         coordinates (scan order is canonical, so permuting the nodes
-        changes nothing)."""
-        if exclude is not None:
-            mask = self._excluded_mask(exclude)
-            if mask.all():
-                return None
-            # variances are never below 0, so no excluded node can win
-            variances = np.where(mask, -np.inf, variances)
-        if self.index.order is None:
-            return int(np.argmax(variances))
-        return int(self.index.order[np.argmax(variances[self.index.order])])
+        changes nothing). The plain argmax stands unless an excluded node
+        wins it; only then is the scan repeated on a masked copy."""
+        order = self.index.order
+        j = (np.argmax(variances) if order is None
+             else order[np.argmax(variances[order])])
+        if exclude is None:
+            return int(j)
+        mask = self._excluded_mask(exclude)
+        if not mask[j]:  # the first maximum in scan order is kept
+            return int(j)
+        if mask.all():
+            return None
+        # variances are never below 0, so no excluded node can win
+        return self.best(np.where(mask, -np.inf, variances))
 
 
 def _node_set(domain: Domain, spec, quadrature: bool) -> _Nodes:

@@ -5,7 +5,8 @@ likelihood search as the yardstick of the library's L-BFGS-B search,
 that search with its former memoized ``minimize`` call as its oracle, a
 variance search through ``predict``, the likelihood gradient's weight
 from its own distance matrix, the likelihood gradient by its direct
-formula, and the sequential loop spelled out through public calls."""
+formula, the frozen refit that solves every level again, and the
+sequential loop spelled out through public calls."""
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky, lstsq, solve_triangular
@@ -14,6 +15,13 @@ from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
 import mfkrig.kriging as kriging
+from mfkrig.cokriging import (
+    MultiFidelityModel,
+    _assemble_level,
+    _check_estimable,
+    _check_levels,
+    _level_inputs,
+)
 from mfkrig.exceptions import (
     FitFailedError,
     IllConditionedError,
@@ -23,6 +31,7 @@ from mfkrig.kernels import (
     NUGGET,
     KernelSpec,
     correlation_matrix,
+    extends,
 )
 from mfkrig.kriging import _sigma2_floor
 from mfkrig.sequential import (
@@ -336,6 +345,30 @@ def reference_search(model, domain, count, seed, polish_all, exclude=None):
                 for c in candidates]
         candidates, variances = candidates[kept], variances[kept]
     return best(candidates, variances)
+
+
+def reference_refit(model, data):
+    """``MultiFidelityModel.refit`` solving every level again: each level
+    on ``data`` at its carried kernel and sigma2, its factor grown by
+    appended rows when its design extends the old one (recorded as
+    ``grown_from``), else factored afresh."""
+    _check_levels(data, model.configs)
+    levels = []
+    for t, (config, lev) in enumerate(zip(model.configs, model.levels),
+                                      start=1):
+        inputs = _level_inputs(config, data, t)
+        lik = inputs[0]
+        _check_estimable(t, lik.trend)
+        grown_from = lev.chol if extends(lik.design, lev.design) else None
+        terms = kriging._solve_level(lik, lev.lengthscales,
+                                     grown_from=grown_from)
+        levels.append(_assemble_level(config, inputs, lev.kernel, terms,
+                                      sigma2=lev.sigma2))
+        levels[-1].grown_from = grown_from
+    out = MultiFidelityModel(levels, data, model.configs)
+    out._fit_settings = model._fit_settings
+    out._searches = model._searches
+    return out
 
 
 def replay_loop(model, domain, cost, budget, simulators, rule="imse-threshold",

@@ -158,27 +158,47 @@ def _appended(data, x, values):
             + data.observations[k:])
 
 
+# coordinates with ties, both zeros and negatives, so that rows share
+# leading coordinates and neither order of an index is the row order
+_COORDINATES = [-1.5, -1.0, -0.0, 0.0, 0.25, 0.5, 1.0]
+
+
 @st.composite
 def _enrichment(draw):
-    """Nested 1-3 level data in d = 1-2, and a point with responses for
-    levels 1..l: a point new to D_1, a point of D_1, or a new point with
-    one non-finite coordinate or response."""
+    """Nested 1-3 level data in d = 1-2 on a small coordinate set, and a
+    point with responses for levels 1..l: a point new to D_1, a point of
+    D_1, a point of D_1 with one zero's sign flipped, or a new point with
+    one non-finite coordinate or response, at any level."""
     levels = draw(st.integers(1, 3))
     d = draw(st.integers(1, 2))
-    sizes = sorted(draw(st.lists(st.integers(1, 6), min_size=levels,
+    cells = [np.array(c) for c in np.ndindex(*[len(_COORDINATES)] * d)]
+    rows = draw(st.lists(st.sampled_from(range(len(cells))), min_size=2,
+                         max_size=min(8, len(cells)), unique=True))
+    table = np.array(_COORDINATES)
+    points = [table[cells[i]] for i in rows]
+    x, points = points[-1], points[:-1]  # a point new to D_1
+    sizes = sorted(draw(st.lists(st.integers(1, len(points)), min_size=levels,
                                  max_size=levels)), reverse=True)
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
-    designs = draw_nested_designs(rng, sizes, d)
+    designs = [np.array(points[:sizes[0]])]
+    for n in sizes[1:]:  # nested by subsetting rows
+        keep = draw(st.permutations(range(len(designs[-1]))))[:n]
+        designs.append(designs[-1][list(keep)])
     finite = st.floats(-1e3, 1e3)
-    observations = [draw(st.lists(finite, min_size=n, max_size=n))
+    observations = [np.array(draw(st.lists(finite, min_size=n, max_size=n)))
                     for n in sizes]
     values = draw(st.lists(finite, min_size=1, max_size=levels))
-    # draw_nested_designs samples [0, 1]^d, so these points are new
-    x = np.array(draw(st.lists(st.floats(1.5, 3.0), min_size=d, max_size=d)))
-    kind = draw(st.sampled_from(["new", "repeat", "bad point", "bad value"]))
+    kind = draw(st.sampled_from(["new", "repeat", "signed zero",
+                                 "bad point", "bad value"]))
     bad = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
-    if kind == "repeat":
+    if kind in ("repeat", "signed zero"):
         x = designs[0][draw(st.integers(0, sizes[0] - 1))].copy()
+    if kind == "signed zero":
+        # flip the sign of a coordinate, a zero where there is one: a new
+        # point unless D_1 holds the flipped point too
+        k = int(np.argmax(x == 0.0))
+        x[k] = -x[k]
+        held = any(row.tobytes() == x.tobytes() for row in designs[0])
+        kind = "repeat" if held else "new"
     elif kind == "bad point":
         x[draw(st.integers(0, d - 1))] = bad
     elif kind == "bad value":
@@ -186,7 +206,16 @@ def _enrichment(draw):
     return MultiFidelityData(designs, observations), x, values, kind
 
 
-@settings(max_examples=100, deadline=None)
+def _index_fields(index):
+    """Every field of a ``PointIndex``, in a form that tells apart any
+    two values that differ in a bit, dtype or shape (or None)."""
+    return [None if v is None else (v.dtype.str, v.shape, v.tobytes())
+            if isinstance(v, np.ndarray) else v
+            for v in (index.points, index.order, index._by_key, index._keys,
+                      index.distinct)]
+
+
+@settings(max_examples=200, deadline=None)
 @given(_enrichment())
 def test_with_point_builds_what_the_constructor_builds(case):
     data, x, values, kind = case
@@ -194,9 +223,20 @@ def test_with_point_builds_what_the_constructor_builds(case):
     if kind == "new":
         grown = data.with_point(x, values)
         full = MultiFidelityData(designs, observations)
-        for got, want in zip(grown.designs + grown.observations,
-                             full.designs + full.observations):
-            assert got.tobytes() == want.tobytes() and got.shape == want.shape
+        for got, want in zip(grown.designs + grown.observations + grown._below,
+                             full.designs + full.observations + full._below):
+            assert (got.dtype, got.shape, got.tobytes()) == \
+                (want.dtype, want.shape, want.tobytes())
+        for got, want in zip(grown.indexes, full.indexes):
+            assert _index_fields(got) == _index_fields(want)
+        for t in range(2, data.levels + 1):
+            assert grown.lower_level_values(t).tobytes() == \
+                full.lower_level_values(t).tobytes()
+        # a level the point did not reach keeps its arrays and index
+        for t in range(len(values), data.levels):
+            assert grown.designs[t] is data.designs[t]
+            assert grown.observations[t] is data.observations[t]
+            assert grown.indexes[t] is data.indexes[t]
         return
     error = DuplicateDesignPointError if kind == "repeat" else ValueError
     with pytest.raises(error) as full:

@@ -3,7 +3,8 @@ design points, predictions that do not depend on the row order of the
 designs, contributions that sum to the top-level variance, node-set
 variances equal to ``predict``'s, the lookahead variance equal to the
 suffix sum of the contributions, a frozen refit that appends factor rows
-and node sets that continue their kept solves, frozen loops whose level
+and node sets that continue their kept solves, a frozen refit that keeps
+unchanged estimated levels and otherwise equals solving every level again, frozen loops whose level
 choices from kept node state equal ``choose_level``'s, a byte-identical
 save/load/save round trip, and fits that are byte-identical whether the
 likelihood runs through bare LAPACK or through scipy's checked wrappers.
@@ -17,6 +18,7 @@ generating parameters with ``from_parameters``. The fit comparison
 instead fits the built-in problems on nested LHS designs.
 """
 
+import dataclasses
 import os
 import tempfile
 from unittest import mock
@@ -49,6 +51,7 @@ from helpers import (
     reference_log_lengthscale_weight,
     reference_nll_gradient,
     reference_nll_terms,
+    reference_refit,
     reference_same_points,
     replay_loop,
 )
@@ -220,6 +223,70 @@ def test_frozen_refit_appends_factor_rows_and_node_sets_continue(chain, k):
             <= np.linalg.cond(r) * np.finfo(float).eps
     want = grown.predict(probes).variances[-1]
     assert (nodes.top_variance(grown) == want).all()
+
+
+def _level_bits(level):
+    """Every compared field of a ``FittedLevel``, in a form that tells
+    apart any two values that differ in a bit, shape or memory order."""
+    def bits(value):
+        if isinstance(value, KernelSpec):
+            return value.family, bits(value.lengthscales)
+        if isinstance(value, np.ndarray):
+            return (value.shape, value.dtype.str, value.flags.f_contiguous,
+                    value.tobytes())
+        if isinstance(value, float):
+            return np.float64(value).tobytes()
+        return value
+
+    return [(f.name, bits(getattr(level, f.name)))
+            for f in dataclasses.fields(level) if f.compare]
+
+
+@settings(max_examples=30, deadline=None)
+@given(_chains(levels=(2, 3)), st.sampled_from(["given", "loaded", "fitted"]))
+def test_a_frozen_refit_equals_solving_every_level_again(chain, source):
+    # the oracle solves every level; the refit keeps each estimated level
+    # whose likelihood inputs are unchanged, as the same object
+    designs, observations, configs, params, rng = chain
+    model = _model(designs, observations, configs, params)
+    if source == "loaded":
+        with tempfile.TemporaryDirectory() as directory:
+            save_model(model, directory)
+            model = load_model(directory)
+    elif source == "fitted":
+        model = fit_multifidelity(model.data, configs, restarts=1, seed=0)
+    d, s = designs[0].shape[1], len(designs)
+    # grown at drawn levels, the same data again, a level 1 whose rows
+    # are reversed, so its design no longer extends the fitted one (the
+    # levels above keep their inputs: the same values at the same points),
+    # and level 1 values shifted, which changes level 2's lower values
+    plans = [(x, int(rng.integers(1, s + 1)))
+             for x in rng.uniform(0.0, 1.0, size=(3, d))]
+    for plan in plans + ["same", "reversed", "shifted"]:
+        data = model.data
+        if plan == "same":
+            grown, level = data, 0
+        elif plan == "reversed":
+            grown, level = MultiFidelityData(
+                [data.designs[0][::-1], *data.designs[1:]],
+                [data.observations[0][::-1], *data.observations[1:]]), 1
+        elif plan == "shifted":
+            grown, level = MultiFidelityData(data.designs, [
+                data.observations[0] + 1.0, *data.observations[1:]]), 2
+        else:
+            x, level = plan
+            grown = data.with_point(x, rng.normal(size=level))
+        got, want = model.refit(grown), reference_refit(model, grown)
+        assert [_level_bits(lev) for lev in got.levels] == \
+            [_level_bits(lev) for lev in want.levels]
+        for t, (old, new, ref) in enumerate(zip(model.levels, got.levels,
+                                                want.levels), start=1):
+            kept = t > level and not np.isnan(old.nll)
+            assert (new is old) == kept
+            assert kept or new.grown_from is ref.grown_from
+        assert got._searches is want._searches
+        assert got._fit_settings == want._fit_settings
+        model = got
 
 
 @settings(max_examples=40, deadline=None)

@@ -465,6 +465,73 @@ def test_the_node_index_finds_every_bitwise_equal_node(points):
     assert nodes.best(variances, exclude=points) is None
 
 
+def _reference_best(nodes, variances, exclude=None):
+    """``best`` as a scan of every node not equal to an ``exclude`` row:
+    the largest variance, an exact tie to the lexicographically smallest
+    node, then to the earlier one."""
+    kept = np.ones(len(nodes.points), dtype=bool)
+    if exclude is not None:
+        kept = ~reference_same_points(nodes.points, exclude).any(axis=1)
+    candidates = np.flatnonzero(kept)
+    if not candidates.size:
+        return None
+    return min(candidates, key=lambda j: (-variances[j],
+                                          tuple(nodes.points[j])))
+
+
+@pytest.mark.parametrize("spec", [
+    Grid(6),                      # a product grid: no scan order to gather
+    Uniform(40, seed=5),          # a scan order that is no row order
+], ids=["grid", "uniform"])
+def test_best_takes_the_plain_argmax_unless_an_excluded_node_wins(spec):
+    nodes = sequential._node_set(Domain([[0.0, 1.0], [-1.0, 1.0]]), spec,
+                                 False)
+    assert (nodes.index.order is None) == isinstance(spec, Grid)
+    rng = np.random.default_rng(6)
+    order = np.lexsort(nodes.points.T[::-1])
+    variances = rng.uniform(size=len(nodes.points))
+    top = int(np.argmax(variances))
+    tied = variances.copy()
+    tied[order[[3, 9]]] = 2.0  # a tie: order[3] is the smaller node
+    cases = [
+        (variances, None),
+        (variances, nodes.points[[top]]),           # the maximum excluded
+        (variances, nodes.points[::2]),
+        (variances, nodes.points),                  # every node excluded
+        (tied, None),
+        (tied, nodes.points[order[[3]]]),           # the tie's winner excluded
+        (tied, nodes.points[order[[9]]]),           # the tie's loser excluded
+        (tied, nodes.points[order[[3, 9]]]),
+    ]
+    for values, exclude in cases:
+        # a fresh node set, so each exclusion starts its mask anew
+        fresh = sequential._Nodes(nodes.points)
+        assert fresh.best(values, exclude) == \
+            _reference_best(nodes, values, exclude)
+    assert sequential._Nodes(nodes.points).best(tied) == order[3]
+    assert sequential._Nodes(nodes.points).best(
+        tied, nodes.points[order[[3]]]) == order[9]
+    assert sequential._Nodes(nodes.points).best(variances,
+                                                nodes.points) is None
+
+
+def test_the_polish_starts_from_the_unmasked_best(monkeypatch):
+    # the best node seeds the polish even when it is excluded
+    model, bounds, _, _ = _setup("ripple2d", [12, 5])
+    domain = Domain(bounds)
+    nodes = sequential._node_set(domain, Uniform(40, seed=2, polish="best"),
+                                 False)
+    variances = nodes.top_variance(model)
+    first = nodes.best(variances)
+    starts = []
+    monkeypatch.setattr(sequential, "_polish", lambda model, domain, s: (
+        starts.append(np.array(s)), np.atleast_2d(s).copy())[1])
+    x, node = sequential._argmax(model, domain, nodes, nodes.points[[first]])
+    assert starts[0].tobytes() == nodes.points[first].tobytes()
+    assert node == _reference_best(nodes, variances, nodes.points[[first]])
+    assert node != first
+
+
 def test_fully_excluded_search_returns_none_and_stops_the_loop():
     model, _, cost, simulators = _setup("forrester", [8, 4])
     grid = sequential.product_grid(UNIT1.bounds, 5)
