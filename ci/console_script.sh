@@ -46,6 +46,8 @@ echo '{"problem": "chain3", "sizes": [10, 6, 3], "budget": 12, "rule": "cost-wei
 # refits between keep the levels a run did not reach, a level-3 run grows
 # every level, and each reestimate starts from the kept levels
 echo '{"problem": "chain3", "sizes": [10, 6, 3], "budget": 30, "refit": "every-3", "rule": "cost-weighted", "out": "every-sequential"}' > every-sequential.json
+# the grid search runs out of candidates long before the budget does
+echo '{"problem": "forrester", "sizes": [8, 4], "budget": 100, "search": {"kind": "grid", "n": 5}, "quadrature": {"kind": "grid", "n": 16}, "out": "exhausted-sequential"}' > exhausted-sequential.json
 for command in fit predict sequential report; do
   "$@" "$command" --config "$command.json" --quiet
 done
@@ -63,3 +65,4 @@ done
 "$@" sequential --config polish-sequential.json --quiet
 "$@" sequential --config cost-weighted-sequential.json --quiet
 "$@" sequential --config every-sequential.json --quiet
+"$@" sequential --config exhausted-sequential.json --quiet

@@ -27,9 +27,10 @@ kept whole by the refit, factor included. The top-level variance is
 formed from the kept factors by ``predict``'s terms and recursion
 (``cokriging._variance_terms``, ``_variance_recursion``), and the loop
 chooses the level at a search node from the same kept state by
-``choose_level``'s rule. A level continues its kept solve by identity
-(it holds the kept factor) or by lineage (``FittedLevel.grown_from``),
-not by comparing bytes. Reestimated lengthscales rebuild a level. V_t
+``choose_level``'s rule. A level continues its kept solve only by
+identity (it holds the kept factor) or by lineage (``grown_from``);
+any other is rebuilt. A search excludes the points of a ``PointIndex``:
+in the loop, the data's own index of D_1. V_t
 lives in a buffer that ``run_loop`` sizes once per run for a bound on
 the level's rows, n_t + budget // cost_through(t), when that takes at
 most ``_RESERVE_BYTES`` (64 MiB) per level and node set; beyond it, and
@@ -60,7 +61,6 @@ from .csvio import fmt, parse_row, read_csv
 from .exceptions import ParseError
 from .kernels import (
     PointIndex,
-    extends,
     _as_points,
     _check_level,
     _is_integer,
@@ -130,6 +130,8 @@ class Domain:
     def __post_init__(self):
         self.bounds = b = _as_box(self.bounds)
         if self.measure is not None:
+            if not isinstance(self.measure, WeightedSample):
+                raise TypeError(f"unknown measure {self.measure!r}")
             pts = self.measure.points
             if pts.shape[1] != b.shape[0]:
                 raise ValueError("measure support dimension differs from box")
@@ -254,19 +256,19 @@ _RESERVE_BYTES = 1 << 26
 
 
 class _Solve:
-    """One level's kept variance solve on a node set: the kernel, design
-    and factor it was solved against, the nodes divided by the kernel's
+    """One level's kept variance solve on a node set: the factor it was
+    solved against and its row count, the nodes divided by the kernel's
     lengthscales, V = L^{-1} C in the leading rows of a buffer, the
     running sum s of squares of those rows, and the clamped factor
     1 - s. The buffer is allocated once with ``reserve`` rows when the
     loop gives a bound on the level's rows (``_Nodes.reserve``), and
-    doubles its capacity when more rows are needed. A new kernel or
-    design makes a new one; ``grow`` solves appended rows and recomputes
+    doubles its capacity when more rows are needed. A level continues
+    the solve only by identity or lineage (``continues``), and any other
+    level makes a new one; ``grow`` solves appended rows and recomputes
     the factor."""
 
     def __init__(self, level, points, reserve=0):
-        self.kernel, self.chol = level.kernel, None
-        self.design = level.design[:0]  # no rows solved yet
+        self.chol, self.rows = None, 0  # no rows solved yet
         self.scaled, = _scaled(level.kernel, points)
         self.reserve = reserve
         self.v = np.empty((0, len(points)))
@@ -275,29 +277,17 @@ class _Solve:
 
     def continues(self, level) -> bool:
         """True when only rows of V for appended design points are
-        missing: ``level`` holds the kept factor or a frozen refit grew
+        missing: ``level`` holds the kept factor, or a frozen refit grew
         it from that factor (``FittedLevel.grown_from``), keeping the
-        kernel and extending design and factor bit for bit. A level
-        without that lineage continues only when its kernel, design and
-        factor equal the kept ones; a grown one is rebuilt, to the same
-        bits."""
-        chol = self.chol
-        if chol is None:
-            return False
-        if level.chol is chol or level.grown_from is chol:
-            return True
-        kernel = level.kernel
-        return (kernel.family == self.kernel.family
-                and kernel.lengthscales.tobytes()
-                == self.kernel.lengthscales.tobytes()
-                and level.chol.shape == chol.shape
-                and level.design.tobytes() == self.design.tobytes()
-                and level.chol.tobytes() == chol.tobytes())
+        kernel and extending design and factor bit for bit. Any other
+        level is rebuilt, to the same bits."""
+        return self.chol is not None and (level.chol is self.chol
+                                          or level.grown_from is self.chol)
 
     def grow(self, level, nodes):
         """Solve the rows of the design points new since the last call;
         the nodes' index bisects for those that take the matched nugget."""
-        n, design = len(self.design), level.design
+        n, design = self.rows, level.design
         if len(design) > len(self.v):
             v = np.empty((max(2 * len(self.v), len(design), self.reserve),
                           len(self.s)))
@@ -308,7 +298,7 @@ class _Solve:
                         self.scaled, nodes.index.matches(new))
         _solve_rows(level.chol, c, self.v, self.s, n)
         self.factor = _clamped_factor(self.s)
-        self.kernel, self.design, self.chol = level.kernel, design, level.chol
+        self.rows, self.chol = len(design), level.chol
 
 
 class _Nodes:
@@ -319,10 +309,10 @@ class _Nodes:
     equal-weight average) and what a search polishes: None, its best
     node ("best") or every node ("all"). Per level it keeps the
     variance solve V_t = L_t^{-1} R_t(D_t, nodes) with the running sum of
-    its squared rows and the clamped factor (``_Solve``): when a frozen
-    refit grew the level from the kept factor by appended rows, only the
-    new rows are solved, and any other change rebuilds the level. The
-    mask of nodes equal to an excluded point grows the same way. The row
+    its squared rows and the clamped factor (``_Solve``): a level that
+    holds the kept factor is kept whole, one a frozen refit grew from it
+    solves only its new rows, and any other level is rebuilt. Exclusion
+    goes through a ``PointIndex`` of the excluded points. The row
     recursion and the terms of the variance recursion are ``predict``'s
     own (``kriging._solve_rows``, ``cokriging._variance_terms``), so
     ``top_variance`` equals ``predict(points).variances[-1]`` bit for
@@ -338,7 +328,6 @@ class _Nodes:
         self.index = PointIndex(points)
         self._solves = {}  # level index -> _Solve
         self._reserve = {}  # level index -> rows to reserve
-        self._excluded = None  # (excluded points, node mask)
 
     def reserve(self, rows) -> None:
         """Size each level's V buffer for a bound on the level's design
@@ -354,7 +343,7 @@ class _Nodes:
             # rebuild allocates
             solve = self._solves[k] = _Solve(level, self.points,
                                              self._reserve.get(k, 0))
-        if len(level.design) > len(solve.design):
+        if len(level.design) > solve.rows:
             solve.grow(level, self)
         return solve.factor
 
@@ -384,34 +373,20 @@ class _Nodes:
         return (_variance_recursion(*terms)[-1][0],
                 np.concatenate(_contributions(*terms)))
 
-    def _excluded_mask(self, exclude) -> np.ndarray:
-        d = self.points.shape[1]
-        if np.size(exclude) == 0:  # an empty list excludes nothing
-            exclude = np.empty((0, d))
-        exclude = _as_points(exclude, d)
-        kept = self._excluded
-        if kept is None or not extends(exclude, kept[0]):
-            kept = (exclude[:0], np.zeros(len(self.points), dtype=bool))
-        seen, mask = kept
-        mask[self.index.matches(exclude[len(seen):])[1]] = True
-        self._excluded = (exclude, mask)
-        return mask
-
     def best(self, variances, exclude=None):
-        """Index of the node with the largest variance among those not
-        bitwise equal to an ``exclude`` point, or None when none is left.
-        Exact ties break toward the lexicographically smallest
+        """Index of the node with the largest variance among those the
+        ``PointIndex`` ``exclude`` does not find, or None when none is
+        left. Exact ties break toward the lexicographically smallest
         coordinates (scan order is canonical, so permuting the nodes
-        changes nothing). The plain argmax stands unless an excluded node
-        wins it; only then is the scan repeated on a masked copy."""
+        changes nothing). The plain argmax stands unless ``exclude``
+        finds it; only then is the scan repeated with its points masked."""
         order = self.index.order
         j = (np.argmax(variances) if order is None
              else order[np.argmax(variances[order])])
-        if exclude is None:
-            return int(j)
-        mask = self._excluded_mask(exclude)
-        if not mask[j]:  # the first maximum in scan order is kept
-            return int(j)
+        if exclude is None or not exclude.matches(self.points[j])[0].size:
+            return int(j)  # the first maximum in scan order is kept
+        mask = np.zeros(len(self.points), dtype=bool)
+        mask[self.index.matches(exclude.points)[1]] = True
         if mask.all():
             return None
         # variances are never below 0, so no excluded node can win
@@ -424,23 +399,23 @@ def _node_set(domain: Domain, spec, quadrature: bool) -> _Nodes:
 
     None picks the default per dimension. A Grid has endpoints as a
     search and cell midpoints as a quadrature; a quadrature on a domain
-    with a weighted-sample measure is the measure itself. A resolved
-    node set passes through, so the loop resolves once and reuses its
-    caches.
+    with a weighted-sample measure is the measure itself, once the spec
+    passes its checks. A resolved node set passes through, so the loop
+    resolves once and reuses its caches.
     """
     if isinstance(spec, _Nodes):
         return spec
-    if quadrature and domain.measure is not None:
-        return _Nodes(domain.measure.points, weights=domain.measure.weights)
     if spec is None:
         spec = _DEFAULTS[min(domain.dimension, 3) - 1][quadrature]
-    if isinstance(spec, Grid):
-        return _Nodes(product_grid(domain.bounds, spec.n, midpoints=quadrature))
-    if not isinstance(spec, Uniform):
+    if not isinstance(spec, (Grid, Uniform)):
         role = "quadrature" if quadrature else "search"
         raise TypeError(f"unknown {role} {spec!r}")
-    if quadrature and spec.polish:
+    if quadrature and getattr(spec, "polish", None):
         raise ValueError(f"a quadrature polishes nothing, got {spec!r}")
+    if quadrature and domain.measure is not None:
+        return _Nodes(domain.measure.points, weights=domain.measure.weights)
+    if isinstance(spec, Grid):
+        return _Nodes(product_grid(domain.bounds, spec.n, midpoints=quadrature))
     points = domain.uniform_points(spec.n, np.random.default_rng(spec.seed))
     return _Nodes(points, polish=spec.polish)
 
@@ -457,9 +432,10 @@ def _polish(model, domain, starts) -> np.ndarray:
 
 
 def _argmax(model, domain, nodes, exclude):
-    """(point, node index) of ``argmax_variance`` on a resolved node set;
-    the index is None for a polished point, and both are None when
-    nothing survives the exclusion.
+    """(point, node index) of ``argmax_variance`` on a resolved node set,
+    excluding the points of the ``PointIndex`` ``exclude`` (or nothing,
+    when None); the index is None for a polished point, and both are
+    None when nothing survives the exclusion.
 
     The polished points, in order after the nodes, join the kept set's
     ``best`` under its tie rule: the larger variance wins, and an exact
@@ -475,8 +451,8 @@ def _argmax(model, domain, nodes, exclude):
         # scored together, as a batch's bits can depend on its width
         scores = model.predict(polished).variances[-1]
         kept = np.ones(len(polished), dtype=bool)
-        if exclude is not None and np.size(exclude):
-            kept[PointIndex(exclude).matches(polished)[0]] = False
+        if exclude is not None:
+            kept[exclude.matches(polished)[0]] = False
         for x, v in zip(polished[kept], scores[kept]):
             if best is None or v > best[0] or (
                     v == best[0] and tuple(x) < tuple(best[1])):
@@ -489,12 +465,14 @@ def argmax_variance(model, domain: Domain, search=None, exclude=None):
 
     search is a Grid or a Uniform (default per dimension: Grid(1025),
     Grid(101), then Uniform(4096, polish="best")). ``exclude`` drops
-    candidates bitwise equal to given points (the loop uses it to keep
-    enrichment's no-duplicate rule satisfiable); returns None when
-    nothing survives the exclusion.
-    Otherwise returns the chosen point, shape (d,). The candidates are
-    the search's nodes plus the points it polishes from them.
+    candidates bitwise equal to given points, through one ``PointIndex``
+    of them (the loop excludes D_1 so enrichment's no-duplicate rule
+    holds); returns None when nothing survives the exclusion. Otherwise
+    returns the chosen point, shape (d,). The candidates are the
+    search's nodes plus the points it polishes from them.
     """
+    exclude = (PointIndex(_as_points(exclude, domain.dimension))
+               if exclude is not None and np.size(exclude) else None)
     return _argmax(model, domain, _node_set(domain, search, False), exclude)[0]
 
 
@@ -744,11 +722,11 @@ def run_loop(model, domain: Domain, cost: CostModel, budget,
     """Enrich until the next run would not fit in the budget.
 
     Returns (final model, EnrichmentTrace). Each iteration finds the
-    maximum-variance point (design points of D_1 excluded so the
-    duplicate rule cannot trip), chooses how deep to run (at a search
-    node from the search's kept state, by ``choose_level``'s rule; at a
-    polished point by ``choose_level``), evaluates the simulators, and
-    enriches. ``refit`` is "never" (frozen hyperparameters), "always",
+    maximum-variance point (D_1 excluded by the data's own index of it,
+    so the duplicate rule cannot trip), chooses how deep to run (at a
+    search node from the search's kept state, by ``choose_level``'s
+    rule; at a polished point by ``choose_level``), evaluates the
+    simulators, and enriches. ``refit`` is "never" (frozen hyperparameters), "always",
     or "every-k" for an integer k (refit on iterations k, 2k, ...). A
     refit reestimates through ``enrich`` with the model's fit settings,
     so it searches again only the levels whose data changed since the
@@ -775,7 +753,7 @@ def run_loop(model, domain: Domain, cost: CostModel, budget,
     iteration = 0
     imse = compute_imse(model, domain, quadrature)
     while True:
-        x, node = _argmax(model, domain, search, model.data.designs[0])
+        x, node = _argmax(model, domain, search, model.data.indexes[0])
         if x is None:
             break  # every candidate already observed; nothing left to add
         if node is None or len(search.points) == 1:

@@ -27,7 +27,7 @@ from mfkrig.cokriging import (
 from mfkrig.exceptions import DuplicateDesignPointError
 from mfkrig.kernels import BasisSpec, KernelSpec
 from mfkrig.kriging import KrigingProblem
-from mfkrig.sequential import CostModel, enrich, _run_settings
+from mfkrig.sequential import CostModel, Domain, enrich, _run_settings
 from mfkrig.testbed import (
     get_problem,
     load_data,
@@ -98,6 +98,11 @@ def test_predict_names_a_non_finite_probe(bad):
         model.predict(probes)
     with pytest.raises(ValueError, match="probe point"):
         model.predict(np.array([bad]))
+
+
+def test_a_domain_names_a_measure_of_the_wrong_type():
+    with pytest.raises(TypeError, match=r"unknown measure \[\[0.5\]\]"):
+        Domain([[0, 1]], measure=[[0.5]])
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ iterations; the public calls resolve them afresh. Both must give the same
 numbers bit for bit."""
 
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -238,15 +239,24 @@ def test_a_polishing_uniform_is_no_quadrature():
     def never_called(x):
         raise AssertionError("simulator ran")
 
-    for polish in ("best", "all"):
-        spec = Uniform(16, seed=1, polish=polish)
-        with pytest.raises(ValueError, match="a quadrature polishes nothing"):
-            compute_imse(model, UNIT1, spec)
-        with pytest.raises(ValueError, match="a quadrature polishes nothing"):
-            run_loop(model, UNIT1, cost, 20.0, [never_called] * 2,
-                     quadrature=spec)
-        assert argmax_variance(model, UNIT1, spec) is not None
-    assert compute_imse(model, UNIT1, Uniform(16, seed=1)) > 0
+    # a measure is its own quadrature, but the spec is checked first
+    for domain in (UNIT1, Domain(UNIT1.bounds, _measure(UNIT1.bounds, 12, 2))):
+        for polish in ("best", "all"):
+            spec = Uniform(16, seed=1, polish=polish)
+            with pytest.raises(ValueError,
+                               match="a quadrature polishes nothing"):
+                compute_imse(model, domain, spec)
+            with pytest.raises(ValueError,
+                               match="a quadrature polishes nothing"):
+                run_loop(model, domain, cost, 20.0, [never_called] * 2,
+                         quadrature=spec)
+            assert argmax_variance(model, domain, spec) is not None
+        with pytest.raises(TypeError, match="unknown quadrature 'garbage'"):
+            compute_imse(model, domain, "garbage")
+        with pytest.raises(TypeError, match="unknown quadrature 'garbage'"):
+            run_loop(model, domain, cost, 20.0, [never_called] * 2,
+                     quadrature="garbage")
+        assert compute_imse(model, domain, Uniform(16, seed=1)) > 0
 
 
 def test_one_grid_gives_endpoints_as_a_search_and_midpoints_as_a_quadrature():
@@ -427,16 +437,19 @@ def test_new_lengthscales_or_a_new_design_rebuild_the_cache(correlation_rows):
     refitted = MultiFidelityModel.from_parameters(model.data, model.configs,
                                                   params)
     got = nodes.top_variance(refitted)
-    assert correlation_rows == [8, 4, 8]
+    # level 2 keeps its kernel and design, but its factor has no lineage
+    assert correlation_rows == [8, 4, 8, 4]
     assert (got == refitted.predict(nodes.points).variances[-1]).all()
-    # same kernels, but a design that does not extend the cached one
+    # same kernels, but a design that does not extend the cached one;
+    # the refit grows level 2 from its factor by no rows: lineage
     data = model.data
     reordered = MultiFidelityData(
         [data.designs[0][::-1], data.designs[1]],
         [data.observations[0][::-1], data.observations[1]])
     moved = refitted.refit(reordered)
+    assert moved.levels[1].grown_from is refitted.levels[1].chol
     got = nodes.top_variance(moved)
-    assert correlation_rows == [8, 4, 8, 8]
+    assert correlation_rows == [8, 4, 8, 4, 8]
     assert (got == moved.predict(nodes.points).variances[-1]).all()
 
 
@@ -460,9 +473,14 @@ def test_the_node_index_finds_every_bitwise_equal_node(points):
     assert (got == want).all() and len(rows) == want.sum()
     # every copy of an excluded point is excluded
     variances = np.arange(len(points), dtype=float)
-    j = nodes.best(variances, exclude=queries)
+    j = nodes.best(variances, exclude=PointIndex(queries))
     assert not reference_same_points(points[j:j + 1], queries).any()
-    assert nodes.best(variances, exclude=points) is None
+    assert nodes.best(variances, exclude=PointIndex(points)) is None
+
+
+def _index(points):
+    """The ``PointIndex`` of exclusion points, or None for none."""
+    return None if points is None else PointIndex(points)
 
 
 def _reference_best(nodes, variances, exclude=None):
@@ -504,15 +522,11 @@ def test_best_takes_the_plain_argmax_unless_an_excluded_node_wins(spec):
         (tied, nodes.points[order[[3, 9]]]),
     ]
     for values, exclude in cases:
-        # a fresh node set, so each exclusion starts its mask anew
-        fresh = sequential._Nodes(nodes.points)
-        assert fresh.best(values, exclude) == \
+        assert nodes.best(values, _index(exclude)) == \
             _reference_best(nodes, values, exclude)
-    assert sequential._Nodes(nodes.points).best(tied) == order[3]
-    assert sequential._Nodes(nodes.points).best(
-        tied, nodes.points[order[[3]]]) == order[9]
-    assert sequential._Nodes(nodes.points).best(variances,
-                                                nodes.points) is None
+    assert nodes.best(tied) == order[3]
+    assert nodes.best(tied, _index(nodes.points[order[[3]]])) == order[9]
+    assert nodes.best(variances, _index(nodes.points)) is None
 
 
 def test_the_polish_starts_from_the_unmasked_best(monkeypatch):
@@ -526,7 +540,8 @@ def test_the_polish_starts_from_the_unmasked_best(monkeypatch):
     starts = []
     monkeypatch.setattr(sequential, "_polish", lambda model, domain, s: (
         starts.append(np.array(s)), np.atleast_2d(s).copy())[1])
-    x, node = sequential._argmax(model, domain, nodes, nodes.points[[first]])
+    x, node = sequential._argmax(model, domain, nodes,
+                                 PointIndex(nodes.points[[first]]))
     assert starts[0].tobytes() == nodes.points[first].tobytes()
     assert node == _reference_best(nodes, variances, nodes.points[[first]])
     assert node != first
@@ -546,6 +561,30 @@ def test_fully_excluded_search_returns_none_and_stops_the_loop():
     again, empty = run_loop(final, UNIT1, cost, 200.0, simulators,
                             search=Grid(5), quadrature=Grid(16))
     assert again is final and len(empty) == 0 and empty.complete
+
+
+def test_the_loop_excludes_through_the_index_of_d1(monkeypatch):
+    # a polished pick excludes D_1 through the data's own index, so only
+    # the grown levels' data and the two node sets build one
+    model, bounds, cost, simulators = _setup("ripple2d", [12, 5])
+    builders = []
+    original = PointIndex.__init__
+
+    def spy(self, points):
+        caller = sys._getframe(1)
+        owner = type(caller.f_locals.get("self")).__name__
+        builders.append(f"{owner}.{caller.f_code.co_name}")
+        original(self, points)
+
+    monkeypatch.setattr(PointIndex, "__init__", spy)
+    _, trace = run_loop(model, Domain(bounds), cost, 10, simulators,
+                        search=Uniform(64, seed=1, polish="best"),
+                        quadrature=Grid(8))
+    assert len(trace) > 1
+    assert builders.count("_Nodes.__init__") == 2
+    assert builders.count("MultiFidelityData.with_point") == sum(
+        e.level for e in trace.entries)
+    assert len(builders) == 2 + sum(e.level for e in trace.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +631,7 @@ def test_a_huge_budget_reserves_nothing_and_gives_the_trace():
     for nodes in (search, quadrature):
         for solve in nodes._solves.values():
             assert solve.v.nbytes <= sequential._RESERVE_BYTES
-            assert len(solve.v) < 2 * len(solve.design)
+            assert len(solve.v) < 2 * solve.rows
     assert _trace_digest(final, trace) == (
         "5c207c3c1a7d8c19ccd6f34084aa27bd047e65ba014aa2db315b913304ac4e50")
 
@@ -661,7 +700,7 @@ def _reference_argmax(model, domain, nodes, exclude):
     polished = sequential._polish(model, domain, starts)
     candidates = sequential._Nodes(np.vstack([nodes.points, polished]))
     j = candidates.best(np.concatenate(
-        [variances, model.predict(polished).variances[-1]]), exclude)
+        [variances, model.predict(polished).variances[-1]]), _index(exclude))
     if j is None:
         return None, None
     return candidates.points[j], (j if j < len(nodes.points) else None)
@@ -694,12 +733,13 @@ def test_a_polished_point_on_a_node_is_picked_as_before(monkeypatch, polish,
     first = nodes.best(variances)
     for exclude in (None, model.data.designs[0],
                     np.vstack([model.data.designs[0], nodes.points[first]])):
-        got = sequential._argmax(model, domain, nodes, exclude)
+        got = sequential._argmax(model, domain, nodes, _index(exclude))
         want = _reference_argmax(model, domain, nodes, exclude)
         assert got[1] == want[1]
         assert got[0].tobytes() == want[0].tobytes()
         if polish == "all":  # a node wins the tie with its polished copy
-            assert got[1] == nodes.best(variances, exclude)
+            assert got[1] == nodes.best(variances, _index(exclude))
     # with the best node excluded, its polished copy is excluded too
-    got = sequential._argmax(model, domain, nodes, nodes.points[[first]])
+    got = sequential._argmax(model, domain, nodes,
+                             PointIndex(nodes.points[[first]]))
     assert not (got[0] == nodes.points[first]).all()
