@@ -48,9 +48,15 @@ echo '{"problem": "chain3", "sizes": [10, 6, 3], "budget": 12, "rule": "cost-wei
 echo '{"problem": "chain3", "sizes": [10, 6, 3], "budget": 30, "refit": "every-3", "rule": "cost-weighted", "out": "every-sequential"}' > every-sequential.json
 # the grid search runs out of candidates long before the budget does
 echo '{"problem": "forrester", "sizes": [8, 4], "budget": 100, "search": {"kind": "grid", "n": 5}, "quadrature": {"kind": "grid", "n": 16}, "out": "exhausted-sequential"}' > exhausted-sequential.json
+# predicts at one design point of fit and one point off the design: the
+# command reads a points file through the CSV number parser, and the
+# design point takes the matched nugget
+echo '{"model_dir": "fit", "points_file": "points.csv", "out": "predict-points"}' > predict-points.json
 for command in fit predict sequential report; do
   "$@" "$command" --config "$command.json" --quiet
 done
+{ head -2 fit/design_1.csv; echo 0.123456789; } > points.csv
+"$@" predict --config predict-points.json --quiet
 "$@" predict --config predict-bounds.json --quiet
 "$@" fit --config fit-from-data.json --quiet
 "$@" fit --config ripple-fit.json --quiet

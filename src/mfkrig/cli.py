@@ -279,6 +279,14 @@ _COMMANDS = {
 }
 
 
+def _seed(text) -> int:
+    """``--seed``'s value: ASCII digits after an optional "-"."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="mfkrig",
@@ -293,7 +301,7 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=None,
                        help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help="seed (overrides config)")
         p.add_argument("--quiet", action="store_true",
                        help="suppress informational output")

@@ -9,7 +9,8 @@ nan, a magnitude outside [1e-280, 1e280], a rounding within 1e-9 of a
 tie) is written by ``fmt``. An unreadable file or malformed CSV or JSON
 content raises ParseError naming the file and, where known, the 1-based
 line.
-Every JSON field, of a config or of ``model.json``, is read by ``_typed``.
+Every numeric CSV cell is read by ``parse_number``, and every JSON field,
+of a config or of ``model.json``, by ``_typed``.
 """
 
 import functools
@@ -135,8 +136,6 @@ def _format_block(block) -> np.ndarray:
     cannot decide exactly: zero, inf, nan, magnitudes outside [_LOW,
     _HIGH], and scaled fractions within _TIE of .5.
     """
-    if not block.shape[1]:  # a row without cells is an empty line
-        return np.full(len(block), ord("\n"), np.uint8)
     tab = _tables()
     v = block.ravel()
     n = len(v)
@@ -263,6 +262,15 @@ def _typed(obj, key, kind, default=_REQUIRED, owner="", error=ValueError):
         raise error(
             f"{owner}{key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
     return value
+
+
+def parse_number(cell, kind=float):
+    """``kind(cell)``, for ``kind`` float or int, of a CSV cell in ASCII
+    without underscores: Python's own parsers read "1_5" as 15 and an
+    Arabic-Indic two as 2, and such a cell raises ValueError here."""
+    if not cell.isascii() or "_" in cell:
+        raise ValueError(f"invalid {kind.__name__} {cell!r}")
+    return kind(cell)
 
 
 def parse_row(path, lineno, line, width, parse):

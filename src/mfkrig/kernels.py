@@ -11,7 +11,8 @@ matrices are exactly symmetric with unit diagonal; ``NUGGET`` is the
 diagonal term added wherever one is factorized. Each formula is written
 once, in ``_scaled_correlation``, which also gives the gradient weight.
 Point identity (bitwise equal coordinates), on which nesting, the
-duplicate rule and the matched nugget rest, lives in ``PointIndex``.
+duplicate rule, the matched nugget and the search's tie order rest, lives
+in ``PointIndex``: one sort of keys that order as the coordinates do.
 """
 
 from dataclasses import dataclass
@@ -182,33 +183,30 @@ def correlation_matrix(spec: KernelSpec, points) -> np.ndarray:
     return r
 
 
-def _lexicographic_order(columns):
-    """The rows' stable lexicographic order, or None when already in it."""
-    order = np.lexsort(columns.T[::-1])
-    return None if (order == np.arange(len(order))).all() else order
-
-
 def _keys(points) -> np.ndarray:
-    """One bytes key per point, its coordinates as big-endian float64: equal
-    only for equal points, ordered as the rows of their bits as uint64."""
-    keys = np.ascontiguousarray(points, ">f8")
-    return keys.view((np.void, 8 * points.shape[1])).ravel()
+    """One bytes key per point, its coordinates' float64 bits as big-endian
+    integers with the sign bit flipped when clear and every bit when set:
+    keys compare as the points do in lexicographic coordinate order (-0.0
+    just below 0.0) and are equal only for bitwise-equal points."""
+    keys = np.array(points, float, order="C").view(np.int64)  # to write over
+    keys ^= (keys >> 63) | (-1 << 63)
+    return keys.astype(">i8").view((np.void, 8 * keys.shape[1])).ravel()
 
 
 class PointIndex:
     """The library's one point identity, built once per (n, d) point set:
     points are the same when their float64 coordinates are bitwise equal
-    (-0.0 is not 0.0; no tolerance). Holds the points, their lexicographic
-    order (None when already in it, as a product grid is), their sorted
-    ``_keys`` (in ``_by_key`` order, None when already in it) and whether
-    no point repeats (``distinct``: no two sorted keys side by side equal)."""
+    (-0.0 is not 0.0; no tolerance). Holds the points, their ``_keys``
+    sorted once, stably, by ``order`` (None when already sorted, as a
+    product grid is) and whether no point repeats (``distinct``: no two
+    sorted keys side by side equal)."""
 
     def __init__(self, points):
         self.points = points = np.ascontiguousarray(_as_points(points))
-        self.order = _lexicographic_order(points)
-        self._by_key = _lexicographic_order(points.view(np.uint64))
         keys = _keys(points)
-        self._keys = keys if self._by_key is None else keys[self._by_key]
+        order = keys.argsort(kind="stable")
+        self.order = None if (order == np.arange(len(order))).all() else order
+        self._keys = keys if self.order is None else keys[order]
         self.distinct = not (self._keys[1:] == self._keys[:-1]).any()
 
     def matches(self, points):
@@ -226,7 +224,7 @@ class PointIndex:
         else:
             rows = np.repeat(np.arange(len(count)), count)
             found = (lo - (count.cumsum() - count))[rows] + np.arange(len(rows))
-        return rows, found if self._by_key is None else self._by_key[found]
+        return rows, found if self.order is None else self.order[found]
 
 
 def extends(points, prefix) -> bool:

@@ -57,7 +57,7 @@ from .cokriging import (
     _variance_recursion,
     _variance_terms,
 )
-from .csvio import fmt, parse_row, read_csv
+from .csvio import fmt, parse_number, parse_row, read_csv
 from .exceptions import ParseError
 from .kernels import (
     PointIndex,
@@ -376,8 +376,9 @@ class _Nodes:
     def best(self, variances, exclude=None):
         """Index of the node with the largest variance among those the
         ``PointIndex`` ``exclude`` does not find, or None when none is
-        left. Exact ties break toward the lexicographically smallest
-        coordinates (scan order is canonical, so permuting the nodes
+        left. Exact ties break toward the smallest key of the index, the
+        lexicographically smallest coordinates with -0.0 below 0.0 (the
+        scan follows the index's sorted keys, so permuting the nodes
         changes nothing). The plain argmax stands unless ``exclude``
         finds it; only then is the scan repeated with its points masked."""
         order = self.index.order
@@ -439,8 +440,9 @@ def _argmax(model, domain, nodes, exclude):
 
     The polished points, in order after the nodes, join the kept set's
     ``best`` under its tie rule: the larger variance wins, and an exact
-    tie goes to the lexicographically smaller point, then to the
-    earlier candidate, so a node beats a polished point equal to it."""
+    tie goes to the point first in ``PointIndex`` order (-0.0 below
+    0.0, as among the nodes), then to the earlier candidate, so a node
+    beats a polished point equal to it."""
     variances = nodes.top_variance(model)
     j = nodes.best(variances, exclude)
     best = None if j is None else (variances[j], nodes.points[j], j)
@@ -454,8 +456,9 @@ def _argmax(model, domain, nodes, exclude):
         if exclude is not None:
             kept[exclude.matches(polished)[0]] = False
         for x, v in zip(polished[kept], scores[kept]):
-            if best is None or v > best[0] or (
-                    v == best[0] and tuple(x) < tuple(best[1])):
+            # x comes first when the index of the pair must reorder it
+            if best is None or v > best[0] or (v == best[0] and PointIndex(
+                    np.vstack([best[1], x])).order is not None):
                 best = v, x, None
     return (None, None) if best is None else best[1:]
 
@@ -656,15 +659,15 @@ def read_trace(path) -> EnrichmentTrace:
         raise ParseError(f"{path}:1: unrecognized trace header")
 
     def number(cell):
-        value = float(cell)
+        value = parse_number(cell)
         if not np.isfinite(value):
             raise ValueError(f"non-finite value {cell!r}")
         return value
 
     def parse(cells):
-        iteration = int(cells[0])
+        iteration = parse_number(cells[0], int)
         x = np.array([number(c) for c in cells[1:1 + dimension]])
-        level = int(cells[1 + dimension])
+        level = parse_number(cells[1 + dimension], int)
         _check_level(level, levels)
         raw = cells[2 + dimension:2 + dimension + levels]
         if "" in raw[:level] or any(raw[level:]):

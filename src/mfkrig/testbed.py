@@ -24,7 +24,7 @@ from .cokriging import (
     MultiFidelityData,
     MultiFidelityModel,
 )
-from .csvio import _typed, parse_row, read_csv, read_json, write_csv
+from .csvio import _typed, parse_number, parse_row, read_csv, read_json, write_csv
 from .exceptions import ParseError
 from .kernels import BasisSpec, KernelSpec, _cdist, _check_level, _is_integer
 from .sequential import CostModel, _as_box
@@ -218,27 +218,19 @@ def _response_path(directory, t):
 _MODEL_SIDECAR = "model.json"
 
 
-def _read_table(path):
-    """(header, rows of floats) of a CSV; the caller validates the header."""
+def load_points(path, expected=None) -> np.ndarray:
+    """The (n, d) floats of a CSV whose header is ``expected``, by default
+    a design's dim_0..dim_{d-1}; n may be 0."""
     header, body = read_csv(path)
     rows = [parse_row(path, lineno, line, len(header),
-                      lambda cells: [float(c) for c in cells])
+                      lambda cells: [parse_number(c) for c in cells])
             for lineno, line in body]
-    return header, rows
-
-
-def load_points(path) -> np.ndarray:
-    """Read one design CSV (dim_0.. header); returns (n, d), n may be 0."""
-    header, rows = _read_table(path)
-    expected = [f"dim_{j}" for j in range(len(header))]
+    expected = expected or [f"dim_{j}" for j in range(len(header))]
     if header != expected:
         raise ParseError(
             f"{path}:1: expected header {','.join(expected)!r}, "
             f"got {','.join(header)!r}")
-    d = len(header)
-    if not rows:
-        return np.empty((0, d))
-    return np.asarray(rows, dtype=float)
+    return np.array(rows, dtype=float).reshape(len(rows), len(header))
 
 
 def save_data(data: MultiFidelityData, directory) -> None:
@@ -278,12 +270,8 @@ def load_data(directory) -> MultiFidelityData:
         rpath = _response_path(directory, t)
         if not os.path.exists(rpath):
             raise ParseError(f"{rpath}: missing response file for level {t}")
-        rheader, rrows = _read_table(rpath)
-        if rheader != ["value"]:
-            raise ParseError(
-                f"{rpath}:1: expected header 'value', got {','.join(rheader)!r}")
         designs.append(design)
-        observations.append(np.asarray([r[0] for r in rrows], dtype=float))
+        observations.append(load_points(rpath, ["value"]).ravel())
         t += 1
     if not designs:
         raise ParseError(f"{_design_path(directory, 1)}: no design files found")

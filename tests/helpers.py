@@ -5,8 +5,11 @@ likelihood search as the yardstick of the library's L-BFGS-B search,
 that search with its former memoized ``minimize`` call as its oracle, a
 variance search through ``predict``, the likelihood gradient's weight
 from its own distance matrix, the likelihood gradient by its direct
-formula, the frozen refit that solves every level again, and the
-sequential loop spelled out through public calls."""
+formula, the frozen refit that solves every level again, the point
+index's sort key from each coordinate's bits, and the sequential loop
+spelled out through public calls."""
+
+import struct
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky, lstsq, solve_triangular
@@ -286,6 +289,19 @@ def reference_same_points(a, b):
     for i, row in enumerate(a):
         out[i, index.get(row.tobytes(), [])] = True
     return out
+
+
+def reference_key(point):
+    """The key ``kernels.PointIndex`` sorts a point by, one integer per
+    coordinate from its float64 bits read by ``struct``: the sign bit set
+    when clear, every bit flipped when set. Keys order as the coordinates
+    do lexicographically, -0.0 just below 0.0, and are equal only for
+    bitwise-equal points."""
+    key = []
+    for value in point:
+        bits = int.from_bytes(struct.pack(">d", value), "big")
+        key.append(bits ^ ((1 << 64) - 1) if bits >> 63 else bits | 1 << 63)
+    return tuple(key)
 
 
 def draw_nested_designs(rng, sizes, d):

@@ -113,6 +113,22 @@ def test_seed_flag_overrides_config(tmp_path):
         (out_b / "model.json").read_bytes()
 
 
+@pytest.mark.parametrize("seed", [
+    "1_0", "\u0661", " 1", "+1",  # int() would read 10 and 1
+    "1.0", "-", "",
+])
+def test_seed_flag_reads_ascii_digits(tmp_path, capsys, seed):
+    config = _fit_config(tmp_path, tmp_path / "m")
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--config", config, "--quiet", "--seed", seed])
+    assert exc.value.code == 2
+    assert f"invalid seed {seed!r}" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+    # a negative seed is read, and the library rejects it
+    assert main(["fit", "--config", config, "--quiet", "--seed", "-1"]) == \
+        EXIT_VALIDATION
+
+
 def test_fit_rejects_growing_sizes(tmp_path, capsys):
     config = _fit_config(tmp_path, tmp_path / "m", sizes=(6, 12))
     assert main(["fit", "--config", config]) == EXIT_VALIDATION

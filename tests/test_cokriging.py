@@ -211,8 +211,7 @@ def _index_fields(index):
     two values that differ in a bit, dtype or shape (or None)."""
     return [None if v is None else (v.dtype.str, v.shape, v.tobytes())
             if isinstance(v, np.ndarray) else v
-            for v in (index.points, index.order, index._by_key, index._keys,
-                      index.distinct)]
+            for v in (index.points, index.order, index._keys, index.distinct)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -406,6 +405,19 @@ def test_predict_interpolates_every_level_at_nested_points():
         for t in range(2):
             assert abs(out.means[t] - z[t]) <= 1e-8 * (1 + abs(z[t]))
             assert out.variances[t] <= 1e-10 * sigma2s[t]
+
+
+def test_predict_reads_a_fortran_ordered_block_as_its_copy():
+    data = two_level_data(seed=2, d=2)
+    model = fixed_two_level_model(data, d=2)
+    # design points and off-design points, in the column-major layout
+    # that np.vstack([xs, ys]).T gives
+    probes = np.vstack([data.designs[0][:4], data.designs[0][:4] + 0.01])
+    fortran = np.asfortranarray(probes)
+    assert not fortran.flags.c_contiguous
+    got, want = model.predict(fortran), model.predict(probes)
+    for name in ("means", "variances", "contributions"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_predict_level_one_interpolates_unshared_points():

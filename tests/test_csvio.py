@@ -118,4 +118,3 @@ def test_write_csv_matches_fmt_on_random_bits_and_edge_lists(tmp_path):
 def test_write_csv_writes_rows_without_cells_as_empty_lines(tmp_path):
     rows = np.empty((2, 0))
     assert _written(tmp_path, [], rows) == _reference([], rows) == b"\n" * 3
-    assert bytes(_format_block(rows)) == b"\n" * 2

@@ -20,7 +20,7 @@ from mfkrig.kernels import (
     _scaled_correlation,
 )
 
-from helpers import add_nugget, reference_same_points
+from helpers import add_nugget, reference_key, reference_same_points
 
 
 def test_squared_exponential_identity():
@@ -269,6 +269,14 @@ def test_point_index_matches_bytes_reference(sets):
     c = np.arange(float(len(a) * len(b))).reshape(len(a), len(b))
     np.testing.assert_array_equal(add_matched_nugget(c, a, b),
                                   c + NUGGET * expected)
+    # column-major point sets and queries are read as their row-major copies
+    fa, fb = np.asfortranarray(a), np.asfortranarray(b)
+    for index_of, query in ((index, fa), (PointIndex(fb), a),
+                            (PointIndex(fb), fa)):
+        np.testing.assert_array_equal(np.vstack(index_of.matches(query)),
+                                      np.vstack(index.matches(a)))
+    np.testing.assert_array_equal(add_matched_nugget(c, fa, fb),
+                                  c + NUGGET * expected)
     # nesting: the first point of a that is no point of b
     missing = np.flatnonzero(~expected.any(axis=1))
     assert validate_nesting([b, a]) == ((2, missing[0]) if missing.size
@@ -335,3 +343,43 @@ def test_point_index_is_bitwise():
     for points in (np.empty((2, 0)), np.empty((0, 0)), []):
         with pytest.raises(ValueError, match="at least one coordinate"):
             PointIndex(points)
+    # -0.0 sorts just below 0.0, whatever the rows' order
+    assert PointIndex([[0.0], [-0.0]]).order.tolist() == [1, 0]
+    assert PointIndex([[-0.0], [0.0]]).order is None
+
+
+# Both zeros, subnormals, +-1e300 and +-inf, each sign of each magnitude.
+_ORDERED = [0.0, -0.0, 5e-324, -5e-324, 2.5e-308, -2.5e-308, 0.5, -0.5,
+            1.0, -1.0, 1e300, -1e300, np.inf, -np.inf]
+
+
+@st.composite
+def _ordered_sets(draw):
+    # Up to 30 rows of up to 3 coordinates from at most 5 values, so rows
+    # repeat and share leading coordinates.
+    d = draw(st.integers(1, 3))
+    values = draw(st.lists(st.sampled_from(_ORDERED), min_size=1, max_size=5))
+    row = st.lists(st.sampled_from(values), min_size=d, max_size=d)
+    return np.array(draw(st.lists(row, max_size=30)), dtype=float).reshape(-1, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ordered_sets())
+def test_point_index_sorts_once_in_coordinate_order(points):
+    index = PointIndex(points)
+    order = np.arange(len(points)) if index.order is None else index.order
+    # one stable sort by key: coordinate order, -0.0 just below 0.0
+    assert order.tolist() == sorted(range(len(points)),
+                                    key=lambda i: reference_key(points[i]))
+    if not (points == 0.0).any():
+        np.testing.assert_array_equal(order, np.lexsort(points.T[::-1]))
+    keys = [key.tobytes() for key in index._keys]
+    assert keys == sorted(keys)
+    assert index.distinct == all(a < b for a, b in zip(keys, keys[1:]))
+    # the sorted keys find every bitwise-equal pair, the twin of a zero none
+    queries = np.vstack([points[::2], -points[:3]])
+    rows, found = index.matches(queries)
+    expected = reference_same_points(queries, points)
+    got = np.zeros_like(expected)
+    got[rows, found] = True
+    assert len(rows) == expected.sum() and (got == expected).all()

@@ -4,16 +4,24 @@ iterations; the public calls resolve them afresh. Both must give the same
 numbers bit for bit."""
 
 import hashlib
+import itertools
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mfkrig.cli as cli
 import mfkrig.cokriging as cokriging
 import mfkrig.kriging as kriging
 import mfkrig.sequential as sequential
-from helpers import reference_same_points, reference_search, replay_loop
+from helpers import (
+    reference_key,
+    reference_same_points,
+    reference_search,
+    replay_loop,
+)
 from mfkrig.cokriging import (
     LevelConfig,
     LevelParameters,
@@ -485,8 +493,8 @@ def _index(points):
 
 def _reference_best(nodes, variances, exclude=None):
     """``best`` as a scan of every node not equal to an ``exclude`` row:
-    the largest variance, an exact tie to the lexicographically smallest
-    node, then to the earlier one."""
+    the largest variance, an exact tie to the smallest ``reference_key``
+    (lexicographic coordinates, -0.0 below 0.0), then to the earlier node."""
     kept = np.ones(len(nodes.points), dtype=bool)
     if exclude is not None:
         kept = ~reference_same_points(nodes.points, exclude).any(axis=1)
@@ -494,7 +502,7 @@ def _reference_best(nodes, variances, exclude=None):
     if not candidates.size:
         return None
     return min(candidates, key=lambda j: (-variances[j],
-                                          tuple(nodes.points[j])))
+                                          reference_key(nodes.points[j])))
 
 
 @pytest.mark.parametrize("spec", [
@@ -527,6 +535,39 @@ def test_best_takes_the_plain_argmax_unless_an_excluded_node_wins(spec):
     assert nodes.best(tied) == order[3]
     assert nodes.best(tied, _index(nodes.points[order[[3]]])) == order[9]
     assert nodes.best(variances, _index(nodes.points)) is None
+
+
+@st.composite
+def _tied_nodes(draw):
+    # Up to 5 nodes in 2-d from values that hold both zeros, variances
+    # from three values (exact ties are common), and up to 3 exclusion
+    # rows from the same values.
+    rows = st.lists(st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5]),
+                             min_size=2, max_size=2), min_size=1, max_size=5)
+    points = np.array(draw(rows))
+    variances = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
+                                       min_size=len(points),
+                                       max_size=len(points))))
+    exclude = np.array(draw(rows)[:3])
+    return points, variances, exclude
+
+
+@settings(max_examples=200, deadline=None)
+@example(case=(np.array([[0.5, 0.0], [0.5, -0.0]]), np.ones(2),
+               np.array([[1.0, 1.0]])))
+@given(case=_tied_nodes())
+def test_best_picks_one_point_under_every_permutation_of_the_nodes(case):
+    # an exact tie goes to the smallest key whatever the nodes' row order,
+    # and -0.0 is below 0.0
+    points, variances, exclude = case
+    for rows in (None, exclude):
+        j = _reference_best(sequential._Nodes(points), variances, rows)
+        want = None if j is None else points[j].tobytes()
+        for order in itertools.permutations(range(len(points))):
+            nodes = sequential._Nodes(points[list(order)])
+            got = nodes.best(variances[list(order)], _index(rows))
+            assert (None if got is None
+                    else nodes.points[got].tobytes()) == want
 
 
 def test_the_polish_starts_from_the_unmasked_best(monkeypatch):
@@ -704,6 +745,33 @@ def _reference_argmax(model, domain, nodes, exclude):
     if j is None:
         return None, None
     return candidates.points[j], (j if j < len(nodes.points) else None)
+
+
+class _Flat:
+    """A model whose top-level variance is 1 everywhere: every candidate
+    of a search ties exactly."""
+
+    def predict(self, points):
+        return cokriging.PredictionBreakdown(*[np.ones((1, len(points)))] * 3)
+
+
+@pytest.mark.parametrize("polished, want", [
+    ([-0.0, 0.5], None),  # the -0.0 twin of the best node comes first
+    ([0.0, 0.5], 1),      # a copy of it loses to the node
+    ([0.0, 0.25], None),  # a smaller point comes first
+    ([0.5, 0.5], 1),      # a larger one does not
+])
+def test_a_polished_point_ties_with_the_nodes_in_index_order(monkeypatch,
+                                                             polished, want):
+    nodes = sequential._Nodes(np.array([[0.5, 0.5], [0.0, 0.5]]),
+                              polish="best")
+    monkeypatch.setattr(nodes, "top_variance", lambda model: np.ones(2))
+    monkeypatch.setattr(sequential, "_polish",
+                        lambda model, domain, starts: np.array([polished]))
+    x, j = sequential._argmax(_Flat(), None, nodes, None)
+    assert j == want
+    assert x.tobytes() == (np.array(polished) if want is None
+                           else nodes.points[want]).tobytes()
 
 
 @pytest.mark.parametrize("polish, onto", [

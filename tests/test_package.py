@@ -130,7 +130,7 @@ def test_console_script_commands_run_through_the_module(tmp_path):
                 "refit-predict", "prefix-sequential", "matern-fit",
                 "matern-sequential", "uniform-sequential",
                 "polish-sequential", "cost-weighted-sequential",
-                "every-sequential", "exhausted-sequential"):
+                "every-sequential", "exhausted-sequential", "predict-points"):
         assert (tmp_path / out).is_dir(), out
     # a failing command fails the script
     assert _console_script(tmp_path, "false").returncode != 0

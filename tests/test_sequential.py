@@ -630,6 +630,26 @@ def test_trace_parse_errors_name_line(tmp_path):
             read_trace(path)
 
 
+@pytest.mark.parametrize("column, cell", [
+    (0, "2_0"),  # int() would read iteration 20
+    (3, "\u0663"),  # an Arabic-Indic three, read as level 3
+    (1, "0_4"),  # float() would read 4.0
+    (5, "-0.\u0665"),  # read as -0.5
+])
+def test_trace_numbers_are_ascii_without_underscores(tmp_path, column, cell):
+    path = tmp_path / "trace.csv"
+    write_trace(_sample_trace(), path)
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[column] = cell
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    kind = "int" if column in (0, 3) else "float"
+    with pytest.raises(ParseError, match=re.escape(
+            f"trace.csv:3: invalid {kind} {cell!r}")):
+        read_trace(path)
+
+
 # ---------------------------------------------------------------------------
 # run_loop
 

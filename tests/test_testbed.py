@@ -23,6 +23,7 @@ from mfkrig.testbed import (
     get_problem,
     load_data,
     load_model,
+    load_points,
     nested_lhs,
     save_data,
     save_model,
@@ -296,6 +297,28 @@ def test_truncated_csv_parse_error_names_line(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match=r"design_1\.csv:4"):
         load_data(tmp_path)
+
+
+@pytest.mark.parametrize("cell", [
+    "0_5", "1_5e-1",  # float() would read 5.0 and 1.5
+    "\u0662", "0.\u0665",  # Arabic-Indic digits, read as 2.0 and 0.5
+    "\u00a00.5",  # a non-ASCII space, which float() strips
+])
+def test_a_number_cell_is_ascii_without_underscores(tmp_path, cell):
+    save_data(_small_data(), tmp_path)
+    for name in ("design_1.csv", "level_1.csv"):
+        path = tmp_path / name
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        lines[3] = ",".join([cell] + lines[3].split(",")[1:])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        match = re.escape(f"{name}:4: invalid float {cell!r}")
+        if name.startswith("design"):
+            with pytest.raises(ParseError, match=match):
+                load_points(path)
+        with pytest.raises(ParseError, match=match):
+            load_data(tmp_path)
+        path.write_text(text, encoding="utf-8")
 
 
 def test_response_row_count_mismatch_is_validation_error(tmp_path):
