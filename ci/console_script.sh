@@ -35,11 +35,10 @@ echo '{"problem": "chain3", "sizes": [10, 5], "levels": [{}, {"scaling": "linear
 echo '{"problem": "chain3", "sizes": [10, 6, 3], "levels": [{"kernel": "matern-5/2"}, {"kernel": "matern-5/2"}, {"kernel": "matern-5/2"}], "out": "matern-fit"}' > matern-fit.json
 echo '{"problem": "chain3", "sizes": [10, 6, 3], "levels": [{"kernel": "matern-5/2"}, {"kernel": "matern-5/2"}, {"kernel": "matern-5/2"}], "budget": 12, "refit": "always", "out": "matern-sequential"}' > matern-sequential.json
 # every other command searches and integrates on the default grids;
-# this one runs the seeded uniform node sets, every start polished
-echo '{"problem": "forrester", "sizes": [8, 4], "budget": 10, "costs": [1, 5], "search": {"kind": "multistart", "k": 4, "seed": 3}, "quadrature": {"kind": "monte-carlo", "n": 256, "seed": 5}, "out": "uniform-sequential"}' > uniform-sequential.json
-# a frozen 2-D loop whose random search polishes its best node, so the
-# polished pick runs in two dimensions
-echo '{"problem": "ripple2d", "sizes": [12, 6], "budget": 10, "search": {"kind": "random", "n": 64, "seed": 1, "polish": true}, "out": "polish-sequential"}' > polish-sequential.json
+# this one runs the seeded uniform node sets
+echo '{"problem": "forrester", "sizes": [8, 4], "budget": 10, "costs": [1, 5], "search": {"kind": "random", "n": 64, "seed": 3}, "quadrature": {"kind": "monte-carlo", "n": 256, "seed": 5}, "out": "uniform-sequential"}' > uniform-sequential.json
+# a frozen 2-D loop on a seeded random search
+echo '{"problem": "ripple2d", "sizes": [12, 6], "budget": 10, "search": {"kind": "random", "n": 64, "seed": 1}, "out": "random-sequential"}' > random-sequential.json
 # the only frozen loop with three levels, choosing by cost per variance
 echo '{"problem": "chain3", "sizes": [10, 6, 3], "budget": 12, "rule": "cost-weighted", "out": "cost-weighted-sequential"}' > cost-weighted-sequential.json
 # reestimates every third iteration of a three-level loop: the frozen
@@ -68,7 +67,7 @@ done
 "$@" fit --config matern-fit.json --quiet
 "$@" sequential --config matern-sequential.json --quiet
 "$@" sequential --config uniform-sequential.json --quiet
-"$@" sequential --config polish-sequential.json --quiet
+"$@" sequential --config random-sequential.json --quiet
 "$@" sequential --config cost-weighted-sequential.json --quiet
 "$@" sequential --config every-sequential.json --quiet
 "$@" sequential --config exhausted-sequential.json --quiet

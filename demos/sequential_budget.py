@@ -55,7 +55,7 @@ simulators = [lambda x, t=t: problem.evaluate(t, x)
               for t in range(1, problem.level_count + 1)]
 # One spec, two roles: the search scans Grid(513)'s nodes, endpoints
 # included, and the IMSE averages over Grid(512)'s cell midpoints.
-# Uniform(n, seed, polish) draws random nodes instead.
+# Uniform(n, seed) draws random nodes instead.
 model, trace = run_loop(model, domain, cost, budget=25.0,
                         simulators=simulators, search=Grid(513),
                         quadrature=Grid(512), refit="always")

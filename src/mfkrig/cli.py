@@ -2,8 +2,8 @@
 
 Every command reads a single JSON config; --seed and --out override the
 config's values, so a run is reproducible from the file alone. Exit
-codes: 0 success, 1 validation or config error, 2 numerical failure,
-3 I/O or parse error.
+codes: 0 success, 1 validation or config error (or a size too large to
+allocate), 2 numerical failure, 3 I/O or parse error.
 """
 
 from __future__ import annotations
@@ -99,19 +99,17 @@ def _build_data(config, problem) -> MultiFidelityData:
     return MultiFidelityData(designs, observations)
 
 
-# config key -> kind -> (spec, size key, polish); a random search reads
-# its polish from the config's true or false
-_KINDS = {"search": {"grid": (Grid, "n", None),
-                     "random": (Uniform, "n", None),
-                     "multistart": (Uniform, "k", "all")},
-          "quadrature": {"grid": (Grid, "n", None),
-                         "monte-carlo": (Uniform, "n", None)}}
+# config key -> kind -> spec
+_KINDS = {"search": {"grid": Grid, "random": Uniform},
+          "quadrature": {"grid": Grid, "monte-carlo": Uniform}}
+# the fields each spec reads besides the kind
+_FIELDS = {Grid: ("n",), Uniform: ("n", "seed")}
 
 
 def _strategy_from(config, key):
     """The search or quadrature that config[key] describes, or None when
-    the key is absent. The size is an integer, the seed a non-negative
-    one, a random search's polish true or false."""
+    the key is absent. The size is an integer and the seed a non-negative
+    one; a field the kind does not read is an error."""
     raw = _typed(config, key, dict, None)
     if raw is None:
         return None
@@ -119,17 +117,19 @@ def _strategy_from(config, key):
     kind = _typed(raw, "kind", str, owner=owner)
     if kind not in _KINDS[key]:
         raise ValueError(f"unknown {key} kind {kind!r}")
-    spec, size_key, polish = _KINDS[key][kind]
-    size = _typed(raw, size_key, int, owner=owner)
+    spec = _KINDS[key][kind]
+    for name in raw:  # in the config's order, so the first one is named
+        if name not in ("kind", *_FIELDS[spec]):
+            raise ValueError(
+                f"{owner}{name!r} is not a field of a {kind} {key}")
+    size = _typed(raw, "n", int, owner=owner)
     if spec is Grid:
         return Grid(size)
     seed = _typed(raw, "seed", int, 0, owner=owner)
     if seed < 0:  # Uniform's own check would not name the object
         raise ValueError(
             f"{owner}'seed' must be a non-negative integer, got {seed!r}")
-    if kind == "random" and _typed(raw, "polish", bool, False, owner=owner):
-        polish = "best"
-    return Uniform(size, seed, polish)
+    return Uniform(size, seed)
 
 
 def _fit(config, data):
@@ -322,6 +322,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -10,9 +10,10 @@ designs stay nested; cost is charged accordingly.
 The search and the quadrature evaluate the top-level variance on fixed
 node sets. Two specs describe them: ``Grid(n)``, a product grid with
 endpoints as a search and cell midpoints as a quadrature, and
-``Uniform(n, seed, polish)``, seeded uniform draws; a quadrature on a
-weighted-sample measure is the measure's support. ``run_loop`` builds
-each once. A node set indexes its points once (``kernels.PointIndex``,
+``Uniform(n, seed)``, seeded uniform draws; a quadrature on a
+weighted-sample measure is the measure's support. The search picks its
+node of largest variance; no local solver refines it. ``run_loop``
+builds each once. A node set indexes its points once (``kernels.PointIndex``,
 the library's one point identity), and bisection in that index finds
 the nodes equal to a point. Per level it keeps, between iterations, the
 nodes divided by the lengthscales, the solve V_t = L_t^{-1} R_t(D_t,
@@ -36,12 +37,7 @@ the level's rows, n_t + budget // cost_through(t), when that takes at
 most ``_RESERVE_BYTES`` (64 MiB) per level and node set; beyond it, and
 outside a loop, the row capacity doubles, to at most 2 * n_t * m * 8
 bytes. Node sets exist to keep solves between iterations; points
-evaluated once go through ``predict``. A Uniform search may polish its
-best node (``polish="best"``) or every node (``"all"``, a multistart)
-with a local solver on ``-predict(x).variance``, and the polished
-points, fresh on every call, are scored by ``predict`` too, and so is
-the level choice at them; they join the kept set's best node under its
-tie rule.
+evaluated once go through ``predict``.
 """
 
 from __future__ import annotations
@@ -202,37 +198,26 @@ class Grid:
         _check_count(self.n, _EMPTY_GRID)
 
 
-_POLISH = (None, "best", "all")
-
-
 @dataclass(frozen=True)
 class Uniform:
-    """n uniform draws on the box, deterministic given the seed.
-
-    ``polish`` is what a search polishes with a local solver: nothing
-    (None), its best node ("best") or every node ("all"). A quadrature
-    polishes nothing.
-    """
+    """n uniform draws on the box, deterministic given the seed: a
+    search's candidates or a quadrature's Monte Carlo nodes."""
 
     n: int
     seed: int = 0
-    polish: str | None = None
 
     def __post_init__(self):
         _check_count(self.n, "need at least one uniform node")
         if not (_is_integer(self.seed) and self.seed >= 0):
             raise ValueError(
                 f"'seed' must be a non-negative integer, got {self.seed!r}")
-        if self.polish not in _POLISH:
-            raise ValueError(
-                f"'polish' must be one of {_POLISH}, got {self.polish!r}")
 
 
 GridSearch = GridQuadrature = Grid  # old names, imported by perfbench
 
 # the default (search, quadrature) in one, two, and three or more dimensions
 _DEFAULTS = ((Grid(1025), Grid(1024)), (Grid(101), Grid(48)),
-             (Uniform(4096, polish="best"), Uniform(4096)))
+             (Uniform(4096), Uniform(4096)))
 
 
 def product_grid(bounds, n, midpoints=False) -> np.ndarray:
@@ -305,14 +290,13 @@ class _Nodes:
     """A fixed node set of a search or quadrature, and what the loop reuses.
 
     Holds the points, their ``kernels.PointIndex``, whose order is
-    ``best``'s scan order, the quadrature weights (None for an
-    equal-weight average) and what a search polishes: None, its best
-    node ("best") or every node ("all"). Per level it keeps the
-    variance solve V_t = L_t^{-1} R_t(D_t, nodes) with the running sum of
-    its squared rows and the clamped factor (``_Solve``): a level that
-    holds the kept factor is kept whole, one a frozen refit grew from it
-    solves only its new rows, and any other level is rebuilt. Exclusion
-    goes through a ``PointIndex`` of the excluded points. The row
+    ``best``'s scan order, and the quadrature weights (None for an
+    equal-weight average). Per level it keeps the variance solve
+    V_t = L_t^{-1} R_t(D_t, nodes) with the running sum of its squared
+    rows and the clamped factor (``_Solve``): a level that holds the
+    kept factor is kept whole, one a frozen refit grew from it solves
+    only its new rows, and any other level is rebuilt. Exclusion goes
+    through a ``PointIndex`` of the excluded points. The row
     recursion and the terms of the variance recursion are ``predict``'s
     own (``kriging._solve_rows``, ``cokriging._variance_terms``), so
     ``top_variance`` equals ``predict(points).variances[-1]`` bit for
@@ -321,10 +305,9 @@ class _Nodes:
     solves one point by one dtrtrs.
     """
 
-    def __init__(self, points, weights=None, polish=None):
+    def __init__(self, points, weights=None):
         self.points = points
         self.weights = weights
-        self.polish = polish
         self.index = PointIndex(points)
         self._solves = {}  # level index -> _Solve
         self._reserve = {}  # level index -> rows to reserve
@@ -411,72 +394,30 @@ def _node_set(domain: Domain, spec, quadrature: bool) -> _Nodes:
     if not isinstance(spec, (Grid, Uniform)):
         role = "quadrature" if quadrature else "search"
         raise TypeError(f"unknown {role} {spec!r}")
-    if quadrature and getattr(spec, "polish", None):
-        raise ValueError(f"a quadrature polishes nothing, got {spec!r}")
     if quadrature and domain.measure is not None:
         return _Nodes(domain.measure.points, weights=domain.measure.weights)
     if isinstance(spec, Grid):
         return _Nodes(product_grid(domain.bounds, spec.n, midpoints=quadrature))
     points = domain.uniform_points(spec.n, np.random.default_rng(spec.seed))
-    return _Nodes(points, polish=spec.polish)
-
-
-def _polish(model, domain, starts) -> np.ndarray:
-    """Local maxima of ``predict``'s top-level variance, one per start."""
-    from scipy.optimize import minimize
-
-    lo, hi = domain.bounds.T
-    return np.array([
-        np.clip(minimize(lambda p: -model.predict(p).variance, start,
-                         method="L-BFGS-B", bounds=domain.bounds).x, lo, hi)
-        for start in np.atleast_2d(starts)])
-
-
-def _argmax(model, domain, nodes, exclude):
-    """(point, node index) of ``argmax_variance`` on a resolved node set,
-    excluding the points of the ``PointIndex`` ``exclude`` (or nothing,
-    when None); the index is None for a polished point, and both are
-    None when nothing survives the exclusion.
-
-    The polished points, in order after the nodes, join the kept set's
-    ``best`` under its tie rule: the larger variance wins, and an exact
-    tie goes to the point first in ``PointIndex`` order (-0.0 below
-    0.0, as among the nodes), then to the earlier candidate, so a node
-    beats a polished point equal to it."""
-    variances = nodes.top_variance(model)
-    j = nodes.best(variances, exclude)
-    best = None if j is None else (variances[j], nodes.points[j], j)
-    if nodes.polish:
-        starts = (nodes.points if nodes.polish == "all"
-                  else nodes.points[nodes.best(variances)])
-        polished = _polish(model, domain, starts)
-        # scored together, as a batch's bits can depend on its width
-        scores = model.predict(polished).variances[-1]
-        kept = np.ones(len(polished), dtype=bool)
-        if exclude is not None:
-            kept[exclude.matches(polished)[0]] = False
-        for x, v in zip(polished[kept], scores[kept]):
-            # x comes first when the index of the pair must reorder it
-            if best is None or v > best[0] or (v == best[0] and PointIndex(
-                    np.vstack([best[1], x])).order is not None):
-                best = v, x, None
-    return (None, None) if best is None else best[1:]
+    return _Nodes(points)
 
 
 def argmax_variance(model, domain: Domain, search=None, exclude=None):
-    """Point of maximum top-level predictive variance over the box.
+    """Node of maximum top-level predictive variance among the search's.
 
     search is a Grid or a Uniform (default per dimension: Grid(1025),
-    Grid(101), then Uniform(4096, polish="best")). ``exclude`` drops
-    candidates bitwise equal to given points, through one ``PointIndex``
-    of them (the loop excludes D_1 so enrichment's no-duplicate rule
-    holds); returns None when nothing survives the exclusion. Otherwise
-    returns the chosen point, shape (d,). The candidates are the
-    search's nodes plus the points it polishes from them.
+    Grid(101), then Uniform(4096)). ``exclude`` drops candidates bitwise
+    equal to given points, through one ``PointIndex`` of them (the loop
+    excludes D_1 so enrichment's no-duplicate rule holds); returns None
+    when nothing survives the exclusion. Otherwise returns the chosen
+    node, shape (d,); an exact tie goes to the node first in
+    ``PointIndex`` order (``_Nodes.best``).
     """
     exclude = (PointIndex(_as_points(exclude, domain.dimension))
                if exclude is not None and np.size(exclude) else None)
-    return _argmax(model, domain, _node_set(domain, search, False), exclude)[0]
+    nodes = _node_set(domain, search, False)
+    j = nodes.best(nodes.top_variance(model), exclude)
+    return None if j is None else nodes.points[j]
 
 
 def compute_imse(model, domain: Domain, quadrature=None) -> float:
@@ -485,7 +426,7 @@ def compute_imse(model, domain: Domain, quadrature=None) -> float:
     A weighted-sample measure is its own quadrature; the uniform
     measure is integrated by a Grid of cell midpoints or by a Uniform's
     Monte Carlo average (default per dimension: Grid(1024), Grid(48),
-    then Uniform(4096)). A Uniform that polishes is no quadrature.
+    then Uniform(4096)).
     """
     nodes = _node_set(domain, quadrature, True)
     variances = nodes.top_variance(model)
@@ -725,15 +666,15 @@ def run_loop(model, domain: Domain, cost: CostModel, budget,
     """Enrich until the next run would not fit in the budget.
 
     Returns (final model, EnrichmentTrace). Each iteration finds the
-    maximum-variance point (D_1 excluded by the data's own index of it,
-    so the duplicate rule cannot trip), chooses how deep to run (at a
-    search node from the search's kept state, by ``choose_level``'s
-    rule; at a polished point by ``choose_level``), evaluates the
-    simulators, and enriches. ``refit`` is "never" (frozen hyperparameters), "always",
-    or "every-k" for an integer k (refit on iterations k, 2k, ...). A
-    refit reestimates through ``enrich`` with the model's fit settings,
-    so it searches again only the levels whose data changed since the
-    model's last searches. A simulator failure (an exception or a
+    search's maximum-variance node (D_1 excluded by the data's own index
+    of it, so the duplicate rule cannot trip), chooses how deep to run
+    by ``choose_level``'s rule on the search's kept state at that node
+    (a one-node search calls ``choose_level``), evaluates the
+    simulators, and enriches. ``refit`` is "never" (frozen
+    hyperparameters), "always", or "every-k" for an integer k (refit on
+    iterations k, 2k, ...). A refit reestimates through ``enrich`` with
+    the model's fit settings, so it searches again only the levels whose
+    data changed since the model's last searches. A simulator failure (an exception or a
     non-finite value) stops the loop and returns the partial trace
     flagged incomplete, its ``failure`` naming the level and cause.
     ``_run_settings`` checks every setting before the first IMSE.
@@ -756,14 +697,14 @@ def run_loop(model, domain: Domain, cost: CostModel, budget,
     iteration = 0
     imse = compute_imse(model, domain, quadrature)
     while True:
-        x, node = _argmax(model, domain, search, model.data.indexes[0])
-        if x is None:
+        j = search.best(search.top_variance(model), model.data.indexes[0])
+        if j is None:
             break  # every candidate already observed; nothing left to add
-        if node is None or len(search.points) == 1:
+        x = search.points[j]
+        if len(search.points) == 1:
             level = choose_level(model, x, imse, cost, rule)
         else:  # the level rule on the search's kept state at the node
-            level = _level_rule(*search.breakdown(model, node), imse, cost,
-                                rule)
+            level = _level_rule(*search.breakdown(model, j), imse, cost, rule)
         step = cost.cost_through(level)
         if cum + step > budget:
             break

@@ -330,37 +330,21 @@ def draw_ar1_data(rng, designs, rho_values, kernels, sigma2s):
     return observations
 
 
-def reference_search(model, domain, count, seed, polish_all, exclude=None):
-    """A polished variance search through ``predict``, without node sets.
+def reference_search(model, domain, count, seed, exclude=None):
+    """A variance search through ``predict``, without node sets.
 
-    Draws ``count`` uniform starts with ``seed``, polishes every start
-    (``polish_all``, a Uniform with polish="all") or only the best one
-    (polish="best") by L-BFGS-B on the box, and returns the
-    candidate with the largest ``predict`` variance that is not equal to
-    an ``exclude`` row; ties go to the lexicographically smallest point.
+    Draws ``count`` uniform points with ``seed`` and returns the one with
+    the largest ``predict`` variance that is not equal to an ``exclude``
+    row; ties go to the lexicographically smallest point.
     """
-    def top(points):
-        return model.predict(points).variances[-1]
-
-    def best(points, variances):
-        keys = [(-v, tuple(p)) for p, v in zip(points, variances)]
-        return points[min(range(len(points)), key=keys.__getitem__)]
-
-    lo, hi = domain.bounds[:, 0], domain.bounds[:, 1]
-    starts = domain.uniform_points(count, np.random.default_rng(seed))
-    variances = top(starts)
-    polished = np.array([
-        np.clip(minimize(lambda p: -float(top(p[None, :])[0]), start,
-                         method="L-BFGS-B", bounds=list(zip(lo, hi))).x,
-                lo, hi)
-        for start in (starts if polish_all else [best(starts, variances)])])
-    candidates = np.vstack([starts, polished])
-    variances = np.concatenate([variances, top(polished)])
+    candidates = domain.uniform_points(count, np.random.default_rng(seed))
+    variances = model.predict(candidates).variances[-1]
     if exclude is not None:
         kept = [not (np.asarray(exclude) == c).all(axis=1).any()
                 for c in candidates]
         candidates, variances = candidates[kept], variances[kept]
-    return best(candidates, variances)
+    keys = [(-v, tuple(p)) for p, v in zip(candidates, variances)]
+    return candidates[min(range(len(candidates)), key=keys.__getitem__)]
 
 
 def reference_refit(model, data):

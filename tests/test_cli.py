@@ -416,7 +416,8 @@ def test_sequential_rejects_a_nan_budget(tmp_path, capsys):
     (dict(search="grid"), "'search' must be an object, got 'grid'"),
     (dict(quadrature=[1]), "'quadrature' must be an object, got [1]"),
     (dict(search={"kind": "grid"}), "search needs 'n'"),
-    (dict(search={"kind": "multistart", "n": 4}), "search needs 'k'"),
+    (dict(search={"kind": "multistart", "k": 4}),
+     "unknown search kind 'multistart'"),
     (dict(quadrature={"kind": "monte-carlo"}), "quadrature needs 'n'"),
     (dict(search=[]), "'search' must be an object, got []"),
     (dict(search={"kind": 5, "n": 3}), "search 'kind' must be a string, got 5"),
@@ -446,7 +447,7 @@ def no_likelihood(monkeypatch):
      "grid needs at least one node per dimension"),
     (dict(search={"kind": "random", "n": 0}),
      "need at least one uniform node"),
-    (dict(search={"kind": "multistart", "k": 0}),
+    (dict(search={"kind": "random", "n": -2, "seed": 3}),
      "need at least one uniform node"),
     (dict(quadrature={"kind": "grid", "n": 0}),
      "grid needs at least one node per dimension"),
@@ -479,12 +480,12 @@ def test_sequential_rejects_an_empty_strategy_before_any_fit(
     (dict(levels=3), "'levels' must be a list of objects, got 3"),
     (dict(search={"kind": "grid", "n": "many"}),
      "search 'n' must be an integer, got 'many'"),
-    (dict(search={"kind": "multistart", "k": 4.0}),
-     "search 'k' must be an integer, got 4.0"),
-    (dict(search={"kind": "random", "n": 64, "polish": "no"}),
-     "search 'polish' must be true or false, got 'no'"),
-    (dict(search={"kind": "random", "n": 64, "polish": 1}),
-     "search 'polish' must be true or false, got 1"),
+    (dict(search={"kind": "random", "n": 4.0}),
+     "search 'n' must be an integer, got 4.0"),
+    (dict(search={"kind": "random", "n": 64, "polish": True}),
+     "search 'polish' is not a field of a random search"),
+    (dict(search={"kind": "random", "n": 64, "sede": 3}),
+     "search 'sede' is not a field of a random search"),
     (dict(search={"kind": "random", "n": 64, "seed": None}),
      "search 'seed' must be an integer, got None"),
     (dict(quadrature={"kind": "monte-carlo", "n": [8]}),
@@ -499,6 +500,13 @@ def test_sequential_rejects_an_empty_strategy_before_any_fit(
     (dict(rule=1), "'rule' must be a string, got 1"),
     (dict(levels={"a": 1}), "'levels' must be a list of objects, got {'a': 1}"),
     (dict(levels=[{"trend": 1}, {}]), "levels[0] 'trend' must be a string, got 1"),
+    # a search or quadrature reads its kind's fields and no other
+    (dict(search={"kind": "random", "n": 64, "polish": False}),
+     "search 'polish' is not a field of a random search"),
+    (dict(search={"kind": "grid", "n": 5, "seed": 1}),
+     "search 'seed' is not a field of a grid search"),
+    (dict(quadrature={"kind": "monte-carlo", "n": 16, "k": 4}),
+     "quadrature 'k' is not a field of a monte-carlo quadrature"),
 ])
 def test_sequential_names_a_mistyped_field(tmp_path, capsys, no_likelihood,
                                            override, message):
@@ -762,6 +770,21 @@ def test_an_error_outside_the_library_rules_propagates(tmp_path, monkeypatch,
     monkeypatch.setitem(cli._COMMANDS, "fit", broken)
     with pytest.raises(error, match="not a config error"):
         main(["fit", "--config", _fit_config(tmp_path, tmp_path / "out")])
+
+
+def test_running_out_of_memory_exits_1(tmp_path, monkeypatch, capsys):
+    # a size too large to allocate, as "sizes": [10000000, 3] asks for,
+    # without allocating it
+    def too_large(sizes, bounds, seed=0):
+        raise MemoryError("Unable to allocate 728. TiB for an array")
+
+    monkeypatch.setattr(cli, "nested_lhs", too_large)
+    out = tmp_path / "out"
+    config = _fit_config(tmp_path, out, sizes=(10000000, 3))
+    assert main(["fit", "--config", config]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 728. TiB for an array\n")
+    assert not out.exists()
 
 
 def test_missing_config_flag_is_usage_error():

@@ -93,6 +93,9 @@ def _measure(bounds, n, seed):
     return WeightedSample(points, weights / weights.sum())
 
 
+# The four keys that name a polish or a multistart are the ids these
+# cases had when their searches polished; they now run unpolished
+# Uniform searches with enough nodes for more than one iteration.
 CASES = {  # problem, sizes, search, quadrature (or "measure"), refit, budget
     "1d-2lev-grid-grid-never": (
         "forrester", [8, 4], Grid(65), Grid(64), "never", 24),
@@ -100,20 +103,20 @@ CASES = {  # problem, sizes, search, quadrature (or "measure"), refit, budget
         "forrester", [8, 4], Uniform(64, seed=3), Uniform(100, seed=4),
         "always", 5),
     "1d-3lev-polish-measure-every2": (
-        "chain3", [10, 6, 3], Uniform(40, seed=1, polish="best"),
+        "chain3", [10, 6, 3], Uniform(40, seed=1),
         "measure", "every-2", 20),
     "1d-3lev-multistart-grid-never": (
-        "chain3", [10, 6, 3], Uniform(3, seed=2, polish="all"), Grid(32),
+        "chain3", [10, 6, 3], Uniform(24, seed=2), Grid(32),
         "never", 40),
     "2d-2lev-grid-measure-never": (
         "ripple2d", [12, 5], Grid(21), "measure", "never", 24),
     "2d-2lev-multistart-mc-every2": (
-        "ripple2d", [12, 5], Uniform(2, seed=5, polish="all"),
+        "ripple2d", [12, 5], Uniform(24, seed=5),
         Uniform(64, seed=6), "every-2", 5),
     "2d-3lev-grid-grid-never": (
         "ripple3", [14, 7, 4], Grid(17), Grid(12), "never", 30),
     "2d-3lev-polish-grid-every2": (
-        "ripple3", [14, 7, 4], Uniform(50, seed=8, polish="best"),
+        "ripple3", [14, 7, 4], Uniform(50, seed=8),
         Grid(6), "every-2", 6),
 }
 
@@ -149,10 +152,10 @@ def test_run_loop_equals_its_replay_through_public_calls(case):
 
 
 def _nodes_digest(node_sets) -> str:
-    """sha256 of the points, polish and weights of node sets, in order."""
+    """sha256 of the points and weights of node sets, in order."""
     h = hashlib.sha256()
     for nodes in node_sets:
-        h.update(repr((nodes.points.shape, nodes.polish)).encode())
+        h.update(repr(nodes.points.shape).encode())
         h.update(nodes.points.tobytes())
         h.update(b"None" if nodes.weights is None else nodes.weights.tobytes())
     return h.hexdigest()
@@ -174,9 +177,7 @@ def _trace_digest(model, trace) -> str:
 SEARCH_CONFIGS = [
     {"kind": "grid", "n": 5}, {"kind": "grid", "n": 1},
     {"kind": "random", "n": 16}, {"kind": "random", "n": 16, "seed": 3},
-    {"kind": "random", "n": 16, "seed": 3, "polish": True},
-    {"kind": "random", "n": 16, "polish": False},
-    {"kind": "multistart", "k": 4}, {"kind": "multistart", "k": 4, "seed": 2},
+    {"kind": "random", "n": 4}, {"kind": "random", "n": 4, "seed": 2},
 ]
 QUADRATURE_CONFIGS = [
     {"kind": "grid", "n": 5}, {"kind": "grid", "n": 1},
@@ -200,9 +201,8 @@ def test_config_kinds_and_defaults_give_the_pinned_node_sets():
         node_sets += [sequential._node_set(domain, None, False),
                       sequential._node_set(domain, None, True)]
     assert [len(n.points) for n in node_sets[-2:]] == [4096, 4096]
-    assert [n.polish for n in node_sets[-2:]] == ["best", None]
     assert _nodes_digest(node_sets) == (
-        "1ca31b1da7ebbd20f5917e1046c3464280891326082025bf9b97c72daeb5446b")
+        "68062fa389e49e7754810c0b6634fcb5a94d089ed516dc28dbd2980ffaf51e0e")
 
 
 # the loops of CASES with frozen hyperparameters, which a search's BLAS
@@ -213,17 +213,17 @@ TRACE_SHA256 = {
     "1d-2lev-random-mc-always":
         "2ad4710a5bdb902a87cd74ef3ec2b6667d708aa96428ce70760dcd08aaea388d",
     "1d-3lev-polish-measure-every2":
-        "7bcf6928e0107371552116acdac12fb263490ceae84207d6a1dc5cf9a1b7b0c0",
+        "44b69aab74352d6c3d03772a953b96378cadf7dac83c60be5935fd3c0d973d0a",
     "1d-3lev-multistart-grid-never":
-        "64a739023673370d84497ee71327ab829334f656a05bd8c719f58b4f45e21b01",
+        "bb8e2376f862469757b55552092d66e293f8fc457a8542988ffbf566b587c2a5",
     "2d-2lev-grid-measure-never":
         "e07b497c7fede91bf3dadcad59bcd67b44b66103b49222824ef3274b454ba26a",
     "2d-2lev-multistart-mc-every2":
-        "28cd833d7041fab04c2f6c817559e5c3ad1ec6b23d3d323ffd5d2a9070e7c056",
+        "44cc130e206f5125207e80367dcf9cbb805c918c177c81c6456c6b34a0ae6012",
     "2d-3lev-grid-grid-never":
         "688c24e68da00e22533740521fc91161a30d7dc6b7964b6381e926a5664c04c0",
     "2d-3lev-polish-grid-every2":
-        "c5c9a9b1b97dde2d6e3786def02e1af725acc5e074e51cb1b95ce32eca398cbc",
+        "b625aa3fd044ac6ff4d3ed75517cc5a23cc1c777bb41a42ead3988c8027a1de8",
 }
 
 
@@ -242,6 +242,11 @@ def test_frozen_loops_give_the_pinned_traces(case_id):
 
 
 def test_a_polishing_uniform_is_no_quadrature():
+    # no search polishes, so a Uniform has no polish to give
+    for polish in ("best", "all"):
+        with pytest.raises(TypeError, match="unexpected keyword argument "
+                                            "'polish'"):
+            Uniform(8, polish=polish)
     model, _, cost, _ = _setup("forrester", [8, 4])
 
     def never_called(x):
@@ -249,16 +254,6 @@ def test_a_polishing_uniform_is_no_quadrature():
 
     # a measure is its own quadrature, but the spec is checked first
     for domain in (UNIT1, Domain(UNIT1.bounds, _measure(UNIT1.bounds, 12, 2))):
-        for polish in ("best", "all"):
-            spec = Uniform(16, seed=1, polish=polish)
-            with pytest.raises(ValueError,
-                               match="a quadrature polishes nothing"):
-                compute_imse(model, domain, spec)
-            with pytest.raises(ValueError,
-                               match="a quadrature polishes nothing"):
-                run_loop(model, domain, cost, 20.0, [never_called] * 2,
-                         quadrature=spec)
-            assert argmax_variance(model, domain, spec) is not None
         with pytest.raises(TypeError, match="unknown quadrature 'garbage'"):
             compute_imse(model, domain, "garbage")
         with pytest.raises(TypeError, match="unknown quadrature 'garbage'"):
@@ -273,30 +268,27 @@ def test_one_grid_gives_endpoints_as_a_search_and_midpoints_as_a_quadrature():
     quadrature = sequential._node_set(UNIT1, grid, True)
     assert (search.points[:, 0] == [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0]).all()
     assert (quadrature.points[:, 0] == [0.125, 0.375, 0.625, 0.875]).all()
-    assert search.polish is None and quadrature.polish is None
     # a product grid is in lexicographic order, so ``best`` gathers nothing
     assert search.index.order is None and quadrature.index.order is None
 
 
 # ---------------------------------------------------------------------------
-# polished searches against a search through ``predict``
+# Uniform searches against a search through ``predict``
 
 
+# the name and ids are those of the polished searches these two replaced
 @pytest.mark.parametrize("name, sizes", [("forrester", [8, 4]),
                                          ("ripple2d", [12, 5])])
-@pytest.mark.parametrize("search", [Uniform(4, seed=2, polish="all"),
-                                    Uniform(8, seed=3, polish="best")],
+@pytest.mark.parametrize("search", [Uniform(4, seed=2), Uniform(8, seed=3)],
                          ids=["multistart", "random-polish"])
 def test_polished_search_equals_a_search_through_predict(name, sizes, search):
     model, bounds, _, _ = _setup(name, sizes)
     domain = Domain(bounds)
-    multistart = search.polish == "all"
-    want = reference_search(model, domain, search.n, search.seed, multistart)
+    want = reference_search(model, domain, search.n, search.seed)
     assert (argmax_variance(model, domain, search) == want).all()
     # excluding the winner and the design hands the choice to the runner-up
     exclude = np.vstack([model.data.designs[0], want])
-    want = reference_search(model, domain, search.n, search.seed, multistart,
-                            exclude)
+    want = reference_search(model, domain, search.n, search.seed, exclude)
     got = argmax_variance(model, domain, search, exclude=exclude)
     assert (got == want).all()
     assert not (got == exclude).all(axis=1).any()
@@ -570,24 +562,6 @@ def test_best_picks_one_point_under_every_permutation_of_the_nodes(case):
                     else nodes.points[got].tobytes()) == want
 
 
-def test_the_polish_starts_from_the_unmasked_best(monkeypatch):
-    # the best node seeds the polish even when it is excluded
-    model, bounds, _, _ = _setup("ripple2d", [12, 5])
-    domain = Domain(bounds)
-    nodes = sequential._node_set(domain, Uniform(40, seed=2, polish="best"),
-                                 False)
-    variances = nodes.top_variance(model)
-    first = nodes.best(variances)
-    starts = []
-    monkeypatch.setattr(sequential, "_polish", lambda model, domain, s: (
-        starts.append(np.array(s)), np.atleast_2d(s).copy())[1])
-    x, node = sequential._argmax(model, domain, nodes,
-                                 PointIndex(nodes.points[[first]]))
-    assert starts[0].tobytes() == nodes.points[first].tobytes()
-    assert node == _reference_best(nodes, variances, nodes.points[[first]])
-    assert node != first
-
-
 def test_fully_excluded_search_returns_none_and_stops_the_loop():
     model, _, cost, simulators = _setup("forrester", [8, 4])
     grid = sequential.product_grid(UNIT1.bounds, 5)
@@ -605,8 +579,8 @@ def test_fully_excluded_search_returns_none_and_stops_the_loop():
 
 
 def test_the_loop_excludes_through_the_index_of_d1(monkeypatch):
-    # a polished pick excludes D_1 through the data's own index, so only
-    # the grown levels' data and the two node sets build one
+    # the loop excludes D_1 through the data's own index, so only the
+    # grown levels' data and the two node sets build one
     model, bounds, cost, simulators = _setup("ripple2d", [12, 5])
     builders = []
     original = PointIndex.__init__
@@ -619,7 +593,7 @@ def test_the_loop_excludes_through_the_index_of_d1(monkeypatch):
 
     monkeypatch.setattr(PointIndex, "__init__", spy)
     _, trace = run_loop(model, Domain(bounds), cost, 10, simulators,
-                        search=Uniform(64, seed=1, polish="best"),
+                        search=Uniform(64, seed=1),
                         quadrature=Grid(8))
     assert len(trace) > 1
     assert builders.count("_Nodes.__init__") == 2
@@ -729,22 +703,7 @@ def test_two_refits_of_one_model_do_not_continue_each_other(correlation_rows):
 
 
 # ---------------------------------------------------------------------------
-# the polished pick against a second node set of nodes and polished points
-
-
-def _reference_argmax(model, domain, nodes, exclude):
-    """``_argmax`` as it picked before: the best of one node set holding
-    the nodes and then the polished points."""
-    variances = nodes.top_variance(model)
-    starts = (nodes.points if nodes.polish == "all"
-              else nodes.points[nodes.best(variances)])
-    polished = sequential._polish(model, domain, starts)
-    candidates = sequential._Nodes(np.vstack([nodes.points, polished]))
-    j = candidates.best(np.concatenate(
-        [variances, model.predict(polished).variances[-1]]), _index(exclude))
-    if j is None:
-        return None, None
-    return candidates.points[j], (j if j < len(nodes.points) else None)
+# exact ties in the search
 
 
 class _Flat:
@@ -755,59 +714,42 @@ class _Flat:
         return cokriging.PredictionBreakdown(*[np.ones((1, len(points)))] * 3)
 
 
+# The name and ids are those of the polished point that the third node
+# stands in for; ``want`` None is that node.
 @pytest.mark.parametrize("polished, want", [
-    ([-0.0, 0.5], None),  # the -0.0 twin of the best node comes first
-    ([0.0, 0.5], 1),      # a copy of it loses to the node
+    ([-0.0, 0.5], None),  # the -0.0 twin of a node comes first
+    ([0.0, 0.5], 1),      # an exact copy loses to the earlier node
     ([0.0, 0.25], None),  # a smaller point comes first
     ([0.5, 0.5], 1),      # a larger one does not
 ])
 def test_a_polished_point_ties_with_the_nodes_in_index_order(monkeypatch,
                                                              polished, want):
-    nodes = sequential._Nodes(np.array([[0.5, 0.5], [0.0, 0.5]]),
-                              polish="best")
-    monkeypatch.setattr(nodes, "top_variance", lambda model: np.ones(2))
-    monkeypatch.setattr(sequential, "_polish",
-                        lambda model, domain, starts: np.array([polished]))
-    x, j = sequential._argmax(_Flat(), None, nodes, None)
-    assert j == want
-    assert x.tobytes() == (np.array(polished) if want is None
-                           else nodes.points[want]).tobytes()
+    nodes = sequential._Nodes(np.array([[0.5, 0.5], [0.0, 0.5], polished]))
+    monkeypatch.setattr(nodes, "top_variance", lambda model: np.ones(3))
+    x = argmax_variance(_Flat(), Domain([[-1.0, 1.0], [0.0, 1.0]]), nodes)
+    assert x.tobytes() == nodes.points[2 if want is None else want].tobytes()
 
 
-@pytest.mark.parametrize("polish, onto", [
-    ("all", "starts"),    # every polished point a node: every tie exact
-    ("best", "starts"),   # the best node polished onto itself
-    ("best", "first"),    # the best node polished onto the first node
-    ("best", "top"),      # onto the lexicographically largest node
-], ids=["all-onto-starts", "best-onto-itself", "best-onto-first",
-        "best-onto-top"])
-def test_a_polished_point_on_a_node_is_picked_as_before(monkeypatch, polish,
-                                                        onto):
+# The name and ids are those of the polished points this test once put
+# on nodes; a copy of those nodes among the nodes now stands in for them.
+@pytest.mark.parametrize("onto", ["starts", "itself", "first", "top"],
+                         ids=["all-onto-starts", "best-onto-itself",
+                              "best-onto-first", "best-onto-top"])
+def test_a_polished_point_on_a_node_is_picked_as_before(onto):
     model, bounds, _, _ = _setup("ripple2d", [12, 5])
     domain = Domain(bounds)
-    nodes = sequential._node_set(domain, Uniform(40, seed=2, polish=polish),
-                                 False)
+    nodes = sequential._node_set(domain, Uniform(40, seed=2), False)
     order = np.lexsort(nodes.points.T[::-1])
-
-    def polish_onto_a_node(model, domain, starts):
-        starts = np.atleast_2d(starts)
-        if onto == "starts":
-            return starts.copy()
-        node = nodes.points[order[0 if onto == "first" else -1]]
-        return np.repeat(node[None], len(starts), axis=0)
-
-    monkeypatch.setattr(sequential, "_polish", polish_onto_a_node)
-    variances = nodes.top_variance(model)
-    first = nodes.best(variances)
+    first = nodes.best(nodes.top_variance(model))
+    copies = {"starts": nodes.points, "itself": nodes.points[[first]],
+              "first": nodes.points[order[[0]]],
+              "top": nodes.points[order[[-1]]]}[onto]
+    copied = sequential._Nodes(np.vstack([nodes.points, copies]))
     for exclude in (None, model.data.designs[0],
                     np.vstack([model.data.designs[0], nodes.points[first]])):
-        got = sequential._argmax(model, domain, nodes, _index(exclude))
-        want = _reference_argmax(model, domain, nodes, exclude)
-        assert got[1] == want[1]
-        assert got[0].tobytes() == want[0].tobytes()
-        if polish == "all":  # a node wins the tie with its polished copy
-            assert got[1] == nodes.best(variances, _index(exclude))
-    # with the best node excluded, its polished copy is excluded too
-    got = sequential._argmax(model, domain, nodes,
-                             PointIndex(nodes.points[[first]]))
-    assert not (got[0] == nodes.points[first]).all()
+        got = argmax_variance(model, domain, copied, exclude)
+        want = argmax_variance(model, domain, nodes, exclude)
+        assert got.tobytes() == want.tobytes()
+    # with the best node excluded, its copy is excluded too
+    got = argmax_variance(model, domain, copied, nodes.points[[first]])
+    assert not (got == nodes.points[first]).all()

@@ -53,11 +53,21 @@ _LOADED = ("import sys; print(sorted(m for m in ('scipy.spatial', "
     ("import mfkrig.kernels as k; k.correlation_matrix("
      "k.KernelSpec('matern-5/2', [0.3, 1]), [[0.1, 0], [0.5, 1]])",
      ["scipy.spatial"]),
+    # a frozen loop on the d >= 3 defaults searches no likelihood
+    ("import numpy as np; from mfkrig import *; "
+     "x = np.random.default_rng(0).uniform(size=(8, 3)); "
+     "m = MultiFidelityModel.from_parameters("
+     "MultiFidelityData([x], [x.sum(1)]), "
+     "[LevelConfig(BasisSpec('constant', 3), KernelSpec('matern-5/2'))], "
+     "[LevelParameters([0.5] * 3, 1.0, [0.0])]); "
+     "f, t = run_loop(m, Domain([[0, 1]] * 3), CostModel([1.0]), 3, "
+     "[lambda p: p.sum(1)]); assert len(t) == 3",
+     ["scipy.spatial"]),
 ])
 def test_scipy_spatial_and_optimize_load_only_when_used(code, loaded):
     # both take time and memory to import: a correlation loads
-    # scipy.spatial, and the polish and the likelihood search load
-    # scipy.optimize, each when first run
+    # scipy.spatial, and the likelihood search loads scipy.optimize,
+    # each when first run
     source = pathlib.Path(mfkrig.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(source)}
     out = subprocess.run([sys.executable, "-c", f"{code}; {_LOADED}"],
@@ -129,7 +139,7 @@ def test_console_script_commands_run_through_the_module(tmp_path):
                 "fit-from-data", "ripple-fit", "ripple-sequential", "refit",
                 "refit-predict", "prefix-sequential", "matern-fit",
                 "matern-sequential", "uniform-sequential",
-                "polish-sequential", "cost-weighted-sequential",
+                "random-sequential", "cost-weighted-sequential",
                 "every-sequential", "exhausted-sequential", "predict-points"):
         assert (tmp_path / out).is_dir(), out
     # a failing command fails the script
