@@ -1,14 +1,22 @@
 #!/usr/bin/env bash
-# Runs the four CLI commands end to end through the command given as the
-# arguments ("mfkrig" when installed, or "python -m mfkrig.cli"), in the
-# current directory, which receives the configs and every output.
-# Exits non-zero as soon as any command does.
+# Runs the four CLI commands end to end, in the current directory, which
+# receives the configs and every output. Two modes:
+#
+#   console_script.sh COMMAND [ARGS...]   # one process per command, e.g.
+#                                         # "mfkrig" when installed
+#   console_script.sh --in-process PYTHON # every command in one PYTHON
+#                                         # process, through runpy as
+#                                         # "python -m mfkrig.cli" runs it
+#
+# Either mode checks each command's exit code and exits non-zero as soon
+# as one fails.
 #
 #   cd "$(mktemp -d)" && bash /path/to/ci/console_script.sh mfkrig
 set -eu
 
-if [ "$#" -eq 0 ]; then
+if [ "$#" -eq 0 ] || { [ "$1" = "--in-process" ] && [ "$#" -ne 2 ]; }; then
   echo "usage: console_script.sh COMMAND [ARGS...]" >&2
+  echo "       console_script.sh --in-process PYTHON" >&2
   exit 2
 fi
 
@@ -43,7 +51,8 @@ echo '{"problem": "ripple2d", "sizes": [12, 6], "budget": 10, "search": {"kind":
 echo '{"problem": "chain3", "sizes": [10, 6, 3], "budget": 12, "rule": "cost-weighted", "out": "cost-weighted-sequential"}' > cost-weighted-sequential.json
 # reestimates every third iteration of a three-level loop: the frozen
 # refits between keep the levels a run did not reach, a level-3 run grows
-# every level, and each reestimate starts from the kept levels
+# every level, and each reestimate keeps the levels no run grew since
+# their search and searches the others from their last lengthscales
 echo '{"problem": "chain3", "sizes": [10, 6, 3], "budget": 30, "refit": "every-3", "rule": "cost-weighted", "out": "every-sequential"}' > every-sequential.json
 # the grid search runs out of candidates long before the budget does
 echo '{"problem": "forrester", "sizes": [8, 4], "budget": 100, "search": {"kind": "grid", "n": 5}, "quadrature": {"kind": "grid", "n": 16}, "out": "exhausted-sequential"}' > exhausted-sequential.json
@@ -51,23 +60,58 @@ echo '{"problem": "forrester", "sizes": [8, 4], "budget": 100, "search": {"kind"
 # command reads a points file through the CSV number parser, and the
 # design point takes the matched nugget
 echo '{"model_dir": "fit", "points_file": "points.csv", "out": "predict-points"}' > predict-points.json
-for command in fit predict sequential report; do
-  "$@" "$command" --config "$command.json" --quiet
-done
-{ head -2 fit/design_1.csv; echo 0.123456789; } > points.csv
-"$@" predict --config predict-points.json --quiet
-"$@" predict --config predict-bounds.json --quiet
-"$@" fit --config fit-from-data.json --quiet
-"$@" fit --config ripple-fit.json --quiet
-"$@" sequential --config ripple-sequential.json --quiet
-"$@" fit --config refit-deep.json --quiet
-"$@" fit --config refit-shallow.json --quiet
-"$@" predict --config refit-predict.json --quiet
-"$@" sequential --config prefix-sequential.json --quiet
-"$@" fit --config matern-fit.json --quiet
-"$@" sequential --config matern-sequential.json --quiet
-"$@" sequential --config uniform-sequential.json --quiet
-"$@" sequential --config random-sequential.json --quiet
-"$@" sequential --config cost-weighted-sequential.json --quiet
-"$@" sequential --config every-sequential.json --quiet
-"$@" sequential --config exhausted-sequential.json --quiet
+
+# One step a line: the arguments of one command, or, after "! ", a shell
+# line run between commands.
+steps() {
+  cat <<'STEPS'
+fit --config fit.json --quiet
+predict --config predict.json --quiet
+sequential --config sequential.json --quiet
+report --config report.json --quiet
+! { head -2 fit/design_1.csv; echo 0.123456789; } > points.csv
+predict --config predict-points.json --quiet
+predict --config predict-bounds.json --quiet
+fit --config fit-from-data.json --quiet
+fit --config ripple-fit.json --quiet
+sequential --config ripple-sequential.json --quiet
+fit --config refit-deep.json --quiet
+fit --config refit-shallow.json --quiet
+predict --config refit-predict.json --quiet
+sequential --config prefix-sequential.json --quiet
+fit --config matern-fit.json --quiet
+sequential --config matern-sequential.json --quiet
+sequential --config uniform-sequential.json --quiet
+sequential --config random-sequential.json --quiet
+sequential --config cost-weighted-sequential.json --quiet
+sequential --config every-sequential.json --quiet
+sequential --config exhausted-sequential.json --quiet
+STEPS
+}
+
+if [ "$1" = "--in-process" ]; then
+  steps | "$2" -c '
+import runpy, subprocess, sys
+for step in sys.stdin.read().splitlines():
+    code = 0
+    if step.startswith("! "):
+        code = subprocess.run(["bash", "-c", step[2:]]).returncode
+    else:
+        sys.argv = ["mfkrig", *step.split()]
+        try:
+            runpy.run_module("mfkrig.cli", run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            code = exc.code or 0
+    if code:
+        print(f"console_script.sh: {step!r} exited {code}", file=sys.stderr)
+        sys.exit(code if isinstance(code, int) else 1)
+'
+  exit
+fi
+
+while IFS= read -r step <&3; do
+  case "$step" in
+    "! "*) eval "${step#! }" ;;
+    *) "$@" $step ;;  # the arguments split on spaces
+  esac
+done 3< <(steps)

@@ -29,18 +29,23 @@ each estimated level whose likelihood inputs are unchanged, appends
 factor rows for the appended design points of the others and records
 the factor each level grew from, so the loop's node sets continue their
 kept solves by identity or by that lineage.
-A model keeps its fit settings and its levels by search key
-(``_fit_on``), so a reestimating refit (``_fit_levels``) fits as the
-model was fitted and searches and solves again only the levels whose
-likelihood inputs changed. Per-level variance contributions come from
-telescoping the recursion; they power the sequential level rules.
+A reestimate (``_reestimate``) keeps each level its last search built
+whose likelihood inputs are unchanged and searches every other level
+from its current lengthscales and the box midpoint, drawing nothing.
+Per-level variance contributions come from telescoping the recursion;
+they power the sequential level rules.
 """
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DuplicateDesignPointError, SingularTrendError
+from .exceptions import (
+    DuplicateDesignPointError,
+    IllConditionedError,
+    SingularTrendError,
+)
 from .kernels import (
     CONSTANT,
     BasisSpec,
@@ -62,6 +67,8 @@ from .kriging import (
     _solve_level,
     variance_factor,
 )
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -281,7 +288,9 @@ class FittedLevel:
     which the loop's node sets continue their solves. A level that a
     frozen refit keeps (``MultiFidelityModel.refit``) is the same object
     and carries the lineage it had; the node sets continue it by its
-    ``chol``, the factor they kept.
+    ``chol``, the factor they kept. ``searched`` is True only for the
+    level an ML search built, the one object a reestimate keeps unsearched
+    while its inputs are unchanged (``_reestimate``).
     """
 
     design: np.ndarray
@@ -298,6 +307,7 @@ class FittedLevel:
     lower_values: np.ndarray | None = None
     grown_from: np.ndarray | None = field(default=None, repr=False,
                                           compare=False)
+    searched: bool = field(default=False, repr=False, compare=False)
 
     @property
     def lengthscales(self) -> np.ndarray:
@@ -423,8 +433,9 @@ def fit_level(level: int, data: MultiFidelityData, config: LevelConfig,
     _check_layout(level, config.scaling)
     inputs = _level_inputs(config, data, level)
     _check_estimable(level, inputs[0].trend, inputs[2])
-    return _fit_on(config, inputs, bounds, restarts,
-                   np.random.default_rng(seed), {})[0]
+    box = _search_box(inputs[0].design, bounds)
+    return _fit_on(config, inputs, box,
+                   _draw_starts(*box, restarts, np.random.default_rng(seed)))
 
 
 def _level_inputs(config: LevelConfig, data: MultiFidelityData, level: int):
@@ -439,27 +450,24 @@ def _level_inputs(config: LevelConfig, data: MultiFidelityData, level: int):
     return _likelihood(config.kernel.family, design, h, y), lower, q
 
 
-def _fit_on(config: LevelConfig, inputs, bounds, restarts, rng, searches):
-    """Maximum-likelihood fit of one level on its checked inputs.
+def _checked_inputs(data: MultiFidelityData, configs) -> list:
+    """Every level's ``_level_inputs``, each level checked for
+    estimability before any search."""
+    _check_levels(data, configs)
+    inputs = []
+    for t, config in enumerate(configs, start=1):
+        inputs.append(_level_inputs(config, data, t))
+        _check_estimable(t, inputs[-1][0].trend, inputs[-1][2])
+    return inputs
 
-    Draws the level's starts from ``rng`` and returns (level, key). The
-    key holds everything the search reads: the log-lengthscale box, the
-    starts, and the likelihood record's family and the shapes and bytes
-    of its design, responses and regression matrix. ``searches`` maps
-    the keys of earlier searches of the same configs to the levels they
-    built from the search's solve at its best point; a level whose key
-    is there is that level, with no search and no solve. The search is
-    deterministic, so that level is bit for bit the one a search gives.
-    """
-    lik = inputs[0]
-    box = _search_box(lik.design, bounds)
-    starts = _draw_starts(*box, restarts, rng)
-    key = (lik.family, *(a.tobytes() for a in (*box, np.array(starts))),
-           *((a.shape, a.tobytes()) for a in (lik.design, lik.y, lik.trend)))
-    level = searches.get(key)
-    if level is None:
-        level = _assemble_level(config, inputs, *_ml_fit(lik, box, starts))
-    return level, key
+
+def _fit_on(config: LevelConfig, inputs, box, starts) -> FittedLevel:
+    """The level an ML search (``kriging._ml_fit``) from ``starts`` in the
+    log-lengthscale ``box`` builds on its checked inputs, from the
+    search's solve at its best point, marked ``searched``."""
+    level = _assemble_level(config, inputs, *_ml_fit(inputs[0], box, starts))
+    level.searched = True
+    return level
 
 
 def _assemble_level(config: LevelConfig, inputs, kernel: KernelSpec, terms,
@@ -530,10 +538,10 @@ class MultiFidelityModel:
 
     Immutable after construction; ``predict`` and
     ``hypothetical_variance_after`` are read-only. A model keeps the
-    ``(bounds, restarts, seed)`` of its fit (``_fit_settings``, else
-    ``(None, 5, 0)``) and the levels its searches built by search key
-    (``_searches``, as ``_fit_on`` keys them); a frozen ``refit`` carries
-    both forward, and nothing saves them.
+    ``bounds`` of its fit (``_bounds``, else None), the box of its
+    reestimates (``_reestimate``); restarts and seed apply to the fit
+    alone. A frozen ``refit`` and a reestimate carry it forward, and
+    nothing saves it.
     """
 
     def __init__(self, levels, data: MultiFidelityData, configs):
@@ -545,8 +553,7 @@ class MultiFidelityModel:
         self.levels = list(levels)
         self.data = data
         self.configs = list(configs)
-        self._fit_settings = (None, _DEFAULT_RESTARTS, 0)
-        self._searches = {}
+        self._bounds = None
 
     @property
     def level_count(self) -> int:
@@ -670,8 +677,7 @@ class MultiFidelityModel:
                                           sigma2=lev.sigma2))
             levels[-1].grown_from = grown_from
         model = MultiFidelityModel(levels, data, self.configs)
-        model._fit_settings = self._fit_settings
-        model._searches = self._searches
+        model._bounds = self._bounds
         return model
 
 
@@ -688,26 +694,58 @@ def fit_multifidelity(data: MultiFidelityData, configs, bounds=None,
         theirs, so a fit is reproducible from the seed alone.
 
     Every level is checked for estimability before any likelihood search.
-    The model keeps the three settings for its reestimating refits.
+    The model keeps ``bounds`` for its reestimates.
     """
-    return _fit_levels(data, configs, {}, bounds, restarts, seed)
-
-
-def _fit_levels(data: MultiFidelityData, configs, searches, bounds=None,
-                restarts=_DEFAULT_RESTARTS, seed=0) -> MultiFidelityModel:
-    """``fit_multifidelity`` given the searches of an earlier model
-    (``searches``, as ``_fit_on`` takes them): a level whose search
-    inputs are unchanged is the level built before. The new model keeps
-    its settings and the searches of its own levels only."""
-    _check_levels(data, configs)
-    inputs = []
-    for t, config in enumerate(configs, start=1):
-        inputs.append(_level_inputs(config, data, t))
-        _check_estimable(t, inputs[-1][0].trend, inputs[-1][2])
+    inputs = _checked_inputs(data, configs)
     rng = np.random.default_rng(seed)
-    fitted = [_fit_on(config, level_inputs, bounds, restarts, rng, searches)
-              for config, level_inputs in zip(configs, inputs)]
-    model = MultiFidelityModel([level for level, _ in fitted], data, configs)
-    model._fit_settings = (bounds, restarts, seed)
-    model._searches = {key: level for level, key in fitted}
+    levels = []
+    for config, level_inputs in zip(configs, inputs):
+        box = _search_box(level_inputs[0].design, bounds)
+        levels.append(_fit_on(config, level_inputs, box,
+                              _draw_starts(*box, restarts, rng)))
+    model = MultiFidelityModel(levels, data, configs)
+    model._bounds = bounds
     return model
+
+
+def _nll_at(lik, theta) -> float:
+    """The concentrated NLL at ``theta``, nan where the search would
+    skip the point (R or the trend ill-conditioned there)."""
+    try:
+        return _solve_level(lik, theta)[0]
+    except (IllConditionedError, SingularTrendError):
+        return float("nan")
+
+
+def _reestimate(model: MultiFidelityModel,
+                data: MultiFidelityData) -> MultiFidelityModel:
+    """``enrich``'s reestimate of ``model`` on ``data``, drawing nothing.
+    A level its last search built (``FittedLevel.searched``) that
+    ``_keeps`` keeps is kept; every other level is searched by
+    ``kriging._ml_fit`` in the box of ``model``'s bounds from its
+    log-lengthscales (which the search clips into the box), then the box
+    midpoint. Every level is checked before any search, and each logs
+    one DEBUG record: kept, or searched, with the NLL at its start and
+    at its new lengthscales."""
+    inputs = _checked_inputs(data, model.configs)
+    levels = []
+    for t, (config, lev, level_inputs) in enumerate(
+            zip(model.configs, model.levels, inputs), start=1):
+        if lev.searched and _keeps(lev, data, t):
+            _log.debug("level %d kept", t)
+            levels.append(lev)
+            continue
+        lik = level_inputs[0]
+        box = _search_box(lik.design, model._bounds)
+        start = np.log(lev.lengthscales)
+        levels.append(_fit_on(config, level_inputs, box,
+                              [start, 0.5 * (box[0] + box[1])]))
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug("level %d searched from the previous optimum: nll "
+                       "%.17g at its lengthscales (clipped into the box), "
+                       "%.17g at the new", t,
+                       _nll_at(lik, np.exp(np.clip(start, *box))),
+                       levels[-1].nll)
+    out = MultiFidelityModel(levels, data, model.configs)
+    out._bounds = model._bounds
+    return out

@@ -49,7 +49,7 @@ import numpy as np
 from .cokriging import (
     MultiFidelityModel,
     _contributions,
-    _fit_levels,
+    _reestimate,
     _variance_recursion,
     _variance_terms,
 )
@@ -498,16 +498,16 @@ def enrich(model, x, level: int, values,
     """New model with x observed at levels 1..level; the old one is kept.
 
     ``values`` holds one response per level 1..level. Hyperparameters
-    are frozen unless ``reestimate`` is set, in which case the result is
-    bit for bit ``fit_multifidelity(grown data, model.configs, bounds,
-    restarts, seed)`` with the settings ``model`` was fitted with. A
-    level whose search key (``cokriging._fit_on``) matches one of
-    ``model``'s searches is the level that search built, with no search
-    and no solve: with an integer seed, every level above ``level``. A
-    ``seed=None`` fit draws fresh starts on every reestimate and reuses
-    none; a Generator seed keeps being drawn from. A loaded model keeps
-    no searches. The grown data is built before any refit, so a
-    non-finite value or a repeated point raises first.
+    are frozen (``MultiFidelityModel.refit``) unless ``reestimate`` is
+    set; a reestimate (``cokriging._reestimate``) starts from ``model``
+    and draws nothing. It keeps each level its last search built whose
+    inputs did not change (every level above ``level``, unless a frozen
+    refit grew it since) and searches every other level, a loaded
+    model's too, from its current lengthscales and the box midpoint, in
+    the box of ``model``'s fit bounds. It is not a fresh
+    ``fit_multifidelity`` of the grown data: the fit's ``restarts`` and
+    ``seed`` apply to that fit alone. The grown data is built before any
+    refit, so a non-finite value or a repeated point raises first.
     """
     _check_level(level, model.level_count)
     values = np.asarray(values, dtype=float).ravel()
@@ -517,8 +517,7 @@ def enrich(model, x, level: int, values,
             f"got {values.size}")
     data = model.data.with_point(x, values)
     if reestimate:
-        return _fit_levels(data, model.configs, model._searches,
-                           *model._fit_settings)
+        return _reestimate(model, data)
     return model.refit(data)
 
 
@@ -672,11 +671,14 @@ def run_loop(model, domain: Domain, cost: CostModel, budget,
     (a one-node search calls ``choose_level``), evaluates the
     simulators, and enriches. ``refit`` is "never" (frozen
     hyperparameters), "always", or "every-k" for an integer k (refit on
-    iterations k, 2k, ...). A refit reestimates through ``enrich`` with
-    the model's fit settings, so it searches again only the levels whose
-    data changed since the model's last searches. A simulator failure (an exception or a
-    non-finite value) stops the loop and returns the partial trace
-    flagged incomplete, its ``failure`` naming the level and cause.
+    iterations k, 2k, ...). A refit reestimates through ``enrich``: it
+    keeps each level whose inputs are unchanged since the search that
+    built it and searches every other level from its current
+    lengthscales and the box midpoint, so under "every-k" a level that
+    the frozen refits between grew is searched again. A simulator
+    failure (an exception or a non-finite value) stops the loop and
+    returns the partial trace flagged incomplete, its ``failure`` naming
+    the level and cause.
     ``_run_settings`` checks every setting before the first IMSE.
     """
     budget, period = _run_settings(model.level_count, cost, budget,

@@ -5,7 +5,8 @@ likelihood search as the yardstick of the library's L-BFGS-B search,
 that search with its former memoized ``minimize`` call as its oracle, a
 variance search through ``predict``, the likelihood gradient's weight
 from its own distance matrix, the likelihood gradient by its direct
-formula, the frozen refit that solves every level again, the point
+formula, the frozen refit that solves every level again, the
+reestimate with its record of searched levels outside the model, the point
 index's sort key from each coordinate's bits, and the sequential loop
 spelled out through public calls."""
 
@@ -366,9 +367,43 @@ def reference_refit(model, data):
                                       sigma2=lev.sigma2))
         levels[-1].grown_from = grown_from
     out = MultiFidelityModel(levels, data, model.configs)
-    out._fit_settings = model._fit_settings
-    out._searches = model._searches
+    out._bounds = model._bounds
     return out
+
+
+def reference_reestimate(model, data, searched):
+    """A reestimate spelled out, with the record of searched levels kept
+    outside the model: ``searched`` holds the level objects a search
+    built. A level of ``model`` that is one of them and whose design,
+    responses and lower-level values on ``data`` have its own bytes is
+    kept; every other level is ``kriging._ml_fit`` on ``data``, in the
+    box of ``model``'s bounds, from its log-lengthscales and then the box
+    midpoint. Returns (model, the levels it searched)."""
+    _check_levels(data, model.configs)
+    inputs = [_level_inputs(config, data, t)
+              for t, config in enumerate(model.configs, start=1)]
+    for t, (lik, _, q) in enumerate(inputs, start=1):
+        _check_estimable(t, lik.trend, q)
+    levels, new = [], []
+    for t, (config, lev, level_inputs) in enumerate(
+            zip(model.configs, model.levels, inputs), start=1):
+        lik, lower, _ = level_inputs
+        same = [a.tobytes() == b.tobytes() and a.shape == b.shape
+                for a, b in ((lik.design, lev.design), (lik.y, lev.y))]
+        if t > 1:
+            same.append(lower.tobytes() == lev.lower_values.tobytes())
+        if any(lev is s for s in searched) and all(same):
+            levels.append(lev)
+            continue
+        log_lo, log_hi = kriging._search_box(lik.design, model._bounds)
+        starts = [np.log(lev.lengthscales), 0.5 * (log_lo + log_hi)]
+        levels.append(_assemble_level(config, level_inputs, *kriging._ml_fit(
+            lik, (log_lo, log_hi), starts)))
+        levels[-1].searched = True  # as the library marks it; never read here
+        new.append(levels[-1])
+    out = MultiFidelityModel(levels, data, model.configs)
+    out._bounds = model._bounds
+    return out, new
 
 
 def replay_loop(model, domain, cost, budget, simulators, rule="imse-threshold",

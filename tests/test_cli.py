@@ -319,8 +319,9 @@ def test_sequential_is_deterministic(tmp_path):
         (out_b / "trace.csv").read_bytes()
 
 
-def test_sequential_reestimates_with_the_config_restarts(tmp_path,
-                                                         monkeypatch):
+def test_sequential_fits_with_the_config_restarts(tmp_path, monkeypatch):
+    # the config's restarts are the initial fit's; a reestimate searches
+    # each level it does not keep from two starts
     starts = []
     original = cokriging._ml_fit
 
@@ -332,11 +333,11 @@ def test_sequential_reestimates_with_the_config_restarts(tmp_path,
     out = tmp_path / "run"
     config = json.loads(open(_sequential_config(tmp_path, out,
                                                 budget=12.0)).read())
-    config.update(restarts=2, refit="always")
+    config.update(restarts=3, refit="always")
     path = _config(tmp_path, "restarts.json", **config)
     assert main(["sequential", "--config", path, "--quiet"]) == EXIT_OK
     assert len(starts) > 2  # the loop reestimated
-    assert starts == [2] * len(starts)
+    assert starts == [3, 3] + [2] * (len(starts) - 2)
 
 
 def test_a_failing_simulator_exits_2_and_keeps_the_partial_run(

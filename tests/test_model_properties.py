@@ -284,8 +284,7 @@ def test_a_frozen_refit_equals_solving_every_level_again(chain, source):
             kept = t > level and not np.isnan(old.nll)
             assert (new is old) == kept
             assert kept or new.grown_from is ref.grown_from
-        assert got._searches is want._searches
-        assert got._fit_settings == want._fit_settings
+        assert got._bounds == want._bounds
         model = got
 
 

@@ -132,8 +132,10 @@ def _console_script(directory, *command):
 
 
 def test_console_script_commands_run_through_the_module(tmp_path):
-    # the workflow runs the same script through the installed mfkrig
-    run = _console_script(tmp_path, sys.executable, "-m", "mfkrig.cli")
+    # every command in one process, through runpy as "python -m
+    # mfkrig.cli" runs it; the workflow runs the same script through the
+    # installed mfkrig, one process per command
+    run = _console_script(tmp_path, "--in-process", sys.executable)
     assert run.returncode == 0, run.stderr
     for out in ("fit", "predict", "sequential", "report", "predict-bounds",
                 "fit-from-data", "ripple-fit", "ripple-sequential", "refit",
@@ -142,8 +144,15 @@ def test_console_script_commands_run_through_the_module(tmp_path):
                 "random-sequential", "cost-weighted-sequential",
                 "every-sequential", "exhausted-sequential", "predict-points"):
         assert (tmp_path / out).is_dir(), out
-    # a failing command fails the script
+    # a failing command fails the script, in either mode: here fit cannot
+    # make its output directory
     assert _console_script(tmp_path, "false").returncode != 0
+    blocked = tmp_path / "blocked"
+    blocked.mkdir()
+    (blocked / "fit").write_text("")
+    run = _console_script(blocked, "--in-process", sys.executable)
+    assert run.returncode != 0
+    assert "'fit --config fit.json --quiet' exited" in run.stderr
 
 
 def test_digest_prints_one_line_per_workload(tmp_path):

@@ -1,14 +1,14 @@
-"""A reestimating ``enrich`` fits with the model's own bounds, restarts
-and seed, searches again only the levels whose search inputs changed
-since the model's own searches, and gives bit for bit the model a fresh
-``fit_multifidelity`` of the grown data with those settings gives.
+"""A reestimating ``enrich`` starts from the model it is given and draws
+nothing: it keeps, with no search and no solve, each level its last
+search built whose design, responses and lower-level values are
+unchanged, and searches every other level by ``kriging._ml_fit`` from
+two starts, its current log-lengthscales and the box midpoint, in the
+box of the bounds the model was fitted with.
 
-Running levels 1..l at a new point leaves the design, responses and
-regression matrix of every level above l unchanged, and with an integer
-seed each level draws the same starts, so those searches would land
-where they did. Any other difference (seed, restarts, bounds, an
-unseeded generator) searches every level again, and a loaded model keeps
-no searches.
+Running levels 1..l at a new point leaves every level above l as its
+last search built it, unless a frozen refit grew it since. A level with
+given coefficients (``from_parameters``, a loaded model) was built by no
+search and is searched from its given lengthscales.
 """
 
 import dataclasses
@@ -40,7 +40,7 @@ from mfkrig.sequential import (
 )
 from mfkrig.testbed import get_problem, load_model, nested_lhs, save_model
 
-from helpers import draw_ar1_data, draw_nested_designs
+from helpers import draw_ar1_data, draw_nested_designs, reference_reestimate
 
 SE = "squared-exponential"
 M52 = "matern-5/2"
@@ -73,9 +73,10 @@ def _configs(levels, d, family=SE):
 
 @st.composite
 def _enrichments(draw):
-    """(data, configs, x, level, values, settings): 2-3 nested levels
-    drawn from the autoregressive chain, one new point run through a
-    drawn level, and drawn (bounds, restarts, seed) of the fit."""
+    """(data, configs, frozen, x, level, values, bounds, restarts, seed):
+    2-3 nested levels drawn from the autoregressive chain, an optional
+    frozen enrichment (point, level, values) before the reestimate, one
+    new point run through a drawn level, and drawn fit settings."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     s = draw(st.integers(2, 3))
     d = draw(st.sampled_from([1, 2]))
@@ -84,25 +85,43 @@ def _enrichments(draw):
     kernels = [KernelSpec(SE, np.full(d, 0.4))] * s
     observations = draw_ar1_data(rng, designs, [1.5] * (s - 1), kernels,
                                  [1.0] * s)
+    frozen_level = draw(st.integers(0, s))
+    frozen = (None if frozen_level == 0 else
+              (rng.uniform(size=d), frozen_level, rng.normal(size=frozen_level)))
     level = draw(st.integers(1, s))
     return (MultiFidelityData(designs, observations),
-            _configs(s, d, draw(st.sampled_from([SE, M52]))),
+            _configs(s, d, draw(st.sampled_from([SE, M52]))), frozen,
             rng.uniform(size=d), level, rng.normal(size=level),
-            (draw(st.sampled_from([None, (0.05, 2.0)])),
-             draw(st.integers(1, 4)), draw(st.integers(0, 3))))
+            draw(st.sampled_from([None, (0.05, 2.0)])),
+            draw(st.integers(1, 4)), draw(st.sampled_from([0, 3, None])))
 
 
 @settings(max_examples=12, deadline=None)
-@given(_enrichments())
-def test_reestimating_enrich_equals_a_fresh_fit(case):
-    data, configs, x, level, values, fit_settings = case
-    model = fit_multifidelity(data, configs, *fit_settings)
+@given(_enrichments(), st.booleans())
+def test_a_reestimate_equals_ml_fit_from_two_starts(case, given_parameters):
+    # a frozen enrichment before the reestimate grows the levels it runs,
+    # which are then searched although their coefficients were estimated;
+    # a model from given parameters has every level searched
+    data, configs, frozen, x, level, values, bounds, restarts, seed = case
+    fitted = fit_multifidelity(data, configs, bounds, restarts, seed)
+    model = fitted if frozen is None else enrich(fitted, *frozen)
+    if given_parameters:
+        model = _from_parameters(model)
     grown = enrich(model, x, level, values, reestimate=True)
-    fresh = fit_multifidelity(data.with_point(x, values), configs,
-                              *fit_settings)
-    assert _fields(grown) == _fields(fresh)
-    assert grown._searches.keys() == fresh._searches.keys()
-    assert grown._fit_settings == fresh._fit_settings == fit_settings
+    want, searched = reference_reestimate(
+        model, model.data.with_point(x, values), fitted.levels)
+    assert _fields(grown) == _fields(want)
+    ran = (len(configs) if given_parameters
+           else max(level, 0 if frozen is None else frozen[1]))
+    assert [new is old for new, old in zip(grown.levels, model.levels)] == \
+        [t > ran for t in range(1, len(configs) + 1)]
+    assert len(searched) == ran
+    assert all(lev.searched for lev in grown.levels)
+    assert grown._bounds == model._bounds == (
+        None if given_parameters else bounds)
+    # nothing is drawn, so the same reestimate gives the same model
+    again = enrich(model, x, level, values, reestimate=True)
+    assert _fields(again) == _fields(grown)
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +265,7 @@ def test_a_likelihood_evaluation_builds_one_distance_matrix(chain3,
 
 def test_a_level_kept_by_its_search_key_is_not_solved_again(chain3,
                                                           monkeypatch):
+    # levels 2 and 3 are as their search built them, on the same inputs
     data, configs, x, values = chain3
     model = fit_multifidelity(data, configs, seed=0)
     factors, _ = _spy_solves(monkeypatch)
@@ -273,7 +293,7 @@ def test_squared_differences_are_built_once_per_search(chain3, searched,
     enrich(model, x, 1, values[:1])  # a frozen refit
     _from_parameters(model)
     _reloaded(model, tmp_path)
-    cokriging._fit_levels(data, configs, model._searches, seed=0)
+    cokriging._reestimate(model, data)  # every level is kept
     assert built == searched == []
 
 
@@ -284,34 +304,38 @@ def test_only_the_levels_run_are_searched_again(chain3, searched, level):
     searched.clear()
     grown = enrich(model, x, level, values[:level], reestimate=True)
     assert searched == [13, 9, 5][:level]
-    fresh = fit_multifidelity(grown.data, configs, seed=0)
-    assert _fields(grown) == _fields(fresh)
+    want, _ = reference_reestimate(model, grown.data, model.levels)
+    assert _fields(grown) == _fields(want)
 
 
 def test_searches_carry_over_enrich_and_frozen_refit(chain3, searched):
     data, configs, x, values = chain3
     model = fit_multifidelity(data, configs, seed=0)
-    # a reestimating enrich keeps its searches, levels 2 and 3 reused ones
+    # a reestimating enrich searches level 1 and keeps levels 2 and 3
     model = enrich(model, x, 1, values[:1], reestimate=True)
-    # a frozen refit carries them forward
+    record = list(model.levels)
+    # a frozen refit keeps them, and grows level 1 by a row
     model = enrich(model, [0.8765], 1, [0.1])
+    assert model.levels[1:] == record[1:] and not model.levels[0].searched
     searched.clear()
-    model = enrich(model, [0.1234], 1, [0.2], reestimate=True)
+    grown = enrich(model, [0.1234], 1, [0.2], reestimate=True)
     assert searched == [15]
-    assert _fields(model) == _fields(
-        fit_multifidelity(model.data, configs, seed=0))
+    want, _ = reference_reestimate(model, grown.data, record)
+    assert _fields(grown) == _fields(want)
 
 
 def test_a_frozen_refit_carries_the_fit_settings(chain3, searched):
+    # the reestimate searches in the box of the fit's bounds
     data, configs, x, values = chain3
-    model = fit_multifidelity(data, configs, restarts=3, seed=0)
-    model = enrich(model, x, 1, values[:1])
-    assert model._fit_settings == (None, 3, 0)
+    fitted = fit_multifidelity(data, configs, bounds=(0.05, 2.0), seed=0)
+    model = enrich(fitted, x, 1, values[:1])
+    assert model._bounds == (0.05, 2.0)
     searched.clear()
-    model = enrich(model, [0.1234], 1, [0.2], reestimate=True)
+    grown = enrich(model, [0.1234], 1, [0.2], reestimate=True)
     assert searched == [14]
-    assert _fields(model) == _fields(
-        fit_multifidelity(model.data, configs, restarts=3, seed=0))
+    want, _ = reference_reestimate(model, grown.data, fitted.levels)
+    assert _fields(grown) == _fields(want)
+    assert grown._bounds == (0.05, 2.0)
 
 
 def _from_parameters(model):
@@ -326,51 +350,98 @@ def _reloaded(model, directory):
     return load_model(directory)
 
 
-def _refitted(**other):
-    """A reestimate of the grown data with ``other`` fit settings than
-    the model's, given the model's searches."""
-    def refit(model, x, values):
-        grown = model.data.with_point(x, values)
-        cokriging._fit_levels(grown, model.configs, model._searches, **other)
-    return refit
+def _frozen_grown(model, _):
+    """``model`` after a frozen run through level 2 at a new point: levels
+    1 and 2 grow by a row, with estimated coefficients, and no search."""
+    return enrich(model, [0.8765], 2, [0.1, 0.2])
 
 
-def _enriched(model, x, values):
-    enrich(model, x, 1, values, reestimate=True)
+@pytest.fixture()
+def starts(monkeypatch):
+    """(design size, starts) of every ``_ml_fit`` call, in call order."""
+    calls = []
+    original = cokriging._ml_fit
+
+    def spy(lik, box, level_starts):
+        calls.append((len(lik.y), level_starts))
+        return original(lik, box, level_starts)
+
+    monkeypatch.setattr(cokriging, "_ml_fit", spy)
+    return calls
 
 
-@pytest.mark.parametrize("fit_args, rebuild, reestimate", [
-    (dict(seed=0), None, _refitted(seed=1)),
-    (dict(seed=0), None, _refitted(restarts=3)),
-    (dict(seed=0), None, _refitted(bounds=(1e-3, 5.0))),
-    (dict(seed=None), None, _enriched),
-    (dict(seed=0), lambda model, _: _from_parameters(model), _enriched),
-    (dict(seed=0), _reloaded, _enriched),
-], ids=["other-seed", "other-restarts", "other-bounds", "unseeded",
-        "from-parameters", "loaded"])
-def test_no_reuse_without_the_same_search_inputs(chain3, searched, tmp_path,
-                                                  fit_args, rebuild,
-                                                  reestimate):
+@pytest.mark.parametrize("rebuild, sizes", [
+    (lambda model, _: _from_parameters(model), [13, 8, 4]),
+    (_reloaded, [13, 8, 4]),
+    (_frozen_grown, [14, 9]),
+], ids=["from-parameters", "loaded", "frozen-grown"])
+def test_no_reuse_without_the_same_search_inputs(chain3, starts, tmp_path,
+                                                  rebuild, sizes):
+    # a level no search built is searched from the lengthscales it
+    # holds, then the box midpoint
     data, configs, x, values = chain3
-    model = fit_multifidelity(data, configs, **fit_args)
-    if rebuild is not None:
-        model = rebuild(model, tmp_path)
-    searched.clear()
-    reestimate(model, x, values[:1])
-    assert searched == [13, 8, 4]
+    model = rebuild(fit_multifidelity(data, configs, seed=0), tmp_path)
+    starts.clear()
+    grown = enrich(model, x, 1, values[:1], reestimate=True)
+    assert [n for n, _ in starts] == sizes
+    for (n, level_starts), lev, new in zip(starts, model.levels, grown.levels):
+        log_lo, log_hi = kriging._search_box(new.design, None)
+        assert _bits(level_starts[0]) == _bits(np.log(lev.lengthscales))
+        assert _bits(level_starts[1]) == _bits(0.5 * (log_lo + log_hi))
+        assert len(level_starts) == 2 and new.searched
 
 
-@pytest.mark.parametrize("restarts, searches", [(3, []), (4, [12, 8, 4])])
-def test_the_search_key_holds_restarts(chain3, searched, restarts, searches):
-    # through enrich, other restarts also move the generator state that
-    # every level above the first sees; refitting the same data isolates
-    # the first level's key
+@pytest.mark.parametrize("seed", [0, None, "generator"],
+                         ids=["seeded", "unseeded", "generator"])
+def test_a_reestimate_draws_nothing(chain3, monkeypatch, seed):
+    # a fit's seed and restarts apply to the fit alone: an unseeded model,
+    # or one whose generator is shared, reestimates the same way each time
+    data, configs, x, values = chain3
+    rng = np.random.default_rng(7) if seed == "generator" else seed
+    model = fit_multifidelity(data, configs, restarts=3, seed=rng)
+    state = rng.bit_generator.state if seed == "generator" else None
+
+    def no_draws(*args):
+        raise AssertionError("a reestimate drew starts")
+
+    monkeypatch.setattr(cokriging, "_draw_starts", no_draws)
+    first, second = (enrich(model, x, 2, values[:2], reestimate=True)
+                     for _ in range(2))
+    assert _fields(first) == _fields(second)
+    if state is not None:
+        assert rng.bit_generator.state == state
+
+
+def test_a_reestimate_logs_each_level(chain3, caplog):
+    data, configs, x, values = chain3
+    model = fit_multifidelity(data, configs, seed=0)
+    caplog.set_level(logging.DEBUG, logger="mfkrig.cokriging")
+    grown = enrich(model, x, 1, values[:1], reestimate=True)
+    records = [r for r in caplog.records if r.name == "mfkrig.cokriging"]
+    assert [r.args[0] for r in records] == [1, 2, 3]
+    assert [r.getMessage() for r in records[1:]] == ["level 2 kept",
+                                                     "level 3 kept"]
+    first = records[0]
+    assert first.getMessage().startswith(
+        "level 1 searched from the previous optimum")
+    lik = cokriging._level_inputs(configs[0], grown.data, 1)[0]
+    box = kriging._search_box(lik.design, None)
+    start = np.exp(np.clip(np.log(model.levels[0].lengthscales), *box))
+    assert first.args[1] == kriging._solve_level(lik, start)[0]
+    assert first.args[2] == grown.levels[0].nll <= first.args[1]
+
+
+def test_a_reestimate_checks_every_level_before_any_search(chain3, searched):
+    # level 3 keeps two of its points, too few for its two coefficients
     data, configs, _, _ = chain3
-    model = fit_multifidelity(data, configs, restarts=3, seed=0)
+    model = fit_multifidelity(data, configs, seed=0)
+    short = MultiFidelityData(
+        [*data.designs[:2], data.designs[2][:2]],
+        [*data.observations[:2], data.observations[2][:2]])
     searched.clear()
-    cokriging._fit_levels(data, configs, model._searches, restarts=restarts,
-                          seed=0)
-    assert searched == searches
+    with pytest.raises(ValueError, match="level 3 needs at least 3 points"):
+        cokriging._reestimate(model, short)
+    assert searched == []
 
 
 def test_separate_fits_share_no_searches(chain3, searched):
@@ -393,6 +464,8 @@ def _trace_bits(trace):
 def test_loop_equals_a_loop_without_stored_searches(monkeypatch, searched,
                                                     name, sizes, family, loop,
                                                     refit):
+    # the reference loop keeps its record of searched levels itself and
+    # reads no FittedLevel.searched
     problem = get_problem(name)
     designs = nested_lhs(sizes, problem.bounds, seed=1)
     data = MultiFidelityData(designs, [problem.evaluate(t + 1, x)
@@ -412,14 +485,22 @@ def test_loop_equals_a_loop_without_stored_searches(monkeypatch, searched,
 
     final, trace, reusing = run()
     original = sequential.enrich
+    record = list(model.levels)
+    reestimates = []
 
-    def forgetful(model, *args, **kwargs):
-        model._searches = {}
-        return original(model, *args, **kwargs)
+    def recorded(model, x, level, values, reestimate=False):
+        if not reestimate:
+            return original(model, x, level, values)
+        grown, new = reference_reestimate(
+            model, model.data.with_point(x, values), record)
+        record.extend(new)
+        reestimates.append(len(new))
+        return grown
 
-    monkeypatch.setattr(sequential, "enrich", forgetful)
-    forgot_final, forgot_trace, forgetting = run()
+    monkeypatch.setattr(sequential, "enrich", recorded)
+    want_final, want_trace, _ = run()
     assert len(trace) >= 4
-    assert _trace_bits(trace) == _trace_bits(forgot_trace)
-    assert _fields(final) == _fields(forgot_final)
-    assert reusing < forgetting
+    assert _trace_bits(trace) == _trace_bits(want_trace)
+    assert _fields(final) == _fields(want_final)
+    # some level is kept on some reestimate
+    assert reusing == sum(reestimates) < len(sizes) * len(reestimates)
