@@ -68,6 +68,22 @@ def _options(config, owner="", **kinds):
             for key, kind in kinds.items() if key in config}
 
 
+def _check_fields(obj, fields, owner, what) -> None:
+    """Name the first key of ``obj`` not in ``fields``, in its order."""
+    for name in obj:
+        if name not in fields:
+            raise ValueError(f"{owner}{name!r} is not a field of {what}")
+
+
+def _seed(config, owner="") -> int:
+    """config's 'seed' (0 if absent), rejected here if negative."""
+    seed = _typed(config, "seed", int, 0, owner=owner)
+    if seed < 0:
+        raise ValueError(
+            f"{owner}'seed' must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 def _level_configs(config, data) -> list[LevelConfig]:
     """Level structure from config, by default at every level of the
     data: squared-exponential kernels, constant trends and, above level
@@ -75,7 +91,9 @@ def _level_configs(config, data) -> list[LevelConfig]:
     configs = []
     for t, entry in enumerate(
             _typed(config, "levels", list[dict], [{}] * data.levels), start=1):
-        field = partial(_typed, entry, owner=f"levels[{t - 1}] ")
+        owner = f"levels[{t - 1}] "
+        _check_fields(entry, ("trend", "kernel", "scaling"), owner, "a level")
+        field = partial(_typed, entry, owner=owner)
         scaling = field("scaling", str | None, "constant" if t > 1 else None)
         configs.append(LevelConfig(
             BasisSpec(field("trend", str, "constant"), data.dimension),
@@ -94,7 +112,7 @@ def _build_data(config, problem) -> MultiFidelityData:
     sizes = _typed(config, "sizes", list[int])
     if len(sizes) > problem.level_count:
         raise ValueError("more sizes than problem levels")
-    designs = nested_lhs(sizes, problem.bounds, **_options(config, seed=int))
+    designs = nested_lhs(sizes, problem.bounds, seed=_seed(config))
     observations = [problem.evaluate(t + 1, d) for t, d in enumerate(designs)]
     return MultiFidelityData(designs, observations)
 
@@ -109,7 +127,7 @@ _FIELDS = {Grid: ("n",), Uniform: ("n", "seed")}
 def _strategy_from(config, key):
     """The search or quadrature that config[key] describes, or None when
     the key is absent. The size is an integer and the seed a non-negative
-    one; a field the kind does not read is an error."""
+    one (``_seed``); a field the kind does not read is an error."""
     raw = _typed(config, key, dict, None)
     if raw is None:
         return None
@@ -118,24 +136,18 @@ def _strategy_from(config, key):
     if kind not in _KINDS[key]:
         raise ValueError(f"unknown {key} kind {kind!r}")
     spec = _KINDS[key][kind]
-    for name in raw:  # in the config's order, so the first one is named
-        if name not in ("kind", *_FIELDS[spec]):
-            raise ValueError(
-                f"{owner}{name!r} is not a field of a {kind} {key}")
+    _check_fields(raw, ("kind", *_FIELDS[spec]), owner, f"a {kind} {key}")
     size = _typed(raw, "n", int, owner=owner)
     if spec is Grid:
         return Grid(size)
-    seed = _typed(raw, "seed", int, 0, owner=owner)
-    if seed < 0:  # Uniform's own check would not name the object
-        raise ValueError(
-            f"{owner}'seed' must be a non-negative integer, got {seed!r}")
-    return Uniform(size, seed)
+    return Uniform(size, _seed(raw, owner))
 
 
 def _fit(config, data):
     """The model a config describes, fitted to ``data``."""
     return fit_multifidelity(data, _level_configs(config, data),
-                             **_options(config, restarts=int, seed=int))
+                             **_options(config, restarts=int),
+                             seed=_seed(config))
 
 
 def _fit_report(model) -> str:
@@ -279,7 +291,7 @@ _COMMANDS = {
 }
 
 
-def _seed(text) -> int:
+def _seed_flag(text) -> int:
     """``--seed``'s value: ASCII digits after an optional "-"."""
     digits = text.removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
@@ -301,7 +313,7 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=None,
                        help="output directory (overrides config)")
-        p.add_argument("--seed", type=_seed, default=None,
+        p.add_argument("--seed", type=_seed_flag, default=None,
                        help="seed (overrides config)")
         p.add_argument("--quiet", action="store_true",
                        help="suppress informational output")

@@ -41,11 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import (
-    DuplicateDesignPointError,
-    IllConditionedError,
-    SingularTrendError,
-)
+from .exceptions import DuplicateDesignPointError, SingularTrendError
 from .kernels import (
     CONSTANT,
     BasisSpec,
@@ -708,15 +704,6 @@ def fit_multifidelity(data: MultiFidelityData, configs, bounds=None,
     return model
 
 
-def _nll_at(lik, theta) -> float:
-    """The concentrated NLL at ``theta``, nan where the search would
-    skip the point (R or the trend ill-conditioned there)."""
-    try:
-        return _solve_level(lik, theta)[0]
-    except (IllConditionedError, SingularTrendError):
-        return float("nan")
-
-
 def _reestimate(model: MultiFidelityModel,
                 data: MultiFidelityData) -> MultiFidelityModel:
     """``enrich``'s reestimate of ``model`` on ``data``, drawing nothing.
@@ -724,9 +711,11 @@ def _reestimate(model: MultiFidelityModel,
     ``_keeps`` keeps is kept; every other level is searched by
     ``kriging._ml_fit`` in the box of ``model``'s bounds from its
     log-lengthscales (which the search clips into the box), then the box
-    midpoint. Every level is checked before any search, and each logs
-    one DEBUG record: kept, or searched, with the NLL at its start and
-    at its new lengthscales."""
+    midpoint. Every level is checked before any search. Each logs one
+    DEBUG record, "level t kept" or "level t searched from the previous
+    optimum", the latter just before its search's own
+    (``kriging._ml_fit``), whose first start NLL is at the previous
+    lengthscales clipped into the box."""
     inputs = _checked_inputs(data, model.configs)
     levels = []
     for t, (config, lev, level_inputs) in enumerate(
@@ -735,17 +724,10 @@ def _reestimate(model: MultiFidelityModel,
             _log.debug("level %d kept", t)
             levels.append(lev)
             continue
-        lik = level_inputs[0]
-        box = _search_box(lik.design, model._bounds)
-        start = np.log(lev.lengthscales)
-        levels.append(_fit_on(config, level_inputs, box,
-                              [start, 0.5 * (box[0] + box[1])]))
-        if _log.isEnabledFor(logging.DEBUG):
-            _log.debug("level %d searched from the previous optimum: nll "
-                       "%.17g at its lengthscales (clipped into the box), "
-                       "%.17g at the new", t,
-                       _nll_at(lik, np.exp(np.clip(start, *box))),
-                       levels[-1].nll)
+        _log.debug("level %d searched from the previous optimum", t)
+        box = _search_box(level_inputs[0].design, model._bounds)
+        levels.append(_fit_on(config, level_inputs, box, [
+            np.log(lev.lengthscales), 0.5 * (box[0] + box[1])]))
     out = MultiFidelityModel(levels, data, model.configs)
     out._bounds = model._bounds
     return out

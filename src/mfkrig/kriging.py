@@ -13,7 +13,9 @@ analytic gradient (``_nll_gradient``): one matrix-vector product of the
 design's squared differences, built once per search, against the
 weighted lower triangle of R^{-1}. Each run is one public
 ``scipy.optimize.minimize`` call, with value and gradient as two
-callables sharing one evaluation per point. A sigma2_hat below 1e6
+callables reading the search's memo of one evaluation per distinct
+point, from which its DEBUG record reads the evaluation count and the
+NLL at each start. A sigma2_hat below 1e6
 times its floor is round-off of a zero residual and counts as the floor,
 so a round-off level has the smooth objective
 (n - p) log(floor) + log det R.
@@ -484,18 +486,21 @@ def _ml_fit(lik: _Likelihood, box, starts):
 
     Minimizes the concentrated NLL over log-lengthscales inside ``box``,
     the checked (log_lo, log_hi) of ``_search_box``, by L-BFGS-B on the
-    analytic gradient (``_nll_gradient``), one run per start of
-    ``starts`` (``_draw_starts``). It draws nothing, so its result
-    depends on its arguments alone. The gradient's input from the design,
-    its ``_squared_differences``, is built here once per search, so no
-    solve outside a search pays for it. The search keeps every
-    evaluation, (nll, gradient) or None, by the bytes of z, so each
-    distinct z is solved once: a start, a point two runs reach (often a
-    corner of the box) or a z scipy asks about again. A repeat is never
-    strictly better, so the best point is the one a search without the
-    memo finds. scipy's first step on a boxed problem is the full
-    projected -g, so each run divides objective and gradient by max(1,
-    |g(z0)| / ``_FIRST_STEP``): its first step moves at most that far.
+    analytic gradient (``_nll_gradient``), one run per distinct start of
+    ``starts`` (``_draw_starts``) clipped into the box. It draws nothing,
+    so its result depends on its arguments alone. The gradient's input
+    from the design, its ``_squared_differences``, is built here once
+    per search, so no solve outside a search pays for it. The memo holds
+    each distinct z's evaluation by its bytes, (nll, gradient) or None
+    (ill-conditioned, or a non-finite NLL): ``at`` solves a new z once
+    and records a new best point, so the memo's size is the evaluation
+    count. The starts come first, in order; a point two runs reach
+    (often a corner of the box) or scipy asks about again is answered
+    from the memo. A repeat is never strictly better, so the best point
+    is the one a search without the memo finds. scipy's first step on a
+    boxed problem is the full projected -g, so each run divides
+    objective and gradient by max(1, |g(z0)| / ``_FIRST_STEP``), g(z0)
+    its start's evaluation: its first step moves at most that far.
 
     Each run is one call of the public ``scipy.optimize.minimize``, which
     a tracer can wrap, with value and gradient as two callables that
@@ -504,52 +509,41 @@ def _ml_fit(lik: _Likelihood, box, starts):
     Returns the kernel and the ``_solve_level`` of the best point the
     runs evaluated, never worse than the best start, and logs one DEBUG
     record of the search to the ``mfkrig.kriging`` logger: its start
-    count, evaluations (``_solve_level`` calls), best NLL, whether
-    sigma2 there is the floor, and the dimensions on a bound of the box.
+    count, evaluations (the memo's size), the NLL at each distinct start
+    (nan where the memo holds None), the best NLL, whether sigma2 there
+    is the floor, and the dimensions on a bound of the box.
     """
     from scipy.optimize import Bounds, minimize
 
     log_lo, log_hi = box
     sq_diff = _squared_differences(lik.design)
-    evaluations = 0
     best = [np.inf, None, None]  # nll, z and terms of the best point
-
-    def evaluate(z):
-        """(nll, gradient) at ``z``, or None; records a new best point."""
-        nonlocal evaluations
-        evaluations += 1
-        theta = np.exp(z)
-        try:
-            terms = _solve_level(lik, theta)
-        except (IllConditionedError, SingularTrendError):
-            return None
-        nll = terms[0]
-        if not math.isfinite(nll):
-            return None
-        if nll < best[0]:
-            best[:] = nll, z.copy(), terms
-        return nll, _nll_gradient(lik, theta, terms, sq_diff)
-
     memo = {}  # evaluation by the bytes of z, across the whole search
 
     def at(z):
         key = z.tobytes()
         if key not in memo:
-            memo[key] = evaluate(z)
+            memo[key] = None
+            theta = np.exp(z)
+            try:
+                terms = _solve_level(lik, theta)
+            except (IllConditionedError, SingularTrendError):
+                return None
+            nll = terms[0]
+            if math.isfinite(nll):
+                if nll < best[0]:
+                    best[:] = nll, z.copy(), terms
+                memo[key] = nll, _nll_gradient(lik, theta, terms, sq_diff)
         return memo[key]
 
-    clipped = {}  # each distinct clipped start by its bytes
-    for z0 in starts:
-        z = np.clip(z0, log_lo, log_hi)
-        clipped.setdefault(z.tobytes(), z)
-        at(z)
+    clipped = {z.tobytes(): z for z in np.clip(starts, log_lo, log_hi)}
+    firsts = [(z0, at(z0)) for z0 in clipped.values()]
     if best[1] is None:
         raise FitFailedError(
             f"all {len(starts)} likelihood starts were ill-conditioned"
         )
     bounds = Bounds(log_lo, log_hi)
-    for z0 in clipped.values():
-        first = at(z0)
+    for z0, first in firsts:
         if first is None:
             continue
         scale = max(1.0, float(np.linalg.norm(first[1])) / _FIRST_STEP)
@@ -567,8 +561,9 @@ def _ml_fit(lik: _Likelihood, box, starts):
     nll, z, terms = best
     # L-BFGS-B's line search can stop a round-off away from a bound
     on_bound = np.minimum(z - log_lo, log_hi - z) < 1e-8
-    _log.debug("search: %d starts, %d evaluations, best nll %.17g, "
-               "sigma2 floored %s, on a bound in dimensions %s", len(starts),
-               evaluations, nll, terms[2] == lik.sigma2_floor,
-               np.flatnonzero(on_bound).tolist())
+    _log.debug("search: %d starts, %d evaluations, nll %s at the distinct "
+               "starts, best nll %.17g, sigma2 floored %s, on a bound in "
+               "dimensions %s", len(starts), len(memo),
+               [math.nan if v is None else v[0] for _, v in firsts], nll,
+               terms[2] == lik.sigma2_floor, np.flatnonzero(on_bound).tolist())
     return KernelSpec(lik.family, np.exp(z)), terms

@@ -462,7 +462,12 @@ def choose_level(model, x, imse, cost: CostModel | None = None,
 
     cost-weighted: the level maximizing variance reduction at x per
     unit of cumulative run cost; ties go to the cheaper level.
+
+    ``imse`` must be a non-negative, finite number.
     """
+    if not (_is_number(imse) and 0.0 <= imse < np.inf):
+        raise ValueError(
+            f"imse must be a non-negative finite number, got {imse!r}")
     _check_rule(rule, cost, model.level_count)
     out = model.predict(x)
     return _level_rule(out.variances[-1], out.contributions, imse, cost,
@@ -676,9 +681,9 @@ def run_loop(model, domain: Domain, cost: CostModel, budget,
     built it and searches every other level from its current
     lengthscales and the box midpoint, so under "every-k" a level that
     the frozen refits between grew is searched again. A simulator
-    failure (an exception or a non-finite value) stops the loop and
-    returns the partial trace flagged incomplete, its ``failure`` naming
-    the level and cause.
+    failure (an exception, a non-finite value or a result that is not
+    one value) stops the loop and returns the partial trace flagged
+    incomplete, its ``failure`` naming the level and cause.
     ``_run_settings`` checks every setting before the first IMSE.
     """
     budget, period = _run_settings(model.level_count, cost, budget,
@@ -714,7 +719,10 @@ def run_loop(model, domain: Domain, cost: CostModel, budget,
         values = []
         try:
             for simulator in simulators[:level]:
-                value = float(np.asarray(simulator(x[None, :])).reshape(-1)[0])
+                out = np.asarray(simulator(x[None, :]))
+                if out.size != 1:
+                    raise ValueError(f"{out.size} values for one point")
+                value = float(out.reshape(-1)[0])
                 if not np.isfinite(value):
                     raise ValueError(f"non-finite value {value}")
                 values.append(value)

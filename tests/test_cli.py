@@ -124,9 +124,12 @@ def test_seed_flag_reads_ascii_digits(tmp_path, capsys, seed):
     assert exc.value.code == 2
     assert f"invalid seed {seed!r}" in capsys.readouterr().err
     assert not (tmp_path / "m").exists()
-    # a negative seed is read, and the library rejects it
+    # a negative seed is read, and rejected by the config's seed rule
     assert main(["fit", "--config", config, "--quiet", "--seed", "-1"]) == \
         EXIT_VALIDATION
+    assert "'seed' must be a non-negative integer, got -1" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
 
 
 def test_fit_rejects_growing_sizes(tmp_path, capsys):
@@ -508,6 +511,12 @@ def test_sequential_rejects_an_empty_strategy_before_any_fit(
      "search 'seed' is not a field of a grid search"),
     (dict(quadrature={"kind": "monte-carlo", "n": 16, "k": 4}),
      "quadrature 'k' is not a field of a monte-carlo quadrature"),
+    # a level reads its trend, kernel and scaling and no other key
+    (dict(levels=[{"kernal": "matern-5/2"}, {}]),
+     "levels[0] 'kernal' is not a field of a level"),
+    (dict(levels=[{}, {"scaling": "constant", "rho": 1.0}]),
+     "levels[1] 'rho' is not a field of a level"),
+    (dict(seed=-1), "'seed' must be a non-negative integer, got -1"),
 ])
 def test_sequential_names_a_mistyped_field(tmp_path, capsys, no_likelihood,
                                            override, message):
@@ -578,6 +587,11 @@ def test_sequential_checks_its_loop_settings_before_any_fit(
      "'bounds' must be a list of lists of numbers, got [['0', True]]"),
     ("report", dict(trace="{trace}", costs=[1.0, 5.0, 10.0]),
      "cost model has 3 levels, the trace 2"),
+    ("fit", dict(problem="forrester", sizes=[8, 4], seed=-1),
+     "'seed' must be a non-negative integer, got -1"),
+    ("fit", dict(problem="forrester", sizes=[8, 4],
+                 levels=[{}, {"sclaing": None}]),
+     "levels[1] 'sclaing' is not a field of a level"),
 ])
 def test_a_mistyped_field_is_named_before_any_work(
         tmp_path, fitted_dir, capsys, no_likelihood, command, fields,

@@ -558,6 +558,7 @@ def test_each_search_logs_one_debug_record(monkeypatch, caplog):
     configs = [LevelConfig(BasisSpec(trend, 1), KernelSpec(SE),
                            None if t == 0 else BasisSpec("constant", 1))
                for t, trend in enumerate(["constant", "constant", "linear"])]
+    searches = _spy_searches(monkeypatch)
     calls = []
     original = kriging._solve_level
     monkeypatch.setattr(kriging, "_solve_level", lambda lik, theta: (
@@ -568,15 +569,20 @@ def test_each_search_logs_one_debug_record(monkeypatch, caplog):
     assert [r.levelno for r in records] == [logging.DEBUG] * 3
     assert [r.args[:2] for r in records] == [
         (3, calls.count(12)), (3, calls.count(8)), (3, calls.count(4))]
-    for record, lev in zip(records, model.levels):
-        assert record.args[2] == lev.nll
-        assert record.args[3] == (lev.sigma2 == kriging._sigma2_floor(lev.y))
-        box = np.exp(kriging._search_box(lev.design, None))
+    monkeypatch.undo()
+    for record, ((lik, box, starts), _), lev in zip(records, searches,
+                                                    model.levels):
+        # the three drawn starts are distinct and inside the box
+        assert record.args[2] == [kriging._solve_level(lik, np.exp(z))[0]
+                                  for z in starts]
+        assert record.args[3] == lev.nll <= min(record.args[2])
+        assert record.args[4] == (lev.sigma2 == kriging._sigma2_floor(lev.y))
+        box = np.exp(box)
         gap = np.abs(lev.kernel.lengthscales / box - 1.0).min(axis=0)
-        assert record.args[4] == np.flatnonzero(gap < 1e-8).tolist()
+        assert record.args[5] == np.flatnonzero(gap < 1e-8).tolist()
         assert not np.any((gap >= 1e-8) & (gap < 1e-6))  # no borderline case
-    assert [r.args[3] for r in records] == [False, False, True]
-    assert records[2].args[4] == [0]  # the round-off level ends on its bound
+    assert [r.args[4] for r in records] == [False, False, True]
+    assert records[2].args[5] == [0]  # the round-off level ends on its bound
     assert "search: 3 starts" in records[2].getMessage()
     assert "sigma2 floored True" in records[2].getMessage()
     assert not logging.getLogger("mfkrig.kriging").handlers
@@ -595,6 +601,24 @@ def test_search_fails_when_every_start_is_ill_conditioned(monkeypatch, bounds,
                        match="all 4 likelihood starts were ill-conditioned"):
         _search(problem, kriging._ml_fit, bounds)
     assert len(keys) == evaluations
+
+
+def test_a_search_record_gives_the_nll_at_each_distinct_clipped_start(
+        monkeypatch, caplog):
+    # case 1 fails to factor at its midpoint start; a repeated start is
+    # one start and one below the box is clipped onto its lower corner
+    lik, box, starts, ill_conditioned = _oracle_level(1)
+    keys = _spy_evaluations(monkeypatch, ill_conditioned)
+    caplog.set_level(logging.DEBUG, logger="mfkrig.kriging")
+    kriging._ml_fit(lik, box, [*starts, starts[0], box[0] - 1.0])
+    record, = [r for r in caplog.records if r.name == "mfkrig.kriging"]
+    assert record.args[:2] == (7, len(keys))
+    monkeypatch.undo()
+    want = [np.nan if ill_conditioned(np.exp(z))
+            else kriging._solve_level(lik, np.exp(z))[0]
+            for z in [*starts, box[0]]]
+    assert np.isnan(want[0]) and not np.isnan(want[-1])
+    assert np.array(record.args[2]).tobytes() == np.array(want).tobytes()
 
 
 def _oracle_level(case):

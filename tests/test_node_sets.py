@@ -241,7 +241,7 @@ def test_frozen_loops_give_the_pinned_traces(case_id):
     assert _trace_digest(final, trace) == TRACE_SHA256[case_id]
 
 
-def test_a_polishing_uniform_is_no_quadrature():
+def test_a_uniform_takes_no_polish_and_a_quadrature_is_checked_first():
     # no search polishes, so a Uniform has no polish to give
     for polish in ("best", "all"):
         with pytest.raises(TypeError, match="unexpected keyword argument "
@@ -276,12 +276,11 @@ def test_one_grid_gives_endpoints_as_a_search_and_midpoints_as_a_quadrature():
 # Uniform searches against a search through ``predict``
 
 
-# the name and ids are those of the polished searches these two replaced
 @pytest.mark.parametrize("name, sizes", [("forrester", [8, 4]),
                                          ("ripple2d", [12, 5])])
 @pytest.mark.parametrize("search", [Uniform(4, seed=2), Uniform(8, seed=3)],
-                         ids=["multistart", "random-polish"])
-def test_polished_search_equals_a_search_through_predict(name, sizes, search):
+                         ids=["uniform4", "uniform8"])
+def test_uniform_search_equals_a_search_through_predict(name, sizes, search):
     model, bounds, _, _ = _setup(name, sizes)
     domain = Domain(bounds)
     want = reference_search(model, domain, search.n, search.seed)
@@ -714,36 +713,31 @@ class _Flat:
         return cokriging.PredictionBreakdown(*[np.ones((1, len(points)))] * 3)
 
 
-# The name and ids are those of the polished point that the third node
-# stands in for; ``want`` None is that node.
-@pytest.mark.parametrize("polished, want", [
+# ``want`` is the index of the node picked, None for the third node.
+@pytest.mark.parametrize("tied, want", [
     ([-0.0, 0.5], None),  # the -0.0 twin of a node comes first
     ([0.0, 0.5], 1),      # an exact copy loses to the earlier node
     ([0.0, 0.25], None),  # a smaller point comes first
     ([0.5, 0.5], 1),      # a larger one does not
 ])
-def test_a_polished_point_ties_with_the_nodes_in_index_order(monkeypatch,
-                                                             polished, want):
-    nodes = sequential._Nodes(np.array([[0.5, 0.5], [0.0, 0.5], polished]))
+def test_tied_nodes_go_to_the_smallest_point_then_the_first_index(
+        monkeypatch, tied, want):
+    nodes = sequential._Nodes(np.array([[0.5, 0.5], [0.0, 0.5], tied]))
     monkeypatch.setattr(nodes, "top_variance", lambda model: np.ones(3))
     x = argmax_variance(_Flat(), Domain([[-1.0, 1.0], [0.0, 1.0]]), nodes)
     assert x.tobytes() == nodes.points[2 if want is None else want].tobytes()
 
 
-# The name and ids are those of the polished points this test once put
-# on nodes; a copy of those nodes among the nodes now stands in for them.
-@pytest.mark.parametrize("onto", ["starts", "itself", "first", "top"],
-                         ids=["all-onto-starts", "best-onto-itself",
-                              "best-onto-first", "best-onto-top"])
-def test_a_polished_point_on_a_node_is_picked_as_before(onto):
+@pytest.mark.parametrize("copy", ["all", "best", "first", "top"])
+def test_copies_of_nodes_change_no_pick(copy):
     model, bounds, _, _ = _setup("ripple2d", [12, 5])
     domain = Domain(bounds)
     nodes = sequential._node_set(domain, Uniform(40, seed=2), False)
     order = np.lexsort(nodes.points.T[::-1])
     first = nodes.best(nodes.top_variance(model))
-    copies = {"starts": nodes.points, "itself": nodes.points[[first]],
+    copies = {"all": nodes.points, "best": nodes.points[[first]],
               "first": nodes.points[order[[0]]],
-              "top": nodes.points[order[[-1]]]}[onto]
+              "top": nodes.points[order[[-1]]]}[copy]
     copied = sequential._Nodes(np.vstack([nodes.points, copies]))
     for exclude in (None, model.data.designs[0],
                     np.vstack([model.data.designs[0], nodes.points[first]])):

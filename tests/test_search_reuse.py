@@ -263,8 +263,8 @@ def test_a_likelihood_evaluation_builds_one_distance_matrix(chain3,
     assert len(calls) == len(per_evaluation)
 
 
-def test_a_level_kept_by_its_search_key_is_not_solved_again(chain3,
-                                                          monkeypatch):
+def test_a_level_kept_by_a_reestimate_is_not_solved_again(chain3,
+                                                         monkeypatch):
     # levels 2 and 3 are as their search built them, on the same inputs
     data, configs, x, values = chain3
     model = fit_multifidelity(data, configs, seed=0)
@@ -412,23 +412,32 @@ def test_a_reestimate_draws_nothing(chain3, monkeypatch, seed):
         assert rng.bit_generator.state == state
 
 
-def test_a_reestimate_logs_each_level(chain3, caplog):
+def test_a_reestimate_logs_each_level(chain3, monkeypatch, caplog):
+    # a searched level's record comes just before its search's, which
+    # gives the NLL at the clipped previous lengthscales and at the new
+    # ones; with DEBUG on, no solve runs outside the search
     data, configs, x, values = chain3
     model = fit_multifidelity(data, configs, seed=0)
-    caplog.set_level(logging.DEBUG, logger="mfkrig.cokriging")
+    _, solves = _spy_solves(monkeypatch)
+    caplog.set_level(logging.DEBUG, logger="mfkrig")
     grown = enrich(model, x, 1, values[:1], reestimate=True)
-    records = [r for r in caplog.records if r.name == "mfkrig.cokriging"]
-    assert [r.args[0] for r in records] == [1, 2, 3]
-    assert [r.getMessage() for r in records[1:]] == ["level 2 kept",
-                                                     "level 3 kept"]
-    first = records[0]
-    assert first.getMessage().startswith(
-        "level 1 searched from the previous optimum")
+    records = [r for r in caplog.records if r.name.startswith("mfkrig")]
+    assert [r.name for r in records] == [
+        "mfkrig.cokriging", "mfkrig.kriging", "mfkrig.cokriging",
+        "mfkrig.cokriging"]
+    search, levels = records[1], [records[0], *records[2:]]
+    assert [r.getMessage() for r in levels] == [
+        "level 1 searched from the previous optimum", "level 2 kept",
+        "level 3 kept"]
+    assert [r.args[0] for r in levels] == [1, 2, 3]
+    assert solves == [(13, True)] * search.args[1]
+    monkeypatch.undo()
     lik = cokriging._level_inputs(configs[0], grown.data, 1)[0]
     box = kriging._search_box(lik.design, None)
     start = np.exp(np.clip(np.log(model.levels[0].lengthscales), *box))
-    assert first.args[1] == kriging._solve_level(lik, start)[0]
-    assert first.args[2] == grown.levels[0].nll <= first.args[1]
+    start_nll = search.args[2][0]
+    assert start_nll == kriging._solve_level(lik, start)[0]
+    assert search.args[3] == grown.levels[0].nll <= start_nll
 
 
 def test_a_reestimate_checks_every_level_before_any_search(chain3, searched):
@@ -461,9 +470,8 @@ def _trace_bits(trace):
     ("chain3", [12, 8, 4], M52, dict(budget=12.0, rule="cost-weighted")),
 ])
 @pytest.mark.parametrize("refit", ["always", "every-2"])
-def test_loop_equals_a_loop_without_stored_searches(monkeypatch, searched,
-                                                    name, sizes, family, loop,
-                                                    refit):
+def test_loop_equals_a_loop_through_the_reference_reestimate(
+        monkeypatch, searched, name, sizes, family, loop, refit):
     # the reference loop keeps its record of searched levels itself and
     # reads no FittedLevel.searched
     problem = get_problem(name)

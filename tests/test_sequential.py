@@ -147,7 +147,7 @@ def test_each_strategy_checks_its_own_size(make, message):
     ("seed", 2.0), ("seed", None),
     ("polish", True), ("polish", False), ("polish", "yes"), ("polish", 1),
 ])
-def test_uniform_names_a_bad_seed_or_polish_before_any_use(field, value):
+def test_uniform_names_a_bad_seed_and_takes_no_polish(field, value):
     # a bool seed would seed 0 or 1 and a string one fail at first draw;
     # no search polishes, so any polish is no field of a Uniform
     if field == "polish":
@@ -423,6 +423,15 @@ def test_choose_level_input_validation(forrester_model):
     with pytest.raises(ValueError, match="level count"):
         choose_level(forrester_model, x, imse=0.1,
                      cost=CostModel([1.0, 2.0, 3.0]), rule=COST_WEIGHTED)
+
+
+@pytest.mark.parametrize("imse", [np.nan, np.inf, -1.0, "a", True, None])
+def test_choose_level_names_a_bad_imse(imse):
+    stub = _StubDecision(1.0, [0.3, 0.0])
+    with pytest.raises(ValueError, match=re.escape(
+            f"imse must be a non-negative finite number, got {imse!r}")):
+        choose_level(stub, np.array([0.5]), imse=imse)
+    assert stub.predict_calls == 0
 
 
 def test_choose_level_checks_a_cost_model_under_every_rule(forrester_model):
@@ -772,6 +781,29 @@ def test_non_finite_simulator_output_flags_partial_trace(forrester_model, bad):
     assert not trace.complete
     assert len(trace) == 2
     assert all(np.all(np.isfinite(z)) for z in model.data.observations)
+
+
+@pytest.mark.parametrize("result, size", [
+    (np.array([1.0, 2.0]), 2), (np.array([]), 0), (np.ones((1, 3)), 3)])
+def test_a_simulator_result_not_of_one_value_flags_partial_trace(
+        forrester_model, result, size):
+    calls = {"n": 0}
+    problem = get_problem("forrester")
+
+    def wide_low(x):
+        calls["n"] += 1
+        return result if calls["n"] >= 3 else problem.evaluate(1, x)
+
+    sims = [wide_low, lambda x: problem.evaluate(2, x)]
+    model, trace = run_loop(forrester_model, UNIT1, CostModel([1.0, 5.0]),
+                            budget=50.0, simulators=sims, search=Grid(129),
+                            quadrature=Grid(128))
+    assert not trace.complete
+    assert len(trace) == 2
+    assert trace.failure == \
+        f"level 1 simulator failed: {size} values for one point"
+    assert len(model.data.designs[0]) == \
+        len(forrester_model.data.designs[0]) + 2
 
 
 def test_a_non_finite_top_level_value_names_its_level(forrester_model):
