@@ -61,10 +61,10 @@ _NUMERICAL_ERRORS = (FitFailedError, IllConditionedError,
 _VALIDATION_ERRORS = (ValueError, MfkrigError)
 
 
-def _options(config, owner="", **kinds):
+def _options(config, **kinds):
     """The typed fields of ``kinds`` that the config sets, as keyword
     arguments: an absent field keeps the library's default."""
-    return {key: _typed(config, key, kind, owner=owner)
+    return {key: _typed(config, key, kind)
             for key, kind in kinds.items() if key in config}
 
 

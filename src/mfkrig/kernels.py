@@ -9,14 +9,15 @@ Two kernel families are supported, both positive-valued with r(x, x) = 1:
 Lengthscales are anisotropic (one per input dimension). Correlation
 matrices are exactly symmetric with unit diagonal; ``NUGGET`` is the
 diagonal term added wherever one is factorized. Each formula is written
-once, in ``_scaled_correlation``, which also gives the gradient weight.
+once, in ``_scaled_correlation``, which also gives the gradient weight,
+on the squared distances of ``_squared_distances``: numpy sums with the
+bytes of scipy's cdist, so that no correlation imports scipy.spatial.
 Point identity (bitwise equal coordinates), on which nesting, the
 duplicate rule, the matched nugget and the search's tie order rest, lives
 in ``PointIndex``: one sort of keys that order as the coordinates do.
 """
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -133,14 +134,32 @@ def _scaled(spec: KernelSpec, *point_sets) -> list:
     return [_as_points(x, theta.size) / theta for x in point_sets]
 
 
-@cache
-def _cdist():
-    """``scipy.spatial.distance.cdist``, imported on first use: importing
-    scipy.spatial takes about 0.1 s and 8 MB, which a process that
-    computes no correlation never needs."""
-    from scipy.spatial.distance import cdist
+# Elements of the difference buffer of ``_squared_distances`` (256 KB):
+# it holds a block of rows small enough to stay in cache.
+_BLOCK = 1 << 15
 
-    return cdist
+
+def _squared_distances(a, b) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``a`` and ``b``,
+    shape (na, nb): (a_0 - b_0)^2, then (a_k - b_k)^2 added for each
+    further dimension k in order, the sum and order of scipy's cdist
+    "sqeuclidean", so the bytes are cdist's; ``np.sqrt`` of them are its
+    "euclidean" bytes. Numpy alone, because importing scipy.spatial takes
+    about 0.1 s and 8 MB. The further dimensions go through one buffer,
+    reused across row blocks that keep it in cache."""
+    r = np.subtract(a[:, :1], b[:, 0])
+    r *= r
+    if a.shape[1] == 1:
+        return r
+    rows = _BLOCK // max(1, len(b)) or 1
+    buffer = np.empty((min(rows, len(a)), len(b)))
+    for i in range(0, len(a), rows):
+        block = r[i:i + rows]
+        diff = buffer[:len(block)]
+        for k in range(1, a.shape[1]):
+            np.subtract(a[i:i + rows, k:k + 1], b[:, k], out=diff)
+            block += np.multiply(diff, diff, out=diff)
+    return r
 
 
 def _scaled_correlation(family, a, b, weight=False):
@@ -156,11 +175,12 @@ def _scaled_correlation(family, a, b, weight=False):
     whose allocation cost more than the arithmetic at a few hundred points.
     """
     if family == SQUARED_EXPONENTIAL:
-        r = _cdist()(a, b, "sqeuclidean")
+        r = _squared_distances(a, b)
         np.negative(r, out=r)
         np.exp(r, out=r)
         return (r, 2.0 * r) if weight else r
-    h = _cdist()(a, b, "euclidean")
+    h = _squared_distances(a, b)
+    np.sqrt(h, out=h)
     u = np.sqrt(5.0) * h
     r = (5.0 / 3.0) * h
     r *= h

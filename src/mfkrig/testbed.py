@@ -26,7 +26,13 @@ from .cokriging import (
 )
 from .csvio import _typed, parse_number, parse_row, read_csv, read_json, write_csv
 from .exceptions import ParseError
-from .kernels import BasisSpec, KernelSpec, _cdist, _check_level, _is_integer
+from .kernels import (
+    BasisSpec,
+    KernelSpec,
+    _check_level,
+    _is_integer,
+    _squared_distances,
+)
 from .sequential import CostModel, _as_box
 
 
@@ -92,7 +98,9 @@ def _maximin_subset(points, m) -> np.ndarray:
     n = len(points)
     if m >= n:
         return np.arange(n)
-    dist = _cdist()(points, points)
+    # distances, not their squares: sqrt can round two squares to one
+    # value, a tie that goes to the smaller index
+    dist = np.sqrt(_squared_distances(points, points))
     np.fill_diagonal(dist, np.inf)
     chosen = [int(np.argmax(dist.min(axis=1)))]
     mind = dist[chosen[0]].copy()

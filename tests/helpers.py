@@ -7,8 +7,9 @@ variance search through ``predict``, the likelihood gradient's weight
 from its own distance matrix, the likelihood gradient by its direct
 formula, the frozen refit that solves every level again, the
 reestimate with its record of searched levels outside the model, the point
-index's sort key from each coordinate's bits, and the sequential loop
-spelled out through public calls."""
+index's sort key from each coordinate's bits, the greedy maximin subset
+on scipy's distances, and the sequential loop spelled out through public
+calls."""
 
 import struct
 
@@ -303,6 +304,22 @@ def reference_key(point):
         bits = int.from_bytes(struct.pack(">d", value), "big")
         key.append(bits ^ ((1 << 64) - 1) if bits >> 63 else bits | 1 << 63)
     return tuple(key)
+
+
+def reference_maximin_subset(points, m):
+    """Sorted indices of the greedy maximin m-subset of ``points``, one
+    point at a time on scipy's cdist distances: first the point whose
+    nearest neighbour is farthest, then the point farthest from those
+    chosen, each tie to the smallest index. The oracle of
+    ``testbed._maximin_subset``."""
+    dist, n = cdist(points, points), len(points)
+    if m >= n:
+        return list(range(n))
+    chosen = [max(range(n), key=lambda i: np.delete(dist[i], i).min())]
+    while len(chosen) < m:
+        rest = [i for i in range(n) if i not in chosen]
+        chosen.append(max(rest, key=lambda i: dist[i, chosen].min()))
+    return sorted(chosen)
 
 
 def draw_nested_designs(rng, sizes, d):

@@ -1,10 +1,13 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
+import mfkrig.kernels as kernels
 from mfkrig.cokriging import MultiFidelityData, validate_nesting
 from mfkrig.exceptions import DuplicateDesignPointError
 from mfkrig.kernels import (
@@ -18,6 +21,7 @@ from mfkrig.kernels import (
     cross_correlation,
     probe_correlation,
     _scaled_correlation,
+    _squared_distances,
 )
 
 from helpers import add_nugget, reference_key, reference_same_points
@@ -216,6 +220,39 @@ def test_probe_correlation_is_the_matched_nugget_on_the_correlations(family):
                                       design, probe)
         assert probe_correlation(spec, PointIndex(design), probe).tobytes() \
             == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# distances
+
+@st.composite
+def _distance_inputs(draw):
+    # Up to 8 coordinates and up to 6 rows a set, from none or one row up,
+    # of either sign at one magnitude from 1e-150 to 1e150, so the sums
+    # round, and either zero; b is a itself, or another set. The
+    # difference buffer holds all rows of a, or a few at a time.
+    d = draw(st.integers(1, 8))
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    coordinate = st.one_of(st.sampled_from([0.0, -0.0]),
+                           st.floats(-10.0, 10.0).map(lambda m: m * scale))
+    row = st.lists(coordinate, min_size=d, max_size=d)
+    points = st.lists(row, max_size=6).map(
+        lambda rows: np.array(rows, dtype=float).reshape(-1, d))
+    a = draw(points)
+    b = a if draw(st.booleans()) else draw(points)
+    return a, b, draw(st.sampled_from([1, 6, 17, kernels._BLOCK]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_distance_inputs())
+def test_squared_distances_are_the_bytes_of_scipys_cdist(inputs):
+    # every correlation is formed from these: scipy's cdist is the oracle
+    a, b, block = inputs
+    with mock.patch.object(kernels, "_BLOCK", block):
+        r = _squared_distances(a, b)
+    assert r.shape == (len(a), len(b))
+    assert r.tobytes() == cdist(a, b, "sqeuclidean").tobytes()
+    assert np.sqrt(r).tobytes() == cdist(a, b, "euclidean").tobytes()
 
 
 # ---------------------------------------------------------------------------

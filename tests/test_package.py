@@ -51,8 +51,7 @@ _LOADED = ("import sys; print(sorted(m for m in ('scipy.spatial', "
 @pytest.mark.parametrize("code, loaded", [
     ("import mfkrig", []),
     ("import mfkrig.kernels as k; k.correlation_matrix("
-     "k.KernelSpec('matern-5/2', [0.3, 1]), [[0.1, 0], [0.5, 1]])",
-     ["scipy.spatial"]),
+     "k.KernelSpec('matern-5/2', [0.3, 1]), [[0.1, 0], [0.5, 1]])", []),
     # a frozen loop on the d >= 3 defaults searches no likelihood
     ("import numpy as np; from mfkrig import *; "
      "x = np.random.default_rng(0).uniform(size=(8, 3)); "
@@ -61,18 +60,36 @@ _LOADED = ("import sys; print(sorted(m for m in ('scipy.spatial', "
      "[LevelConfig(BasisSpec('constant', 3), KernelSpec('matern-5/2'))], "
      "[LevelParameters([0.5] * 3, 1.0, [0.0])]); "
      "f, t = run_loop(m, Domain([[0, 1]] * 3), CostModel([1.0]), 3, "
-     "[lambda p: p.sum(1)]); assert len(t) == 3",
-     ["scipy.spatial"]),
+     "[lambda p: p.sum(1)]); assert len(t) == 3", []),
+    ("from mfkrig import nested_lhs; nested_lhs([12, 6, 3], [[0, 1]] * 2)",
+     []),
+    # the predict command on a saved model, written in the working directory
+    ("import json; import numpy as np; from mfkrig import *; "
+     "from mfkrig.cli import main; x = np.linspace(0, 1, 6)[:, None]; "
+     "save_model(MultiFidelityModel.from_parameters("
+     "MultiFidelityData([x], [x[:, 0] ** 2]), [LevelConfig(BasisSpec("
+     "'constant', 1), KernelSpec('squared-exponential'))], "
+     "[LevelParameters([0.3], 1.0, [0.0])]), 'model'); "
+     "json.dump({'model_dir': 'model', 'grid': 11, 'bounds': [[0, 1]], "
+     "'out': 'out'}, open('predict.json', 'w')); "
+     "assert main(['predict', '--config', 'predict.json', '--quiet']) == 0",
+     []),
+    # scipy.optimize imports scipy.spatial itself
+    ("import numpy as np; from mfkrig import *; "
+     "x = np.linspace(0, 1, 6)[:, None]; fit_multifidelity("
+     "MultiFidelityData([x], [np.sin(6 * x[:, 0])]), [LevelConfig("
+     "BasisSpec('constant', 1), KernelSpec('squared-exponential'))])",
+     ["scipy.optimize", "scipy.spatial"]),
 ])
-def test_scipy_spatial_and_optimize_load_only_when_used(code, loaded):
-    # both take time and memory to import: a correlation loads
-    # scipy.spatial, and the likelihood search loads scipy.optimize,
-    # each when first run
+def test_scipy_spatial_and_optimize_load_only_when_used(tmp_path, code,
+                                                       loaded):
+    # both take time and memory to import: only the likelihood search
+    # loads scipy.optimize, and with it scipy.spatial, when first run
     source = pathlib.Path(mfkrig.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(source)}
     out = subprocess.run([sys.executable, "-c", f"{code}; {_LOADED}"],
-                         env=env, capture_output=True, text=True,
-                         check=True).stdout
+                         env=env, cwd=tmp_path, capture_output=True,
+                         text=True, check=True).stdout
     assert out.strip() == str(loaded)
 
 

@@ -241,12 +241,12 @@ def test_every_search_evaluation_is_one_fresh_solve(chain3, monkeypatch,
 def test_a_likelihood_evaluation_builds_one_distance_matrix(chain3,
                                                            monkeypatch,
                                                            family):
-    # R and the weight of its gradient come from one kernel evaluation;
-    # kernels._cdist caches scipy's cdist, so the count is taken there
+    # R and the weight of its gradient come from one kernel evaluation,
+    # which computes one matrix of squared distances
     data, _, _, _ = chain3
-    cdist, calls, per_evaluation = kernels._cdist(), [], []
-    monkeypatch.setattr(kernels, "_cdist", lambda: lambda *args: (
-        calls.append(1), cdist(*args))[1])
+    distances, calls, per_evaluation = kernels._squared_distances, [], []
+    monkeypatch.setattr(kernels, "_squared_distances", lambda *args: (
+        calls.append(1), distances(*args))[1])
     solve_level = kriging._solve_level
 
     def spy(lik, theta):

@@ -27,9 +27,10 @@ from mfkrig.testbed import (
     nested_lhs,
     save_data,
     save_model,
+    _maximin_subset,
 )
 
-from helpers import reference_same_points
+from helpers import reference_maximin_subset, reference_same_points
 
 UNIT1 = [[0.0, 1.0]]
 UNIT2 = [[0.0, 1.0], [0.0, 1.0]]
@@ -97,6 +98,27 @@ def test_maximin_subset_beats_random_subsets():
         if ours >= min_pairwise(designs[1][idx]):
             wins += 1
     assert wins >= 0.9 * trials
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("sizes, bounds", [
+    ([20, 10, 5], UNIT2), ([9, 4, 1], UNIT1), ([30, 12, 4], UNIT2 + UNIT1),
+    ([40, 40, 7], [[-1e3, 1e3], [0.0, 1e-3], [0.0, 1.0], [2.0, 3.0]])])
+def test_maximin_subsets_are_those_of_the_cdist_oracle(sizes, bounds, seed):
+    designs = nested_lhs(sizes, bounds, seed=seed)
+    for points, subset, m in zip(designs, designs[1:], sizes[1:]):
+        expected = points[reference_maximin_subset(points, m)]
+        assert subset.tobytes() == expected.tobytes()
+
+
+def test_maximin_ties_on_distances_not_their_squares():
+    # the squares from the origin are 1 and 1 + 2**-52, and both roots
+    # are 1: a tie that goes to the origin, where the squares would pick
+    # the last point first
+    points = np.array([[0.0, 0.0], [-0.1366233088963534, 0.990623072347001],
+                       [0.9792689246653095, -0.20256449142149408]])
+    assert reference_maximin_subset(points, 2) == [0, 1]
+    assert _maximin_subset(points, 2).tolist() == [0, 1]
 
 
 def test_nonmonotone_sizes_rejected():
