@@ -56,6 +56,9 @@ echo '{"problem": "chain3", "sizes": [10, 6, 3], "budget": 12, "rule": "cost-wei
 echo '{"problem": "chain3", "sizes": [10, 6, 3], "budget": 30, "refit": "every-3", "rule": "cost-weighted", "out": "every-sequential"}' > every-sequential.json
 # the grid search runs out of candidates long before the budget does
 echo '{"problem": "forrester", "sizes": [8, 4], "budget": 100, "search": {"kind": "grid", "n": 5}, "quadrature": {"kind": "grid", "n": 16}, "out": "exhausted-sequential"}' > exhausted-sequential.json
+# one search node and one quadrature node: the level rule and the IMSE
+# read the one-point solve predict runs
+echo '{"problem": "forrester", "sizes": [8, 4], "budget": 10, "search": {"kind": "grid", "n": 1}, "quadrature": {"kind": "grid", "n": 1}, "rule": "cost-weighted", "out": "one-node-sequential"}' > one-node-sequential.json
 # predicts at one design point of fit and one point off the design: the
 # command reads a points file through the CSV number parser, and the
 # design point takes the matched nugget
@@ -86,6 +89,7 @@ sequential --config random-sequential.json --quiet
 sequential --config cost-weighted-sequential.json --quiet
 sequential --config every-sequential.json --quiet
 sequential --config exhausted-sequential.json --quiet
+sequential --config one-node-sequential.json --quiet
 STEPS
 }
 

@@ -24,17 +24,17 @@ only for its new rows: per grown level, one row of correlations from
 the kept scaled nodes, with the matched nugget at the nodes the index
 finds, one row of V_t by the row recursion ``predict`` runs too
 (``kriging._solve_rows``), and the factor. A level that did not grow is
-kept whole by the refit, factor included. The top-level variance is
-formed from the kept factors by ``predict``'s terms and recursion
-(``cokriging._variance_terms``, ``_variance_recursion``), and the loop
-chooses the level at a search node from the same kept state by
-``choose_level``'s rule. A level continues its kept solve only by
-identity (it holds the kept factor) or by lineage (``grown_from``);
-any other is rebuilt. A search excludes the points of a ``PointIndex``:
-in the loop, the data's own index of D_1. V_t
-lives in a buffer that ``run_loop`` sizes once per run for a bound on
-the level's rows, n_t + budget // cost_through(t), when that takes at
-most ``_RESERVE_BYTES`` (64 MiB) per level and node set; beyond it, and
+kept whole by the refit, factor included. The loop forms the search's
+terms of ``predict``'s variance recursion (``cokriging._variance_terms``)
+from the kept factors once per iteration: the recursion gives the
+top-level variance it maximizes, and the terms sliced at the chosen node
+the split that ``choose_level``'s rule reads. A level continues its kept
+solve only by identity (it holds the kept factor) or by lineage
+(``grown_from``); any other is rebuilt. A search excludes the points of
+a ``PointIndex``: in the loop, the data's own index of D_1. V_t lives
+in a buffer that ``run_loop`` sizes once per run for a bound on the
+level's rows, n_t + budget // cost_through(t), when that takes at most
+``_RESERVE_BYTES`` (64 MiB) per level and node set; beyond it, and
 outside a loop, the row capacity doubles, to at most 2 * n_t * m * 8
 bytes. Node sets exist to keep solves between iterations; points
 evaluated once go through ``predict``.
@@ -221,10 +221,11 @@ _DEFAULTS = ((Grid(1025), Grid(1024)), (Grid(101), Grid(48)),
 
 
 def product_grid(bounds, n, midpoints=False) -> np.ndarray:
-    """Product grid over the box, in lexicographic row order."""
+    """Product grid over the box (checked by ``_as_box``), in
+    lexicographic row order."""
     _check_count(n, _EMPTY_GRID)
     axes = []
-    for lo, hi in bounds:
+    for lo, hi in _as_box(bounds):
         if midpoints:
             axes.append(lo + (np.arange(n) + 0.5) * (hi - lo) / n)
         elif n == 1:
@@ -300,9 +301,9 @@ class _Nodes:
     recursion and the terms of the variance recursion are ``predict``'s
     own (``kriging._solve_rows``, ``cokriging._variance_terms``), so
     ``top_variance`` equals ``predict(points).variances[-1]`` bit for
-    bit, and ``breakdown`` its variance and contributions at a node. A
-    set of one node keeps nothing: its variance is ``predict``'s, which
-    solves one point by one dtrtrs.
+    bit, and ``terms`` sliced at a node (``_split_at``) its variance and
+    contributions there. A set of one node keeps nothing: its terms are
+    ``predict``'s, which solves one point by one dtrtrs.
     """
 
     def __init__(self, points, weights=None):
@@ -330,31 +331,20 @@ class _Nodes:
             solve.grow(level, self)
         return solve.factor
 
-    def _terms(self, model, at=slice(None)):
-        """(bases, rhos) of ``predict``'s variance recursion at the nodes
-        ``at`` slices, from the kept factors; rho is sliced after it is
-        formed at every node, as a linear scaling on fewer rows can differ
-        from ``predict(points)``'s in the last bit."""
-        levels = model.levels
-        bases, rhos = _variance_terms(
-            levels, [self._factor(k, lev)[at] for k, lev in enumerate(levels)],
-            self.points)
-        return bases, [rho[at] for rho in rhos]
+    def terms(self, model):
+        """(bases, rhos) of ``predict``'s variance recursion at every node,
+        from the kept factors, or from ``predict``'s own solve (``_probe``)
+        for a set of one node, which keeps none."""
+        if len(self.points) == 1:
+            factors = model._probe(self.points)[2]
+        else:
+            factors = [self._factor(k, lev)
+                       for k, lev in enumerate(model.levels)]
+        return _variance_terms(model.levels, factors, self.points)
 
     def top_variance(self, model) -> np.ndarray:
         """Top-level predictive variance at the nodes."""
-        if len(self.points) == 1:
-            return model.predict(self.points).variances[-1]
-        return _variance_recursion(*self._terms(model))[-1]
-
-    def breakdown(self, model, j):
-        """(top-level variance, per-level contributions) at node j of a
-        set of more than one node, from the kept state: those of
-        ``predict(points)`` at j bit for bit, and of a one-point
-        ``predict`` up to round-off."""
-        terms = self._terms(model, slice(j, j + 1))
-        return (_variance_recursion(*terms)[-1][0],
-                np.concatenate(_contributions(*terms)))
+        return _variance_recursion(*self.terms(model))[-1]
 
     def best(self, variances, exclude=None):
         """Index of the node with the largest variance among those the
@@ -375,6 +365,16 @@ class _Nodes:
             return None
         # variances are never below 0, so no excluded node can win
         return self.best(np.where(mask, -np.inf, variances))
+
+
+def _split_at(terms, j):
+    """(top-level variance, per-level contributions) at node j from the
+    ``_Nodes.terms`` formed at every node, those of ``predict(points)``
+    at j bit for bit; rho formed at fewer rows can differ in the last
+    bit under a linear scaling."""
+    bases, rhos = ([a[j:j + 1] for a in arrays] for arrays in terms)
+    return (_variance_recursion(bases, rhos)[-1][0],
+            np.concatenate(_contributions(bases, rhos)))
 
 
 def _node_set(domain: Domain, spec, quadrature: bool) -> _Nodes:
@@ -672,10 +672,9 @@ def run_loop(model, domain: Domain, cost: CostModel, budget,
     Returns (final model, EnrichmentTrace). Each iteration finds the
     search's maximum-variance node (D_1 excluded by the data's own index
     of it, so the duplicate rule cannot trip), chooses how deep to run
-    by ``choose_level``'s rule on the search's kept state at that node
-    (a one-node search calls ``choose_level``), evaluates the
-    simulators, and enriches. ``refit`` is "never" (frozen
-    hyperparameters), "always", or "every-k" for an integer k (refit on
+    by ``choose_level``'s rule on the search's variance terms at that
+    node, evaluates the simulators, and enriches. ``refit`` is "never"
+    (frozen hyperparameters), "always", or "every-k" for an integer k (refit on
     iterations k, 2k, ...). A refit reestimates through ``enrich``: it
     keeps each level whose inputs are unchanged since the search that
     built it and searches every other level from its current
@@ -704,14 +703,13 @@ def run_loop(model, domain: Domain, cost: CostModel, budget,
     iteration = 0
     imse = compute_imse(model, domain, quadrature)
     while True:
-        j = search.best(search.top_variance(model), model.data.indexes[0])
+        terms = search.terms(model)
+        j = search.best(_variance_recursion(*terms)[-1],
+                        model.data.indexes[0])
         if j is None:
             break  # every candidate already observed; nothing left to add
         x = search.points[j]
-        if len(search.points) == 1:
-            level = choose_level(model, x, imse, cost, rule)
-        else:  # the level rule on the search's kept state at the node
-            level = _level_rule(*search.breakdown(model, j), imse, cost, rule)
+        level = _level_rule(*_split_at(terms, j), imse, cost, rule)
         step = cost.cost_through(level)
         if cum + step > budget:
             break

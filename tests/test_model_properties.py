@@ -28,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mfkrig.cokriging as cokriging
 import mfkrig.kriging as kriging
 import mfkrig.sequential as sequential
 from mfkrig.cokriging import (
@@ -140,9 +141,21 @@ def test_node_set_variance_is_predict_variance_and_contributions_sum(chain):
     assert (top == out.variances[-1]).all()
     # the kept state at a node gives predict's variance split there
     for j in (0, len(probes) - 1):
-        variance, contributions = nodes.breakdown(model, j)
+        variance, contributions = sequential._split_at(nodes.terms(model), j)
         assert variance == out.variances[-1, j]
         assert (contributions == out.contributions[:, j]).all()
+    # a one-point set, off the design and on it, forms its terms from
+    # predict's own one-point solve
+    for point in (probes[:1], probes[-1:]):
+        one = model.predict(point)
+        _, _, factors = model._probe(point)
+        want = cokriging._variance_terms(model.levels, factors, point)
+        terms = sequential._Nodes(point).terms(model)
+        for got_arrays, want_arrays in zip(terms, want):
+            assert all((a == b).all() for a, b in zip(got_arrays, want_arrays))
+        variance, contributions = sequential._split_at(terms, 0)
+        assert variance == one.variances[-1, 0]
+        assert (contributions == one.contributions[:, 0]).all()
     sigma2_sum = sum(par.sigma2 for par in params)
     assert np.max(np.abs(out.contributions.sum(axis=0) - out.variances[-1])) \
         <= 1e-12 * sigma2_sum
@@ -317,9 +330,10 @@ def test_the_frozen_loop_chooses_from_kept_node_state_as_choose_level(
     imse = sequential.compute_imse(final, domain, quadrature)
     off = ~reference_same_points(nodes.points,
                                  final.data.designs[0]).any(axis=1)
+    terms = nodes.terms(final)
     for j in np.flatnonzero(off):
-        kept = sequential._level_rule(*nodes.breakdown(final, j), imse, cost,
-                                      rule)
+        kept = sequential._level_rule(*sequential._split_at(terms, j), imse,
+                                      cost, rule)
         assert kept == sequential.choose_level(final, nodes.points[j], imse,
                                                cost, rule)
 

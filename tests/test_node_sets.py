@@ -118,22 +118,40 @@ CASES = {  # problem, sizes, search, quadrature (or "measure"), refit, budget
     "2d-3lev-polish-grid-every2": (
         "ripple3", [14, 7, 4], Uniform(50, seed=8),
         Grid(6), "every-2", 6),
+    # one search node, which runs once, or one quadrature node: the level
+    # rule or the IMSE reads predict's one-point solve
+    "1d-2lev-grid1-grid-never": (
+        "forrester", [8, 4], Grid(1), Grid(64), "never", 24),
+    "1d-2lev-grid-grid1-never": (
+        "forrester", [8, 4], Grid(65), Grid(1), "never", 24),
+    "1d-3lev-uniform1-grid-never": (
+        "chain3", [10, 6, 3], Uniform(1, seed=7), Grid(32), "never", 40),
 }
+# the level rule of a case, where it is not the default imse-threshold
+RULES = {"1d-3lev-uniform1-grid-never": "cost-weighted"}
 
 
-@pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
-def test_run_loop_equals_its_replay_through_public_calls(case):
-    name, sizes, search, quadrature, refit, budget = case
+def _ran_enough(search, trace) -> bool:
+    """A one-node search runs once, as its node then lies in D_1; every
+    other case runs more than once."""
+    return len(trace) == 1 if search.n == 1 else len(trace) > 1
+
+
+@pytest.mark.parametrize("case_id", CASES)
+def test_run_loop_equals_its_replay_through_public_calls(case_id):
+    name, sizes, search, quadrature, refit, budget = CASES[case_id]
     model, bounds, cost, simulators = _setup(name, sizes)
     if quadrature == "measure":
         domain, quadrature = Domain(bounds, _measure(bounds, 30, 9)), None
     else:
         domain = Domain(bounds)
     args = (model, domain, cost, budget, simulators)
-    kwargs = dict(search=search, quadrature=quadrature, refit=refit)
+    kwargs = dict(search=search, quadrature=quadrature, refit=refit,
+                  rule=RULES.get(case_id, sequential.IMSE_THRESHOLD))
     got_model, got = run_loop(*args, **kwargs)
     want_model, want = replay_loop(*args, **kwargs)
-    assert len(got) == len(want) > 1
+    assert len(got) == len(want)
+    assert _ran_enough(search, got)
     assert got.complete == want.complete
     for a, b in zip(got.entries, want.entries):
         assert a.iteration == b.iteration
@@ -224,21 +242,37 @@ TRACE_SHA256 = {
         "688c24e68da00e22533740521fc91161a30d7dc6b7964b6381e926a5664c04c0",
     "2d-3lev-polish-grid-every2":
         "b625aa3fd044ac6ff4d3ed75517cc5a23cc1c777bb41a42ead3988c8027a1de8",
+    "1d-2lev-grid1-grid-never":
+        "480964f102ac40870480eba2080415652c950ace6c68462bd1a1a88bb3c13a7b",
+    "1d-2lev-grid-grid1-never":
+        "577bacb792a70b3adb950f8c0fd6a461a2e81c2fe55448308435869d8a6b9015",
+    "1d-3lev-uniform1-grid-never":
+        "0d44ecbe4c056db29e351058300e5e8ad517ae75a4ac5523c64a0389ecc87943",
 }
 
 
 @pytest.mark.parametrize("case_id", CASES)
-def test_frozen_loops_give_the_pinned_traces(case_id):
+def test_frozen_loops_give_the_pinned_traces(case_id, monkeypatch):
     name, sizes, search, quadrature, _, budget = CASES[case_id]
     model, bounds, cost, simulators = _setup(name, sizes)
     if quadrature == "measure":
         domain, quadrature = Domain(bounds, _measure(bounds, 30, 9)), None
     else:
         domain = Domain(bounds)
+    calls = []
+    for owner, attr in ((sequential, "choose_level"),
+                        (MultiFidelityModel, "predict")):
+        def counted(*args, _attr=attr, _original=getattr(owner, attr)):
+            calls.append(_attr)
+            return _original(*args)
+        monkeypatch.setattr(owner, attr, counted)
     final, trace = run_loop(model, domain, cost, budget, simulators,
-                            search=search, quadrature=quadrature)
-    assert len(trace) > 1
+                            search=search, quadrature=quadrature,
+                            rule=RULES.get(case_id, sequential.IMSE_THRESHOLD))
+    assert _ran_enough(search, trace)
     assert _trace_digest(final, trace) == TRACE_SHA256[case_id]
+    # the level rule and the variances read the node sets, one node or many
+    assert calls == []
 
 
 def test_a_uniform_takes_no_polish_and_a_quadrature_is_checked_first():
@@ -421,7 +455,8 @@ def test_a_linear_scaling_matches_predict_as_its_coefficients_change():
         assert (model.levels[1].rho_beta.tobytes() == kept) == keeps
         out = model.predict(nodes.points)
         assert (nodes.top_variance(model) == out.variances[-1]).all()
-        variance, contributions = nodes.breakdown(model, 30)
+        variance, contributions = sequential._split_at(nodes.terms(model),
+                                                       30)
         assert variance == out.variances[-1, 30]
         assert (contributions == out.contributions[:, 30]).all()
 
@@ -575,6 +610,28 @@ def test_fully_excluded_search_returns_none_and_stops_the_loop():
     again, empty = run_loop(final, UNIT1, cost, 200.0, simulators,
                             search=Grid(5), quadrature=Grid(16))
     assert again is final and len(empty) == 0 and empty.complete
+
+
+def test_a_frozen_iteration_forms_the_search_terms_once(monkeypatch):
+    # the level rule reads the terms the search's argmax was taken from
+    model, _, cost, simulators = _setup("forrester", [8, 4])
+    search = sequential._node_set(UNIT1, Grid(33), False)
+    quadrature = sequential._node_set(UNIT1, Grid(16), True)
+    formed = []
+    original = sequential._variance_terms
+
+    def spy(levels, factors, X):
+        formed.append("search" if X is search.points else "quadrature")
+        return original(levels, factors, X)
+
+    monkeypatch.setattr(sequential, "_variance_terms", spy)
+    _, trace = run_loop(model, UNIT1, cost, 12, simulators, search=search,
+                        quadrature=quadrature)
+    assert len(trace) > 1
+    # the first IMSE, then per iteration the search and the IMSE after
+    # it, and the search of the iteration that stops the loop
+    assert formed == (["quadrature"] + ["search", "quadrature"] * len(trace)
+                      + ["search"])
 
 
 def test_the_loop_excludes_through_the_index_of_d1(monkeypatch):

@@ -159,7 +159,8 @@ def test_console_script_commands_run_through_the_module(tmp_path):
                 "refit-predict", "prefix-sequential", "matern-fit",
                 "matern-sequential", "uniform-sequential",
                 "random-sequential", "cost-weighted-sequential",
-                "every-sequential", "exhausted-sequential", "predict-points"):
+                "every-sequential", "exhausted-sequential",
+                "one-node-sequential", "predict-points"):
         assert (tmp_path / out).is_dir(), out
     # a failing command fails the script, in either mode: here fit cannot
     # make its output directory

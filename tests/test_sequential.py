@@ -175,6 +175,19 @@ def test_product_grid_takes_an_integer_node_count(midpoints):
     assert grid.shape == (4, 1)
 
 
+@pytest.mark.parametrize("midpoints", [False, True])
+@pytest.mark.parametrize("bounds, message", [
+    ([[1.0, 0.0]], "each lower bound must be below its upper bound"),
+    ([[0.0, np.nan]], "bounds must be finite"),
+    ([[0, 1, 2]], re.escape("bounds must have shape (d, 2)")),
+], ids=["descending", "nan", "three-columns"])
+def test_product_grid_checks_its_box_by_the_box_rule(bounds, message,
+                                                     midpoints):
+    # descending nodes, nan nodes and an unpacking error before the check
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        product_grid(bounds, 3, midpoints=midpoints)
+
+
 # ---------------------------------------------------------------------------
 # argmax_variance
 
