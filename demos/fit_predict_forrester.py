@@ -8,10 +8,12 @@ go into nested designs; the surrogate then predicts the expensive code
 everywhere, with a variance split that says which level is to blame
 for the remaining uncertainty.
 
-Run from the repository root:
+Run from any directory; the outputs go next to this script:
 
     python3 demos/fit_predict_forrester.py
 """
+
+import os
 
 import numpy as np
 
@@ -103,5 +105,7 @@ if plt is not None:
     bx.set_xlabel("x")
     bx.set_ylabel("variance contribution")
     fig.tight_layout()
-    fig.savefig("demos/forrester_fit.png", dpi=120)
-    print("wrote demos/forrester_fit.png")
+    figure_path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                               "forrester_fit.png")
+    fig.savefig(figure_path, dpi=120)
+    print(f"wrote {figure_path}")

@@ -9,10 +9,12 @@ expensive code, decides how deep into the hierarchy that run should go
 requires the cheap run too), executes it, and refits. The ledger below
 shows the average model error falling as the budget is consumed.
 
-Run from the repository root:
+Run from any directory; the outputs go next to this script:
 
     python3 demos/sequential_budget.py
 """
+
+import os
 
 import numpy as np
 
@@ -30,6 +32,8 @@ from mfkrig import (
     run_loop,
     write_trace,
 )
+
+HERE = os.path.dirname(os.path.abspath(__file__))
 
 # ----------------------------------------------------------------------
 # Initial nested design, initial fit
@@ -74,8 +78,9 @@ print(f"\naverage model error: {first:.3e} -> {last:.3e} "
 sizes = [len(D) for D in model.data.designs]
 print(f"final design sizes: level 1: {sizes[0]}, level 2: {sizes[1]}")
 
-write_trace(trace, "demos/forrester_trace.csv")
-print("wrote demos/forrester_trace.csv")
+trace_path = os.path.join(HERE, "forrester_trace.csv")
+write_trace(trace, trace_path)
+print(f"wrote {trace_path}")
 
 # ----------------------------------------------------------------------
 # Picture: error decay against money spent
@@ -103,5 +108,6 @@ if plt is not None:
     ax.set_ylabel("integrated variance")
     ax.legend()
     fig.tight_layout()
-    fig.savefig("demos/forrester_decay.png", dpi=120)
-    print("wrote demos/forrester_decay.png")
+    figure_path = os.path.join(HERE, "forrester_decay.png")
+    fig.savefig(figure_path, dpi=120)
+    print(f"wrote {figure_path}")

@@ -461,23 +461,25 @@ def _fit_on(config: LevelConfig, inputs, box, starts) -> FittedLevel:
     """The level an ML search (``kriging._ml_fit``) from ``starts`` in the
     log-lengthscale ``box`` builds on its checked inputs, from the
     search's solve at its best point, marked ``searched``."""
-    level = _assemble_level(config, inputs, *_ml_fit(inputs[0], box, starts))
-    level.searched = True
-    return level
+    return _assemble_level(config, inputs, *_ml_fit(inputs[0], box, starts),
+                           searched=True)
 
 
 def _assemble_level(config: LevelConfig, inputs, kernel: KernelSpec, terms,
-                    sigma2=None) -> FittedLevel:
+                    sigma2=None, searched=False,
+                    grown_from=None) -> FittedLevel:
     """One level with the given kernel on its ``_level_inputs``, from its
     ``kriging._solve_level`` ``terms``: the search's at its best point or
-    a solve at given parameters. ``sigma2`` defaults to the ML estimate."""
+    a solve at given parameters. ``sigma2`` defaults to the ML estimate;
+    ``searched`` and ``grown_from`` are the ``FittedLevel`` fields."""
     lik, lower_values, q = inputs
     nll, coef, ml_sigma2, lo, alpha, _ = terms
     return FittedLevel(
         design=lik.design, y=lik.y, trend=config.trend, scaling=config.scaling,
         kernel=kernel, beta=coef[q:], rho_beta=coef[:q] if q else None,
         sigma2=ml_sigma2 if sigma2 is None else sigma2, chol=lo, alpha=alpha,
-        nll=nll, lower_values=lower_values)
+        nll=nll, lower_values=lower_values, grown_from=grown_from,
+        searched=searched)
 
 
 def _keeps(level: FittedLevel, data, t) -> bool:
@@ -540,7 +542,7 @@ class MultiFidelityModel:
     nothing saves it.
     """
 
-    def __init__(self, levels, data: MultiFidelityData, configs):
+    def __init__(self, levels, data: MultiFidelityData, configs, bounds=None):
         _check_levels(data, configs, levels)
         for t, (lev, dd) in enumerate(zip(levels, data.designs), start=1):
             if len(lev.design) != len(dd) or not extends(lev.design, dd):
@@ -549,7 +551,7 @@ class MultiFidelityModel:
         self.levels = list(levels)
         self.data = data
         self.configs = list(configs)
-        self._bounds = None
+        self._bounds = bounds
 
     @property
     def level_count(self) -> int:
@@ -670,11 +672,9 @@ class MultiFidelityModel:
             grown_from = lev.chol if extends(lik.design, lev.design) else None
             terms = _solve_level(lik, lev.lengthscales, grown_from=grown_from)
             levels.append(_assemble_level(config, inputs, lev.kernel, terms,
-                                          sigma2=lev.sigma2))
-            levels[-1].grown_from = grown_from
-        model = MultiFidelityModel(levels, data, self.configs)
-        model._bounds = self._bounds
-        return model
+                                          sigma2=lev.sigma2,
+                                          grown_from=grown_from))
+        return MultiFidelityModel(levels, data, self.configs, self._bounds)
 
 
 def fit_multifidelity(data: MultiFidelityData, configs, bounds=None,
@@ -699,9 +699,7 @@ def fit_multifidelity(data: MultiFidelityData, configs, bounds=None,
         box = _search_box(level_inputs[0].design, bounds)
         levels.append(_fit_on(config, level_inputs, box,
                               _draw_starts(*box, restarts, rng)))
-    model = MultiFidelityModel(levels, data, configs)
-    model._bounds = bounds
-    return model
+    return MultiFidelityModel(levels, data, configs, bounds)
 
 
 def _reestimate(model: MultiFidelityModel,
@@ -728,6 +726,4 @@ def _reestimate(model: MultiFidelityModel,
         box = _search_box(level_inputs[0].design, model._bounds)
         levels.append(_fit_on(config, level_inputs, box, [
             np.log(lev.lengthscales), 0.5 * (box[0] + box[1])]))
-    out = MultiFidelityModel(levels, data, model.configs)
-    out._bounds = model._bounds
-    return out
+    return MultiFidelityModel(levels, data, model.configs, model._bounds)

@@ -31,8 +31,9 @@ best is the fitted level. The nugget joins a factored diagonal in
 ``_factor_in_place`` alone. ``variance_factor`` gives the
 1 - r(x)' R^{-1} r(x) of the plug-in posterior variance (no
 trend-estimation inflation term) by the row recursion ``_solve_rows``,
-so a solve kept on fixed nodes and continued over appended rows equals
-a fresh one bit for bit. The level
+one loop over column passes whose width follows from the row count, so
+a solve kept on fixed nodes and continued over appended rows equals a
+fresh one bit for bit. The level
 posteriors are formed in ``cokriging``; a single-level model is a
 1-level ``fit_multifidelity``.
 
@@ -52,7 +53,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError
+from numpy.linalg import LinAlgError
 from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
 
 from .exceptions import (
@@ -85,10 +86,10 @@ _VARIANCE_SLACK = 1e-9
 # hundred.
 _COLUMN_BLOCK = 1024
 
-# Up to this many elements of V read by one row (2 MiB), or for a single
-# row, the recursion runs row by row over the full width; beyond it,
-# block by block, so a block's rows stay in cache across rows.
-_ROW_ORDER_ELEMENTS = 1 << 18
+# Elements of V (2 MiB) that one pass of the row recursion may read, its
+# rows times its columns, so they stay in cache from row to row; a pass
+# spans at least one column block.
+_PASS_ELEMENTS = 1 << 18
 
 _DEFAULT_RESTARTS = 5
 
@@ -197,37 +198,35 @@ def _solve_rows(chol_lower, c, v, s, start) -> None:
     the result must not depend on the factor's memory order. The
     product L[i, :i] V[:i] is one gemv per block of ``_COLUMN_BLOCK``
     columns, fixed by the column count alone, as a gemv's bits depend on
-    its width. The rest is elementwise, so the loop order leaves the
-    bits alone: one row (an append) or a V of at most
-    ``_ROW_ORDER_ELEMENTS`` read per row runs row by row, with one
-    subtract, scale and square-accumulate over the full width; a larger
-    fresh solve runs block by block, so the rows of V a block reads stay
-    in cache.
+    its width. The rest is elementwise, so the pass plan leaves the
+    bits alone: the rows run pass by pass over the columns, so that the
+    rows of V a pass reads stay in cache. A pass spans the full width
+    for one row (an append) or when rows times width fit
+    ``_PASS_ELEMENTS``; otherwise the most whole blocks whose rows fit
+    it, at least one. No columns run no pass.
     """
     stop, width = start + len(c), c.shape[1]
     rows = np.ascontiguousarray(chol_lower[start:stop])
     inverses = 1.0 / chol_lower.diagonal()[start:stop]
-    blocks = [slice(j, j + _COLUMN_BLOCK)
-              for j in range(0, width, _COLUMN_BLOCK)]
-    if len(c) == 1 or stop * width <= _ROW_ORDER_ELEMENTS:
-        square = np.empty(width)
-        for i, c_i, l_i, inverse in zip(range(start, stop), c, rows, inverses):
-            v_i, l_i = v[i], l_i[:i]
+    if len(c) == 1 or stop * width <= _PASS_ELEMENTS:
+        step = max(width, 1)
+    else:
+        step = _COLUMN_BLOCK * max(1, _PASS_ELEMENTS // (stop * _COLUMN_BLOCK))
+    square = np.empty(min(step, width))
+    for j in range(0, width, step):
+        v_pass, s_pass = v[:, j:j + step], s[j:j + step]
+        square_pass = square[:s_pass.size]
+        blocks = [slice(k, k + _COLUMN_BLOCK)
+                  for k in range(0, s_pass.size, _COLUMN_BLOCK)]
+        for i, c_i, l_i, inverse in zip(range(start, stop), c[:, j:j + step],
+                                        rows, inverses):
+            v_i, l_i = v_pass[i], l_i[:i]
             for block in blocks:
-                np.matmul(l_i, v[:i, block], out=v_i[block])
+                np.matmul(l_i, v_pass[:i, block], out=v_i[block])
             np.subtract(c_i, v_i, out=v_i)
             v_i *= inverse
-            np.multiply(v_i, v_i, out=square)
-            s += square
-        return
-    for block in blocks:
-        v_block, s_block = v[:, block], s[block]
-        for i, c_i, l_i, inverse in zip(range(start, stop), c[:, block],
-                                        rows, inverses):
-            v_i = v_block[i]
-            np.subtract(c_i, l_i[:i] @ v_block[:i], out=v_i)
-            v_i *= inverse
-            s_block += v_i * v_i
+            np.multiply(v_i, v_i, out=square_pass)
+            s_pass += square_pass
 
 
 def _clamped_factor(s) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Shared test utilities: prior sampling, dense reference formulas, the
 likelihood evaluation through scipy's checked wrappers, a fresh factor
-of R + nugget from the library's solve, a Nelder-Mead
+of R + nugget from the library's solve, the variance row recursion
+row by row over the full width, a Nelder-Mead
 likelihood search as the yardstick of the library's L-BFGS-B search,
 that search with its former memoized ``minimize`` call as its oracle, a
 variance search through ``predict``, the likelihood gradient's weight
@@ -139,6 +140,26 @@ def fresh_factor(family, design, theta):
     lik = kriging._likelihood(family, design, np.ones((len(design), 1)),
                               design[:, 0])
     return kriging._solve_level(lik, theta)[3]
+
+
+def reference_solve_rows(chol_lower, c, v, s):
+    """V = L^{-1} C into ``v`` and the sum of its squared rows added to
+    ``s`` by the row recursion, one row at a time over the full width:
+    one gemv per ``kriging._COLUMN_BLOCK`` columns, then one subtract,
+    scale and square-accumulate over the row."""
+    rows = np.ascontiguousarray(chol_lower)
+    inverses = 1.0 / chol_lower.diagonal()
+    blocks = [slice(j, j + kriging._COLUMN_BLOCK)
+              for j in range(0, c.shape[1], kriging._COLUMN_BLOCK)]
+    square = np.empty(c.shape[1])
+    for i, (c_i, l_i, inverse) in enumerate(zip(c, rows, inverses)):
+        v_i, l_i = v[i], l_i[:i]
+        for block in blocks:
+            np.matmul(l_i, v[:i, block], out=v_i[block])
+        np.subtract(c_i, v_i, out=v_i)
+        v_i *= inverse
+        np.multiply(v_i, v_i, out=square)
+        s += square
 
 
 def reference_ml_fit(lik, box, starts):

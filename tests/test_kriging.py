@@ -40,6 +40,7 @@ from helpers import (
     reference_ml_fit,
     reference_nll_gradient,
     reference_nll_terms,
+    reference_solve_rows,
     sample_gp,
 )
 
@@ -823,6 +824,32 @@ def test_one_column_is_solved_as_a_column_among_others_to_round_off():
     batch = variance_factor(lo, c)
     single = np.array([variance_factor(lo, c[:, [j]])[0] for j in range(9)])
     assert np.max(np.abs(single - batch)) <= 1e-12
+
+
+# (rows, columns) for each pass plan of the row recursion
+@pytest.mark.parametrize("n, m", [
+    (12, 10_001), (30, 10_201), (28, 10_201), (150, 2_000), (300, 1_025),
+    (60, 2_049), (5, 0)],
+    ids=["one-pass", "8-blocks-a-pass", "9-blocks-a-pass", "1-block-a-pass",
+         "one-column-last-pass", "one-column-last-block", "no-columns"])
+def test_the_row_recursion_equals_the_full_width_oracle_fresh_and_continued(
+        n, m):
+    rng = np.random.default_rng(n)
+    design = rng.uniform(0, 1, size=(n, 2))
+    theta = np.array([0.05, 0.08])
+    lo = fresh_factor(SE, design, theta)
+    c = kriging._scaled_correlation(SE, design / theta,
+                                    rng.uniform(0, 1, size=(m, 2)) / theta)
+    want_v, want_s = np.empty((n, m)), np.zeros(m)
+    reference_solve_rows(lo, c, want_v, want_s)
+    fresh_v, fresh_s = np.empty((n, m)), np.zeros(m)
+    kriging._solve_rows(lo, c, fresh_v, fresh_s, 0)
+    v, s = np.empty((n, m)), np.zeros(m)
+    for start, stop in [(0, 1), (1, 3), (3, n)]:
+        kriging._solve_rows(lo, c[start:stop], v, s, start)
+    for got_v, got_s in [(fresh_v, fresh_s), (v, s)]:
+        assert got_v.tobytes() == want_v.tobytes()
+        assert got_s.tobytes() == want_s.tobytes()
 
 
 def test_variance_clamp_raises_beyond_slack():
